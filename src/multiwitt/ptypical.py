@@ -5,20 +5,27 @@ A length-m vector (v_0, .., v_{m-1}) has ghost components
     w_i = v_0^(p^i) + p v_1^(p^(i-1)) + .. + p^i v_i,
 
 and the ring laws are the unique polynomial laws that are ghost-wise
-addition and multiplication.  Over prime fields the laws are computed by
-lifting entries through the fixed representatives {0..p-1}, operating on
-ghosts over exact rationals and solving back; the solved entries are
-always p-integral, and a violation raises NonIntegral as a bug signal.
-Over extensions and rings with nilpotents the universal law polynomials
-are precomputed symbolically once per (p, m) and evaluated in the ring.
+addition and multiplication.  Rational-mode vectors apply the definition
+over exact rationals.  Ring-mode vectors over R = F_q[eps]/(eps^nil) use
+the ghost-lift method: each entry's nil x e digit matrix is read as an
+element of A_m = (Z/p^m)[x]/(f~)[eps]/(eps^nil), with f~ the field
+modulus read over the integers; the ghosts are formed in A_m, combined
+slot by slot and solved back one entry at a time,
+
+    z_i = (W_i - sum_{k<i} p^k z_k^(p^(i-k))) / p^i  reduced mod p.
+
+Only the residues of earlier entries matter, because x = y (mod p)
+implies x^(p^j) = y^(p^j) (mod p^(j+1)).  Every division is exact; a
+violation raises NonIntegral as a bug signal.
 
 The Artin-Hasse series AH(s) = exp(sum_i s^(p^i)/p^i) has p-integral
-coefficients; E(x, t^j) denotes AH(x t^j).  Multiplying factors
-E(v_i, t^(j p^i)) over i embeds a vector into the one-variable truncated
-group, and doing so over all j coprime to p is a bijection onto it; the
-inverse solves one entry per exponent in ascending order.  Pairing a
-nilpotent vector v against w evaluates E at t = 1 on the product v*w,
-which is a finite sum by nilpotency.
+coefficients a_n, built from s AH'(s) = AH(s) sum_i s^(p^i), that is
+n a_n = sum_{p^i <= n} a_{n - p^i}.  E(x, t^j) denotes AH(x t^j).
+Multiplying factors E(v_i, t^(j p^i)) over i embeds a vector into the
+one-variable truncated group, and doing so over all j coprime to p is a
+bijection onto it; the inverse solves one entry per exponent in
+ascending order.  Pairing a nilpotent vector v against w evaluates E at
+t = 1 on the product v*w, which is a finite sum by nilpotency.
 """
 
 from __future__ import annotations
@@ -27,13 +34,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import NonIntegral, NotNilpotent, ShapeMismatch, TooLarge
-from .qpoly import QPoly
+from .errors import NonIntegral, NotNilpotent, ShapeMismatch
 from .ring import CoeffRing, RingElement
 from .series import TruncatedSeries
 from .witt import WittElement
-
-MAX_SYMBOLIC_LENGTH = 4
 
 
 @dataclass(frozen=True)
@@ -146,37 +150,6 @@ def from_ghost(w: GhostVector) -> PWittVector:
     return PWittVector(p, entries)
 
 
-# universal law polynomials -------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _law_polynomials(p: int, m: int, kind: str) -> tuple:
-    """Sum/product laws in variables x_0..x_{m-1}, y_0..y_{m-1}."""
-    if m > MAX_SYMBOLIC_LENGTH:
-        raise TooLarge(f"symbolic laws limited to length {MAX_SYMBOLIC_LENGTH}")
-    nv = 2 * m
-
-    def ghost_poly(vals, i):
-        acc = QPoly(nv, {})
-        for k in range(i + 1):
-            acc = acc + vals[k].pow(p ** (i - k)).scale(Fraction(p) ** k)
-        return acc
-
-    xs = [QPoly.var(nv, i) for i in range(m)]
-    ys = [QPoly.var(nv, m + i) for i in range(m)]
-    laws = []
-    for i in range(m):
-        gx = ghost_poly(xs, i)
-        gy = ghost_poly(ys, i)
-        target = gx + gy if kind == "sum" else gx * gy
-        for k in range(i):
-            target = target - laws[k].pow(p ** (i - k)).scale(Fraction(p) ** k)
-        law = target.scale(Fraction(1, p**i))
-        law.assert_integer(f"{kind} law entry {i}")
-        laws.append(law)
-    return tuple(laws)
-
-
 def _op_rational(v: PWittVector, w: PWittVector, kind: str) -> PWittVector:
     gv, gw = ghost(v).entries, ghost(w).entries
     if kind == "sum":
@@ -186,29 +159,93 @@ def _op_rational(v: PWittVector, w: PWittVector, kind: str) -> PWittVector:
     return from_ghost(GhostVector(v.p, tuple(gz)))
 
 
-def _op_prime_field(v: PWittVector, w: PWittVector, kind: str) -> PWittVector:
-    # lift through representatives {0..p-1}, operate on ghosts, reduce
-    p, ring = v.p, v.ring
-    lifted = _op_rational(
-        PWittVector(p, [int(e) for e in v.entries]),
-        PWittVector(p, [int(e) for e in w.entries]),
-        kind,
-    )
-    reduced = []
-    for e in lifted.entries:
-        if e.denominator % p == 0:
-            raise NonIntegral(f"solved entry {e} is not {p}-integral")
-        num = e.numerator % p
-        den = pow(e.denominator % p, p - 2, p) if e.denominator % p != 1 else 1
-        reduced.append((num * den) % p)
-    return PWittVector(p, reduced, ring)
+# ghost-lift laws ------------------------------------------------------------
+#
+# Elements of A_m = (Z/p^m)[x]/(f~)[eps]/(eps^nil) are nil x e integer
+# matrices, eps-degree major, like ring.raw_to_coords.
 
 
-def _op_ring(v: PWittVector, w: PWittVector, kind: str) -> PWittVector:
-    laws = _law_polynomials(v.p, len(v), kind)
-    values = list(v.entries) + list(w.entries)
+def _lift_mul(a: list, b: list, ring: CoeffRing, mod: int) -> list:
+    e, f = ring.field.e, ring.field.modulus
+    rows = [[0] * (2 * e - 1) for _ in a]
+    for i, ra in enumerate(a):
+        for j in range(len(a) - i):
+            rb, row = b[j], rows[i + j]
+            for s, c in enumerate(ra):
+                if c:
+                    for t, y in enumerate(rb):
+                        row[s + t] += c * y
+    for row in rows:
+        # x^k = -x^(k-e) (f_0 + .. + f_(e-1) x^(e-1)) for k >= e
+        for k in range(2 * e - 2, e - 1, -1):
+            c = row[k]
+            if c:
+                for t in range(e):
+                    row[k - e + t] -= c * f[t]
+    return [[c % mod for c in row[:e]] for row in rows]
+
+
+def _lift_pow(a: list, k: int, ring: CoeffRing, mod: int) -> list:
+    out = None
+    while k:
+        if k & 1:
+            out = a if out is None else _lift_mul(out, a, ring, mod)
+        k >>= 1
+        if k:
+            a = _lift_mul(a, a, ring, mod)
+    return out
+
+
+def _add_ghost_terms(ghosts: list, k: int, x: list, ring: CoeffRing, mod: int) -> None:
+    """Add p^k x^(p^(i-k)) to ghosts[i] for every i >= k."""
+    p, scale = ring.p, ring.p**k
+    for i in range(k, len(ghosts)):
+        ghosts[i] = [
+            [(g + scale * c) % mod for g, c in zip(grow, xrow)]
+            for grow, xrow in zip(ghosts[i], x)
+        ]
+        if i + 1 < len(ghosts):
+            x = _lift_pow(x, p, ring, mod)
+
+
+def _lift_ghosts(v: PWittVector, mod: int) -> list:
     ring = v.ring
-    return PWittVector(v.p, [law.eval_raw(ring, values) for law in laws], ring)
+    ghosts = [[[0] * ring.field.e for _ in range(ring.nil)] for _ in v.entries]
+    for k, raw in enumerate(v.entries):
+        if raw:
+            _add_ghost_terms(ghosts, k, ring.raw_to_coords(raw), ring, mod)
+    return ghosts
+
+
+def _op_lifted(v: PWittVector, w: PWittVector, kind: str) -> PWittVector:
+    ring, p, m = v.ring, v.p, len(v)
+    mod = p**m
+    gv, gw = _lift_ghosts(v, mod), _lift_ghosts(w, mod)
+    if kind == "sum":
+        target = [
+            [[(a + b) % mod for a, b in zip(ra, rb)] for ra, rb in zip(x, y)]
+            for x, y in zip(gv, gw)
+        ]
+    else:
+        target = [_lift_mul(x, y, ring, mod) for x, y in zip(gv, gw)]
+    # solved[i] accumulates sum_{k<i} p^k z_k^(p^(i-k)) as entries are found
+    solved = [[[0] * ring.field.e for _ in range(ring.nil)] for _ in range(m)]
+    entries = []
+    for i in range(m):
+        scale = p**i
+        digits = []
+        for trow, srow in zip(target[i], solved[i]):
+            row = []
+            for t, s in zip(trow, srow):
+                c = (t - s) % mod
+                if c % scale:
+                    raise NonIntegral(f"{kind} law entry {i} is not divisible by {p}^{i}")
+                row.append(c // scale % p)
+            digits.append(row)
+        entries.append(ring.coords_to_raw(digits))
+        if entries[-1]:
+            _add_ghost_terms(solved, i, digits, ring, mod)
+    return PWittVector(p, entries, ring)
 
 
 def _binop(v: PWittVector, w: PWittVector, kind: str) -> PWittVector:
@@ -216,9 +253,7 @@ def _binop(v: PWittVector, w: PWittVector, kind: str) -> PWittVector:
         raise ShapeMismatch("vectors have different shape")
     if v.rational:
         return _op_rational(v, w, kind)
-    if v.ring.is_prime_field:
-        return _op_prime_field(v, w, kind)
-    return _op_ring(v, w, kind)
+    return _op_lifted(v, w, kind)
 
 
 def pwitt_add(v: PWittVector, w: PWittVector) -> PWittVector:
@@ -247,45 +282,21 @@ def integer_pwitt(c: int, p: int, m: int, ring: CoeffRing | None = None) -> PWit
 
 @lru_cache(maxsize=None)
 def artin_hasse_coefficients(p: int, count: int) -> tuple:
-    """First ``count`` coefficients of AH(s), built with the argument kept as
-    an indeterminate so the shape (coefficient k is a scalar times x^k) and
-    p-integrality are both checked."""
-    # series in t with QPoly coefficients in one variable x
-    K = count
-    series = [QPoly(1, {}) for _ in range(K)]
-    series[0] = QPoly.const(1, 1)
-    log_term = [QPoly(1, {}) for _ in range(K)]
-    i = 0
-    while p**i < K:
-        log_term[p**i] = QPoly.var(1, 0, p**i).scale(Fraction(1, p**i))
-        i += 1
-    # exp via accumulation of powers: E = sum L^k / k!
-    power = [QPoly.const(1, 1)] + [QPoly(1, {}) for _ in range(K - 1)]
-    fact = 1
-    for k in range(1, K):
-        fact *= k
-        nxt = [QPoly(1, {}) for _ in range(K)]
-        for da in range(K):
-            if not power[da]:
-                continue
-            for db in range(1, K - da):
-                if log_term[db]:
-                    nxt[da + db] = nxt[da + db] + power[da] * log_term[db]
-        power = nxt
-        if not any(power):
-            break
-        inv_fact = Fraction(1, fact)
-        for deg in range(K):
-            if power[deg]:
-                series[deg] = series[deg] + power[deg].scale(inv_fact)
+    """First ``count`` coefficients of AH(s) by n a_n = sum_{p^i <= n} a_{n - p^i},
+    each checked to be p-integral."""
     out = []
-    for k in range(K):
-        poly = series[k]
-        poly.assert_p_integral(p, f"Artin-Hasse coefficient {k}")
-        for e, c in poly.terms.items():
-            if e != (k,):
-                raise NonIntegral(f"unexpected monomial x^{e[0]} at degree {k}")
-        out.append(poly.terms.get((k,), Fraction(0)))
+    for n in range(count):
+        if n == 0:
+            a = Fraction(1)
+        else:
+            acc, pk = 0, 1
+            while pk <= n:
+                acc += out[n - pk]
+                pk *= p
+            a = acc / n
+        if a.denominator % p == 0:
+            raise NonIntegral(f"Artin-Hasse coefficient {n} is {a}, not {p}-integral")
+        out.append(a)
     return tuple(out)
 
 

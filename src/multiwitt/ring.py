@@ -228,7 +228,9 @@ class FiniteField:
             raise ValueError("coefficient vector has wrong length")
         idx = 0
         for c in reversed(vec):
-            idx = idx * self.p + (c % self.p)
+            if not 0 <= c < self.p:
+                raise ValueError(f"coefficient digit {c} outside [0, {self.p})")
+            idx = idx * self.p + c
         return idx
 
     def to_json_dict(self):

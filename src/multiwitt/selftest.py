@@ -181,6 +181,24 @@ def check_ghost_ring_hom(rng, cases=60):
             assert gp == tuple(a * b for a, b in zip(gv, gw))
 
 
+def check_lifted_ring_laws(rng, cases=20):
+    add, mul = ptypical.pwitt_add, ptypical.pwitt_mul
+    for q, nil in ((4, 2), (3, 2)):
+        ring = CoeffRing.make(q, nil=nil)
+        p, m = ring.p, 5
+        zero, one = ptypical.PWittVector.zero(p, m, ring), ptypical.PWittVector.one(p, m, ring)
+        for _ in range(cases):
+            v, w, u = (
+                ptypical.PWittVector(p, [ring.random_raw(rng) for _ in range(m)], ring)
+                for _ in range(3)
+            )
+            assert add(v, w) == add(w, v) and mul(v, w) == mul(w, v)
+            assert add(add(v, w), u) == add(v, add(w, u))
+            assert mul(mul(v, w), u) == mul(v, mul(w, u))
+            assert mul(v, add(w, u)) == add(mul(v, w), mul(v, u))
+            assert add(v, zero) == v and mul(v, one) == v
+
+
 def check_artin_hasse_integrality(rng, cases=0):
     for p in (2, 3, 5):
         coeffs = ptypical.artin_hasse_coefficients(p, 16)
@@ -316,6 +334,7 @@ SUITES = {
     "ptypical": [
         ("ghost_roundtrip", check_ghost_roundtrip),
         ("ghost_ring_hom", check_ghost_ring_hom),
+        ("lifted_ring_laws", check_lifted_ring_laws),
         ("artin_hasse_integrality", check_artin_hasse_integrality),
         ("pi_epsilon_roundtrip", check_pi_epsilon_roundtrip),
         ("pi_epsilon_hom", check_pi_epsilon_hom),

@@ -59,6 +59,17 @@ def primitive_part(exp: tuple) -> tuple:
     return exp if g <= 1 else tuple(v // g for v in exp)
 
 
+def parse_exponent(values, seen) -> tuple:
+    """Exponent tuple from a JSON list; rejects negative entries and
+    exponents already in ``seen``."""
+    exp = tuple(int(v) for v in values)
+    if any(v < 0 for v in exp):
+        raise ShapeMismatch(f"exponent {list(exp)} has a negative entry")
+    if exp in seen:
+        raise ShapeMismatch(f"exponent {list(exp)} listed twice")
+    return exp
+
+
 @lru_cache(maxsize=None)
 def exponents_below(n: int, d: int) -> tuple:
     """All exponent tuples with 0 <= |nu| < d, in graded order."""
@@ -329,7 +340,7 @@ class TruncatedSeries:
     def from_json_dict(cls, ring: CoeffRing, obj) -> "TruncatedSeries":
         terms = {}
         for t in obj["terms"]:
-            exp = tuple(int(v) for v in t["exp"])
+            exp = parse_exponent(t["exp"], terms)
             terms[exp] = ring.coords_to_raw(t["c"])
         return cls(ring, int(obj["n"]), int(obj["d"]), terms, bool(obj.get("exact", False)))
 

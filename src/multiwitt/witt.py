@@ -35,6 +35,7 @@ from .series import (
     content,
     exponents_below,
     grlex_key,
+    parse_exponent,
     primitive_exponents_below,
     primitive_part,
     zero_exp,
@@ -177,7 +178,7 @@ class WittCoordinates:
     def from_json_dict(cls, ring: CoeffRing, n: int, d: int, obj) -> "WittCoordinates":
         coords = {}
         for t in obj["coords"]:
-            coords[tuple(int(v) for v in t["exp"])] = ring.coords_to_raw(t["r"])
+            coords[parse_exponent(t["exp"], coords)] = ring.coords_to_raw(t["r"])
         return cls(ring, n, d, coords)
 
 

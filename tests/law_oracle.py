@@ -1,0 +1,159 @@
+"""Symbolic reference for the p-typical laws and the Artin-Hasse coefficients.
+
+The laws are built once per (p, m) as polynomials with exact rational
+coefficients and evaluated in the target ring; the Artin-Hasse series is
+built as exp(sum_i (x s)^(p^i) / p^i) with the argument kept as an
+indeterminate.  Both are slow and exist to check the library's ghost-lift
+laws and Artin-Hasse recurrence against an independent construction.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from functools import lru_cache
+
+from multiwitt import NonIntegral, PWittVector
+
+
+class QPoly:
+    """Map from exponent tuples to nonzero Fractions; fixed variable count."""
+
+    __slots__ = ("nvars", "terms")
+
+    def __init__(self, nvars: int, terms: dict | None = None):
+        self.nvars = nvars
+        self.terms = {e: Fraction(c) for e, c in (terms or {}).items() if c}
+
+    @classmethod
+    def const(cls, nvars: int, c) -> "QPoly":
+        return cls(nvars, {(0,) * nvars: Fraction(c)})
+
+    @classmethod
+    def var(cls, nvars: int, i: int, power: int = 1) -> "QPoly":
+        e = [0] * nvars
+        e[i] = power
+        return cls(nvars, {tuple(e): Fraction(1)})
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __add__(self, other: "QPoly") -> "QPoly":
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            out[e] = out.get(e, 0) + c
+        return QPoly(self.nvars, out)
+
+    def __sub__(self, other: "QPoly") -> "QPoly":
+        return self + other.scale(-1)
+
+    def __mul__(self, other: "QPoly") -> "QPoly":
+        out = {}
+        for ea, ca in self.terms.items():
+            for eb, cb in other.terms.items():
+                e = tuple(x + y for x, y in zip(ea, eb))
+                out[e] = out.get(e, 0) + ca * cb
+        return QPoly(self.nvars, out)
+
+    def scale(self, c) -> "QPoly":
+        c = Fraction(c)
+        return QPoly(self.nvars, {e: v * c for e, v in self.terms.items()})
+
+    def pow(self, k: int) -> "QPoly":
+        out = QPoly.const(self.nvars, 1)
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base
+            k >>= 1
+        return out
+
+    def eval_raw(self, ring, values) -> int:
+        """Evaluate at raw ring elements; coefficients must be p-integral."""
+        p = ring.p
+        acc = ring.zero
+        for e, c in self.terms.items():
+            if c.denominator % p == 0:
+                raise NonIntegral(f"coefficient {c} not {p}-integral")
+            term = ring.rmul(ring.rint(c.numerator), ring.rinv(ring.rint(c.denominator)))
+            for value, k in zip(values, e):
+                if k:
+                    term = ring.rmul(term, ring.rpow(value, k))
+            acc = ring.radd(acc, term)
+        return acc
+
+
+@lru_cache(maxsize=None)
+def law_polynomials(p: int, m: int, kind: str) -> tuple:
+    """Sum/product laws in variables x_0..x_{m-1}, y_0..y_{m-1}."""
+    nv = 2 * m
+
+    def ghost_poly(vals, i):
+        acc = QPoly(nv)
+        for k in range(i + 1):
+            acc = acc + vals[k].pow(p ** (i - k)).scale(Fraction(p) ** k)
+        return acc
+
+    xs = [QPoly.var(nv, i) for i in range(m)]
+    ys = [QPoly.var(nv, m + i) for i in range(m)]
+    laws = []
+    for i in range(m):
+        gx, gy = ghost_poly(xs, i), ghost_poly(ys, i)
+        target = gx + gy if kind == "sum" else gx * gy
+        for k in range(i):
+            target = target - laws[k].pow(p ** (i - k)).scale(Fraction(p) ** k)
+        law = target.scale(Fraction(1, p**i))
+        if any(c.denominator != 1 for c in law.terms.values()):
+            raise NonIntegral(f"{kind} law entry {i} has a fractional coefficient")
+        laws.append(law)
+    return tuple(laws)
+
+
+def law_op(v: PWittVector, w: PWittVector, kind: str) -> PWittVector:
+    """Sum ("sum") or product ("prod") of ring-mode vectors by the laws."""
+    laws = law_polynomials(v.p, len(v), kind)
+    values = list(v.entries) + list(w.entries)
+    return PWittVector(v.p, [law.eval_raw(v.ring, values) for law in laws], v.ring)
+
+
+def artin_hasse_by_exp_log(p: int, count: int) -> tuple:
+    """First ``count`` coefficients of AH(s) as exp of the truncated log
+    sum_i (x s)^(p^i) / p^i, checking that coefficient k is a p-integral
+    scalar times x^k."""
+    K = count
+    series = [QPoly(1) for _ in range(K)]
+    if K:
+        series[0] = QPoly.const(1, 1)
+    log_term = [QPoly(1) for _ in range(K)]
+    i = 0
+    while p**i < K:
+        log_term[p**i] = QPoly.var(1, 0, p**i).scale(Fraction(1, p**i))
+        i += 1
+    # E = sum_k L^k / k!
+    power = [QPoly.const(1, 1)] + [QPoly(1) for _ in range(K - 1)]
+    fact = 1
+    for k in range(1, K):
+        fact *= k
+        nxt = [QPoly(1) for _ in range(K)]
+        for da in range(K):
+            if not power[da]:
+                continue
+            for db in range(1, K - da):
+                if log_term[db]:
+                    nxt[da + db] = nxt[da + db] + power[da] * log_term[db]
+        power = nxt
+        if not any(power):
+            break
+        for deg in range(K):
+            if power[deg]:
+                series[deg] = series[deg] + power[deg].scale(Fraction(1, fact))
+    out = []
+    for k in range(K):
+        terms = series[k].terms
+        if set(terms) - {(k,)}:
+            raise NonIntegral(f"unexpected monomial at degree {k}")
+        c = terms.get((k,), Fraction(0))
+        if c.denominator % p == 0:
+            raise NonIntegral(f"Artin-Hasse coefficient {k} is {c}, not {p}-integral")
+        out.append(c)
+    return tuple(out)

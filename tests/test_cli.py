@@ -148,6 +148,35 @@ def test_selftest_command(capsys):
     code, doc = run_cli(capsys, ["selftest", "--suite", "ring", "--seed", "7"])
     assert code == 0
     assert doc["failed"] == 0 and doc["passed"] >= 4
+    code, doc = run_cli(capsys, ["selftest", "--suite", "ptypical", "--seed", "7"])
+    assert code == 0 and doc["failed"] == 0
+    assert "lifted_ring_laws" in {c["name"] for c in doc["checks"]}
+
+
+@pytest.mark.parametrize("digit", [7, 2])
+def test_out_of_range_digit_rejected(capsys, digit):
+    a = series_doc(1, 4, [((0,), [[1]]), ((1,), [[digit]])])
+    code, doc = run_cli(capsys, ["coords", "--ring", F2_RING, "--payload", json.dumps({"a": a})])
+    assert code == 1
+    assert doc["error"]["kind"] == "ValueError"
+
+
+@pytest.mark.parametrize(
+    "command,payload",
+    [
+        ("neg", {"a": series_doc(1, 4, [((0,), [[1]]), ((-1,), [[1]])])}),
+        ("coords", {"a": series_doc(1, 4, [((0,), [[1]]), ((1,), [[1]]), ((1,), [[0]])])}),
+        ("from-coords", {"coords": [{"exp": [-1], "r": [[1]]}]}),
+        ("from-coords", {"coords": [{"exp": [1], "r": [[1]]}, {"exp": [1], "r": [[0]]}]}),
+    ],
+)
+def test_negative_or_repeated_exponent_rejected(capsys, command, payload):
+    argv = [command, "--ring", F2_RING, "--payload", json.dumps(payload)]
+    if command == "from-coords":
+        argv += ["--n", "1", "--d", "4"]
+    code, doc = run_cli(capsys, argv)
+    assert code == 1
+    assert doc["error"]["kind"] == "ShapeMismatch"
 
 
 def test_input_error_exit_code(capsys):

@@ -156,6 +156,18 @@ def test_route_agreement_random(q, e, rng):
         assert ring.is_unit_raw(va.raw) and ring.is_nilpotent_raw(ring.rsub(va.raw, 1))
 
 
+def test_route_agreement_long_components(rng):
+    # g known to degree 21 gives the slot j = 1 a vector of length 5; f
+    # stays at degree 2 because the geometric route's cost grows with it
+    ring = CoeffRing.make(2, nil=3)
+    for _ in range(3):
+        f = random_formal_element(ring, 1, 2, rng)
+        g = random_witt_element(F2, 1, 22, rng)
+        va = cartier_pair(f, g)
+        assert geometric_pair(f, g, 21) == va
+        assert pairing_via_components(f, g) == va
+
+
 def test_route_agreement_two_variables(rng):
     ring = CoeffRing.make(3, nil=2)
     base = CoeffRing.make(3)
