@@ -66,8 +66,8 @@ from .ptypical import (
     pwitt_mul,
     pwitt_pair,
 )
-from .ring import CoeffRing, FiniteField, RingElement, field_arith, frobenius
-from .series import TruncatedSeries, eval_all_ones, series_inv, series_mul
+from .ring import CoeffRing, FiniteField, RingElement
+from .series import TruncatedSeries
 from .unipoly import (
     ExtensionField,
     UnivariatePolynomial,
@@ -89,7 +89,6 @@ from .witt import (
     witt_coordinates,
     witt_mul,
     witt_mul_1var,
-    witt_mul_n,
     witt_neg,
 )
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 from .errors import InvalidTruncation, NotAbelian, NotClosed, TooLarge
 from .ring import CoeffRing
-from .series import exponents_below
+from .series import content, exponents_below
 from .witt import (
     WittElement,
     enumerate_witt_elements,
@@ -69,12 +69,7 @@ def pi1_truncated(n: int, q: int, d: int, ring: CoeffRing | None = None) -> Abel
     gens = []
     exps = [nu for nu in exponents_below(n, d) if sum(nu) > 0]
     for nu in exps:
-        g = 0
-        for v in nu:
-            from math import gcd
-
-            g = gcd(g, v)
-        if g % p == 0:
+        if content(nu) % p == 0:
             continue
         s = generator_order_exponent(p, sum(nu), d)
         for b in range(e):

@@ -29,6 +29,8 @@ lies in N^ceil(|nu|/D).
 
 from __future__ import annotations
 
+from math import gcd
+
 from .errors import (
     InvalidTruncation,
     NotAUnit,
@@ -38,12 +40,13 @@ from .errors import (
 )
 from .ptypical import pi_epsilon_inverse, pwitt_pair
 from .ring import CoeffRing, RingElement
-from .series import TruncatedSeries, content, primitive_part, zero_exp
+from .series import TruncatedSeries, zero_exp
 from .unipoly import UnivariatePolynomial, resultant
 from .witt import (
     WittCoordinates,
     WittElement,
     from_coordinates,
+    group_by_primitive,
     mul_coordinate_families,
     one_var_order,
     witt_coordinates,
@@ -181,41 +184,22 @@ def _lift_to(ring: CoeffRing, g: WittElement) -> WittElement:
     raise ShapeMismatch("second argument must live over the ring or its field part")
 
 
-def _grouped_exact_coords(f: FormalWittElement) -> dict:
-    grouped = {}
-    for exp, r in f.exact_coordinates().items():
-        grouped.setdefault(primitive_part(exp), {})[content(exp)] = r
-    return grouped
-
-
-def _grouped_coords(g: WittElement) -> dict:
-    grouped = {}
-    for exp, r in witt_coordinates(g).coords.items():
-        grouped.setdefault(primitive_part(exp), {})[content(exp)] = r
-    return grouped
-
-
 def _component_pair_value(ring: CoeffRing, fa: dict, gb: dict) -> int:
     """Sum of coefficients of the one-variable convolution product, computed
     at a window wide enough that no nonzero term can be discarded."""
     if not fa or not gb:
         return ring.one
-    from math import gcd as _gcd
-
     # the product degree is at most the sum of g*lcm over nonzero factors
     dstar = 2
     for i, ai in fa.items():
         for j, bj in gb.items():
-            g0 = _gcd(i, j)
+            g0 = gcd(i, j)
             if ring.rmul(ring.rpow(ai, j // g0), ring.rpow(bj, i // g0)) != 0:
                 dstar += g0 * (i * j // g0)
     prod = mul_coordinate_families(ring, dstar, fa, gb)
     if not prod.exact:
         raise UnstableTruncation("pairing window unexpectedly too small")
-    acc = ring.zero
-    for c in prod.terms.values():
-        acc = ring.radd(acc, c)
-    return acc
+    return prod.eval_all_ones().raw
 
 
 def cartier_pair(f: FormalWittElement, g: WittElement, d: int | None = None) -> RingElement:
@@ -233,8 +217,8 @@ def cartier_pair(f: FormalWittElement, g: WittElement, d: int | None = None) -> 
         d = g.d - 1
     if d < 1 or d + 1 > g.d:
         raise InvalidTruncation(f"need 1 <= d and d + 1 <= {g.d}")
-    fam_f = _grouped_exact_coords(f)
-    fam_g = _grouped_coords(g_r)
+    fam_f = group_by_primitive(f.exact_coordinates())
+    fam_g = group_by_primitive(witt_coordinates(g_r).coords)
 
     def value(dcut: int) -> int:
         acc = ring.one
@@ -287,8 +271,8 @@ def geometric_pair(f: FormalWittElement, g: WittElement, m: int) -> RingElement:
         if v1 != v2:
             raise UnstableTruncation("pairing value changed between m and m + 1")
         return ring.from_raw(v1)
-    fam_f = _grouped_exact_coords(f)
-    fam_g = _grouped_coords(g_r)
+    fam_f = group_by_primitive(f.exact_coordinates())
+    fam_g = group_by_primitive(witt_coordinates(g_r).coords)
     acc = ring.one
     for nu, fa in fam_f.items():
         gb = fam_g.get(nu)

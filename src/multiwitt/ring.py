@@ -3,13 +3,19 @@
 A finite field F_q with q = p^e is F_p[x]/(f) for a monic irreducible f.
 Field elements are stored as integer indices 0..q-1; the base-p digits of
 an index are the coefficients of the element on the basis 1, x, .., x^(e-1).
-All field operations go through small lookup tables built once per field.
 
 The coefficient rings used everywhere else are R = F_q[eps]/(eps^e_nil)
 with e_nil >= 1 (e_nil = 1 means R = F_q).  A raw element of R is a single
 integer whose base-q digits are the eps-coefficients, eps-degree ascending.
 An element is a unit iff its eps^0 digit is nonzero in F_q, and nilpotent
-iff that digit is zero.  Hot loops work on raw integers via the CoeffRing
+iff that digit is zero.
+
+Every ring, field or not, has one representation: full addition,
+negation, multiplication, inverse and p-th power tables over all q^e_nil
+raw elements, built once per (p, e, modulus, e_nil) and attached to each
+CoeffRing at construction, so each raw operation is a single lookup.  The
+tables grow as (q^e_nil)^2, so rings with more than 2048 elements are
+rejected with TooLarge.  Hot loops work on raw integers via the CoeffRing
 methods; RingElement is a thin wrapper with operator overloads for public
 use and tests.
 """
@@ -19,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import NonUnit
+from .errors import NonUnit, TooLarge
 
 # Irreducible moduli (ascending coefficients) for the field sizes shipped
 # by default.  Degree-1 entries make F_p itself uniform with extensions.
@@ -57,25 +63,6 @@ def _poly_mod_trim(c):
     while c and c[-1] == 0:
         c.pop()
     return c
-
-
-def _poly_mulmod_p(a, b, modulus, p):
-    # product of coefficient lists over F_p, reduced by the monic modulus
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] = (out[i + j] + ai * bj) % p
-    e = len(modulus) - 1
-    for k in range(len(out) - 1, e - 1, -1):
-        c = out[k]
-        if c == 0:
-            continue
-        out[k] = 0
-        for t in range(e):
-            out[k - e + t] = (out[k - e + t] - c * modulus[t]) % p
-    return _poly_mod_trim(out)
 
 
 def _poly_divides_p(d, f, p):
@@ -117,61 +104,6 @@ def _check_irreducible(modulus, p):
                 raise ValueError("modulus is reducible over F_p")
 
 
-class _FieldTables:
-    __slots__ = ("add", "mul", "neg", "inv", "frob")
-
-    def __init__(self, p, e, modulus):
-        q = p**e
-        to_vec = []
-        for idx in range(q):
-            v, digs = idx, []
-            for _ in range(e):
-                digs.append(v % p)
-                v //= p
-            to_vec.append(digs)
-
-        def enc(vec):
-            idx = 0
-            for c in reversed(vec):
-                idx = idx * p + c
-            return idx
-
-        self.add = tuple(
-            tuple(enc([(x + y) % p for x, y in zip(to_vec[i], to_vec[j])]) for j in range(q))
-            for i in range(q)
-        )
-        self.neg = tuple(enc([(-x) % p for x in to_vec[i]]) for i in range(q))
-        mul = []
-        for i in range(q):
-            row = []
-            for j in range(q):
-                prod = _poly_mulmod_p(
-                    _poly_mod_trim(list(to_vec[i])), _poly_mod_trim(list(to_vec[j])), modulus, p
-                )
-                row.append(enc(prod + [0] * (e - len(prod))))
-            mul.append(tuple(row))
-        self.mul = tuple(mul)
-        inv = [0] * q
-        for i in range(1, q):
-            for j in range(1, q):
-                if self.mul[i][j] == 1:
-                    inv[i] = j
-                    break
-        self.inv = tuple(inv)
-        frob = []
-        for i in range(q):
-            acc = i
-            for _ in range(p - 1):
-                acc = self.mul[acc][i]
-            frob.append(acc)
-        self.frob = tuple(frob)
-
-
-@lru_cache(maxsize=None)
-def _tables_for(p, e, modulus):
-    return _FieldTables(p, e, modulus)
-
-
 @dataclass(frozen=True)
 class FiniteField:
     """F_q = F_p[x]/(modulus), q = p^e, elements indexed 0..q-1."""
@@ -211,10 +143,6 @@ class FiniteField:
         if p**e != q:
             raise ValueError(f"{q} is not a prime power")
         return cls(p, e, _find_irreducible(p, e))
-
-    @property
-    def tables(self) -> _FieldTables:
-        return _tables_for(self.p, self.e, self.modulus)
 
     def index_to_vector(self, idx: int):
         v, out = idx, []
@@ -265,6 +193,68 @@ def _find_irreducible(p: int, e: int):
     raise ValueError(f"no irreducible polynomial found for p={p}, e={e}")
 
 
+@lru_cache(maxsize=None)
+def _ring_tables(p: int, e: int, modulus: tuple, nil: int):
+    """(add, neg, mul, inv, frob) tables of F_q[eps]/(eps^nil), q = p^e.
+
+    A raw index is the base-p number whose digit at position i + e*j is
+    the coefficient of x^i eps^j.  Addition and negation therefore act
+    digit-wise mod p, and multiplication by a fixed a is F_p-linear, so
+    the row of a is spanned from the images a * x^i eps^j of the basis.
+    inv holds 0 at non-units; frob is the p-th power map.
+    """
+    q = p**e
+    size = q**nil
+    top = p ** (e - 1)
+    # x^e reduced by the monic modulus, as a field index
+    x_e = sum(((-c) % p) * p**t for t, c in enumerate(modulus[:-1]))
+
+    # entries index into one shared tuple of ints, so equal values are one object
+    ints = tuple(range(size))
+    add = [ints]
+    neg = [0]
+    for a in range(1, size):
+        low, high_row = a % p, add[a // p]
+        add.append(tuple(ints[(low + b) % p + p * high_row[b // p]] for b in range(size)))
+        neg.append((-low) % p + p * neg[a // p])
+
+    x_e_multiples = [0]
+    for _ in range(1, p):
+        x_e_multiples.append(add[x_e_multiples[-1]][x_e])
+    # multiplication by x, first on field indices, then eps-digit-wise
+    times_x_field = [add[(v % top) * p][x_e_multiples[v // top]] for v in range(q)]
+    times_x = [0]
+    for a in range(1, size):
+        times_x.append(times_x_field[a % q] + q * times_x[a // q])
+
+    mul = []
+    for a in range(size):
+        row = [0]
+        eps_shift = a
+        for _ in range(nil):
+            image = eps_shift
+            for _ in range(e):
+                # extend row from b < p^k to b < p^(k+1) along image = a * p^k
+                block = row[:]
+                m = 0
+                for _ in range(1, p):
+                    m = add[m][image]
+                    shifted = add[m]
+                    row.extend([shifted[r] for r in block])
+                image = times_x[image]
+            eps_shift = eps_shift * q % size
+        mul.append(tuple(row))
+
+    inv = tuple(mul[a].index(1) if a % q else 0 for a in range(size))
+    frob = []
+    for a in range(size):
+        acc = a
+        for _ in range(p - 1):
+            acc = mul[acc][a]
+        frob.append(acc)
+    return tuple(add), tuple(neg), tuple(mul), inv, tuple(frob)
+
+
 @dataclass(frozen=True)
 class CoeffRing:
     """R = F_q[eps]/(eps^nil); nil = 1 gives R = F_q itself."""
@@ -275,6 +265,16 @@ class CoeffRing:
     def __post_init__(self):
         if self.nil < 1:
             raise ValueError("nilpotency order must be >= 1")
+        # q >= 2, so capping the exponent keeps q^nil small and still over the bound
+        cap = _MAX_TABLE_Q.bit_length()
+        if self.q ** min(self.nil, cap) > _MAX_TABLE_Q:
+            size = self.size if self.nil <= cap else f"{self.q}^{self.nil}"
+            raise TooLarge(
+                f"ring has q^nil = {size} elements, beyond the table bound {_MAX_TABLE_Q}"
+            )
+        tables = _ring_tables(self.field.p, self.field.e, self.field.modulus, self.nil)
+        for name, table in zip(("_add", "_neg", "_mul", "_inv", "_frob"), tables):
+            object.__setattr__(self, name, table)
 
     @classmethod
     def make(cls, q: int, nil: int = 1, modulus=None) -> "CoeffRing":
@@ -309,80 +309,32 @@ class CoeffRing:
     # raw operations on integer-encoded elements -------------------------
 
     def radd(self, a: int, b: int) -> int:
-        t = self.field.tables
-        if self.nil == 1:
-            return t.add[a][b]
-        q, out, mult = self.q, 0, 1
-        for _ in range(self.nil):
-            out += t.add[a % q][b % q] * mult
-            a //= q
-            b //= q
-            mult *= q
-        return out
+        return self._add[a][b]
 
     def rneg(self, a: int) -> int:
-        t = self.field.tables
-        if self.nil == 1:
-            return t.neg[a]
-        q, out, mult = self.q, 0, 1
-        for _ in range(self.nil):
-            out += t.neg[a % q] * mult
-            a //= q
-            mult *= q
-        return out
+        return self._neg[a]
 
     def rsub(self, a: int, b: int) -> int:
         return self.radd(a, self.rneg(b))
 
     def rmul(self, a: int, b: int) -> int:
-        t = self.field.tables
-        if self.nil == 1:
-            return t.mul[a][b]
-        q = self.q
-        da = self._digits(a)
-        db = self._digits(b)
-        out = 0
-        for i, x in enumerate(da):
-            if x == 0:
-                continue
-            row = t.mul[x]
-            for j in range(self.nil - i):
-                y = db[j]
-                if y == 0:
-                    continue
-                out = self._digit_add(out, i + j, row[y])
-        return out
+        return self._mul[a][b]
 
     def _digits(self, a: int):
         q = self.q
         return [(a // q**k) % q for k in range(self.nil)]
 
-    def _digit_add(self, acc: int, slot: int, fval: int) -> int:
-        q = self.q
-        t = self.field.tables
-        cur = (acc // q**slot) % q
-        return acc + (t.add[cur][fval] - cur) * q**slot
-
     def is_unit_raw(self, a: int) -> bool:
-        return a % self.q != 0
+        return self._inv[a] != 0
 
     def is_nilpotent_raw(self, a: int) -> bool:
-        return a % self.q == 0
+        return self._inv[a] == 0
 
     def rinv(self, a: int) -> int:
-        if not self.is_unit_raw(a):
+        b = self._inv[a]
+        if b == 0:
             raise NonUnit(f"{self.pretty(a)} is not a unit")
-        t = self.field.tables
-        u0 = t.inv[a % self.q]
-        if self.nil == 1:
-            return u0
-        # a = c(1 + n) with n nilpotent: invert via finite geometric series
-        x = self.rsub(self.one, self.rmul(u0, a))
-        acc, pw = self.one, x
-        while pw != 0:
-            acc = self.radd(acc, pw)
-            pw = self.rmul(pw, x)
-        return self.rmul(u0, acc)
+        return b
 
     def rpow(self, a: int, k: int) -> int:
         if k < 0:
@@ -397,17 +349,7 @@ class CoeffRing:
         return out
 
     def rfrob_p(self, a: int) -> int:
-        # (sum a_i eps^i)^p = sum a_i^p eps^(ip) in characteristic p
-        t = self.field.tables
-        if self.nil == 1:
-            return t.frob[a]
-        q = self.q
-        out = 0
-        for i, x in enumerate(self._digits(a)):
-            if x == 0 or i * self.p >= self.nil:
-                continue
-            out = self._digit_add(out, i * self.p, t.frob[x])
-        return out
+        return self._frob[a]
 
     def rfrob(self, a: int, qpow: int) -> int:
         k = 0
@@ -591,25 +533,3 @@ class RingElement:
 
     def to_json(self):
         return self.coords
-
-
-def field_arith(a: RingElement, b, op: str, k: int | None = None) -> RingElement:
-    """Dispatch form of the basic arithmetic: add, sub, mul, inv, pow."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "inv":
-        return a.inv()
-    if op == "pow":
-        if k is None:
-            raise ValueError("pow needs an exponent")
-        return a**k
-    raise ValueError(f"unknown operation {op!r}")
-
-
-def frobenius(a: RingElement, qpow: int) -> RingElement:
-    """Raise to the q-th power by repeated p-power maps."""
-    return a.frobenius(qpow)

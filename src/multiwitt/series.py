@@ -41,10 +41,7 @@ def grlex_key(exp: tuple):
 
 
 def is_primitive(exp: tuple) -> bool:
-    g = 0
-    for v in exp:
-        g = gcd(g, v)
-    return g == 1
+    return content(exp) == 1
 
 
 def content(exp: tuple) -> int:
@@ -343,18 +340,3 @@ class TruncatedSeries:
             exp = parse_exponent(t["exp"], terms)
             terms[exp] = ring.coords_to_raw(t["c"])
         return cls(ring, int(obj["n"]), int(obj["d"]), terms, bool(obj.get("exact", False)))
-
-
-def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Product with every term of total degree >= d discarded."""
-    return a.mul(b)
-
-
-def series_inv(a: TruncatedSeries) -> TruncatedSeries:
-    """Two-sided inverse modulo degree d, by geometric series."""
-    return a.inv()
-
-
-def eval_all_ones(a: TruncatedSeries) -> RingElement:
-    """Sum of all coefficients; only legal on exact series."""
-    return a.eval_all_ones()

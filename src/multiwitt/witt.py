@@ -178,7 +178,12 @@ class WittCoordinates:
     def from_json_dict(cls, ring: CoeffRing, n: int, d: int, obj) -> "WittCoordinates":
         coords = {}
         for t in obj["coords"]:
-            coords[parse_exponent(t["exp"], coords)] = ring.coords_to_raw(t["r"])
+            exp = parse_exponent(t["exp"], coords)
+            if len(exp) != n or not 0 < sum(exp) < d:
+                raise ShapeMismatch(
+                    f"coordinate exponent {list(exp)} is not in {n} variables with 0 < |nu| < {d}"
+                )
+            coords[exp] = ring.coords_to_raw(t["r"])
         return cls(ring, n, d, coords)
 
 
@@ -280,19 +285,23 @@ def from_coordinates(c: WittCoordinates) -> WittElement:
     return WittElement(acc)
 
 
+def group_by_primitive(coords: dict) -> dict:
+    """{nu: r} regrouped as {nu0: {i: r}} with nu = i * nu0, nu0 primitive."""
+    grouped = {}
+    for exp, r in coords.items():
+        grouped.setdefault(primitive_part(exp), {})[content(exp)] = r
+    return grouped
+
+
 def decompose(a: WittElement) -> OneVarComponentFamily:
     """Group the coordinates by primitive exponent into one-variable parts."""
     ring, n, d = a.ring, a.n, a.d
-    coords = witt_coordinates(a).coords
-    grouped = {}
-    for exp, r in coords.items():
-        nu0 = primitive_part(exp)
-        grouped.setdefault(nu0, {})[(content(exp),)] = r
+    grouped = group_by_primitive(witt_coordinates(a).coords)
     components = {}
     for nu0 in primitive_exponents_below(n, d):
         k = one_var_order(d, sum(nu0))
-        comp_coords = WittCoordinates(ring, 1, k, grouped.get(nu0, {}))
-        components[nu0] = from_coordinates(comp_coords)
+        comp = {(i,): r for i, r in grouped.get(nu0, {}).items()}
+        components[nu0] = from_coordinates(WittCoordinates(ring, 1, k, comp))
     return OneVarComponentFamily(ring, n, d, components)
 
 
@@ -366,9 +375,6 @@ def witt_mul(a: WittElement, b: WittElement) -> WittElement:
         nu: witt_mul_1var(fa.components[nu], fb.components[nu]) for nu in fa.components
     }
     return OneVarComponentFamily(a.ring, a.n, a.d, products).recompose()
-
-
-witt_mul_n = witt_mul
 
 
 def frobenius_witt(a: WittElement, qpow: int) -> WittElement:

@@ -179,6 +179,25 @@ def test_negative_or_repeated_exponent_rejected(capsys, command, payload):
     assert doc["error"]["kind"] == "ShapeMismatch"
 
 
+@pytest.mark.parametrize("exp", [[5], [1, 1], [0]])
+def test_coordinate_outside_window_rejected(capsys, exp):
+    payload = {"coords": [{"exp": exp, "r": [[1]]}]}
+    argv = ["from-coords", "--ring", F2_RING, "--n", "1", "--d", "4"]
+    code, doc = run_cli(capsys, argv + ["--payload", json.dumps(payload)])
+    assert code == 1
+    assert doc["error"]["kind"] == "ShapeMismatch"
+    assert "0 < |nu| < 4" in doc["error"]["detail"]
+
+
+def test_ring_beyond_table_bound_rejected(capsys):
+    ring = '{"p":2,"e":1,"modulus":[0,1],"nil":12}'
+    payload = {"a": series_doc(1, 2, [((0,), [[1]] * 12)])}
+    code, doc = run_cli(capsys, ["neg", "--ring", ring, "--payload", json.dumps(payload)])
+    assert code == 1
+    assert doc["error"]["kind"] == "TooLarge"
+    assert "4096" in doc["error"]["detail"]
+
+
 def test_input_error_exit_code(capsys):
     code, doc = run_cli(capsys, ["mul", "--ring", F2_RING, "--payload", '{"a": 1}'])
     assert code == 1

@@ -1,9 +1,11 @@
 import json
 
 import pytest
+from conftest import RINGS
 from hypothesis import given, strategies as st
+from ring_oracle import DigitLoopRing
 
-from multiwitt import CoeffRing, FiniteField, NonUnit, field_arith, frobenius
+from multiwitt import CoeffRing, FiniteField, NonUnit, TooLarge
 
 
 def test_char_two_addition():
@@ -15,7 +17,7 @@ def test_char_two_addition():
 def test_dual_number_inverse():
     R = CoeffRing.make(2, nil=2)
     a = R.from_int(1) + R.eps()
-    assert field_arith(a, None, "inv") == a
+    assert a.inv() == a
     assert (a * a) == R.from_int(1)
 
 
@@ -42,28 +44,28 @@ def test_unit_and_nilpotent_predicates():
 
 def test_frobenius_examples():
     F2 = CoeffRing.make(2)
-    assert frobenius(F2.from_int(1), 2) == F2.from_int(1)
+    assert F2.from_int(1).frobenius(2) == F2.from_int(1)
 
     F4 = CoeffRing.make(4)
     alpha = F4.gen()
-    assert frobenius(alpha, 2) == alpha + F4.from_int(1)
+    assert alpha.frobenius(2) == alpha + F4.from_int(1)
 
     R = CoeffRing.make(2, nil=2)
-    assert frobenius(R.eps(), 2).is_zero
+    assert R.eps().frobenius(2).is_zero
 
 
 def test_frobenius_fixes_prime_subfield(any_ring):
     q = any_ring.q
     for c in range(any_ring.p):
         a = any_ring.from_int(c)
-        assert frobenius(a, q) == a
+        assert a.frobenius(q) == a
 
 
 def test_pow_including_negative():
     F5 = CoeffRing.make(5)
     a = F5.from_int(2)
-    assert field_arith(a, None, "pow", k=4) == F5.from_int(1)
-    assert field_arith(a, None, "pow", k=-1) == F5.from_int(3)
+    assert a**4 == F5.from_int(1)
+    assert a**-1 == F5.from_int(3)
 
 
 @given(st.integers(0, 10**6), st.integers(0, 10**6), st.integers(0, 10**6))
@@ -103,8 +105,8 @@ def test_frobenius_is_ring_hom(any_ring, rng):
     for _ in range(60):
         a = any_ring.from_raw(any_ring.random_raw(rng))
         b = any_ring.from_raw(any_ring.random_raw(rng))
-        assert frobenius(a + b, q) == frobenius(a, q) + frobenius(b, q)
-        assert frobenius(a * b, q) == frobenius(a, q) * frobenius(b, q)
+        assert (a + b).frobenius(q) == a.frobenius(q) + b.frobenius(q)
+        assert (a * b).frobenius(q) == a.frobenius(q) * b.frobenius(q)
 
 
 def test_builtin_moduli_are_irreducible():
@@ -140,3 +142,34 @@ def test_coords_matrix_shape():
     m = el.coords
     assert len(m) == 2 and all(len(row) == 2 for row in m)
     assert m[0] == [0, 1] and m[1] == [1, 0]
+
+
+# every test ring, F_5[eps]/eps^3 (125 elements) and F_2[eps]/eps^4
+ORACLE_RINGS = {**RINGS, "F5e3": CoeffRing.make(5, nil=3), "F2e4": CoeffRing.make(2, nil=4)}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_RINGS))
+def test_tables_match_digit_loop_oracle(name):
+    R = ORACLE_RINGS[name]
+    oracle = DigitLoopRing(R)
+    for a in R.element_indices():
+        for b in R.element_indices():
+            assert R.radd(a, b) == oracle.radd(a, b)
+            assert R.rsub(a, b) == oracle.rsub(a, b)
+            assert R.rmul(a, b) == oracle.rmul(a, b)
+        assert R.rneg(a) == oracle.rneg(a)
+        assert R.rfrob_p(a) == oracle.rfrob_p(a)
+        if R.is_unit_raw(a):
+            assert R.rinv(a) == oracle.rinv(a)
+        else:
+            with pytest.raises(NonUnit):
+                R.rinv(a)
+            with pytest.raises(NonUnit):
+                oracle.rinv(a)
+
+
+def test_ring_size_bound():
+    with pytest.raises(TooLarge, match="4096"):
+        CoeffRing.make(2, nil=12)
+    with pytest.raises(TooLarge):
+        CoeffRing.make(3, nil=10**9)

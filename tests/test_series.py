@@ -8,9 +8,6 @@ from multiwitt import (
     NotExact,
     ShapeMismatch,
     TruncatedSeries,
-    eval_all_ones,
-    series_inv,
-    series_mul,
 )
 from multiwitt.series import exponents_below, grlex_key
 from multiwitt.witt import random_witt_element
@@ -23,21 +20,21 @@ def S(ring, n, d, terms, exact=False):
 def test_multiply_by_one(any_ring, rng):
     one = TruncatedSeries.one(any_ring, 2, 4)
     a = random_witt_element(any_ring, 2, 4, rng).series
-    assert series_mul(a, one) == a
+    assert a.mul(one) == a
 
 
 def test_difference_of_squares():
     R = CoeffRing.make(5)
     a = S(R, 1, 3, {(0,): 1, (1,): 1})
     b = S(R, 1, 3, {(0,): 1, (1,): R.rneg(1)})
-    assert series_mul(a, b).terms == {(0,): 1, (2,): R.rneg(1)}
+    assert a.mul(b).terms == {(0,): 1, (2,): R.rneg(1)}
 
 
 def test_truncation_drops_cross_term():
     R = CoeffRing.make(3)
     a = S(R, 2, 2, {(0, 0): 1, (1, 0): 1})
     b = S(R, 2, 2, {(0, 0): 1, (0, 1): 1})
-    prod = series_mul(a, b)
+    prod = a.mul(b)
     assert prod.terms == {(0, 0): 1, (1, 0): 1, (0, 1): 1}
     assert not prod.exact
 
@@ -47,23 +44,23 @@ def test_shape_mismatch():
     a = TruncatedSeries.one(R, 1, 3)
     b = TruncatedSeries.one(R, 1, 4)
     with pytest.raises(ShapeMismatch):
-        series_mul(a, b)
+        a.mul(b)
     with pytest.raises(ShapeMismatch):
-        series_mul(a, TruncatedSeries.one(R, 2, 3))
+        a.mul(TruncatedSeries.one(R, 2, 3))
 
 
 def test_geometric_inverse():
     R = CoeffRing.make(5)
     m1 = R.rneg(1)
     a = S(R, 1, 4, {(0,): 1, (1,): 1})
-    assert series_inv(a).terms == {(0,): 1, (1,): m1, (2,): 1, (3,): m1}
-    assert series_inv(TruncatedSeries.one(R, 1, 4)) == TruncatedSeries.one(R, 1, 4)
+    assert a.inv().terms == {(0,): 1, (1,): m1, (2,): 1, (3,): m1}
+    assert TruncatedSeries.one(R, 1, 4).inv() == TruncatedSeries.one(R, 1, 4)
 
 
 def test_two_variable_inverse_multiplies_back():
     R = CoeffRing.make(5)
     a = S(R, 2, 3, {(0, 0): 1, (1, 0): 1, (0, 1): 1})
-    inv = series_inv(a)
+    inv = a.inv()
     assert inv.terms == {
         (0, 0): 1,
         (1, 0): R.rneg(1),
@@ -72,21 +69,21 @@ def test_two_variable_inverse_multiplies_back():
         (1, 1): 2,
         (0, 2): 1,
     }
-    assert series_mul(a, inv) == TruncatedSeries.one(R, 2, 3)
+    assert a.mul(inv) == TruncatedSeries.one(R, 2, 3)
 
 
 def test_inverse_needs_unit_constant():
     R = CoeffRing.make(2, nil=2)
     with pytest.raises(NonUnitConstantTerm):
-        series_inv(S(R, 1, 3, {(0,): R.eps_raw}))
+        S(R, 1, 3, {(0,): R.eps_raw}).inv()
 
 
 def test_inverse_two_sided(any_ring, rng):
     for _ in range(25):
         a = random_witt_element(any_ring, 2, 4, rng).series
         one = TruncatedSeries.one(any_ring, 2, 4)
-        assert series_mul(a, series_inv(a)) == one
-        assert series_mul(series_inv(a), a) == one
+        assert a.mul(a.inv()) == one
+        assert a.inv().mul(a) == one
 
 
 def test_mul_associative_commutative(any_ring, rng):
@@ -94,8 +91,8 @@ def test_mul_associative_commutative(any_ring, rng):
         a = random_witt_element(any_ring, 1, 5, rng).series
         b = random_witt_element(any_ring, 1, 5, rng).series
         c = random_witt_element(any_ring, 1, 5, rng).series
-        assert series_mul(a, b) == series_mul(b, a)
-        assert series_mul(series_mul(a, b), c) == series_mul(a, series_mul(b, c))
+        assert a.mul(b) == b.mul(a)
+        assert a.mul(b).mul(c) == a.mul(b.mul(c))
 
 
 def test_truncation_commutes_with_mul_and_inv(any_ring, rng):
@@ -103,30 +100,30 @@ def test_truncation_commutes_with_mul_and_inv(any_ring, rng):
         a = random_witt_element(any_ring, 2, 5, rng).series
         b = random_witt_element(any_ring, 2, 5, rng).series
         for dd in (2, 3, 4):
-            assert series_mul(a, b).truncate(dd) == series_mul(a.truncate(dd), b.truncate(dd))
-            assert series_inv(a).truncate(dd) == series_inv(a.truncate(dd))
+            assert a.mul(b).truncate(dd) == a.truncate(dd).mul(b.truncate(dd))
+            assert a.inv().truncate(dd) == a.truncate(dd).inv()
 
 
 def test_eval_all_ones_examples():
     R = CoeffRing.make(2, nil=2)
     one = TruncatedSeries.one(R, 1, 2, exact=True)
-    assert eval_all_ones(one).raw == 1
+    assert one.eval_all_ones().raw == 1
 
     s = S(R, 1, 2, {(0,): 1, (1,): R.eps_raw}, exact=True)
-    assert eval_all_ones(s).raw == R.radd(1, R.eps_raw)
+    assert s.eval_all_ones().raw == R.radd(1, R.eps_raw)
 
     R3 = CoeffRing.make(3, nil=3)
     e = R3.eps_raw
     e2 = R3.rmul(e, e)
     s3 = S(R3, 2, 3, {(0, 0): 1, (1, 0): e, (0, 1): e, (1, 1): e2}, exact=True)
     expected = R3.radd(R3.radd(1, R3.rmul(2, e)), e2)
-    assert eval_all_ones(s3).raw == expected
+    assert s3.eval_all_ones().raw == expected
 
 
 def test_eval_requires_exact():
     R = CoeffRing.make(2)
     with pytest.raises(NotExact):
-        eval_all_ones(TruncatedSeries.one(R, 1, 3, exact=False))
+        TruncatedSeries.one(R, 1, 3, exact=False).eval_all_ones()
 
 
 def test_exactness_survives_harmless_truncation():
@@ -135,20 +132,20 @@ def test_exactness_survives_harmless_truncation():
     eps = R.eps_raw
     a = S(R, 1, 3, {(0,): 1, (2,): eps}, exact=True)
     b = S(R, 1, 3, {(0,): 1, (1,): eps}, exact=True)
-    prod = series_mul(a, b)
+    prod = a.mul(b)
     assert prod.exact  # eps^2 t^3 would overflow but is zero
     assert prod.terms == {(0,): 1, (1,): eps, (2,): eps}
 
     # a genuinely nonzero overflow clears the flag
     c = S(R, 1, 3, {(0,): 1, (2,): 1}, exact=True)
-    assert not series_mul(c, b).exact
+    assert not c.mul(b).exact
 
 
 def test_zero_coefficients_never_stored(any_ring, rng):
     for _ in range(20):
         a = random_witt_element(any_ring, 2, 4, rng).series
         b = random_witt_element(any_ring, 2, 4, rng).series
-        assert all(v != 0 for v in series_mul(a, b).terms.values())
+        assert all(v != 0 for v in a.mul(b).terms.values())
 
 
 def test_grlex_enumeration_sorted():
@@ -198,9 +195,9 @@ _R4 = CoeffRing.make(4)
 
 @given(series_strategy(_R4, 2, 4), series_strategy(_R4, 2, 4))
 def test_mul_commutes_hypothesis(a, b):
-    assert series_mul(a, b) == series_mul(b, a)
+    assert a.mul(b) == b.mul(a)
 
 
 @given(series_strategy(_R4, 1, 6))
 def test_inverse_hypothesis(a):
-    assert series_mul(a, series_inv(a)) == TruncatedSeries.one(_R4, 1, 6)
+    assert a.mul(a.inv()) == TruncatedSeries.one(_R4, 1, 6)
