@@ -122,7 +122,9 @@ class FiniteField:
         if len(m) != self.e + 1 or m[-1] != 1:
             raise ValueError("modulus must be monic of degree e")
         if self.q > _MAX_TABLE_Q:
-            raise ValueError(f"field size {self.q} beyond supported table size")
+            raise TooLarge(
+                f"field has q = {self.q} elements, beyond the table bound {_MAX_TABLE_Q}"
+            )
         _check_irreducible(m, self.p)
 
     @property

@@ -1,10 +1,13 @@
 """Univariate polynomials over a CoeffRing: resultants and root scans.
 
-The resultant is the determinant of the Sylvester matrix, computed by a
-division-free expansion (memoized Laplace over column subsets).  Gaussian
-or fraction-free elimination is avoided on purpose: pivots can be zero
-divisors once nilpotents are around, while the expansion only ever
-multiplies and adds.
+The resultant is the determinant of the Sylvester matrix, computed by
+Bird's division-free algorithm (R. S. Bird, "A simple division-free
+algorithm for computing determinants", IPL 111, 2011): O(N^4) ring
+operations for an N x N matrix, fewer on the sparse Sylvester rows.
+Gaussian or fraction-free elimination is avoided on purpose: pivots can be
+zero divisors once nilpotents are around, while Bird's recurrence only
+ever multiplies, adds and negates.  The exponential Laplace expansion it
+replaced lives on as the test oracle ``tests/det_oracle.py``.
 
 Root finding serves as an independent cross-check for the resultant path.
 Roots are located by exhaustive evaluation over F_(q^s), built as a tower
@@ -113,36 +116,38 @@ class UnivariatePolynomial:
             raise ShapeMismatch("polynomials over different rings")
 
 
-def _det_memo(rows, ring) -> int:
-    """Determinant by Laplace expansion memoized on column subsets."""
+def _det_bird(rows, ring) -> int:
+    """Determinant by Bird's division-free recurrence.
+
+    X_1 = A and X_(k+1) = mu(X_k) A, where mu(X) keeps the strict upper
+    triangle of X and puts -(X[i+1][i+1] + ... + X[n-1][n-1]) on the
+    diagonal; then det A = (-1)^(n-1) X_n[0][0].  Rows of mu(X) A are
+    sums of scaled rows of A, so zero entries of A are skipped.
+    """
+    radd, rneg, rmul = ring.radd, ring.rneg, ring.rmul
     n = len(rows)
-    full = (1 << n) - 1
-    memo = {full: ring.one}
-
-    def det(row, mask):
-        if row == n:
-            return ring.one
-        cached = memo.get((row, mask))
-        if cached is not None:
-            return cached
-        acc = ring.zero
-        sign = 0
-        r = rows[row]
-        for col in range(n):
-            bit = 1 << col
-            if mask & bit:
-                continue
-            a = r[col]
-            if a != 0:
-                sub = det(row + 1, mask | bit)
-                if sub != 0:
-                    term = ring.rmul(a, sub)
-                    acc = ring.radd(acc, term if sign % 2 == 0 else ring.rneg(term))
-            sign += 1
-        memo[(row, mask)] = acc
-        return acc
-
-    return det(0, 0)
+    sparse = [[(j, a) for j, a in enumerate(r) if a] for r in rows]
+    x = rows
+    for step in range(1, n):
+        diag = [0] * n
+        trace = 0
+        for i in range(n - 1, -1, -1):
+            diag[i] = rneg(trace)
+            trace = radd(trace, x[i][i])
+        # only X_n[0][0] is read, so the last product needs row 0 alone
+        nxt = []
+        for i in range(1 if step == n - 1 else n):
+            out = [0] * n
+            xi = x[i]
+            for k in range(i, n):
+                c = diag[i] if k == i else xi[k]
+                if c:
+                    for j, a in sparse[k]:
+                        out[j] = radd(out[j], rmul(c, a))
+            nxt.append(out)
+        x = nxt
+    det = x[0][0]
+    return rneg(det) if n % 2 == 0 else det
 
 
 def sylvester_matrix(a: UnivariatePolynomial, b: UnivariatePolynomial):
@@ -172,7 +177,7 @@ def resultant(a: UnivariatePolynomial, b: UnivariatePolynomial) -> RingElement:
         return ring.from_raw(ring.rpow(a.coeffs[0], n))
     if n == 0:
         return ring.from_raw(ring.rpow(b.coeffs[0], m))
-    return ring.from_raw(_det_memo(sylvester_matrix(a, b), ring))
+    return ring.from_raw(_det_bird(sylvester_matrix(a, b), ring))
 
 
 class ExtensionField:
@@ -284,7 +289,7 @@ class ExtensionField:
 
 def _tower_poly_divides(d, f, base):
     f = list(f)
-    while f and all(a == 0 for a in [f[-1]]) and f[-1] == 0:
+    while f and f[-1] == 0:
         f.pop()
     e = len(d) - 1
     inv_lead = base.rinv(d[-1])

@@ -198,6 +198,16 @@ def test_ring_beyond_table_bound_rejected(capsys):
     assert "4096" in doc["error"]["detail"]
 
 
+def test_field_beyond_table_bound_rejected(capsys):
+    # x^12 + x^3 + 1 is irreducible over F_2, so only the size stops it
+    ring = '{"p":2,"e":12,"modulus":[1,0,0,1,0,0,0,0,0,0,0,0,1],"nil":1}'
+    payload = '{"a":{"n":1,"d":2,"terms":[]}}'
+    code, doc = run_cli(capsys, ["neg", "--ring", ring, "--payload", payload])
+    assert code == 1
+    assert doc["error"]["kind"] == "TooLarge"
+    assert "4096" in doc["error"]["detail"]
+
+
 def test_input_error_exit_code(capsys):
     code, doc = run_cli(capsys, ["mul", "--ring", F2_RING, "--payload", '{"a": 1}'])
     assert code == 1

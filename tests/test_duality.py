@@ -157,11 +157,22 @@ def test_route_agreement_random(q, e, rng):
 
 
 def test_route_agreement_long_components(rng):
-    # g known to degree 21 gives the slot j = 1 a vector of length 5; f
-    # stays at degree 2 because the geometric route's cost grows with it
+    # g known to degree 21 gives the slot j = 1 a vector of length 5
     ring = CoeffRing.make(2, nil=3)
     for _ in range(3):
         f = random_formal_element(ring, 1, 2, rng)
+        g = random_witt_element(F2, 1, 22, rng)
+        va = cartier_pair(f, g)
+        assert geometric_pair(f, g, 21) == va
+        assert pairing_via_components(f, g) == va
+
+
+def test_route_agreement_long_components_larger_f(rng):
+    # f of degree 5 and 8 puts the geometric route's Sylvester matrices
+    # well beyond the reach of an exponential determinant
+    ring = CoeffRing.make(2, nil=3)
+    for degree in (5, 5, 5, 8, 8, 8):
+        f = random_formal_element(ring, 1, degree, rng)
         g = random_witt_element(F2, 1, 22, rng)
         va = cartier_pair(f, g)
         assert geometric_pair(f, g, 21) == va

@@ -1,4 +1,6 @@
 import pytest
+from conftest import RINGS
+from det_oracle import _det_memo
 
 from multiwitt import (
     CoeffRing,
@@ -8,6 +10,7 @@ from multiwitt import (
     resultant,
     roots_with_multiplicity,
 )
+from multiwitt.unipoly import _det_bird, sylvester_matrix
 
 
 def lin(ring, a_raw):
@@ -139,3 +142,63 @@ def test_split_polynomial_roots_cross_check(rng):
         for r, m in found:
             flat.extend([r.value[0]] * m)
         assert sorted(flat) == sorted(roots)
+
+
+def random_poly(ring, degree, rng, unit_lead=False):
+    # exact degree, so the Sylvester size is the sum of the degrees; a unit
+    # leading coefficient keeps the degree of a product additive
+    lead = rng.randrange(1, ring.size)
+    while unit_lead and not ring.is_unit_raw(lead):
+        lead = rng.randrange(1, ring.size)
+    return UnivariatePolynomial(ring, [ring.random_raw(rng) for _ in range(degree)] + [lead])
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+def test_bird_matches_laplace_oracle(name, rng):
+    ring = RINGS[name]
+    for n in range(1, 11):
+        for _ in range(3):
+            full = [[ring.random_raw(rng) for _ in range(n)] for _ in range(n)]
+            nilpotent = [[ring.random_nilpotent_raw(rng) for _ in range(n)] for _ in range(n)]
+            # a repeated row makes the matrix singular over any commutative ring
+            repeated = [list(r) for r in full]
+            if n > 1:
+                i, j = rng.sample(range(n), 2)
+                repeated[j] = list(repeated[i])
+            for rows in (full, nilpotent, repeated):
+                assert _det_bird(rows, ring) == _det_memo(rows, ring)
+            if n > 1:
+                assert _det_bird(repeated, ring) == 0
+            assert ring.is_nilpotent_raw(_det_bird(nilpotent, ring))
+
+
+@pytest.mark.parametrize("q, nil", [(5, 3), (2, 4)])
+def test_bird_matches_laplace_oracle_on_sylvester(q, nil, rng):
+    ring = CoeffRing.make(q, nil=nil)
+    for size in range(2, 17):
+        for _ in range(2):
+            m = rng.randrange(1, size)
+            rows = sylvester_matrix(random_poly(ring, m, rng), random_poly(ring, size - m, rng))
+            assert len(rows) == size
+            assert _det_bird(rows, ring) == _det_memo(rows, ring)
+
+
+def test_resultant_multiplicative_at_size_30(rng):
+    ring = CoeffRing.make(3, nil=2)
+    for _ in range(3):
+        a = random_poly(ring, 10, rng)
+        b1 = random_poly(ring, rng.randrange(9, 12), rng, unit_lead=True)
+        b2 = random_poly(ring, rng.randrange(9, 12), rng, unit_lead=True)
+        b = b1.mul(b2)
+        assert a.degree + b.degree >= 28
+        assert resultant(a, b) == resultant(a, b1) * resultant(a, b2)
+
+
+def test_resultant_swap_at_size_30(rng):
+    ring = CoeffRing.make(3, nil=2)
+    minus_one = ring.from_int(-1)
+    for _ in range(3):
+        a = random_poly(ring, rng.randrange(13, 16), rng)
+        b = random_poly(ring, rng.randrange(15, 18), rng)
+        assert a.degree + b.degree >= 28
+        assert resultant(a, b) == resultant(b, a) * minus_one ** (a.degree * b.degree)
