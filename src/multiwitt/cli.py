@@ -3,6 +3,11 @@
 Every invocation runs one job and prints a single JSON document.  Exit
 codes: 0 on success, 1 on input or usage errors, 2 when a mathematical
 cross-check disagrees (pairing routes, oracle comparison, selftest).
+Usage errors (an unknown flag, a non-integer flag value, a value below
+its minimum) exit 1 with a JSON error of kind SchemaError, like a
+malformed ring descriptor or payload.  argparse checks the command line;
+each JSON parser (``CoeffRing.from_json_dict``, the series and coordinate
+readers) checks its own input.
 
 Payloads are JSON, passed with --payload or on stdin (use ``--payload -``
 or pipe; anything over a few KiB should come through stdin).  Output is
@@ -15,16 +20,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 
-import jsonschema
-
-from . import selftest
 from .cft import lang_kernel_census, pi1_truncated, witt_group_structure_brute
 from .duality import FormalWittElement, cartier_pair, geometric_pair
-from .errors import WittError
+from .errors import SchemaError, WittError
 from .ptypical import artin_hasse_exp
-from .ring import CoeffRing
+from .ring import CoeffRing, json_int
 from .series import TruncatedSeries
 from .witt import (
     WittCoordinates,
@@ -39,93 +40,17 @@ from .witt import (
 
 SCHEMA_VERSION = "1"
 
-RING_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "p": {"type": "integer", "minimum": 2},
-        "e": {"type": "integer", "minimum": 1},
-        "modulus": {"type": "array", "items": {"type": "integer"}},
-        "nil": {"type": "integer", "minimum": 1},
-    },
-    "required": ["p", "e", "modulus"],
-    "additionalProperties": False,
-}
 
-JOB_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "command": {
-            "enum": [
-                "add",
-                "neg",
-                "mul",
-                "coords",
-                "from-coords",
-                "decompose",
-                "ah-exp",
-                "pair",
-                "pi1",
-                "lang-census",
-                "selftest",
-            ]
-        },
-        "ring": RING_SCHEMA,
-        "n": {"type": "integer", "minimum": 1},
-        "d": {"type": "integer", "minimum": 1},
-        "m": {"type": "integer", "minimum": 1},
-        "q": {"type": "integer", "minimum": 2},
-        "s": {"type": "integer", "minimum": 1},
-        "seed": {"type": "integer"},
-        "mode": {"enum": ["algebraic", "geometric", "both"]},
-        "oracle": {"type": "boolean"},
-        "suite": {"type": "string"},
-        "payload": {"type": "object"},
-    },
-    "required": ["command"],
-    "additionalProperties": False,
-}
-
-
-@dataclass
-class JobSpec:
-    command: str
-    ring: dict | None = None
-    n: int | None = None
-    d: int | None = None
-    m: int | None = None
-    q: int | None = None
-    s: int | None = None
-    seed: int = 0
-    mode: str = "both"
-    oracle: bool = False
-    suite: str = "all"
-    payload: dict = field(default_factory=dict)
-
-    def to_dict(self):
-        out = {"command": self.command, "seed": self.seed, "payload": self.payload}
-        for key in ("ring", "n", "d", "m", "q", "s"):
-            v = getattr(self, key)
-            if v is not None:
-                out[key] = v
-        if self.command == "pair":
-            out["mode"] = self.mode
-        if self.command == "pi1":
-            out["oracle"] = self.oracle
-        if self.command == "selftest":
-            out["suite"] = self.suite
-        return out
-
-
-def _need(job: JobSpec, *names):
+def _need(args, *names):
     for name in names:
-        if getattr(job, name) is None:
-            raise ValueError(f"command {job.command!r} needs --{name}")
+        if getattr(args, name) is None:
+            raise ValueError(f"command {args.command!r} needs --{name}")
 
 
-def _ring(job: JobSpec) -> CoeffRing:
-    if job.ring is None:
-        raise ValueError(f"command {job.command!r} needs --ring")
-    return CoeffRing.from_json_dict(job.ring)
+def _ring(args) -> CoeffRing:
+    if args.ring is None:
+        raise ValueError(f"command {args.command!r} needs --ring")
+    return CoeffRing.from_json_dict(json.loads(args.ring))
 
 
 def _series_in(ring: CoeffRing, payload, key) -> WittElement:
@@ -134,37 +59,37 @@ def _series_in(ring: CoeffRing, payload, key) -> WittElement:
     return WittElement.from_json_dict(ring, payload[key])
 
 
-def run(job: JobSpec):
-    """Execute one job; returns (exit_code, result_dict)."""
-    jsonschema.validate(job.to_dict(), JOB_SCHEMA)
-    cmd = job.command
+def run(args: argparse.Namespace):
+    """Execute the job parsed by ``build_parser``; returns (exit_code, result_dict)."""
+    payload = _read_payload(getattr(args, "payload", None))
+    cmd = args.command
 
     if cmd in ("add", "mul"):
-        ring = _ring(job)
-        a = _series_in(ring, job.payload, "a")
-        b = _series_in(ring, job.payload, "b")
+        ring = _ring(args)
+        a = _series_in(ring, payload, "a")
+        b = _series_in(ring, payload, "b")
         out = witt_add(a, b) if cmd == "add" else witt_mul(a, b)
         return 0, {"result": out.to_json_dict()}
 
     if cmd == "neg":
-        ring = _ring(job)
-        a = _series_in(ring, job.payload, "a")
+        ring = _ring(args)
+        a = _series_in(ring, payload, "a")
         return 0, {"result": witt_neg(a).to_json_dict()}
 
     if cmd == "coords":
-        ring = _ring(job)
-        a = _series_in(ring, job.payload, "a")
+        ring = _ring(args)
+        a = _series_in(ring, payload, "a")
         return 0, {"result": witt_coordinates(a).to_json_dict()}
 
     if cmd == "from-coords":
-        ring = _ring(job)
-        _need(job, "n", "d")
-        coords = WittCoordinates.from_json_dict(ring, job.n, job.d, job.payload)
+        ring = _ring(args)
+        _need(args, "n", "d")
+        coords = WittCoordinates.from_json_dict(ring, args.n, args.d, payload)
         return 0, {"result": from_coordinates(coords).to_json_dict()}
 
     if cmd == "decompose":
-        ring = _ring(job)
-        a = _series_in(ring, job.payload, "a")
+        ring = _ring(args)
+        a = _series_in(ring, payload, "a")
         fam = decompose(a)
         comps = [
             {"nu": list(nu), "series": fam.components[nu].to_json_dict()}
@@ -173,41 +98,41 @@ def run(job: JobSpec):
         return 0, {"components": comps}
 
     if cmd == "ah-exp":
-        ring = _ring(job)
-        _need(job, "d")
-        if "x" not in job.payload:
+        ring = _ring(args)
+        _need(args, "d")
+        if "x" not in payload:
             raise ValueError("payload needs 'x'")
-        x = ring.element(job.payload["x"])
-        j = int(job.payload.get("j", 1))
-        return 0, {"result": artin_hasse_exp(x, j, job.d).to_json_dict()}
+        x = ring.element(payload["x"])
+        j = json_int(payload.get("j", 1), "ah-exp j")
+        return 0, {"result": artin_hasse_exp(x, j, args.d).to_json_dict()}
 
     if cmd == "pair":
-        ring = _ring(job)
-        if "f" not in job.payload or "g" not in job.payload:
+        ring = _ring(args)
+        if "f" not in payload or "g" not in payload:
             raise ValueError("payload needs 'f' and 'g'")
-        f = FormalWittElement(TruncatedSeries.from_json_dict(ring, job.payload["f"]))
+        f = FormalWittElement(TruncatedSeries.from_json_dict(ring, payload["f"]))
         base = CoeffRing(ring.field, 1)
-        g = WittElement.from_json_dict(base, job.payload["g"])
+        g = WittElement.from_json_dict(base, payload["g"])
         result = {}
-        if job.mode in ("algebraic", "both"):
-            va = cartier_pair(f, g, job.d)
+        if args.mode in ("algebraic", "both"):
+            va = cartier_pair(f, g, args.d)
             result["algebraic"] = ring.raw_to_coords(va.raw)
-        if job.mode in ("geometric", "both"):
-            m = job.m if job.m is not None else g.d - 1
+        if args.mode in ("geometric", "both"):
+            m = args.m if args.m is not None else g.d - 1
             vg = geometric_pair(f, g, m)
             result["geometric"] = ring.raw_to_coords(vg.raw)
-        if job.mode == "both":
+        if args.mode == "both":
             result["agree"] = result["algebraic"] == result["geometric"]
             if not result["agree"]:
                 return 2, result
         return 0, result
 
     if cmd == "pi1":
-        _need(job, "n", "q", "d")
-        structure = pi1_truncated(job.n, job.q, job.d)
+        _need(args, "n", "q", "d")
+        structure = pi1_truncated(args.n, args.q, args.d)
         result = structure.to_json_dict()
-        if job.oracle:
-            oracle = witt_group_structure_brute(CoeffRing.make(job.q), job.n, job.d)
+        if args.oracle:
+            oracle = witt_group_structure_brute(CoeffRing.make(args.q), args.n, args.d)
             result["oracle_factors"] = list(oracle.invariant_factors)
             if oracle.invariant_factors != structure.invariant_factors:
                 result["agree"] = False
@@ -216,12 +141,14 @@ def run(job: JobSpec):
         return 0, result
 
     if cmd == "lang-census":
-        _need(job, "n", "q", "s", "d")
-        census = lang_kernel_census(job.n, job.q, job.s, job.d, seed=job.seed)
+        _need(args, "n", "q", "s", "d")
+        census = lang_kernel_census(args.n, args.q, args.s, args.d, seed=args.seed)
         return (0 if census.matches else 2), census.to_json_dict()
 
     if cmd == "selftest":
-        summary = selftest.run_suite(job.suite, seed=job.seed)
+        from . import selftest
+
+        summary = selftest.run_suite(args.suite, seed=args.seed)
         return (0 if summary["failed"] == 0 else 2), summary
 
     raise ValueError(f"unknown command {cmd!r}")
@@ -235,14 +162,29 @@ def _read_payload(value: str | None) -> dict:
         return {}
     doc = json.loads(text)
     if not isinstance(doc, dict):
-        raise ValueError("payload must be a JSON object")
+        raise SchemaError(f"payload must be a JSON object, not {type(doc).__name__}")
     return doc
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as SchemaError instead of printing usage and exiting 2."""
+
+    def error(self, message):
+        raise SchemaError(message)
+
+
+def _int_at_least(minimum: int):
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"{value} is below the minimum {minimum}")
+        return value
+
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="multiwitt", description="truncated multivariable Witt vector calculator"
-    )
+    parser = _Parser(prog="multiwitt", description="truncated multivariable Witt vector calculator")
     parser.add_argument(
         "--version", action="version", version=f"multiwitt 0.1.0 (schema {SCHEMA_VERSION})"
     )
@@ -252,7 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
         if ring:
             sp.add_argument("--ring", help="ring descriptor JSON")
         for name in shape:
-            sp.add_argument(f"--{name}", type=int)
+            # q is a field order; n, d, m and s count variables or degrees
+            sp.add_argument(f"--{name}", type=_int_at_least(2 if name == "q" else 1))
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--payload", help="payload JSON ('-' for stdin)")
 
@@ -281,40 +224,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def job_from_args(args) -> JobSpec:
-    payload = _read_payload(getattr(args, "payload", None))
-    ring = json.loads(args.ring) if getattr(args, "ring", None) else None
-    return JobSpec(
-        command=args.command,
-        ring=ring,
-        n=getattr(args, "n", None),
-        d=getattr(args, "d", None),
-        m=getattr(args, "m", None),
-        q=getattr(args, "q", None),
-        s=getattr(args, "s", None),
-        seed=getattr(args, "seed", 0),
-        mode=getattr(args, "mode", "both"),
-        oracle=getattr(args, "oracle", False),
-        suite=getattr(args, "suite", "all"),
-        payload=payload,
-    )
-
-
 def emit(doc) -> None:
     sys.stdout.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        job = job_from_args(args)
-        code, result = run(job)
+        code, result = run(build_parser().parse_args(argv))
     except (WittError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         emit({"error": {"kind": type(exc).__name__, "detail": str(exc)}})
-        return 1
-    except jsonschema.ValidationError as exc:
-        emit({"error": {"kind": "SchemaError", "detail": exc.message}})
         return 1
     emit(result)
     return code

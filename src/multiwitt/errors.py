@@ -72,3 +72,8 @@ class NotAbelian(WittError):
 
 class TooLarge(WittError):
     """Requested enumeration exceeds the configured size limit."""
+
+
+class SchemaError(WittError):
+    """Input does not have the documented shape: a bad command line, or a
+    JSON value of the wrong type, range or key set."""

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import NonUnit, TooLarge
+from .errors import NonUnit, SchemaError, TooLarge
 
 # Irreducible moduli (ascending coefficients) for the field sizes shipped
 # by default.  Degree-1 entries make F_p itself uniform with extensions.
@@ -42,6 +42,17 @@ BUILTIN_MODULI = {
 }
 
 _MAX_TABLE_Q = 2048
+
+
+def json_int(value, what: str, minimum: int | None = None) -> int:
+    """``value`` if it is a JSON integer (an ``int``, not a ``bool``) of at
+    least ``minimum``; SchemaError otherwise.  Floats such as 2.0 are
+    rejected, not coerced."""
+    if type(value) is not int:
+        raise SchemaError(f"{what} must be a JSON integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise SchemaError(f"{what} must be >= {minimum}, got {value}")
+    return value
 
 
 def _is_prime(n: int) -> bool:
@@ -158,6 +169,7 @@ class FiniteField:
             raise ValueError("coefficient vector has wrong length")
         idx = 0
         for c in reversed(vec):
+            json_int(c, "coefficient digit")
             if not 0 <= c < self.p:
                 raise ValueError(f"coefficient digit {c} outside [0, {self.p})")
             idx = idx * self.p + c
@@ -461,9 +473,26 @@ class CoeffRing:
 
     @classmethod
     def from_json_dict(cls, obj) -> "CoeffRing":
+        """Ring from its descriptor: an object with exactly the keys p, e,
+        modulus (a list of integers) and optional nil."""
+        if not (
+            isinstance(obj, dict)
+            and {"p", "e", "modulus"} <= obj.keys() <= {"p", "e", "modulus", "nil"}
+        ):
+            raise SchemaError(
+                f"ring descriptor must be an object with keys p, e, modulus and optionally nil, "
+                f"got {obj!r}"
+            )
+        modulus = obj["modulus"]
+        if not isinstance(modulus, list):
+            raise SchemaError(f"ring modulus must be a JSON list, got {modulus!r}")
         return cls(
-            FiniteField(int(obj["p"]), int(obj["e"]), tuple(int(c) for c in obj["modulus"])),
-            int(obj.get("nil", 1)),
+            FiniteField(
+                json_int(obj["p"], "ring p", 2),
+                json_int(obj["e"], "ring e", 1),
+                tuple(json_int(c, "modulus coefficient") for c in modulus),
+            ),
+            json_int(obj.get("nil", 1), "ring nil", 1),
         )
 
 

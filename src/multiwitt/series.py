@@ -20,8 +20,8 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd
 
-from .errors import NonUnitConstantTerm, NotExact, ShapeMismatch
-from .ring import CoeffRing, RingElement
+from .errors import NonUnitConstantTerm, NotExact, SchemaError, ShapeMismatch
+from .ring import CoeffRing, RingElement, json_int
 
 ZERO_EXP_CACHE = {}
 
@@ -57,9 +57,9 @@ def primitive_part(exp: tuple) -> tuple:
 
 
 def parse_exponent(values, seen) -> tuple:
-    """Exponent tuple from a JSON list; rejects negative entries and
-    exponents already in ``seen``."""
-    exp = tuple(int(v) for v in values)
+    """Exponent tuple from a JSON list of integers; rejects negative
+    entries and exponents already in ``seen``."""
+    exp = tuple(json_int(v, "exponent entry") for v in values)
     if any(v < 0 for v in exp):
         raise ShapeMismatch(f"exponent {list(exp)} has a negative entry")
     if exp in seen:
@@ -339,4 +339,7 @@ class TruncatedSeries:
         for t in obj["terms"]:
             exp = parse_exponent(t["exp"], terms)
             terms[exp] = ring.coords_to_raw(t["c"])
-        return cls(ring, int(obj["n"]), int(obj["d"]), terms, bool(obj.get("exact", False)))
+        exact = obj.get("exact", False)
+        if type(exact) is not bool:
+            raise SchemaError(f"series exact must be a JSON boolean, got {exact!r}")
+        return cls(ring, json_int(obj["n"], "series n"), json_int(obj["d"], "series d"), terms, exact)

@@ -260,3 +260,107 @@ def test_version_flag():
     proc = subprocess.run(cmd, capture_output=True, text=True)
     assert proc.returncode == 0
     assert "schema 1" in proc.stdout
+
+
+ONE_PLUS_T = series_doc(1, 4, [((0,), [[1]]), ((1,), [[1]])])
+NEG_PAYLOAD = json.dumps({"a": ONE_PLUS_T})
+PAIR_PAYLOAD = json.dumps(
+    {
+        "f": series_doc(1, 2, [((0,), [[1], [0]]), ((1,), [[0], [1]])], exact=True),
+        "g": series_doc(1, 5, [((0,), [[1]]), ((1,), [[1]])]),
+    }
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["neg", "--ring", '{"p":2,"e":1}'],
+        ["neg", "--ring", '{"p":"2","e":1,"modulus":[0,1]}'],
+        ["neg", "--ring", '{"p":2,"e":1,"modulus":[0,1],"nil":0}'],
+        ["neg", "--ring", "3"],
+        ["neg", "--ring", '{"p":2,"e":1,"modulus":[0,true]}'],
+        ["neg", "--ring", '{"p":2,"e":1,"modulus":"01"}'],
+        ["neg", "--ring", '{"p":2,"e":0,"modulus":[1]}'],
+        ["neg", "--ring", '{"p":1,"e":1,"modulus":[0,1]}'],
+        ["neg", "--ring", '{"p":2,"e":1,"modulus":[0,1],"x":1}'],
+        ["pi1", "--n", "1", "--q", "1", "--d", "3"],
+        ["pi1", "--n", "0", "--q", "2", "--d", "3"],
+        ["lang-census", "--n", "1", "--q", "2", "--s", "0", "--d", "3"],
+        ["from-coords", "--ring", F2_RING, "--n", "1", "--d", "0", "--payload", '{"coords":[]}'],
+        ["pair", "--ring", R22_RING, "--m", "0", "--payload", PAIR_PAYLOAD],
+    ],
+    ids=[
+        "no-modulus", "string-p", "nil-0", "ring-3", "bool-modulus", "string-modulus", "e-0",
+        "p-1", "extra-key", "pi1-q-1", "pi1-n-0", "census-s-0", "from-coords-d-0", "pair-m-0",
+    ],
+)
+def test_envelope_errors_are_schema_errors(capsys, argv):
+    if argv[0] == "neg":
+        argv = argv + ["--payload", NEG_PAYLOAD]
+    code, doc = run_cli(capsys, argv)
+    assert code == 1
+    assert doc["error"]["kind"] == "SchemaError"
+
+
+CONST = [{"exp": [0], "c": [[1]]}]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["neg", "--ring", F2_RING, "--payload", json.dumps({"a": dict(ONE_PLUS_T, exact="false")})],
+        ["neg", "--ring", F2_RING, "--payload", json.dumps({"a": dict(ONE_PLUS_T, n="1")})],
+        ["neg", "--ring", F2_RING, "--payload", json.dumps({"a": dict(ONE_PLUS_T, d=4.9)})],
+        [
+            "coords",
+            "--ring",
+            F2_RING,
+            "--payload",
+            json.dumps({"a": dict(ONE_PLUS_T, terms=CONST + [{"exp": [1.7], "c": [[1]]}])}),
+        ],
+        [
+            "coords",
+            "--ring",
+            F2_RING,
+            "--payload",
+            json.dumps({"a": dict(ONE_PLUS_T, terms=CONST + [{"exp": [True], "c": [[1]]}])}),
+        ],
+        [
+            "coords",
+            "--ring",
+            F2_RING,
+            "--payload",
+            json.dumps({"a": dict(ONE_PLUS_T, terms=CONST + [{"exp": [1], "c": [[1.0]]}])}),
+        ],
+        ["ah-exp", "--ring", F2_RING, "--d", "3", "--payload", '{"x": [[1]], "j": 2.5}'],
+        ["neg", "--ring", '{"p":2,"e":1,"modulus":[0,1],"nil":1.0}', "--payload", NEG_PAYLOAD],
+        ["neg", "--ring", '{"p":2.0,"e":1,"modulus":[0,1]}', "--payload", NEG_PAYLOAD],
+        ["pi1", "--n", "x", "--q", "2", "--d", "3"],
+        ["pi1", "--n", "1", "--q", "2", "--d", "3", "--bogus"],
+    ],
+    ids=[
+        "exact-string", "n-string", "d-float", "exp-float", "exp-bool", "digit-float", "j-float",
+        "nil-float", "p-float", "pi1-n-x", "unknown-flag",
+    ],
+)
+def test_malformed_input_not_coerced(capsys, argv):
+    code, doc = run_cli(capsys, argv)
+    assert code == 1
+    assert doc["error"]["kind"] == "SchemaError"
+
+
+def test_cli_needs_neither_jsonschema_nor_selftest():
+    loaded = (
+        "import sys, multiwitt.cli; "
+        "print([m for m in ('jsonschema', 'multiwitt.selftest') if m in sys.modules])"
+    )
+    proc = subprocess.run([sys.executable, "-c", loaded], capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout == "[]\n"
+    blocked = (
+        "import sys; sys.modules['jsonschema'] = None; from multiwitt.cli import main; "
+        "sys.exit(main(['pi1', '--n', '1', '--q', '2', '--d', '3']))"
+    )
+    proc = subprocess.run([sys.executable, "-c", blocked], capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout) == {"factors": [4], "order": 4}

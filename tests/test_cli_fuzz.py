@@ -1,0 +1,155 @@
+"""Mutated jobs for every CLI command: main never raises, always prints one
+JSON document, and rejects every value of the wrong JSON type with exit 1.
+
+Each job is a valid one (flags, ring descriptor, payload) with a single
+mutation applied.  Integers stay small: bounding the work of large but
+well-formed jobs is a separate concern.
+"""
+
+import contextlib
+import io
+import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from multiwitt.cli import main
+
+F2 = {"p": 2, "e": 1, "modulus": [0, 1], "nil": 1}
+F4E2 = {"p": 2, "e": 2, "modulus": [1, 1, 1], "nil": 2}
+R22 = {"p": 2, "e": 1, "modulus": [0, 1], "nil": 2}
+
+
+def series(n, d, terms, exact=False):
+    return {"n": n, "d": d, "exact": exact, "terms": [{"exp": e, "c": c} for e, c in terms]}
+
+
+A = series(1, 4, [([0], [[1]]), ([1], [[1]]), ([3], [[1]])])
+B = series(1, 4, [([0], [[1]]), ([2], [[1]])])
+A4 = series(1, 3, [([0], [[1, 0], [0, 0]]), ([1], [[0, 1], [1, 0]])])
+A2 = series(2, 4, [([0, 0], [[1]]), ([1, 1], [[1]]), ([2, 0], [[1]])])
+
+# command -> (bare flags, integer flags, ring descriptor, payload)
+JOBS = {
+    "add": ([], {}, F2, {"a": A, "b": B}),
+    "neg": ([], {}, F4E2, {"a": A4}),
+    "mul": ([], {}, F2, {"a": A, "b": B}),
+    "coords": ([], {}, F4E2, {"a": A4}),
+    "decompose": ([], {}, F2, {"a": A2}),
+    "from-coords": ([], {"n": 1, "d": 4}, F2, {"coords": [{"exp": [1], "r": [[1]]}]}),
+    "ah-exp": ([], {"d": 4}, F4E2, {"x": [[0, 0], [1, 0]], "j": 1}),
+    "pair": (
+        ["--both"],
+        {"d": 4},
+        R22,
+        {
+            "f": series(1, 2, [([0], [[1], [0]]), ([1], [[0], [1]])], exact=True),
+            "g": series(1, 5, [([0], [[1]]), ([1], [[1]])]),
+        },
+    ),
+    "pi1": ([], {"n": 1, "q": 2, "d": 3}, None, None),
+    "lang-census": ([], {"n": 1, "q": 2, "s": 2, "d": 3}, None, None),
+    "selftest": (["--suite", "ring"], {"seed": 0}, None, None),
+}
+
+
+def argv_of(command, doc):
+    bare, _, _, _ = JOBS[command]
+    argv = [command] + bare
+    for name, value in doc["flags"].items():
+        argv += [f"--{name}", json.dumps(value)]
+    if "ring" in doc:
+        argv += ["--ring", json.dumps(doc["ring"])]
+    if "payload" in doc:
+        argv += ["--payload", json.dumps(doc["payload"])]
+    return argv
+
+
+def job_doc(command):
+    _, flags, ring, payload = JOBS[command]
+    doc = {"flags": dict(flags)}
+    if ring is not None:
+        doc.update(ring=ring, payload=payload)
+    return json.loads(json.dumps(doc))
+
+
+def leaves(node, path=()):
+    """Paths of every int or bool inside a JSON document."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from leaves(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from leaves(value, path + (i,))
+    elif isinstance(node, int):
+        yield path
+
+
+def objects(node, path=()):
+    """Paths of every object below the top level."""
+    if isinstance(node, dict):
+        if path:
+            yield path
+        for key, value in node.items():
+            yield from objects(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from objects(value, path + (i,))
+
+
+def at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def put(doc, path, value):
+    at(doc, path[:-1])[path[-1]] = value
+
+
+def run_main(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    text = out.getvalue()
+    assert text.endswith("\n") and text.count("\n") == 1, text
+    assert isinstance(json.loads(text), dict)
+    return code, text
+
+
+NOT_INT = [1.0, 0.5, "1", True, False, None, [], [1], {}, {"a": 1}]
+NOT_BOOL = [0, 1, "false", None, [], {}]
+FUZZ = settings(max_examples=150, derandomize=True, database=None, deadline=None)
+
+
+@FUZZ
+@given(st.sampled_from(sorted(JOBS)), st.data())
+def test_wrong_json_type_exits_1(command, data):
+    doc = job_doc(command)
+    path = data.draw(st.sampled_from(list(leaves(doc))))
+    old = at(doc, path)
+    new = data.draw(st.sampled_from(NOT_BOOL if isinstance(old, bool) else NOT_INT))
+    put(doc, path, new)
+    code, text = run_main(argv_of(command, doc))
+    assert code == 1, (path, new, text)
+
+
+@FUZZ
+@given(st.sampled_from(sorted(JOBS)), st.data())
+def test_dropped_added_or_nonpositive_value_handled(command, data):
+    doc = job_doc(command)
+    # every seed is valid, and a valid selftest job runs a whole suite
+    kinds = ["drop", "add"] + ([] if command == "selftest" else ["nonpositive"])
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "nonpositive":
+        ints = [p for p in leaves(doc) if not isinstance(at(doc, p), bool)]
+        put(doc, data.draw(st.sampled_from(ints)), data.draw(st.sampled_from([0, -1, -3])))
+    else:
+        path = data.draw(st.sampled_from(list(objects(doc))))
+        target = at(doc, path)
+        if kind == "drop" and target:
+            del target[data.draw(st.sampled_from(sorted(target)))]
+        else:
+            target[data.draw(st.sampled_from(["x", "exact", "nil", "j", "terms"]))] = 1
+    code, _ = run_main(argv_of(command, doc))
+    assert code in (0, 1)
