@@ -88,7 +88,6 @@ from .witt import (
     witt_add,
     witt_coordinates,
     witt_mul,
-    witt_mul_1var,
     witt_neg,
 )
 

@@ -7,7 +7,8 @@ Usage errors (an unknown flag, a non-integer flag value, a value below
 its minimum) exit 1 with a JSON error of kind SchemaError, like a
 malformed ring descriptor or payload.  argparse checks the command line;
 each JSON parser (``CoeffRing.from_json_dict``, the series and coordinate
-readers) checks its own input.
+readers) checks its own input, and ``PAYLOAD_KEYS`` names the keys each
+command's payload takes.  A missing or unknown key is a SchemaError.
 
 Payloads are JSON, passed with --payload or on stdin (use ``--payload -``
 or pipe; anything over a few KiB should come through stdin).  Output is
@@ -25,7 +26,7 @@ from .cft import lang_kernel_census, pi1_truncated, witt_group_structure_brute
 from .duality import FormalWittElement, cartier_pair, geometric_pair
 from .errors import SchemaError, WittError
 from .ptypical import artin_hasse_exp
-from .ring import CoeffRing, json_int
+from .ring import CoeffRing, json_int, json_object
 from .series import TruncatedSeries
 from .witt import (
     WittCoordinates,
@@ -53,32 +54,40 @@ def _ring(args) -> CoeffRing:
     return CoeffRing.from_json_dict(json.loads(args.ring))
 
 
-def _series_in(ring: CoeffRing, payload, key) -> WittElement:
-    if key not in payload:
-        raise ValueError(f"payload needs {key!r}")
-    return WittElement.from_json_dict(ring, payload[key])
+# command -> (required, optional) payload keys; the other commands take none
+PAYLOAD_KEYS = {
+    "add": (("a", "b"), ()),
+    "mul": (("a", "b"), ()),
+    "neg": (("a",), ()),
+    "coords": (("a",), ()),
+    "decompose": (("a",), ()),
+    "from-coords": (("coords",), ()),
+    "ah-exp": (("x",), ("j",)),
+    "pair": (("f", "g"), ()),
+}
 
 
 def run(args: argparse.Namespace):
     """Execute the job parsed by ``build_parser``; returns (exit_code, result_dict)."""
-    payload = _read_payload(getattr(args, "payload", None))
     cmd = args.command
+    payload = _read_payload(getattr(args, "payload", None))
+    json_object(payload, f"{cmd} payload", *PAYLOAD_KEYS.get(cmd, ((), ())))
 
     if cmd in ("add", "mul"):
         ring = _ring(args)
-        a = _series_in(ring, payload, "a")
-        b = _series_in(ring, payload, "b")
+        a = WittElement.from_json_dict(ring, payload["a"])
+        b = WittElement.from_json_dict(ring, payload["b"])
         out = witt_add(a, b) if cmd == "add" else witt_mul(a, b)
         return 0, {"result": out.to_json_dict()}
 
     if cmd == "neg":
         ring = _ring(args)
-        a = _series_in(ring, payload, "a")
+        a = WittElement.from_json_dict(ring, payload["a"])
         return 0, {"result": witt_neg(a).to_json_dict()}
 
     if cmd == "coords":
         ring = _ring(args)
-        a = _series_in(ring, payload, "a")
+        a = WittElement.from_json_dict(ring, payload["a"])
         return 0, {"result": witt_coordinates(a).to_json_dict()}
 
     if cmd == "from-coords":
@@ -89,7 +98,7 @@ def run(args: argparse.Namespace):
 
     if cmd == "decompose":
         ring = _ring(args)
-        a = _series_in(ring, payload, "a")
+        a = WittElement.from_json_dict(ring, payload["a"])
         fam = decompose(a)
         comps = [
             {"nu": list(nu), "series": fam.components[nu].to_json_dict()}
@@ -100,16 +109,12 @@ def run(args: argparse.Namespace):
     if cmd == "ah-exp":
         ring = _ring(args)
         _need(args, "d")
-        if "x" not in payload:
-            raise ValueError("payload needs 'x'")
         x = ring.element(payload["x"])
         j = json_int(payload.get("j", 1), "ah-exp j")
         return 0, {"result": artin_hasse_exp(x, j, args.d).to_json_dict()}
 
     if cmd == "pair":
         ring = _ring(args)
-        if "f" not in payload or "g" not in payload:
-            raise ValueError("payload needs 'f' and 'g'")
         f = FormalWittElement(TruncatedSeries.from_json_dict(ring, payload["f"]))
         base = CoeffRing(ring.field, 1)
         g = WittElement.from_json_dict(base, payload["g"])
@@ -154,16 +159,9 @@ def run(args: argparse.Namespace):
     raise ValueError(f"unknown command {cmd!r}")
 
 
-def _read_payload(value: str | None) -> dict:
-    if value is None:
-        return {}
+def _read_payload(value: str | None):
     text = sys.stdin.read().strip() if value == "-" else value
-    if not text:
-        return {}
-    doc = json.loads(text)
-    if not isinstance(doc, dict):
-        raise SchemaError(f"payload must be a JSON object, not {type(doc).__name__}")
-    return doc
+    return json.loads(text) if text else {}
 
 
 class _Parser(argparse.ArgumentParser):

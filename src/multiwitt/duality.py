@@ -29,8 +29,6 @@ lies in N^ceil(|nu|/D).
 
 from __future__ import annotations
 
-from math import gcd
-
 from .errors import (
     InvalidTruncation,
     NotAUnit,
@@ -46,9 +44,9 @@ from .witt import (
     WittCoordinates,
     WittElement,
     from_coordinates,
-    group_by_primitive,
     mul_coordinate_families,
     one_var_order,
+    shared_components,
     witt_coordinates,
 )
 
@@ -189,13 +187,8 @@ def _component_pair_value(ring: CoeffRing, fa: dict, gb: dict) -> int:
     at a window wide enough that no nonzero term can be discarded."""
     if not fa or not gb:
         return ring.one
-    # the product degree is at most the sum of g*lcm over nonzero factors
-    dstar = 2
-    for i, ai in fa.items():
-        for j, bj in gb.items():
-            g0 = gcd(i, j)
-            if ring.rmul(ring.rpow(ai, j // g0), ring.rpow(bj, i // g0)) != 0:
-                dstar += g0 * (i * j // g0)
+    # each factor (1 - c t^lcm(i, j))^gcd(i, j) has degree i * j
+    dstar = 2 + sum(fa) * sum(gb)
     prod = mul_coordinate_families(ring, dstar, fa, gb)
     if not prod.exact:
         raise UnstableTruncation("pairing window unexpectedly too small")
@@ -217,15 +210,11 @@ def cartier_pair(f: FormalWittElement, g: WittElement, d: int | None = None) -> 
         d = g.d - 1
     if d < 1 or d + 1 > g.d:
         raise InvalidTruncation(f"need 1 <= d and d + 1 <= {g.d}")
-    fam_f = group_by_primitive(f.exact_coordinates())
-    fam_g = group_by_primitive(witt_coordinates(g_r).coords)
+    shared = list(shared_components(f.exact_coordinates(), witt_coordinates(g_r).coords))
 
     def value(dcut: int) -> int:
         acc = ring.one
-        for nu, fa in fam_f.items():
-            gb = fam_g.get(nu)
-            if not gb:
-                continue
+        for nu, fa, gb in shared:
             kcut = one_var_order(dcut, sum(nu))
             gb_cut = {j: c for j, c in gb.items() if j < kcut}
             acc = ring.rmul(acc, _component_pair_value(ring, fa, gb_cut))
@@ -271,13 +260,8 @@ def geometric_pair(f: FormalWittElement, g: WittElement, m: int) -> RingElement:
         if v1 != v2:
             raise UnstableTruncation("pairing value changed between m and m + 1")
         return ring.from_raw(v1)
-    fam_f = group_by_primitive(f.exact_coordinates())
-    fam_g = group_by_primitive(witt_coordinates(g_r).coords)
     acc = ring.one
-    for nu, fa in fam_f.items():
-        gb = fam_g.get(nu)
-        if not gb:
-            continue
+    for nu, fa, gb in shared_components(f.exact_coordinates(), witt_coordinates(g_r).coords):
         k = one_var_order(g.d, sum(nu))
         if m + 1 > k:
             raise InvalidTruncation(

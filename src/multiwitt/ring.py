@@ -55,6 +55,21 @@ def json_int(value, what: str, minimum: int | None = None) -> int:
     return value
 
 
+def json_object(value, what: str, required, optional=()) -> dict:
+    """``value`` if it is a JSON object with every key in ``required`` and
+    no key outside ``required`` and ``optional``; SchemaError otherwise."""
+    if type(value) is not dict:
+        raise SchemaError(f"{what} must be a JSON object, got {value!r}")
+    missing = [k for k in required if k not in value]
+    unknown = sorted(value.keys() - set(required) - set(optional))
+    if missing or unknown:
+        raise SchemaError(
+            f"{what} needs keys {list(required)} and allows {list(optional)}; "
+            f"missing {missing}, unknown {unknown}"
+        )
+    return value
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -475,14 +490,7 @@ class CoeffRing:
     def from_json_dict(cls, obj) -> "CoeffRing":
         """Ring from its descriptor: an object with exactly the keys p, e,
         modulus (a list of integers) and optional nil."""
-        if not (
-            isinstance(obj, dict)
-            and {"p", "e", "modulus"} <= obj.keys() <= {"p", "e", "modulus", "nil"}
-        ):
-            raise SchemaError(
-                f"ring descriptor must be an object with keys p, e, modulus and optionally nil, "
-                f"got {obj!r}"
-            )
+        json_object(obj, "ring descriptor", ("p", "e", "modulus"), ("nil",))
         modulus = obj["modulus"]
         if not isinstance(modulus, list):
             raise SchemaError(f"ring modulus must be a JSON list, got {modulus!r}")

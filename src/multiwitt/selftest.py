@@ -120,20 +120,21 @@ def check_decomposition(rng, cases=50):
 def check_witt_ring_laws(rng, cases=60):
     for q in (2, 3, 5):
         ring = CoeffRing.make(q)
-        d = 6
-        one = witt.WittElement.binomial(ring, 1, d, (1,), 1)
-        for _ in range(cases):
-            a = random_witt_element(ring, 1, d, rng)
-            b = random_witt_element(ring, 1, d, rng)
-            c = random_witt_element(ring, 1, d, rng)
-            assert witt.witt_mul_1var(a, b) == witt.witt_mul_1var(b, a)
-            assert witt.witt_mul_1var(witt.witt_mul_1var(a, b), c) == witt.witt_mul_1var(
-                a, witt.witt_mul_1var(b, c)
-            )
-            lhs = witt.witt_mul_1var(a, witt.witt_add(b, c))
-            rhs = witt.witt_add(witt.witt_mul_1var(a, b), witt.witt_mul_1var(a, c))
-            assert lhs == rhs
-            assert witt.witt_mul_1var(one, a) == a
+        # one shape with several primitive parts, at a few triples per field
+        for n, d, count in ((1, 6, cases), (2, 4, cases // 6)):
+            one = witt.ring_one(ring, n, d)
+            for _ in range(count):
+                a = random_witt_element(ring, n, d, rng)
+                b = random_witt_element(ring, n, d, rng)
+                c = random_witt_element(ring, n, d, rng)
+                assert witt.witt_mul(a, b) == witt.witt_mul(b, a)
+                assert witt.witt_mul(witt.witt_mul(a, b), c) == witt.witt_mul(
+                    a, witt.witt_mul(b, c)
+                )
+                lhs = witt.witt_mul(a, witt.witt_add(b, c))
+                rhs = witt.witt_add(witt.witt_mul(a, b), witt.witt_mul(a, c))
+                assert lhs == rhs
+                assert witt.witt_mul(one, a) == a
 
 
 def check_unipotence(rng, cases=40):

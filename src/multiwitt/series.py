@@ -21,7 +21,7 @@ from functools import lru_cache
 from math import gcd
 
 from .errors import NonUnitConstantTerm, NotExact, SchemaError, ShapeMismatch
-from .ring import CoeffRing, RingElement, json_int
+from .ring import CoeffRing, RingElement, json_int, json_object
 
 ZERO_EXP_CACHE = {}
 
@@ -335,8 +335,10 @@ class TruncatedSeries:
 
     @classmethod
     def from_json_dict(cls, ring: CoeffRing, obj) -> "TruncatedSeries":
+        json_object(obj, "series", ("n", "d", "terms"), ("exact",))
         terms = {}
         for t in obj["terms"]:
+            json_object(t, "series term", ("exp", "c"))
             exp = parse_exponent(t["exp"], terms)
             terms[exp] = ring.coords_to_raw(t["c"])
         exact = obj.get("exact", False)

@@ -16,8 +16,11 @@ variable follows the classical convolution on coordinates,
         = prod_{i,j} (1 - a_i^(j/g) b_j^(i/g) s^(ij/g))^g,   g = gcd(i, j),
 
 and the n-variable ring multiplication is transported through the
-decomposition componentwise.  The multiplicative unit at truncation d is
-the product of (1 - t^nu) over all primitive nu with |nu| < d.
+decomposition componentwise.  A missing component is the identity, and
+so is its product with anything: ``witt_mul`` convolves only the parts
+both factors share, and never flags the product exact.  The
+multiplicative unit at truncation d is the product of (1 - t^nu) over
+all primitive nu with |nu| < d.
 
 Frobenius acts on coefficients; the Lang map divides the Frobenius image
 by the element, and its kernel over an extension field is the subgroup of
@@ -29,7 +32,7 @@ from __future__ import annotations
 from math import gcd
 
 from .errors import NilpotentCoefficients, ShapeMismatch
-from .ring import CoeffRing, RingElement
+from .ring import CoeffRing, RingElement, json_object
 from .series import (
     TruncatedSeries,
     content,
@@ -176,8 +179,10 @@ class WittCoordinates:
 
     @classmethod
     def from_json_dict(cls, ring: CoeffRing, n: int, d: int, obj) -> "WittCoordinates":
+        json_object(obj, "coordinate document", ("coords",))
         coords = {}
         for t in obj["coords"]:
+            json_object(t, "coordinate", ("exp", "r"))
             exp = parse_exponent(t["exp"], coords)
             if len(exp) != n or not 0 < sum(exp) < d:
                 raise ShapeMismatch(
@@ -198,20 +203,21 @@ class OneVarComponentFamily:
         self.d = d
         self.components = components
 
-    def component(self, exp) -> WittElement:
-        return self.components[tuple(exp)]
-
     def recompose(self) -> WittElement:
-        """Substitute s = t^nu in every component and multiply."""
-        ring, n, d = self.ring, self.n, self.d
-        acc = TruncatedSeries.one(ring, n, d)
+        """Substitute s = t^nu in every nontrivial component and multiply."""
+        acc = TruncatedSeries.one(self.ring, self.n, self.d)
         for nu in sorted(self.components, key=grlex_key):
-            comp = self.components[nu]
-            terms = {}
-            for (i,), c in comp.series.terms.items():
-                terms[tuple(i * v for v in nu)] = c
-            acc = acc.mul(TruncatedSeries(ring, n, d, terms))
+            comp = self.components[nu].series
+            if len(comp.terms) > 1:
+                acc = acc.mul(_substitute(comp, nu, self.n, self.d))
         return WittElement(acc)
+
+
+def _substitute(comp: TruncatedSeries, nu: tuple, n: int, d: int) -> TruncatedSeries:
+    """comp(s) at s = t^nu in n variables; a comp truncated at
+    one_var_order(d, |nu|) fits under d."""
+    terms = {tuple(i * v for v in nu): c for (i,), c in comp.terms.items()}
+    return TruncatedSeries(comp.ring, n, d, terms)
 
 
 def _check_same_shape(a: WittElement, b: WittElement):
@@ -293,6 +299,17 @@ def group_by_primitive(coords: dict) -> dict:
     return grouped
 
 
+def shared_components(ca: dict, cb: dict):
+    """Yield (nu, {i: a_i}, {j: b_j}) for each primitive part nu that both
+    coordinate families {exp: r} contain, in the order of ``ca``.  A part
+    missing from either family is the identity there."""
+    gb = group_by_primitive(cb)
+    for nu, fa in group_by_primitive(ca).items():
+        fb = gb.get(nu)
+        if fb:
+            yield nu, fa, fb
+
+
 def decompose(a: WittElement) -> OneVarComponentFamily:
     """Group the coordinates by primitive exponent into one-variable parts."""
     ring, n, d = a.ring, a.n, a.d
@@ -322,17 +339,6 @@ def mul_coordinate_families(ring: CoeffRing, d: int, ca: dict, cb: dict) -> Trun
                 continue
             acc = acc.mul(_binomial_power(ring, d, L, c, g))
     return acc
-
-
-def witt_mul_1var(a: WittElement, b: WittElement) -> WittElement:
-    """Coordinatewise convolution product in one variable."""
-    _check_same_shape(a, b)
-    if a.n != 1:
-        raise ShapeMismatch("one-variable multiplication needs n = 1")
-    ring, d = a.ring, a.d
-    ca = {i: c for (i,), c in witt_coordinates(a).coords.items()}
-    cb = {j: c for (j,), c in witt_coordinates(b).coords.items()}
-    return WittElement(mul_coordinate_families(ring, d, ca, cb))
 
 
 def _binomial_power(ring: CoeffRing, d: int, L: int, c: int, g: int) -> TruncatedSeries:
@@ -365,16 +371,15 @@ def ring_one(ring: CoeffRing, n: int, d: int) -> WittElement:
 
 
 def witt_mul(a: WittElement, b: WittElement) -> WittElement:
-    """Ring multiplication, componentwise through the decomposition."""
+    """Ring multiplication: the convolution product of each primitive part
+    both factors share, substituted back and multiplied together."""
     _check_same_shape(a, b)
-    if a.n == 1:
-        return witt_mul_1var(a, b)
-    fa = decompose(a)
-    fb = decompose(b)
-    products = {
-        nu: witt_mul_1var(fa.components[nu], fb.components[nu]) for nu in fa.components
-    }
-    return OneVarComponentFamily(a.ring, a.n, a.d, products).recompose()
+    ring, n, d = a.ring, a.n, a.d
+    acc = TruncatedSeries.one(ring, n, d)
+    for nu, ca, cb in shared_components(witt_coordinates(a).coords, witt_coordinates(b).coords):
+        comp = mul_coordinate_families(ring, one_var_order(d, sum(nu)), ca, cb)
+        acc = acc.mul(_substitute(comp, nu, n, d))
+    return WittElement(acc)
 
 
 def frobenius_witt(a: WittElement, qpow: int) -> WittElement:

@@ -33,7 +33,7 @@ from multiwitt import (
     witt_add,
     witt_coordinates,
     witt_group_structure_brute,
-    witt_mul_1var,
+    witt_mul,
 )
 from multiwitt.duality import random_formal_element
 from multiwitt.series import exponents_below
@@ -60,13 +60,13 @@ def test_criterion_1_witt_ring_axioms():
                 a = random_witt_element(ring, 1, d, rng)
                 b = random_witt_element(ring, 1, d, rng)
                 c = random_witt_element(ring, 1, d, rng)
-                ab = witt_mul_1var(a, b)
-                assert ab == witt_mul_1var(b, a)
-                assert witt_mul_1var(ab, c) == witt_mul_1var(a, witt_mul_1var(b, c))
-                lhs = witt_mul_1var(a, witt_add(b, c))
-                assert lhs == witt_add(witt_mul_1var(a, b), witt_mul_1var(a, c))
+                ab = witt_mul(a, b)
+                assert ab == witt_mul(b, a)
+                assert witt_mul(ab, c) == witt_mul(a, witt_mul(b, c))
+                lhs = witt_mul(a, witt_add(b, c))
+                assert lhs == witt_add(witt_mul(a, b), witt_mul(a, c))
                 one = WittElement.binomial(ring, 1, d, (1,), ring.one)
-                assert witt_mul_1var(one, a) == a
+                assert witt_mul(one, a) == a
 
 
 def test_criterion_2_unique_decomposition():

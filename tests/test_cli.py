@@ -48,6 +48,15 @@ def test_mul_identity_echoes_input(capsys):
     assert doc["result"]["terms"] == lam["terms"]
 
 
+def test_mul_of_inexact_inputs_is_not_exact(capsys):
+    lam = series_doc(1, 4, [((0,), [[1]]), ((2,), [[1]])])
+    one = series_doc(1, 4, [((0,), [[1]]), ((1,), [[1]])])
+    payload = json.dumps({"a": lam, "b": one})
+    code, doc = run_cli(capsys, ["mul", "--ring", F2_RING, "--payload", payload])
+    assert code == 0
+    assert doc["result"]["exact"] is False
+
+
 def test_add_and_neg_roundtrip(capsys):
     lam = series_doc(1, 4, [((0,), [[1]]), ((1,), [[1]]), ((3,), [[1]])])
     code, doc = run_cli(
@@ -364,3 +373,44 @@ def test_cli_needs_neither_jsonschema_nor_selftest():
     proc = subprocess.run([sys.executable, "-c", blocked], capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"factors": [4], "order": 4}
+
+
+def _coords_job(doc):
+    return ["from-coords", "--ring", F2_RING, "--n", "1", "--d", "4", "--payload", json.dumps(doc)]
+
+
+def _neg_job(series):
+    return ["neg", "--ring", F2_RING, "--payload", json.dumps({"a": series})]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        _neg_job(dict(ONE_PLUS_T, exct=True)),
+        _neg_job({k: v for k, v in ONE_PLUS_T.items() if k != "d"}),
+        _neg_job(dict(ONE_PLUS_T, terms=CONST + [{"exp": [1], "c": [[1]], "x": 1}])),
+        _neg_job(dict(ONE_PLUS_T, terms=CONST + [{"exp": [1]}])),
+        _coords_job({"coords": [], "zz": 1}),
+        _coords_job({}),
+        _coords_job({"coords": [{"exp": [1], "r": [[1]], "c": [[1]]}]}),
+        _coords_job({"coords": [{"r": [[1]]}]}),
+        ["neg", "--ring", F2_RING, "--payload", json.dumps({"a": ONE_PLUS_T, "zz": 1})],
+        ["neg", "--ring", F2_RING, "--payload", "[1]"],
+        ["mul", "--ring", F2_RING, "--payload", json.dumps({"a": ONE_PLUS_T})],
+        ["mul", "--ring", F2_RING],
+        ["ah-exp", "--ring", F2_RING, "--d", "3", "--payload", '{"x": [[1]], "k": 1}'],
+        ["pair", "--ring", R22_RING, "--payload", json.dumps({"f": ONE_PLUS_T})],
+        ["pi1", "--n", "1", "--q", "2", "--d", "3", "--payload", '{"junk": 1}'],
+        ["lang-census", "--n", "1", "--q", "2", "--s", "2", "--d", "3", "--payload", '{"x": 1}'],
+    ],
+    ids=[
+        "series-unknown", "series-missing", "term-unknown", "term-missing", "coords-doc-unknown",
+        "coords-doc-missing", "coord-unknown", "coord-missing", "payload-unknown", "payload-list",
+        "payload-missing", "payload-absent", "ah-exp-unknown", "pair-missing", "pi1-payload",
+        "census-payload",
+    ],
+)
+def test_unknown_or_missing_key_is_schema_error(capsys, argv):
+    code, doc = run_cli(capsys, argv)
+    assert code == 1
+    assert doc["error"]["kind"] == "SchemaError"

@@ -1,5 +1,6 @@
 """Mutated jobs for every CLI command: main never raises, always prints one
-JSON document, and rejects every value of the wrong JSON type with exit 1.
+JSON document, and rejects every value of the wrong JSON type and every
+key an object does not take with exit 1.
 
 Each job is a valid one (flags, ring descriptor, payload) with a single
 mutation applied.  Integers stay small: bounding the work of large but
@@ -150,6 +151,12 @@ def test_dropped_added_or_nonpositive_value_handled(command, data):
         if kind == "drop" and target:
             del target[data.draw(st.sampled_from(sorted(target)))]
         else:
-            target[data.draw(st.sampled_from(["x", "exact", "nil", "j", "terms"]))] = 1
+            key = data.draw(st.sampled_from(["x", "exact", "nil", "j", "terms"]))
+            # every valid job lists all the optional keys it may take
+            unknown = key not in target
+            target[key] = 1
+            code, text = run_main(argv_of(command, doc))
+            assert code == 1 if unknown else code in (0, 1), (path, key, text)
+            return
     code, _ = run_main(argv_of(command, doc))
     assert code in (0, 1)

@@ -19,7 +19,7 @@ from multiwitt import (
     pwitt_mul,
     pwitt_pair,
     witt_add,
-    witt_mul_1var,
+    witt_mul,
 )
 from multiwitt.witt import WittElement, enumerate_witt_elements, random_witt_element
 
@@ -170,7 +170,7 @@ def test_transported_multiplication_matches_formula(rng):
                 m = len(fa[j])
                 twist = integer_pwitt(-j, p, m, ring)
                 prod_fam[j] = pwitt_mul(twist, pwitt_mul(fa[j], fb[j]))
-            assert pi_epsilon(prod_fam, ring, d) == witt_mul_1var(a, b)
+            assert pi_epsilon(prod_fam, ring, d) == witt_mul(a, b)
 
 
 def test_artin_hasse_recurrence_matches_exp_log():

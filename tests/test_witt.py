@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given, strategies as st
+from witt_oracle import witt_mul_dense
 
 from multiwitt import (
     CoeffRing,
@@ -16,10 +17,15 @@ from multiwitt import (
     witt_add,
     witt_coordinates,
     witt_mul,
-    witt_mul_1var,
     witt_neg,
 )
-from multiwitt.witt import random_witt_element
+from multiwitt.series import primitive_exponents_below
+from multiwitt.witt import (
+    group_by_primitive,
+    one_var_order,
+    random_witt_element,
+    shared_components,
+)
 
 
 def W(ring, n, d, terms):
@@ -124,7 +130,7 @@ def test_one_var_product_formula_coprime():
     expected = WittElement.binomial(
         F5, 1, 8, (6,), F5.rmul(F5.rpow(a, 3), F5.rpow(b, 2))
     )
-    assert witt_mul_1var(x, y) == expected
+    assert witt_mul(x, y) == expected
 
 
 def test_one_var_product_formula_equal_indices():
@@ -133,15 +139,15 @@ def test_one_var_product_formula_equal_indices():
     x = WittElement.binomial(F5, 1, 8, (2,), a)
     y = WittElement.binomial(F5, 1, 8, (2,), b)
     ab = WittElement.binomial(F5, 1, 8, (2,), F5.rmul(a, b))
-    assert witt_mul_1var(x, y) == witt_add(ab, ab)
+    assert witt_mul(x, y) == witt_add(ab, ab)
 
 
 def test_one_var_unit(any_ring, rng):
     one = WittElement.binomial(any_ring, 1, 7, (1,), any_ring.one)
     for _ in range(15):
         m = random_witt_element(any_ring, 1, 7, rng)
-        assert witt_mul_1var(one, m) == m
-        assert witt_mul_1var(m, one) == m
+        assert witt_mul(one, m) == m
+        assert witt_mul(m, one) == m
 
 
 def test_nvar_unit_and_annihilation(rng):
@@ -180,6 +186,85 @@ def test_nvar_distributivity_500_triples(rng):
         b = random_witt_element(ring, n, d, rng)
         c = random_witt_element(ring, n, d, rng)
         assert witt_mul(a, witt_add(b, c)) == witt_add(witt_mul(a, b), witt_mul(a, c))
+
+
+def test_product_is_never_flagged_exact():
+    """The coordinates of a truncated input say nothing about its factors
+    at or beyond d, so no product at d can claim to be a polynomial: at
+    d = 12 the same two polynomials gain a t^10 term."""
+    R = CoeffRing.make(3, nil=2)
+    one_plus_eps = R.radd(R.one, R.eps_raw)
+    two_eps = R.radd(R.eps_raw, R.eps_raw)
+
+    def poly(d, terms):
+        return WittElement(TruncatedSeries(R, 1, d, {(0,): R.one, **terms}, exact=True))
+
+    at9, at12 = (
+        witt_mul(poly(d, {(3,): one_plus_eps, (7,): two_eps}), poly(d, {(2,): one_plus_eps}))
+        for d in (9, 12)
+    )
+    assert sorted(at9.series.terms) == [(0,), (6,)]
+    assert not at9.series.exact
+    assert (10,) in at12.series.terms
+
+
+def _few_term_element(ring, n, d, directions, rng):
+    """1 plus one to three terms on multiples of the given primitive directions."""
+    terms = {}
+    for _ in range(rng.randrange(1, 4)):
+        nu = rng.choice(directions)
+        i = rng.randrange(1, one_var_order(d, sum(nu)))
+        terms[tuple(i * v for v in nu)] = rng.randrange(1, ring.size)
+    return W(ring, n, d, terms)
+
+
+def test_product_matches_dense_oracle(any_ring, rng):
+    for n, dense_d, sparse_d in ((1, 8, 16), (2, 5, 12), (3, 4, 10)):
+        for _ in range(3):
+            a = random_witt_element(any_ring, n, dense_d, rng)
+            b = random_witt_element(any_ring, n, dense_d, rng)
+            product = witt_mul(a, b)
+            assert product.series.terms == witt_mul_dense(a, b).series.terms
+            assert not product.series.exact
+        pool = primitive_exponents_below(n, 4)
+        for _ in range(3):
+            # a third direction leaves some parts in one factor only
+            directions = rng.sample(pool, min(3, len(pool)))
+            a = _few_term_element(any_ring, n, sparse_d, directions, rng)
+            b = _few_term_element(any_ring, n, sparse_d, directions, rng)
+            product = witt_mul(a, b)
+            assert product.series.terms == witt_mul_dense(a, b).series.terms
+            assert not product.series.exact
+
+
+def test_few_term_product_at_n6_d20_uses_shared_parts_only(monkeypatch):
+    """(1 + t1 + 2 t2) * (1 + t2 + t1 t2) over F_3 in a box of 230,230
+    exponents: the product's coordinates are those of the one-variable
+    products of the shared parts, and the dense decomposition never runs."""
+    F3 = CoeffRing.make(3)
+    n, d = 6, 20
+    t1, t2, t1t2 = (1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (1, 1, 0, 0, 0, 0)
+    a = W(F3, n, d, {t1: 1, t2: 2})
+    b = W(F3, n, d, {t2: 1, t1t2: 1})
+
+    def no_decompose(_):
+        raise AssertionError("witt_mul built the dense decomposition")
+
+    with monkeypatch.context() as patch:
+        patch.setattr("multiwitt.witt.decompose", no_decompose)
+        product = witt_mul(a, b)
+    expected = {}
+    for nu, ca, cb in shared_components(witt_coordinates(a).coords, witt_coordinates(b).coords):
+        k = one_var_order(d, sum(nu))
+        ea, eb = (
+            from_coordinates(WittCoordinates(F3, 1, k, {(i,): c for i, c in fam.items()}))
+            for fam in (ca, cb)
+        )
+        coords = {i: c for (i,), c in witt_coordinates(witt_mul(ea, eb)).coords.items()}
+        if coords:
+            expected[nu] = coords
+    assert expected
+    assert group_by_primitive(witt_coordinates(product).coords) == expected
 
 
 def test_frobenius_and_lang_examples():
@@ -243,4 +328,4 @@ def test_mul_shape_guard():
     a = WittElement.one(F2, 1, 3)
     b = WittElement.one(F2, 1, 4)
     with pytest.raises(Exception):
-        witt_mul_1var(a, b)
+        witt_mul(a, b)
