@@ -69,7 +69,6 @@ from .ptypical import (
 from .ring import CoeffRing, FiniteField, RingElement
 from .series import TruncatedSeries
 from .unipoly import (
-    ExtensionField,
     UnivariatePolynomial,
     resultant,
     roots_with_multiplicity,

@@ -20,6 +20,7 @@ the F_q-rational subgroup.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 
 from .errors import InvalidTruncation, NotAbelian, NotClosed, TooLarge
@@ -30,6 +31,7 @@ from .witt import (
     enumerate_witt_elements,
     frobenius_witt,
     lang_map,
+    random_witt_element,
     witt_add,
 )
 
@@ -140,9 +142,7 @@ def brute_force_structure(elements, op) -> AbelianGroupStructure:
     if len(elems) ** 2 <= PAIR_CHECK_LIMIT:
         pairs = ((a, b) for i, a in enumerate(elems) for b in elems[i + 1 :])
     else:
-        import random as _random
-
-        rng = _random.Random(0)
+        rng = random.Random(0)
         pairs = ((rng.choice(elems), rng.choice(elems)) for _ in range(2000))
     for a, b in pairs:
         ab = op(a, b)
@@ -263,16 +263,14 @@ def lang_kernel_census(n: int, q: int, s: int, d: int, seed: int = 0) -> LangCen
             if any(big.rfrob(c, q) != c for c in el.series.terms.values()):
                 kernel_rational = False
 
-    import random as _random
-
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     if keep_all and total * total <= PAIR_CHECK_LIMIT:
         pairs = [(a, b) for a in members for b in members]
     else:
         pairs = []
         for _ in range(min(1000, total * total)):
-            a = _random_element(big, n, d, rng)
-            b = _random_element(big, n, d, rng)
+            a = random_witt_element(big, n, d, rng)
+            b = random_witt_element(big, n, d, rng)
             pairs.append((a, b))
     for a, b in pairs:
         lhs = lang_map(witt_add(a, b), q)
@@ -281,12 +279,6 @@ def lang_kernel_census(n: int, q: int, s: int, d: int, seed: int = 0) -> LangCen
             raise NotAbelian("Lang map failed to be an endomorphism")
 
     return LangCensus(total, kernel, q ** len(exps), len(pairs), kernel_rational)
-
-
-def _random_element(ring, n, d, rng):
-    from .witt import random_witt_element
-
-    return random_witt_element(ring, n, d, rng)
 
 
 def transition_surjective(ring: CoeffRing, n: int, d_from: int, d_to: int) -> bool:

@@ -67,17 +67,6 @@ class FormalWittElement:
                 raise NotNilpotent(f"coefficient at {e} is not nilpotent")
         self.series = series
 
-    @classmethod
-    def from_elements(cls, ring: CoeffRing, n: int, coeffs: dict) -> "FormalWittElement":
-        terms = {zero_exp(n): ring.one}
-        deg = 1
-        for e, c in coeffs.items():
-            raw = c.raw if isinstance(c, RingElement) else int(c) % ring.size
-            if raw:
-                terms[tuple(e)] = raw
-                deg = max(deg, sum(e) + 1)
-        return cls(TruncatedSeries(ring, n, deg, terms, exact=True))
-
     @property
     def ring(self) -> CoeffRing:
         return self.series.ring

@@ -65,11 +65,6 @@ class PWittVector:
             self.entries = tuple(int(v) % ring.size for v in entries)
 
     @classmethod
-    def from_elements(cls, elements) -> "PWittVector":
-        ring = elements[0].ring
-        return cls(ring.p, [e.raw for e in elements], ring)
-
-    @classmethod
     def zero(cls, p: int, m: int, ring: CoeffRing | None = None) -> "PWittVector":
         return cls(p, [0] * m, ring)
 

@@ -331,10 +331,6 @@ class CoeffRing:
     def is_field(self) -> bool:
         return self.nil == 1
 
-    @property
-    def is_prime_field(self) -> bool:
-        return self.nil == 1 and self.field.e == 1
-
     # raw operations on integer-encoded elements -------------------------
 
     def radd(self, a: int, b: int) -> int:
@@ -412,9 +408,6 @@ class CoeffRing:
 
     def element_indices(self):
         return range(self.size)
-
-    def nilpotent_indices(self):
-        return (a for a in range(self.size) if a % self.q == 0)
 
     def random_raw(self, rng) -> int:
         return rng.randrange(self.size)

@@ -32,10 +32,6 @@ def zero_exp(n: int) -> tuple:
     return ZERO_EXP_CACHE[n]
 
 
-def total_degree(exp: tuple) -> int:
-    return sum(exp)
-
-
 def grlex_key(exp: tuple):
     return (sum(exp), exp)
 
@@ -119,14 +115,6 @@ class TruncatedSeries:
     @classmethod
     def one(cls, ring: CoeffRing, n: int, d: int, exact: bool = False) -> "TruncatedSeries":
         return cls(ring, n, d, {zero_exp(n): ring.one}, exact)
-
-    @classmethod
-    def from_elements(
-        cls, ring: CoeffRing, n: int, d: int, coeffs: dict, exact: bool = False
-    ) -> "TruncatedSeries":
-        return cls(
-            ring, n, d, {tuple(e): c.raw for e, c in coeffs.items()}, exact
-        )
 
     def copy_with(self, terms=None, d=None, exact=None) -> "TruncatedSeries":
         return TruncatedSeries(

@@ -10,15 +10,18 @@ ever multiplies, adds and negates.  The exponential Laplace expansion it
 replaced lives on as the test oracle ``tests/det_oracle.py``.
 
 Root finding serves as an independent cross-check for the resultant path.
-Roots are located by exhaustive evaluation over F_(q^s), built as a tower
-extension F_q[y]/(g) with g found by deterministic scan, so base-field
-coefficients embed verbatim.  Multiplicities come from repeated synthetic
+Roots are located by exhaustive evaluation over F_(q^s), the same
+table-driven CoeffRing as every other field (``CoeffRing.make(q**s)``, so
+q^s is bounded by the table size).  Base coefficients enter through the
+embedding that sends the generator of F_q to the smallest-index root of
+its modulus in F_(q^s); a root belongs to degree s when its orbit under
+y -> y^q has length s.  Multiplicities come from repeated synthetic
 division.  This is deliberately desk-scale.
 """
 
 from __future__ import annotations
 
-from .errors import EmptyInput, ExtensionBoundExceeded, NonUnit, ShapeMismatch
+from .errors import EmptyInput, ExtensionBoundExceeded, ShapeMismatch
 from .ring import CoeffRing, RingElement
 
 
@@ -46,13 +49,6 @@ class UnivariatePolynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def lc_raw(self) -> int:
-        return self.coeffs[-1] if self.coeffs else 0
-
-    def coeff(self, k: int) -> RingElement:
-        raw = self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
-        return self.ring.from_raw(raw)
-
     def __eq__(self, other):
         return (
             isinstance(other, UnivariatePolynomial)
@@ -75,17 +71,6 @@ class UnivariatePolynomial:
                 bits.append(var if s == "1" else f"({s})*{var}")
         return f"<poly {' + '.join(bits)}>"
 
-    def add(self, other: "UnivariatePolynomial") -> "UnivariatePolynomial":
-        self._check(other)
-        ring = self.ring
-        m = max(len(self.coeffs), len(other.coeffs))
-        out = []
-        for k in range(m):
-            a = self.coeffs[k] if k < len(self.coeffs) else 0
-            b = other.coeffs[k] if k < len(other.coeffs) else 0
-            out.append(ring.radd(a, b))
-        return UnivariatePolynomial.from_raw(ring, out)
-
     def mul(self, other: "UnivariatePolynomial") -> "UnivariatePolynomial":
         self._check(other)
         ring = self.ring
@@ -99,10 +84,6 @@ class UnivariatePolynomial:
                 if b:
                     out[i + j] = ring.radd(out[i + j], ring.rmul(a, b))
         return UnivariatePolynomial.from_raw(ring, out)
-
-    def scale(self, c_raw: int) -> "UnivariatePolynomial":
-        ring = self.ring
-        return UnivariatePolynomial.from_raw(ring, [ring.rmul(c_raw, a) for a in self.coeffs])
 
     def evaluate(self, x: RingElement) -> RingElement:
         ring = self.ring
@@ -180,233 +161,33 @@ def resultant(a: UnivariatePolynomial, b: UnivariatePolynomial) -> RingElement:
     return ring.from_raw(_det_bird(sylvester_matrix(a, b), ring))
 
 
-class ExtensionField:
-    """F_(q^s) as a tower F_q[y]/(g); elements are tuples of base indices."""
-
-    def __init__(self, base: CoeffRing, s: int):
-        if not base.is_field:
-            raise ShapeMismatch("extension fields need a field base")
-        self.base = base
-        self.s = s
-        self.modulus = _find_tower_modulus(base, s) if s > 1 else (0, 1)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ExtensionField)
-            and self.base == other.base
-            and self.s == other.s
-        )
-
-    def __hash__(self):
-        return hash((self.base, self.s))
-
-    @property
-    def order(self) -> int:
-        return self.base.size**self.s
-
-    def zero(self):
-        return (0,) * self.s
-
-    def one(self):
-        return (self.base.one,) + (0,) * (self.s - 1)
-
-    def embed(self, a_raw: int):
-        return (a_raw,) + (0,) * (self.s - 1)
-
-    def elements(self):
-        base_size = self.base.size
-        for idx in range(self.order):
-            v, out = idx, []
-            for _ in range(self.s):
-                out.append(v % base_size)
-                v //= base_size
-            yield tuple(out)
-
-    def add(self, x, y):
-        radd = self.base.radd
-        return tuple(radd(a, b) for a, b in zip(x, y))
-
-    def neg(self, x):
-        return tuple(self.base.rneg(a) for a in x)
-
-    def mul(self, x, y):
-        base, s = self.base, self.s
-        out = [0] * (2 * s - 1)
-        for i, a in enumerate(x):
-            if a == 0:
-                continue
-            for j, b in enumerate(y):
-                if b:
-                    out[i + j] = base.radd(out[i + j], base.rmul(a, b))
-        for k in range(2 * s - 2, s - 1, -1):
-            c = out[k]
-            if c == 0:
-                continue
-            out[k] = 0
-            for t in range(s):
-                out[k - s + t] = base.rsub(out[k - s + t], base.rmul(c, self.modulus[t]))
-        return tuple(out[:s])
-
-    def pow(self, x, k: int):
-        out, b = self.one(), x
-        while k:
-            if k & 1:
-                out = self.mul(out, b)
-            b = self.mul(b, b)
-            k >>= 1
-        return out
-
-    def inv(self, x):
-        if all(a == 0 for a in x):
-            raise NonUnit("zero has no inverse")
-        return self.pow(x, self.order - 2)
-
-    def frobenius_q(self, x):
-        return self.pow(x, self.base.size)
-
-    def minimal_degree(self, x) -> int:
-        """Smallest s' with x fixed by the s'-fold base-field Frobenius."""
-        y = x
-        for k in range(1, self.s + 1):
-            y = self.frobenius_q(y)
-            if y == x:
-                return k
-        raise AssertionError("element not fixed by the full Frobenius orbit")
-
-    def pretty(self, x) -> str:
-        bits = []
-        for k, a in enumerate(x):
-            if a == 0:
-                continue
-            s = self.base.pretty(a)
-            if k == 0:
-                bits.append(s)
-            else:
-                var = "y" if k == 1 else f"y^{k}"
-                bits.append(var if s == "1" else f"({s})*{var}")
-        return "+".join(bits) if bits else "0"
-
-
-def _tower_poly_divides(d, f, base):
-    f = list(f)
-    while f and f[-1] == 0:
-        f.pop()
-    e = len(d) - 1
-    inv_lead = base.rinv(d[-1])
-    while len(f) - 1 >= e and f:
-        c = base.rmul(f[-1], inv_lead)
-        k = len(f) - 1 - e
-        for t in range(len(d)):
-            f[k + t] = base.rsub(f[k + t], base.rmul(c, d[t]))
-        while f and f[-1] == 0:
-            f.pop()
-    return not f
-
-
-def _find_tower_modulus(base: CoeffRing, s: int):
-    """Deterministic scan for a monic irreducible of degree s over F_q."""
-    size = base.size
-    for idx in range(size**s):
-        v, cand = idx, []
-        for _ in range(s):
-            cand.append(v % size)
-            v //= size
-        cand.append(base.one)
-        if _tower_irreducible(cand, base):
-            return tuple(cand)
-    raise AssertionError(f"no irreducible of degree {s} over field of size {size}")
-
-
-def _tower_irreducible(cand, base: CoeffRing) -> bool:
-    s = len(cand) - 1
-    # no roots in the base field
-    for a in range(base.size):
-        acc = 0
-        for c in reversed(cand):
-            acc = base.radd(base.rmul(acc, a), c)
-        if acc == 0:
-            return False
-    if s <= 3:
-        return True
-    for deg in range(2, s // 2 + 1):
-        for idx in range(base.size**deg):
-            v, d = idx, []
-            for _ in range(deg):
-                d.append(v % base.size)
-                v //= base.size
-            d.append(base.one)
-            if _tower_poly_divides(d, cand, base):
-                return False
-    return True
-
-
-class ExtElement:
-    """Root wrapper carrying its extension field; enough arithmetic for tests."""
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field: ExtensionField, value):
-        self.field = field
-        self.value = value
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ExtElement)
-            and self.field == other.field
-            and self.value == other.value
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.value))
-
-    def __repr__(self):
-        return f"<ext {self.field.pretty(self.value)} deg {self.field.s}>"
-
-    def __mul__(self, other):
-        return ExtElement(self.field, self.field.mul(self.value, other.value))
-
-    def __add__(self, other):
-        return ExtElement(self.field, self.field.add(self.value, other.value))
-
-    @property
-    def in_base(self) -> bool:
-        return all(a == 0 for a in self.value[1:])
-
-    def base_element(self) -> RingElement:
-        if not self.in_base:
-            raise ShapeMismatch("element does not lie in the base field")
-        return self.field.base.from_raw(self.value[0])
-
-
-def evaluate_in_extension(f: UnivariatePolynomial, ext: ExtensionField, x):
-    acc = ext.zero()
-    for c in reversed(f.coeffs):
-        acc = ext.add(ext.mul(acc, x), ext.embed(c))
-    return acc
-
-
 def roots_with_multiplicity(f: UnivariatePolynomial, max_ext: int):
     """All roots of f in F_(q^s) for s <= max_ext, with multiplicities.
 
-    Raises ExtensionBoundExceeded when f does not split completely within
-    the allowed extensions.
+    Each root is a RingElement of the smallest F_(q^s) that contains it:
+    f's own ring for s = 1, ``CoeffRing.make(q**s)`` beyond.  Raises
+    ExtensionBoundExceeded when f does not split completely within the
+    allowed extensions, and TooLarge once the scan reaches a q^s beyond
+    the table bound.
     """
     ring = f.ring
     if not ring.is_field:
         raise ShapeMismatch("root scan needs field coefficients")
     if f.is_zero:
         raise EmptyInput("zero polynomial has no root divisor")
+    q = ring.q
     found = []
     accounted = 0
     for s in range(1, max_ext + 1):
-        ext = ExtensionField(ring, s)
-        for x in ext.elements():
-            if evaluate_in_extension(f, ext, x) != ext.zero():
+        field = ring if s == 1 else CoeffRing.make(q**s)
+        emb = base_embedding(ring, field)
+        g = UnivariatePolynomial.from_raw(field, [emb[c] for c in f.coeffs])
+        for x in field.elements():
+            # a root of degree below s was already found in a smaller field
+            if g.evaluate(x).raw or frobenius_orbit_length(x, q) != s:
                 continue
-            if s > 1 and ext.minimal_degree(x) != s:
-                continue  # already found inside a smaller field
-            mult = _multiplicity(f, ext, x)
-            found.append((ExtElement(ext, x), mult))
+            mult = _multiplicity(g, x.raw)
+            found.append((x, mult))
             accounted += mult
         if accounted == f.degree:
             return found
@@ -415,18 +196,45 @@ def roots_with_multiplicity(f: UnivariatePolynomial, max_ext: int):
     )
 
 
-def _multiplicity(f: UnivariatePolynomial, ext: ExtensionField, x) -> int:
-    coeffs = [ext.embed(c) for c in f.coeffs]
+def base_embedding(base: CoeffRing, field: CoeffRing) -> list:
+    """Raw images in ``field`` of the raw elements of the field ``base``.
+
+    The generator x of base = F_p[x]/(m) goes to the smallest-index root
+    of m in ``field``; F_p digits embed as themselves, since both rings
+    share the characteristic p.
+    """
+    m = UnivariatePolynomial.from_raw(field, base.field.modulus)
+    root = next(r for r in field.elements() if m.evaluate(r).raw == 0)
+    powers = [field.rpow(root.raw, i) for i in range(base.field.e)]
+    table = []
+    for b in base.element_indices():
+        acc = 0
+        for c, w in zip(base.field.index_to_vector(b), powers):
+            acc = field.radd(acc, field.rmul(c, w))
+        table.append(acc)
+    return table
+
+
+def frobenius_orbit_length(x: RingElement, q: int) -> int:
+    """Length of the orbit of x under y -> y^q: the degree of x over F_q."""
+    k, y = 1, x.ring.rfrob(x.raw, q)
+    while y != x.raw:
+        k, y = k + 1, x.ring.rfrob(y, q)
+    return k
+
+
+def _multiplicity(f: UnivariatePolynomial, x: int) -> int:
+    radd, rmul = f.ring.radd, f.ring.rmul
+    coeffs = f.coeffs
     mult = 0
     while len(coeffs) > 1:
         # synthetic division by (X - x)
-        quot = [ext.zero()] * (len(coeffs) - 1)
-        carry = ext.zero()
+        quot = [0] * (len(coeffs) - 1)
+        carry = 0
         for k in range(len(coeffs) - 1, 0, -1):
-            carry = ext.add(coeffs[k], ext.mul(carry, x))
+            carry = radd(coeffs[k], rmul(carry, x))
             quot[k - 1] = carry
-        rem = ext.add(coeffs[0], ext.mul(carry, x))
-        if rem != ext.zero():
+        if radd(coeffs[0], rmul(carry, x)):
             break
         mult += 1
         coeffs = quot

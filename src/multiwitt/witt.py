@@ -311,14 +311,21 @@ def shared_components(ca: dict, cb: dict):
 
 
 def decompose(a: WittElement) -> OneVarComponentFamily:
-    """Group the coordinates by primitive exponent into one-variable parts."""
+    """Group the coordinates by primitive exponent into one-variable parts.
+
+    No component is flagged exact: like a product from ``witt_mul``, each
+    is only known below its truncation order."""
     ring, n, d = a.ring, a.n, a.d
     grouped = group_by_primitive(witt_coordinates(a).coords)
     components = {}
     for nu0 in primitive_exponents_below(n, d):
         k = one_var_order(d, sum(nu0))
-        comp = {(i,): r for i, r in grouped.get(nu0, {}).items()}
-        components[nu0] = from_coordinates(WittCoordinates(ring, 1, k, comp))
+        part = grouped.get(nu0)
+        if part is None:
+            components[nu0] = WittElement.one(ring, 1, k)
+            continue
+        comp = from_coordinates(WittCoordinates(ring, 1, k, {(i,): r for i, r in part.items()}))
+        components[nu0] = WittElement(comp.series.copy_with(exact=False))
     return OneVarComponentFamily(ring, n, d, components)
 
 

@@ -107,6 +107,17 @@ def test_decompose_command(capsys):
     assert comps[(1, 1)] == [{"exp": [0], "c": [[1]]}, {"exp": [2], "c": [[1]]}]
 
 
+def test_decompose_components_are_never_exact(capsys):
+    # the input is known only below degree 3, so no component is a polynomial
+    a = series_doc(2, 3, [((0, 0), [[1]]), ((1, 0), [[1]]), ((1, 1), [[1]])])
+    code, doc = run_cli(
+        capsys, ["decompose", "--ring", F2_RING, "--payload", json.dumps({"a": a})]
+    )
+    assert code == 0
+    assert [c["nu"] for c in doc["components"]] == [[0, 1], [1, 0], [1, 1]]
+    assert [c["series"]["exact"] for c in doc["components"]] == [False, False, False]
+
+
 def test_ah_exp_command(capsys):
     code, doc = run_cli(
         capsys,

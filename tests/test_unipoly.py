@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from conftest import RINGS
 from det_oracle import _det_memo
@@ -6,11 +8,12 @@ from multiwitt import (
     CoeffRing,
     EmptyInput,
     ExtensionBoundExceeded,
+    TooLarge,
     UnivariatePolynomial,
     resultant,
     roots_with_multiplicity,
 )
-from multiwitt.unipoly import _det_bird, sylvester_matrix
+from multiwitt.unipoly import _det_bird, base_embedding, sylvester_matrix
 
 
 def lin(ring, a_raw):
@@ -82,7 +85,7 @@ def test_double_root_multiplicity():
     roots = roots_with_multiplicity(f, 2)
     assert len(roots) == 1
     root, mult = roots[0]
-    assert mult == 2 and root.value == (1,) and root.field.s == 1
+    assert mult == 2 and root.raw == 1 and root.ring == F3
 
 
 def test_roots_in_quadratic_extension():
@@ -90,18 +93,19 @@ def test_roots_in_quadratic_extension():
     f = UnivariatePolynomial(F3, [1, 0, 1])  # x^2 + 1
     roots = roots_with_multiplicity(f, 2)
     assert len(roots) == 2
-    assert all(m == 1 and r.field.s == 2 for r, m in roots)
+    assert all(m == 1 and r.ring.q == 3**2 for r, m in roots)
     s = roots[0][0] + roots[1][0]
     p = roots[0][0] * roots[1][0]
-    assert s.base_element().raw == 0
-    assert p.base_element().raw == 1
+    # F_3 is prime, so its elements embed as themselves
+    assert s.raw == 0
+    assert p.raw == 1
 
 
 def test_roots_of_quadratic_over_f2():
     F2 = CoeffRing.make(2)
     f = UnivariatePolynomial(F2, [1, 1, 1])
     roots = roots_with_multiplicity(f, 2)
-    assert len(roots) == 2 and all(r.field.s == 2 for r, _ in roots)
+    assert len(roots) == 2 and all(r.ring.q == 2**2 for r, _ in roots)
 
 
 def test_extension_bound_exceeded():
@@ -140,8 +144,123 @@ def test_split_polynomial_roots_cross_check(rng):
         found = roots_with_multiplicity(f, 1)
         flat = []
         for r, m in found:
-            flat.extend([r.value[0]] * m)
+            assert r.ring == F4
+            flat.extend([r.raw] * m)
         assert sorted(flat) == sorted(roots)
+
+
+def _degree_over(x, q):
+    # length of the orbit of x under y -> y^q, by plain powering
+    k, y = 1, x**q
+    while y != x:
+        k, y = k + 1, y**q
+    return k
+
+
+def _pull_back(poly, emb):
+    # coefficients of poly in F_(q^s) that lie in the embedded F_q, mapped back
+    back = {v: b for b, v in enumerate(emb)}
+    assert all(c in back for c in poly.coeffs), f"{poly} leaves the base field"
+    return [back[c] for c in poly.coeffs]
+
+
+def _check_embedding(base, field, emb):
+    assert len(set(emb)) == base.q
+    for a in base.element_indices():
+        for b in base.element_indices():
+            assert emb[base.radd(a, b)] == field.radd(emb[a], emb[b])
+            assert emb[base.rmul(a, b)] == field.rmul(emb[a], emb[b])
+
+
+def check_root_scan(f, max_ext):
+    """(s, multiplicity) profile of f's roots, or None when the scan gives
+    up; on success every root has degree s over F_q, and the roots of each
+    degree multiply out to a factor over F_q of f / lc(f)."""
+    ring, q = f.ring, f.ring.q
+    try:
+        roots = roots_with_multiplicity(f, max_ext)
+    except ExtensionBoundExceeded:
+        return None
+    by_degree = {}
+    for r, m in roots:
+        s = 1
+        while q**s < r.ring.q:
+            s += 1
+        assert r.ring.q == q**s and 1 <= s <= max_ext
+        assert r.ring == ring or s > 1
+        assert _degree_over(r, q) == s
+        by_degree.setdefault(s, []).append((r, m))
+    product = UnivariatePolynomial(ring, [1])
+    for s, group in by_degree.items():
+        field = group[0][0].ring
+        emb = base_embedding(ring, field)
+        _check_embedding(ring, field, emb)
+        factor = UnivariatePolynomial(field, [1])
+        for r, m in group:
+            for _ in range(m):
+                factor = factor.mul(lin(field, r.raw))
+        product = product.mul(UnivariatePolynomial(ring, _pull_back(factor, emb)))
+    lead_inv = ring.rinv(f.coeffs[-1])
+    assert product == UnivariatePolynomial(ring, [ring.rmul(lead_inv, c) for c in f.coeffs])
+    return sorted((s, m) for s, group in by_degree.items() for _, m in group)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_root_scan_exhaustive_to_degree_4(q):
+    ring = CoeffRing.make(q)
+    seen_degrees = set()
+    for degree in range(5):
+        for low in itertools.product(range(q), repeat=degree):
+            f = UnivariatePolynomial(ring, list(low) + [1])
+            # a factor of degree <= 4 splits in F_(q^4)
+            full = check_root_scan(f, 4)
+            assert full is not None
+            top = max((s for s, _ in full), default=1)
+            seen_degrees.add(top)
+            for max_ext in (1, 2, 3):
+                assert check_root_scan(f, max_ext) == (full if top <= max_ext else None)
+    assert seen_degrees == {1, 2, 3, 4}
+
+
+@pytest.mark.parametrize("q", [4, 8, 9])
+def test_root_scan_random_over_non_prime_fields(q, rng):
+    ring = CoeffRing.make(q)
+    seen_degrees = set()
+    for _ in range(25):
+        degree = rng.randrange(1, 5)
+        f = UnivariatePolynomial(
+            ring, [rng.randrange(q) for _ in range(degree)] + [rng.randrange(1, q)]
+        )
+        full = check_root_scan(f, 3)
+        if full is None:
+            continue
+        top = max(s for s, _ in full)
+        seen_degrees.add(top)
+        for max_ext in (1, 2):
+            assert check_root_scan(f, max_ext) == (full if top <= max_ext else None)
+    assert {1, 2} <= seen_degrees
+
+
+def test_root_scan_table_bound_reached_only_when_needed():
+    F16 = CoeffRing.make(16)
+    # a cubic without roots in F_16 is irreducible, so its roots lie in F_(16^3)
+    cubic = next(
+        f
+        for f in (UnivariatePolynomial(F16, [c, 1, 0, 1]) for c in range(1, 16))
+        if all(f.evaluate(x).raw for x in F16.elements())
+    )
+    with pytest.raises(ExtensionBoundExceeded):
+        roots_with_multiplicity(cubic, 2)
+    with pytest.raises(TooLarge):
+        roots_with_multiplicity(cubic, 3)
+    # a quadratic splitting in F_256 returns before the scan reaches 16^3
+    quad = next(
+        f
+        for f in (UnivariatePolynomial(F16, [c, 1, 1]) for c in range(1, 16))
+        if all(f.evaluate(x).raw for x in F16.elements())
+    )
+    roots = roots_with_multiplicity(quad, 10)
+    assert [(r.ring.q, m) for r, m in roots] == [(256, 1), (256, 1)]
 
 
 def random_poly(ring, degree, rng, unit_lead=False):
