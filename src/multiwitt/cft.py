@@ -16,24 +16,25 @@ projective line, of order q^(m-1).
 The Lang census enumerates the group over an extension F_(q^s), applies
 the Frobenius-over-identity map, and confirms that its kernel is exactly
 the F_q-rational subgroup.
+
+The whole-group enumerations (the brute-force oracle, the census and the
+transition check) run on raw coefficient tuples under a dense group law
+read straight from the ring tables, and bound the group order in closed
+form before building anything.  The same loops over WittElement and
+witt_add are the test oracle tests/cft_oracle.py.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import product
+from math import comb
 
 from .errors import InvalidTruncation, NotAbelian, NotClosed, TooLarge
 from .ring import CoeffRing
-from .series import content, exponents_below
-from .witt import (
-    WittElement,
-    enumerate_witt_elements,
-    frobenius_witt,
-    lang_map,
-    random_witt_element,
-    witt_add,
-)
+from .series import TruncatedSeries, content, exponents_below, zero_exp
+from .witt import WittElement, enumerate_witt_elements
 
 BRUTE_FORCE_LIMIT = 10**4
 CENSUS_LIMIT = 10**6
@@ -205,13 +206,88 @@ def brute_force_structure(elements, op) -> AbelianGroupStructure:
     return AbelianGroupStructure(tuple(reversed(factors)), len(elems), tuple(reversed(witnesses)))
 
 
+def _group_rank(n: int, d: int) -> int:
+    """Number of exponents with 0 < |nu| < d in n variables."""
+    return comb(n + d - 1, n) - 1
+
+
+def _bounded_order(size: int, rank: int, limit: int, what: str) -> int:
+    """size^rank, or TooLarge naming that estimate when it exceeds limit.
+
+    size >= 2, so capping the exponent at the limit's bit length decides
+    the comparison without forming a huge power."""
+    if size ** min(rank, limit.bit_length()) > limit:
+        raise TooLarge(f"{what} of order {size}^{rank} beyond limit {limit}")
+    return size**rank
+
+
+def _coefficient_tuples(size: int, rank: int):
+    """Every tuple in range(size)^rank, first entry varying fastest: the
+    order of enumerate_witt_elements."""
+    return (t[::-1] for t in product(range(size), repeat=rank))
+
+
+class _DenseLaw:
+    """The truncated group over ``ring`` on raw coefficient tuples.
+
+    The element 1 + sum_k x_k t^exps[k] is the tuple x, with exps the
+    nonzero exponents below d in graded order.  The group law is the
+    series product, z_k = x_k + y_k + sum x_i y_j over the pairs (i, j)
+    with exps[i] + exps[j] = exps[k]; both i and j precede k, so the
+    inverse solves y_k = -(x_k + sum x_i y_j) in index order.
+    """
+
+    def __init__(self, ring: CoeffRing, n: int, d: int):
+        self.ring, self.n, self.d = ring, n, d
+        self.exps = [e for e in exponents_below(n, d) if sum(e) > 0]
+        index = {e: k for k, e in enumerate(self.exps)}
+        self.pairs = [[] for _ in self.exps]
+        for i, a in enumerate(self.exps):
+            for j, b in enumerate(self.exps):
+                k = index.get(tuple(x + y for x, y in zip(a, b)))
+                if k is not None:
+                    self.pairs[k].append((i, j))
+
+    def op(self, x: tuple, y: tuple) -> tuple:
+        add, mul = self.ring._add, self.ring._mul
+        out = []
+        for k, pairs in enumerate(self.pairs):
+            s = add[x[k]][y[k]]
+            for i, j in pairs:
+                s = add[s][mul[x[i]][y[j]]]
+            out.append(s)
+        return tuple(out)
+
+    def inv(self, x: tuple) -> tuple:
+        add, mul, neg = self.ring._add, self.ring._mul, self.ring._neg
+        y = []
+        for k, pairs in enumerate(self.pairs):
+            s = x[k]
+            for i, j in pairs:
+                s = add[s][mul[x[i]][y[j]]]
+            y.append(neg[s])
+        return tuple(y)
+
+    def random(self, rng) -> tuple:
+        """An element drawn as random_witt_element draws it, so a seed
+        names the same elements on both."""
+        return tuple(self.ring.random_raw(rng) for _ in self.exps)
+
+    def to_witt(self, x: tuple) -> WittElement:
+        terms = dict(zip(self.exps, x))
+        terms[zero_exp(self.n)] = self.ring.one
+        return WittElement(TruncatedSeries(self.ring, self.n, self.d, terms))
+
+
 def witt_group_structure_brute(ring: CoeffRing, n: int, d: int) -> AbelianGroupStructure:
     """Brute-force oracle applied to the truncated group itself."""
-    exps = [e for e in exponents_below(n, d) if sum(e) > 0]
-    size = ring.size ** len(exps)
-    if size > BRUTE_FORCE_LIMIT:
-        raise TooLarge(f"group of size {size} beyond brute-force limit")
-    return brute_force_structure(list(enumerate_witt_elements(ring, n, d)), witt_add)
+    rank = _group_rank(n, d)
+    _bounded_order(ring.size, rank, BRUTE_FORCE_LIMIT, "group")
+    law = _DenseLaw(ring, n, d)
+    s = brute_force_structure(_coefficient_tuples(ring.size, rank), law.op)
+    return AbelianGroupStructure(
+        s.invariant_factors, s.order, tuple(law.to_witt(w) for w in s.witnesses)
+    )
 
 
 @dataclass(frozen=True)
@@ -246,21 +322,26 @@ def lang_kernel_census(n: int, q: int, s: int, d: int, seed: int = 0) -> LangCen
     big = CoeffRing.make(q**s)
     if big.p != base.p:
         raise InvalidTruncation("extension characteristic mismatch")
-    exps = [e for e in exponents_below(n, d) if sum(e) > 0]
-    total = big.size ** len(exps)
-    if total > CENSUS_LIMIT:
-        raise TooLarge(f"census of size {total} beyond limit")
-    one = WittElement.one(big, n, d)
+    rank = _group_rank(n, d)
+    total = _bounded_order(big.size, rank, CENSUS_LIMIT, "census")
+    law = _DenseLaw(big, n, d)
+    frob_q = [big.rfrob(c, q) for c in big.element_indices()]
+
+    def lang(x):
+        # Frobenius minus identity: the law is written multiplicatively
+        return law.op(tuple(frob_q[c] for c in x), law.inv(x))
+
+    one = (0,) * rank
     kernel = 0
     kernel_rational = True
     members = []
     keep_all = total <= 2000
-    for el in enumerate_witt_elements(big, n, d):
+    for x in _coefficient_tuples(big.size, rank):
         if keep_all:
-            members.append(el)
-        if lang_map(el, q) == one:
+            members.append(x)
+        if lang(x) == one:
             kernel += 1
-            if any(big.rfrob(c, q) != c for c in el.series.terms.values()):
+            if any(frob_q[c] != c for c in x):
                 kernel_rational = False
 
     rng = random.Random(seed)
@@ -269,16 +350,14 @@ def lang_kernel_census(n: int, q: int, s: int, d: int, seed: int = 0) -> LangCen
     else:
         pairs = []
         for _ in range(min(1000, total * total)):
-            a = random_witt_element(big, n, d, rng)
-            b = random_witt_element(big, n, d, rng)
+            a = law.random(rng)
+            b = law.random(rng)
             pairs.append((a, b))
     for a, b in pairs:
-        lhs = lang_map(witt_add(a, b), q)
-        rhs = witt_add(lang_map(a, q), lang_map(b, q))
-        if lhs != rhs:
+        if lang(law.op(a, b)) != law.op(lang(a), lang(b)):
             raise NotAbelian("Lang map failed to be an endomorphism")
 
-    return LangCensus(total, kernel, q ** len(exps), len(pairs), kernel_rational)
+    return LangCensus(total, kernel, q**rank, len(pairs), kernel_rational)
 
 
 def transition_surjective(ring: CoeffRing, n: int, d_from: int, d_to: int) -> bool:
@@ -286,9 +365,11 @@ def transition_surjective(ring: CoeffRing, n: int, d_from: int, d_to: int) -> bo
     the smaller one."""
     if d_to > d_from:
         raise InvalidTruncation("target level must not exceed the source level")
-    exps = [e for e in exponents_below(n, d_from) if sum(e) > 0]
-    if ring.size ** len(exps) > BRUTE_FORCE_LIMIT:
-        raise TooLarge("enumeration beyond limit")
-    images = {el.truncate(d_to) for el in enumerate_witt_elements(ring, n, d_from)}
-    targets = set(enumerate_witt_elements(ring, n, d_to))
-    return images == targets
+    if d_to < 1:
+        raise InvalidTruncation("target level must be at least 1")
+    rank_from, rank_to = _group_rank(n, d_from), _group_rank(n, d_to)
+    _bounded_order(ring.size, rank_from, BRUTE_FORCE_LIMIT, "group")
+    # graded order lists every exponent below d_to first, so truncation
+    # keeps a prefix of the coefficient tuple
+    images = {x[:rank_to] for x in _coefficient_tuples(ring.size, rank_from)}
+    return images == set(_coefficient_tuples(ring.size, rank_to))

@@ -12,12 +12,12 @@ iff that digit is zero.
 
 Every ring, field or not, has one representation: full addition,
 negation, multiplication, inverse and p-th power tables over all q^e_nil
-raw elements, built once per (p, e, modulus, e_nil) and attached to each
-CoeffRing at construction, so each raw operation is a single lookup.  The
-tables grow as (q^e_nil)^2, so rings with more than 2048 elements are
-rejected with TooLarge.  Hot loops work on raw integers via the CoeffRing
-methods; RingElement is a thin wrapper with operator overloads for public
-use and tests.
+raw elements, attached to each CoeffRing at construction, so each raw
+operation is a single lookup.  The tables of the 32 most recently used
+(p, e, modulus, e_nil) stay cached.  They grow as (q^e_nil)^2, so rings
+with more than 2048 elements are rejected with TooLarge.  Hot loops work
+on raw integers via the CoeffRing methods; RingElement is a thin wrapper
+with operator overloads for public use and tests.
 """
 
 from __future__ import annotations
@@ -222,7 +222,8 @@ def _find_irreducible(p: int, e: int):
     raise ValueError(f"no irreducible polynomial found for p={p}, e={e}")
 
 
-@lru_cache(maxsize=None)
+# bounded: the tables of one ring of 2048 elements take about 80 MiB
+@lru_cache(maxsize=32)
 def _ring_tables(p: int, e: int, modulus: tuple, nil: int):
     """(add, neg, mul, inv, frob) tables of F_q[eps]/(eps^nil), q = p^e.
 

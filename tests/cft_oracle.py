@@ -1,0 +1,85 @@
+"""WittElement-driven reference for the brute-force oracle and the Lang census.
+
+Every element is a ``WittElement`` and every group operation is
+``witt_add``, a sparse series product, so the enumerations run on the
+public series arithmetic alone.  They are slow and exist to check the
+library's enumerations, which run the same loops on raw coefficient
+tuples: the same invariant factors, witnesses in the same order, and
+the same census on the same seed.
+"""
+
+from __future__ import annotations
+
+import random
+
+from multiwitt.cft import (
+    BRUTE_FORCE_LIMIT,
+    CENSUS_LIMIT,
+    PAIR_CHECK_LIMIT,
+    AbelianGroupStructure,
+    LangCensus,
+    brute_force_structure,
+)
+from multiwitt.errors import InvalidTruncation, NotAbelian, TooLarge
+from multiwitt.ring import CoeffRing
+from multiwitt.series import exponents_below
+from multiwitt.witt import (
+    WittElement,
+    enumerate_witt_elements,
+    lang_map,
+    random_witt_element,
+    witt_add,
+)
+
+
+def witt_group_structure_brute(ring: CoeffRing, n: int, d: int) -> AbelianGroupStructure:
+    """Brute-force oracle applied to the truncated group itself."""
+    exps = [e for e in exponents_below(n, d) if sum(e) > 0]
+    size = ring.size ** len(exps)
+    if size > BRUTE_FORCE_LIMIT:
+        raise TooLarge(f"group of size {size} beyond brute-force limit")
+    return brute_force_structure(list(enumerate_witt_elements(ring, n, d)), witt_add)
+
+
+def lang_kernel_census(n: int, q: int, s: int, d: int, seed: int = 0) -> LangCensus:
+    """Enumerate the group over F_(q^s), count the kernel of the Lang map,
+    and verify the map is an endomorphism and the kernel is F_q-rational."""
+    if d < 2:
+        raise InvalidTruncation("truncation level must be at least 2")
+    base = CoeffRing.make(q)
+    big = CoeffRing.make(q**s)
+    if big.p != base.p:
+        raise InvalidTruncation("extension characteristic mismatch")
+    exps = [e for e in exponents_below(n, d) if sum(e) > 0]
+    total = big.size ** len(exps)
+    if total > CENSUS_LIMIT:
+        raise TooLarge(f"census of size {total} beyond limit")
+    one = WittElement.one(big, n, d)
+    kernel = 0
+    kernel_rational = True
+    members = []
+    keep_all = total <= 2000
+    for el in enumerate_witt_elements(big, n, d):
+        if keep_all:
+            members.append(el)
+        if lang_map(el, q) == one:
+            kernel += 1
+            if any(big.rfrob(c, q) != c for c in el.series.terms.values()):
+                kernel_rational = False
+
+    rng = random.Random(seed)
+    if keep_all and total * total <= PAIR_CHECK_LIMIT:
+        pairs = [(a, b) for a in members for b in members]
+    else:
+        pairs = []
+        for _ in range(min(1000, total * total)):
+            a = random_witt_element(big, n, d, rng)
+            b = random_witt_element(big, n, d, rng)
+            pairs.append((a, b))
+    for a, b in pairs:
+        lhs = lang_map(witt_add(a, b), q)
+        rhs = witt_add(lang_map(a, q), lang_map(b, q))
+        if lhs != rhs:
+            raise NotAbelian("Lang map failed to be an endomorphism")
+
+    return LangCensus(total, kernel, q ** len(exps), len(pairs), kernel_rational)

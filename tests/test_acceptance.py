@@ -188,22 +188,25 @@ def test_criterion_6_fundamental_group_structure():
             assert formula.order == oracle.order
 
 
+LANG_GRID = [
+    (1, 2, 2, 4),
+    (1, 2, 2, 5),
+    (1, 2, 3, 3),
+    (1, 3, 2, 3),
+    (1, 4, 2, 2),
+    (1, 5, 2, 2),
+    (2, 2, 2, 2),
+    (2, 2, 2, 3),
+    (3, 2, 2, 2),
+    (1, 2, 1, 4),
+]
+
+
 def test_criterion_7_lang_kernel_census():
     with criterion(7, "Lang kernel sizes across censuses"):
         c = lang_kernel_census(1, 2, 2, 3)
         assert c.total == 16 and c.kernel == 4 and c.matches
-        for n, q, s, d in [
-            (1, 2, 2, 4),
-            (1, 2, 2, 5),
-            (1, 2, 3, 3),
-            (1, 3, 2, 3),
-            (1, 4, 2, 2),
-            (1, 5, 2, 2),
-            (2, 2, 2, 2),
-            (2, 2, 2, 3),
-            (3, 2, 2, 2),
-            (1, 2, 1, 4),
-        ]:
+        for n, q, s, d in LANG_GRID:
             census = lang_kernel_census(n, q, s, d)
             assert census.matches, (n, q, s, d, census)
             m = len([e for e in exponents_below(n, d) if sum(e) > 0])

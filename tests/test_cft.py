@@ -1,6 +1,9 @@
 import itertools
+import random
 
+import cft_oracle
 import pytest
+from test_acceptance import LANG_GRID, PI1_GRID
 
 from multiwitt import (
     CoeffRing,
@@ -9,14 +12,18 @@ from multiwitt import (
     NotClosed,
     TooLarge,
     brute_force_structure,
+    cft,
     lang_kernel_census,
     modulus_group,
     pi1_truncated,
     transition_surjective,
+    witt_add,
     witt_group_structure_brute,
+    witt_neg,
 )
-from multiwitt.cft import generator_order_exponent
+from multiwitt.cft import _DenseLaw, generator_order_exponent
 from multiwitt.series import exponents_below
+from multiwitt.witt import random_witt_element
 
 
 def test_anchor_cases():
@@ -167,3 +174,63 @@ def test_transition_surjectivity():
     assert transition_surjective(CoeffRing.make(2), 2, 3, 2)
     with pytest.raises(InvalidTruncation):
         transition_surjective(CoeffRing.make(2), 1, 3, 4)
+
+
+def test_transition_rejects_target_below_one():
+    with pytest.raises(InvalidTruncation):
+        transition_surjective(CoeffRing.make(2), 1, 3, 0)
+
+
+def test_group_rank_closed_form():
+    for n in (1, 2, 3, 4):
+        for d in range(1, 8):
+            assert cft._group_rank(n, d) == len(exponents_below(n, d)) - 1
+
+
+def test_oversized_enumerations_rejected_before_the_box(monkeypatch):
+    def no_box(n, d):
+        raise AssertionError(f"exponent box ({n}, {d}) built")
+
+    monkeypatch.setattr(cft, "exponents_below", no_box)
+    F2 = CoeffRing.make(2)
+    estimate = rf"2\^{cft._group_rank(20, 20)}\b"
+    with pytest.raises(TooLarge, match=estimate):
+        witt_group_structure_brute(F2, 20, 20)
+    with pytest.raises(TooLarge, match=estimate):
+        transition_surjective(F2, 20, 20, 2)
+    with pytest.raises(TooLarge, match=rf"4\^{cft._group_rank(20, 20)}\b"):
+        lang_kernel_census(20, 2, 2, 20)
+
+
+def test_dense_law_matches_witt_add_and_neg(any_ring):
+    rng = random.Random(7)
+    for n, d in ((1, 6), (2, 4), (3, 3)):
+        law = _DenseLaw(any_ring, n, d)
+        for _ in range(40):
+            x, y = law.random(rng), law.random(rng)
+            a, b = law.to_witt(x), law.to_witt(y)
+            assert law.to_witt(law.op(x, y)) == witt_add(a, b)
+            assert law.to_witt(law.inv(x)) == witt_neg(a)
+
+
+def test_dense_draw_matches_random_witt_element(any_ring):
+    law = _DenseLaw(any_ring, 2, 4)
+    dense_rng, witt_rng = random.Random(3), random.Random(3)
+    for _ in range(20):
+        x = law.random(dense_rng)
+        assert law.to_witt(x) == random_witt_element(any_ring, 2, 4, witt_rng)
+
+
+def test_oracle_matches_witt_add_reference_on_pi1_grid():
+    for n, q, d in PI1_GRID:
+        ring = CoeffRing.make(q)
+        got = witt_group_structure_brute(ring, n, d)
+        want = cft_oracle.witt_group_structure_brute(ring, n, d)
+        assert got == want, (n, q, d)
+        assert got.witnesses == want.witnesses, (n, q, d)
+
+
+def test_census_matches_witt_add_reference_on_lang_grid():
+    for n, q, s, d in [(1, 2, 2, 3)] + LANG_GRID:
+        want = cft_oracle.lang_kernel_census(n, q, s, d)
+        assert lang_kernel_census(n, q, s, d) == want, (n, q, s, d)

@@ -164,6 +164,16 @@ def test_lang_census_command(capsys):
     assert doc["total"] == 16 and doc["kernel"] == 4 and doc["matches"]
 
 
+def test_oversized_census_rejected_quickly():
+    # the group has 4^68923264409 elements; the bound is checked before
+    # the exponent box is built, so the job ends in well under the timeout
+    cmd = [sys.executable, "-m", "multiwitt.cli", "lang-census"]
+    cmd += ["--n", "20", "--q", "2", "--s", "2", "--d", "20"]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["error"]["kind"] == "TooLarge"
+
+
 def test_selftest_command(capsys):
     code, doc = run_cli(capsys, ["selftest", "--suite", "ring", "--seed", "7"])
     assert code == 0

@@ -173,3 +173,14 @@ def test_ring_size_bound():
         CoeffRing.make(2, nil=12)
     with pytest.raises(TooLarge):
         CoeffRing.make(3, nil=10**9)
+
+
+def test_table_cache_is_bounded():
+    from multiwitt.ring import _is_prime, _ring_tables
+
+    assert _ring_tables.cache_info().maxsize == 32
+    primes = [p for p in range(2, 200) if _is_prime(p)]
+    assert len(primes) > 32
+    for p in primes:
+        assert CoeffRing.make(p).rmul(p - 1, p - 1) == 1
+    assert _ring_tables.cache_info().currsize <= 32

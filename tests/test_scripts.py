@@ -1,4 +1,6 @@
-"""Smoke test: the README's scripts run to completion at small sizes.
+"""Smoke test: the README's scripts run to completion, pi1_table as the
+README documents it (every oracle row up to order 4096) and duality_demo
+at a small size.
 
 Both import only the public API, so this catches a removal that would
 otherwise break them silently."""
@@ -16,7 +18,7 @@ ROOT = Path(__file__).resolve().parent.parent
 @pytest.mark.parametrize(
     "argv",
     [
-        ["scripts/pi1_table.py", "--max-order", "32", "--oracle"],
+        ["scripts/pi1_table.py", "--max-order", "4096", "--oracle"],
         ["scripts/duality_demo.py", "--q", "3", "--e", "2", "--cases", "3", "--seed", "0"],
     ],
     ids=["pi1_table", "duality_demo"],
