@@ -32,12 +32,13 @@ from itertools import product
 from math import comb
 
 from .errors import InvalidTruncation, NotAbelian, NotClosed, TooLarge
-from .ring import CoeffRing
+from .ring import CoeffRing, check_table_size
 from .series import TruncatedSeries, content, exponents_below, zero_exp
 from .witt import WittElement, enumerate_witt_elements
 
 BRUTE_FORCE_LIMIT = 10**4
 CENSUS_LIMIT = 10**6
+PI1_GENERATOR_LIMIT = 10**5
 PAIR_CHECK_LIMIT = 4 * 10**4
 
 
@@ -69,6 +70,10 @@ def pi1_truncated(n: int, q: int, d: int, ring: CoeffRing | None = None) -> Abel
     if ring.size != q or ring.nil != 1:
         raise InvalidTruncation("coefficients must form the field F_q")
     p, e = ring.p, ring.field.e
+    # e generators per exponent at most, counted before building the box
+    estimate = e * _group_rank(n, d)
+    if estimate > PI1_GENERATOR_LIMIT:
+        raise TooLarge(f"up to {estimate} generators, beyond limit {PI1_GENERATOR_LIMIT}")
     gens = []
     exps = [nu for nu in exponents_below(n, d) if sum(nu) > 0]
     for nu in exps:
@@ -319,6 +324,7 @@ def lang_kernel_census(n: int, q: int, s: int, d: int, seed: int = 0) -> LangCen
     if d < 2:
         raise InvalidTruncation("truncation level must be at least 2")
     base = CoeffRing.make(q)
+    check_table_size(q, s, "extension field has q^s")
     big = CoeffRing.make(q**s)
     if big.p != base.p:
         raise InvalidTruncation("extension characteristic mismatch")

@@ -44,6 +44,17 @@ BUILTIN_MODULI = {
 _MAX_TABLE_Q = 2048
 
 
+def check_table_size(base: int, power: int, what: str) -> None:
+    """TooLarge naming base^power when it exceeds the table bound.
+
+    base >= 2 for any field, so capping the exponent keeps the power small
+    and still over the bound; no huge power is ever formed."""
+    cap = _MAX_TABLE_Q.bit_length()
+    if base ** min(power, cap) > _MAX_TABLE_Q:
+        size = base**power if power <= cap else f"{base}^{power}"
+        raise TooLarge(f"{what} = {size} elements, beyond the table bound {_MAX_TABLE_Q}")
+
+
 def json_int(value, what: str, minimum: int | None = None) -> int:
     """``value`` if it is a JSON integer (an ``int``, not a ``bool``) of at
     least ``minimum``; SchemaError otherwise.  Floats such as 2.0 are
@@ -139,18 +150,16 @@ class FiniteField:
     modulus: tuple
 
     def __post_init__(self):
-        if not _is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
         if self.e < 1:
             raise ValueError("extension degree must be >= 1")
+        # before the primality test, which trial-divides up to sqrt(p)
+        check_table_size(self.p, self.e, "field has q")
+        if not _is_prime(self.p):
+            raise ValueError(f"{self.p} is not prime")
         m = tuple(c % self.p for c in self.modulus)
         object.__setattr__(self, "modulus", m)
         if len(m) != self.e + 1 or m[-1] != 1:
             raise ValueError("modulus must be monic of degree e")
-        if self.q > _MAX_TABLE_Q:
-            raise TooLarge(
-                f"field has q = {self.q} elements, beyond the table bound {_MAX_TABLE_Q}"
-            )
         _check_irreducible(m, self.p)
 
     @property
@@ -195,6 +204,8 @@ class FiniteField:
 
 
 def _char_of(q: int) -> int:
+    """The prime dividing the field order q, which must fit the table bound."""
+    check_table_size(q, 1, "field has q")
     for p in range(2, q + 1):
         if q % p == 0:
             if not _is_prime(p):
@@ -295,13 +306,7 @@ class CoeffRing:
     def __post_init__(self):
         if self.nil < 1:
             raise ValueError("nilpotency order must be >= 1")
-        # q >= 2, so capping the exponent keeps q^nil small and still over the bound
-        cap = _MAX_TABLE_Q.bit_length()
-        if self.q ** min(self.nil, cap) > _MAX_TABLE_Q:
-            size = self.size if self.nil <= cap else f"{self.q}^{self.nil}"
-            raise TooLarge(
-                f"ring has q^nil = {size} elements, beyond the table bound {_MAX_TABLE_Q}"
-            )
+        check_table_size(self.q, self.nil, "ring has q^nil")
         tables = _ring_tables(self.field.p, self.field.e, self.field.modulus, self.nil)
         for name, table in zip(("_add", "_neg", "_mul", "_inv", "_frob"), tables):
             object.__setattr__(self, name, table)

@@ -63,7 +63,8 @@ def parse_exponent(values, seen) -> tuple:
     return exp
 
 
-@lru_cache(maxsize=None)
+# bounded like the ring tables: a box at n = 6, d = 20 holds 230,230 tuples
+@lru_cache(maxsize=32)
 def exponents_below(n: int, d: int) -> tuple:
     """All exponent tuples with 0 <= |nu| < d, in graded order."""
 
@@ -81,7 +82,7 @@ def exponents_below(n: int, d: int) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def primitive_exponents_below(n: int, d: int) -> tuple:
     return tuple(e for e in exponents_below(n, d) if sum(e) > 0 and is_primitive(e))
 

@@ -17,10 +17,13 @@ variable follows the classical convolution on coordinates,
 
 and the n-variable ring multiplication is transported through the
 decomposition componentwise.  A missing component is the identity, and
-so is its product with anything: ``witt_mul`` convolves only the parts
-both factors share, and never flags the product exact.  The
-multiplicative unit at truncation d is the product of (1 - t^nu) over
-all primitive nu with |nu| < d.
+so is its product with anything: ``decompose`` builds only the parts an
+element has, ``recompose`` multiplies only those, and ``witt_mul``
+convolves only the parts both factors share, never flagging the product
+exact.  The full family, identities filled in at every other primitive
+exponent, is built only when read.  The multiplicative unit at
+truncation d is the product of (1 - t^nu) over all primitive nu with
+|nu| < d.
 
 Frobenius acts on coefficients; the Lang map divides the Frobenius image
 by the element, and its kernel over an extension field is the subgroup of
@@ -193,23 +196,37 @@ class WittCoordinates:
 
 
 class OneVarComponentFamily:
-    """One-variable components indexed by primitive exponents below d."""
+    """One-variable components indexed by primitive exponents below d.
 
-    __slots__ = ("ring", "n", "d", "components")
+    ``parts`` holds the components that are not the identity.
+    ``components`` is the whole family: every primitive exponent below d,
+    with the identity wherever ``parts`` has nothing.  It is built on
+    first read and kept."""
 
-    def __init__(self, ring: CoeffRing, n: int, d: int, components: dict):
+    __slots__ = ("ring", "n", "d", "parts", "_components")
+
+    def __init__(self, ring: CoeffRing, n: int, d: int, parts: dict):
         self.ring = ring
         self.n = n
         self.d = d
-        self.components = components
+        self.parts = parts
+        self._components = None
+
+    @property
+    def components(self) -> dict:
+        if self._components is None:
+            ring, d = self.ring, self.d
+            self._components = {
+                nu: self.parts.get(nu) or WittElement.one(ring, 1, one_var_order(d, sum(nu)))
+                for nu in primitive_exponents_below(self.n, d)
+            }
+        return self._components
 
     def recompose(self) -> WittElement:
-        """Substitute s = t^nu in every nontrivial component and multiply."""
+        """Substitute s = t^nu in every part and multiply."""
         acc = TruncatedSeries.one(self.ring, self.n, self.d)
-        for nu in sorted(self.components, key=grlex_key):
-            comp = self.components[nu].series
-            if len(comp.terms) > 1:
-                acc = acc.mul(_substitute(comp, nu, self.n, self.d))
+        for nu in sorted(self.parts, key=grlex_key):
+            acc = acc.mul(_substitute(self.parts[nu].series, nu, self.n, self.d))
         return WittElement(acc)
 
 
@@ -243,9 +260,9 @@ def witt_coordinates(a: WittElement) -> WittCoordinates:
     ring, n, d = a.ring, a.n, a.d
     running = a.series
     coords = {}
-    for exp in exponents_below(n, d):
-        if sum(exp) == 0:
-            continue
+    exps = iter(exponents_below(n, d))
+    next(exps)  # the zero exponent comes first in graded order
+    for exp in exps:
         c = running.terms.get(exp, 0)
         if c == 0:
             continue
@@ -254,11 +271,12 @@ def witt_coordinates(a: WittElement) -> WittCoordinates:
         # divide by (1 - r t^exp): multiply by the geometric series in r t^exp
         add = {}
         pw = r
+        w = sum(exp)
         k = 1
-        while k * sum(exp) < d and pw != 0:
+        while k * w < d and pw != 0:
             shift = tuple(k * v for v in exp)
             for e, cc in running.terms.items():
-                if sum(e) + sum(shift) >= d:
+                if sum(e) + k * w >= d:
                     continue
                 t = tuple(x + y for x, y in zip(e, shift))
                 prod = ring.rmul(cc, pw)
@@ -313,20 +331,17 @@ def shared_components(ca: dict, cb: dict):
 def decompose(a: WittElement) -> OneVarComponentFamily:
     """Group the coordinates by primitive exponent into one-variable parts.
 
-    No component is flagged exact: like a product from ``witt_mul``, each
-    is only known below its truncation order."""
+    Only the primitive parts the coordinates touch are built; the family's
+    ``components`` fills in the identity everywhere else.  No component is
+    flagged exact: like a product from ``witt_mul``, each is only known
+    below its truncation order."""
     ring, n, d = a.ring, a.n, a.d
-    grouped = group_by_primitive(witt_coordinates(a).coords)
-    components = {}
-    for nu0 in primitive_exponents_below(n, d):
+    parts = {}
+    for nu0, part in group_by_primitive(witt_coordinates(a).coords).items():
         k = one_var_order(d, sum(nu0))
-        part = grouped.get(nu0)
-        if part is None:
-            components[nu0] = WittElement.one(ring, 1, k)
-            continue
         comp = from_coordinates(WittCoordinates(ring, 1, k, {(i,): r for i, r in part.items()}))
-        components[nu0] = WittElement(comp.series.copy_with(exact=False))
-    return OneVarComponentFamily(ring, n, d, components)
+        parts[nu0] = WittElement(comp.series.copy_with(exact=False))
+    return OneVarComponentFamily(ring, n, d, parts)
 
 
 def mul_coordinate_families(ring: CoeffRing, d: int, ca: dict, cb: dict) -> TruncatedSeries:

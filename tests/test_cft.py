@@ -200,6 +200,24 @@ def test_oversized_enumerations_rejected_before_the_box(monkeypatch):
         transition_surjective(F2, 20, 20, 2)
     with pytest.raises(TooLarge, match=rf"4\^{cft._group_rank(20, 20)}\b"):
         lang_kernel_census(20, 2, 2, 20)
+    with pytest.raises(TooLarge, match=rf"\b{cft._group_rank(20, 20)} generators"):
+        pi1_truncated(20, 2, 20)
+    # the rank at (3, 70) is under the limit, but F_4 has two basis
+    # elements, so two generators per exponent
+    assert cft._group_rank(3, 70) <= cft.PI1_GENERATOR_LIMIT
+    with pytest.raises(TooLarge, match=rf"\b{2 * cft._group_rank(3, 70)} generators"):
+        pi1_truncated(3, 4, 70)
+
+
+def test_oversized_extension_rejected_before_it_is_built(monkeypatch):
+    def no_field(*_):
+        raise AssertionError("a modulus search ran")
+
+    monkeypatch.setattr("multiwitt.ring._find_irreducible", no_field)
+    with pytest.raises(TooLarge, match=r"2\^100000\b"):
+        lang_kernel_census(1, 2, 100000, 2)
+    with pytest.raises(TooLarge, match="4096"):
+        lang_kernel_census(1, 2, 12, 2)
 
 
 def test_dense_law_matches_witt_add_and_neg(any_ring):

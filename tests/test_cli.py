@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -118,6 +119,29 @@ def test_decompose_components_are_never_exact(capsys):
     assert [c["series"]["exact"] for c in doc["components"]] == [False, False, False]
 
 
+GOLDEN = Path(__file__).parent / "golden"
+F3E2_RING = '{"p":3,"e":1,"modulus":[0,1],"nil":2}'
+
+
+@pytest.mark.parametrize(
+    "name,ring,terms",
+    [
+        ("decompose_F2.json", F2_RING, [((0, 0), [[1]]), ((1, 0), [[1]]), ((2, 2), [[1]])]),
+        (
+            "decompose_F3e2.json",
+            F3E2_RING,
+            [((0, 0), [[1], [0]]), ((2, 0), [[0], [1]]), ((2, 2), [[1], [1]])],
+        ),
+    ],
+)
+def test_decompose_output_is_pinned(capsys, name, ring, terms):
+    # every primitive exponent below d is listed, identities included, in
+    # the order and bytes of tests/golden
+    payload = json.dumps({"a": series_doc(2, 5, terms)})
+    assert main(["decompose", "--ring", ring, "--payload", payload]) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()
+
+
 def test_ah_exp_command(capsys):
     code, doc = run_cli(
         capsys,
@@ -169,6 +193,22 @@ def test_oversized_census_rejected_quickly():
     # the exponent box is built, so the job ends in well under the timeout
     cmd = [sys.executable, "-m", "multiwitt.cli", "lang-census"]
     cmd += ["--n", "20", "--q", "2", "--s", "2", "--d", "20"]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["error"]["kind"] == "TooLarge"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # up to 68,923,264,409 generators, counted before the exponent box is built
+        ["pi1", "--n", "20", "--q", "2", "--d", "20"],
+        # q^s = 2^100000: bounded before the prime is found or a modulus searched for
+        ["lang-census", "--n", "1", "--q", "2", "--s", "100000", "--d", "2"],
+    ],
+)
+def test_oversized_job_rejected_quickly(argv):
+    cmd = [sys.executable, "-m", "multiwitt.cli"] + argv
     proc = subprocess.run(cmd, capture_output=True, text=True, timeout=10)
     assert proc.returncode == 1
     assert json.loads(proc.stdout)["error"]["kind"] == "TooLarge"

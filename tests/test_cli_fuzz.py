@@ -3,8 +3,9 @@ JSON document, and rejects every value of the wrong JSON type and every
 key an object does not take with exit 1.
 
 Each job is a valid one (flags, ring descriptor, payload) with a single
-mutation applied.  Integers stay small: bounding the work of large but
-well-formed jobs is a separate concern.
+mutation applied.  Integers stay small, except that a field order --q or
+an extension degree --s too large for the ring tables must exit 1 with
+TooLarge at once.
 """
 
 import contextlib
@@ -160,3 +161,20 @@ def test_dropped_added_or_nonpositive_value_handled(command, data):
             return
     code, _ = run_main(argv_of(command, doc))
     assert code in (0, 1)
+
+
+# flags that name a field too large for the ring tables: q > 2048, q^s > 2048
+LARGE = {
+    "q": st.integers(2049, 10**40),
+    "s": st.integers(12, 10**9),
+}
+
+
+@settings(FUZZ, max_examples=40)
+@given(st.sampled_from([("pi1", "q"), ("lang-census", "q"), ("lang-census", "s")]), st.data())
+def test_large_field_exits_1_with_too_large(job, data):
+    command, flag = job
+    doc = job_doc(command)
+    doc["flags"][flag] = data.draw(LARGE[flag])
+    code, text = run_main(argv_of(command, doc))
+    assert code == 1 and json.loads(text)["error"]["kind"] == "TooLarge", text

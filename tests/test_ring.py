@@ -175,6 +175,24 @@ def test_ring_size_bound():
         CoeffRing.make(3, nil=10**9)
 
 
+def test_field_order_bounded_before_factoring(monkeypatch):
+    def no_scan(*_):
+        raise AssertionError("q was factored or a modulus searched for")
+
+    monkeypatch.setattr("multiwitt.ring._is_prime", no_scan)
+    monkeypatch.setattr("multiwitt.ring._find_irreducible", no_scan)
+    # 2^61 - 1 is prime: trial division would not reach its smallest factor
+    for q in (4096, 2**1000, 2**61 - 1):
+        with pytest.raises(TooLarge, match="beyond the table bound 2048"):
+            FiniteField.of_order(q)
+    with pytest.raises(TooLarge):
+        CoeffRing.make(2**61 - 1, modulus=[0, 1])
+    with pytest.raises(TooLarge, match=r"2\^1000000\b"):
+        FiniteField(2, 10**6, (0, 1))
+    with pytest.raises(TooLarge, match="beyond the table bound 2048"):
+        FiniteField(2**61 - 1, 1, (0, 1))
+
+
 def test_table_cache_is_bounded():
     from multiwitt.ring import _is_prime, _ring_tables
 

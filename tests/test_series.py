@@ -9,7 +9,7 @@ from multiwitt import (
     ShapeMismatch,
     TruncatedSeries,
 )
-from multiwitt.series import exponents_below, grlex_key
+from multiwitt.series import exponents_below, grlex_key, primitive_exponents_below
 from multiwitt.witt import random_witt_element
 
 
@@ -153,6 +153,14 @@ def test_grlex_enumeration_sorted():
     assert list(exps) == sorted(exps, key=grlex_key)
     assert exps[0] == (0, 0, 0)
     assert all(sum(e) < 4 for e in exps)
+
+
+def test_exponent_box_caches_are_bounded():
+    for box in (exponents_below, primitive_exponents_below):
+        assert box.cache_info().maxsize == 32
+        for d in range(2, 40):
+            box(1, d)
+        assert box.cache_info().currsize <= 32
 
 
 def test_json_roundtrip_byte_identical(any_ring, rng):

@@ -1,6 +1,6 @@
 import pytest
 from hypothesis import given, strategies as st
-from witt_oracle import witt_mul_dense
+from witt_oracle import decompose_dense, witt_mul_dense
 
 from multiwitt import (
     CoeffRing,
@@ -120,6 +120,47 @@ def test_decompose_is_group_hom(any_ring, rng):
         assert set(fab.components) == set(fa.components)
         for nu in fab.components:
             assert fab.components[nu] == witt_add(fa.components[nu], fb.components[nu])
+
+
+def test_decompose_matches_dense_oracle(any_ring, rng):
+    for n, d in ((1, 7), (2, 5), (3, 4)):
+        pool = primitive_exponents_below(n, d)
+        elements = [WittElement.one(any_ring, n, d)]
+        elements += [random_witt_element(any_ring, n, d, rng) for _ in range(3)]
+        # few-term elements leave most primitive parts out
+        elements += [
+            _few_term_element(any_ring, n, d, rng.sample(pool, min(2, len(pool))), rng)
+            for _ in range(3)
+        ]
+        for a in elements:
+            fam, dense = decompose(a), decompose_dense(a)
+            assert list(fam.components) == list(dense.components)
+            for nu, comp in dense.components.items():
+                assert fam.components[nu] == comp
+                assert fam.components[nu].series.exact == comp.series.exact
+            assert all(fam.parts[nu] is fam.components[nu] for nu in fam.parts)
+            assert not any(p.series.terms == {(0,): any_ring.one} for p in fam.parts.values())
+            assert fam.recompose() == a
+
+
+def test_few_term_decompose_at_n6_d20_builds_present_parts_only(monkeypatch):
+    """(1 - t1)(1 - 2 t2^2)(1 - t1^3 t2^3) over F_3 in a box of 230,230
+    exponents: three coordinates give at most three parts, and neither
+    decompose nor recompose lists the primitive exponents of the box."""
+    F3 = CoeffRing.make(3)
+    n, d = 6, 20
+    coords = {(1, 0, 0, 0, 0, 0): 1, (0, 2, 0, 0, 0, 0): 2, (3, 3, 0, 0, 0, 0): 1}
+    a = from_coordinates(WittCoordinates(F3, n, d, coords))
+
+    def no_primitives(*_):
+        raise AssertionError("the primitive exponents of the box were listed")
+
+    with monkeypatch.context() as patch:
+        patch.setattr("multiwitt.witt.primitive_exponents_below", no_primitives)
+        fam = decompose(a)
+        back = fam.recompose()
+    assert len(fam.parts) == 3
+    assert back == a
 
 
 def test_one_var_product_formula_coprime():
