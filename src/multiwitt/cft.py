@@ -27,7 +27,9 @@ witt_add are the test oracle tests/cft_oracle.py.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from math import comb
 
@@ -44,11 +46,19 @@ PAIR_CHECK_LIMIT = 4 * 10**4
 
 @dataclass(frozen=True)
 class AbelianGroupStructure:
-    """Invariant factors ascending, total order, and one witness per factor."""
+    """Invariant factors ascending, total order, and one witness per factor.
+
+    ``make_witnesses`` builds the witnesses on the first read of
+    ``witnesses``, so a caller that reads only the factors and the order
+    builds none."""
 
     invariant_factors: tuple
     order: int
-    witnesses: tuple = field(default=(), compare=False)
+    make_witnesses: Callable[[], tuple] = field(default=tuple, compare=False, repr=False)
+
+    @cached_property
+    def witnesses(self) -> tuple:
+        return self.make_witnesses()
 
     def to_json_dict(self):
         return {"factors": list(self.invariant_factors), "order": self.order}
@@ -74,24 +84,26 @@ def pi1_truncated(n: int, q: int, d: int, ring: CoeffRing | None = None) -> Abel
     estimate = e * _group_rank(n, d)
     if estimate > PI1_GENERATOR_LIMIT:
         raise TooLarge(f"up to {estimate} generators, beyond limit {PI1_GENERATOR_LIMIT}")
-    gens = []
+    gens = []  # (order, exponent, basis element x^b as a field index)
     exps = [nu for nu in exponents_below(n, d) if sum(nu) > 0]
     for nu in exps:
         if content(nu) % p == 0:
             continue
         s = generator_order_exponent(p, sum(nu), d)
-        for b in range(e):
-            c = p**b  # basis element x^b as a field index
-            gens.append((p**s, WittElement.binomial(ring, n, d, nu, c)))
+        gens.extend((p**s, nu, p**b) for b in range(e))
     gens.sort(key=lambda t: t[0])
-    factors = tuple(o for o, _ in gens)
+    factors = tuple(o for o, _, _ in gens)
     order = q ** len(exps)
     prod = 1
     for f in factors:
         prod *= f
     if prod != order:
         raise AssertionError("generator orders do not account for the group order")
-    return AbelianGroupStructure(factors, order, tuple(w for _, w in gens))
+
+    def witnesses():
+        return tuple(WittElement.binomial(ring, n, d, nu, c) for _, nu, c in gens)
+
+    return AbelianGroupStructure(factors, order, witnesses)
 
 
 @dataclass(frozen=True)
@@ -114,7 +126,7 @@ def modulus_group(q: int, m: int) -> ModulusGroupDesc:
     if m < 1:
         raise InvalidTruncation("modulus multiplicity must be >= 1")
     if m == 1:
-        return ModulusGroupDesc(q, 1, 1, AbelianGroupStructure((), 1, ()))
+        return ModulusGroupDesc(q, 1, 1, AbelianGroupStructure((), 1))
     s = pi1_truncated(1, q, m)
     return ModulusGroupDesc(q, m, s.order, s)
 
@@ -208,7 +220,8 @@ def brute_force_structure(elements, op) -> AbelianGroupStructure:
         total *= f
     if total != len(elems):
         raise NotAbelian("factor product does not certify the group order")
-    return AbelianGroupStructure(tuple(reversed(factors)), len(elems), tuple(reversed(witnesses)))
+    witnesses = tuple(reversed(witnesses))
+    return AbelianGroupStructure(tuple(reversed(factors)), len(elems), lambda: witnesses)
 
 
 def _group_rank(n: int, d: int) -> int:
@@ -291,7 +304,7 @@ def witt_group_structure_brute(ring: CoeffRing, n: int, d: int) -> AbelianGroupS
     law = _DenseLaw(ring, n, d)
     s = brute_force_structure(_coefficient_tuples(ring.size, rank), law.op)
     return AbelianGroupStructure(
-        s.invariant_factors, s.order, tuple(law.to_witt(w) for w in s.witnesses)
+        s.invariant_factors, s.order, lambda: tuple(law.to_witt(w) for w in s.witnesses)
     )
 
 

@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .cft import lang_kernel_census, pi1_truncated, witt_group_structure_brute
 from .duality import FormalWittElement, cartier_pair, geometric_pair
-from .errors import SchemaError, WittError
+from .errors import SchemaError, TooLarge, WittError
 from .ptypical import artin_hasse_exp
 from .ring import CoeffRing, json_int, json_object
 from .series import TruncatedSeries
@@ -135,6 +136,7 @@ def run(args: argparse.Namespace):
     if cmd == "pi1":
         _need(args, "n", "q", "d")
         structure = pi1_truncated(args.n, args.q, args.d)
+        _check_json_int(structure.order, "group order")
         result = structure.to_json_dict()
         if args.oracle:
             oracle = witt_group_structure_brute(CoeffRing.make(args.q), args.n, args.d)
@@ -157,6 +159,16 @@ def run(args: argparse.Namespace):
         return (0 if summary["failed"] == 0 else 2), summary
 
     raise ValueError(f"unknown command {cmd!r}")
+
+
+def _check_json_int(value: int, what: str) -> None:
+    """TooLarge naming the size of ``value`` when json.dumps would refuse
+    it: like int(), it converts no integer of more decimal digits than
+    the interpreter's limit, which stays in force for JSON input."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if limit and abs(value) >= 10**limit:
+        digits = int(math.log10(abs(value))) + 1
+        raise TooLarge(f"{what} has {digits} decimal digits, beyond the {limit}-digit limit of JSON output")
 
 
 def _read_payload(value: str | None):
@@ -222,17 +234,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def emit(doc) -> None:
-    sys.stdout.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+def _dumps(doc) -> str:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def main(argv=None) -> int:
+    # the result is serialized inside the try, so a job that fails there
+    # still ends in one JSON document
     try:
         code, result = run(build_parser().parse_args(argv))
+        text = _dumps(result)
     except (WittError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
-        emit({"error": {"kind": type(exc).__name__, "detail": str(exc)}})
-        return 1
-    emit(result)
+        code, text = 1, _dumps({"error": {"kind": type(exc).__name__, "detail": str(exc)}})
+    sys.stdout.write(text)
     return code
 
 

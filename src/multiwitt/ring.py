@@ -48,10 +48,14 @@ def check_table_size(base: int, power: int, what: str) -> None:
     """TooLarge naming base^power when it exceeds the table bound.
 
     base >= 2 for any field, so capping the exponent keeps the power small
-    and still over the bound; no huge power is ever formed."""
+    and still over the bound; no huge power is ever formed, and a size too
+    long for str() to print is named by its power of two."""
     cap = _MAX_TABLE_Q.bit_length()
     if base ** min(power, cap) > _MAX_TABLE_Q:
-        size = base**power if power <= cap else f"{base}^{power}"
+        if base.bit_length() * min(power, cap) > 10**4:
+            size = f"at least 2^{(base.bit_length() - 1) * power}"
+        else:
+            size = base**power if power <= cap else f"{base}^{power}"
         raise TooLarge(f"{what} = {size} elements, beyond the table bound {_MAX_TABLE_Q}")
 
 

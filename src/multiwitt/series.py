@@ -3,8 +3,10 @@
 A series is a map from exponent tuples (nu_1, .., nu_n) to nonzero
 coefficients, restricted to total degree |nu| < d for the truncation
 order d.  Exponent tuples are ordered by total degree first, then by
-tuple comparison; this graded order is used for coordinate extraction
-and for canonical serialization.
+tuple comparison; this graded order is used for canonical serialization.
+``pack_exponent`` encodes an exponent below d as one integer whose
+integer order is the graded order and under which adding exponents is
+adding integers; the coordinate conversions in witt.py run on it.
 
 The ``exact`` flag marks a series that represents a genuine polynomial:
 no nonzero term was ever discarded while producing it.  Multiplication
@@ -63,7 +65,30 @@ def parse_exponent(values, seen) -> tuple:
     return exp
 
 
-# bounded like the ring tables: a box at n = 6, d = 20 holds 230,230 tuples
+def pack_exponent(exp: tuple, d: int) -> int:
+    """The key |nu| * d^n + sum_i nu_i * d^(n-1-i) of an exponent below d.
+
+    Every digit nu_i is below d while |nu| < d, so integer order is the
+    graded order, key // d^n is the degree, and key(a) + key(b) is
+    key(a + b) when |a + b| < d and at least d^(n+1) otherwise."""
+    key = sum(exp)
+    for v in exp:
+        key = key * d + v
+    return key
+
+
+def unpack_exponent(key: int, n: int, d: int) -> tuple:
+    """The exponent tuple in n variables that ``pack_exponent`` maps to key."""
+    digits = [0] * n
+    for i in range(n - 1, -1, -1):
+        key, digits[i] = divmod(key, d)
+    return tuple(digits)
+
+
+# bounded like the ring tables: a box at n = 6, d = 20 holds 230,230 tuples.
+# The whole-group enumerations in cft, enumerate_witt_elements, the random
+# elements of witt and duality, and the full component family (through
+# primitive_exponents_below) build boxes; the coordinate conversions do not.
 @lru_cache(maxsize=32)
 def exponents_below(n: int, d: int) -> tuple:
     """All exponent tuples with 0 <= |nu| < d, in graded order."""

@@ -4,7 +4,13 @@ Elements are truncated power series with constant term 1.  The group law
 is series multiplication.  Every element factors uniquely as an ordered
 product of binomials (1 - r_nu t^nu) over exponents 0 < |nu| < d; the
 family {r_nu} is the coordinate form, and extraction peels factors off in
-graded order.
+graded order.  Dividing by (1 - r t^nu) changes the running quotient only
+above degree |nu|, apart from removing its term at nu, so the peel is a
+frontier walk: degree by degree, it visits only the exponents the
+quotient holds.  Both coordinate conversions run on a dict from packed
+integer exponent keys (``series.pack_exponent``), where a shift by k nu
+is one integer add and the truncation test one comparison; tuples appear
+only on entry and exit.
 
 Grouping exponents by their primitive part splits the group into a finite
 product of one-variable components: nu = i * nu0 with gcd(nu0) = 1 turns
@@ -41,9 +47,11 @@ from .series import (
     content,
     exponents_below,
     grlex_key,
+    pack_exponent,
     parse_exponent,
     primitive_exponents_below,
     primitive_part,
+    unpack_exponent,
     zero_exp,
 )
 
@@ -254,43 +262,57 @@ def witt_neg(a: WittElement) -> WittElement:
 
 
 def witt_coordinates(a: WittElement) -> WittCoordinates:
-    """Peel binomial factors in graded order until degree d is exhausted."""
+    """Peel binomial factors in graded order, visiting only the exponents
+    the running quotient has.
+
+    The quotient lives in a dict from packed exponent keys to raw
+    coefficients, without its constant term 1.  Dividing it by
+    (1 - r t^nu) removes the term at nu and adds r^k t^(k nu) times every
+    other term, all above degree |nu|, so the walk goes degree by degree
+    over the keys each degree holds, in key order, and files every key a
+    division creates under its degree."""
     if a._coords is not None:
         return a._coords
     ring, n, d = a.ring, a.n, a.d
-    running = a.series
+    rmul, radd, rneg = ring.rmul, ring.radd, ring.rneg
+    limit, dn = d ** (n + 1), d**n
+    quot = {pack_exponent(e, d): c for e, c in a.series.terms.items() if any(e)}
+    buckets = {}
+    for key in quot:
+        buckets.setdefault(key // dn, set()).add(key)
     coords = {}
-    exps = iter(exponents_below(n, d))
-    next(exps)  # the zero exponent comes first in graded order
-    for exp in exps:
-        c = running.terms.get(exp, 0)
-        if c == 0:
-            continue
-        r = ring.rneg(c)
-        coords[exp] = r
-        # divide by (1 - r t^exp): multiply by the geometric series in r t^exp
-        add = {}
-        pw = r
-        w = sum(exp)
-        k = 1
-        while k * w < d and pw != 0:
-            shift = tuple(k * v for v in exp)
-            for e, cc in running.terms.items():
-                if sum(e) + k * w >= d:
-                    continue
-                t = tuple(x + y for x, y in zip(e, shift))
-                prod = ring.rmul(cc, pw)
-                if prod == 0:
-                    continue
-                cur = add.get(t)
-                add[t] = prod if cur is None else ring.radd(cur, prod)
-            pw = ring.rmul(pw, r)
-            k += 1
-        if add:
-            running = running.add_series(
-                TruncatedSeries(ring, n, d, {e: c for e, c in add.items() if c != 0})
-            )
-    result = WittCoordinates(ring, n, d, coords)
+    while buckets:
+        for nu in sorted(buckets.pop(min(buckets))):
+            c = quot.pop(nu, 0)
+            if c == 0:
+                continue
+            r = rneg(c)
+            coords[nu] = r
+            steps = []  # (key of k nu, r^k) while k |nu| < d
+            shift, pw = nu, r
+            while shift < limit and pw:
+                steps.append((shift, pw))
+                shift += nu
+                pw = rmul(pw, r)
+            for e, ce in list(quot.items()):
+                for shift, pw in steps:
+                    t = e + shift
+                    if t >= limit:
+                        break
+                    prod = rmul(ce, pw)
+                    if prod == 0:
+                        continue
+                    cur = quot.get(t)
+                    if cur is None:
+                        quot[t] = prod
+                        buckets.setdefault(t // dn, set()).add(t)
+                    else:
+                        s = radd(cur, prod)
+                        if s:
+                            quot[t] = s
+                        else:
+                            del quot[t]
+    result = WittCoordinates(ring, n, d, {unpack_exponent(k, n, d): r for k, r in coords.items()})
     a._coords = result
     return result
 
@@ -298,15 +320,38 @@ def witt_coordinates(a: WittElement) -> WittCoordinates:
 def from_coordinates(c: WittCoordinates) -> WittElement:
     """Ordered product of the binomial factors, truncated at d.
 
-    The result carries the exact flag when no nonzero term overflowed the
-    window, i.e. when it is the complete polynomial product."""
+    The factors are multiplied into one dict from packed exponent keys to
+    raw coefficients, in key order, which is the graded order.  The result
+    carries the exact flag when no nonzero term overflowed the window, i.e.
+    when it is the complete polynomial product."""
     ring, n, d = c.ring, c.n, c.d
-    acc = TruncatedSeries.one(ring, n, d, exact=True)
-    for exp in sorted(c.coords, key=grlex_key):
-        r = c.coords[exp]
-        # acc *= (1 - r t^exp)
-        acc = acc.add_series(acc.scale_shift(ring.rneg(r), exp))
-    return WittElement(acc)
+    rmul, radd, rneg = ring.rmul, ring.radd, ring.rneg
+    limit = d ** (n + 1)
+    factors = {pack_exponent(e, d): r for e, r in c.coords.items()}
+    acc = {0: ring.one}
+    exact = True
+    for nu in sorted(factors):
+        s = rneg(factors[nu])
+        # acc *= (1 - r t^nu)
+        for e, ce in list(acc.items()):
+            prod = rmul(ce, s)
+            if prod == 0:
+                continue
+            t = e + nu
+            if t >= limit:
+                exact = False
+                continue
+            cur = acc.get(t)
+            if cur is None:
+                acc[t] = prod
+            else:
+                total = radd(cur, prod)
+                if total:
+                    acc[t] = total
+                else:
+                    del acc[t]
+    terms = {unpack_exponent(k, n, d): v for k, v in acc.items()}
+    return WittElement(TruncatedSeries(ring, n, d, terms, exact))
 
 
 def group_by_primitive(coords: dict) -> dict:

@@ -56,6 +56,23 @@ def test_generator_orders_match_witnesses():
         assert w.group_pow(order // 2) != one
 
 
+def test_pi1_json_builds_no_witnesses(monkeypatch):
+    from multiwitt import WittElement
+
+    built = []
+    binomial = WittElement.binomial
+
+    def counting(*args):
+        built.append(args)
+        return binomial(*args)
+
+    monkeypatch.setattr(WittElement, "binomial", counting)
+    s = pi1_truncated(3, 4, 5)
+    assert s.to_json_dict()["order"] == s.order and built == []
+    assert len(s.witnesses) == len(s.invariant_factors) == len(built)
+    assert s.witnesses is s.witnesses  # built once, then kept
+
+
 def test_invalid_truncation():
     with pytest.raises(InvalidTruncation):
         pi1_truncated(1, 2, 1)

@@ -32,6 +32,15 @@ def test_pi1_command(capsys):
     assert doc == {"factors": [4], "order": 4}
 
 
+def test_pi1_order_beyond_json_digit_limit_is_a_typed_error(capsys):
+    # the order 2^37819 has 11,385 decimal digits; json.dumps converts no
+    # integer of more than 4,300, and the job still ends in one JSON document
+    code, doc = run_cli(capsys, ["pi1", "--n", "3", "--q", "2", "--d", "60"])
+    assert code == 1
+    assert doc["error"]["kind"] == "TooLarge"
+    assert "11385 decimal digits" in doc["error"]["detail"]
+
+
 def test_pi1_oracle_agrees(capsys):
     code, doc = run_cli(capsys, ["pi1", "--n", "1", "--q", "3", "--d", "3", "--oracle"])
     assert code == 0
@@ -94,6 +103,22 @@ def test_coords_from_coords_roundtrip(capsys):
             json.dumps(doc["result"]),
         ],
     )
+    assert code == 0
+    assert doc["result"]["terms"] == lam["terms"]
+
+
+def test_coords_round_trip_in_a_box_too_large_to_walk(capsys):
+    # n = 20, d = 20: the exponent box holds about 6.9e10 exponents, and
+    # the conversions touch only the ones the element and its quotients have
+    n, d = 20, 20
+    exps = [[3] + [0] * 19, [0] * 5 + [1, 1] + [0] * 11 + [2, 0], [0, 1] * 10]
+    lam = series_doc(n, d, [([0] * n, [[1]])] + [(e, [[1]]) for e in exps])
+    code, doc = run_cli(capsys, ["coords", "--ring", F2_RING, "--payload", json.dumps({"a": lam})])
+    assert code == 0
+    peeled = [c["exp"] for c in doc["result"]["coords"]]
+    assert peeled[:2] == exps[:2] and exps[2] in peeled
+    argv = ["from-coords", "--ring", F2_RING, "--n", str(n), "--d", str(d)]
+    code, doc = run_cli(capsys, argv + ["--payload", json.dumps(doc["result"])])
     assert code == 0
     assert doc["result"]["terms"] == lam["terms"]
 

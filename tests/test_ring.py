@@ -191,6 +191,9 @@ def test_field_order_bounded_before_factoring(monkeypatch):
         FiniteField(2, 10**6, (0, 1))
     with pytest.raises(TooLarge, match="beyond the table bound 2048"):
         FiniteField(2**61 - 1, 1, (0, 1))
+    # too many digits for str(): the message names the size as a power of two
+    with pytest.raises(TooLarge, match=r"at least 2\^100000\b"):
+        CoeffRing.make(2**100000)
 
 
 def test_table_cache_is_bounded():

@@ -9,7 +9,13 @@ from multiwitt import (
     ShapeMismatch,
     TruncatedSeries,
 )
-from multiwitt.series import exponents_below, grlex_key, primitive_exponents_below
+from multiwitt.series import (
+    exponents_below,
+    grlex_key,
+    pack_exponent,
+    primitive_exponents_below,
+    unpack_exponent,
+)
 from multiwitt.witt import random_witt_element
 
 
@@ -153,6 +159,31 @@ def test_grlex_enumeration_sorted():
     assert list(exps) == sorted(exps, key=grlex_key)
     assert exps[0] == (0, 0, 0)
     assert all(sum(e) < 4 for e in exps)
+
+
+PACK_SHAPES = ((1, 9), (2, 6), (3, 5), (4, 4))
+
+
+def test_packed_keys_follow_graded_order():
+    for n, d in PACK_SHAPES:
+        exps = exponents_below(n, d)
+        keys = [pack_exponent(e, d) for e in exps]
+        assert keys == sorted(set(keys))  # graded order, no two exponents share a key
+        assert [k // d**n for k in keys] == [sum(e) for e in exps]
+        assert [unpack_exponent(k, n, d) for k in keys] == list(exps)
+
+
+def test_packed_keys_add_under_truncation():
+    for n, d in PACK_SHAPES:
+        exps = exponents_below(n, d)
+        for a in exps:
+            for b in exps:
+                total = pack_exponent(a, d) + pack_exponent(b, d)
+                # the overflow test: the key sum stays below d^(n+1) exactly
+                # when the exponent sum stays below the truncation
+                assert (total < d ** (n + 1)) == (sum(a) + sum(b) < d)
+                if sum(a) + sum(b) < d:
+                    assert total == pack_exponent(tuple(x + y for x, y in zip(a, b)), d)
 
 
 def test_exponent_box_caches_are_bounded():

@@ -1,6 +1,11 @@
 import pytest
 from hypothesis import given, strategies as st
-from witt_oracle import decompose_dense, witt_mul_dense
+from witt_oracle import (
+    decompose_dense,
+    from_coordinates_series,
+    witt_coordinates_box,
+    witt_mul_dense,
+)
 
 from multiwitt import (
     CoeffRing,
@@ -19,7 +24,7 @@ from multiwitt import (
     witt_mul,
     witt_neg,
 )
-from multiwitt.series import primitive_exponents_below
+from multiwitt.series import exponents_below, primitive_exponents_below
 from multiwitt.witt import (
     group_by_primitive,
     one_var_order,
@@ -92,6 +97,41 @@ def test_coordinate_roundtrip_exhaustive_tiny():
         ring = CoeffRing.make(q)
         for lam in enumerate_witt_elements(ring, 1, d):
             assert from_coordinates(witt_coordinates(lam)) == lam
+
+
+# (n, d) of the differential tests against the box-walk oracle
+PEEL_SHAPES = ((1, 14), (2, 7), (3, 5), (6, 4))
+
+
+def _sparse_element(ring, n, d, rng, count):
+    pool = [e for e in exponents_below(n, d) if sum(e) > 0]
+    terms = {e: ring.random_raw(rng) or ring.one for e in rng.sample(pool, count)}
+    return W(ring, n, d, terms)
+
+
+def test_peel_matches_box_walk(any_ring, rng):
+    for n, d in PEEL_SHAPES:
+        elements = [random_witt_element(any_ring, n, d, rng) for _ in range(3)]
+        elements += [_sparse_element(any_ring, n, d, rng, k) for k in (1, 2, 4)]
+        for a in elements:
+            want = witt_coordinates_box(a)
+            got = witt_coordinates(a)
+            # the same coordinates, inserted in the same (graded) order
+            assert list(got.coords.items()) == list(want.coords.items()), (n, d)
+            back, back_want = from_coordinates(got), from_coordinates_series(got)
+            assert back.series.terms == back_want.series.terms == a.series.terms
+            assert back.series.exact == back_want.series.exact
+
+
+def test_from_coordinates_matches_series_product(any_ring, rng):
+    for n, d in PEEL_SHAPES:
+        pool = [e for e in exponents_below(n, d) if sum(e) > 0]
+        for count in (1, 2, 4, len(pool)):
+            coords = {e: any_ring.random_raw(rng) for e in rng.sample(pool, count)}
+            c = WittCoordinates(any_ring, n, d, coords)
+            got, want = from_coordinates(c).series, from_coordinates_series(c).series
+            assert got.terms == want.terms, (n, d, count)
+            assert got.exact == want.exact, (n, d, count)
 
 
 def test_decompose_regroups_by_gcd():

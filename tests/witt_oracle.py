@@ -11,11 +11,22 @@ primitive parts both factors share.  ``decompose_dense`` builds a
 component at every primitive exponent of the box, identities included,
 and checks the library's ``decompose``, which builds only the parts an
 element has.
+
+``witt_coordinates_box`` is the coordinate peel that walks the whole
+exponent box, rebuilding the running quotient as a series after every
+factor, and ``from_coordinates_series`` multiplies the binomials as
+series one at a time.  They check the library's conversions, which run
+on packed exponent keys and touch only the exponents the series has.
 """
 
 from __future__ import annotations
 
-from multiwitt.series import TruncatedSeries, grlex_key, primitive_exponents_below
+from multiwitt.series import (
+    TruncatedSeries,
+    exponents_below,
+    grlex_key,
+    primitive_exponents_below,
+)
 from multiwitt.witt import (
     OneVarComponentFamily,
     WittCoordinates,
@@ -65,4 +76,52 @@ def witt_mul_dense(a: WittElement, b: WittElement) -> WittElement:
         comp = witt_mul_1var(fa.components[nu], fb.components[nu])
         terms = {tuple(i * v for v in nu): c for (i,), c in comp.series.terms.items()}
         acc = acc.mul(TruncatedSeries(a.ring, a.n, a.d, terms))
+    return WittElement(acc)
+
+
+def witt_coordinates_box(a: WittElement) -> WittCoordinates:
+    """Peel binomial factors in graded order, walking every exponent below d."""
+    ring, n, d = a.ring, a.n, a.d
+    running = a.series
+    coords = {}
+    exps = iter(exponents_below(n, d))
+    next(exps)  # the zero exponent comes first in graded order
+    for exp in exps:
+        c = running.terms.get(exp, 0)
+        if c == 0:
+            continue
+        r = ring.rneg(c)
+        coords[exp] = r
+        # divide by (1 - r t^exp): multiply by the geometric series in r t^exp
+        add = {}
+        pw = r
+        w = sum(exp)
+        k = 1
+        while k * w < d and pw != 0:
+            shift = tuple(k * v for v in exp)
+            for e, cc in running.terms.items():
+                if sum(e) + k * w >= d:
+                    continue
+                t = tuple(x + y for x, y in zip(e, shift))
+                prod = ring.rmul(cc, pw)
+                if prod == 0:
+                    continue
+                cur = add.get(t)
+                add[t] = prod if cur is None else ring.radd(cur, prod)
+            pw = ring.rmul(pw, r)
+            k += 1
+        if add:
+            running = running.add_series(
+                TruncatedSeries(ring, n, d, {e: c for e, c in add.items() if c != 0})
+            )
+    return WittCoordinates(ring, n, d, coords)
+
+
+def from_coordinates_series(c: WittCoordinates) -> WittElement:
+    """Ordered product of the binomial factors as series, truncated at d."""
+    ring, n, d = c.ring, c.n, c.d
+    acc = TruncatedSeries.one(ring, n, d, exact=True)
+    for exp in sorted(c.coords, key=grlex_key):
+        # acc *= (1 - r t^exp)
+        acc = acc.add_series(acc.scale_shift(ring.rneg(c.coords[exp]), exp))
     return WittElement(acc)
