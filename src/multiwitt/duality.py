@@ -29,6 +29,8 @@ lies in N^ceil(|nu|/D).
 
 from __future__ import annotations
 
+from functools import reduce
+
 from .errors import (
     InvalidTruncation,
     NotAUnit,
@@ -43,8 +45,9 @@ from .unipoly import UnivariatePolynomial, resultant
 from .witt import (
     WittCoordinates,
     WittElement,
+    binomial_product,
+    convolution_factors,
     from_coordinates,
-    mul_coordinate_families,
     one_var_order,
     shared_components,
     witt_coordinates,
@@ -178,10 +181,10 @@ def _component_pair_value(ring: CoeffRing, fa: dict, gb: dict) -> int:
         return ring.one
     # each factor (1 - c t^lcm(i, j))^gcd(i, j) has degree i * j
     dstar = 2 + sum(fa) * sum(gb)
-    prod = mul_coordinate_families(ring, dstar, fa, gb)
-    if not prod.exact:
+    prod, exact = binomial_product(ring, dstar, convolution_factors(ring, fa, gb))
+    if not exact:
         raise UnstableTruncation("pairing window unexpectedly too small")
-    return prod.eval_all_ones().raw
+    return reduce(ring.radd, prod.values(), 0)
 
 
 def cartier_pair(f: FormalWittElement, g: WittElement, d: int | None = None) -> RingElement:

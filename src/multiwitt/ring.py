@@ -27,20 +27,6 @@ from functools import lru_cache
 
 from .errors import NonUnit, SchemaError, TooLarge
 
-# Irreducible moduli (ascending coefficients) for the field sizes shipped
-# by default.  Degree-1 entries make F_p itself uniform with extensions.
-BUILTIN_MODULI = {
-    2: (0, 1),
-    3: (0, 1),
-    5: (0, 1),
-    4: (1, 1, 1),
-    9: (1, 0, 1),
-    25: (2, 0, 1),
-    8: (1, 1, 0, 1),
-    27: (1, 2, 0, 1),
-    16: (1, 1, 0, 0, 1),
-}
-
 _MAX_TABLE_Q = 2048
 
 
@@ -172,9 +158,8 @@ class FiniteField:
 
     @classmethod
     def of_order(cls, q: int) -> "FiniteField":
-        if q in BUILTIN_MODULI:
-            m = BUILTIN_MODULI[q]
-            return cls(_char_of(q), len(m) - 1, m)
+        """F_q modulo x for a prime q, else modulo the first monic
+        irreducible of degree e in index order."""
         p = _char_of(q)
         e = 0
         qq = q
@@ -183,7 +168,7 @@ class FiniteField:
             e += 1
         if p**e != q:
             raise ValueError(f"{q} is not a prime power")
-        return cls(p, e, _find_irreducible(p, e))
+        return cls(p, e, (0, 1) if e == 1 else _find_irreducible(p, e))
 
     def index_to_vector(self, idx: int):
         v, out = idx, []
@@ -220,8 +205,6 @@ def _char_of(q: int) -> int:
 
 def _find_irreducible(p: int, e: int):
     # deterministic scan in index order; desk-scale sizes only
-    if e == 1:
-        return (0, 1)
     for idx in range(p**e):
         cand = []
         v = idx

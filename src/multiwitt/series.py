@@ -55,11 +55,10 @@ def primitive_part(exp: tuple) -> tuple:
 
 
 def parse_exponent(values, seen) -> tuple:
-    """Exponent tuple from a JSON list of integers; rejects negative
-    entries and exponents already in ``seen``."""
+    """Exponent tuple from a JSON list of integers; rejects exponents
+    already in ``seen``.  The series and coordinate constructors check
+    its shape."""
     exp = tuple(json_int(v, "exponent entry") for v in values)
-    if any(v < 0 for v in exp):
-        raise ShapeMismatch(f"exponent {list(exp)} has a negative entry")
     if exp in seen:
         raise ShapeMismatch(f"exponent {list(exp)} listed twice")
     return exp
@@ -126,6 +125,8 @@ class TruncatedSeries:
         self.exact = exact
         clean = {}
         for exp, raw in terms.items():
+            if min(exp, default=0) < 0:
+                raise ShapeMismatch(f"exponent {list(exp)} has a negative entry")
             if raw == 0:
                 continue
             if len(exp) != n:

@@ -24,12 +24,17 @@ variable follows the classical convolution on coordinates,
 and the n-variable ring multiplication is transported through the
 decomposition componentwise.  A missing component is the identity, and
 so is its product with anything: ``decompose`` builds only the parts an
-element has, ``recompose`` multiplies only those, and ``witt_mul``
-convolves only the parts both factors share, never flagging the product
-exact.  The full family, identities filled in at every other primitive
-exponent, is built only when read.  The multiplicative unit at
-truncation d is the product of (1 - t^nu) over all primitive nu with
-|nu| < d.
+element has, and the full family, identities filled in at every other
+primitive exponent, is built only when read.
+
+Every product here is thus an ordered product of binomials (1 - r t^nu),
+formed by one loop, ``binomial_product``, on packed keys, where s^L at
+s = t^nu0 has key L * key(nu0).  ``from_coordinates`` feeds it the
+coordinates; ``witt_mul`` the convolution binomials of only the parts
+both factors share, never flagging the product exact; ``recompose`` the
+coordinates of each part; ``ring_one``, the unit at truncation d, the
+(1 - t^nu) over all primitive nu with |nu| < d.  The algebraic pairing
+in duality.py runs it in one variable.
 
 Frobenius acts on coefficients; the Lang map divides the Frobenius image
 by the element, and its kernel over an extension field is the subgroup of
@@ -158,6 +163,11 @@ class WittCoordinates:
     __slots__ = ("ring", "n", "d", "coords")
 
     def __init__(self, ring: CoeffRing, n: int, d: int, coords: dict):
+        for exp in coords:
+            if len(exp) != n or any(v < 0 for v in exp) or not 0 < sum(exp) < d:
+                raise ShapeMismatch(
+                    f"coordinate exponent {list(exp)} is not in {n} variables with 0 < |nu| < {d}"
+                )
         self.ring = ring
         self.n = n
         self.d = d
@@ -194,12 +204,7 @@ class WittCoordinates:
         coords = {}
         for t in obj["coords"]:
             json_object(t, "coordinate", ("exp", "r"))
-            exp = parse_exponent(t["exp"], coords)
-            if len(exp) != n or not 0 < sum(exp) < d:
-                raise ShapeMismatch(
-                    f"coordinate exponent {list(exp)} is not in {n} variables with 0 < |nu| < {d}"
-                )
-            coords[exp] = ring.coords_to_raw(t["r"])
+            coords[parse_exponent(t["exp"], coords)] = ring.coords_to_raw(t["r"])
         return cls(ring, n, d, coords)
 
 
@@ -231,18 +236,13 @@ class OneVarComponentFamily:
         return self._components
 
     def recompose(self) -> WittElement:
-        """Substitute s = t^nu in every part and multiply."""
-        acc = TruncatedSeries.one(self.ring, self.n, self.d)
-        for nu in sorted(self.parts, key=grlex_key):
-            acc = acc.mul(_substitute(self.parts[nu].series, nu, self.n, self.d))
-        return WittElement(acc)
-
-
-def _substitute(comp: TruncatedSeries, nu: tuple, n: int, d: int) -> TruncatedSeries:
-    """comp(s) at s = t^nu in n variables; a comp truncated at
-    one_var_order(d, |nu|) fits under d."""
-    terms = {tuple(i * v for v in nu): c for (i,), c in comp.terms.items()}
-    return TruncatedSeries(comp.ring, n, d, terms)
+        """Multiply the binomials of every part, placed at s = t^nu."""
+        factors = (
+            (i * pack_exponent(nu, self.d), r)
+            for nu, part in self.parts.items()
+            for (i,), r in witt_coordinates(part).coords.items()
+        )
+        return _product_element(self.ring, self.n, self.d, factors)
 
 
 def _check_same_shape(a: WittElement, b: WittElement):
@@ -270,19 +270,21 @@ def witt_coordinates(a: WittElement) -> WittCoordinates:
     (1 - r t^nu) removes the term at nu and adds r^k t^(k nu) times every
     other term, all above degree |nu|, so the walk goes degree by degree
     over the keys each degree holds, in key order, and files every key a
-    division creates under its degree."""
+    division creates under its degree.  A division reads only the degrees
+    below d - |nu|: a higher term has no shift under d."""
     if a._coords is not None:
         return a._coords
     ring, n, d = a.ring, a.n, a.d
     rmul, radd, rneg = ring.rmul, ring.radd, ring.rneg
     limit, dn = d ** (n + 1), d**n
     quot = {pack_exponent(e, d): c for e, c in a.series.terms.items() if any(e)}
-    buckets = {}
+    buckets = {}  # degree -> keys filed there; a key whose term cancelled stays
     for key in quot:
         buckets.setdefault(key // dn, set()).add(key)
     coords = {}
     while buckets:
-        for nu in sorted(buckets.pop(min(buckets))):
+        deg = min(buckets)
+        for nu in sorted(buckets[deg]):
             c = quot.pop(nu, 0)
             if c == 0:
                 continue
@@ -294,7 +296,11 @@ def witt_coordinates(a: WittElement) -> WittCoordinates:
                 steps.append((shift, pw))
                 shift += nu
                 pw = rmul(pw, r)
-            for e, ce in list(quot.items()):
+            # only a term of degree below d - |nu| has a shift under d
+            sources = [
+                (e, quot[e]) for k in range(deg, d - deg) for e in buckets.get(k, ()) if e in quot
+            ]
+            for e, ce in sources:
                 for shift, pw in steps:
                     t = e + shift
                     if t >= limit:
@@ -312,46 +318,63 @@ def witt_coordinates(a: WittElement) -> WittCoordinates:
                             quot[t] = s
                         else:
                             del quot[t]
+        del buckets[deg]
     result = WittCoordinates(ring, n, d, {unpack_exponent(k, n, d): r for k, r in coords.items()})
     a._coords = result
     return result
 
 
-def from_coordinates(c: WittCoordinates) -> WittElement:
-    """Ordered product of the binomial factors, truncated at d.
+def binomial_product(ring: CoeffRing, limit: int, factors) -> tuple:
+    """The product of the binomials (1 - r t^key), in the order given, as a
+    dict from keys to raw coefficients, and whether it is exact.
 
-    The factors are multiplied into one dict from packed exponent keys to
-    raw coefficients, in key order, which is the graded order.  The result
-    carries the exact flag when no nonzero term overflowed the window, i.e.
-    when it is the complete polynomial product."""
-    ring, n, d = c.ring, c.n, c.d
+    Keys add when monomials multiply, and a key at or past ``limit`` is
+    outside the window: packed exponent keys with limit d^(n+1) in n
+    variables, or plain degrees with limit d in one.  Each factor is
+    multiplied into the dict in place.  A factor whose key is already
+    outside the window is skipped, and ``exact`` is cleared whenever a
+    nonzero term falls outside it, so an exact result is the complete
+    polynomial product."""
     rmul, radd, rneg = ring.rmul, ring.radd, ring.rneg
-    limit = d ** (n + 1)
-    factors = {pack_exponent(e, d): r for e, r in c.coords.items()}
     acc = {0: ring.one}
     exact = True
-    for nu in sorted(factors):
-        s = rneg(factors[nu])
-        # acc *= (1 - r t^nu)
+    for key, r in factors:
+        if r == 0:
+            continue
+        if key >= limit:
+            exact = False
+            continue
+        s = rneg(r)
         for e, ce in list(acc.items()):
+            t = e + key
+            if t >= limit:
+                exact = exact and rmul(ce, s) == 0
+                continue
             prod = rmul(ce, s)
             if prod == 0:
                 continue
-            t = e + nu
-            if t >= limit:
-                exact = False
-                continue
-            cur = acc.get(t)
-            if cur is None:
-                acc[t] = prod
+            total = radd(acc[t], prod) if t in acc else prod
+            if total:
+                acc[t] = total
             else:
-                total = radd(cur, prod)
-                if total:
-                    acc[t] = total
-                else:
-                    del acc[t]
-    terms = {unpack_exponent(k, n, d): v for k, v in acc.items()}
-    return WittElement(TruncatedSeries(ring, n, d, terms, exact))
+                del acc[t]
+    return acc, exact
+
+
+def _product_element(ring: CoeffRing, n: int, d: int, factors, keep_exact=False) -> WittElement:
+    """``binomial_product`` over packed exponent keys at d, as an element in
+    n variables; flagged exact only when ``keep_exact`` asks for it and no
+    nonzero term fell outside the window."""
+    acc, exact = binomial_product(ring, d ** (n + 1), factors)
+    terms = {unpack_exponent(k, n, d): c for k, c in acc.items()}
+    return WittElement(TruncatedSeries(ring, n, d, terms, keep_exact and exact))
+
+
+def from_coordinates(c: WittCoordinates) -> WittElement:
+    """Ordered product of the binomial factors in graded order, truncated
+    at d; exact when it is the complete polynomial product."""
+    factors = sorted((pack_exponent(e, c.d), r) for e, r in c.coords.items())
+    return _product_element(c.ring, c.n, c.d, factors, keep_exact=True)
 
 
 def group_by_primitive(coords: dict) -> dict:
@@ -379,74 +402,48 @@ def decompose(a: WittElement) -> OneVarComponentFamily:
     Only the primitive parts the coordinates touch are built; the family's
     ``components`` fills in the identity everywhere else.  No component is
     flagged exact: like a product from ``witt_mul``, each is only known
-    below its truncation order."""
+    below its truncation order.  Each part keeps the coordinates it was
+    built from, so ``recompose`` peels nothing."""
     ring, n, d = a.ring, a.n, a.d
     parts = {}
     for nu0, part in group_by_primitive(witt_coordinates(a).coords).items():
         k = one_var_order(d, sum(nu0))
-        comp = from_coordinates(WittCoordinates(ring, 1, k, {(i,): r for i, r in part.items()}))
-        parts[nu0] = WittElement(comp.series.copy_with(exact=False))
+        coords = WittCoordinates(ring, 1, k, {(i,): r for i, r in part.items()})
+        comp = WittElement(from_coordinates(coords).series.copy_with(exact=False))
+        comp._coords = coords
+        parts[nu0] = comp
     return OneVarComponentFamily(ring, n, d, parts)
 
 
-def mul_coordinate_families(ring: CoeffRing, d: int, ca: dict, cb: dict) -> TruncatedSeries:
-    """Assemble the one-variable convolution product from two coordinate
-    families {i: a_i}, {j: b_j} at truncation d."""
-    acc = TruncatedSeries.one(ring, 1, d, exact=True)
-    for i, ai in ca.items():
-        for j, bj in cb.items():
+def convolution_factors(ring: CoeffRing, fa: dict, gb: dict, scale: int = 1):
+    """The binomials of the one-variable convolution product of {i: a_i}
+    and {j: b_j}: for each pair, (1 - a_i^(j/g) b_j^(i/g) s^L)^g with
+    L = lcm(i, j) and g = gcd(i, j), yielded as g pairs (L * scale, c).
+    ``scale`` is the key of s: 1 in one variable, key(nu0) at s = t^nu0."""
+    rmul, rpow = ring.rmul, ring.rpow
+    for i, ai in fa.items():
+        for j, bj in gb.items():
             g = gcd(i, j)
-            L = i * j // g
-            c = ring.rmul(ring.rpow(ai, j // g), ring.rpow(bj, i // g))
-            if c == 0:
-                continue
-            if L >= d:
-                # a genuinely nonzero factor falls outside the window
-                acc = acc.copy_with(exact=False)
-                continue
-            acc = acc.mul(_binomial_power(ring, d, L, c, g))
-    return acc
-
-
-def _binomial_power(ring: CoeffRing, d: int, L: int, c: int, g: int) -> TruncatedSeries:
-    """(1 - c t^L)^g as a truncated series in one variable."""
-    terms = {(0,): ring.one}
-    binom = 1
-    pw = ring.one
-    discarded = False
-    for k in range(1, g + 1):
-        binom = binom * (g - k + 1) // k
-        pw = ring.rmul(pw, c)
-        if pw == 0:
-            break
-        coef = ring.rmul(ring.rint(binom if k % 2 == 0 else -binom), pw)
-        if coef == 0:
-            continue
-        if k * L >= d:
-            discarded = True
-            continue
-        terms[(k * L,)] = coef
-    return TruncatedSeries(ring, 1, d, terms, exact=not discarded)
+            c = rmul(rpow(ai, j // g), rpow(bj, i // g))
+            yield from ((i * j // g * scale, c),) * g
 
 
 def ring_one(ring: CoeffRing, n: int, d: int) -> WittElement:
     """Multiplicative unit: product of (1 - t^nu) over primitive nu, |nu| < d."""
-    acc = TruncatedSeries.one(ring, n, d)
-    for nu in primitive_exponents_below(n, d):
-        acc = acc.add_series(acc.scale_shift(ring.rneg(ring.one), nu))
-    return WittElement(acc)
+    factors = ((pack_exponent(nu, d), ring.one) for nu in primitive_exponents_below(n, d))
+    return _product_element(ring, n, d, factors)
 
 
 def witt_mul(a: WittElement, b: WittElement) -> WittElement:
-    """Ring multiplication: the convolution product of each primitive part
-    both factors share, substituted back and multiplied together."""
+    """Ring multiplication: the convolution binomials of each primitive part
+    nu both factors share, placed at s = t^nu and multiplied together."""
     _check_same_shape(a, b)
     ring, n, d = a.ring, a.n, a.d
-    acc = TruncatedSeries.one(ring, n, d)
-    for nu, ca, cb in shared_components(witt_coordinates(a).coords, witt_coordinates(b).coords):
-        comp = mul_coordinate_families(ring, one_var_order(d, sum(nu)), ca, cb)
-        acc = acc.mul(_substitute(comp, nu, n, d))
-    return WittElement(acc)
+    shared = shared_components(witt_coordinates(a).coords, witt_coordinates(b).coords)
+    factors = (
+        f for nu, ca, cb in shared for f in convolution_factors(ring, ca, cb, pack_exponent(nu, d))
+    )
+    return _product_element(ring, n, d, factors)
 
 
 def frobenius_witt(a: WittElement, qpow: int) -> WittElement:

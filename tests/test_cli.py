@@ -230,6 +230,8 @@ def test_oversized_census_rejected_quickly():
         ["pi1", "--n", "20", "--q", "2", "--d", "20"],
         # q^s = 2^100000: bounded before the prime is found or a modulus searched for
         ["lang-census", "--n", "1", "--q", "2", "--s", "100000", "--d", "2"],
+        # 10^8 Artin-Hasse coefficients, counted before the first is built
+        ["ah-exp", "--ring", F2_RING, "--d", "100000000", "--payload", '{"x": [[1]]}'],
     ],
 )
 def test_oversized_job_rejected_quickly(argv):

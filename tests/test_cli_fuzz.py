@@ -5,7 +5,8 @@ key an object does not take with exit 1.
 Each job is a valid one (flags, ring descriptor, payload) with a single
 mutation applied.  Integers stay small, except that a field order --q or
 an extension degree --s too large for the ring tables must exit 1 with
-TooLarge at once.
+TooLarge at once, and ``ah-exp`` at any --d and j up to 10^9 must end in
+exit 0 or 1 with one JSON document.
 """
 
 import contextlib
@@ -178,3 +179,13 @@ def test_large_field_exits_1_with_too_large(job, data):
     doc["flags"][flag] = data.draw(LARGE[flag])
     code, text = run_main(argv_of(command, doc))
     assert code == 1 and json.loads(text)["error"]["kind"] == "TooLarge", text
+
+
+@settings(FUZZ, max_examples=25)
+@given(st.integers(1, 10**9), st.integers(1, 10**9))
+def test_large_ah_exp_exits_0_or_1(d, j):
+    doc = job_doc("ah-exp")
+    doc["flags"]["d"] = d
+    doc["payload"]["j"] = j
+    code, text = run_main(argv_of("ah-exp", doc))
+    assert code in (0, 1), text

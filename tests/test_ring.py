@@ -115,6 +115,23 @@ def test_builtin_moduli_are_irreducible():
         assert F.q == q
 
 
+def test_of_order_moduli_are_pinned():
+    # the first monic irreducible in index order, ascending coefficients
+    moduli = {
+        2: (0, 1),
+        3: (0, 1),
+        5: (0, 1),
+        4: (1, 1, 1),
+        9: (1, 0, 1),
+        25: (2, 0, 1),
+        8: (1, 1, 0, 1),
+        27: (1, 2, 0, 1),
+        16: (1, 1, 0, 0, 1),
+    }
+    for q, modulus in moduli.items():
+        assert FiniteField.of_order(q).modulus == modulus, q
+
+
 def test_reducible_modulus_rejected():
     with pytest.raises(ValueError):
         FiniteField(2, 2, (1, 0, 1))  # x^2 + 1 = (x+1)^2 over F_2

@@ -55,6 +55,15 @@ def test_shape_mismatch():
         a.mul(TruncatedSeries.one(R, 2, 3))
 
 
+def test_negative_exponent_entry_rejected():
+    F3 = CoeffRing.make(3)
+    with pytest.raises(ShapeMismatch):
+        TruncatedSeries(F3, 2, 5, {(0, 0): 1, (-1, 2): 1, (0, 1): 2})
+    # a zero coefficient does not hide it
+    with pytest.raises(ShapeMismatch):
+        TruncatedSeries(F3, 2, 5, {(0, 0): 1, (-1, 2): 0})
+
+
 def test_geometric_inverse():
     R = CoeffRing.make(5)
     m1 = R.rneg(1)

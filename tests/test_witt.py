@@ -3,20 +3,27 @@ from hypothesis import given, strategies as st
 from witt_oracle import (
     decompose_dense,
     from_coordinates_series,
+    mul_coordinate_families,
+    recompose_series,
+    ring_one_series,
     witt_coordinates_box,
     witt_mul_dense,
 )
 
 from multiwitt import (
     CoeffRing,
+    FormalWittElement,
     NilpotentCoefficients,
+    ShapeMismatch,
     TruncatedSeries,
     WittCoordinates,
     WittElement,
+    cartier_pair,
     decompose,
     enumerate_witt_elements,
     from_coordinates,
     frobenius_witt,
+    geometric_pair,
     lang_map,
     ring_one,
     witt_add,
@@ -26,6 +33,9 @@ from multiwitt import (
 )
 from multiwitt.series import exponents_below, primitive_exponents_below
 from multiwitt.witt import (
+    OneVarComponentFamily,
+    binomial_product,
+    convolution_factors,
     group_by_primitive,
     one_var_order,
     random_witt_element,
@@ -132,6 +142,21 @@ def test_from_coordinates_matches_series_product(any_ring, rng):
             got, want = from_coordinates(c).series, from_coordinates_series(c).series
             assert got.terms == want.terms, (n, d, count)
             assert got.exact == want.exact, (n, d, count)
+
+
+@pytest.mark.parametrize(
+    "coords",
+    [
+        {(1,): 2},  # one entry in two variables
+        {(3, 3): 2},  # |nu| = 6 at d = 4
+        {(0, 0): 1},  # the constant term is not a coordinate
+        {(-1, 2): 1},  # a negative entry
+        {(1, 0): 1, (2, 2, 0): 0},  # a zero coordinate is checked too
+    ],
+)
+def test_malformed_coordinate_exponent_rejected(coords):
+    with pytest.raises(ShapeMismatch):
+        WittCoordinates(CoeffRing.make(3), 2, 4, coords)
 
 
 def test_decompose_regroups_by_gcd():
@@ -316,6 +341,77 @@ def test_product_matches_dense_oracle(any_ring, rng):
             product = witt_mul(a, b)
             assert product.series.terms == witt_mul_dense(a, b).series.terms
             assert not product.series.exact
+
+
+# (n, d) of the differential tests against the series-built references
+SERIES_SHAPES = ((1, 9), (2, 6), (3, 4))
+
+
+def test_convolution_kernel_matches_series_product(any_ring, rng):
+    """The one-variable convolution through binomial_product against the
+    expanded binomial powers of the series reference: the same terms at
+    the truncation, and the same complete, exact polynomial at the
+    pairing's window."""
+    for _ in range(4):
+        d = rng.randrange(3, 9)
+        fa = {i: any_ring.random_raw(rng) or any_ring.one for i in rng.sample(range(1, d), 2)}
+        gb = {j: any_ring.random_raw(rng) or any_ring.one for j in rng.sample(range(1, d), 2)}
+        dstar = 2 + sum(fa) * sum(gb)
+        for window in (d, dstar):
+            got, exact = binomial_product(any_ring, window, convolution_factors(any_ring, fa, gb))
+            want = mul_coordinate_families(any_ring, window, fa, gb)
+            assert {(k,): c for k, c in got.items()} == want.terms, (fa, gb, window)
+            if window == dstar:
+                assert exact and want.exact
+
+
+def test_ring_one_matches_shift_and_add(any_ring):
+    for n, d in SERIES_SHAPES:
+        got, want = ring_one(any_ring, n, d).series, ring_one_series(any_ring, n, d).series
+        assert got.terms == want.terms, (n, d)
+        assert got.exact == want.exact is False
+
+
+def test_recompose_matches_substituted_series_product(any_ring, rng):
+    for n, d in SERIES_SHAPES:
+        pool = primitive_exponents_below(n, d)
+        elements = [random_witt_element(any_ring, n, d, rng) for _ in range(2)]
+        elements.append(_few_term_element(any_ring, n, d, rng.sample(pool, min(2, len(pool))), rng))
+        for a in elements:
+            fam = decompose(a)
+            # parts that carry no coordinates of their own are peeled first
+            bare = OneVarComponentFamily(
+                any_ring, n, d, {nu: WittElement(p.series) for nu, p in fam.parts.items()}
+            )
+            want = recompose_series(fam).series
+            for got in (fam.recompose().series, bare.recompose().series):
+                assert got.terms == want.terms == a.series.terms, (n, d)
+                assert got.exact == want.exact is False
+
+
+def test_witt_layer_products_never_call_series_mul(monkeypatch):
+    """from_coordinates, witt_mul, recompose, ring_one and the algebraic
+    pairing all run on binomial_product alone."""
+    F3, R = CoeffRing.make(3), CoeffRing.make(3, nil=2)
+    a = W(F3, 2, 6, {(1, 0): 1, (1, 1): 2, (0, 3): 1})
+    b = W(F3, 2, 6, {(0, 1): 2, (2, 2): 1})
+    f = FormalWittElement(TruncatedSeries(R, 1, 3, {(0,): R.one, (1,): R.eps_raw}, exact=True))
+    g = W(F3, 1, 6, {(1,): 1, (2,): 2})
+
+    def no_mul(*_):
+        raise AssertionError("TruncatedSeries.mul was called")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(TruncatedSeries, "mul", no_mul)
+        product = witt_mul(a, b)
+        back = decompose(a).recompose()
+        unit = ring_one(F3, 2, 6)
+        rebuilt = from_coordinates(witt_coordinates(b))
+        value = cartier_pair(f, g)
+    assert product.series.terms == witt_mul_dense(a, b).series.terms
+    assert back == a and rebuilt == b
+    assert unit == ring_one_series(F3, 2, 6)
+    assert value == geometric_pair(f, g, g.d - 1)
 
 
 def test_few_term_product_at_n6_d20_uses_shared_parts_only(monkeypatch):

@@ -1,16 +1,21 @@
-"""Dense references for the Witt ring product and the decomposition.
+"""Dense and series-built references for the Witt ring product, the
+decomposition and the coordinate conversions.
 
 In one variable the product is the convolution of the two peeled
-coordinate families at the full truncation.  In several variables both
-factors are split into one-variable components at every primitive
-exponent of the box, each pair of components is multiplied, and the
-products are substituted back and multiplied together, identity
-components included.  It does work proportional to the whole exponent
-box and exists to check the library's product, which touches only the
-primitive parts both factors share.  ``decompose_dense`` builds a
-component at every primitive exponent of the box, identities included,
-and checks the library's ``decompose``, which builds only the parts an
-element has.
+coordinate families at the full truncation, each binomial power expanded
+as a series and multiplied in with ``TruncatedSeries.mul``
+(``mul_coordinate_families``).  In several variables both factors are
+split into one-variable components at every primitive exponent of the
+box, each pair of components is multiplied, and the products are
+substituted back and multiplied together, identity components included.
+It does work proportional to the whole exponent box and shares no
+product code with the library's ``witt_mul``, which feeds the binomials
+of the primitive parts both factors share straight into one n-variable
+product.  ``decompose_dense`` builds a component at every primitive
+exponent of the box, identities included, and checks the library's
+``decompose``, which builds only the parts an element has.
+``recompose_series`` and ``ring_one_series`` multiply as series: the
+substituted parts one ``mul`` at a time, and (1 - t^nu) by shift and add.
 
 ``witt_coordinates_box`` is the coordinate peel that walks the whole
 exponent box, rebuilding the running quotient as a series after every
@@ -20,6 +25,8 @@ on packed exponent keys and touch only the exponents the series has.
 """
 
 from __future__ import annotations
+
+from math import gcd
 
 from multiwitt.series import (
     TruncatedSeries,
@@ -33,10 +40,71 @@ from multiwitt.witt import (
     WittElement,
     from_coordinates,
     group_by_primitive,
-    mul_coordinate_families,
     one_var_order,
     witt_coordinates,
 )
+
+
+def _binomial_power(ring, d: int, L: int, c: int, g: int) -> TruncatedSeries:
+    """(1 - c t^L)^g as a truncated series in one variable."""
+    terms = {(0,): ring.one}
+    binom = 1
+    pw = ring.one
+    discarded = False
+    for k in range(1, g + 1):
+        binom = binom * (g - k + 1) // k
+        pw = ring.rmul(pw, c)
+        if pw == 0:
+            break
+        coef = ring.rmul(ring.rint(binom if k % 2 == 0 else -binom), pw)
+        if coef == 0:
+            continue
+        if k * L >= d:
+            discarded = True
+            continue
+        terms[(k * L,)] = coef
+    return TruncatedSeries(ring, 1, d, terms, exact=not discarded)
+
+
+def mul_coordinate_families(ring, d: int, ca: dict, cb: dict) -> TruncatedSeries:
+    """The one-variable convolution product of two coordinate families
+    {i: a_i}, {j: b_j} at truncation d, one binomial power at a time."""
+    acc = TruncatedSeries.one(ring, 1, d, exact=True)
+    for i, ai in ca.items():
+        for j, bj in cb.items():
+            g = gcd(i, j)
+            L = i * j // g
+            c = ring.rmul(ring.rpow(ai, j // g), ring.rpow(bj, i // g))
+            if c == 0:
+                continue
+            if L >= d:
+                # a genuinely nonzero factor falls outside the window
+                acc = acc.copy_with(exact=False)
+                continue
+            acc = acc.mul(_binomial_power(ring, d, L, c, g))
+    return acc
+
+
+def _substitute(comp: TruncatedSeries, nu: tuple, n: int, d: int) -> TruncatedSeries:
+    """comp(s) at s = t^nu in n variables."""
+    terms = {tuple(i * v for v in nu): c for (i,), c in comp.terms.items()}
+    return TruncatedSeries(comp.ring, n, d, terms)
+
+
+def recompose_series(fam: OneVarComponentFamily) -> WittElement:
+    """Substitute s = t^nu in every part and multiply the series."""
+    acc = TruncatedSeries.one(fam.ring, fam.n, fam.d)
+    for nu in sorted(fam.parts, key=grlex_key):
+        acc = acc.mul(_substitute(fam.parts[nu].series, nu, fam.n, fam.d))
+    return WittElement(acc)
+
+
+def ring_one_series(ring, n: int, d: int) -> WittElement:
+    """Product of (1 - t^nu) over primitive nu, |nu| < d, by shift and add."""
+    acc = TruncatedSeries.one(ring, n, d)
+    for nu in primitive_exponents_below(n, d):
+        acc = acc.add_series(acc.scale_shift(ring.rneg(ring.one), nu))
+    return WittElement(acc)
 
 
 def decompose_dense(a: WittElement) -> OneVarComponentFamily:
@@ -74,8 +142,7 @@ def witt_mul_dense(a: WittElement, b: WittElement) -> WittElement:
     acc = TruncatedSeries.one(a.ring, a.n, a.d)
     for nu in sorted(fa.components, key=grlex_key):
         comp = witt_mul_1var(fa.components[nu], fb.components[nu])
-        terms = {tuple(i * v for v in nu): c for (i,), c in comp.series.terms.items()}
-        acc = acc.mul(TruncatedSeries(a.ring, a.n, a.d, terms))
+        acc = acc.mul(_substitute(comp.series, nu, a.n, a.d))
     return WittElement(acc)
 
 
