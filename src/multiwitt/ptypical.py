@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import NonIntegral, NotNilpotent, ShapeMismatch, TooLarge
 from .ring import CoeffRing, RingElement
@@ -279,12 +278,14 @@ def integer_pwitt(c: int, p: int, m: int, ring: CoeffRing | None = None) -> PWit
 AH_COEFFICIENT_LIMIT = 1000
 
 
-@lru_cache(maxsize=None)
+_AH_COEFFICIENTS = {}  # p -> the coefficients built so far, extended on demand
+
+
 def artin_hasse_coefficients(p: int, count: int) -> tuple:
     """First ``count`` coefficients of AH(s) by n a_n = sum_{p^i <= n} a_{n - p^i},
     each checked to be p-integral."""
-    out = []
-    for n in range(count):
+    out = _AH_COEFFICIENTS.setdefault(p, [])
+    for n in range(len(out), count):
         if n == 0:
             a = Fraction(1)
         else:
@@ -296,7 +297,7 @@ def artin_hasse_coefficients(p: int, count: int) -> tuple:
         if a.denominator % p == 0:
             raise NonIntegral(f"Artin-Hasse coefficient {n} is {a}, not {p}-integral")
         out.append(a)
-    return tuple(out)
+    return tuple(out[:count])
 
 
 def _reduce_fraction(ring: CoeffRing, c: Fraction) -> int:
@@ -332,11 +333,12 @@ def ah_value(ring: CoeffRing, x_raw: int) -> int:
     """AH(x) for nilpotent x: the finite sum of a_k x^k."""
     if not ring.is_nilpotent_raw(x_raw):
         raise NotNilpotent("Artin-Hasse evaluation at 1 needs a nilpotent argument")
+    # x^k = 0 from k = nil on, so the coefficients a_k with k < nil suffice
+    coeffs = artin_hasse_coefficients(ring.p, ring.nil)
     acc = ring.one
     xp = x_raw
     k = 1
     while xp != 0:
-        coeffs = artin_hasse_coefficients(ring.p, k + 1)
         acc = ring.radd(acc, ring.rmul(_reduce_fraction(ring, coeffs[k]), xp))
         xp = ring.rmul(xp, x_raw)
         k += 1

@@ -137,6 +137,14 @@ class TruncatedSeries:
         self.terms = clean
         self._hash = None
 
+    @classmethod
+    def _make(cls, ring: CoeffRing, n: int, d: int, terms: dict, exact: bool) -> "TruncatedSeries":
+        """A series from terms valid for (n, d) and free of zeros: no re-check."""
+        self = object.__new__(cls)
+        self.ring, self.n, self.d, self.exact = ring, n, d, exact
+        self.terms, self._hash = terms, None
+        return self
+
     # construction helpers ------------------------------------------------
 
     @classmethod
@@ -234,13 +242,15 @@ class TruncatedSeries:
                         del out[e]
                     else:
                         out[e] = s
-        return TruncatedSeries(
+        return TruncatedSeries._make(
             ring, self.n, d, out, self.exact and other.exact and not discarded
         )
 
     def scale_shift(self, raw_coef: int, shift_exp: tuple) -> "TruncatedSeries":
         """Multiply by (coef * t^shift), discarding overflowing terms."""
         ring, d = self.ring, self.d
+        if len(shift_exp) != self.n or min(shift_exp) < 0:
+            raise ShapeMismatch(f"shift {list(shift_exp)} is not an exponent in {self.n} variables")
         out = {}
         ds = sum(shift_exp)
         discarded = False
@@ -252,7 +262,7 @@ class TruncatedSeries:
             prod = ring.rmul(c, raw_coef)
             if prod:
                 out[tuple(x + y for x, y in zip(e, shift_exp))] = prod
-        return TruncatedSeries(ring, self.n, d, out, self.exact and not discarded)
+        return TruncatedSeries._make(ring, self.n, d, out, self.exact and not discarded)
 
     def add_series(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check_shape(other)
@@ -268,7 +278,7 @@ class TruncatedSeries:
                     del out[e]
                 else:
                     out[e] = s
-        return TruncatedSeries(ring, self.n, self.d, out, self.exact and other.exact)
+        return TruncatedSeries._make(ring, self.n, self.d, out, self.exact and other.exact)
 
     def inv(self) -> "TruncatedSeries":
         ring = self.ring
@@ -282,7 +292,7 @@ class TruncatedSeries:
             if sum(e) == 0:
                 continue
             x_terms[e] = ring.rneg(ring.rmul(u, c))
-        x = TruncatedSeries(ring, self.n, self.d, x_terms, self.exact)
+        x = TruncatedSeries._make(ring, self.n, self.d, x_terms, self.exact)
         acc = TruncatedSeries.one(ring, self.n, self.d, exact=True)
         pw = x
         terminated = not x.terms
@@ -298,6 +308,8 @@ class TruncatedSeries:
     def truncate(self, d_new: int) -> "TruncatedSeries":
         if d_new > self.d:
             raise ShapeMismatch("cannot extend a truncated series")
+        if d_new < 1:
+            raise ValueError("need n >= 1 and d >= 1")
         if d_new == self.d:
             return self
         out = {}
@@ -307,7 +319,7 @@ class TruncatedSeries:
                 out[e] = c
             else:
                 discarded = True
-        return TruncatedSeries(self.ring, self.n, d_new, out, self.exact and not discarded)
+        return TruncatedSeries._make(self.ring, self.n, d_new, out, self.exact and not discarded)
 
     def extend(self, d_new: int) -> "TruncatedSeries":
         """Reinterpret an exact polynomial at a larger truncation order."""

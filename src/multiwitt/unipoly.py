@@ -1,13 +1,14 @@
 """Univariate polynomials over a CoeffRing: resultants and root scans.
 
-The resultant is the determinant of the Sylvester matrix, computed by
-Bird's division-free algorithm (R. S. Bird, "A simple division-free
-algorithm for computing determinants", IPL 111, 2011): O(N^4) ring
-operations for an N x N matrix, fewer on the sparse Sylvester rows.
-Gaussian or fraction-free elimination is avoided on purpose: pivots can be
-zero divisors once nilpotents are around, while Bird's recurrence only
-ever multiplies, adds and negates.  The exponential Laplace expansion it
-replaced lives on as the test oracle ``tests/det_oracle.py``.
+The resultant is the determinant of the Sylvester matrix, by Gaussian
+elimination pivoted on eps-valuation: O(N^3) ring operations for size N.
+R = F_q[eps]/(eps^e) is a chain ring: a nonzero raw element is eps^v * u
+with u a unit, v its count of trailing zero base-q digits.  So a column's
+entry of least valuation divides the others, and clearing the column never
+divides by a zero divisor; the determinant is the signed product of the
+pivots.  ``SYLVESTER_LIMIT`` bounds the size before the matrix is built.
+The test oracles in ``tests/det_oracle.py`` are the Laplace expansion and
+Bird's division-free O(N^4) recurrence, which this elimination replaced.
 
 Root finding serves as an independent cross-check for the resultant path.
 Roots are located by exhaustive evaluation over F_(q^s), the same
@@ -21,7 +22,7 @@ division.  This is deliberately desk-scale.
 
 from __future__ import annotations
 
-from .errors import EmptyInput, ExtensionBoundExceeded, ShapeMismatch
+from .errors import EmptyInput, ExtensionBoundExceeded, ShapeMismatch, TooLarge
 from .ring import CoeffRing, RingElement
 
 
@@ -97,38 +98,40 @@ class UnivariatePolynomial:
             raise ShapeMismatch("polynomials over different rings")
 
 
-def _det_bird(rows, ring) -> int:
-    """Determinant by Bird's division-free recurrence.
+# the elimination takes about 1 s at this Sylvester size
+SYLVESTER_LIMIT = 512
 
-    X_1 = A and X_(k+1) = mu(X_k) A, where mu(X) keeps the strict upper
-    triangle of X and puts -(X[i+1][i+1] + ... + X[n-1][n-1]) on the
-    diagonal; then det A = (-1)^(n-1) X_n[0][0].  Rows of mu(X) A are
-    sums of scaled rows of A, so zero entries of A are skipped.
-    """
-    radd, rneg, rmul = ring.radd, ring.rneg, ring.rmul
+
+def _det_chain(rows, ring) -> int:
+    """Determinant by elimination pivoted on eps-valuation: column k's pivot
+    eps^v * u is its entry of least valuation at or below row k, and an
+    entry b below it is the pivot times (b // q^v) * u^-1."""
+    q, add, neg, mul, inv = ring.q, ring._add, ring._neg, ring._mul, ring._inv
     n = len(rows)
-    sparse = [[(j, a) for j, a in enumerate(r) if a] for r in rows]
-    x = rows
-    for step in range(1, n):
-        diag = [0] * n
-        trace = 0
-        for i in range(n - 1, -1, -1):
-            diag[i] = rneg(trace)
-            trace = radd(trace, x[i][i])
-        # only X_n[0][0] is read, so the last product needs row 0 alone
-        nxt = []
-        for i in range(1 if step == n - 1 else n):
-            out = [0] * n
-            xi = x[i]
-            for k in range(i, n):
-                c = diag[i] if k == i else xi[k]
-                if c:
-                    for j, a in sparse[k]:
-                        out[j] = radd(out[j], rmul(c, a))
-            nxt.append(out)
-        x = nxt
-    det = x[0][0]
-    return rneg(det) if n % 2 == 0 else det
+    rows = [list(r) for r in rows]
+    det = ring.one
+    for k in range(n):
+        low, best = ring.nil, -1
+        for i in range(k, n):
+            a, v = rows[i][k], 0
+            while a and a % q == 0:
+                a, v = a // q, v + 1
+            if a and v < low:
+                low, best = v, i
+        if best < 0:
+            return 0
+        if best != k:
+            rows[k], rows[best] = rows[best], rows[k]
+            det = neg[det]
+        pivot_row, shift = rows[k], q**low
+        det, unit_inv = mul[det][pivot_row[k]], inv[pivot_row[k] // shift]
+        tail = [(j, a) for j, a in enumerate(pivot_row[k + 1 :], k + 1) if a]
+        for r in rows[k + 1 :]:
+            if r[k]:
+                by = mul[neg[mul[r[k] // shift][unit_inv]]]
+                for j, a in tail:
+                    r[j] = add[r[j]][by[a]]
+    return det
 
 
 def sylvester_matrix(a: UnivariatePolynomial, b: UnivariatePolynomial):
@@ -158,7 +161,9 @@ def resultant(a: UnivariatePolynomial, b: UnivariatePolynomial) -> RingElement:
         return ring.from_raw(ring.rpow(a.coeffs[0], n))
     if n == 0:
         return ring.from_raw(ring.rpow(b.coeffs[0], m))
-    return ring.from_raw(_det_bird(sylvester_matrix(a, b), ring))
+    if m + n > SYLVESTER_LIMIT:
+        raise TooLarge(f"Sylvester matrix of size {m + n}, beyond limit {SYLVESTER_LIMIT}")
+    return ring.from_raw(_det_chain(sylvester_matrix(a, b), ring))
 
 
 def roots_with_multiplicity(f: UnivariatePolynomial, max_ext: int):

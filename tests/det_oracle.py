@@ -1,9 +1,12 @@
-"""Laplace-expansion reference for determinants over a CoeffRing.
+"""Two reference determinants over a CoeffRing, neither of which divides.
 
-The expansion runs along the rows and memoizes each minor on the set of
-columns already used, so it needs no division but takes time and memory
-exponential in the matrix size.  It is slow and exists to check the
-library's division-free determinant against an independent construction.
+``_det_memo`` is the Laplace expansion along the rows, memoizing each minor
+on the set of columns already used; it takes time and memory exponential
+in the matrix size.  ``_det_bird`` is Bird's division-free recurrence
+(R. S. Bird, "A simple division-free algorithm for computing
+determinants", IPL 111, 2011), O(N^4) ring operations.  Both check the
+library's valuation-pivoted elimination against constructions that never
+pick a pivot.
 """
 
 from __future__ import annotations
@@ -39,3 +42,37 @@ def _det_memo(rows, ring) -> int:
         return acc
 
     return det(0, 0)
+
+
+def _det_bird(rows, ring) -> int:
+    """Determinant by Bird's division-free recurrence.
+
+    X_1 = A and X_(k+1) = mu(X_k) A, where mu(X) keeps the strict upper
+    triangle of X and puts -(X[i+1][i+1] + ... + X[n-1][n-1]) on the
+    diagonal; then det A = (-1)^(n-1) X_n[0][0].  Rows of mu(X) A are
+    sums of scaled rows of A, so zero entries of A are skipped.
+    """
+    radd, rneg, rmul = ring.radd, ring.rneg, ring.rmul
+    n = len(rows)
+    sparse = [[(j, a) for j, a in enumerate(r) if a] for r in rows]
+    x = rows
+    for step in range(1, n):
+        diag = [0] * n
+        trace = 0
+        for i in range(n - 1, -1, -1):
+            diag[i] = rneg(trace)
+            trace = radd(trace, x[i][i])
+        # only X_n[0][0] is read, so the last product needs row 0 alone
+        nxt = []
+        for i in range(1 if step == n - 1 else n):
+            out = [0] * n
+            xi = x[i]
+            for k in range(i, n):
+                c = diag[i] if k == i else xi[k]
+                if c:
+                    for j, a in sparse[k]:
+                        out[j] = radd(out[j], rmul(c, a))
+            nxt.append(out)
+        x = nxt
+    det = x[0][0]
+    return rneg(det) if n % 2 == 0 else det

@@ -232,6 +232,20 @@ def test_oversized_census_rejected_quickly():
         ["lang-census", "--n", "1", "--q", "2", "--s", "100000", "--d", "2"],
         # 10^8 Artin-Hasse coefficients, counted before the first is built
         ["ah-exp", "--ring", F2_RING, "--d", "100000000", "--payload", '{"x": [[1]]}'],
+        # a Sylvester matrix of size 529, checked before it is built
+        [
+            "pair",
+            "--geometric",
+            "--ring",
+            R22_RING,
+            "--payload",
+            json.dumps(
+                {
+                    "f": series_doc(1, 2, [((0,), [[1], [0]]), ((1,), [[0], [1]])], exact=True),
+                    "g": series_doc(1, 530, [((k,), [[1]]) for k in range(530)]),
+                }
+            ),
+        ],
     ],
 )
 def test_oversized_job_rejected_quickly(argv):

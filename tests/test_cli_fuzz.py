@@ -5,8 +5,9 @@ key an object does not take with exit 1.
 Each job is a valid one (flags, ring descriptor, payload) with a single
 mutation applied.  Integers stay small, except that a field order --q or
 an extension degree --s too large for the ring tables must exit 1 with
-TooLarge at once, and ``ah-exp`` at any --d and j up to 10^9 must end in
-exit 0 or 1 with one JSON document.
+TooLarge at once, and ``ah-exp`` at any --d and j up to 10^9, like
+``pair`` at any --d and --m up to 10^9, must end in exit 0 or 1 with one
+JSON document.
 """
 
 import contextlib
@@ -188,4 +189,19 @@ def test_large_ah_exp_exits_0_or_1(d, j):
     doc["flags"]["d"] = d
     doc["payload"]["j"] = j
     code, text = run_main(argv_of("ah-exp", doc))
+    assert code in (0, 1), text
+
+
+@settings(FUZZ, max_examples=25)
+@given(
+    st.sampled_from(["--both", "--algebraic", "--geometric"]),
+    st.integers(1, 10**9),
+    st.integers(1, 10**9),
+)
+def test_large_pair_exits_0_or_1(mode, d, m):
+    doc = job_doc("pair")
+    doc["flags"].update(d=d, m=m)
+    argv = argv_of("pair", doc)
+    argv[1] = mode
+    code, text = run_main(argv)
     assert code in (0, 1), text

@@ -21,6 +21,7 @@ from multiwitt import (
     witt_add,
     witt_mul,
 )
+from multiwitt import ptypical
 from multiwitt.witt import WittElement, enumerate_witt_elements, random_witt_element
 
 from conftest import RINGS
@@ -178,6 +179,23 @@ def test_artin_hasse_recurrence_matches_exp_log():
         reference = artin_hasse_by_exp_log(p, 60)
         for count in range(61):
             assert artin_hasse_coefficients(p, count) == reference[:count]
+
+
+def test_artin_hasse_coefficients_built_once_per_prime(monkeypatch):
+    class CountingList(list):
+        appends = 0
+
+        def append(self, value):
+            CountingList.appends += 1
+            super().append(value)
+
+    monkeypatch.setitem(ptypical._AH_COEFFICIENTS, 2, CountingList())
+    got = {count: artin_hasse_coefficients(2, count) for count in (999, 1000, 998)}
+    assert CountingList.appends == 1000
+    monkeypatch.setitem(ptypical._AH_COEFFICIENTS, 2, [])
+    fresh = artin_hasse_coefficients(2, 1000)
+    for count, coeffs in got.items():
+        assert coeffs == fresh[:count]
 
 
 def test_pairing_example_and_bilinearity(rng):

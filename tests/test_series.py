@@ -163,6 +163,46 @@ def test_zero_coefficients_never_stored(any_ring, rng):
         assert all(v != 0 for v in a.mul(b).terms.values())
 
 
+def random_series(ring, n, d, rng, unit_constant=False):
+    terms = {}
+    for e in exponents_below(n, d):
+        if rng.random() < 0.5:
+            terms[e] = rng.choice([ring.random_raw(rng), ring.random_nilpotent_raw(rng)])
+    if unit_constant:
+        c = 0
+        while not ring.is_unit_raw(c):
+            c = ring.random_raw(rng)
+        terms[(0,) * n] = c
+    return TruncatedSeries(ring, n, d, terms, exact=rng.random() < 0.5)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_arithmetic_results_pass_the_public_checks(any_ring, n, rng):
+    # mul, scale_shift, add_series, truncate and inv build their results
+    # without re-validation; the public constructor must accept them as is
+    for _ in range(15):
+        d = rng.randrange(2, 6)
+        a, b = random_series(any_ring, n, d, rng), random_series(any_ring, n, d, rng)
+        shift = tuple(rng.randrange(2) for _ in range(n))
+        results = [
+            a.mul(b),
+            a.scale_shift(any_ring.random_raw(rng), shift),
+            a.add_series(b),
+            a.add_series(a.scale_shift(any_ring.rneg(any_ring.one), (0,) * n)),
+            a.truncate(rng.randrange(1, d + 1)),
+            random_series(any_ring, n, d, rng, unit_constant=True).inv(),
+        ]
+        for r in results:
+            checked = TruncatedSeries(r.ring, r.n, r.d, dict(r.terms), r.exact)
+            assert (checked.terms, checked.exact) == (r.terms, r.exact)
+    with pytest.raises(ShapeMismatch):
+        a.scale_shift(any_ring.one, (1,) * (n + 1))
+    with pytest.raises(ShapeMismatch):
+        a.scale_shift(any_ring.one, (-1,) + (1,) * (n - 1))
+    with pytest.raises(ValueError):
+        a.truncate(0)
+
+
 def test_grlex_enumeration_sorted():
     exps = exponents_below(3, 4)
     assert list(exps) == sorted(exps, key=grlex_key)

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 from conftest import RINGS
-from det_oracle import _det_memo
+from det_oracle import _det_bird, _det_memo
 
 from multiwitt import (
     CoeffRing,
@@ -13,7 +13,7 @@ from multiwitt import (
     resultant,
     roots_with_multiplicity,
 )
-from multiwitt.unipoly import _det_bird, base_embedding, sylvester_matrix
+from multiwitt.unipoly import _det_chain, base_embedding, sylvester_matrix
 
 
 def lin(ring, a_raw):
@@ -272,6 +272,15 @@ def random_poly(ring, degree, rng, unit_lead=False):
     return UnivariatePolynomial(ring, [ring.random_raw(rng) for _ in range(degree)] + [lead])
 
 
+def check_det(rows, ring):
+    """The elimination's determinant, after checking it against both oracles."""
+    det = _det_chain(rows, ring)
+    assert det == _det_memo(rows, ring) == _det_bird(rows, ring)
+    return det
+
+
+# the test names predate the elimination; each now checks it and Bird's
+# recurrence against the Laplace expansion
 @pytest.mark.parametrize("name", sorted(RINGS))
 def test_bird_matches_laplace_oracle(name, rng):
     ring = RINGS[name]
@@ -285,10 +294,10 @@ def test_bird_matches_laplace_oracle(name, rng):
                 i, j = rng.sample(range(n), 2)
                 repeated[j] = list(repeated[i])
             for rows in (full, nilpotent, repeated):
-                assert _det_bird(rows, ring) == _det_memo(rows, ring)
+                check_det(rows, ring)
             if n > 1:
-                assert _det_bird(repeated, ring) == 0
-            assert ring.is_nilpotent_raw(_det_bird(nilpotent, ring))
+                assert _det_chain(repeated, ring) == 0
+            assert ring.is_nilpotent_raw(_det_chain(nilpotent, ring))
 
 
 @pytest.mark.parametrize("q, nil", [(5, 3), (2, 4)])
@@ -299,7 +308,82 @@ def test_bird_matches_laplace_oracle_on_sylvester(q, nil, rng):
             m = rng.randrange(1, size)
             rows = sylvester_matrix(random_poly(ring, m, rng), random_poly(ring, size - m, rng))
             assert len(rows) == size
-            assert _det_bird(rows, ring) == _det_memo(rows, ring)
+            check_det(rows, ring)
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+def test_elimination_matches_both_oracles_on_sylvester(name, rng):
+    ring = RINGS[name]
+    for size in range(2, 13):
+        m = rng.randrange(1, size)
+        a, b = random_poly(ring, m, rng), random_poly(ring, size - m, rng)
+        assert resultant(a, b).raw == check_det(sylvester_matrix(a, b), ring)
+
+
+def unit(ring, rng):
+    while True:
+        a = rng.randrange(1, ring.size)
+        if ring.is_unit_raw(a):
+            return a
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+def test_elimination_pivot_branches(name, rng):
+    ring = RINGS[name]
+    n = 6
+    for _ in range(10):
+        # an all-zero column: no pivot, determinant 0
+        rows = [[ring.random_raw(rng) for _ in range(n)] for _ in range(n)]
+        col = rng.randrange(n)
+        for r in rows:
+            r[col] = 0
+        assert check_det(rows, ring) == 0
+
+        # the only unit of column 0 is in the last row: one swap flips the sign
+        rows = [[ring.random_raw(rng) for _ in range(n)] for _ in range(n)]
+        for r in rows[:-1]:
+            r[0] = ring.random_nilpotent_raw(rng)
+        rows[-1][0] = unit(ring, rng)
+        check_det(rows, ring)
+
+        # a row that is a combination of two others turns zero midway
+        rows = [[ring.random_raw(rng) for _ in range(n)] for _ in range(n)]
+        c0, c1 = ring.random_raw(rng), ring.random_raw(rng)
+        rows[3] = [ring.radd(ring.rmul(c0, x), ring.rmul(c1, y)) for x, y in zip(rows[0], rows[1])]
+        assert check_det(rows, ring) == 0
+
+        if ring.nil == 1:
+            continue
+        # column 0 holds no unit, and its least valuation, 1, sits below
+        # row 0, whose entry has valuation nil - 1 (or is 0 when nil = 2)
+        rows = [[ring.random_raw(rng) for _ in range(n)] for _ in range(n)]
+        high = ring.rpow(ring.eps_raw, ring.nil - 1) if ring.nil > 2 else 0
+        for r in rows:
+            r[0] = ring.rmul(high, unit(ring, rng))
+        rows[rng.randrange(1, n)][0] = ring.rmul(ring.eps_raw, unit(ring, rng))
+        check_det(rows, ring)
+
+
+def test_resultant_size_bounded_before_the_matrix(rng, monkeypatch):
+    def refuse(a, b):
+        raise AssertionError("Sylvester matrix built beyond the limit")
+
+    monkeypatch.setattr("multiwitt.unipoly.sylvester_matrix", refuse)
+    ring = CoeffRing.make(3, nil=2)
+    a, b = random_poly(ring, 300, rng), random_poly(ring, 300, rng)
+    with pytest.raises(TooLarge, match="size 600"):
+        resultant(a, b)
+
+
+def test_resultant_multiplicative_at_size_200(rng):
+    ring = CoeffRing.make(3, nil=2)
+    for _ in range(2):
+        a = random_poly(ring, 100, rng)
+        b1 = random_poly(ring, rng.randrange(45, 56), rng, unit_lead=True)
+        b2 = random_poly(ring, 100 - b1.degree, rng, unit_lead=True)
+        b = b1.mul(b2)
+        assert a.degree + b.degree >= 200
+        assert resultant(a, b) == resultant(a, b1) * resultant(a, b2)
 
 
 def test_resultant_multiplicative_at_size_30(rng):
