@@ -18,10 +18,10 @@ the Frobenius-over-identity map, and confirms that its kernel is exactly
 the F_q-rational subgroup.
 
 The whole-group enumerations (the brute-force oracle, the census and the
-transition check) run on raw coefficient tuples under a dense group law
-read straight from the ring tables, and bound the group order in closed
-form before building anything.  The same loops over WittElement and
-witt_add are the test oracle tests/cft_oracle.py.
+transition check) bound the group order in closed form, then run on raw
+coefficient tuples under a dense group law compiled once per (ring, n, d)
+to straight-line code over the ring tables.  Its loop form and the same
+loops over WittElement and witt_add are the test oracle tests/cft_oracle.py.
 """
 
 from __future__ import annotations
@@ -29,9 +29,8 @@ from __future__ import annotations
 import random
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product
-from math import comb
 
 from .errors import InvalidTruncation, NotAbelian, NotClosed, TooLarge
 from .ring import CoeffRing, check_table_size
@@ -42,6 +41,8 @@ BRUTE_FORCE_LIMIT = 10**4
 CENSUS_LIMIT = 10**6
 PI1_GENERATOR_LIMIT = 10**5
 PAIR_CHECK_LIMIT = 4 * 10**4
+# ranks past this get a lower bound: at n = d = 10^9 the rank has 6 * 10^8 digits
+RANK_COUNT_LIMIT = 10**18
 
 
 @dataclass(frozen=True)
@@ -81,9 +82,11 @@ def pi1_truncated(n: int, q: int, d: int, ring: CoeffRing | None = None) -> Abel
         raise InvalidTruncation("coefficients must form the field F_q")
     p, e = ring.p, ring.field.e
     # e generators per exponent at most, counted before building the box
-    estimate = e * _group_rank(n, d)
+    rank = _group_rank(n, d)
+    estimate = e * rank
     if estimate > PI1_GENERATOR_LIMIT:
-        raise TooLarge(f"up to {estimate} generators, beyond limit {PI1_GENERATOR_LIMIT}")
+        shown = f"up to {estimate}" if rank <= RANK_COUNT_LIMIT else f"at least {estimate}"
+        raise TooLarge(f"{shown} generators, beyond limit {PI1_GENERATOR_LIMIT}")
     gens = []  # (order, exponent, basis element x^b as a field index)
     exps = [nu for nu in exponents_below(n, d) if sum(nu) > 0]
     for nu in exps:
@@ -225,8 +228,17 @@ def brute_force_structure(elements, op) -> AbelianGroupStructure:
 
 
 def _group_rank(n: int, d: int) -> int:
-    """Number of exponents with 0 < |nu| < d in n variables."""
-    return comb(n + d - 1, n) - 1
+    """Number of exponents with 0 < |nu| < d in n variables, or a lower
+    bound past RANK_COUNT_LIMIT: comb(n + d - 1, k), k = min(n, d - 1), is
+    built from partials comb(n + d - 1 - k + i, i) that at least double."""
+    if n < 1 or d < 1:
+        raise InvalidTruncation("need n >= 1 variables and truncation level d >= 1")
+    c, top, k = 1, n + d - 1, min(n, d - 1)
+    for i in range(1, k + 1):
+        c = c * (top - k + i) // i
+        if c - 1 > RANK_COUNT_LIMIT:
+            break
+    return c - 1
 
 
 def _bounded_order(size: int, rank: int, limit: int, what: str) -> int:
@@ -235,7 +247,8 @@ def _bounded_order(size: int, rank: int, limit: int, what: str) -> int:
     size >= 2, so capping the exponent at the limit's bit length decides
     the comparison without forming a huge power."""
     if size ** min(rank, limit.bit_length()) > limit:
-        raise TooLarge(f"{what} of order {size}^{rank} beyond limit {limit}")
+        shown = rank if rank <= RANK_COUNT_LIMIT else f"(at least {rank})"
+        raise TooLarge(f"{what} of order {size}^{shown} beyond limit {limit}")
     return size**rank
 
 
@@ -253,6 +266,9 @@ class _DenseLaw:
     series product, z_k = x_k + y_k + sum x_i y_j over the pairs (i, j)
     with exps[i] + exps[j] = exps[k]; both i and j precede k, so the
     inverse solves y_k = -(x_k + sum x_i y_j) in index order.
+
+    ``op`` and ``inv`` are straight-line code built from the pairs alone,
+    one statement per pair; the loop form is in tests/cft_oracle.py.
     """
 
     def __init__(self, ring: CoeffRing, n: int, d: int):
@@ -265,31 +281,13 @@ class _DenseLaw:
                 k = index.get(tuple(x + y for x, y in zip(a, b)))
                 if k is not None:
                     self.pairs[k].append((i, j))
-
-    def op(self, x: tuple, y: tuple) -> tuple:
-        add, mul = self.ring._add, self.ring._mul
-        out = []
-        for k, pairs in enumerate(self.pairs):
-            s = add[x[k]][y[k]]
-            for i, j in pairs:
-                s = add[s][mul[x[i]][y[j]]]
-            out.append(s)
-        return tuple(out)
-
-    def inv(self, x: tuple) -> tuple:
-        add, mul, neg = self.ring._add, self.ring._mul, self.ring._neg
-        y = []
-        for k, pairs in enumerate(self.pairs):
-            s = x[k]
-            for i, j in pairs:
-                s = add[s][mul[x[i]][y[j]]]
-            y.append(neg[s])
-        return tuple(y)
+        self.op, self.inv = _compile_law(self.pairs, ring)
 
     def random(self, rng) -> tuple:
         """An element drawn as random_witt_element draws it, so a seed
         names the same elements on both."""
-        return tuple(self.ring.random_raw(rng) for _ in self.exps)
+        size = self.ring.size
+        return tuple(rng.randrange(size) for _ in self.exps)
 
     def to_witt(self, x: tuple) -> WittElement:
         terms = dict(zip(self.exps, x))
@@ -297,11 +295,40 @@ class _DenseLaw:
         return WittElement(TruncatedSeries(self.ring, self.n, self.d, terms))
 
 
+def _compile_law(pairs: list, ring: CoeffRing):
+    """Straight-line ``op(x, y)`` and ``inv(x)`` for the pairs of a _DenseLaw."""
+
+    def names(c):
+        return "".join(f"{c}{k}, " for k in range(len(pairs)))
+    # A as a local reads faster than a global; m_i is the mul table row of x_i
+    rows = sorted({i for ks in pairs for i, _ in ks})
+    unpack = ["    A = add", f"    ({names('x')}) = x", *(f"    m{i} = mul[x{i}]" for i in rows)]
+    op = ["def op(x, y):", *unpack, f"    ({names('y')}) = y"]
+    inv = ["def inv(x):", *unpack]
+    for k, ks in enumerate(pairs):
+        op.append(f"    z{k} = A[x{k}][y{k}]")
+        op += [f"    z{k} = A[z{k}][m{i}[y{j}]]" for i, j in ks]
+        inv.append(f"    y{k} = x{k}")
+        inv += [f"    y{k} = A[y{k}][m{i}[y{j}]]" for i, j in ks]
+        inv.append(f"    y{k} = neg[y{k}]")
+    op.append(f"    return ({names('z')})")
+    inv.append(f"    return ({names('y')})")
+    namespace = {"add": ring._add, "mul": ring._mul, "neg": ring._neg}
+    exec("\n".join(op + inv), namespace)
+    return namespace["op"], namespace["inv"]
+
+
+@lru_cache(maxsize=32)
+def _dense_law(ring: CoeffRing, n: int, d: int) -> _DenseLaw:
+    """The law of (ring, n, d), built and compiled once while cached."""
+    return _DenseLaw(ring, n, d)
+
+
 def witt_group_structure_brute(ring: CoeffRing, n: int, d: int) -> AbelianGroupStructure:
     """Brute-force oracle applied to the truncated group itself."""
     rank = _group_rank(n, d)
     _bounded_order(ring.size, rank, BRUTE_FORCE_LIMIT, "group")
-    law = _DenseLaw(ring, n, d)
+    law = _dense_law(ring, n, d)
     s = brute_force_structure(_coefficient_tuples(ring.size, rank), law.op)
     return AbelianGroupStructure(
         s.invariant_factors, s.order, lambda: tuple(law.to_witt(w) for w in s.witnesses)
@@ -343,12 +370,13 @@ def lang_kernel_census(n: int, q: int, s: int, d: int, seed: int = 0) -> LangCen
         raise InvalidTruncation("extension characteristic mismatch")
     rank = _group_rank(n, d)
     total = _bounded_order(big.size, rank, CENSUS_LIMIT, "census")
-    law = _DenseLaw(big, n, d)
+    law = _dense_law(big, n, d)
     frob_q = [big.rfrob(c, q) for c in big.element_indices()]
+    frob, op, inv = frob_q.__getitem__, law.op, law.inv
 
     def lang(x):
         # Frobenius minus identity: the law is written multiplicatively
-        return law.op(tuple(frob_q[c] for c in x), law.inv(x))
+        return op(tuple(map(frob, x)), inv(x))
 
     one = (0,) * rank
     kernel = 0

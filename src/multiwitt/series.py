@@ -91,6 +91,8 @@ def unpack_exponent(key: int, n: int, d: int) -> tuple:
 @lru_cache(maxsize=32)
 def exponents_below(n: int, d: int) -> tuple:
     """All exponent tuples with 0 <= |nu| < d, in graded order."""
+    if n < 1 or d < 1:
+        raise ValueError("need n >= 1 and d >= 1")
 
     def compositions(m, total):
         if m == 1:

@@ -6,6 +6,10 @@ public series arithmetic alone.  They are slow and exist to check the
 library's enumerations, which run the same loops on raw coefficient
 tuples: the same invariant factors, witnesses in the same order, and
 the same census on the same seed.
+
+``loop_op`` and ``loop_inv`` are the dense law on raw coefficient tuples
+as plain loops over its pairs, the reference for the compiled ``op`` and
+``inv`` of ``multiwitt.cft._DenseLaw``.
 """
 
 from __future__ import annotations
@@ -30,6 +34,30 @@ from multiwitt.witt import (
     random_witt_element,
     witt_add,
 )
+
+
+def loop_op(law, x: tuple, y: tuple) -> tuple:
+    """z_k = x_k + y_k + sum x_i y_j over the pairs of exponent k."""
+    add, mul = law.ring._add, law.ring._mul
+    out = []
+    for k, pairs in enumerate(law.pairs):
+        s = add[x[k]][y[k]]
+        for i, j in pairs:
+            s = add[s][mul[x[i]][y[j]]]
+        out.append(s)
+    return tuple(out)
+
+
+def loop_inv(law, x: tuple) -> tuple:
+    """y_k = -(x_k + sum x_i y_j), solved in index order."""
+    add, mul, neg = law.ring._add, law.ring._mul, law.ring._neg
+    y = []
+    for k, pairs in enumerate(law.pairs):
+        s = x[k]
+        for i, j in pairs:
+            s = add[s][mul[x[i]][y[j]]]
+        y.append(neg[s])
+    return tuple(y)
 
 
 def witt_group_structure_brute(ring: CoeffRing, n: int, d: int) -> AbelianGroupStructure:

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import cft_oracle
@@ -21,7 +22,7 @@ from multiwitt import (
     witt_group_structure_brute,
     witt_neg,
 )
-from multiwitt.cft import _DenseLaw, generator_order_exponent
+from multiwitt.cft import _coefficient_tuples, _DenseLaw, generator_order_exponent
 from multiwitt.series import exponents_below
 from multiwitt.witt import random_witt_element
 
@@ -76,6 +77,39 @@ def test_pi1_json_builds_no_witnesses(monkeypatch):
 def test_invalid_truncation():
     with pytest.raises(InvalidTruncation):
         pi1_truncated(1, 2, 1)
+
+
+F2 = CoeffRing.make(2)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_pi1_rejects_no_variables(n):
+    with pytest.raises(InvalidTruncation):
+        pi1_truncated(n, 2, 3)
+
+
+@pytest.mark.parametrize("n,d", [(0, 3), (-2, 3), (1, 0), (1, -1)])
+def test_oracle_rejects_empty_shape(n, d):
+    with pytest.raises(InvalidTruncation):
+        witt_group_structure_brute(F2, n, d)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_census_rejects_no_variables(n):
+    with pytest.raises(InvalidTruncation):
+        lang_kernel_census(n, 2, 1, 3)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_transition_rejects_no_variables(n):
+    with pytest.raises(InvalidTruncation):
+        transition_surjective(F2, n, 3, 2)
+
+
+@pytest.mark.parametrize("n,d", [(0, 3), (-1, 3), (2, 0), (2, -1)])
+def test_exponents_below_rejects_empty_shape(n, d):
+    with pytest.raises(ValueError):
+        exponents_below(n, d)
 
 
 def test_structure_sweep_matches_oracle():
@@ -204,6 +238,13 @@ def test_group_rank_closed_form():
             assert cft._group_rank(n, d) == len(exponents_below(n, d)) - 1
 
 
+def test_group_rank_stops_at_a_lower_bound_past_the_limit():
+    assert cft.RANK_COUNT_LIMIT < cft._group_rank(40, 40) < math.comb(79, 40) - 1
+    # ranks of up to about 6 * 10^8 digits, each reached in a few steps
+    for n, d in ((10**5, 10**5), (10**9, 10**9), (10**9, 10**9 // 2)):
+        assert cft._group_rank(n, d) > cft.RANK_COUNT_LIMIT
+
+
 def test_oversized_enumerations_rejected_before_the_box(monkeypatch):
     def no_box(n, d):
         raise AssertionError(f"exponent box ({n}, {d}) built")
@@ -254,6 +295,49 @@ def test_dense_draw_matches_random_witt_element(any_ring):
     for _ in range(20):
         x = law.random(dense_rng)
         assert law.to_witt(x) == random_witt_element(any_ring, 2, 4, witt_rng)
+
+
+def check_against_loop_law(law, rng, count):
+    for _ in range(count):
+        x, y = law.random(rng), law.random(rng)
+        assert law.op(x, y) == cft_oracle.loop_op(law, x, y)
+        assert law.inv(x) == cft_oracle.loop_inv(law, x)
+
+
+def test_compiled_law_matches_loop_law(any_ring):
+    rng = random.Random(11)
+    for n, d in ((1, 6), (2, 4), (3, 3)):
+        check_against_loop_law(_DenseLaw(any_ring, n, d), rng, 40)
+
+
+@pytest.mark.parametrize("n,d", [(1, 20), (2, 6), (3, 4)])
+def test_widest_compiled_laws_match_loop_law(n, d):
+    # rank 19, 20 and 19 over F_2: the deepest straight-line bodies
+    check_against_loop_law(_DenseLaw(F2, n, d), random.Random(n * 100 + d), 50)
+
+
+def test_rank_zero_law():
+    for n in (1, 3):
+        law = _DenseLaw(F2, n, 1)
+        assert law.exps == [] and law.op((), ()) == () and law.inv(()) == ()
+    assert witt_group_structure_brute(F2, 1, 1) == cft.AbelianGroupStructure((), 1)
+
+
+def test_law_is_built_once_per_shape():
+    assert cft._dense_law(F2, 2, 3) is cft._dense_law(CoeffRing.make(2), 2, 3)
+    assert cft._dense_law(F2, 2, 3) is not cft._dense_law(F2, 2, 4)
+
+
+def test_brute_force_same_on_loop_and_compiled_law():
+    for n, q, d in PI1_GRID:
+        law = _DenseLaw(CoeffRing.make(q), n, d)
+        size, rank = law.ring.size, len(law.exps)
+        got = brute_force_structure(_coefficient_tuples(size, rank), law.op)
+        want = brute_force_structure(
+            _coefficient_tuples(size, rank), lambda x, y: cft_oracle.loop_op(law, x, y)
+        )
+        assert got == want, (n, q, d)
+        assert got.witnesses == want.witnesses, (n, q, d)
 
 
 def test_oracle_matches_witt_add_reference_on_pi1_grid():

@@ -167,6 +167,27 @@ def test_decompose_output_is_pinned(capsys, name, ring, terms):
     assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()
 
 
+@pytest.mark.parametrize(
+    "name,argv",
+    [
+        ("pi1_n2_q4_d3_oracle.json", ["pi1", "--n", "2", "--q", "4", "--d", "3", "--oracle"]),
+        # 1,000 sampled endomorphism pairs: the bytes pin the seeded draws
+        (
+            "lang_census_sampled.json",
+            ["lang-census", "--n", "1", "--q", "2", "--s", "2", "--d", "5", "--seed", "7"],
+        ),
+        # 16 elements, every one of the 256 pairs checked
+        (
+            "lang_census_exhaustive.json",
+            ["lang-census", "--n", "1", "--q", "2", "--s", "2", "--d", "3"],
+        ),
+    ],
+)
+def test_cft_output_is_pinned(capsys, name, argv):
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()
+
+
 def test_ah_exp_command(capsys):
     code, doc = run_cli(
         capsys,

@@ -5,9 +5,10 @@ key an object does not take with exit 1.
 Each job is a valid one (flags, ring descriptor, payload) with a single
 mutation applied.  Integers stay small, except that a field order --q or
 an extension degree --s too large for the ring tables must exit 1 with
-TooLarge at once, and ``ah-exp`` at any --d and j up to 10^9, like
-``pair`` at any --d and --m up to 10^9, must end in exit 0 or 1 with one
-JSON document.
+TooLarge at once, as must ``pi1`` and ``lang-census`` on a shape --n,
+--d up to 10^9 whose group is too large, and ``ah-exp`` at any --d and j
+up to 10^9, like ``pair`` at any --d and --m up to 10^9, must end in
+exit 0 or 1 with one JSON document.
 """
 
 import contextlib
@@ -179,6 +180,24 @@ def test_large_field_exits_1_with_too_large(job, data):
     doc = job_doc(command)
     doc["flags"][flag] = data.draw(LARGE[flag])
     code, text = run_main(argv_of(command, doc))
+    assert code == 1 and json.loads(text)["error"]["kind"] == "TooLarge", text
+
+
+# (n, d) with more than 10^5 exponents below d, past every cft limit at q = 2
+LARGE_SHAPE = st.one_of(
+    st.tuples(st.integers(20, 10**9), st.integers(20, 10**9)),
+    st.tuples(st.integers(1, 10**9), st.integers(10**5 + 2, 10**9)),
+    st.tuples(st.integers(10**5 + 1, 10**9), st.integers(2, 10**9)),
+)
+
+
+@settings(FUZZ, max_examples=40)
+@given(st.sampled_from([("pi1",), ("pi1", "--oracle"), ("lang-census",)]), LARGE_SHAPE)
+def test_large_shape_exits_1_with_too_large(job, shape):
+    command = job[0]
+    doc = job_doc(command)
+    doc["flags"]["n"], doc["flags"]["d"] = shape
+    code, text = run_main(argv_of(command, doc) + list(job[1:]))
     assert code == 1 and json.loads(text)["error"]["kind"] == "TooLarge", text
 
 
