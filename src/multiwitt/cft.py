@@ -34,7 +34,7 @@ from itertools import product
 
 from .errors import InvalidTruncation, NotAbelian, NotClosed, TooLarge
 from .ring import CoeffRing, check_table_size
-from .series import TruncatedSeries, content, exponents_below, zero_exp
+from .series import TruncatedSeries, content, exponents_below, pack_exponent
 from .witt import WittElement, enumerate_witt_elements
 
 BRUTE_FORCE_LIMIT = 10**4
@@ -262,8 +262,8 @@ class _DenseLaw:
     """The truncated group over ``ring`` on raw coefficient tuples.
 
     The element 1 + sum_k x_k t^exps[k] is the tuple x, with exps the
-    nonzero exponents below d in graded order.  The group law is the
-    series product, z_k = x_k + y_k + sum x_i y_j over the pairs (i, j)
+    nonzero exponents below d in graded order (``keys`` holds their series
+    keys).  The group law is the series product, z_k = x_k + y_k + sum x_i y_j over the pairs (i, j)
     with exps[i] + exps[j] = exps[k]; both i and j precede k, so the
     inverse solves y_k = -(x_k + sum x_i y_j) in index order.
 
@@ -274,6 +274,7 @@ class _DenseLaw:
     def __init__(self, ring: CoeffRing, n: int, d: int):
         self.ring, self.n, self.d = ring, n, d
         self.exps = [e for e in exponents_below(n, d) if sum(e) > 0]
+        self.keys = [pack_exponent(e, d) for e in self.exps]
         index = {e: k for k, e in enumerate(self.exps)}
         self.pairs = [[] for _ in self.exps]
         for i, a in enumerate(self.exps):
@@ -290,9 +291,9 @@ class _DenseLaw:
         return tuple(rng.randrange(size) for _ in self.exps)
 
     def to_witt(self, x: tuple) -> WittElement:
-        terms = dict(zip(self.exps, x))
-        terms[zero_exp(self.n)] = self.ring.one
-        return WittElement(TruncatedSeries(self.ring, self.n, self.d, terms))
+        keys = {0: self.ring.one}
+        keys.update((k, c) for k, c in zip(self.keys, x) if c)
+        return WittElement(TruncatedSeries._make(self.ring, self.n, self.d, keys, False))
 
 
 def _compile_law(pairs: list, ring: CoeffRing):

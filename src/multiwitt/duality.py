@@ -40,7 +40,7 @@ from .errors import (
 )
 from .ptypical import pi_epsilon_inverse, pwitt_pair
 from .ring import CoeffRing, RingElement
-from .series import TruncatedSeries, zero_exp
+from .series import TruncatedSeries, exponents_below, unpack_exponent
 from .unipoly import UnivariatePolynomial, resultant
 from .witt import (
     WittCoordinates,
@@ -64,10 +64,10 @@ class FormalWittElement:
             raise ShapeMismatch("formal elements are exact polynomials")
         if series.constant_raw != series.ring.one:
             raise ShapeMismatch("constant term must be 1")
-        ring = series.ring
-        for e, c in series.terms.items():
-            if sum(e) > 0 and not ring.is_nilpotent_raw(c):
-                raise NotNilpotent(f"coefficient at {e} is not nilpotent")
+        ring, n, d = series.ring, series.n, series.d
+        for k, c in series.keys.items():
+            if k and not ring.is_nilpotent_raw(c):
+                raise NotNilpotent(f"coefficient at {unpack_exponent(k, n, d)} is not nilpotent")
         self.series = series
 
     @property
@@ -82,6 +82,8 @@ class FormalWittElement:
     def degree(self) -> int:
         return self.series.support_degree()
 
+    # equal polynomials at different truncation orders are one element, so
+    # these compare exponent tuples: the keys depend on d
     def __eq__(self, other):
         return isinstance(other, FormalWittElement) and self.series.terms == other.series.terms
 
@@ -141,9 +143,7 @@ def is_polynomial_unit(u: TruncatedSeries) -> bool:
     ring = u.ring
     if not ring.is_unit_raw(u.constant_raw):
         return False
-    return all(
-        ring.is_nilpotent_raw(c) for e, c in u.terms.items() if sum(e) > 0
-    )
+    return all(ring.is_nilpotent_raw(c) for k, c in u.keys.items() if k)
 
 
 def unit_class(u: TruncatedSeries) -> UnitClass:
@@ -154,11 +154,12 @@ def unit_class(u: TruncatedSeries) -> UnitClass:
     if not ring.is_unit_raw(u.constant_raw):
         raise NotAUnit("constant term is not a unit")
     inv0 = ring.rinv(u.constant_raw)
-    scaled = u.scale_shift(inv0, zero_exp(u.n))
-    for e, c in scaled.terms.items():
-        if sum(e) > 0 and not ring.is_nilpotent_raw(c):
-            raise NotAUnit(f"coefficient at {e} is not nilpotent")
-    return UnitClass(FormalWittElement(scaled))
+    scaled = u.map_coefficients(lambda c: ring.rmul(c, inv0))
+    try:
+        formal = FormalWittElement(scaled)
+    except NotNilpotent as exc:
+        raise NotAUnit(str(exc)) from None
+    return UnitClass(formal)
 
 
 # pairing plumbing -----------------------------------------------------------
@@ -170,7 +171,7 @@ def _lift_to(ring: CoeffRing, g: WittElement) -> WittElement:
     if g.ring == ring:
         return g
     if g.ring == CoeffRing(ring.field, 1):
-        return WittElement(TruncatedSeries(ring, g.n, g.d, dict(g.series.terms)))
+        return WittElement(TruncatedSeries._make(ring, g.n, g.d, g.series.keys, False))
     raise ShapeMismatch("second argument must live over the ring or its field part")
 
 
@@ -276,7 +277,7 @@ def _geometric_value(f_series: TruncatedSeries, g: WittElement, m: int) -> int:
     ring = f_series.ring
     # g' = truncation of g below degree m, as an ascending coefficient list
     gp = [0] * m
-    for (k,), c in g.series.terms.items():
+    for k, c in g.series.keys.items():
         if k < m:
             gp[k] = c
     while gp and gp[-1] == 0:
@@ -289,7 +290,7 @@ def _geometric_value(f_series: TruncatedSeries, g: WittElement, m: int) -> int:
         return ring.one
     reverse = UnivariatePolynomial.from_raw(ring, list(reversed(gp)))
     f_poly = UnivariatePolynomial.from_raw(
-        ring, [f_series.terms.get((k,), 0) for k in range(f_deg + 1)]
+        ring, [f_series.keys.get(k, 0) for k in range(f_deg + 1)]
     )
     return resultant(reverse, f_poly).raw
 
@@ -342,13 +343,9 @@ def random_formal_element(
     ring: CoeffRing, n: int, max_degree: int, rng
 ) -> FormalWittElement:
     """Random exact polynomial with nilpotent coefficients up to max_degree."""
-    from .series import exponents_below
-
-    terms = {zero_exp(n): ring.one}
+    terms = {(0,) * n: ring.one}
     deg = 1
-    for e in exponents_below(n, max_degree + 1):
-        if sum(e) == 0:
-            continue
+    for e in exponents_below(n, max_degree + 1)[1:]:
         c = ring.random_nilpotent_raw(rng)
         if c:
             terms[e] = c

@@ -35,7 +35,7 @@ from fractions import Fraction
 
 from .errors import NonIntegral, NotNilpotent, ShapeMismatch, TooLarge
 from .ring import CoeffRing, RingElement
-from .series import TruncatedSeries
+from .series import TruncatedSeries, check_shape
 from .witt import WittElement
 
 
@@ -314,19 +314,20 @@ def artin_hasse_exp(x: RingElement, j: int, d: int) -> WittElement:
     ring = x.ring
     if j < 1:
         raise ValueError("exponent j must be >= 1")
+    check_shape(1, d)
     kmax = (d - 1) // j
     if kmax + 1 > AH_COEFFICIENT_LIMIT:
         need = f"E(x, t^{j}) at d = {d} needs {kmax + 1} Artin-Hasse coefficients"
         raise TooLarge(f"{need}, beyond limit {AH_COEFFICIENT_LIMIT}")
     coeffs = artin_hasse_coefficients(ring.p, kmax + 1)
-    terms = {(0,): ring.one}
+    terms = {0: ring.one}  # one variable: keys are degrees
     xp = ring.one
     for k in range(1, kmax + 1):
         xp = ring.rmul(xp, x.raw)
         c = ring.rmul(_reduce_fraction(ring, coeffs[k]), xp)
         if c:
-            terms[(j * k,)] = c
-    return WittElement(TruncatedSeries(ring, 1, d, terms, exact=False))
+            terms[j * k] = c
+    return WittElement(TruncatedSeries._make(ring, 1, d, terms, False))
 
 
 def ah_value(ring: CoeffRing, x_raw: int) -> int:
@@ -388,7 +389,7 @@ def pi_epsilon_inverse(a: WittElement) -> dict:
     entries = {j: [0] * m for j, m in lengths.items()}
     running = a.series
     for k in range(1, d):
-        c = running.terms.get((k,), 0)
+        c = running.keys.get(k, 0)
         j, i = k, 0
         while j % p == 0:
             j //= p
@@ -398,7 +399,7 @@ def pi_epsilon_inverse(a: WittElement) -> dict:
         entries[j][i] = c
         factor = artin_hasse_exp(ring.from_raw(c), k, d)
         running = running.mul(factor.series.inv())
-    if any(sum(e) != 0 for e in running.terms):
+    if running.support_degree():
         raise NonIntegral("factor peeling left a nonunit remainder")
     return {j: PWittVector(p, e, ring) for j, e in entries.items()}
 

@@ -555,6 +555,3 @@ class RingElement:
 
     def frobenius(self, qpow: int) -> "RingElement":
         return RingElement(self.ring, self.ring.rfrob(self.raw, qpow))
-
-    def to_json(self):
-        return self.coords

@@ -1,12 +1,15 @@
 """Sparse truncated power series in n variables over a CoeffRing.
 
-A series is a map from exponent tuples (nu_1, .., nu_n) to nonzero
-coefficients, restricted to total degree |nu| < d for the truncation
-order d.  Exponent tuples are ordered by total degree first, then by
-tuple comparison; this graded order is used for canonical serialization.
-``pack_exponent`` encodes an exponent below d as one integer whose
-integer order is the graded order and under which adding exponents is
-adding integers; the coordinate conversions in witt.py run on it.
+A series maps exponents nu = (nu_1, .., nu_n) with |nu| < d, the
+truncation order, to nonzero coefficients.  This module owns the one
+exponent encoding the library computes with, the integer key of
+``pack_exponent``: key order is the graded order (total degree, then
+tuple comparison), keys add when monomials multiply, an exponent is below
+d exactly when its key is below d^n, the constant term is key 0, and in
+one variable the key is the degree.  A series stores its terms as
+``keys``, a dict from key to raw coefficient.  Exponent tuples appear
+only at the public edge: the constructor, JSON, and ``terms``, a
+tuple-keyed view built on first read.
 
 The ``exact`` flag marks a series that represents a genuine polynomial:
 no nonzero term was ever discarded while producing it.  Multiplication
@@ -22,16 +25,25 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd
 
-from .errors import NonUnitConstantTerm, NotExact, SchemaError, ShapeMismatch
+from .errors import NonUnitConstantTerm, NotExact, SchemaError, ShapeMismatch, TooLarge
 from .ring import CoeffRing, RingElement, json_int, json_object
 
-ZERO_EXP_CACHE = {}
+# an exponent in n variables below d has n entries and a key below d^n, an
+# n * log2(d)-bit integer: n * d.bit_length() bounds both
+EXPONENT_BITS_LIMIT = 1 << 16
 
 
-def zero_exp(n: int) -> tuple:
-    if n not in ZERO_EXP_CACHE:
-        ZERO_EXP_CACHE[n] = (0,) * n
-    return ZERO_EXP_CACHE[n]
+def check_shape(n: int, d: int) -> None:
+    """ValueError unless n, d >= 1; TooLarge, before anything is built, when
+    exponents at (n, d) are past ``EXPONENT_BITS_LIMIT``."""
+    if n < 1 or d < 1:
+        raise ValueError("need n >= 1 and d >= 1")
+    bits = n * d.bit_length()
+    if bits > EXPONENT_BITS_LIMIT:
+        raise TooLarge(
+            f"at n = {n}, d = {d} an exponent has {n} entries and a key below d^n "
+            f"of up to {bits} bits, beyond limit {EXPONENT_BITS_LIMIT}"
+        )
 
 
 def grlex_key(exp: tuple):
@@ -65,13 +77,15 @@ def parse_exponent(values, seen) -> tuple:
 
 
 def pack_exponent(exp: tuple, d: int) -> int:
-    """The key |nu| * d^n + sum_i nu_i * d^(n-1-i) of an exponent below d.
+    """The key |nu| * d^(n-1) + sum_(i<n-1) nu_i * d^(n-2-i) of an exponent.
 
-    Every digit nu_i is below d while |nu| < d, so integer order is the
-    graded order, key // d^n is the degree, and key(a) + key(b) is
-    key(a + b) when |a + b| < d and at least d^(n+1) otherwise."""
+    The last entry is fixed by |nu| and the others, so it takes no digit.
+    Every digit is below d while |nu| < d, so integer order is the graded
+    order, key // d^(n-1) is the degree, and key(a) + key(b) is key(a + b)
+    when |a + b| < d; any exponent of degree d or more has a key of at
+    least d^n."""
     key = sum(exp)
-    for v in exp:
+    for v in exp[:-1]:
         key = key * d + v
     return key
 
@@ -79,8 +93,9 @@ def pack_exponent(exp: tuple, d: int) -> int:
 def unpack_exponent(key: int, n: int, d: int) -> tuple:
     """The exponent tuple in n variables that ``pack_exponent`` maps to key."""
     digits = [0] * n
-    for i in range(n - 1, -1, -1):
+    for i in range(n - 2, -1, -1):
         key, digits[i] = divmod(key, d)
+    digits[-1] = key - sum(digits)  # key is now |nu|
     return tuple(digits)
 
 
@@ -91,8 +106,7 @@ def unpack_exponent(key: int, n: int, d: int) -> tuple:
 @lru_cache(maxsize=32)
 def exponents_below(n: int, d: int) -> tuple:
     """All exponent tuples with 0 <= |nu| < d, in graded order."""
-    if n < 1 or d < 1:
-        raise ValueError("need n >= 1 and d >= 1")
+    check_shape(n, d)
 
     def compositions(m, total):
         if m == 1:
@@ -114,18 +128,15 @@ def primitive_exponents_below(n: int, d: int) -> tuple:
 
 
 class TruncatedSeries:
-    """Truncated series; immutable once constructed."""
+    """Truncated series; immutable once constructed.  ``keys`` maps packed
+    exponent keys to raw coefficients."""
 
-    __slots__ = ("ring", "n", "d", "exact", "terms", "_hash")
+    __slots__ = ("ring", "n", "d", "exact", "keys", "_terms", "_hash")
 
     def __init__(self, ring: CoeffRing, n: int, d: int, terms: dict, exact: bool = False):
-        if n < 1 or d < 1:
-            raise ValueError("need n >= 1 and d >= 1")
-        self.ring = ring
-        self.n = n
-        self.d = d
-        self.exact = exact
-        clean = {}
+        """A series from a dict of exponent tuples to raw coefficients."""
+        check_shape(n, d)
+        keys = {}
         for exp, raw in terms.items():
             if min(exp, default=0) < 0:
                 raise ShapeMismatch(f"exponent {list(exp)} has a negative entry")
@@ -135,47 +146,54 @@ class TruncatedSeries:
                 raise ShapeMismatch(f"exponent {exp} has wrong arity")
             if sum(exp) >= d:
                 raise ShapeMismatch(f"term {exp} at or beyond truncation {d}")
-            clean[exp] = raw
-        self.terms = clean
-        self._hash = None
+            keys[pack_exponent(exp, d)] = raw
+        self.ring, self.n, self.d, self.exact = ring, n, d, exact
+        self.keys, self._terms, self._hash = keys, None, None
 
     @classmethod
-    def _make(cls, ring: CoeffRing, n: int, d: int, terms: dict, exact: bool) -> "TruncatedSeries":
-        """A series from terms valid for (n, d) and free of zeros: no re-check."""
+    def _make(cls, ring: CoeffRing, n: int, d: int, keys: dict, exact: bool) -> "TruncatedSeries":
+        """A series from keys valid for (n, d) and free of zeros: no re-check."""
         self = object.__new__(cls)
         self.ring, self.n, self.d, self.exact = ring, n, d, exact
-        self.terms, self._hash = terms, None
+        self.keys, self._terms, self._hash = keys, None, None
         return self
 
     # construction helpers ------------------------------------------------
 
     @classmethod
     def one(cls, ring: CoeffRing, n: int, d: int, exact: bool = False) -> "TruncatedSeries":
-        return cls(ring, n, d, {zero_exp(n): ring.one}, exact)
+        check_shape(n, d)
+        return cls._make(ring, n, d, {0: ring.one}, exact)
 
     def copy_with(self, terms=None, d=None, exact=None) -> "TruncatedSeries":
-        return TruncatedSeries(
-            self.ring,
-            self.n,
-            self.d if d is None else d,
-            self.terms if terms is None else terms,
-            self.exact if exact is None else exact,
-        )
+        exact = self.exact if exact is None else exact
+        if terms is None and d is None:
+            return TruncatedSeries._make(self.ring, self.n, self.d, self.keys, exact)
+        d = self.d if d is None else d
+        return TruncatedSeries(self.ring, self.n, d, self.terms if terms is None else terms, exact)
 
     # basic queries --------------------------------------------------------
 
+    @property
+    def terms(self) -> dict:
+        """The terms keyed by exponent tuple, built from ``keys`` on first read."""
+        if self._terms is None:
+            n, d = self.n, self.d
+            self._terms = {unpack_exponent(k, n, d): c for k, c in self.keys.items()}
+        return self._terms
+
     def coeff_raw(self, exp: tuple) -> int:
-        return self.terms.get(exp, 0)
+        return self.terms.get(tuple(exp), 0)
 
     def coeff(self, exp: tuple) -> RingElement:
-        return self.ring.from_raw(self.terms.get(tuple(exp), 0))
+        return self.ring.from_raw(self.coeff_raw(exp))
 
     @property
     def constant_raw(self) -> int:
-        return self.terms.get(zero_exp(self.n), 0)
+        return self.keys.get(0, 0)
 
     def support_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
+        return max(self.keys, default=0) // self.d ** (self.n - 1)
 
     def __eq__(self, other):
         return (
@@ -183,21 +201,21 @@ class TruncatedSeries:
             and self.ring == other.ring
             and self.n == other.n
             and self.d == other.d
-            and self.terms == other.terms
+            and self.keys == other.keys
         )
 
     def __hash__(self):
         if self._hash is None:
-            items = tuple(sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0])))
-            self._hash = hash((self.ring, self.n, self.d, items))
+            self._hash = hash((self.ring, self.n, self.d, tuple(sorted(self.keys.items()))))
         return self._hash
 
     def __repr__(self):
-        if not self.terms:
+        if not self.keys:
             return "<series 0>"
         bits = []
-        for exp in sorted(self.terms, key=grlex_key):
-            c = self.ring.pretty(self.terms[exp])
+        for key in sorted(self.keys):
+            c = self.ring.pretty(self.keys[key])
+            exp = unpack_exponent(key, self.n, self.d)
             mono = "*".join(
                 f"t{i}" if v == 1 else f"t{i}^{v}" for i, v in enumerate(exp) if v
             )
@@ -221,17 +239,17 @@ class TruncatedSeries:
         self._check_shape(other)
         ring, d = self.ring, self.d
         radd, rmul = ring.radd, ring.rmul
+        limit = d**self.n
         out = {}
         discarded = False
-        for ea, ca in self.terms.items():
-            da = sum(ea)
-            for eb, cb in other.terms.items():
-                if da + sum(eb) >= d:
+        for ea, ca in self.keys.items():
+            for eb, cb in other.keys.items():
+                e = ea + eb
+                if e >= limit:
                     # only a nonzero cross term costs exactness
                     if not discarded and rmul(ca, cb) != 0:
                         discarded = True
                     continue
-                e = tuple(x + y for x, y in zip(ea, eb))
                 prod = rmul(ca, cb)
                 if prod == 0:
                     continue
@@ -253,24 +271,24 @@ class TruncatedSeries:
         ring, d = self.ring, self.d
         if len(shift_exp) != self.n or min(shift_exp) < 0:
             raise ShapeMismatch(f"shift {list(shift_exp)} is not an exponent in {self.n} variables")
+        shift, limit = pack_exponent(shift_exp, d), d**self.n
         out = {}
-        ds = sum(shift_exp)
         discarded = False
-        for e, c in self.terms.items():
-            if sum(e) + ds >= d:
+        for e, c in self.keys.items():
+            if e + shift >= limit:
                 if not discarded and ring.rmul(c, raw_coef) != 0:
                     discarded = True
                 continue
             prod = ring.rmul(c, raw_coef)
             if prod:
-                out[tuple(x + y for x, y in zip(e, shift_exp))] = prod
+                out[e + shift] = prod
         return TruncatedSeries._make(ring, self.n, d, out, self.exact and not discarded)
 
     def add_series(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check_shape(other)
         ring = self.ring
-        out = dict(self.terms)
-        for e, c in other.terms.items():
+        out = dict(self.keys)
+        for e, c in other.keys.items():
             cur = out.get(e)
             if cur is None:
                 out[e] = c
@@ -283,82 +301,73 @@ class TruncatedSeries:
         return TruncatedSeries._make(ring, self.n, self.d, out, self.exact and other.exact)
 
     def inv(self) -> "TruncatedSeries":
-        ring = self.ring
+        ring, n, d = self.ring, self.n, self.d
         c0 = self.constant_raw
         if not ring.is_unit_raw(c0):
             raise NonUnitConstantTerm("series inverse needs a unit constant term")
         u = ring.rinv(c0)
         # 1/a = u * 1/(1 + u*(a - c0)) = u * sum (-u (a - c0))^k, k < d
-        x_terms = {}
-        for e, c in self.terms.items():
-            if sum(e) == 0:
-                continue
-            x_terms[e] = ring.rneg(ring.rmul(u, c))
-        x = TruncatedSeries._make(ring, self.n, self.d, x_terms, self.exact)
-        acc = TruncatedSeries.one(ring, self.n, self.d, exact=True)
+        x_keys = {e: ring.rneg(ring.rmul(u, c)) for e, c in self.keys.items() if e}
+        x = TruncatedSeries._make(ring, n, d, x_keys, self.exact)
+        acc = TruncatedSeries._make(ring, n, d, {0: ring.one}, True)
         pw = x
-        terminated = not x.terms
-        for _ in range(1, self.d):
-            if not pw.terms:
+        terminated = not x.keys
+        for _ in range(1, d):
+            if not pw.keys:
                 terminated = True
                 break
             acc = acc.add_series(pw)
             pw = pw.mul(x)
-        exact = self.exact and (terminated or not pw.terms)
-        return acc.scale_shift(u, zero_exp(self.n)).copy_with(exact=exact)
+        exact = self.exact and (terminated or not pw.keys)
+        # u is a unit, so no coefficient of u * acc vanishes
+        out = {e: ring.rmul(c, u) for e, c in acc.keys.items()}
+        return TruncatedSeries._make(ring, n, d, out, exact)
 
     def truncate(self, d_new: int) -> "TruncatedSeries":
         if d_new > self.d:
             raise ShapeMismatch("cannot extend a truncated series")
-        if d_new < 1:
-            raise ValueError("need n >= 1 and d >= 1")
-        if d_new == self.d:
-            return self
-        out = {}
-        discarded = False
-        for e, c in self.terms.items():
-            if sum(e) < d_new:
-                out[e] = c
-            else:
-                discarded = True
-        return TruncatedSeries._make(self.ring, self.n, d_new, out, self.exact and not discarded)
+        return self if d_new == self.d else self._rekeyed(d_new)
 
     def extend(self, d_new: int) -> "TruncatedSeries":
         """Reinterpret an exact polynomial at a larger truncation order."""
         if not self.exact:
             raise NotExact("only exact series can be carried to a larger order")
-        if d_new < self.d:
-            return self.truncate(d_new)
-        return TruncatedSeries(self.ring, self.n, d_new, self.terms, True)
+        return self.truncate(d_new) if d_new <= self.d else self._rekeyed(d_new)
+
+    def _rekeyed(self, d_new: int) -> "TruncatedSeries":
+        """The terms below degree d_new, keyed for truncation d_new; exact
+        when this series is and no term was dropped."""
+        n, d = self.n, self.d
+        check_shape(n, d_new)
+        pairs = ((unpack_exponent(k, n, d), c) for k, c in self.keys.items())
+        out = {pack_exponent(e, d_new): c for e, c in pairs if sum(e) < d_new}
+        exact = self.exact and len(out) == len(self.keys)
+        return TruncatedSeries._make(self.ring, n, d_new, out, exact)
 
     def eval_all_ones(self) -> RingElement:
         if not self.exact:
             raise NotExact("evaluation at t = 1 is only defined for exact series")
         ring = self.ring
         acc = 0
-        for c in self.terms.values():
+        for c in self.keys.values():
             acc = ring.radd(acc, c)
         return ring.from_raw(acc)
 
     def map_coefficients(self, fn) -> "TruncatedSeries":
-        out = {}
-        for e, c in self.terms.items():
-            v = fn(c)
-            if v:
-                out[e] = v
-        return TruncatedSeries(self.ring, self.n, self.d, out, self.exact)
+        out = {e: v for e, c in self.keys.items() if (v := fn(c))}
+        return TruncatedSeries._make(self.ring, self.n, self.d, out, self.exact)
 
     # serialization --------------------------------------------------------
 
     def to_json_dict(self):
-        ring = self.ring
+        ring, n, d = self.ring, self.n, self.d
         return {
-            "n": self.n,
-            "d": self.d,
+            "n": n,
+            "d": d,
             "exact": self.exact,
             "terms": [
-                {"exp": list(e), "c": ring.raw_to_coords(self.terms[e])}
-                for e in sorted(self.terms, key=grlex_key)
+                {"exp": list(unpack_exponent(k, n, d)), "c": ring.raw_to_coords(self.keys[k])}
+                for k in sorted(self.keys)
             ],
         }
 

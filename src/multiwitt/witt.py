@@ -7,10 +7,10 @@ family {r_nu} is the coordinate form, and extraction peels factors off in
 graded order.  Dividing by (1 - r t^nu) changes the running quotient only
 above degree |nu|, apart from removing its term at nu, so the peel is a
 frontier walk: degree by degree, it visits only the exponents the
-quotient holds.  Both coordinate conversions run on a dict from packed
-integer exponent keys (``series.pack_exponent``), where a shift by k nu
-is one integer add and the truncation test one comparison; tuples appear
-only on entry and exit.
+quotient holds.  Both coordinate conversions run on the series' own
+packed exponent keys (``series.pack_exponent``), where a shift by k nu is
+one integer add and the truncation test one comparison; exponent tuples
+appear only in the public coordinate family.
 
 Grouping exponents by their primitive part splits the group into a finite
 product of one-variable components: nu = i * nu0 with gcd(nu0) = 1 turns
@@ -28,8 +28,8 @@ element has, and the full family, identities filled in at every other
 primitive exponent, is built only when read.
 
 Every product here is thus an ordered product of binomials (1 - r t^nu),
-formed by one loop, ``binomial_product``, on packed keys, where s^L at
-s = t^nu0 has key L * key(nu0).  ``from_coordinates`` feeds it the
+formed by one loop, ``binomial_product``, on the keys of series.py, where
+s^L at s = t^nu0 has key L * key(nu0).  ``from_coordinates`` feeds it the
 coordinates; ``witt_mul`` the convolution binomials of only the parts
 both factors share, never flagging the product exact; ``recompose`` the
 coordinates of each part; ``ring_one``, the unit at truncation d, the
@@ -49,6 +49,7 @@ from .errors import NilpotentCoefficients, ShapeMismatch
 from .ring import CoeffRing, RingElement, json_object
 from .series import (
     TruncatedSeries,
+    check_shape,
     content,
     exponents_below,
     grlex_key,
@@ -57,7 +58,6 @@ from .series import (
     primitive_exponents_below,
     primitive_part,
     unpack_exponent,
-    zero_exp,
 )
 
 
@@ -88,13 +88,9 @@ class WittElement:
     def binomial(
         cls, ring: CoeffRing, n: int, d: int, exp: tuple, coeff_raw: int
     ) -> "WittElement":
-        """The factor 1 - coeff * t^exp (exact when it fits under d)."""
-        terms = {zero_exp(n): ring.one}
-        if coeff_raw != 0:
-            if sum(exp) >= d:
-                raise ShapeMismatch(f"exponent {exp} at or beyond truncation {d}")
-            terms[tuple(exp)] = ring.rneg(coeff_raw)
-        return cls(TruncatedSeries(ring, n, d, terms, exact=True))
+        """The factor 1 - coeff * t^exp, an exact polynomial."""
+        term = TruncatedSeries(ring, n, d, {tuple(exp): ring.rneg(coeff_raw)}, exact=True)
+        return cls(TruncatedSeries.one(ring, n, d, exact=True).add_series(term))
 
     # delegation -----------------------------------------------------------
 
@@ -163,6 +159,7 @@ class WittCoordinates:
     __slots__ = ("ring", "n", "d", "coords")
 
     def __init__(self, ring: CoeffRing, n: int, d: int, coords: dict):
+        check_shape(n, d)
         for exp in coords:
             if len(exp) != n or any(v < 0 for v in exp) or not 0 < sum(exp) < d:
                 raise ShapeMismatch(
@@ -265,19 +262,19 @@ def witt_coordinates(a: WittElement) -> WittCoordinates:
     """Peel binomial factors in graded order, visiting only the exponents
     the running quotient has.
 
-    The quotient lives in a dict from packed exponent keys to raw
-    coefficients, without its constant term 1.  Dividing it by
-    (1 - r t^nu) removes the term at nu and adds r^k t^(k nu) times every
-    other term, all above degree |nu|, so the walk goes degree by degree
-    over the keys each degree holds, in key order, and files every key a
-    division creates under its degree.  A division reads only the degrees
-    below d - |nu|: a higher term has no shift under d."""
+    The quotient is a copy of the element's keys without its constant
+    term 1.  Dividing it by (1 - r t^nu) removes the term at nu and adds
+    r^k t^(k nu) times every other term, all above degree |nu|, so the
+    walk goes degree by degree over the keys each degree holds, in key
+    order, and files every key a division creates under its degree.  A
+    division reads only the degrees below d - |nu|: a higher term has no
+    shift under d."""
     if a._coords is not None:
         return a._coords
     ring, n, d = a.ring, a.n, a.d
     rmul, radd, rneg = ring.rmul, ring.radd, ring.rneg
-    limit, dn = d ** (n + 1), d**n
-    quot = {pack_exponent(e, d): c for e, c in a.series.terms.items() if any(e)}
+    limit, dn = d**n, d ** (n - 1)
+    quot = {e: c for e, c in a.series.keys.items() if e}
     buckets = {}  # degree -> keys filed there; a key whose term cancelled stays
     for key in quot:
         buckets.setdefault(key // dn, set()).add(key)
@@ -328,9 +325,9 @@ def binomial_product(ring: CoeffRing, limit: int, factors) -> tuple:
     """The product of the binomials (1 - r t^key), in the order given, as a
     dict from keys to raw coefficients, and whether it is exact.
 
-    Keys add when monomials multiply, and a key at or past ``limit`` is
-    outside the window: packed exponent keys with limit d^(n+1) in n
-    variables, or plain degrees with limit d in one.  Each factor is
+    Keys are those of ``series.pack_exponent``: they add when monomials
+    multiply, and a key at or past ``limit``, d^n at truncation d in n
+    variables, is outside the window.  Each factor is
     multiplied into the dict in place.  A factor whose key is already
     outside the window is skipped, and ``exact`` is cleared whenever a
     nonzero term falls outside it, so an exact result is the complete
@@ -365,9 +362,8 @@ def _product_element(ring: CoeffRing, n: int, d: int, factors, keep_exact=False)
     """``binomial_product`` over packed exponent keys at d, as an element in
     n variables; flagged exact only when ``keep_exact`` asks for it and no
     nonzero term fell outside the window."""
-    acc, exact = binomial_product(ring, d ** (n + 1), factors)
-    terms = {unpack_exponent(k, n, d): c for k, c in acc.items()}
-    return WittElement(TruncatedSeries(ring, n, d, terms, keep_exact and exact))
+    acc, exact = binomial_product(ring, d**n, factors)
+    return WittElement(TruncatedSeries._make(ring, n, d, acc, keep_exact and exact))
 
 
 def from_coordinates(c: WittCoordinates) -> WittElement:
@@ -408,9 +404,8 @@ def decompose(a: WittElement) -> OneVarComponentFamily:
     parts = {}
     for nu0, part in group_by_primitive(witt_coordinates(a).coords).items():
         k = one_var_order(d, sum(nu0))
-        coords = WittCoordinates(ring, 1, k, {(i,): r for i, r in part.items()})
-        comp = WittElement(from_coordinates(coords).series.copy_with(exact=False))
-        comp._coords = coords
+        comp = _product_element(ring, 1, k, sorted(part.items()))
+        comp._coords = WittCoordinates(ring, 1, k, {(i,): r for i, r in part.items()})
         parts[nu0] = comp
     return OneVarComponentFamily(ring, n, d, parts)
 
@@ -419,7 +414,7 @@ def convolution_factors(ring: CoeffRing, fa: dict, gb: dict, scale: int = 1):
     """The binomials of the one-variable convolution product of {i: a_i}
     and {j: b_j}: for each pair, (1 - a_i^(j/g) b_j^(i/g) s^L)^g with
     L = lcm(i, j) and g = gcd(i, j), yielded as g pairs (L * scale, c).
-    ``scale`` is the key of s: 1 in one variable, key(nu0) at s = t^nu0."""
+    ``scale`` is the key of s: key(nu0) at s = t^nu0, 1 in one variable."""
     rmul, rpow = ring.rmul, ring.rpow
     for i, ai in fa.items():
         for j, bj in gb.items():
@@ -462,26 +457,24 @@ def lang_map(a: WittElement, qpow: int) -> WittElement:
 
 def enumerate_witt_elements(ring: CoeffRing, n: int, d: int):
     """Yield every element of the truncated group, coefficients in grid order."""
-    exps = [e for e in exponents_below(n, d) if sum(e) > 0]
+    keys = [pack_exponent(e, d) for e in exponents_below(n, d)[1:]]
     size = ring.size
-    total = size ** len(exps)
+    total = size ** len(keys)
     for idx in range(total):
-        terms = {zero_exp(n): ring.one}
+        terms = {0: ring.one}
         v = idx
-        for e in exps:
+        for k in keys:
             c = v % size
             v //= size
             if c:
-                terms[e] = c
-        yield WittElement(TruncatedSeries(ring, n, d, terms))
+                terms[k] = c
+        yield WittElement(TruncatedSeries._make(ring, n, d, terms, False))
 
 
 def random_witt_element(ring: CoeffRing, n: int, d: int, rng) -> WittElement:
-    terms = {zero_exp(n): ring.one}
-    for e in exponents_below(n, d):
-        if sum(e) == 0:
-            continue
+    terms = {0: ring.one}
+    for e in exponents_below(n, d)[1:]:
         c = ring.random_raw(rng)
         if c:
-            terms[e] = c
-    return WittElement(TruncatedSeries(ring, n, d, terms))
+            terms[pack_exponent(e, d)] = c
+    return WittElement(TruncatedSeries._make(ring, n, d, terms, False))

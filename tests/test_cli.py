@@ -145,7 +145,39 @@ def test_decompose_components_are_never_exact(capsys):
 
 
 GOLDEN = Path(__file__).parent / "golden"
+F3_RING = '{"p":3,"e":1,"modulus":[0,1],"nil":1}'
 F3E2_RING = '{"p":3,"e":1,"modulus":[0,1],"nil":2}'
+F4E2_RING = '{"p":2,"e":2,"modulus":[1,1,1],"nil":2}'
+
+# inputs in two and three variables, so the pinned bytes fix the graded
+# order of their terms
+A2 = series_doc(
+    2, 4, [((0, 0), [[1]]), ((1, 0), [[2]]), ((0, 1), [[1]]), ((1, 1), [[2]]), ((0, 3), [[1]])]
+)
+B2 = series_doc(2, 4, [((0, 0), [[1]]), ((0, 1), [[2]]), ((2, 0), [[1]]), ((1, 2), [[1]])])
+A3 = series_doc(
+    3,
+    4,
+    [
+        ((0, 0, 0), [[1], [0]]),
+        ((1, 0, 0), [[0], [1]]),
+        ((0, 1, 1), [[2], [1]]),
+        ((0, 0, 2), [[1], [2]]),
+    ],
+)
+C3 = series_doc(
+    3, 5, [((0, 0, 0), [[1]]), ((0, 0, 1), [[1]]), ((1, 1, 0), [[1]]), ((2, 0, 1), [[1]])]
+)
+COORDS2 = {
+    "coords": [{"exp": e, "r": r} for e, r in (([0, 1], [[2]]), ([2, 0], [[1]]), ([1, 2], [[2]]))]
+}
+F_N2 = series_doc(
+    2,
+    3,
+    [((0, 0), [[1], [0]]), ((1, 0), [[0], [1]]), ((0, 1), [[0], [1]]), ((1, 1), [[0], [1]])],
+    exact=True,
+)
+G_N2 = series_doc(2, 6, [(e, [[1]]) for e in ((0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (0, 4))])
 
 
 @pytest.mark.parametrize(
@@ -180,6 +212,25 @@ def test_decompose_output_is_pinned(capsys, name, ring, terms):
         (
             "lang_census_exhaustive.json",
             ["lang-census", "--n", "1", "--q", "2", "--s", "2", "--d", "3"],
+        ),
+        ("add_F3_n2.json", ["add", "--ring", F3_RING, "--payload", json.dumps({"a": A2, "b": B2})]),
+        ("mul_F3_n2.json", ["mul", "--ring", F3_RING, "--payload", json.dumps({"a": A2, "b": B2})]),
+        ("neg_F3e2_n3.json", ["neg", "--ring", F3E2_RING, "--payload", json.dumps({"a": A3})]),
+        ("coords_F2_n3.json", ["coords", "--ring", F2_RING, "--payload", json.dumps({"a": C3})]),
+        (
+            "from_coords_F3_n2.json",
+            ["from-coords", "--ring", F3_RING, "--n", "2", "--d", "5"]
+            + ["--payload", json.dumps(COORDS2)],
+        ),
+        (
+            "ah_exp_F4e2.json",
+            ["ah-exp", "--ring", F4E2_RING, "--d", "12"]
+            + ["--payload", '{"x": [[1, 0], [1, 1]], "j": 2}'],
+        ),
+        (
+            "pair_both_F3e2_n2.json",
+            ["pair", "--both", "--ring", F3E2_RING, "--m", "2"]
+            + ["--payload", json.dumps({"f": F_N2, "g": G_N2})],
         ),
     ],
 )
@@ -251,6 +302,19 @@ def test_oversized_census_rejected_quickly():
         ["pi1", "--n", "20", "--q", "2", "--d", "20"],
         # q^s = 2^100000: bounded before the prime is found or a modulus searched for
         ["lang-census", "--n", "1", "--q", "2", "--s", "100000", "--d", "2"],
+        # exponents of 10^9 entries and keys below (10^9)^(10^9), bounded
+        # before the first is built
+        [
+            "from-coords",
+            "--ring",
+            F2_RING,
+            "--n",
+            "1000000000",
+            "--d",
+            "1000000000",
+            "--payload",
+            '{"coords": []}',
+        ],
         # 10^8 Artin-Hasse coefficients, counted before the first is built
         ["ah-exp", "--ring", F2_RING, "--d", "100000000", "--payload", '{"x": [[1]]}'],
         # a Sylvester matrix of size 529, checked before it is built

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multiwitt.cli import main
+from multiwitt.series import EXPONENT_BITS_LIMIT
 
 F2 = {"p": 2, "e": 1, "modulus": [0, 1], "nil": 1}
 F4E2 = {"p": 2, "e": 2, "modulus": [1, 1, 1], "nil": 2}
@@ -224,3 +225,19 @@ def test_large_pair_exits_0_or_1(mode, d, m):
     argv[1] = mode
     code, text = run_main(argv)
     assert code in (0, 1), text
+
+
+# ``from-coords`` at any --n and --d up to 10^9, with and without
+# coordinates, ends in exit 0 or 1 with one JSON document, and in TooLarge
+# at once on a shape whose exponents are past series.EXPONENT_BITS_LIMIT
+@settings(FUZZ, max_examples=40)
+@given(st.integers(1, 10**9), st.integers(1, 10**9), st.booleans())
+def test_large_from_coords_exits_0_or_1(n, d, empty):
+    doc = job_doc("from-coords")
+    doc["flags"].update(n=n, d=d)
+    if empty:
+        doc["payload"]["coords"] = []
+    code, text = run_main(argv_of("from-coords", doc))
+    assert code in (0, 1), text
+    if n * d.bit_length() > EXPONENT_BITS_LIMIT:
+        assert code == 1 and json.loads(text)["error"]["kind"] == "TooLarge", text

@@ -65,6 +65,21 @@ def test_formal_element_constructor_guards():
         )
 
 
+def test_formal_element_equality_and_hash_ignore_truncation():
+    # the same polynomial at d = 3 and d = 5: its series keys differ, since
+    # they depend on d, but the formal elements are one
+    R32 = CoeffRing.make(3, nil=2)
+    eps = R32.eps_raw
+    terms = {(0, 0): 1, (1, 0): eps, (0, 2): R32.rneg(eps), (1, 1): eps}
+    f3 = FormalWittElement(TruncatedSeries(R32, 2, 3, terms, exact=True))
+    f5 = FormalWittElement(TruncatedSeries(R32, 2, 5, terms, exact=True))
+    assert f3.series.keys != f5.series.keys
+    assert f3 == f5 and hash(f3) == hash(f5) and len({f3, f5}) == 1
+    assert f3 != formal(R32, {(1, 0): eps})
+    # products land at the truncation the degrees ask for, whatever d came in
+    assert f3.mul(f5) == f5.mul(f3) == f3.mul(f3)
+
+
 def test_pairing_matrix_trivial_row_and_column():
     one_f = formal(R22, {})
     fs = [one_f, formal(R22, {(1,): R22.eps_raw})]

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+import series_oracle
 
 from multiwitt import (
     CoeffRing,
@@ -218,7 +219,7 @@ def test_packed_keys_follow_graded_order():
         exps = exponents_below(n, d)
         keys = [pack_exponent(e, d) for e in exps]
         assert keys == sorted(set(keys))  # graded order, no two exponents share a key
-        assert [k // d**n for k in keys] == [sum(e) for e in exps]
+        assert [k // d ** (n - 1) for k in keys] == [sum(e) for e in exps]
         assert [unpack_exponent(k, n, d) for k in keys] == list(exps)
 
 
@@ -228,9 +229,9 @@ def test_packed_keys_add_under_truncation():
         for a in exps:
             for b in exps:
                 total = pack_exponent(a, d) + pack_exponent(b, d)
-                # the overflow test: the key sum stays below d^(n+1) exactly
+                # the overflow test: the key sum stays below d^n exactly
                 # when the exponent sum stays below the truncation
-                assert (total < d ** (n + 1)) == (sum(a) + sum(b) < d)
+                assert (total < d**n) == (sum(a) + sum(b) < d)
                 if sum(a) + sum(b) < d:
                     assert total == pack_exponent(tuple(x + y for x, y in zip(a, b)), d)
 
@@ -289,3 +290,62 @@ def test_mul_commutes_hypothesis(a, b):
 @given(series_strategy(_R4, 1, 6))
 def test_inverse_hypothesis(a):
     assert a.mul(a.inv()) == TruncatedSeries.one(_R4, 1, 6)
+
+
+def assert_matches_oracle(got, want):
+    """``got`` holds the oracle's (terms, exact), and equals and hashes like
+    the same terms passed through the public constructor."""
+    terms, exact = want
+    assert (got.terms, got.exact) == (terms, exact)
+    rebuilt = TruncatedSeries(got.ring, got.n, got.d, terms, exact)
+    assert got == rebuilt and hash(got) == hash(rebuilt)
+    assert got.to_json_dict() == rebuilt.to_json_dict()
+
+
+# the largest d per n keeps the boxes small: 8, 21, 35 and 84 exponents
+ORACLE_ORDERS = {1: 8, 2: 6, 3: 5, 6: 4}
+
+
+@pytest.mark.parametrize("n", sorted(ORACLE_ORDERS))
+def test_packed_kernel_matches_tuple_oracle(any_ring, n, rng):
+    for _ in range(4):
+        d = rng.randrange(2, ORACLE_ORDERS[n] + 1)
+        a, b = random_series(any_ring, n, d, rng), random_series(any_ring, n, d, rng)
+        for exact in (False, True):
+            a, b = a.copy_with(exact=exact), b.copy_with(exact=rng.random() < 0.5 or exact)
+            assert_matches_oracle(a.mul(b), series_oracle.mul(a, b))
+            assert_matches_oracle(a.add_series(b), series_oracle.add_series(a, b))
+            shift = tuple(rng.randrange(d) for _ in range(n))
+            raw = any_ring.random_raw(rng)
+            want = series_oracle.scale_shift(a, raw, shift)
+            assert_matches_oracle(a.scale_shift(raw, shift), want)
+            u = random_series(any_ring, n, d, rng, unit_constant=True).copy_with(exact=exact)
+            assert_matches_oracle(u.inv(), series_oracle.inv(u))
+            for d_new in range(1, d + 1):
+                assert_matches_oracle(a.truncate(d_new), series_oracle.truncate(a, d_new))
+        # a is exact here: carry it across d, and back when nothing was dropped
+        for d_new in range(1, d + 3):
+            moved = a.extend(d_new)
+            assert_matches_oracle(moved, series_oracle.extend(a, d_new))
+            if moved.exact:
+                assert_matches_oracle(moved.extend(d), series_oracle.extend(moved, d))
+
+
+def test_equal_series_hash_equal_however_built(rng):
+    R = CoeffRing.make(3, nil=2)
+    for n in (1, 2, 3):
+        a = random_series(R, n, 4, rng, unit_constant=True)
+        b = random_series(R, n, 4, rng, unit_constant=True)
+        poly = a.copy_with(exact=True)
+        built = {
+            "mul": a.mul(b),
+            "inv": a.inv(),
+            "truncate": a.truncate(3),
+            "extend": poly.extend(6),
+            "extend, truncate": poly.extend(6).truncate(4),
+        }
+        for how, got in built.items():
+            public = TruncatedSeries(R, n, got.d, dict(got.terms), got.exact)
+            assert got == public and hash(got) == hash(public), (n, how)
+            assert {got: how}[public] == how
+        assert built["extend, truncate"] == poly and hash(built["extend, truncate"]) == hash(poly)
