@@ -7,7 +7,12 @@ p^s(nu) where s(nu) counts the i >= 0 with p^i |nu| < d, because raising
 a binomial to the p-th power just dilates its exponent.  Collecting these
 prime powers gives the invariant factors directly; a brute-force routine
 recovers the same data from nothing but the multiplication, and the two
-must agree on every configuration small enough to enumerate.
+must agree on every configuration small enough to enumerate.  It reads
+the factors off the power ladder: for each prime l dividing |G| the sizes
+|l^k G| come from iterating x -> x^l over the set, and
+|l^k G| / |l^(k+1) G| = l^r counts the cyclic factors of order at least
+l^(k+1).  Witnesses, one generator per factor, are found by a greedy peel
+of largest-order cyclic subgroups, and only when they are read.
 
 The one-variable case at truncation m doubles as the unit-group quotient
 (1 + u k[[u]]) / (1 + u^m k[[u]]) attached to the point at infinity on the
@@ -15,7 +20,9 @@ projective line, of order q^(m-1).
 
 The Lang census enumerates the group over an extension F_(q^s), applies
 the Frobenius-over-identity map, and confirms that its kernel is exactly
-the F_q-rational subgroup.
+the F_q-rational subgroup and that the map is an endomorphism.  On a group
+of up to 2000 elements the enumeration keeps every Lang value, so each
+endomorphism pair costs two group operations and lookups.
 
 The whole-group enumerations (the brute-force oracle, the census and the
 transition check) bound the group order in closed form, then run on raw
@@ -30,14 +37,15 @@ import random
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import combinations, product
+from math import prod
 
 from .errors import InvalidTruncation, NotAbelian, NotClosed, TooLarge
 from .ring import CoeffRing, check_table_size
 from .series import TruncatedSeries, content, exponents_below, pack_exponent
 from .witt import WittElement, enumerate_witt_elements
 
-BRUTE_FORCE_LIMIT = 10**4
+BRUTE_FORCE_LIMIT = 2**18
 CENSUS_LIMIT = 10**6
 PI1_GENERATOR_LIMIT = 10**5
 PAIR_CHECK_LIMIT = 4 * 10**4
@@ -97,10 +105,7 @@ def pi1_truncated(n: int, q: int, d: int, ring: CoeffRing | None = None) -> Abel
     gens.sort(key=lambda t: t[0])
     factors = tuple(o for o, _, _ in gens)
     order = q ** len(exps)
-    prod = 1
-    for f in factors:
-        prod *= f
-    if prod != order:
+    if prod(factors) != order:
         raise AssertionError("generator orders do not account for the group order")
 
     def witnesses():
@@ -137,63 +142,121 @@ def modulus_group(q: int, m: int) -> ModulusGroupDesc:
 def brute_force_structure(elements, op) -> AbelianGroupStructure:
     """Recover invariant factors from an explicit finite abelian group.
 
-    Element orders come from iteration; the factors are peeled greedily,
-    splitting off a maximal-order cyclic subgroup and recursing on the
-    quotient by its cosets.  The result is certified against the order.
+    For each prime l dividing |G| the power ladder G, lG, l^2 G, ... comes
+    from iterating x -> x^l over the set until the image stops shrinking;
+    |l^k G| / |l^(k+1) G| = l^r says that r cyclic factors have order at
+    least l^(k+1).  The primary parts combine into ascending invariant
+    factors, whose product is certified against |G|.  Every product
+    computed must stay in the set, and the idempotent found must act as
+    the identity.  The greedy peel builds one witness per factor, on the
+    first read of ``witnesses`` only.
     """
     elems = list(elements)
     if len(elems) > BRUTE_FORCE_LIMIT:
         raise TooLarge(f"group of size {len(elems)} beyond brute-force limit")
-    index = {x: i for i, x in enumerate(elems)}
-    if len(index) != len(elems):
+    members = set(elems)
+    if len(members) != len(elems):
         raise NotClosed("duplicate elements in enumeration")
 
     identity = None
     for x in elems:
         y = op(x, x)
-        if y not in index:
+        if y not in members:
             raise NotClosed(f"product of {x!r} with itself left the set")
         if y == x:
             identity = x
             break
     if identity is None:
         raise NotClosed("no idempotent found, not a finite group")
+    for x in elems:
+        if op(identity, x) != x:
+            raise NotClosed(f"the idempotent {identity!r} moves {x!r}, not a group")
 
     # commutativity check, exhaustive while affordable, sampled beyond
     if len(elems) ** 2 <= PAIR_CHECK_LIMIT:
-        pairs = ((a, b) for i, a in enumerate(elems) for b in elems[i + 1 :])
+        pairs = combinations(elems, 2)
     else:
-        rng = random.Random(0)
-        pairs = ((rng.choice(elems), rng.choice(elems)) for _ in range(2000))
+        draws = iter(random.Random(0).choices(elems, k=4000))
+        pairs = zip(draws, draws)
     for a, b in pairs:
         ab = op(a, b)
-        if ab not in index:
+        if ab not in members:
             raise NotClosed(f"product of {a!r} and {b!r} left the set")
         if ab != op(b, a):
             raise NotAbelian(f"{a!r} and {b!r} do not commute")
+
+    desc = []  # the invariant factors, largest first
+    for ell in _prime_factors(len(elems)):
+        level = elems
+        while True:
+            image = set()
+            for x in level:
+                y = x
+                for _ in range(ell - 1):
+                    y = op(y, x)
+                    if y not in members:
+                        raise NotClosed(f"powers of {x!r} left the set")
+                image.add(y)
+            rank = _exact_log(ell, len(level), len(image))
+            if rank is None:
+                raise NotAbelian(f"{ell}-th powers map {len(level)} elements onto {len(image)}")
+            if rank == 0:
+                break
+            # ell^rank = |level| / |image|: the rank largest factors take an ell
+            desc += [1] * (rank - len(desc))
+            for i in range(rank):
+                desc[i] *= ell
+            level = image
+    factors = tuple(reversed(desc))
+    if prod(factors) != len(elems):
+        raise NotAbelian("factor product does not certify the group order")
+    return AbelianGroupStructure(factors, len(elems), lambda: _peel_witnesses(elems, op, identity))
+
+
+def _prime_factors(m: int) -> list:
+    """The distinct primes dividing m, ascending."""
+    out, p = [], 2
+    while p * p <= m:
+        if m % p == 0:
+            out.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1
+    return out + [m] if m > 1 else out
+
+
+def _exact_log(ell: int, big: int, small: int):
+    """r with big = ell^r * small, or None when there is none."""
+    ratio, rem = divmod(big, small)
+    if rem:
+        return None
+    r = 0
+    while ratio % ell == 0:
+        ratio //= ell
+        r += 1
+    return r if ratio == 1 else None
+
+
+def _peel_witnesses(elems: list, op, identity) -> tuple:
+    """One generator per invariant factor, ascending.  The greedy peel splits
+    off a cyclic subgroup of largest order (its generator of least index)
+    and recurses on the quotient by its cosets, each coset named by its
+    element of least index."""
+    index = {x: i for i, x in enumerate(elems)}
 
     def order_of(x):
         k, y = 1, x
         while y != identity:
             y = op(y, x)
-            if y not in index:
-                raise NotClosed(f"powers of {x!r} left the set")
             k += 1
         return k
 
-    factors = []
     witnesses = []
     current = elems
-    cur_identity = identity
     while len(current) > 1:
-        orders = [(order_of(x), index[x]) for x in current]
-        best_order, best_idx = max(orders, key=lambda t: (t[0], -t[1]))
-        g = elems[best_idx]
-        factors.append(best_order)
+        g = max(current, key=lambda x: (order_of(x), -index[x]))
         witnesses.append(g)
-        # partition into cosets of <g> by walking g-orbits
-        rep_of = {}
-        reps = []
+        rep_of, reps = {}, []
         for x in current:
             if x in rep_of:
                 continue
@@ -202,29 +265,17 @@ def brute_force_structure(elements, op) -> AbelianGroupStructure:
             while y != x:
                 orbit.append(y)
                 y = op(y, g)
-            rep = min(orbit, key=lambda z: index[z])
+            rep = min(orbit, key=index.__getitem__)
             for z in orbit:
                 rep_of[z] = rep
             reps.append(rep)
-        prev_op = op
-        prev_rep = rep_of
 
-        def op_q(a, b, _op=prev_op, _rep=prev_rep):
+        def op(a, b, _op=op, _rep=rep_of):
             return _rep[_op(a, b)]
 
         current = reps
-        cur_identity = rep_of[cur_identity]
-        op = op_q
-        index = {x: index[x] for x in current}
-        identity = cur_identity
-
-    total = 1
-    for f in factors:
-        total *= f
-    if total != len(elems):
-        raise NotAbelian("factor product does not certify the group order")
-    witnesses = tuple(reversed(witnesses))
-    return AbelianGroupStructure(tuple(reversed(factors)), len(elems), lambda: witnesses)
+        identity = rep_of[identity]
+    return tuple(reversed(witnesses))
 
 
 def _group_rank(n: int, d: int) -> int:
@@ -382,27 +433,32 @@ def lang_kernel_census(n: int, q: int, s: int, d: int, seed: int = 0) -> LangCen
     one = (0,) * rank
     kernel = 0
     kernel_rational = True
-    members = []
-    keep_all = total <= 2000
+    # a group of up to 2000 elements keeps every Lang value for the
+    # endomorphism check, which then looks them up
+    memo = {} if total <= 2000 else None
     for x in _coefficient_tuples(big.size, rank):
-        if keep_all:
-            members.append(x)
-        if lang(x) == one:
+        y = lang(x)
+        if memo is not None:
+            memo[x] = y
+        if y == one:
             kernel += 1
             if any(frob_q[c] != c for c in x):
                 kernel_rational = False
 
     rng = random.Random(seed)
-    if keep_all and total * total <= PAIR_CHECK_LIMIT:
-        pairs = [(a, b) for a in members for b in members]
+    if memo is None:
+        pairs = [(law.random(rng), law.random(rng)) for _ in range(1000)]
+    elif total * total <= PAIR_CHECK_LIMIT:
+        pairs = list(product(memo, repeat=2))
     else:
-        pairs = []
-        for _ in range(min(1000, total * total)):
-            a = law.random(rng)
-            b = law.random(rng)
-            pairs.append((a, b))
+        draws = iter(rng.choices(list(memo), k=2000))
+        pairs = list(zip(draws, draws))
+    value = lang if memo is None else memo.get
     for a, b in pairs:
-        if lang(law.op(a, b)) != law.op(lang(a), lang(b)):
+        lhs = value(op(a, b))
+        if lhs is None:
+            raise NotClosed("a product left the enumerated group")
+        if lhs != op(value(a), value(b)):
             raise NotAbelian("Lang map failed to be an endomorphism")
 
     return LangCensus(total, kernel, q**rank, len(pairs), kernel_rational)

@@ -178,13 +178,13 @@ class FiniteField:
         return out
 
     def vector_to_index(self, vec) -> int:
-        if len(vec) != self.e:
-            raise ValueError("coefficient vector has wrong length")
+        if type(vec) is not list or len(vec) != self.e:
+            raise SchemaError(f"coefficient row must be a list of {self.e} digits, got {vec!r}")
         idx = 0
         for c in reversed(vec):
             json_int(c, "coefficient digit")
             if not 0 <= c < self.p:
-                raise ValueError(f"coefficient digit {c} outside [0, {self.p})")
+                raise SchemaError(f"coefficient digit {c} outside [0, {self.p})")
             idx = idx * self.p + c
         return idx
 
@@ -411,8 +411,8 @@ class CoeffRing:
     # coordinate matrices and wrappers -----------------------------------
 
     def coords_to_raw(self, coords) -> int:
-        if len(coords) != self.nil:
-            raise ValueError(f"expected {self.nil} eps-rows, got {len(coords)}")
+        if type(coords) is not list or len(coords) != self.nil:
+            raise SchemaError(f"coefficient must be a list of {self.nil} eps-rows, got {coords!r}")
         out, mult = 0, 1
         for row in coords:
             out += self.field.vector_to_index(row) * mult

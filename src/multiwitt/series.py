@@ -311,14 +311,13 @@ class TruncatedSeries:
         x = TruncatedSeries._make(ring, n, d, x_keys, self.exact)
         acc = TruncatedSeries._make(ring, n, d, {0: ring.one}, True)
         pw = x
-        terminated = not x.keys
         for _ in range(1, d):
             if not pw.keys:
-                terminated = True
                 break
             acc = acc.add_series(pw)
             pw = pw.mul(x)
-        exact = self.exact and (terminated or not pw.keys)
+        # exact when a power of x vanished with no nonzero term dropped
+        exact = self.exact and not pw.keys and pw.exact
         # u is a unit, so no coefficient of u * acc vanishes
         out = {e: ring.rmul(c, u) for e, c in acc.keys.items()}
         return TruncatedSeries._make(ring, n, d, out, exact)

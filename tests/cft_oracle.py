@@ -10,6 +10,11 @@ the same census on the same seed.
 ``loop_op`` and ``loop_inv`` are the dense law on raw coefficient tuples
 as plain loops over its pairs, the reference for the compiled ``op`` and
 ``inv`` of ``multiwitt.cft._DenseLaw``.
+
+``greedy_structure`` recovers the invariant factors by the greedy peel
+over element orders: the reference for the factors of the power ladder
+in ``multiwitt.cft.brute_force_structure`` and for the witnesses that
+function builds on demand.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from multiwitt.cft import (
     LangCensus,
     brute_force_structure,
 )
-from multiwitt.errors import InvalidTruncation, NotAbelian, TooLarge
+from multiwitt.errors import InvalidTruncation, NotAbelian, NotClosed, TooLarge
 from multiwitt.ring import CoeffRing
 from multiwitt.series import exponents_below
 from multiwitt.witt import (
@@ -58,6 +63,91 @@ def loop_inv(law, x: tuple) -> tuple:
             s = add[s][mul[x[i]][y[j]]]
         y.append(neg[s])
     return tuple(y)
+
+
+def greedy_structure(elements, op) -> AbelianGroupStructure:
+    """Invariant factors by peeling: split off a cyclic subgroup of largest
+    element order, recurse on the quotient by its cosets, and certify the
+    product of the orders against the group order."""
+    elems = list(elements)
+    if len(elems) > BRUTE_FORCE_LIMIT:
+        raise TooLarge(f"group of size {len(elems)} beyond brute-force limit")
+    index = {x: i for i, x in enumerate(elems)}
+    if len(index) != len(elems):
+        raise NotClosed("duplicate elements in enumeration")
+
+    identity = None
+    for x in elems:
+        y = op(x, x)
+        if y not in index:
+            raise NotClosed(f"product of {x!r} with itself left the set")
+        if y == x:
+            identity = x
+            break
+    if identity is None:
+        raise NotClosed("no idempotent found, not a finite group")
+
+    if len(elems) ** 2 <= PAIR_CHECK_LIMIT:
+        pairs = ((a, b) for i, a in enumerate(elems) for b in elems[i + 1 :])
+    else:
+        rng = random.Random(0)
+        pairs = ((rng.choice(elems), rng.choice(elems)) for _ in range(2000))
+    for a, b in pairs:
+        ab = op(a, b)
+        if ab not in index:
+            raise NotClosed(f"product of {a!r} and {b!r} left the set")
+        if ab != op(b, a):
+            raise NotAbelian(f"{a!r} and {b!r} do not commute")
+
+    def order_of(x):
+        k, y = 1, x
+        while y != identity:
+            y = op(y, x)
+            if y not in index:
+                raise NotClosed(f"powers of {x!r} left the set")
+            k += 1
+        return k
+
+    factors = []
+    witnesses = []
+    current = elems
+    while len(current) > 1:
+        orders = [(order_of(x), index[x]) for x in current]
+        best_order, best_idx = max(orders, key=lambda t: (t[0], -t[1]))
+        g = elems[best_idx]
+        factors.append(best_order)
+        witnesses.append(g)
+        # partition into cosets of <g> by walking g-orbits
+        rep_of = {}
+        reps = []
+        for x in current:
+            if x in rep_of:
+                continue
+            orbit = [x]
+            y = op(x, g)
+            while y != x:
+                orbit.append(y)
+                y = op(y, g)
+            rep = min(orbit, key=lambda z: index[z])
+            for z in orbit:
+                rep_of[z] = rep
+            reps.append(rep)
+
+        def op_q(a, b, _op=op, _rep=rep_of):
+            return _rep[_op(a, b)]
+
+        current = reps
+        op = op_q
+        index = {x: index[x] for x in current}
+        identity = rep_of[identity]
+
+    total = 1
+    for f in factors:
+        total *= f
+    if total != len(elems):
+        raise NotAbelian("factor product does not certify the group order")
+    witnesses = tuple(reversed(witnesses))
+    return AbelianGroupStructure(tuple(reversed(factors)), len(elems), lambda: witnesses)
 
 
 def witt_group_structure_brute(ring: CoeffRing, n: int, d: int) -> AbelianGroupStructure:
@@ -98,6 +188,9 @@ def lang_kernel_census(n: int, q: int, s: int, d: int, seed: int = 0) -> LangCen
     rng = random.Random(seed)
     if keep_all and total * total <= PAIR_CHECK_LIMIT:
         pairs = [(a, b) for a in members for b in members]
+    elif keep_all:
+        draws = iter(rng.choices(members, k=2 * min(1000, total * total)))
+        pairs = list(zip(draws, draws))
     else:
         pairs = []
         for _ in range(min(1000, total * total)):

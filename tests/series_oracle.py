@@ -51,21 +51,23 @@ def add_series(a, b):
 
 
 def inv(a):
-    """1/a = u * sum_(k<d) (-u (a - c0))^k with u = 1/c0; exact when a is
-    and the powers of -u (a - c0) die out below k = d."""
+    """1/a = u * sum_(k<d) (-u (a - c0))^k with u = 1/c0; exact when a is,
+    the powers of -u (a - c0) die out below k = d, and no power dropped a
+    nonzero term at degree d or above."""
     ring, d = a.ring, a.d
     zero = (0,) * a.n
     u = ring.rinv(a.terms[zero])
     x = {e: ring.rneg(ring.rmul(u, c)) for e, c in a.terms.items() if e != zero}
-    acc, pw = {zero: ring.one}, x
+    acc, pw, dropped = {zero: ring.one}, x, False
     for _ in range(1, d):
         if not pw:
             break
         for e, c in pw.items():
             _accumulate(ring, acc, e, c)
-        pw, _ = _mul(ring, d, pw, x)
+        pw, discarded = _mul(ring, d, pw, x)
+        dropped = dropped or discarded
     out, _ = _mul(ring, d, acc, {zero: u})
-    return out, a.exact and not pw
+    return out, a.exact and not pw and not dropped
 
 
 def truncate(a, d_new: int):

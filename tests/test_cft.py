@@ -1,6 +1,8 @@
+import functools
 import itertools
 import math
 import random
+import types
 
 import cft_oracle
 import pytest
@@ -24,7 +26,7 @@ from multiwitt import (
 )
 from multiwitt.cft import _coefficient_tuples, _DenseLaw, generator_order_exponent
 from multiwitt.series import exponents_below
-from multiwitt.witt import random_witt_element
+from multiwitt.witt import enumerate_witt_elements, random_witt_element
 
 
 def test_anchor_cases():
@@ -170,9 +172,35 @@ def test_not_closed_detected():
         brute_force_structure([1, 2], lambda a, b: a * b)
 
 
+def _table_op(table):
+    return lambda a, b: table[a][b]
+
+
+# closed, commutative, with an idempotent, and no group
+MONOIDS = {
+    "mult-01": ([0, 1], lambda a, b: a * b),
+    "mult-10": ([1, 0], lambda a, b: a * b),
+    "mult-signs-0": ([1, -1, 0], lambda a, b: a * b),
+    "constant": (list(range(4)), lambda a, b: 0),
+    "nilpotent": ([0, 1, 2], _table_op([[0, 1, 2], [1, 2, 2], [2, 2, 2]])),
+    "z2-times-absorbing": (
+        list(itertools.product(range(2), range(2))),
+        lambda a, b: ((a[0] + b[0]) % 2, a[1] | b[1]),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MONOIDS))
+def test_monoid_that_is_no_group_is_rejected(name):
+    elems, op = MONOIDS[name]
+    with pytest.raises((NotAbelian, NotClosed)):
+        brute_force_structure(elems, op)
+
+
 def test_brute_force_size_limit():
+    assert cft.BRUTE_FORCE_LIMIT == 2**18
     with pytest.raises(TooLarge):
-        brute_force_structure(range(10**4 + 1), lambda a, b: 0)
+        brute_force_structure(range(2**18 + 1), lambda a, b: 0)
 
 
 def test_modulus_group_examples():
@@ -338,6 +366,101 @@ def test_brute_force_same_on_loop_and_compiled_law():
         )
         assert got == want, (n, q, d)
         assert got.witnesses == want.witnesses, (n, q, d)
+
+
+def cyclic_product(*orders):
+    elems = list(itertools.product(*(range(m) for m in orders)))
+    return elems, lambda a, b: tuple((x + y) % m for x, y, m in zip(a, b, orders))
+
+
+@pytest.mark.parametrize(
+    "orders,factors",
+    [
+        ((6, 4), (2, 12)),
+        ((2, 3, 9), (3, 18)),
+        ((4, 6, 10), (2, 2, 60)),
+        ((5, 25, 3), (5, 75)),
+        ((7,), (7,)),
+        ((2, 2, 2, 8, 3), (2, 2, 2, 24)),
+    ],
+)
+def test_ladder_on_mixed_prime_groups(orders, factors):
+    elems, op = cyclic_product(*orders)
+    got = brute_force_structure(elems, op)
+    want = cft_oracle.greedy_structure(elems, op)
+    assert got == want and got.invariant_factors == factors
+    assert got.witnesses == want.witnesses
+
+
+def test_ladder_matches_greedy_reference_on_pi1_grid():
+    for n, q, d in PI1_GRID:
+        law = _DenseLaw(CoeffRing.make(q), n, d)
+        elems = list(_coefficient_tuples(law.ring.size, len(law.exps)))
+        for op in (law.op, functools.partial(cft_oracle.loop_op, law)):
+            got = brute_force_structure(elems, op)
+            want = cft_oracle.greedy_structure(elems, op)
+            assert got == want, (n, q, d)
+            assert got.witnesses == want.witnesses, (n, q, d)
+
+
+def test_witnesses_are_peeled_only_when_read(monkeypatch):
+    peeled = []
+    peel = cft._peel_witnesses
+
+    def counting(*args):
+        peeled.append(args)
+        return peel(*args)
+
+    monkeypatch.setattr(cft, "_peel_witnesses", counting)
+    s = witt_group_structure_brute(CoeffRing.make(3), 1, 5)
+    assert s.invariant_factors == (3, 3, 9) and peeled == []
+    assert len(s.witnesses) == 3 and len(peeled) == 1
+
+
+def test_formula_matches_ladder_past_ten_thousand():
+    # 2^14 = 16,384 elements, beyond the acceptance grid's 10^4
+    s = witt_group_structure_brute(F2, 2, 5)
+    assert s.order == 2**14
+    assert s.invariant_factors == pi1_truncated(2, 2, 5).invariant_factors
+
+
+def test_census_enumeration_order_is_the_witt_enumeration_order():
+    # a seed draws the same members from both censuses' lists
+    law = _DenseLaw(CoeffRing.make(4), 1, 4)
+    tuples = _coefficient_tuples(4, len(law.exps))
+    assert [law.to_witt(x) for x in tuples] == list(
+        enumerate_witt_elements(CoeffRing.make(4), 1, 4)
+    )
+
+
+def patch_law(monkeypatch, op=None, inv=None):
+    make = cft._dense_law
+
+    def patched(ring, n, d):
+        law = make(ring, n, d)
+        return types.SimpleNamespace(op=op or law.op, inv=inv or law.inv, random=law.random)
+
+    monkeypatch.setattr(cft, "_dense_law", patched)
+
+
+def test_census_product_outside_the_group_is_not_closed(monkeypatch):
+    patch_law(monkeypatch, op=lambda x, y: (5,) * len(x))
+    with pytest.raises(NotClosed):
+        lang_kernel_census(1, 2, 2, 3)
+
+
+# 16 elements, every pair; 256, sampled members; 4096, drawn coefficients
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_census_rejects_a_lang_map_that_is_no_endomorphism(monkeypatch, d):
+    # x -> Frob(x) * c with a constant c != 1
+    patch_law(monkeypatch, inv=lambda x: (1,) * len(x))
+    with pytest.raises(NotAbelian):
+        lang_kernel_census(1, 2, 2, d)
+
+
+def test_exact_log():
+    assert cft._exact_log(2, 8, 2) == 2 and cft._exact_log(3, 5, 5) == 0
+    assert cft._exact_log(2, 6, 1) is None and cft._exact_log(3, 9, 2) is None
 
 
 def test_oracle_matches_witt_add_reference_on_pi1_grid():

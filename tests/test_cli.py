@@ -67,6 +67,21 @@ def test_mul_of_inexact_inputs_is_not_exact(capsys):
     assert doc["result"]["exact"] is False
 
 
+F5_RING = '{"p":5,"e":1,"modulus":[0,1],"nil":1}'
+
+
+@pytest.mark.parametrize(
+    "ring,d,one,c,exact",
+    [(F5_RING, 4, [[1]], [[1]], False), (R22_RING, 3, [[1], [0]], [[0], [1]], True)],
+    ids=["1+t-F5-d4", "1+eps*t-F2e2-d3"],
+)
+def test_neg_is_exact_only_when_the_inverse_is_a_polynomial(capsys, ring, d, one, c, exact):
+    a = series_doc(1, d, [((0,), one), ((1,), c)], exact=True)
+    code, doc = run_cli(capsys, ["neg", "--ring", ring, "--payload", json.dumps({"a": a})])
+    assert code == 0
+    assert doc["result"]["exact"] is exact
+
+
 def test_add_and_neg_roundtrip(capsys):
     lam = series_doc(1, 4, [((0,), [[1]]), ((1,), [[1]]), ((3,), [[1]])])
     code, doc = run_cli(
@@ -354,7 +369,31 @@ def test_out_of_range_digit_rejected(capsys, digit):
     a = series_doc(1, 4, [((0,), [[1]]), ((1,), [[digit]])])
     code, doc = run_cli(capsys, ["coords", "--ring", F2_RING, "--payload", json.dumps({"a": a})])
     assert code == 1
-    assert doc["error"]["kind"] == "ValueError"
+    assert doc["error"]["kind"] == "SchemaError"
+
+
+@pytest.mark.parametrize(
+    "ring,c",
+    [
+        (F5_RING, [1]),
+        (F5_RING, [[5]]),
+        (F5_RING, [[-1]]),
+        (F5_RING, [[]]),
+        (F5_RING, [[1, 0]]),
+        (F5_RING, []),
+        (F5_RING, [[1], [0]]),
+        (F5_RING, 3),
+        (F5_RING, [None]),
+        (R22_RING, [[1]]),
+    ],
+    ids=["flat", "digit-5", "digit-negative", "empty-row", "long-row", "no-rows", "extra-row",
+         "scalar", "null-row", "missing-row"],
+)
+def test_malformed_coefficient_is_schema_error(capsys, ring, c):
+    a = series_doc(1, 3, [((0,), [[1]] if ring == F5_RING else [[1], [0]]), ((1,), c)])
+    code, doc = run_cli(capsys, ["neg", "--ring", ring, "--payload", json.dumps({"a": a})])
+    assert code == 1
+    assert doc["error"]["kind"] == "SchemaError"
 
 
 @pytest.mark.parametrize(

@@ -157,6 +157,20 @@ def test_exactness_survives_harmless_truncation():
     assert not c.mul(b).exact
 
 
+@pytest.mark.parametrize(
+    "q,nil,d,exact",
+    [(5, 1, 4, False), (2, 3, 2, False), (2, 2, 3, True)],
+    ids=["1/(1+t)-F5-d4", "1/(1+eps*t)-F2e3-d2", "1/(1+eps*t)-F2e2-d3"],
+)
+def test_inverse_is_exact_only_when_it_is_a_polynomial(q, nil, d, exact):
+    R = CoeffRing.make(q, nil=nil)
+    a = S(R, 1, d, {(0,): 1, (1,): 1 if nil == 1 else R.eps_raw}, exact=True)
+    inv = a.inv()
+    assert inv.exact is exact
+    if exact:  # carried two levels up, the product is still 1
+        assert inv.extend(d + 2).mul(a.extend(d + 2)).terms == {(0,): 1}
+
+
 def test_zero_coefficients_never_stored(any_ring, rng):
     for _ in range(20):
         a = random_witt_element(any_ring, 2, 4, rng).series
