@@ -5,15 +5,19 @@ codes: 0 on success, 1 on input or usage errors, 2 when a mathematical
 cross-check disagrees (pairing routes, oracle comparison, selftest).
 Usage errors (an unknown flag, a non-integer flag value, a value below
 its minimum) exit 1 with a JSON error of kind SchemaError, like a
-malformed ring descriptor or payload.  argparse checks the command line;
-each JSON parser (``CoeffRing.from_json_dict``, the series and coordinate
-readers) checks its own input, and ``PAYLOAD_KEYS`` names the keys each
-command's payload takes.  A missing or unknown key is a SchemaError.
+malformed ring descriptor or payload, or one that is not JSON at all.
+argparse checks the command line; each JSON parser
+(``CoeffRing.from_json_dict``, the series and coordinate readers) checks
+its own input, and ``PAYLOAD_KEYS`` names the keys each command's payload
+takes.  A missing or unknown key is a SchemaError.
 
 Payloads are JSON, passed with --payload or on stdin (use ``--payload -``
 or pipe; anything over a few KiB should come through stdin).  Output is
 canonical: keys sorted, no whitespace, one trailing newline, so identical
 jobs produce byte-identical output.
+
+Each command imports the library modules it uses in its own branch of
+``run``, so a job loads only those.
 """
 
 from __future__ import annotations
@@ -23,22 +27,8 @@ import json
 import math
 import sys
 
-from .cft import lang_kernel_census, pi1_truncated, witt_group_structure_brute
-from .duality import FormalWittElement, cartier_pair, geometric_pair
 from .errors import SchemaError, TooLarge, WittError
-from .ptypical import artin_hasse_exp
 from .ring import CoeffRing, json_int, json_object
-from .series import TruncatedSeries
-from .witt import (
-    WittCoordinates,
-    WittElement,
-    decompose,
-    from_coordinates,
-    witt_add,
-    witt_coordinates,
-    witt_mul,
-    witt_neg,
-)
 
 SCHEMA_VERSION = "1"
 
@@ -52,7 +42,7 @@ def _need(args, *names):
 def _ring(args) -> CoeffRing:
     if args.ring is None:
         raise ValueError(f"command {args.command!r} needs --ring")
-    return CoeffRing.from_json_dict(json.loads(args.ring))
+    return CoeffRing.from_json_dict(_loads(args.ring, "--ring"))
 
 
 # command -> (required, optional) payload keys; the other commands take none
@@ -75,6 +65,8 @@ def run(args: argparse.Namespace):
     json_object(payload, f"{cmd} payload", *PAYLOAD_KEYS.get(cmd, ((), ())))
 
     if cmd in ("add", "mul"):
+        from .witt import WittElement, witt_add, witt_mul
+
         ring = _ring(args)
         a = WittElement.from_json_dict(ring, payload["a"])
         b = WittElement.from_json_dict(ring, payload["b"])
@@ -82,24 +74,33 @@ def run(args: argparse.Namespace):
         return 0, {"result": out.to_json_dict()}
 
     if cmd == "neg":
+        from .witt import WittElement, witt_neg
+
         ring = _ring(args)
         a = WittElement.from_json_dict(ring, payload["a"])
         return 0, {"result": witt_neg(a).to_json_dict()}
 
     if cmd == "coords":
+        from .witt import WittElement, witt_coordinates
+
         ring = _ring(args)
         a = WittElement.from_json_dict(ring, payload["a"])
         return 0, {"result": witt_coordinates(a).to_json_dict()}
 
     if cmd == "from-coords":
+        from .witt import WittCoordinates, from_coordinates
+
         ring = _ring(args)
         _need(args, "n", "d")
         coords = WittCoordinates.from_json_dict(ring, args.n, args.d, payload)
         return 0, {"result": from_coordinates(coords).to_json_dict()}
 
     if cmd == "decompose":
+        from .witt import WittElement, check_family, decompose
+
         ring = _ring(args)
         a = WittElement.from_json_dict(ring, payload["a"])
+        check_family(a.n, a.d)
         fam = decompose(a)
         comps = [
             {"nu": list(nu), "series": fam.components[nu].to_json_dict()}
@@ -108,6 +109,8 @@ def run(args: argparse.Namespace):
         return 0, {"components": comps}
 
     if cmd == "ah-exp":
+        from .ptypical import artin_hasse_exp
+
         ring = _ring(args)
         _need(args, "d")
         x = ring.element(payload["x"])
@@ -115,6 +118,10 @@ def run(args: argparse.Namespace):
         return 0, {"result": artin_hasse_exp(x, j, args.d).to_json_dict()}
 
     if cmd == "pair":
+        from .duality import FormalWittElement, cartier_pair, geometric_pair
+        from .series import TruncatedSeries
+        from .witt import WittElement
+
         ring = _ring(args)
         f = FormalWittElement(TruncatedSeries.from_json_dict(ring, payload["f"]))
         base = CoeffRing(ring.field, 1)
@@ -134,6 +141,8 @@ def run(args: argparse.Namespace):
         return 0, result
 
     if cmd == "pi1":
+        from .cft import pi1_truncated, witt_group_structure_brute
+
         _need(args, "n", "q", "d")
         structure = pi1_truncated(args.n, args.q, args.d)
         _check_json_int(structure.order, "group order")
@@ -148,6 +157,8 @@ def run(args: argparse.Namespace):
         return 0, result
 
     if cmd == "lang-census":
+        from .cft import lang_kernel_census
+
         _need(args, "n", "q", "s", "d")
         census = lang_kernel_census(args.n, args.q, args.s, args.d, seed=args.seed)
         return (0 if census.matches else 2), census.to_json_dict()
@@ -171,9 +182,16 @@ def _check_json_int(value: int, what: str) -> None:
         raise TooLarge(f"{what} has {digits} decimal digits, beyond the {limit}-digit limit of JSON output")
 
 
+def _loads(text: str, what: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{what} is not JSON: {exc}") from None
+
+
 def _read_payload(value: str | None):
     text = sys.stdin.read().strip() if value == "-" else value
-    return json.loads(text) if text else {}
+    return _loads(text, "payload") if text else {}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -244,7 +262,7 @@ def main(argv=None) -> int:
     try:
         code, result = run(build_parser().parse_args(argv))
         text = _dumps(result)
-    except (WittError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (WittError, ValueError, KeyError, TypeError) as exc:
         code, text = 1, _dumps({"error": {"kind": type(exc).__name__, "detail": str(exc)}})
     sys.stdout.write(text)
     return code

@@ -5,8 +5,9 @@ coefficients are all nilpotent; these are exactly the polynomial units of
 R[t_1..t_n] up to a scalar.  Against a full truncated element over the
 base field there are three ways to pair:
 
-  * algebraic: ring-multiply the two elements and sum the coefficients of
-    the resulting polynomial (evaluation at t = 1);
+  * algebraic: ring-multiply the two elements and evaluate at t = 1.
+    Evaluation is a ring homomorphism, so this is the product of the
+    values of the convolution binomials, never the product polynomial;
   * geometric: truncate the second argument to a polynomial g' in the
     inverse variable, and take the product of f over the zeros of g' with
     multiplicity, computed as a resultant so nilpotent coefficients and
@@ -29,8 +30,6 @@ lies in N^ceil(|nu|/D).
 
 from __future__ import annotations
 
-from functools import reduce
-
 from .errors import (
     InvalidTruncation,
     NotAUnit,
@@ -45,7 +44,6 @@ from .unipoly import UnivariatePolynomial, resultant
 from .witt import (
     WittCoordinates,
     WittElement,
-    binomial_product,
     convolution_factors,
     from_coordinates,
     one_var_order,
@@ -176,20 +174,26 @@ def _lift_to(ring: CoeffRing, g: WittElement) -> WittElement:
 
 
 def _component_pair_value(ring: CoeffRing, fa: dict, gb: dict) -> int:
-    """Sum of coefficients of the one-variable convolution product, computed
-    at a window wide enough that no nonzero term can be discarded."""
-    if not fa or not gb:
-        return ring.one
-    # each factor (1 - c t^lcm(i, j))^gcd(i, j) has degree i * j
-    dstar = 2 + sum(fa) * sum(gb)
-    prod, exact = binomial_product(ring, dstar, convolution_factors(ring, fa, gb))
-    if not exact:
-        raise UnstableTruncation("pairing window unexpectedly too small")
-    return reduce(ring.radd, prod.values(), 0)
+    """The one-variable convolution product of {i: a_i} and {j: b_j} at t = 1.
+
+    Evaluation at t = 1 is a ring homomorphism, so the value is the
+    product of the binomials' values: (1 - a_i^(j/g) b_j^(i/g))^g over
+    the pairs, g = gcd(i, j).  Each a_i is nilpotent, so c = 0, a factor
+    1, once j/g reaches the nilpotency order."""
+    rmul, rsub, one = ring.rmul, ring.rsub, ring.one
+    acc = one
+    for _, c in convolution_factors(ring, fa, gb):
+        acc = rmul(acc, rsub(one, c))
+    return acc
 
 
 def cartier_pair(f: FormalWittElement, g: WittElement, d: int | None = None) -> RingElement:
     """Multiply f against g and evaluate at t = 1.
+
+    The product splits into the one-variable components both sides share,
+    and each component's product is an ordered product of binomials, so
+    the value is a product of binomial values (1 - c)^g: no product
+    polynomial is formed.
 
     The coordinates of g are consumed up to total degree d (default: one
     below its truncation); the value is recomputed with the bound raised by

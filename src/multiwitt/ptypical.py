@@ -380,7 +380,8 @@ def pi_epsilon(family: dict, ring: CoeffRing, d: int) -> WittElement:
 
 
 def pi_epsilon_inverse(a: WittElement) -> dict:
-    """Solve for the family; the coefficient at t^(j p^i) is the next unknown."""
+    """Solve for the family; the coefficient at t^(j p^i) is the next unknown,
+    and dividing by its factor E(v, t^(j p^i)) exposes the one after."""
     if a.n != 1:
         raise ShapeMismatch("component solving works in one variable")
     ring, d = a.ring, a.d
@@ -398,7 +399,7 @@ def pi_epsilon_inverse(a: WittElement) -> dict:
             continue
         entries[j][i] = c
         factor = artin_hasse_exp(ring.from_raw(c), k, d)
-        running = running.mul(factor.series.inv())
+        running = running / factor.series
     if running.support_degree():
         raise NonIntegral("factor peeling left a nonunit remainder")
     return {j: PWittVector(p, e, ring) for j, e in entries.items()}

@@ -16,6 +16,20 @@ no nonzero term was ever discarded while producing it.  Multiplication
 keeps the flag only when both inputs carry it and the product lost
 nothing to the truncation bound; evaluation at t = 1 is legal only for
 exact series.
+
+Every division in the library runs through one kernel, ``divide_keys``:
+the quotient q = a / b by a divisor with unit constant term b_0 is one
+forward recurrence over keys in graded order.  The remainder starts as
+a; reading key e gives q[e] = b_0^-1 * rem[e], and q[e] * (-b_j) is
+pushed to e + j for every other key j of b.  Every push lands at a
+higher degree, so a key is read after its last update, and the cost is
+the quotient's size times the divisor's support.  ``inv`` is the kernel
+with numerator 1, the series quotient ``a / b`` is the kernel itself,
+``witt_coordinates`` divides by each binomial (1 - r t^nu) through it,
+and the p-typical factor solver divides by each Artin-Hasse factor.  A
+quotient is exact when both inputs are and no nonzero push fell at or
+past degree d: then q * b = a holds with nothing truncated.
+
 Internally coefficients are the raw integer encoding of ring.py; the
 public accessors return RingElement values.
 """
@@ -23,7 +37,7 @@ public accessors return RingElement values.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd
+from math import comb, gcd
 
 from .errors import NonUnitConstantTerm, NotExact, SchemaError, ShapeMismatch, TooLarge
 from .ring import CoeffRing, RingElement, json_int, json_object
@@ -43,6 +57,28 @@ def check_shape(n: int, d: int) -> None:
         raise TooLarge(
             f"at n = {n}, d = {d} an exponent has {n} entries and a key below d^n "
             f"of up to {bits} bits, beyond limit {EXPONENT_BITS_LIMIT}"
+        )
+
+
+# pushes of one division, a bound checked before it starts: 3 terms at
+# n = 1, d = 200,000 make 600,000, about a second
+DIVISION_LIMIT = 10**6
+
+
+def check_division(n: int, d: int, generators: int, den_terms: int, num_terms: int = 1) -> None:
+    """TooLarge, before any key is built, when a division at (n, d) may take
+    more than ``DIVISION_LIMIT`` pushes: its quotient's keys, times the
+    divisor's ``den_terms``.  A quotient key lies below d, and it is one of
+    ``num_terms`` numerator keys plus a sum of m = ``generators`` non-constant
+    keys, so there are at most min(comb(n + d - 1, n), num_terms *
+    comb(m + d - 1, m)) of them."""
+    check_shape(n, d)
+    keys = min(comb(n + d - 1, n), num_terms * comb(generators + d - 1, generators))
+    if keys * den_terms > DIVISION_LIMIT:
+        shown = keys if keys < 10**18 else f"2^{keys.bit_length() - 1} or more"
+        raise TooLarge(
+            f"at n = {n}, d = {d} a quotient has up to {shown} keys, each pushed to "
+            f"{den_terms} divisor terms, beyond limit {DIVISION_LIMIT}"
         )
 
 
@@ -99,10 +135,84 @@ def unpack_exponent(key: int, n: int, d: int) -> tuple:
     return tuple(digits)
 
 
+def divide_keys(ring: CoeffRing, n: int, d: int, rem: dict, den: dict, track: bool = False) -> bool:
+    """Divide ``rem`` by ``den`` in place below degree d.
+
+    Both map keys at (n, d) to raw coefficients and ``den[0]`` is a unit.
+    Degree by degree, each key's quotient term is b_0^-1 times its
+    remainder, and that term times -b_j goes to the key e + j, of higher
+    degree, so a key is read after its last update and the keys of one
+    degree are independent.  In one variable a key is its degree; in
+    more, the keys are filed by degree in a dict that holds only the
+    degrees with keys, and a key the division creates is filed too.  With
+    b_0 = 1 and no ``track``, a key that can push nothing below d keeps
+    its remainder and is not visited.  The walk covers the degrees from
+    the lowest key up: ``check_division`` bounds them with the keys,
+    since any divisor term other than b_0 makes at least d keys possible.
+    With ``track``, returns whether a nonzero push fell at or past
+    degree d."""
+    rmul, radd, one = ring.rmul, ring.radd, ring.one
+    u = one if den[0] == one else ring.rinv(den[0])
+    pushes = sorted((j, ring.rneg(c)) for j, c in den.items() if j)
+    if not pushes or not rem:
+        if u != one:
+            for e, c in rem.items():
+                rem[e] = rmul(u, c)  # a unit times a nonzero term is nonzero
+        return False
+    limit, dn = d**n, d ** (n - 1)
+    stop = limit if track or u != one else (d - pushes[0][0] // dn) * dn
+    buckets = None  # in one variable the degree is the key
+    if n > 1:
+        buckets = {}  # degree -> the keys below stop it holds
+        for e in rem:
+            if e < stop:
+                bucket = buckets.get(e // dn)
+                if bucket is None:
+                    buckets[e // dn] = {e}
+                else:
+                    bucket.add(e)
+    dropped = False
+    for deg in range(min(rem) // dn, stop // dn):
+        for e in (deg,) if buckets is None else buckets.pop(deg, ()):
+            c = rem.get(e, 0)
+            if c == 0:
+                continue
+            if u == one:
+                q = c
+            else:
+                q = rem[e] = rmul(u, c)
+            for j, b in pushes:
+                t = e + j
+                if t >= limit:
+                    if track and not dropped and rmul(q, b):
+                        dropped = True
+                    continue
+                prod = rmul(q, b)
+                if prod == 0:
+                    continue
+                cur = rem.get(t)
+                if cur is None:
+                    rem[t] = prod
+                    if buckets is not None and t < stop:
+                        bucket = buckets.get(t // dn)
+                        if bucket is None:
+                            buckets[t // dn] = {t}
+                        else:
+                            bucket.add(t)
+                else:
+                    s = radd(cur, prod)
+                    if s:
+                        rem[t] = s
+                    else:
+                        del rem[t]
+    return dropped
+
+
 # bounded like the ring tables: a box at n = 6, d = 20 holds 230,230 tuples.
 # The whole-group enumerations in cft, enumerate_witt_elements, the random
 # elements of witt and duality, and the full component family (through
-# primitive_exponents_below) build boxes; the coordinate conversions do not.
+# primitive_exponents_below, in more than one variable) build boxes; the
+# coordinate conversions do not.
 @lru_cache(maxsize=32)
 def exponents_below(n: int, d: int) -> tuple:
     """All exponent tuples with 0 <= |nu| < d, in graded order."""
@@ -124,6 +234,9 @@ def exponents_below(n: int, d: int) -> tuple:
 
 @lru_cache(maxsize=32)
 def primitive_exponents_below(n: int, d: int) -> tuple:
+    if n == 1:  # in one variable only (1,) is primitive: no box is built
+        check_shape(n, d)
+        return ((1,),) if d > 1 else ()
     return tuple(e for e in exponents_below(n, d) if sum(e) > 0 and is_primitive(e))
 
 
@@ -300,27 +413,22 @@ class TruncatedSeries:
                     out[e] = s
         return TruncatedSeries._make(ring, self.n, self.d, out, self.exact and other.exact)
 
-    def inv(self) -> "TruncatedSeries":
+    def __truediv__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        """The quotient by a series with unit constant term, by ``divide_keys``;
+        exact when both are and no nonzero push fell at or past degree d,
+        so that the quotient times ``other`` is exactly ``self``."""
+        self._check_shape(other)
         ring, n, d = self.ring, self.n, self.d
-        c0 = self.constant_raw
-        if not ring.is_unit_raw(c0):
-            raise NonUnitConstantTerm("series inverse needs a unit constant term")
-        u = ring.rinv(c0)
-        # 1/a = u * 1/(1 + u*(a - c0)) = u * sum (-u (a - c0))^k, k < d
-        x_keys = {e: ring.rneg(ring.rmul(u, c)) for e, c in self.keys.items() if e}
-        x = TruncatedSeries._make(ring, n, d, x_keys, self.exact)
-        acc = TruncatedSeries._make(ring, n, d, {0: ring.one}, True)
-        pw = x
-        for _ in range(1, d):
-            if not pw.keys:
-                break
-            acc = acc.add_series(pw)
-            pw = pw.mul(x)
-        # exact when a power of x vanished with no nonzero term dropped
-        exact = self.exact and not pw.keys and pw.exact
-        # u is a unit, so no coefficient of u * acc vanishes
-        out = {e: ring.rmul(c, u) for e, c in acc.keys.items()}
-        return TruncatedSeries._make(ring, n, d, out, exact)
+        if not ring.is_unit_raw(other.constant_raw):
+            raise NonUnitConstantTerm("series division needs a unit constant term")
+        check_division(n, d, len(other.keys) - 1, len(other.keys), len(self.keys))
+        keys = dict(self.keys)
+        track = self.exact and other.exact
+        dropped = divide_keys(ring, n, d, keys, other.keys, track)
+        return TruncatedSeries._make(ring, n, d, keys, track and not dropped)
+
+    def inv(self) -> "TruncatedSeries":
+        return TruncatedSeries.one(self.ring, self.n, self.d, exact=True) / self
 
     def truncate(self, d_new: int) -> "TruncatedSeries":
         if d_new > self.d:

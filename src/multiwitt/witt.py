@@ -5,12 +5,13 @@ is series multiplication.  Every element factors uniquely as an ordered
 product of binomials (1 - r_nu t^nu) over exponents 0 < |nu| < d; the
 family {r_nu} is the coordinate form, and extraction peels factors off in
 graded order.  Dividing by (1 - r t^nu) changes the running quotient only
-above degree |nu|, apart from removing its term at nu, so the peel is a
-frontier walk: degree by degree, it visits only the exponents the
-quotient holds.  Both coordinate conversions run on the series' own
-packed exponent keys (``series.pack_exponent``), where a shift by k nu is
-one integer add and the truncation test one comparison; exponent tuples
-appear only in the public coordinate family.
+above degree |nu|, apart from removing its term at nu, so the peel
+divides in place through the series layer's one division kernel
+(``series.divide_keys``), which visits only the keys the quotient holds.
+Both coordinate conversions run on the series' own packed exponent keys
+(``series.pack_exponent``), where a shift by nu is one integer add and
+the truncation test one comparison; exponent tuples appear only in the
+public coordinate family.
 
 Grouping exponents by their primitive part splits the group into a finite
 product of one-variable components: nu = i * nu0 with gcd(nu0) = 1 turns
@@ -34,7 +35,8 @@ coordinates; ``witt_mul`` the convolution binomials of only the parts
 both factors share, never flagging the product exact; ``recompose`` the
 coordinates of each part; ``ring_one``, the unit at truncation d, the
 (1 - t^nu) over all primitive nu with |nu| < d.  The algebraic pairing
-in duality.py runs it in one variable.
+in duality.py needs only the value at t = 1 of such a product, the
+product of the binomials' values, and forms no product.
 
 Frobenius acts on coefficients; the Lang map divides the Frobenius image
 by the element, and its kernel over an extension field is the subgroup of
@@ -43,14 +45,16 @@ elements with coefficients fixed by Frobenius.
 
 from __future__ import annotations
 
-from math import gcd
+from math import comb, gcd
 
-from .errors import NilpotentCoefficients, ShapeMismatch
+from .errors import NilpotentCoefficients, ShapeMismatch, TooLarge
 from .ring import CoeffRing, RingElement, json_object
 from .series import (
     TruncatedSeries,
+    check_division,
     check_shape,
     content,
+    divide_keys,
     exponents_below,
     grlex_key,
     pack_exponent,
@@ -205,13 +209,32 @@ class WittCoordinates:
         return cls(ring, n, d, coords)
 
 
+# components of a whole family, one per primitive exponent below d
+FAMILY_LIMIT = 10**6
+
+
+def check_family(n: int, d: int) -> None:
+    """TooLarge, before any exponent is built, when the whole family at
+    (n, d) may have more than ``FAMILY_LIMIT`` components: at most the
+    comb(n + d - 1, n) - 1 nonzero exponents below d, and one in one
+    variable."""
+    check_shape(n, d)
+    size = comb(n + d - 1, n) - 1 if n > 1 else 1
+    if size > FAMILY_LIMIT:
+        shown = size if size < 10**18 else f"2^{size.bit_length() - 1} or more"
+        raise TooLarge(
+            f"at n = {n}, d = {d} a component family has up to {shown} components, "
+            f"beyond limit {FAMILY_LIMIT}"
+        )
+
+
 class OneVarComponentFamily:
     """One-variable components indexed by primitive exponents below d.
 
     ``parts`` holds the components that are not the identity.
     ``components`` is the whole family: every primitive exponent below d,
     with the identity wherever ``parts`` has nothing.  It is built on
-    first read and kept."""
+    first read, bounded by ``check_family``, and kept."""
 
     __slots__ = ("ring", "n", "d", "parts", "_components")
 
@@ -226,6 +249,7 @@ class OneVarComponentFamily:
     def components(self) -> dict:
         if self._components is None:
             ring, d = self.ring, self.d
+            check_family(self.n, d)
             self._components = {
                 nu: self.parts.get(nu) or WittElement.one(ring, 1, one_var_order(d, sum(nu)))
                 for nu in primitive_exponents_below(self.n, d)
@@ -258,64 +282,50 @@ def witt_neg(a: WittElement) -> WittElement:
     return WittElement(a.series.inv())
 
 
-def witt_coordinates(a: WittElement) -> WittCoordinates:
-    """Peel binomial factors in graded order, visiting only the exponents
-    the running quotient has.
+# key visits of one coordinate peel, a few seconds: per coordinate, a scan
+# for the lowest key and a division's walk
+PEEL_WORK_LIMIT = 10**7
 
-    The quotient is a copy of the element's keys without its constant
-    term 1.  Dividing it by (1 - r t^nu) removes the term at nu and adds
-    r^k t^(k nu) times every other term, all above degree |nu|, so the
-    walk goes degree by degree over the keys each degree holds, in key
-    order, and files every key a division creates under its degree.  A
-    division reads only the degrees below d - |nu|: a higher term has no
-    shift under d."""
+
+def witt_coordinates(a: WittElement) -> WittCoordinates:
+    """Peel binomial factors in graded order.
+
+    The running quotient is kept without its constant term 1.  Its lowest
+    key nu holds minus the next coordinate r, and (1 + Q) / (1 - r t^nu)
+    is 1 + (Q - Q[nu] t^nu) / (1 - r t^nu): the peel drops the key and
+    divides the rest in place through ``series.divide_keys``, which visits
+    only the keys that can still push below d.  Every other key moves only
+    upward, so the next coordinate is again at the lowest key.
+
+    ``check_division`` bounds the quotient before the peel starts; the
+    number of coordinates is known only as they come, so the peel counts
+    the keys it scans and walks against ``PEEL_WORK_LIMIT``."""
     if a._coords is not None:
         return a._coords
     ring, n, d = a.ring, a.n, a.d
-    rmul, radd, rneg = ring.rmul, ring.radd, ring.rneg
-    limit, dn = d**n, d ** (n - 1)
+    # each quotient's keys are sums of a's, and each division is by a binomial
+    check_division(n, d, len(a.series.keys) - 1, 2)
+    one, rneg, dn = ring.one, ring.rneg, d ** (n - 1)
     quot = {e: c for e, c in a.series.keys.items() if e}
-    buckets = {}  # degree -> keys filed there; a key whose term cancelled stays
-    for key in quot:
-        buckets.setdefault(key // dn, set()).add(key)
     coords = {}
-    while buckets:
-        deg = min(buckets)
-        for nu in sorted(buckets[deg]):
-            c = quot.pop(nu, 0)
-            if c == 0:
-                continue
-            r = rneg(c)
-            coords[nu] = r
-            steps = []  # (key of k nu, r^k) while k |nu| < d
-            shift, pw = nu, r
-            while shift < limit and pw:
-                steps.append((shift, pw))
-                shift += nu
-                pw = rmul(pw, r)
-            # only a term of degree below d - |nu| has a shift under d
-            sources = [
-                (e, quot[e]) for k in range(deg, d - deg) for e in buckets.get(k, ()) if e in quot
-            ]
-            for e, ce in sources:
-                for shift, pw in steps:
-                    t = e + shift
-                    if t >= limit:
-                        break
-                    prod = rmul(ce, pw)
-                    if prod == 0:
-                        continue
-                    cur = quot.get(t)
-                    if cur is None:
-                        quot[t] = prod
-                        buckets.setdefault(t // dn, set()).add(t)
-                    else:
-                        s = radd(cur, prod)
-                        if s:
-                            quot[t] = s
-                        else:
-                            del quot[t]
-        del buckets[deg]
+    work = 0
+    while quot:
+        nu = min(quot)
+        deg = nu // dn
+        if 2 * deg >= d:  # a shift by any key left lands past d: each is a coordinate
+            coords.update((e, rneg(quot[e])) for e in sorted(quot))
+            break
+        c = quot.pop(nu)
+        coords[nu] = rneg(c)
+        # the scan for nu, the division's walk over the degrees from deg up
+        # to d - deg, and in more than one variable its filing of the keys
+        work += (len(quot) if n == 1 else 2 * len(quot)) + d - 2 * deg
+        if work > PEEL_WORK_LIMIT:
+            raise TooLarge(
+                f"the coordinate peel at n = {n}, d = {d} passed {PEEL_WORK_LIMIT} key "
+                f"visits after {len(coords)} coordinates, with {len(quot)} quotient keys left"
+            )
+        divide_keys(ring, n, d, quot, {0: one, nu: c})
     result = WittCoordinates(ring, n, d, {unpack_exponent(k, n, d): r for k, r in coords.items()})
     a._coords = result
     return result
@@ -413,14 +423,18 @@ def decompose(a: WittElement) -> OneVarComponentFamily:
 def convolution_factors(ring: CoeffRing, fa: dict, gb: dict, scale: int = 1):
     """The binomials of the one-variable convolution product of {i: a_i}
     and {j: b_j}: for each pair, (1 - a_i^(j/g) b_j^(i/g) s^L)^g with
-    L = lcm(i, j) and g = gcd(i, j), yielded as g pairs (L * scale, c).
-    ``scale`` is the key of s: key(nu0) at s = t^nu0, 1 in one variable."""
+    L = lcm(i, j) and g = gcd(i, j), yielded as g pairs (L * scale, c)
+    when c is not 0.  ``scale`` is the key of s: key(nu0) at s = t^nu0,
+    1 in one variable."""
     rmul, rpow = ring.rmul, ring.rpow
     for i, ai in fa.items():
         for j, bj in gb.items():
             g = gcd(i, j)
-            c = rmul(rpow(ai, j // g), rpow(bj, i // g))
-            yield from ((i * j // g * scale, c),) * g
+            c = rpow(ai, j // g)
+            if c:
+                c = rmul(c, rpow(bj, i // g))
+                if c:
+                    yield from ((i * j // g * scale, c),) * g
 
 
 def ring_one(ring: CoeffRing, n: int, d: int) -> WittElement:

@@ -1,6 +1,9 @@
+import io
 import json
+import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -355,6 +358,80 @@ def test_oversized_job_rejected_quickly(argv):
     assert json.loads(proc.stdout)["error"]["kind"] == "TooLarge"
 
 
+F3_RING = '{"p":3,"e":1,"modulus":[0,1],"nil":1}'
+ONE_T_T2 = [((0,), [[1]]), ((1,), [[1]]), ((2,), [[1]])]
+
+
+@pytest.mark.parametrize("command", ["neg", "coords", "decompose"])
+def test_division_output_bounded_before_work(capsys, command):
+    """1 + t + t^2 at n = 1, d = 10^9: up to 10^9 quotient keys, past
+    series.DIVISION_LIMIT, so TooLarge names the estimate at once; at
+    d = 200,000 the same jobs run (test_division_jobs_at_d_200000)."""
+    payload = json.dumps({"a": series_doc(1, 10**9, ONE_T_T2)})
+    start = time.perf_counter()
+    code, doc = run_cli(capsys, [command, "--ring", F3_RING, "--payload", payload])
+    assert time.perf_counter() - start < 1.0
+    assert (code, doc["error"]["kind"]) == (1, "TooLarge")
+    assert "up to 1000000000 keys" in doc["error"]["detail"]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_identity_jobs_at_d_1e9(capsys, n):
+    """The identity 1 at d = 10^9: no divisor term but the constant and no
+    coordinate, so neg and coords answer at once; decompose answers with
+    its one component in one variable and, in two, names the size of the
+    whole family, about 5 * 10^17 components."""
+    payload = json.dumps({"a": series_doc(n, 10**9, [((0,) * n, [[1]])])})
+    one = series_doc(n, 10**9, [((0,) * n, [[1]])])
+    for command in ("neg", "coords", "decompose"):
+        start = time.perf_counter()
+        code, doc = run_cli(capsys, [command, "--ring", F3_RING, "--payload", payload])
+        assert time.perf_counter() - start < 1.0, command
+        if command == "neg":
+            assert (code, doc) == (0, {"result": one})
+        elif command == "coords":
+            assert (code, doc) == (0, {"result": {"coords": []}})
+        elif n == 1:
+            comp = series_doc(1, 10**9, [((0,), [[1]])])
+            assert (code, doc) == (0, {"components": [{"nu": [1], "series": comp}]})
+        else:
+            assert (code, doc["error"]["kind"]) == (1, "TooLarge")
+            assert "up to 500000000499999999 components" in doc["error"]["detail"]
+
+
+def test_dense_peel_stops_at_its_work_limit(capsys, monkeypatch):
+    """A dense element has about one coordinate per degree, and each one
+    divides the whole quotient: past witt.PEEL_WORK_LIMIT key visits the
+    peel stops with TooLarge.  Here the limit is lowered so that the
+    job ends early; the same element converts under the real limit."""
+    from multiwitt import witt
+
+    bits = random.Random(17)
+    terms = [((0,), [[1]])] + [((k,), [[1]]) for k in range(1, 400) if bits.random() < 0.5]
+    payload = json.dumps({"a": series_doc(1, 400, terms)})
+    code, doc = run_cli(capsys, ["coords", "--ring", F2_RING, "--payload", payload])
+    assert code == 0 and len(doc["result"]["coords"]) > 100
+    monkeypatch.setattr(witt, "PEEL_WORK_LIMIT", 10_000)
+    for command in ("coords", "decompose"):
+        code, doc = run_cli(capsys, [command, "--ring", F2_RING, "--payload", payload])
+        assert (code, doc["error"]["kind"]) == (1, "TooLarge")
+        assert "passed 10000 key visits" in doc["error"]["detail"]
+
+
+def test_division_jobs_at_d_200000(capsys):
+    """neg and coords of 1 + t + t^2 = (1 - t^3) / (1 - t) over F_3 at
+    d = 200,000: the inverse (1 - t) / (1 - t^3) repeats 1, 2, 0, and the
+    coordinates are 2 at every power of 2 below d and 1 at t^3."""
+    payload = json.dumps({"a": series_doc(1, 200_000, ONE_T_T2)})
+    code, doc = run_cli(capsys, ["neg", "--ring", F3_RING, "--payload", payload])
+    terms = doc["result"]["terms"]
+    assert code == 0 and len(terms) == 133_334
+    assert all(t["c"] == [[(1, 2, 0)[t["exp"][0] % 3]]] for t in terms)
+    code, doc = run_cli(capsys, ["coords", "--ring", F3_RING, "--payload", payload])
+    got = {c["exp"][0]: c["r"][0][0] for c in doc["result"]["coords"]}
+    assert code == 0 and got == {**{2**k: 2 for k in range(18)}, 3: 1}
+
+
 def test_selftest_command(capsys):
     code, doc = run_cli(capsys, ["selftest", "--suite", "ring", "--seed", "7"])
     assert code == 0
@@ -449,10 +526,17 @@ def test_input_error_exit_code(capsys):
     assert "error" in doc
 
 
-def test_bad_json_payload(capsys):
+def test_bad_json_payload(capsys, monkeypatch):
     code, doc = run_cli(capsys, ["mul", "--ring", F2_RING, "--payload", "{oops"])
     assert code == 1
-    assert doc["error"]["kind"] == "JSONDecodeError"
+    assert doc["error"]["kind"] == "SchemaError"
+    assert doc["error"]["detail"].startswith("payload is not JSON")
+    monkeypatch.setattr("sys.stdin", io.StringIO("[1, 2"))
+    code, doc = run_cli(capsys, ["neg", "--ring", F2_RING, "--payload", "-"])
+    assert (code, doc["error"]["kind"]) == (1, "SchemaError")
+    code, doc = run_cli(capsys, ["neg", "--ring", "{'p': 2}", "--payload", '{"a": {}}'])
+    assert (code, doc["error"]["kind"]) == (1, "SchemaError")
+    assert doc["error"]["detail"].startswith("--ring is not JSON")
 
 
 def test_bad_ring_error(capsys):
@@ -599,6 +683,29 @@ def test_cli_needs_neither_jsonschema_nor_selftest():
     proc = subprocess.run([sys.executable, "-c", blocked], capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"factors": [4], "order": 4}
+    # a job runs only the modules it uses: the others stay registered but
+    # unexecuted, as lazy modules, never plain ModuleType objects
+    executed = (
+        "import json, sys, types; from multiwitt.cli import main; "
+        "code = main(json.loads(sys.argv[1])); "
+        "print(json.dumps(sorted(m for m, mod in sys.modules.items() "
+        "if m.startswith('multiwitt.') and type(mod) is types.ModuleType)))"
+    )
+    a = json.dumps({"a": series_doc(1, 4, [((0,), [[1]]), ((1,), [[1]])])})
+    jobs = [
+        (["pi1", "--n", "1", "--q", "2", "--d", "3"], "cft", ("duality", "ptypical")),
+        (["lang-census", "--n", "1", "--q", "2", "--s", "2", "--d", "3"], "cft", ("duality", "ptypical")),
+        (["coords", "--ring", F2_RING, "--payload", a], "witt", ("cft", "duality", "ptypical")),
+        (["ah-exp", "--ring", F2_RING, "--d", "4", "--payload", '{"x": [[1]]}'], "ptypical", ("duality",)),
+    ]
+    for argv, used, unused in jobs:
+        proc = subprocess.run(
+            [sys.executable, "-c", executed, json.dumps(argv)], capture_output=True, text=True
+        )
+        answer, loaded = proc.stdout.splitlines()
+        assert proc.returncode == 0 and "error" not in json.loads(answer), proc.stdout
+        loaded = {m.removeprefix("multiwitt.") for m in json.loads(loaded)}
+        assert used in loaded and not loaded & set(unused), (argv[0], loaded)
 
 
 def _coords_job(doc):

@@ -1,5 +1,7 @@
 import pytest
+from witt_oracle import mul_coordinate_families, pair_value_binomial_product
 
+from multiwitt import duality
 from multiwitt import (
     CoeffRing,
     FormalWittElement,
@@ -303,3 +305,34 @@ def test_separation_full_groups():
         fs = [formal(R23, terms) for terms in probes]
         assert _well_defined_on_quotient(fs, F2, d)
         assert separates(fs, lifts, d=d)
+
+
+def _value_family(ring, keys, rng, nilpotent):
+    draw = ring.random_nilpotent_raw if nilpotent else ring.random_raw
+    return {k: draw(rng) for k in keys}
+
+
+def test_pair_value_matches_binomial_product_oracle(any_ring, rng):
+    """The product of the convolution binomials' values at t = 1 against
+    the multiplied-out product polynomial, summed: the replaced
+    binomial-product route, and the series product of the expanded
+    binomial powers, which shares no convolution code with the library.
+    Random families, with nilpotent and with arbitrary a_i."""
+    for _ in range(12):
+        fa = _value_family(any_ring, rng.sample(range(1, 7), rng.randrange(0, 4)), rng, rng.random() < 0.5)
+        gb = _value_family(any_ring, rng.sample(range(1, 10), rng.randrange(0, 5)), rng, False)
+        got = duality._component_pair_value(any_ring, fa, gb)
+        assert got == pair_value_binomial_product(any_ring, fa, gb), (fa, gb)
+        window = 2 + sum(fa) * sum(gb)
+        assert got == mul_coordinate_families(any_ring, window, fa, gb).eval_all_ones().raw
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("q,e", [(2, 2), (2, 3), (3, 2), (4, 2), (5, 2)])
+def test_cartier_pair_matches_binomial_product_route(q, e, n, rng, monkeypatch):
+    ring, base = CoeffRing.make(q, nil=e), CoeffRing.make(q)
+    dg = 2 * (e - 1) + 3  # f of degree 2 has coordinates below 2 (e - 1) + 1
+    cases = [(random_formal_element(ring, n, 2, rng), random_witt_element(base, n, dg, rng)) for _ in range(6)]
+    got = [cartier_pair(f, g) for f, g in cases]
+    monkeypatch.setattr(duality, "_component_pair_value", pair_value_binomial_product)
+    assert [cartier_pair(f, g) for f, g in cases] == got

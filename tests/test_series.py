@@ -17,7 +17,7 @@ from multiwitt.series import (
     primitive_exponents_below,
     unpack_exponent,
 )
-from multiwitt.witt import random_witt_element
+from multiwitt.witt import WittCoordinates, from_coordinates, random_witt_element
 
 
 def S(ring, n, d, terms, exact=False):
@@ -363,3 +363,123 @@ def test_equal_series_hash_equal_however_built(rng):
             assert got == public and hash(got) == hash(public), (n, how)
             assert {got: how}[public] == how
         assert built["extend, truncate"] == poly and hash(built["extend, truncate"]) == hash(poly)
+
+
+@pytest.mark.parametrize("n", sorted(ORACLE_ORDERS))
+def test_division_kernel_matches_geometric_series_oracle(any_ring, n, rng):
+    """``inv`` and ``a / b`` through the forward recurrence against the
+    geometric-series inverse of the tuple oracle: the inverse with its exact
+    flag, the quotient as a times that inverse, and the quotient times b
+    is a again, on dense and sparse divisors."""
+    for _ in range(4):
+        d = rng.randrange(2, ORACLE_ORDERS[n] + 1)
+        a = random_series(any_ring, n, d, rng)
+        dense = random_series(any_ring, n, d, rng, unit_constant=True)
+        sparse = _few_terms(any_ring, n, d, rng, unit_constant=True)
+        for b in (dense, sparse):
+            for exact in (False, True):
+                a, b = a.copy_with(exact=exact), b.copy_with(exact=exact)
+                inv_terms, inv_exact = series_oracle.inv(b)
+                assert_matches_oracle(b.inv(), (inv_terms, inv_exact))
+                inverse = TruncatedSeries(any_ring, n, d, inv_terms, inv_exact)
+                quotient = a / b
+                assert quotient.terms == series_oracle.mul(a, inverse)[0]
+                assert quotient.mul(b) == a
+
+
+def _few_terms(ring, n, d, rng, unit_constant=False):
+    """Up to three terms, nilpotent ones more often than not, and a unit
+    constant term when asked: the inputs whose products and inverses can be
+    polynomials."""
+    pool = exponents_below(n, d)[1:]
+    terms = {}
+    for e in rng.sample(pool, min(len(pool), rng.randrange(1, 4))):
+        terms[e] = ring.random_nilpotent_raw(rng) if rng.random() < 0.7 else ring.random_raw(rng)
+    c = ring.random_raw(rng)
+    while unit_constant and not ring.is_unit_raw(c):
+        c = ring.random_raw(rng)
+    terms[(0,) * n] = c
+    return TruncatedSeries(ring, n, d, terms, exact=True)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_exact_results_are_whole_polynomials(any_ring, n, rng):
+    """An exact result is the complete polynomial: with its inputs carried
+    to d + k, the same operation gives the result carried to d + k.  Checked
+    on every operation that can flag its result exact, each of which must
+    do so at least once here."""
+    seen = set()
+    for _ in range(12):
+        d = rng.randrange(2, 5)
+        a, b = _few_terms(any_ring, n, d, rng), _few_terms(any_ring, n, d, rng)
+        u = _few_terms(any_ring, n, d, rng, unit_constant=True)
+        raw, shift = any_ring.random_raw(rng), tuple(rng.randrange(2) for _ in range(n))
+        d_low = rng.randrange(1, d + 1)
+        unit = u.constant_raw
+        coords = WittCoordinates(any_ring, n, d, {e: c for e, c in a.terms.items() if sum(e)})
+        ops = {
+            "mul": lambda D: a.extend(D).mul(b.extend(D)),
+            "add_series": lambda D: a.extend(D).add_series(b.extend(D)),
+            "scale_shift": lambda D: a.extend(D).scale_shift(raw, shift),
+            "inv": lambda D: u.extend(D).inv(),
+            "div": lambda D: a.extend(D) / u.extend(D),
+            # the truncation is the whole of a, or not exact
+            "truncate": lambda D: a.extend(D) if D > d else a.truncate(d_low),
+            "map_coefficients": lambda D: a.extend(D).map_coefficients(
+                lambda c: any_ring.rmul(c, unit)
+            ),
+            "from_coordinates": lambda D: from_coordinates(
+                WittCoordinates(any_ring, n, D, coords.coords)
+            ).series,
+        }
+        for name, op in ops.items():
+            got = op(d)
+            if not got.exact:
+                continue
+            seen.add(name)
+            for k in (1, 3):
+                again = op(d + k)
+                assert again == got.extend(d + k) and again.exact, (name, d, k)
+    assert seen == set(ops)
+
+
+@pytest.mark.parametrize("nilpotent", [False, True], ids=["1/(1+t)", "1/(1+eps*t)"])
+def test_inverse_at_d2_over_F2e3_is_not_exact(nilpotent):
+    """1/(1 + t) is no polynomial, and 1/(1 + eps t) = 1 - eps t + eps^2 t^2
+    over F_2[eps]/(eps^3) has a term at degree 2: at d = 2 neither is exact,
+    by ``inv`` or by division."""
+    R = CoeffRing.make(2, nil=3)
+    x = R.eps_raw if nilpotent else 1
+    a = S(R, 1, 2, {(0,): 1, (1,): x}, exact=True)
+    one = TruncatedSeries.one(R, 1, 2, exact=True)
+    for inverse in (a.inv(), one / a):
+        assert inverse.terms == {(0,): 1, (1,): R.rneg(x)} and not inverse.exact
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_division_by_a_constant_only_scales(any_ring, n, rng):
+    """A divisor whose only term is its unit constant c pushes nothing:
+    the quotient is c^-1 times the numerator, exact when both inputs are,
+    and no degree is walked, so it answers at once even at d = 10^9."""
+    d = 10**9
+    c = any_ring.random_raw(rng)
+    while not any_ring.is_unit_raw(c):
+        c = any_ring.random_raw(rng)
+    zero, top = (0,) * n, (d - 1,) + (0,) * (n - 1)
+    a = S(any_ring, n, d, {zero: any_ring.one, top: any_ring.random_raw(rng) or c}, exact=True)
+    b = S(any_ring, n, d, {zero: c}, exact=True)
+    u = any_ring.rinv(c)
+    assert b.inv().terms == {zero: u} and b.inv().exact
+    quotient = a / b
+    assert quotient.terms == {e: any_ring.rmul(u, v) for e, v in a.terms.items()}
+    assert quotient.exact and not (a / b.copy_with(exact=False)).exact
+
+
+def test_one_variable_primitive_exponents_build_no_box():
+    """In one variable (1,) is the only primitive exponent: the family of
+    primitive exponents equals the filtered box for small d and is built
+    without a box at any d."""
+    for d in range(1, 9):
+        box = tuple(e for e in exponents_below(1, d) if sum(e) == 1)
+        assert primitive_exponents_below(1, d) == box
+    assert primitive_exponents_below(1, 10**9) == ((1,),)

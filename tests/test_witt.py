@@ -7,6 +7,7 @@ from witt_oracle import (
     recompose_series,
     ring_one_series,
     witt_coordinates_box,
+    witt_coordinates_frontier,
     witt_mul_dense,
 )
 
@@ -15,6 +16,7 @@ from multiwitt import (
     FormalWittElement,
     NilpotentCoefficients,
     ShapeMismatch,
+    TooLarge,
     TruncatedSeries,
     WittCoordinates,
     WittElement,
@@ -133,6 +135,20 @@ def test_peel_matches_box_walk(any_ring, rng):
             assert back.series.exact == back_want.series.exact
 
 
+def test_peel_matches_frontier_reference(any_ring, rng):
+    """The peel through the division kernel against the former peel, which
+    divides by multiplying with geometric-series steps: the same
+    coordinates in the same order, on dense and sparse elements, and on
+    sparse ones in one variable long enough for long chains of pushes."""
+    for n, d in PEEL_SHAPES + ((1, 60),):
+        elements = [_sparse_element(any_ring, n, d, rng, k) for k in (1, 2, 3, 5)]
+        if d < 20:
+            elements += [random_witt_element(any_ring, n, d, rng) for _ in range(2)]
+        for a in elements:
+            want = witt_coordinates_frontier(a)
+            assert list(witt_coordinates(a).coords.items()) == list(want.coords.items()), (n, d)
+
+
 def test_from_coordinates_matches_series_product(any_ring, rng):
     for n, d in PEEL_SHAPES:
         pool = [e for e in exponents_below(n, d) if sum(e) > 0]
@@ -174,6 +190,26 @@ def test_decompose_regroups_by_gcd():
 def test_decompose_identity(any_ring):
     fam = decompose(WittElement.one(any_ring, 2, 4))
     assert all(c.series.terms == {(0,): 1} for c in fam.components.values())
+
+
+def test_component_family_is_bounded_before_it_is_built(monkeypatch):
+    """``components`` lists every primitive exponent below d, so
+    ``check_family`` refuses a family of more than FAMILY_LIMIT components
+    before building any; in one variable there is one component at every
+    d, and ``parts`` is never bounded."""
+    F3 = CoeffRing.make(3)
+    fam = decompose(WittElement.one(F3, 2, 10**9))
+    assert fam.parts == {}
+    with pytest.raises(TooLarge, match="up to 500000000499999999 components"):
+        fam.components
+    fam = decompose(WittElement.one(F3, 1, 10**9))
+    assert list(fam.components) == [(1,)]
+    # at (2, 5) the bound is the 14 nonzero exponents below 5
+    monkeypatch.setattr("multiwitt.witt.FAMILY_LIMIT", 14)
+    assert len(decompose(WittElement.one(F3, 2, 5)).components) == 7
+    monkeypatch.setattr("multiwitt.witt.FAMILY_LIMIT", 13)
+    with pytest.raises(TooLarge, match="up to 14 components"):
+        decompose(WittElement.one(F3, 2, 5)).components
 
 
 def test_decompose_is_group_hom(any_ring, rng):
@@ -390,8 +426,9 @@ def test_recompose_matches_substituted_series_product(any_ring, rng):
 
 
 def test_witt_layer_products_never_call_series_mul(monkeypatch):
-    """from_coordinates, witt_mul, recompose, ring_one and the algebraic
-    pairing all run on binomial_product alone."""
+    """from_coordinates, witt_mul, recompose and ring_one run on
+    binomial_product alone, and the algebraic pairing multiplies the
+    binomials' values at t = 1: none multiplies series."""
     F3, R = CoeffRing.make(3), CoeffRing.make(3, nil=2)
     a = W(F3, 2, 6, {(1, 0): 1, (1, 1): 2, (0, 3): 1})
     b = W(F3, 2, 6, {(0, 1): 2, (2, 2): 1})

@@ -22,6 +22,15 @@ exponent box, rebuilding the running quotient as a series after every
 factor, and ``from_coordinates_series`` multiplies the binomials as
 series one at a time.  They check the library's conversions, which run
 on packed exponent keys and touch only the exponents the series has.
+``witt_coordinates_frontier`` is the former library peel: it visits only
+the keys the quotient holds, but divides by each binomial by multiplying
+with the steps r^k t^(k nu) of its geometric series, where the library
+runs the forward recurrence of ``series.divide_keys``.
+
+``pair_value_binomial_product`` is the former one-variable value of the
+algebraic pairing: it multiplies out the convolution binomials at a
+window wide enough to lose nothing and adds up the coefficients, where
+the library multiplies the binomials' values at t = 1.
 """
 
 from __future__ import annotations
@@ -33,11 +42,14 @@ from multiwitt.series import (
     exponents_below,
     grlex_key,
     primitive_exponents_below,
+    unpack_exponent,
 )
 from multiwitt.witt import (
     OneVarComponentFamily,
     WittCoordinates,
     WittElement,
+    binomial_product,
+    convolution_factors,
     from_coordinates,
     group_by_primitive,
     one_var_order,
@@ -192,3 +204,79 @@ def from_coordinates_series(c: WittCoordinates) -> WittElement:
         # acc *= (1 - r t^exp)
         acc = acc.add_series(acc.scale_shift(ring.rneg(c.coords[exp]), exp))
     return WittElement(acc)
+
+
+def witt_coordinates_frontier(a: WittElement) -> WittCoordinates:
+    """Peel binomial factors in graded order, visiting only the exponents
+    the running quotient has, each division a multiply by the steps
+    r^k t^(k nu) of the geometric series.
+
+    The quotient is a copy of the element's keys without its constant
+    term 1.  Dividing it by (1 - r t^nu) removes the term at nu and adds
+    r^k t^(k nu) times every other term, all above degree |nu|, so the
+    walk goes degree by degree over the keys each degree holds, in key
+    order, and files every key a division creates under its degree.  A
+    division reads only the degrees below d - |nu|: a higher term has no
+    shift under d."""
+    ring, n, d = a.ring, a.n, a.d
+    rmul, radd, rneg = ring.rmul, ring.radd, ring.rneg
+    limit, dn = d**n, d ** (n - 1)
+    quot = {e: c for e, c in a.series.keys.items() if e}
+    buckets = {}  # degree -> keys filed there; a key whose term cancelled stays
+    for key in quot:
+        buckets.setdefault(key // dn, set()).add(key)
+    coords = {}
+    while buckets:
+        deg = min(buckets)
+        for nu in sorted(buckets[deg]):
+            c = quot.pop(nu, 0)
+            if c == 0:
+                continue
+            r = rneg(c)
+            coords[nu] = r
+            steps = []  # (key of k nu, r^k) while k |nu| < d
+            shift, pw = nu, r
+            while shift < limit and pw:
+                steps.append((shift, pw))
+                shift += nu
+                pw = rmul(pw, r)
+            # only a term of degree below d - |nu| has a shift under d
+            sources = [
+                (e, quot[e]) for k in range(deg, d - deg) for e in buckets.get(k, ()) if e in quot
+            ]
+            for e, ce in sources:
+                for shift, pw in steps:
+                    t = e + shift
+                    if t >= limit:
+                        break
+                    prod = rmul(ce, pw)
+                    if prod == 0:
+                        continue
+                    cur = quot.get(t)
+                    if cur is None:
+                        quot[t] = prod
+                        buckets.setdefault(t // dn, set()).add(t)
+                    else:
+                        s = radd(cur, prod)
+                        if s:
+                            quot[t] = s
+                        else:
+                            del quot[t]
+        del buckets[deg]
+    return WittCoordinates(ring, n, d, {unpack_exponent(k, n, d): r for k, r in coords.items()})
+
+
+def pair_value_binomial_product(ring, fa: dict, gb: dict) -> int:
+    """The sum of the coefficients of the one-variable convolution product
+    of {i: a_i} and {j: b_j}, multiplied out at a window wide enough that
+    no nonzero term is discarded."""
+    if not fa or not gb:
+        return ring.one
+    # each factor (1 - c t^lcm(i, j))^gcd(i, j) has degree i * j
+    dstar = 2 + sum(fa) * sum(gb)
+    prod, exact = binomial_product(ring, dstar, convolution_factors(ring, fa, gb))
+    assert exact, "pairing window unexpectedly too small"
+    acc = 0
+    for c in prod.values():
+        acc = ring.radd(acc, c)
+    return acc
