@@ -29,21 +29,20 @@ transition check) bound the group order in closed form, then run on raw
 coefficient tuples under a dense group law compiled once per (ring, n, d)
 to straight-line code over the ring tables.  Its loop form and the same
 loops over WittElement and witt_add are the test oracle tests/cft_oracle.py.
+Only the witnesses and the element enumeration of ModulusGroupDesc import
+the witt module, so the factors, the oracle and the census run without it.
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Callable
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations, product
 from math import prod
 
 from .errors import InvalidTruncation, NotAbelian, NotClosed, TooLarge
-from .ring import CoeffRing, check_table_size
+from .ring import CoeffRing, Record, check_table_size
 from .series import TruncatedSeries, content, exponents_below, pack_exponent
-from .witt import WittElement, enumerate_witt_elements
 
 BRUTE_FORCE_LIMIT = 2**18
 CENSUS_LIMIT = 10**6
@@ -53,21 +52,30 @@ PAIR_CHECK_LIMIT = 4 * 10**4
 RANK_COUNT_LIMIT = 10**18
 
 
-@dataclass(frozen=True)
-class AbelianGroupStructure:
+class AbelianGroupStructure(Record):
     """Invariant factors ascending, total order, and one witness per factor.
 
     ``make_witnesses`` builds the witnesses on the first read of
     ``witnesses``, so a caller that reads only the factors and the order
-    builds none."""
+    builds none.  Equality and hash ignore it."""
 
-    invariant_factors: tuple
-    order: int
-    make_witnesses: Callable[[], tuple] = field(default=tuple, compare=False, repr=False)
+    __slots__ = ("invariant_factors", "order", "make_witnesses", "_witnesses")
+    _fields = ("invariant_factors", "order")
 
-    @cached_property
+    def __init__(self, invariant_factors: tuple, order: int, make_witnesses=tuple):
+        self._set(
+            invariant_factors=invariant_factors, order=order,
+            make_witnesses=make_witnesses, _witnesses=None,
+        )
+
+    def __reduce__(self):
+        return AbelianGroupStructure, (self.invariant_factors, self.order, self.make_witnesses)
+
+    @property
     def witnesses(self) -> tuple:
-        return self.make_witnesses()
+        if self._witnesses is None:
+            self._set(_witnesses=self.make_witnesses())
+        return self._witnesses
 
     def to_json_dict(self):
         return {"factors": list(self.invariant_factors), "order": self.order}
@@ -109,21 +117,24 @@ def pi1_truncated(n: int, q: int, d: int, ring: CoeffRing | None = None) -> Abel
         raise AssertionError("generator orders do not account for the group order")
 
     def witnesses():
+        from .witt import WittElement
+
         return tuple(WittElement.binomial(ring, n, d, nu, c) for _, nu, c in gens)
 
     return AbelianGroupStructure(factors, order, witnesses)
 
 
-@dataclass(frozen=True)
-class ModulusGroupDesc:
+class ModulusGroupDesc(Record):
     """The quotient (1 + u k[[u]]) / (1 + u^m k[[u]]) at the infinite place."""
 
-    q: int
-    m: int
-    order: int
-    structure: AbelianGroupStructure
+    __slots__ = _fields = ("q", "m", "order", "structure")
+
+    def __init__(self, q: int, m: int, order: int, structure: AbelianGroupStructure):
+        self._set(q=q, m=m, order=order, structure=structure)
 
     def elements(self):
+        from .witt import WittElement, enumerate_witt_elements
+
         ring = CoeffRing.make(self.q)
         if self.m < 2:
             return iter([WittElement.one(ring, 1, max(self.m, 1) + 1)])
@@ -341,7 +352,10 @@ class _DenseLaw:
         size = self.ring.size
         return tuple(rng.randrange(size) for _ in self.exps)
 
-    def to_witt(self, x: tuple) -> WittElement:
+    def to_witt(self, x: tuple):
+        """The WittElement of the tuple x."""
+        from .witt import WittElement
+
         keys = {0: self.ring.one}
         keys.update((k, c) for k, c in zip(self.keys, x) if c)
         return WittElement(TruncatedSeries._make(self.ring, self.n, self.d, keys, False))
@@ -387,13 +401,19 @@ def witt_group_structure_brute(ring: CoeffRing, n: int, d: int) -> AbelianGroupS
     )
 
 
-@dataclass(frozen=True)
-class LangCensus:
-    total: int
-    kernel: int
-    expected_kernel: int
-    endomorphism_pairs_checked: int
-    kernel_is_rational: bool
+class LangCensus(Record):
+    __slots__ = _fields = (
+        "total", "kernel", "expected_kernel", "endomorphism_pairs_checked", "kernel_is_rational"
+    )
+
+    def __init__(
+        self, total, kernel, expected_kernel, endomorphism_pairs_checked, kernel_is_rational
+    ):
+        self._set(
+            total=total, kernel=kernel, expected_kernel=expected_kernel,
+            endomorphism_pairs_checked=endomorphism_pairs_checked,
+            kernel_is_rational=kernel_is_rational,
+        )
 
     @property
     def matches(self) -> bool:

@@ -3,13 +3,15 @@
 Every invocation runs one job and prints a single JSON document.  Exit
 codes: 0 on success, 1 on input or usage errors, 2 when a mathematical
 cross-check disagrees (pairing routes, oracle comparison, selftest).
-Usage errors (an unknown flag, a non-integer flag value, a value below
-its minimum) exit 1 with a JSON error of kind SchemaError, like a
-malformed ring descriptor or payload, or one that is not JSON at all.
-argparse checks the command line; each JSON parser
-(``CoeffRing.from_json_dict``, the series and coordinate readers) checks
-its own input, and ``PAYLOAD_KEYS`` names the keys each command's payload
-takes.  A missing or unknown key is a SchemaError.
+Usage errors (an unknown flag, a missing required flag, a non-integer
+flag value, a value below its minimum) exit 1 with a JSON error of kind
+SchemaError, like a malformed ring descriptor or payload, or one that is
+not JSON at all.  ``COMMANDS`` holds each command's interface: its
+required and optional flags and the keys its payload takes.  argparse
+checks the command line, on a parser built for the one command named
+first; each JSON parser (``CoeffRing.from_json_dict``, the series and
+coordinate readers) checks its own input, and a missing or unknown
+payload key is a SchemaError.
 
 Payloads are JSON, passed with --payload or on stdin (use ``--payload -``
 or pipe; anything over a few KiB should come through stdin).  Output is
@@ -32,37 +34,35 @@ from .ring import CoeffRing, json_int, json_object
 
 SCHEMA_VERSION = "1"
 
-
-def _need(args, *names):
-    for name in names:
-        if getattr(args, name) is None:
-            raise ValueError(f"command {args.command!r} needs --{name}")
-
-
-def _ring(args) -> CoeffRing:
-    if args.ring is None:
-        raise ValueError(f"command {args.command!r} needs --ring")
-    return CoeffRing.from_json_dict(_loads(args.ring, "--ring"))
-
-
-# command -> (required, optional) payload keys; the other commands take none
-PAYLOAD_KEYS = {
-    "add": (("a", "b"), ()),
-    "mul": (("a", "b"), ()),
-    "neg": (("a",), ()),
-    "coords": (("a",), ()),
-    "decompose": (("a",), ()),
-    "from-coords": (("coords",), ()),
-    "ah-exp": (("x",), ("j",)),
-    "pair": (("f", "g"), ()),
+# command -> (required flags, optional flags, (required, optional) payload
+# keys); every command takes --seed, and all but selftest take --payload.
+# "mode" is pair's choice of --algebraic, --geometric or --both.
+COMMANDS = {
+    "add": (("ring",), (), (("a", "b"), ())),
+    "neg": (("ring",), (), (("a",), ())),
+    "mul": (("ring",), (), (("a", "b"), ())),
+    "coords": (("ring",), (), (("a",), ())),
+    "decompose": (("ring",), (), (("a",), ())),
+    "from-coords": (("ring", "n", "d"), (), (("coords",), ())),
+    "ah-exp": (("ring", "d"), (), (("x",), ("j",))),
+    "pair": (("ring",), ("d", "m", "mode"), (("f", "g"), ())),
+    "pi1": (("n", "q", "d"), ("oracle",), ((), ())),
+    "lang-census": (("n", "q", "s", "d"), (), ((), ())),
+    "selftest": ((), ("suite",), None),
 }
 
 
+def _ring(args) -> CoeffRing:
+    return CoeffRing.from_json_dict(_loads(args.ring, "--ring"))
+
+
 def run(args: argparse.Namespace):
-    """Execute the job parsed by ``build_parser``; returns (exit_code, result_dict)."""
+    """Execute the job parsed by ``parse_args``; returns (exit_code, result_dict)."""
     cmd = args.command
-    payload = _read_payload(getattr(args, "payload", None))
-    json_object(payload, f"{cmd} payload", *PAYLOAD_KEYS.get(cmd, ((), ())))
+    keys = COMMANDS[cmd][2]
+    payload = {} if keys is None else json_object(
+        _read_payload(args.payload), f"{cmd} payload", *keys
+    )
 
     if cmd in ("add", "mul"):
         from .witt import WittElement, witt_add, witt_mul
@@ -91,7 +91,6 @@ def run(args: argparse.Namespace):
         from .witt import WittCoordinates, from_coordinates
 
         ring = _ring(args)
-        _need(args, "n", "d")
         coords = WittCoordinates.from_json_dict(ring, args.n, args.d, payload)
         return 0, {"result": from_coordinates(coords).to_json_dict()}
 
@@ -112,7 +111,6 @@ def run(args: argparse.Namespace):
         from .ptypical import artin_hasse_exp
 
         ring = _ring(args)
-        _need(args, "d")
         x = ring.element(payload["x"])
         j = json_int(payload.get("j", 1), "ah-exp j")
         return 0, {"result": artin_hasse_exp(x, j, args.d).to_json_dict()}
@@ -143,7 +141,6 @@ def run(args: argparse.Namespace):
     if cmd == "pi1":
         from .cft import pi1_truncated, witt_group_structure_brute
 
-        _need(args, "n", "q", "d")
         structure = pi1_truncated(args.n, args.q, args.d)
         _check_json_int(structure.order, "group order")
         result = structure.to_json_dict()
@@ -159,7 +156,6 @@ def run(args: argparse.Namespace):
     if cmd == "lang-census":
         from .cft import lang_kernel_census
 
-        _need(args, "n", "q", "s", "d")
         census = lang_kernel_census(args.n, args.q, args.s, args.d, seed=args.seed)
         return (0 if census.matches else 2), census.to_json_dict()
 
@@ -211,45 +207,55 @@ def _int_at_least(minimum: int):
     return integer
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="multiwitt", description="truncated multivariable Witt vector calculator")
-    parser.add_argument(
-        "--version", action="version", version=f"multiwitt 0.1.0 (schema {SCHEMA_VERSION})"
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# flag -> argparse keywords; q is a field order, n, d, m and s count
+# variables or degrees
+_FLAGS = {
+    "ring": {"help": "ring descriptor JSON"},
+    "n": {"type": _int_at_least(1)},
+    "q": {"type": _int_at_least(2)},
+    "s": {"type": _int_at_least(1)},
+    "d": {"type": _int_at_least(1)},
+    "m": {"type": _int_at_least(1)},
+    "seed": {"type": int, "default": 0},
+    "payload": {"help": "payload JSON ('-' for stdin)"},
+    "oracle": {"action": "store_true"},
+    "suite": {"default": "all"},
+}
 
-    def common(sp, ring=False, shape=()):
-        if ring:
-            sp.add_argument("--ring", help="ring descriptor JSON")
-        for name in shape:
-            # q is a field order; n, d, m and s count variables or degrees
-            sp.add_argument(f"--{name}", type=_int_at_least(2 if name == "q" else 1))
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--payload", help="payload JSON ('-' for stdin)")
 
-    for name in ("add", "neg", "mul", "coords", "decompose"):
-        common(sub.add_parser(name), ring=True)
-    common(sub.add_parser("from-coords"), ring=True, shape=("n", "d"))
-    common(sub.add_parser("ah-exp"), ring=True, shape=("d",))
-
-    pair = sub.add_parser("pair")
-    common(pair, ring=True, shape=("d", "m"))
-    mode = pair.add_mutually_exclusive_group()
-    mode.add_argument("--algebraic", action="store_const", const="algebraic", dest="mode")
-    mode.add_argument("--geometric", action="store_const", const="geometric", dest="mode")
-    mode.add_argument("--both", action="store_const", const="both", dest="mode")
-    pair.set_defaults(mode="both")
-
-    pi1 = sub.add_parser("pi1")
-    common(pi1, shape=("n", "q", "d"))
-    pi1.add_argument("--oracle", action="store_true")
-
-    common(sub.add_parser("lang-census"), shape=("n", "q", "s", "d"))
-
-    st = sub.add_parser("selftest")
-    st.add_argument("--suite", default="all")
-    st.add_argument("--seed", type=int, default=0)
+def build_parser(command: str) -> argparse.ArgumentParser:
+    """The parser of ``command``, built from its row of ``COMMANDS``."""
+    required, optional, keys = COMMANDS[command]
+    parser = _Parser(prog=f"multiwitt {command}")
+    parser.set_defaults(command=command)
+    flags = [name for name in required + optional if name != "mode"] + ["seed"]
+    for name in flags if keys is None else flags + ["payload"]:
+        parser.add_argument(f"--{name}", required=name in required, **_FLAGS[name])
+    if "mode" in optional:
+        mode = parser.add_mutually_exclusive_group()
+        for name in ("algebraic", "geometric", "both"):
+            mode.add_argument(f"--{name}", action="store_const", const=name, dest="mode")
+        parser.set_defaults(mode="both")
     return parser
+
+
+def parse_args(argv) -> argparse.Namespace:
+    """The job named by ``argv``, whose first argument is the command.
+
+    Without a command first, a parser that knows only --version, --help
+    and the command names prints the version or the help, or reports the
+    missing or unknown command."""
+    if not argv or argv[0] not in COMMANDS:
+        top = _Parser(
+            prog="multiwitt", description="truncated multivariable Witt vector calculator"
+        )
+        top.add_argument(
+            "--version", action="version", version=f"multiwitt 0.1.0 (schema {SCHEMA_VERSION})"
+        )
+        top.add_argument("command", choices=COMMANDS)
+        top.parse_args(argv)
+        raise SchemaError("the command must be the first argument")
+    return build_parser(argv[0]).parse_args(argv[1:])
 
 
 def _dumps(doc) -> str:
@@ -260,7 +266,7 @@ def main(argv=None) -> int:
     # the result is serialized inside the try, so a job that fails there
     # still ends in one JSON document
     try:
-        code, result = run(build_parser().parse_args(argv))
+        code, result = run(parse_args(sys.argv[1:] if argv is None else list(argv)))
         text = _dumps(result)
     except (WittError, ValueError, KeyError, TypeError) as exc:
         code, text = 1, _dumps({"error": {"kind": type(exc).__name__, "detail": str(exc)}})

@@ -30,19 +30,19 @@ t = 1 on the product v*w, which is a finite sum by nilpotency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NonIntegral, NotNilpotent, ShapeMismatch, TooLarge
-from .ring import CoeffRing, RingElement
+from .ring import CoeffRing, Record, RingElement
 from .series import TruncatedSeries, check_shape
 from .witt import WittElement
 
 
-@dataclass(frozen=True)
-class GhostVector:
-    p: int
-    entries: tuple
+class GhostVector(Record):
+    __slots__ = _fields = ("p", "entries")
+
+    def __init__(self, p: int, entries: tuple):
+        self._set(p=p, entries=entries)
 
     def __len__(self):
         return len(self.entries)

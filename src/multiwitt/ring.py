@@ -12,18 +12,22 @@ iff that digit is zero.
 
 Every ring, field or not, has one representation: full addition,
 negation, multiplication, inverse and p-th power tables over all q^e_nil
-raw elements, attached to each CoeffRing at construction, so each raw
-operation is a single lookup.  The tables of the 32 most recently used
-(p, e, modulus, e_nil) stay cached.  They grow as (q^e_nil)^2, so rings
-with more than 2048 elements are rejected with TooLarge.  Hot loops work
-on raw integers via the CoeffRing methods; RingElement is a thin wrapper
-with operator overloads for public use and tests.
+raw elements, and the coordinate rows of each raw element, attached to
+each CoeffRing at construction, so each raw operation is a single
+lookup.  The tables of the 32 most recently used (p, e, modulus, e_nil)
+stay cached.  They grow as (q^e_nil)^2, so rings with more than 2048
+elements are rejected with TooLarge.  Hot loops work on raw integers via
+the CoeffRing methods; RingElement is a thin wrapper with operator
+overloads for public use and tests.
+
+FiniteField and CoeffRing are immutable values (``Record``): equal and
+hashed by their fields, so a ring can key a cache.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
 
 from .errors import NonUnit, SchemaError, TooLarge
 
@@ -43,6 +47,47 @@ def check_table_size(base: int, power: int, what: str) -> None:
         else:
             size = base**power if power <= cap else f"{base}^{power}"
         raise TooLarge(f"{what} = {size} elements, beyond the table bound {_MAX_TABLE_Q}")
+
+
+class Record:
+    """Immutable value, equal and hashed by the attributes named in
+    ``_fields``, as a frozen dataclass is, without importing dataclasses.
+    A subclass declares its ``__slots__`` and fills them through ``_set``
+    in ``__init__`` (a slot that caches a value built on first read, when
+    it is read); assignment raises AttributeError."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        # _key(self) is the tuple of the fields (every subclass has two or more)
+        cls._key = attrgetter(*cls._fields)
+
+    def _set(self, **values):
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {type(self).__name__}.{name}")
+
+    def __eq__(self, other):
+        if other is self:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __reduce__(self):
+        return type(self), self._key(self)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
 
 
 def json_int(value, what: str, minimum: int | None = None) -> int:
@@ -131,30 +176,24 @@ def _check_irreducible(modulus, p):
                 raise ValueError("modulus is reducible over F_p")
 
 
-@dataclass(frozen=True)
-class FiniteField:
+class FiniteField(Record):
     """F_q = F_p[x]/(modulus), q = p^e, elements indexed 0..q-1."""
 
-    p: int
-    e: int
-    modulus: tuple
+    __slots__ = ("p", "e", "modulus", "q")
+    _fields = ("p", "e", "modulus")
 
-    def __post_init__(self):
-        if self.e < 1:
+    def __init__(self, p: int, e: int, modulus: tuple):
+        if e < 1:
             raise ValueError("extension degree must be >= 1")
         # before the primality test, which trial-divides up to sqrt(p)
-        check_table_size(self.p, self.e, "field has q")
-        if not _is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-        m = tuple(c % self.p for c in self.modulus)
-        object.__setattr__(self, "modulus", m)
-        if len(m) != self.e + 1 or m[-1] != 1:
+        check_table_size(p, e, "field has q")
+        if not _is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        m = tuple(c % p for c in modulus)
+        if len(m) != e + 1 or m[-1] != 1:
             raise ValueError("modulus must be monic of degree e")
-        _check_irreducible(m, self.p)
-
-    @property
-    def q(self) -> int:
-        return self.p**self.e
+        _check_irreducible(m, p)
+        self._set(p=p, e=e, modulus=m, q=p**e)
 
     @classmethod
     def of_order(cls, q: int) -> "FiniteField":
@@ -223,13 +262,14 @@ def _find_irreducible(p: int, e: int):
 # bounded: the tables of one ring of 2048 elements take about 80 MiB
 @lru_cache(maxsize=32)
 def _ring_tables(p: int, e: int, modulus: tuple, nil: int):
-    """(add, neg, mul, inv, frob) tables of F_q[eps]/(eps^nil), q = p^e.
+    """(add, neg, mul, inv, frob, coords) tables of F_q[eps]/(eps^nil), q = p^e.
 
     A raw index is the base-p number whose digit at position i + e*j is
     the coefficient of x^i eps^j.  Addition and negation therefore act
     digit-wise mod p, and multiplication by a fixed a is F_p-linear, so
     the row of a is spanned from the images a * x^i eps^j of the basis.
-    inv holds 0 at non-units; frob is the p-th power map.
+    inv holds 0 at non-units; frob is the p-th power map; coords holds
+    the nil rows of e base-p digits of each raw element, as tuples.
     """
     q = p**e
     size = q**nil
@@ -280,23 +320,29 @@ def _ring_tables(p: int, e: int, modulus: tuple, nil: int):
         for _ in range(p - 1):
             acc = mul[acc][a]
         frob.append(acc)
-    return tuple(add), tuple(neg), tuple(mul), inv, tuple(frob)
+    # raw a has base-p digit i + e*j at x^i eps^j, the lowest digit first
+    rows = [()]
+    for _ in range(e * nil):
+        rows = [r + (c,) for c in range(p) for r in rows]
+    coords = tuple(tuple(r[j * e : (j + 1) * e] for j in range(nil)) for r in rows)
+    return tuple(add), tuple(neg), tuple(mul), inv, tuple(frob), coords
 
 
-@dataclass(frozen=True)
-class CoeffRing:
+class CoeffRing(Record):
     """R = F_q[eps]/(eps^nil); nil = 1 gives R = F_q itself."""
 
-    field: FiniteField
-    nil: int = 1
+    __slots__ = ("field", "nil", "q", "size", "_add", "_neg", "_mul", "_inv", "_frob", "_coords")
+    _fields = ("field", "nil")
 
-    def __post_init__(self):
-        if self.nil < 1:
+    def __init__(self, field: FiniteField, nil: int = 1):
+        if nil < 1:
             raise ValueError("nilpotency order must be >= 1")
-        check_table_size(self.q, self.nil, "ring has q^nil")
-        tables = _ring_tables(self.field.p, self.field.e, self.field.modulus, self.nil)
-        for name, table in zip(("_add", "_neg", "_mul", "_inv", "_frob"), tables):
-            object.__setattr__(self, name, table)
+        check_table_size(field.q, nil, "ring has q^nil")
+        add, neg, mul, inv, frob, coords = _ring_tables(field.p, field.e, field.modulus, nil)
+        self._set(
+            field=field, nil=nil, q=field.q, size=field.q**nil,
+            _add=add, _neg=neg, _mul=mul, _inv=inv, _frob=frob, _coords=coords,
+        )
 
     @classmethod
     def make(cls, q: int, nil: int = 1, modulus=None) -> "CoeffRing":
@@ -311,14 +357,6 @@ class CoeffRing:
     @property
     def p(self) -> int:
         return self.field.p
-
-    @property
-    def q(self) -> int:
-        return self.field.q
-
-    @property
-    def size(self) -> int:
-        return self.q**self.nil
 
     @property
     def is_field(self) -> bool:
@@ -337,10 +375,6 @@ class CoeffRing:
 
     def rmul(self, a: int, b: int) -> int:
         return self._mul[a][b]
-
-    def _digits(self, a: int):
-        q = self.q
-        return [(a // q**k) % q for k in range(self.nil)]
 
     def is_unit_raw(self, a: int) -> bool:
         return self._inv[a] != 0
@@ -420,7 +454,8 @@ class CoeffRing:
         return out
 
     def raw_to_coords(self, a: int):
-        return [self.field.index_to_vector(x) for x in self._digits(a)]
+        """The nil eps-rows of e digits of ``a``, as new lists."""
+        return [list(row) for row in self._coords[a]]
 
     def element(self, coords) -> "RingElement":
         return RingElement(self, self.coords_to_raw(coords))
@@ -445,10 +480,9 @@ class CoeffRing:
 
     def pretty(self, a: int) -> str:
         parts = []
-        for i, x in enumerate(self._digits(a)):
-            if x == 0:
+        for i, vec in enumerate(self._coords[a]):
+            if not any(vec):
                 continue
-            vec = self.field.index_to_vector(x)
             inner = []
             for k, c in enumerate(vec):
                 if c == 0:

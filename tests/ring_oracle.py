@@ -64,6 +64,10 @@ class DigitLoopRing:
     def _digits(self, a):
         return [(a // self.q**k) % self.q for k in range(self.nil)]
 
+    def raw_to_coords(self, a):
+        # each base-q digit as the base-p digits of its field index
+        return [self.ring.field.index_to_vector(x) for x in self._digits(a)]
+
     def _digit_add(self, acc, slot, fval):
         q = self.q
         cur = (acc // q**slot) % q

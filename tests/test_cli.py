@@ -590,6 +590,65 @@ PAIR_PAYLOAD = json.dumps(
     }
 )
 
+# a valid job per command, and the flags it cannot do without
+FULL_JOBS = {
+    "add": (["--ring", F2_RING, "--payload", json.dumps({"a": ONE_PLUS_T, "b": ONE_PLUS_T})], ("ring",)),
+    "neg": (["--ring", F2_RING, "--payload", NEG_PAYLOAD], ("ring",)),
+    "mul": (["--ring", F2_RING, "--payload", json.dumps({"a": ONE_PLUS_T, "b": ONE_PLUS_T})], ("ring",)),
+    "coords": (["--ring", F2_RING, "--payload", NEG_PAYLOAD], ("ring",)),
+    "decompose": (["--ring", F2_RING, "--payload", NEG_PAYLOAD], ("ring",)),
+    "from-coords": (
+        ["--ring", F2_RING, "--n", "1", "--d", "4", "--payload", '{"coords": []}'],
+        ("ring", "n", "d"),
+    ),
+    "ah-exp": (["--ring", F2_RING, "--d", "4", "--payload", '{"x": [[1]]}'], ("ring", "d")),
+    "pair": (["--ring", R22_RING, "--payload", PAIR_PAYLOAD], ("ring",)),
+    "pi1": (["--n", "1", "--q", "2", "--d", "3"], ("n", "q", "d")),
+    "lang-census": (["--n", "1", "--q", "2", "--s", "2", "--d", "3"], ("n", "q", "s", "d")),
+}
+
+
+@pytest.mark.parametrize("command", sorted(FULL_JOBS))
+def test_full_jobs_run(capsys, command):
+    code, doc = run_cli(capsys, [command] + FULL_JOBS[command][0])
+    assert code == 0 and "error" not in doc
+
+
+@pytest.mark.parametrize(
+    "command, flag", [(c, f) for c in sorted(FULL_JOBS) for f in FULL_JOBS[c][1]]
+)
+def test_missing_required_flag_is_a_schema_error(capsys, command, flag):
+    argv = FULL_JOBS[command][0]
+    k = argv.index(f"--{flag}")
+    code, doc = run_cli(capsys, [command] + argv[:k] + argv[k + 2 :])
+    assert code == 1
+    assert doc["error"] == {
+        "kind": "SchemaError",
+        "detail": f"the following arguments are required: --{flag}",
+    }
+
+
+@pytest.mark.parametrize(
+    "argv, detail",
+    [
+        ([], "the following arguments are required: command"),
+        (["foo"], "argument command: invalid choice: 'foo'"),
+        (["foo", "--n", "1"], "argument command: invalid choice: 'foo'"),
+        (["--seed", "1", "pi1", "--n", "1", "--q", "2", "--d", "3"], "argument command: invalid choice: '1'"),
+        (["--", "pi1"], "the command must be the first argument"),
+        (["pi1", "--n", "1", "--q", "2", "--d", "3", "--version"], "unrecognized arguments: --version"),
+        (["selftest", "--payload", "{}"], "unrecognized arguments: --payload {}"),
+    ],
+    ids=[
+        "missing", "unknown", "unknown-with-flags", "flag-first", "separator-first",
+        "version-after-command", "selftest-payload",
+    ],
+)
+def test_command_line_without_a_leading_command_is_a_schema_error(capsys, argv, detail):
+    code, doc = run_cli(capsys, argv)
+    assert code == 1
+    assert doc["error"]["kind"] == "SchemaError" and doc["error"]["detail"].startswith(detail)
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -684,28 +743,44 @@ def test_cli_needs_neither_jsonschema_nor_selftest():
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"factors": [4], "order": 4}
     # a job runs only the modules it uses: the others stay registered but
-    # unexecuted, as lazy modules, never plain ModuleType objects
+    # unexecuted, as lazy modules, never plain ModuleType objects; and no
+    # job imports dataclasses or inspect (what the interpreter loaded at
+    # start-up, before the CLI, does not count)
     executed = (
-        "import json, sys, types; from multiwitt.cli import main; "
+        "import json, sys, types; before = set(sys.modules); from multiwitt.cli import main; "
         "code = main(json.loads(sys.argv[1])); "
         "print(json.dumps(sorted(m for m, mod in sys.modules.items() "
-        "if m.startswith('multiwitt.') and type(mod) is types.ModuleType)))"
+        "if m.startswith('multiwitt.') and type(mod) is types.ModuleType))); "
+        "print(json.dumps(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before))))"
     )
     a = json.dumps({"a": series_doc(1, 4, [((0,), [[1]]), ((1,), [[1]])])})
+    coords = json.dumps({"coords": [{"exp": [1, 0], "r": [[1]]}, {"exp": [1, 2], "r": [[1]]}]})
+    # the job mix of the cli_spawn benchmark workload
     jobs = [
-        (["pi1", "--n", "1", "--q", "2", "--d", "3"], "cft", ("duality", "ptypical")),
-        (["lang-census", "--n", "1", "--q", "2", "--s", "2", "--d", "3"], "cft", ("duality", "ptypical")),
+        (["pi1", "--n", "1", "--q", "2", "--d", "3"], "cft", ("duality", "ptypical", "witt")),
+        (["pair", "--both", "--ring", R22_RING, "--payload", PAIR_PAYLOAD], "duality", ("cft",)),
         (["coords", "--ring", F2_RING, "--payload", a], "witt", ("cft", "duality", "ptypical")),
+        (
+            ["from-coords", "--ring", F2_RING, "--n", "2", "--d", "8", "--payload", coords],
+            "witt",
+            ("cft", "duality", "ptypical"),
+        ),
+        (
+            ["lang-census", "--n", "1", "--q", "2", "--s", "2", "--d", "3"],
+            "cft",
+            ("duality", "ptypical", "witt"),
+        ),
         (["ah-exp", "--ring", F2_RING, "--d", "4", "--payload", '{"x": [[1]]}'], "ptypical", ("duality",)),
     ]
     for argv, used, unused in jobs:
         proc = subprocess.run(
             [sys.executable, "-c", executed, json.dumps(argv)], capture_output=True, text=True
         )
-        answer, loaded = proc.stdout.splitlines()
+        answer, loaded, stdlib = proc.stdout.splitlines()
         assert proc.returncode == 0 and "error" not in json.loads(answer), proc.stdout
         loaded = {m.removeprefix("multiwitt.") for m in json.loads(loaded)}
         assert used in loaded and not loaded & set(unused), (argv[0], loaded)
+        assert json.loads(stdlib) == [], (argv[0], stdlib)
 
 
 def _coords_job(doc):

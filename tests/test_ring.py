@@ -1,11 +1,22 @@
+import copy
 import json
+from functools import lru_cache
 
 import pytest
 from conftest import RINGS
 from hypothesis import given, strategies as st
 from ring_oracle import DigitLoopRing
 
-from multiwitt import CoeffRing, FiniteField, NonUnit, TooLarge
+from multiwitt import (
+    AbelianGroupStructure,
+    CoeffRing,
+    FiniteField,
+    GhostVector,
+    LangCensus,
+    ModulusGroupDesc,
+    NonUnit,
+    TooLarge,
+)
 
 
 def test_char_two_addition():
@@ -183,6 +194,75 @@ def test_tables_match_digit_loop_oracle(name):
                 R.rinv(a)
             with pytest.raises(NonUnit):
                 oracle.rinv(a)
+
+
+def test_coordinate_rows_match_digit_loop(any_ring):
+    oracle = DigitLoopRing(any_ring)
+    for a in any_ring.element_indices():
+        rows = any_ring.raw_to_coords(a)
+        assert rows == oracle.raw_to_coords(a)
+        # the caller owns the lists: changing them leaves the ring's table alone
+        rows[0][0] += 1
+        rows.append([])
+        assert any_ring.raw_to_coords(a) == oracle.raw_to_coords(a)
+        assert any_ring.coords_to_raw(any_ring.raw_to_coords(a)) == a
+
+
+# class, constructor arguments, arguments of an equal value written
+# differently, arguments of a different value, and a field
+VALUE_CLASSES = [
+    (FiniteField, (3, 1, (0, 1)), (3, 1, (3, 4)), (3, 1, (1, 1)), "p"),
+    (CoeffRing, (FiniteField(3, 1, (0, 1)), 2), (FiniteField(3, 1, (3, 1)), 2),
+     (FiniteField(3, 1, (0, 1)),), "nil"),
+    (AbelianGroupStructure, ((2, 4), 8), ((2, 4), 8, lambda: ("w",)), ((8,), 8), "order"),
+    (ModulusGroupDesc, (2, 3, 4, AbelianGroupStructure((2, 2), 4)),
+     (2, 3, 4, AbelianGroupStructure((2, 2), 4, lambda: ("w",))),
+     (2, 3, 4, AbelianGroupStructure((4,), 4)), "structure"),
+    (LangCensus, (16, 4, 4, 256, True), (16, 4, 4, 256, True), (16, 4, 4, 256, False), "kernel"),
+    (GhostVector, (2, (1, 2)), (2, (1, 2)), (2, (1, 3)), "entries"),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, args, same, other, field", VALUE_CLASSES, ids=[case[0].__name__ for case in VALUE_CLASSES]
+)
+def test_value_classes_compare_and_hash_by_fields(cls, args, same, other, field):
+    a, b, c = cls(*args), cls(*same), cls(*other)
+    assert a is not b and a == b and hash(a) == hash(b) and {a: 1}[b] == 1
+    assert a != c and not a == c
+    assert a != tuple(args) and a != object()
+    assert copy.copy(a) == a and copy.deepcopy(a) == a
+    with pytest.raises(AttributeError):
+        setattr(a, field, getattr(c, field))
+    with pytest.raises(AttributeError):
+        a.unknown = 1
+    with pytest.raises(AttributeError):
+        delattr(a, field)
+    assert getattr(a, field) == getattr(b, field)
+
+
+def test_value_class_defaults_and_lazy_witnesses():
+    assert CoeffRing(FiniteField(2, 1, (0, 1))).nil == 1
+    assert AbelianGroupStructure((), 1) == AbelianGroupStructure((), 1)
+    assert AbelianGroupStructure((), 1).witnesses == ()
+    built = []
+    s = AbelianGroupStructure((3,), 3, lambda: built.append(1) or ("g",))
+    assert built == [] and s.witnesses == ("g",) and s.witnesses == ("g",) and built == [1]
+    R = CoeffRing.make(9, nil=2)
+    assert (R.q, R.size, R.field.q) == (9, 81, 9)
+
+
+def test_equal_rings_share_one_cache_entry():
+    calls = []
+
+    @lru_cache(maxsize=None)
+    def size_of(ring):
+        calls.append(ring)
+        return ring.size
+
+    assert size_of(CoeffRing.make(3, nil=2)) == size_of(CoeffRing.make(3, nil=2)) == 9
+    assert size_of(CoeffRing.make(3)) == 3
+    assert len(calls) == 2
 
 
 def test_ring_size_bound():
