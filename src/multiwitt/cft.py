@@ -25,7 +25,8 @@ of up to 2000 elements the enumeration keeps every Lang value, so each
 endomorphism pair costs two group operations and lookups.
 
 The whole-group enumerations (the brute-force oracle, the census and the
-transition check) bound the group order in closed form, then run on raw
+transition check) bound the group order size^rank by ``errors.check_power``,
+with the rank the exact count of nonzero exponents below d, then run on raw
 coefficient tuples under a dense group law compiled once per (ring, n, d)
 to straight-line code over the ring tables.  Its loop form and the same
 loops over WittElement and witt_add are the test oracle tests/cft_oracle.py.
@@ -37,19 +38,24 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from math import prod
 
-from .errors import InvalidTruncation, NotAbelian, NotClosed, TooLarge
-from .ring import CoeffRing, Record, check_table_size
-from .series import TruncatedSeries, content, exponents_below, pack_exponent
+from .errors import InvalidTruncation, NotAbelian, NotClosed, check_budget, check_power
+from .ring import _MAX_TABLE_Q, CoeffRing, Record
+from .series import (
+    TruncatedSeries,
+    check_shape,
+    content,
+    exponent_count,
+    exponents_below,
+    pack_exponent,
+)
 
 BRUTE_FORCE_LIMIT = 2**18
 CENSUS_LIMIT = 10**6
 PI1_GENERATOR_LIMIT = 10**5
 PAIR_CHECK_LIMIT = 4 * 10**4
-# ranks past this get a lower bound: at n = d = 10^9 the rank has 6 * 10^8 digits
-RANK_COUNT_LIMIT = 10**18
 
 
 class AbelianGroupStructure(Record):
@@ -98,11 +104,7 @@ def pi1_truncated(n: int, q: int, d: int, ring: CoeffRing | None = None) -> Abel
         raise InvalidTruncation("coefficients must form the field F_q")
     p, e = ring.p, ring.field.e
     # e generators per exponent at most, counted before building the box
-    rank = _group_rank(n, d)
-    estimate = e * rank
-    if estimate > PI1_GENERATOR_LIMIT:
-        shown = f"up to {estimate}" if rank <= RANK_COUNT_LIMIT else f"at least {estimate}"
-        raise TooLarge(f"{shown} generators, beyond limit {PI1_GENERATOR_LIMIT}")
+    check_budget(e * _group_rank(n, d), PI1_GENERATOR_LIMIT, "up to {} generators")
     gens = []  # (order, exponent, basis element x^b as a field index)
     exps = [nu for nu in exponents_below(n, d) if sum(nu) > 0]
     for nu in exps:
@@ -162,9 +164,9 @@ def brute_force_structure(elements, op) -> AbelianGroupStructure:
     the identity.  The greedy peel builds one witness per factor, on the
     first read of ``witnesses`` only.
     """
-    elems = list(elements)
-    if len(elems) > BRUTE_FORCE_LIMIT:
-        raise TooLarge(f"group of size {len(elems)} beyond brute-force limit")
+    # one element past the limit is enough to refuse
+    elems = list(islice(elements, BRUTE_FORCE_LIMIT + 1))
+    check_budget(len(elems), BRUTE_FORCE_LIMIT, "a group of at least {} elements")
     members = set(elems)
     if len(members) != len(elems):
         raise NotClosed("duplicate elements in enumeration")
@@ -290,28 +292,11 @@ def _peel_witnesses(elems: list, op, identity) -> tuple:
 
 
 def _group_rank(n: int, d: int) -> int:
-    """Number of exponents with 0 < |nu| < d in n variables, or a lower
-    bound past RANK_COUNT_LIMIT: comb(n + d - 1, k), k = min(n, d - 1), is
-    built from partials comb(n + d - 1 - k + i, i) that at least double."""
+    """Number of exponents with 0 < |nu| < d in n variables."""
     if n < 1 or d < 1:
         raise InvalidTruncation("need n >= 1 variables and truncation level d >= 1")
-    c, top, k = 1, n + d - 1, min(n, d - 1)
-    for i in range(1, k + 1):
-        c = c * (top - k + i) // i
-        if c - 1 > RANK_COUNT_LIMIT:
-            break
-    return c - 1
-
-
-def _bounded_order(size: int, rank: int, limit: int, what: str) -> int:
-    """size^rank, or TooLarge naming that estimate when it exceeds limit.
-
-    size >= 2, so capping the exponent at the limit's bit length decides
-    the comparison without forming a huge power."""
-    if size ** min(rank, limit.bit_length()) > limit:
-        shown = rank if rank <= RANK_COUNT_LIMIT else f"(at least {rank})"
-        raise TooLarge(f"{what} of order {size}^{shown} beyond limit {limit}")
-    return size**rank
+    check_shape(n, d)
+    return exponent_count(n, d) - 1
 
 
 def _coefficient_tuples(size: int, rank: int):
@@ -393,7 +378,7 @@ def _dense_law(ring: CoeffRing, n: int, d: int) -> _DenseLaw:
 def witt_group_structure_brute(ring: CoeffRing, n: int, d: int) -> AbelianGroupStructure:
     """Brute-force oracle applied to the truncated group itself."""
     rank = _group_rank(n, d)
-    _bounded_order(ring.size, rank, BRUTE_FORCE_LIMIT, "group")
+    check_power(ring.size, rank, BRUTE_FORCE_LIMIT, "a group of order {}")
     law = _dense_law(ring, n, d)
     s = brute_force_structure(_coefficient_tuples(ring.size, rank), law.op)
     return AbelianGroupStructure(
@@ -436,12 +421,12 @@ def lang_kernel_census(n: int, q: int, s: int, d: int, seed: int = 0) -> LangCen
     if d < 2:
         raise InvalidTruncation("truncation level must be at least 2")
     base = CoeffRing.make(q)
-    check_table_size(q, s, "extension field has q^s")
-    big = CoeffRing.make(q**s)
+    qs = check_power(q, s, _MAX_TABLE_Q, "extension field has q^s = {} elements")
+    big = CoeffRing.make(qs)
     if big.p != base.p:
         raise InvalidTruncation("extension characteristic mismatch")
     rank = _group_rank(n, d)
-    total = _bounded_order(big.size, rank, CENSUS_LIMIT, "census")
+    total = check_power(big.size, rank, CENSUS_LIMIT, "a census of {} elements")
     law = _dense_law(big, n, d)
     frob_q = [big.rfrob(c, q) for c in big.element_indices()]
     frob, op, inv = frob_q.__getitem__, law.op, law.inv
@@ -492,7 +477,7 @@ def transition_surjective(ring: CoeffRing, n: int, d_from: int, d_to: int) -> bo
     if d_to < 1:
         raise InvalidTruncation("target level must be at least 1")
     rank_from, rank_to = _group_rank(n, d_from), _group_rank(n, d_to)
-    _bounded_order(ring.size, rank_from, BRUTE_FORCE_LIMIT, "group")
+    check_power(ring.size, rank_from, BRUTE_FORCE_LIMIT, "a group of order {}")
     # graded order lists every exponent below d_to first, so truncation
     # keeps a prefix of the coefficient tuple
     images = {x[:rank_to] for x in _coefficient_tuples(ring.size, rank_from)}

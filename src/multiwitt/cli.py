@@ -11,7 +11,8 @@ required and optional flags and the keys its payload takes.  argparse
 checks the command line, on a parser built for the one command named
 first; each JSON parser (``CoeffRing.from_json_dict``, the series and
 coordinate readers) checks its own input, and a missing or unknown
-payload key is a SchemaError.
+payload key is a SchemaError.  ``main`` catches WittError alone: a
+builtin exception that escapes is a bug.
 
 Payloads are JSON, passed with --payload or on stdin (use ``--payload -``
 or pipe; anything over a few KiB should come through stdin).  Output is
@@ -29,7 +30,7 @@ import json
 import math
 import sys
 
-from .errors import SchemaError, TooLarge, WittError
+from .errors import SchemaError, WittError, check_budget
 from .ring import CoeffRing, json_int, json_object
 
 SCHEMA_VERSION = "1"
@@ -165,7 +166,7 @@ def run(args: argparse.Namespace):
         summary = selftest.run_suite(args.suite, seed=args.seed)
         return (0 if summary["failed"] == 0 else 2), summary
 
-    raise ValueError(f"unknown command {cmd!r}")
+    raise SchemaError(f"unknown command {cmd!r}")
 
 
 def _check_json_int(value: int, what: str) -> None:
@@ -173,15 +174,15 @@ def _check_json_int(value: int, what: str) -> None:
     it: like int(), it converts no integer of more decimal digits than
     the interpreter's limit, which stays in force for JSON input."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-    if limit and abs(value) >= 10**limit:
+    if limit:
         digits = int(math.log10(abs(value))) + 1
-        raise TooLarge(f"{what} has {digits} decimal digits, beyond the {limit}-digit limit of JSON output")
+        check_budget(digits, limit, "{1} has {0} decimal digits, for JSON output", what)
 
 
 def _loads(text: str, what: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also too many digits, or too deep
         raise SchemaError(f"{what} is not JSON: {exc}") from None
 
 
@@ -268,7 +269,7 @@ def main(argv=None) -> int:
     try:
         code, result = run(parse_args(sys.argv[1:] if argv is None else list(argv)))
         text = _dumps(result)
-    except (WittError, ValueError, KeyError, TypeError) as exc:
+    except WittError as exc:
         code, text = 1, _dumps({"error": {"kind": type(exc).__name__, "detail": str(exc)}})
     sys.stdout.write(text)
     return code

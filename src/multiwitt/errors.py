@@ -1,8 +1,11 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its one refusal policy.
 
 Every mathematically meaningful failure gets its own class so callers
 (and the CLI) can report a structured error kind instead of parsing
-messages.
+messages.  Every work bound passes its estimate to ``check_budget`` or
+``check_power`` before the work starts; a number of 19 or more digits is
+named as "at least 2^k", since printing it may cost more than the work
+refused, or fail.
 """
 
 
@@ -74,6 +77,37 @@ class TooLarge(WittError):
     """Requested enumeration exceeds the configured size limit."""
 
 
-class SchemaError(WittError):
+class SchemaError(WittError, ValueError):
     """Input does not have the documented shape: a bad command line, or a
-    JSON value of the wrong type, range or key set."""
+    JSON value of the wrong type, range or key set.  Also a ValueError, as
+    json.JSONDecodeError is, so callers that catch ValueError keep working."""
+
+
+def _at_least(k: int) -> str:
+    return f"at least 2^{k}" if k < 10**18 else f"at least 2^2^{k.bit_length() - 1}"
+
+
+def _refuse(shown: str, limit: int, what: str, fields: tuple):
+    raise TooLarge(what.format(shown, *fields) + f", beyond limit {limit}")
+
+
+def check_budget(estimate: int, limit: int, what: str, *fields) -> None:
+    """TooLarge when ``estimate`` passes ``limit``.  ``what`` names the work
+    with the estimate at ``{}``, or at ``{0}`` and ``fields`` at ``{1}``, ..;
+    it is formatted only on refusal, and ends ", beyond limit <limit>"."""
+    if estimate > limit:
+        shown = str(estimate) if estimate < 10**18 else _at_least(estimate.bit_length() - 1)
+        _refuse(shown, limit, what, fields)
+
+
+def check_power(base: int, power: int, limit: int, what: str, *fields) -> int:
+    """base^power for base >= 2, checked as by ``check_budget``.  It is at
+    least 2^low, low = (bit_length(base) - 1) * power: once low reaches both
+    the limit's bit length and 60 it is refused unformed, as "at least
+    2^low"; below that it has fewer than 2 * low bits and is formed."""
+    low = (base.bit_length() - 1) * power
+    if low < max(limit.bit_length(), 60):
+        value = base**power
+        check_budget(value, limit, what, *fields)
+        return value
+    _refuse(_at_least(low), limit, what, fields)

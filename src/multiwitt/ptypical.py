@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import NonIntegral, NotNilpotent, ShapeMismatch, TooLarge
+from .errors import NonIntegral, NotNilpotent, SchemaError, ShapeMismatch, check_budget
 from .ring import CoeffRing, Record, RingElement
 from .series import TruncatedSeries, check_shape
 from .witt import WittElement
@@ -313,12 +313,11 @@ def artin_hasse_exp(x: RingElement, j: int, d: int) -> WittElement:
     """E(x, t^j) = AH(x t^j) as a one-variable element truncated at d."""
     ring = x.ring
     if j < 1:
-        raise ValueError("exponent j must be >= 1")
+        raise SchemaError("exponent j must be >= 1")
     check_shape(1, d)
     kmax = (d - 1) // j
-    if kmax + 1 > AH_COEFFICIENT_LIMIT:
-        need = f"E(x, t^{j}) at d = {d} needs {kmax + 1} Artin-Hasse coefficients"
-        raise TooLarge(f"{need}, beyond limit {AH_COEFFICIENT_LIMIT}")
+    need = "E(x, t^{1}) at d = {2} needs {0} Artin-Hasse coefficients"
+    check_budget(kmax + 1, AH_COEFFICIENT_LIMIT, need, j, d)
     coeffs = artin_hasse_coefficients(ring.p, kmax + 1)
     terms = {0: ring.one}  # one variable: keys are degrees
     xp = ring.one

@@ -15,8 +15,9 @@ negation, multiplication, inverse and p-th power tables over all q^e_nil
 raw elements, and the coordinate rows of each raw element, attached to
 each CoeffRing at construction, so each raw operation is a single
 lookup.  The tables of the 32 most recently used (p, e, modulus, e_nil)
-stay cached.  They grow as (q^e_nil)^2, so rings with more than 2048
-elements are rejected with TooLarge.  Hot loops work on raw integers via
+stay cached.  They grow as (q^e_nil)^2, so a field or ring of more than
+2048 elements is refused by ``errors.check_power`` before its order is
+formed or factored.  Hot loops work on raw integers via
 the CoeffRing methods; RingElement is a thin wrapper with operator
 overloads for public use and tests.
 
@@ -29,24 +30,9 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import attrgetter
 
-from .errors import NonUnit, SchemaError, TooLarge
+from .errors import NonUnit, SchemaError, check_budget, check_power
 
 _MAX_TABLE_Q = 2048
-
-
-def check_table_size(base: int, power: int, what: str) -> None:
-    """TooLarge naming base^power when it exceeds the table bound.
-
-    base >= 2 for any field, so capping the exponent keeps the power small
-    and still over the bound; no huge power is ever formed, and a size too
-    long for str() to print is named by its power of two."""
-    cap = _MAX_TABLE_Q.bit_length()
-    if base ** min(power, cap) > _MAX_TABLE_Q:
-        if base.bit_length() * min(power, cap) > 10**4:
-            size = f"at least 2^{(base.bit_length() - 1) * power}"
-        else:
-            size = base**power if power <= cap else f"{base}^{power}"
-        raise TooLarge(f"{what} = {size} elements, beyond the table bound {_MAX_TABLE_Q}")
 
 
 class Record:
@@ -98,6 +84,13 @@ def json_int(value, what: str, minimum: int | None = None) -> int:
         raise SchemaError(f"{what} must be a JSON integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise SchemaError(f"{what} must be >= {minimum}, got {value}")
+    return value
+
+
+def json_list(value, what: str) -> list:
+    """``value`` if it is a JSON list; SchemaError otherwise."""
+    if type(value) is not list:
+        raise SchemaError(f"{what} must be a JSON list, got {value!r}")
     return value
 
 
@@ -161,10 +154,8 @@ def _check_irreducible(modulus, p):
         for c in reversed(modulus):
             acc = (acc * a + c) % p
         if acc == 0:
-            raise ValueError(f"modulus has root {a} mod {p}")
+            raise SchemaError(f"modulus has root {a} mod {p}")
     for deg in range(2, e // 2 + 1):
-        if p**deg > 10**6:
-            raise ValueError("modulus too large to verify irreducibility")
         for idx in range(p**deg):
             d = []
             v = idx
@@ -173,7 +164,7 @@ def _check_irreducible(modulus, p):
                 v //= p
             d.append(1)
             if _poly_divides_p(d, modulus, p):
-                raise ValueError("modulus is reducible over F_p")
+                raise SchemaError("modulus is reducible over F_p")
 
 
 class FiniteField(Record):
@@ -184,14 +175,14 @@ class FiniteField(Record):
 
     def __init__(self, p: int, e: int, modulus: tuple):
         if e < 1:
-            raise ValueError("extension degree must be >= 1")
+            raise SchemaError("extension degree must be >= 1")
         # before the primality test, which trial-divides up to sqrt(p)
-        check_table_size(p, e, "field has q")
+        check_power(p, e, _MAX_TABLE_Q, "field has q = p^e = {} elements")
         if not _is_prime(p):
-            raise ValueError(f"{p} is not prime")
+            raise SchemaError(f"{p} is not prime")
         m = tuple(c % p for c in modulus)
         if len(m) != e + 1 or m[-1] != 1:
-            raise ValueError("modulus must be monic of degree e")
+            raise SchemaError("modulus must be monic of degree e")
         _check_irreducible(m, p)
         self._set(p=p, e=e, modulus=m, q=p**e)
 
@@ -206,7 +197,7 @@ class FiniteField(Record):
             qq //= p
             e += 1
         if p**e != q:
-            raise ValueError(f"{q} is not a prime power")
+            raise SchemaError(f"{q} is not a prime power")
         return cls(p, e, (0, 1) if e == 1 else _find_irreducible(p, e))
 
     def index_to_vector(self, idx: int):
@@ -233,13 +224,13 @@ class FiniteField(Record):
 
 def _char_of(q: int) -> int:
     """The prime dividing the field order q, which must fit the table bound."""
-    check_table_size(q, 1, "field has q")
+    check_budget(q, _MAX_TABLE_Q, "field has q = {} elements")
     for p in range(2, q + 1):
         if q % p == 0:
             if not _is_prime(p):
-                raise ValueError(f"{q} is not a prime power")
+                raise SchemaError(f"{q} is not a prime power")
             return p
-    raise ValueError(f"{q} is not a prime power")
+    raise SchemaError(f"{q} is not a prime power")
 
 
 def _find_irreducible(p: int, e: int):
@@ -254,7 +245,7 @@ def _find_irreducible(p: int, e: int):
         try:
             _check_irreducible(tuple(cand), p)
             return tuple(cand)
-        except ValueError:
+        except SchemaError:
             continue
     raise ValueError(f"no irreducible polynomial found for p={p}, e={e}")
 
@@ -336,8 +327,8 @@ class CoeffRing(Record):
 
     def __init__(self, field: FiniteField, nil: int = 1):
         if nil < 1:
-            raise ValueError("nilpotency order must be >= 1")
-        check_table_size(field.q, nil, "ring has q^nil")
+            raise SchemaError("nilpotency order must be >= 1")
+        check_power(field.q, nil, _MAX_TABLE_Q, "ring has q^nil = {} elements")
         add, neg, mul, inv, frob, coords = _ring_tables(field.p, field.e, field.modulus, nil)
         self._set(
             field=field, nil=nil, q=field.q, size=field.q**nil,
@@ -350,7 +341,7 @@ class CoeffRing(Record):
             p = _char_of(q)
             e = len(modulus) - 1
             if p**e != q:
-                raise ValueError("modulus degree does not match q")
+                raise SchemaError("modulus degree does not match q")
             return cls(FiniteField(p, e, tuple(modulus)), nil)
         return cls(FiniteField.of_order(q), nil)
 
@@ -511,9 +502,7 @@ class CoeffRing(Record):
         """Ring from its descriptor: an object with exactly the keys p, e,
         modulus (a list of integers) and optional nil."""
         json_object(obj, "ring descriptor", ("p", "e", "modulus"), ("nil",))
-        modulus = obj["modulus"]
-        if not isinstance(modulus, list):
-            raise SchemaError(f"ring modulus must be a JSON list, got {modulus!r}")
+        modulus = json_list(obj["modulus"], "ring modulus")
         return cls(
             FiniteField(
                 json_int(obj["p"], "ring p", 2),

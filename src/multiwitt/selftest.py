@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 
 from . import cft, duality, ptypical, unipoly, witt
+from .errors import SchemaError
 from .ring import CoeffRing
 from .series import TruncatedSeries, exponents_below
 from .witt import WittElement, random_witt_element
@@ -359,7 +360,7 @@ def run_suite(name: str, seed: int = 0) -> dict:
     elif name in SUITES:
         names = [name]
     else:
-        raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
+        raise SchemaError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
     checks = []
     passed = failed = 0
     for suite in names:

@@ -39,8 +39,8 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb, gcd
 
-from .errors import NonUnitConstantTerm, NotExact, SchemaError, ShapeMismatch, TooLarge
-from .ring import CoeffRing, RingElement, json_int, json_object
+from .errors import NonUnitConstantTerm, NotExact, SchemaError, ShapeMismatch, check_budget
+from .ring import CoeffRing, RingElement, json_int, json_list, json_object
 
 # an exponent in n variables below d has n entries and a key below d^n, an
 # n * log2(d)-bit integer: n * d.bit_length() bounds both
@@ -48,16 +48,17 @@ EXPONENT_BITS_LIMIT = 1 << 16
 
 
 def check_shape(n: int, d: int) -> None:
-    """ValueError unless n, d >= 1; TooLarge, before anything is built, when
+    """SchemaError unless n, d >= 1; TooLarge, before anything is built, when
     exponents at (n, d) are past ``EXPONENT_BITS_LIMIT``."""
     if n < 1 or d < 1:
-        raise ValueError("need n >= 1 and d >= 1")
-    bits = n * d.bit_length()
-    if bits > EXPONENT_BITS_LIMIT:
-        raise TooLarge(
-            f"at n = {n}, d = {d} an exponent has {n} entries and a key below d^n "
-            f"of up to {bits} bits, beyond limit {EXPONENT_BITS_LIMIT}"
-        )
+        raise SchemaError("need n >= 1 and d >= 1")
+    what = "at n = {1}, d = {2} an exponent has {1} entries and a key below d^n of up to {0} bits"
+    check_budget(n * d.bit_length(), EXPONENT_BITS_LIMIT, what, n, d)
+
+
+def exponent_count(n: int, d: int) -> int:
+    """The number comb(n + d - 1, n) of exponents in n variables with |nu| < d."""
+    return comb(n + d - 1, n)
 
 
 # pushes of one division, a bound checked before it starts: 3 terms at
@@ -70,16 +71,12 @@ def check_division(n: int, d: int, generators: int, den_terms: int, num_terms: i
     more than ``DIVISION_LIMIT`` pushes: its quotient's keys, times the
     divisor's ``den_terms``.  A quotient key lies below d, and it is one of
     ``num_terms`` numerator keys plus a sum of m = ``generators`` non-constant
-    keys, so there are at most min(comb(n + d - 1, n), num_terms *
-    comb(m + d - 1, m)) of them."""
+    keys, so there are at most min(exponent_count(n, d), num_terms *
+    exponent_count(m, d)) of them."""
     check_shape(n, d)
-    keys = min(comb(n + d - 1, n), num_terms * comb(generators + d - 1, generators))
-    if keys * den_terms > DIVISION_LIMIT:
-        shown = keys if keys < 10**18 else f"2^{keys.bit_length() - 1} or more"
-        raise TooLarge(
-            f"at n = {n}, d = {d} a quotient has up to {shown} keys, each pushed to "
-            f"{den_terms} divisor terms, beyond limit {DIVISION_LIMIT}"
-        )
+    keys = min(exponent_count(n, d), num_terms * exponent_count(generators, d))
+    what = "at n = {1}, d = {2} a division by {3} divisor terms may make {0} pushes"
+    check_budget(keys * den_terms, DIVISION_LIMIT, what, n, d, den_terms)
 
 
 def grlex_key(exp: tuple):
@@ -106,7 +103,7 @@ def parse_exponent(values, seen) -> tuple:
     """Exponent tuple from a JSON list of integers; rejects exponents
     already in ``seen``.  The series and coordinate constructors check
     its shape."""
-    exp = tuple(json_int(v, "exponent entry") for v in values)
+    exp = tuple(json_int(v, "exponent entry") for v in json_list(values, "exponent"))
     if exp in seen:
         raise ShapeMismatch(f"exponent {list(exp)} listed twice")
     return exp
@@ -482,7 +479,7 @@ class TruncatedSeries:
     def from_json_dict(cls, ring: CoeffRing, obj) -> "TruncatedSeries":
         json_object(obj, "series", ("n", "d", "terms"), ("exact",))
         terms = {}
-        for t in obj["terms"]:
+        for t in json_list(obj["terms"], "series terms"):
             json_object(t, "series term", ("exp", "c"))
             exp = parse_exponent(t["exp"], terms)
             terms[exp] = ring.coords_to_raw(t["c"])

@@ -22,7 +22,7 @@ division.  This is deliberately desk-scale.
 
 from __future__ import annotations
 
-from .errors import EmptyInput, ExtensionBoundExceeded, ShapeMismatch, TooLarge
+from .errors import EmptyInput, ExtensionBoundExceeded, ShapeMismatch, check_budget
 from .ring import CoeffRing, RingElement
 
 
@@ -161,8 +161,7 @@ def resultant(a: UnivariatePolynomial, b: UnivariatePolynomial) -> RingElement:
         return ring.from_raw(ring.rpow(a.coeffs[0], n))
     if n == 0:
         return ring.from_raw(ring.rpow(b.coeffs[0], m))
-    if m + n > SYLVESTER_LIMIT:
-        raise TooLarge(f"Sylvester matrix of size {m + n}, beyond limit {SYLVESTER_LIMIT}")
+    check_budget(m + n, SYLVESTER_LIMIT, "Sylvester matrix of size {}")
     return ring.from_raw(_det_chain(sylvester_matrix(a, b), ring))
 
 

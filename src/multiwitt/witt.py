@@ -45,16 +45,17 @@ elements with coefficients fixed by Frobenius.
 
 from __future__ import annotations
 
-from math import comb, gcd
+from math import gcd
 
-from .errors import NilpotentCoefficients, ShapeMismatch, TooLarge
-from .ring import CoeffRing, RingElement, json_object
+from .errors import NilpotentCoefficients, ShapeMismatch, check_budget
+from .ring import CoeffRing, RingElement, json_list, json_object
 from .series import (
     TruncatedSeries,
     check_division,
     check_shape,
     content,
     divide_keys,
+    exponent_count,
     exponents_below,
     grlex_key,
     pack_exponent,
@@ -203,7 +204,7 @@ class WittCoordinates:
     def from_json_dict(cls, ring: CoeffRing, n: int, d: int, obj) -> "WittCoordinates":
         json_object(obj, "coordinate document", ("coords",))
         coords = {}
-        for t in obj["coords"]:
+        for t in json_list(obj["coords"], "coordinates"):
             json_object(t, "coordinate", ("exp", "r"))
             coords[parse_exponent(t["exp"], coords)] = ring.coords_to_raw(t["r"])
         return cls(ring, n, d, coords)
@@ -216,16 +217,12 @@ FAMILY_LIMIT = 10**6
 def check_family(n: int, d: int) -> None:
     """TooLarge, before any exponent is built, when the whole family at
     (n, d) may have more than ``FAMILY_LIMIT`` components: at most the
-    comb(n + d - 1, n) - 1 nonzero exponents below d, and one in one
+    exponent_count(n, d) - 1 nonzero exponents below d, and one in one
     variable."""
     check_shape(n, d)
-    size = comb(n + d - 1, n) - 1 if n > 1 else 1
-    if size > FAMILY_LIMIT:
-        shown = size if size < 10**18 else f"2^{size.bit_length() - 1} or more"
-        raise TooLarge(
-            f"at n = {n}, d = {d} a component family has up to {shown} components, "
-            f"beyond limit {FAMILY_LIMIT}"
-        )
+    size = exponent_count(n, d) - 1 if n > 1 else 1
+    what = "at n = {1}, d = {2} a component family has up to {0} components"
+    check_budget(size, FAMILY_LIMIT, what, n, d)
 
 
 class OneVarComponentFamily:
@@ -309,6 +306,7 @@ def witt_coordinates(a: WittElement) -> WittCoordinates:
     quot = {e: c for e, c in a.series.keys.items() if e}
     coords = {}
     work = 0
+    meter = "the coordinate peel at n = {1}, d = {2} reaches {0} key visits"
     while quot:
         nu = min(quot)
         deg = nu // dn
@@ -320,11 +318,7 @@ def witt_coordinates(a: WittElement) -> WittCoordinates:
         # the scan for nu, the division's walk over the degrees from deg up
         # to d - deg, and in more than one variable its filing of the keys
         work += (len(quot) if n == 1 else 2 * len(quot)) + d - 2 * deg
-        if work > PEEL_WORK_LIMIT:
-            raise TooLarge(
-                f"the coordinate peel at n = {n}, d = {d} passed {PEEL_WORK_LIMIT} key "
-                f"visits after {len(coords)} coordinates, with {len(quot)} quotient keys left"
-            )
+        check_budget(work, PEEL_WORK_LIMIT, meter, n, d)
         divide_keys(ring, n, d, quot, {0: one, nu: c})
     result = WittCoordinates(ring, n, d, {unpack_exponent(k, n, d): r for k, r in coords.items()})
     a._coords = result

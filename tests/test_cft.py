@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import random
+import time
 import types
 
 import cft_oracle
@@ -203,6 +204,18 @@ def test_brute_force_size_limit():
         brute_force_structure(range(2**18 + 1), lambda a, b: 0)
 
 
+def test_brute_force_takes_one_element_past_the_limit():
+    def op(a, b):
+        raise AssertionError("a group operation ran")
+
+    elements = itertools.count()
+    start = time.perf_counter()
+    with pytest.raises(TooLarge, match=r"at least 262145 elements, beyond limit 262144$"):
+        brute_force_structure(elements, op)
+    assert time.perf_counter() - start < 1.0
+    assert next(elements) == 2**18 + 1
+
+
 def test_modulus_group_examples():
     assert modulus_group(2, 1).order == 1
     g = modulus_group(2, 3)
@@ -266,11 +279,15 @@ def test_group_rank_closed_form():
             assert cft._group_rank(n, d) == len(exponents_below(n, d)) - 1
 
 
-def test_group_rank_stops_at_a_lower_bound_past_the_limit():
-    assert cft.RANK_COUNT_LIMIT < cft._group_rank(40, 40) < math.comb(79, 40) - 1
-    # ranks of up to about 6 * 10^8 digits, each reached in a few steps
-    for n, d in ((10**5, 10**5), (10**9, 10**9), (10**9, 10**9 // 2)):
-        assert cft._group_rank(n, d) > cft.RANK_COUNT_LIMIT
+def test_group_rank_is_exact_within_the_shape_bound():
+    assert cft._group_rank(40, 40) == math.comb(79, 40) - 1
+    # exponents of 1.7 * 10^6 and 3 * 10^10 bits: refused by the shape
+    # bound before the rank, about 6 * 10^8 digits at 10^9, is counted
+    for n, d in ((10**5, 10**5), (10**9, 10**9)):
+        start = time.perf_counter()
+        with pytest.raises(TooLarge, match="bits, beyond limit 65536$"):
+            cft._group_rank(n, d)
+        assert time.perf_counter() - start < 1.0
 
 
 def test_oversized_enumerations_rejected_before_the_box(monkeypatch):
@@ -279,19 +296,21 @@ def test_oversized_enumerations_rejected_before_the_box(monkeypatch):
 
     monkeypatch.setattr(cft, "exponents_below", no_box)
     F2 = CoeffRing.make(2)
-    estimate = rf"2\^{cft._group_rank(20, 20)}\b"
+    rank = cft._group_rank(20, 20)
+    estimate = rf"order at least 2\^{rank}, beyond limit 262144$"
     with pytest.raises(TooLarge, match=estimate):
         witt_group_structure_brute(F2, 20, 20)
     with pytest.raises(TooLarge, match=estimate):
         transition_surjective(F2, 20, 20, 2)
-    with pytest.raises(TooLarge, match=rf"4\^{cft._group_rank(20, 20)}\b"):
+    census = rf"census of at least 2\^{2 * rank} elements, beyond limit 1000000$"
+    with pytest.raises(TooLarge, match=census):
         lang_kernel_census(20, 2, 2, 20)
-    with pytest.raises(TooLarge, match=rf"\b{cft._group_rank(20, 20)} generators"):
+    with pytest.raises(TooLarge, match=rf"\b{rank} generators, beyond limit 100000$"):
         pi1_truncated(20, 2, 20)
     # the rank at (3, 70) is under the limit, but F_4 has two basis
     # elements, so two generators per exponent
     assert cft._group_rank(3, 70) <= cft.PI1_GENERATOR_LIMIT
-    with pytest.raises(TooLarge, match=rf"\b{2 * cft._group_rank(3, 70)} generators"):
+    with pytest.raises(TooLarge, match=rf"\b{2 * cft._group_rank(3, 70)} generators, beyond"):
         pi1_truncated(3, 4, 70)
 
 
@@ -300,9 +319,9 @@ def test_oversized_extension_rejected_before_it_is_built(monkeypatch):
         raise AssertionError("a modulus search ran")
 
     monkeypatch.setattr("multiwitt.ring._find_irreducible", no_field)
-    with pytest.raises(TooLarge, match=r"2\^100000\b"):
+    with pytest.raises(TooLarge, match=r"q\^s = at least 2\^100000 elements, beyond limit 2048$"):
         lang_kernel_census(1, 2, 100000, 2)
-    with pytest.raises(TooLarge, match="4096"):
+    with pytest.raises(TooLarge, match=r"q\^s = 4096 elements, beyond limit 2048$"):
         lang_kernel_census(1, 2, 12, 2)
 
 

@@ -1,6 +1,7 @@
 import io
 import json
 import random
+import re
 import subprocess
 import sys
 import time
@@ -364,15 +365,17 @@ ONE_T_T2 = [((0,), [[1]]), ((1,), [[1]]), ((2,), [[1]])]
 
 @pytest.mark.parametrize("command", ["neg", "coords", "decompose"])
 def test_division_output_bounded_before_work(capsys, command):
-    """1 + t + t^2 at n = 1, d = 10^9: up to 10^9 quotient keys, past
-    series.DIVISION_LIMIT, so TooLarge names the estimate at once; at
-    d = 200,000 the same jobs run (test_division_jobs_at_d_200000)."""
+    """1 + t + t^2 at n = 1, d = 10^9: up to 10^9 quotient keys, each
+    pushed to the divisor's terms (3 for neg, a binomial's 2 for the
+    peel), past series.DIVISION_LIMIT, so TooLarge names the estimate at
+    once; at d = 200,000 the same jobs run (test_division_jobs_at_d_200000)."""
     payload = json.dumps({"a": series_doc(1, 10**9, ONE_T_T2)})
     start = time.perf_counter()
     code, doc = run_cli(capsys, [command, "--ring", F3_RING, "--payload", payload])
     assert time.perf_counter() - start < 1.0
     assert (code, doc["error"]["kind"]) == (1, "TooLarge")
-    assert "up to 1000000000 keys" in doc["error"]["detail"]
+    pushes = (3 if command == "neg" else 2) * 10**9
+    assert doc["error"]["detail"].endswith(f"may make {pushes} pushes, beyond limit 1000000")
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -415,7 +418,7 @@ def test_dense_peel_stops_at_its_work_limit(capsys, monkeypatch):
     for command in ("coords", "decompose"):
         code, doc = run_cli(capsys, [command, "--ring", F2_RING, "--payload", payload])
         assert (code, doc["error"]["kind"]) == (1, "TooLarge")
-        assert "passed 10000 key visits" in doc["error"]["detail"]
+        assert re.search(r"reaches \d+ key visits, beyond limit 10000$", doc["error"]["detail"])
 
 
 def test_division_jobs_at_d_200000(capsys):
@@ -507,7 +510,7 @@ def test_ring_beyond_table_bound_rejected(capsys):
     code, doc = run_cli(capsys, ["neg", "--ring", ring, "--payload", json.dumps(payload)])
     assert code == 1
     assert doc["error"]["kind"] == "TooLarge"
-    assert "4096" in doc["error"]["detail"]
+    assert doc["error"]["detail"] == "ring has q^nil = 4096 elements, beyond limit 2048"
 
 
 def test_field_beyond_table_bound_rejected(capsys):
@@ -517,7 +520,7 @@ def test_field_beyond_table_bound_rejected(capsys):
     code, doc = run_cli(capsys, ["neg", "--ring", ring, "--payload", payload])
     assert code == 1
     assert doc["error"]["kind"] == "TooLarge"
-    assert "4096" in doc["error"]["detail"]
+    assert doc["error"]["detail"] == "field has q = p^e = 4096 elements, beyond limit 2048"
 
 
 def test_input_error_exit_code(capsys):
@@ -679,6 +682,54 @@ def test_envelope_errors_are_schema_errors(capsys, argv):
     code, doc = run_cli(capsys, argv)
     assert code == 1
     assert doc["error"]["kind"] == "SchemaError"
+
+
+def neg_of(series):
+    return ["neg", "--ring", F2_RING, "--payload", json.dumps({"a": series})]
+
+
+def from_coords_of(payload):
+    return ["from-coords", "--ring", F2_RING, "--n", "1", "--d", "4", "--payload", payload]
+
+
+LONG_INT = "9" * 5000
+LIMITED_INTS = hasattr(sys, "get_int_max_str_digits")
+
+
+@pytest.mark.parametrize(
+    "argv, detail",
+    [
+        (neg_of({"n": 0, "d": 3, "terms": []}), "need n >= 1 and d >= 1"),
+        (["neg", "--ring", '{"p":4,"e":1,"modulus":[0,1]}'], "4 is not prime"),
+        (["neg", "--ring", '{"p":2,"e":2,"modulus":[0,0,1]}'], "modulus has root 0 mod 2"),
+        (["pi1", "--n", "1", "--q", "6", "--d", "3"], "6 is not a prime power"),
+        (
+            ["ah-exp", "--ring", F2_RING, "--d", "4", "--payload", '{"x":[[1]],"j":0}'],
+            "exponent j must be >= 1",
+        ),
+        pytest.param(
+            ["neg", "--ring", F2_RING, "--payload", '{"a":{"n":' + LONG_INT + "}}"],
+            "payload is not JSON: Exceeds the limit",
+            marks=pytest.mark.skipif(not LIMITED_INTS, reason="no integer digit limit"),
+        ),
+        (["neg", "--ring", F2_RING, "--payload", "[" * 100_000], "payload is not JSON"),
+        (["selftest", "--suite", "nope"], "unknown suite 'nope'"),
+        (neg_of({"n": 1, "d": 3, "terms": 5}), "series terms must be a JSON list, got 5"),
+        (neg_of({"n": 1, "d": 3, "terms": [{"exp": 5, "c": [[1]]}]}), "exponent must be"),
+        (from_coords_of('{"coords":5}'), "coordinates must be a JSON list, got 5"),
+        (from_coords_of('{"coords":[{"exp":7,"r":[[1]]}]}'), "exponent must be a JSON list"),
+    ],
+    ids=[
+        "series-n-0", "p-4", "modulus-root", "pi1-q-6", "ah-exp-j-0", "long-int",
+        "deep-nesting", "unknown-suite", "terms-5", "exp-5", "coords-5", "coords-exp-7",
+    ],
+)
+def test_library_validation_reached_by_the_cli_is_a_schema_error(capsys, argv, detail):
+    if argv[0] == "neg" and "--payload" not in argv:
+        argv = argv + ["--payload", NEG_PAYLOAD]
+    code, doc = run_cli(capsys, argv)
+    assert code == 1
+    assert doc["error"]["kind"] == "SchemaError" and detail in doc["error"]["detail"]
 
 
 CONST = [{"exp": [0], "c": [[1]]}]

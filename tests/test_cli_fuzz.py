@@ -1,6 +1,8 @@
 """Mutated jobs for every CLI command: main never raises, always prints one
-JSON document, and rejects every value of the wrong JSON type and every
-key an object does not take with exit 1.
+JSON document, and rejects every value of the wrong JSON type (an integer,
+boolean or list replaced by another type) and every key an object does
+not take with exit 1.  Every exit-1 error kind is a WittError subclass
+from ``multiwitt.errors``.
 
 Each job is a valid one (flags, ring descriptor, payload) with a single
 mutation applied.  Integers stay small, except that a field order --q or
@@ -18,6 +20,7 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multiwitt import errors
 from multiwitt.cli import main
 from multiwitt.series import EXPONENT_BITS_LIMIT
 
@@ -91,6 +94,17 @@ def leaves(node, path=()):
         yield path
 
 
+def lists(node, path=()):
+    """Paths of every list inside a JSON document."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from lists(value, path + (key,))
+    elif isinstance(node, list):
+        yield path
+        for i, value in enumerate(node):
+            yield from lists(value, path + (i,))
+
+
 def objects(node, path=()):
     """Paths of every object below the top level."""
     if isinstance(node, dict):
@@ -119,12 +133,16 @@ def run_main(argv):
         code = main(argv)
     text = out.getvalue()
     assert text.endswith("\n") and text.count("\n") == 1, text
-    assert isinstance(json.loads(text), dict)
+    doc = json.loads(text)
+    assert isinstance(doc, dict)
+    if code == 1:
+        assert issubclass(getattr(errors, doc["error"]["kind"]), errors.WittError), text
     return code, text
 
 
 NOT_INT = [1.0, 0.5, "1", True, False, None, [], [1], {}, {"a": 1}]
 NOT_BOOL = [0, 1, "false", None, [], {}]
+NOT_LIST = [5, 0, 1.0, "[1]", True, None, {}, {"a": [1]}]
 FUZZ = settings(max_examples=150, derandomize=True, database=None, deadline=None)
 
 
@@ -132,9 +150,12 @@ FUZZ = settings(max_examples=150, derandomize=True, database=None, deadline=None
 @given(st.sampled_from(sorted(JOBS)), st.data())
 def test_wrong_json_type_exits_1(command, data):
     doc = job_doc(command)
-    path = data.draw(st.sampled_from(list(leaves(doc))))
+    path = data.draw(st.sampled_from(list(leaves(doc)) + list(lists(doc))))
     old = at(doc, path)
-    new = data.draw(st.sampled_from(NOT_BOOL if isinstance(old, bool) else NOT_INT))
+    if isinstance(old, list):
+        new = data.draw(st.sampled_from(NOT_LIST))
+    else:
+        new = data.draw(st.sampled_from(NOT_BOOL if isinstance(old, bool) else NOT_INT))
     put(doc, path, new)
     code, text = run_main(argv_of(command, doc))
     assert code == 1, (path, new, text)

@@ -266,7 +266,7 @@ def test_equal_rings_share_one_cache_entry():
 
 
 def test_ring_size_bound():
-    with pytest.raises(TooLarge, match="4096"):
+    with pytest.raises(TooLarge, match=r"q\^nil = 4096 elements, beyond limit 2048$"):
         CoeffRing.make(2, nil=12)
     with pytest.raises(TooLarge):
         CoeffRing.make(3, nil=10**9)
@@ -279,14 +279,15 @@ def test_field_order_bounded_before_factoring(monkeypatch):
     monkeypatch.setattr("multiwitt.ring._is_prime", no_scan)
     monkeypatch.setattr("multiwitt.ring._find_irreducible", no_scan)
     # 2^61 - 1 is prime: trial division would not reach its smallest factor
-    for q in (4096, 2**1000, 2**61 - 1):
-        with pytest.raises(TooLarge, match="beyond the table bound 2048"):
+    sizes = ((4096, "4096"), (2**1000, r"at least 2\^1000"), (2**61 - 1, r"at least 2\^60"))
+    for q, shown in sizes:
+        with pytest.raises(TooLarge, match=rf"q = {shown} elements, beyond limit 2048$"):
             FiniteField.of_order(q)
     with pytest.raises(TooLarge):
         CoeffRing.make(2**61 - 1, modulus=[0, 1])
     with pytest.raises(TooLarge, match=r"2\^1000000\b"):
         FiniteField(2, 10**6, (0, 1))
-    with pytest.raises(TooLarge, match="beyond the table bound 2048"):
+    with pytest.raises(TooLarge, match=r"p\^e = at least 2\^60 elements, beyond limit 2048$"):
         FiniteField(2**61 - 1, 1, (0, 1))
     # too many digits for str(): the message names the size as a power of two
     with pytest.raises(TooLarge, match=r"at least 2\^100000\b"):
