@@ -28,8 +28,13 @@ The whole-group enumerations (the brute-force oracle, the census and the
 transition check) bound the group order size^rank by ``errors.check_power``,
 with the rank the exact count of nonzero exponents below d, then run on raw
 coefficient tuples under a dense group law compiled once per (ring, n, d)
-to straight-line code over the ring tables.  Its loop form and the same
-loops over WittElement and witt_add are the test oracle tests/cft_oracle.py.
+to straight-line code over the ring tables.  Where the oracle checks
+commutativity on every pair (at most 200 elements, so rank at most 7) it
+runs a kernel compiled from the same law on first use: coordinate k of a
+product reads y_0..y_k alone, so one loop per coordinate walks every
+y >= x and compares coordinate k once per prefix.  The loop form of the
+law, the pairwise check and the same loops over WittElement and witt_add
+are the test oracle tests/cft_oracle.py.
 Only the witnesses and the element enumeration of ModulusGroupDesc import
 the witt module, so the factors, the oracle and the census run without it.
 """
@@ -152,7 +157,7 @@ def modulus_group(q: int, m: int) -> ModulusGroupDesc:
     return ModulusGroupDesc(q, m, s.order, s)
 
 
-def brute_force_structure(elements, op) -> AbelianGroupStructure:
+def brute_force_structure(elements, op, commutes=None) -> AbelianGroupStructure:
     """Recover invariant factors from an explicit finite abelian group.
 
     For each prime l dividing |G| the power ladder G, lG, l^2 G, ... comes
@@ -161,8 +166,13 @@ def brute_force_structure(elements, op) -> AbelianGroupStructure:
     least l^(k+1).  The primary parts combine into ascending invariant
     factors, whose product is certified against |G|.  Every product
     computed must stay in the set, and the idempotent found must act as
-    the identity.  The greedy peel builds one witness per factor, on the
-    first read of ``witnesses`` only.
+    the identity.  Commutativity is checked on every unordered pair while
+    |G|^2 <= PAIR_CHECK_LIMIT, on 2,000 pairs drawn by random.Random(0)
+    beyond.  ``commutes``, when given, replaces the pairwise loop of the
+    exhaustive check: commutes(x) must raise NotAbelian, or NotClosed for
+    a product outside the set, unless x commutes with every element after
+    it in some total order of the set.  The greedy peel builds one witness
+    per factor, on the first read of ``witnesses`` only.
     """
     # one element past the limit is enough to refuse
     elems = list(islice(elements, BRUTE_FORCE_LIMIT + 1))
@@ -186,7 +196,11 @@ def brute_force_structure(elements, op) -> AbelianGroupStructure:
             raise NotClosed(f"the idempotent {identity!r} moves {x!r}, not a group")
 
     # commutativity check, exhaustive while affordable, sampled beyond
-    if len(elems) ** 2 <= PAIR_CHECK_LIMIT:
+    if len(elems) ** 2 <= PAIR_CHECK_LIMIT and commutes is not None:
+        for x in elems:
+            commutes(x)
+        pairs = ()
+    elif len(elems) ** 2 <= PAIR_CHECK_LIMIT:
         pairs = combinations(elems, 2)
     else:
         draws = iter(random.Random(0).choices(elems, k=4000))
@@ -315,7 +329,9 @@ class _DenseLaw:
     inverse solves y_k = -(x_k + sum x_i y_j) in index order.
 
     ``op`` and ``inv`` are straight-line code built from the pairs alone,
-    one statement per pair; the loop form is in tests/cft_oracle.py.
+    one nested table lookup per pair; the loop form is in
+    tests/cft_oracle.py.  ``commutes`` runs the same expressions in one
+    loop per coordinate; its pairwise form is there too.
     """
 
     def __init__(self, ring: CoeffRing, n: int, d: int):
@@ -330,6 +346,15 @@ class _DenseLaw:
                 if k is not None:
                     self.pairs[k].append((i, j))
         self.op, self.inv = _compile_law(self.pairs, ring)
+        self._commutes = None
+
+    def commutes(self, x: tuple) -> None:
+        """Raise NotAbelian unless op(x, y) == op(y, x) for every tuple
+        y >= x in product order, NotClosed when a coordinate of op(x, y)
+        leaves range(size).  The kernel is compiled on the first call."""
+        if self._commutes is None:
+            self._commutes = _compile_commutes(self.pairs, self.ring)
+        self._commutes(x)
 
     def random(self, rng) -> tuple:
         """An element drawn as random_witt_element draws it, so a seed
@@ -346,27 +371,79 @@ class _DenseLaw:
         return WittElement(TruncatedSeries._make(self.ring, self.n, self.d, keys, False))
 
 
+def _sum(start: str, ks: list, rows: str, right: str) -> str:
+    """One coordinate of the law as nested table lookups: ``start`` plus
+    rows_i[right_j] over the pairs (i, j), added in order."""
+    for i, j in ks:
+        start = f"A[{start}][{rows}{i}[{right}{j}]]"
+    return start
+
+
+def _names(c: str, count: int) -> str:
+    return "".join(f"{c}{k}, " for k in range(count))
+
+
+def _compile(pairs: list, ring: CoeffRing, signature: str, body: list, **extra):
+    """Define ``signature`` over the ring tables.  A prologue binds A to
+    the add table (a local reads faster than a global), x_k to the entries
+    of x and m_i to the mul table row of x_i."""
+    lines = [
+        f"def {signature}:",
+        "    A = add",
+        f"    ({_names('x', len(pairs))}) = x",
+        *(f"    m{i} = mul[x{i}]" for i in sorted({i for ks in pairs for i, _ in ks})),
+        *body,
+    ]
+    namespace = {"add": ring._add, "mul": ring._mul, "neg": ring._neg, **extra}
+    exec("\n".join(lines), namespace)
+    return namespace[signature.split("(")[0]]
+
+
 def _compile_law(pairs: list, ring: CoeffRing):
     """Straight-line ``op(x, y)`` and ``inv(x)`` for the pairs of a _DenseLaw."""
+    rank = len(pairs)
+    op = [f"    ({_names('y', rank)}) = y"]
+    op += [f"    z{k} = {_sum(f'A[x{k}][y{k}]', ks, 'm', 'y')}" for k, ks in enumerate(pairs)]
+    op.append(f"    return ({_names('z', rank)})")
+    inv = [f"    y{k} = neg[{_sum(f'x{k}', ks, 'm', 'y')}]" for k, ks in enumerate(pairs)]
+    inv.append(f"    return ({_names('y', rank)})")
+    return _compile(pairs, ring, "op(x, y)", op), _compile(pairs, ring, "inv(x)", inv)
 
-    def names(c):
-        return "".join(f"{c}{k}, " for k in range(len(pairs)))
-    # A as a local reads faster than a global; m_i is the mul table row of x_i
-    rows = sorted({i for ks in pairs for i, _ in ks})
-    unpack = ["    A = add", f"    ({names('x')}) = x", *(f"    m{i} = mul[x{i}]" for i in rows)]
-    op = ["def op(x, y):", *unpack, f"    ({names('y')}) = y"]
-    inv = ["def inv(x):", *unpack]
+
+def _compile_commutes(pairs: list, ring: CoeffRing):
+    """``commutes(x)`` for the pairs of a _DenseLaw: one loop over y_k per
+    coordinate, nested in index order, and y_k starts at x_k while y's
+    prefix equals x's, so y runs through the tuples y >= x in the order of
+    ``itertools.product``.  Coordinate k of op(x, y) and of op(y, x) reads
+    y_0..y_k alone (every pair of k has i, j < k), so loop k computes it
+    once per prefix, by the expressions of ``op``, and compares it there.
+    A failing prefix completed by zeros is a failing y.  Where this runs
+    the rank is at most 7, inside CPython's 20 statically nested blocks."""
+    size = ring.size
+
+    def fail(x, prefix, z):
+        y = prefix + (0,) * (len(x) - len(prefix))
+        if 0 <= z < size:
+            return NotAbelian(f"{x!r} and {y!r} do not commute")
+        return NotClosed(f"product of {x!r} and {y!r} left the set")
+
+    body = ["    M, S = mul, size"]
     for k, ks in enumerate(pairs):
-        op.append(f"    z{k} = A[x{k}][y{k}]")
-        op += [f"    z{k} = A[z{k}][m{i}[y{j}]]" for i, j in ks]
-        inv.append(f"    y{k} = x{k}")
-        inv += [f"    y{k} = A[y{k}][m{i}[y{j}]]" for i, j in ks]
-        inv.append(f"    y{k} = neg[y{k}]")
-    op.append(f"    return ({names('z')})")
-    inv.append(f"    return ({names('y')})")
-    namespace = {"add": ring._add, "mul": ring._mul, "neg": ring._neg}
-    exec("\n".join(op + inv), namespace)
-    return namespace["op"], namespace["inv"]
+        pad = "    " * (k + 1)
+        start = f"x{k}" if k == 0 else f"x{k} if e{k - 1} else 0"
+        body += [
+            f"{pad}for y{k} in range({start}, S):",
+            f"{pad}    z = {_sum(f'A[x{k}][y{k}]', ks, 'm', 'y')}",
+            f"{pad}    if z != {_sum(f'A[y{k}][x{k}]', ks, 'n', 'x')} or not 0 <= z < S:",
+            f"{pad}        raise fail(x, ({_names('y', k + 1)}), z)",
+        ]
+        if k < len(pairs) - 1:
+            # n_k is the mul table row of y_k, read by op(y, x) further in
+            body += [
+                f"{pad}    n{k} = M[y{k}]",
+                f"{pad}    e{k} = y{k} == x{k}" + (f" and e{k - 1}" if k else ""),
+            ]
+    return _compile(pairs, ring, "commutes(x)", body, size=size, fail=fail)
 
 
 @lru_cache(maxsize=32)
@@ -380,7 +457,7 @@ def witt_group_structure_brute(ring: CoeffRing, n: int, d: int) -> AbelianGroupS
     rank = _group_rank(n, d)
     check_power(ring.size, rank, BRUTE_FORCE_LIMIT, "a group of order {}")
     law = _dense_law(ring, n, d)
-    s = brute_force_structure(_coefficient_tuples(ring.size, rank), law.op)
+    s = brute_force_structure(_coefficient_tuples(ring.size, rank), law.op, law.commutes)
     return AbelianGroupStructure(
         s.invariant_factors, s.order, lambda: tuple(law.to_witt(w) for w in s.witnesses)
     )

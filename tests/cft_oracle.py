@@ -11,6 +11,10 @@ the same census on the same seed.
 as plain loops over its pairs, the reference for the compiled ``op`` and
 ``inv`` of ``multiwitt.cft._DenseLaw``.
 
+``pairwise_commutes`` is the exhaustive commutativity check as a loop
+over every unordered pair of elements: the reference for the compiled
+kernel ``multiwitt.cft._DenseLaw.commutes``.
+
 ``greedy_structure`` recovers the invariant factors by the greedy peel
 over element orders: the reference for the factors of the power ladder
 in ``multiwitt.cft.brute_force_structure`` and for the witnesses that
@@ -20,6 +24,7 @@ function builds on demand.
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 from multiwitt.cft import (
     BRUTE_FORCE_LIMIT,
@@ -63,6 +68,18 @@ def loop_inv(law, x: tuple) -> tuple:
             s = add[s][mul[x[i]][y[j]]]
         y.append(neg[s])
     return tuple(y)
+
+
+def pairwise_commutes(elems: list, op) -> None:
+    """Raise NotClosed when a product of two distinct elements leaves the
+    set and NotAbelian when two elements do not commute."""
+    members = set(elems)
+    for a, b in combinations(elems, 2):
+        ab = op(a, b)
+        if ab not in members:
+            raise NotClosed(f"product of {a!r} and {b!r} left the set")
+        if ab != op(b, a):
+            raise NotAbelian(f"{a!r} and {b!r} do not commute")
 
 
 def greedy_structure(elements, op) -> AbelianGroupStructure:

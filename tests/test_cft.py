@@ -1,7 +1,9 @@
+import ast
 import functools
 import itertools
 import math
 import random
+import re
 import time
 import types
 
@@ -385,6 +387,150 @@ def test_brute_force_same_on_loop_and_compiled_law():
         )
         assert got == want, (n, q, d)
         assert got.witnesses == want.witnesses, (n, q, d)
+
+
+def commute_outcome(check):
+    """None when the check accepts, else the class of its refusal."""
+    try:
+        check()
+    except (NotAbelian, NotClosed) as exc:
+        return type(exc)
+    return None
+
+
+def kernel_and_pairwise(pairs, ring):
+    """The outcomes of the compiled kernel and of the pairwise reference
+    on the law of ``pairs`` over the whole set range(size)^rank."""
+    op, _ = cft._compile_law(pairs, ring)
+    commutes = cft._compile_commutes(pairs, ring)
+    elems = list(_coefficient_tuples(ring.size, len(pairs)))
+    kernel = commute_outcome(lambda: [commutes(x) for x in elems])
+    return kernel, commute_outcome(lambda: cft_oracle.pairwise_commutes(elems, op))
+
+
+def test_commutes_kernel_accepts_where_pairwise_does_on_pi1_grid():
+    exhaustive = [
+        (n, q, d) for n, q, d in PI1_GRID if (q ** cft._group_rank(n, d)) ** 2 <= cft.PAIR_CHECK_LIMIT
+    ]
+    assert (1, 2, 8) in exhaustive and len(exhaustive) == 26
+    for n, q, d in exhaustive:
+        law = _DenseLaw(CoeffRing.make(q), n, d)
+        assert kernel_and_pairwise(law.pairs, law.ring) == (None, None), (n, q, d)
+
+
+# (q, n, d): the laws whose one-pair-dropped mutants both checks must judge alike
+MUTATED_LAWS = [(2, 1, 8), (3, 1, 4), (4, 1, 4), (2, 2, 3), (2, 1, 5)]
+
+
+def one_pair_dropped(law):
+    """Every law made from ``law`` by dropping one pair of one coordinate."""
+    for k, ks in enumerate(law.pairs):
+        for drop in range(len(ks)):
+            pairs = [list(p) for p in law.pairs]
+            del pairs[k][drop]
+            yield ks[drop], pairs
+
+
+def test_commutes_kernel_rejects_the_mutants_pairwise_rejects():
+    rejected = 0
+    for q, n, d in MUTATED_LAWS:
+        law = _DenseLaw(CoeffRing.make(q), n, d)
+        for dropped, pairs in one_pair_dropped(law):
+            kernel, pairwise = kernel_and_pairwise(pairs, law.ring)
+            assert kernel == pairwise, (q, n, d, dropped)
+            assert kernel in (None, NotAbelian)
+            # dropping a diagonal pair (i, i) keeps the law commutative
+            assert (kernel is None) == (dropped[0] == dropped[1])
+            rejected += kernel is NotAbelian
+    assert rejected == 28
+
+
+def test_commutes_kernel_walks_every_y_from_x_once():
+    # a range that records the tuples reaching the innermost loop, put in
+    # place of the builtin through the kernel's globals
+    path, walked = [], []
+
+    def recording_range(start, stop):
+        level = len(path)
+        path.append(None)
+        try:
+            for v in range(start, stop):
+                path[level] = v
+                if len(path) == rank:
+                    walked.append(tuple(path))
+                yield v
+        finally:
+            path.pop()
+
+    for q, n, d in MUTATED_LAWS:
+        law = _DenseLaw(CoeffRing.make(q), n, d)
+        rank = len(law.exps)
+        commutes = cft._compile_commutes(law.pairs, law.ring)
+        commutes.__globals__["range"] = recording_range
+        elems = list(itertools.product(range(law.ring.size), repeat=rank))
+        for i, x in enumerate(elems):
+            walked.clear()
+            commutes(x)
+            assert walked == elems[i:], (q, n, d, x)
+
+
+def test_commutes_kernel_names_a_failing_pair():
+    # the mutant of (1, 2, 8) that drops x_0 y_2 (t times t^3) from the
+    # coordinate of t^4
+    law = _DenseLaw(F2, 1, 8)
+    pairs = [list(p) for p in law.pairs]
+    pairs[3].remove((0, 2))
+    op, _ = cft._compile_law(pairs, F2)
+    commutes = cft._compile_commutes(pairs, F2)
+    seen = 0
+    for x in _coefficient_tuples(2, 7):
+        try:
+            commutes(x)
+        except NotAbelian as exc:
+            named_x, named_y = re.fullmatch(r"(\(.*?\)) and (\(.*?\)) do not commute", str(exc)).groups()
+            assert ast.literal_eval(named_x) == x
+            y = ast.literal_eval(named_y)
+            assert len(y) == 7 and y > x and op(x, y) != op(y, x)
+            seen += 1
+    assert seen > 0
+
+
+def test_commutes_kernel_refuses_an_index_out_of_range():
+    # addition mod 3 on the indices of F_2: 1 + 1 leaves range(2)
+    add3 = [[(a + b) % 3 for b in range(3)] for a in range(3)]
+    ring = types.SimpleNamespace(size=2, _add=add3, _mul=F2._mul, _neg=F2._neg)
+    law = _DenseLaw(ring, 1, 5)
+    assert kernel_and_pairwise(law.pairs, ring) == (NotClosed, NotClosed)
+    elems = list(_coefficient_tuples(2, len(law.exps)))
+    with pytest.raises(NotClosed, match=r"left the set$"):
+        brute_force_structure(elems, law.op, law.commutes)
+    with pytest.raises(NotClosed, match=r"left the set$"):
+        brute_force_structure(elems, law.op)
+
+
+def test_commutes_kernel_is_compiled_only_by_the_exhaustive_check(monkeypatch):
+    compiled = []
+    compile_commutes = cft._compile_commutes
+
+    def counting(pairs, ring):
+        compiled.append((ring.size, len(pairs)))
+        return compile_commutes(pairs, ring)
+
+    monkeypatch.setattr(cft, "_compile_commutes", counting)
+    cft._dense_law.cache_clear()
+    lang_kernel_census(1, 2, 2, 3)
+    lang_kernel_census(1, 2, 2, 5)
+    pi1_truncated(1, 2, 8)
+    pi1_truncated(2, 4, 3)
+    # 1,024 elements: the 2,000 sampled pairs run on op
+    assert witt_group_structure_brute(CoeffRing.make(4), 2, 3).order == 1024
+    assert compiled == []
+    for _ in range(2):
+        assert witt_group_structure_brute(F2, 1, 8).invariant_factors == (2, 2, 4, 8)
+    assert compiled == [(2, 7)]
+    cft._dense_law.cache_clear()
+    witt_group_structure_brute(F2, 1, 8)
+    assert compiled == [(2, 7), (2, 7)]
 
 
 def cyclic_product(*orders):

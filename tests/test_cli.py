@@ -221,7 +221,10 @@ def test_decompose_output_is_pinned(capsys, name, ring, terms):
 @pytest.mark.parametrize(
     "name,argv",
     [
+        # 1,024 elements, 2,000 sampled commutativity pairs
         ("pi1_n2_q4_d3_oracle.json", ["pi1", "--n", "2", "--q", "4", "--d", "3", "--oracle"]),
+        # 128 elements, every pair checked
+        ("pi1_n1_q2_d8_oracle.json", ["pi1", "--n", "1", "--q", "2", "--d", "8", "--oracle"]),
         # 1,000 sampled endomorphism pairs: the bytes pin the seeded draws
         (
             "lang_census_sampled.json",
