@@ -196,15 +196,15 @@ def brute_force_structure(elements, op, commutes=None) -> AbelianGroupStructure:
             raise NotClosed(f"the idempotent {identity!r} moves {x!r}, not a group")
 
     # commutativity check, exhaustive while affordable, sampled beyond
-    if len(elems) ** 2 <= PAIR_CHECK_LIMIT and commutes is not None:
+    if len(elems) ** 2 > PAIR_CHECK_LIMIT:
+        draws = iter(random.Random(0).choices(elems, k=4000))
+        pairs = zip(draws, draws)
+    elif commutes is None:
+        pairs = combinations(elems, 2)
+    else:
         for x in elems:
             commutes(x)
         pairs = ()
-    elif len(elems) ** 2 <= PAIR_CHECK_LIMIT:
-        pairs = combinations(elems, 2)
-    else:
-        draws = iter(random.Random(0).choices(elems, k=4000))
-        pairs = zip(draws, draws)
     for a, b in pairs:
         ab = op(a, b)
         if ab not in members:

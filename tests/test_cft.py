@@ -410,7 +410,9 @@ def kernel_and_pairwise(pairs, ring):
 
 def test_commutes_kernel_accepts_where_pairwise_does_on_pi1_grid():
     exhaustive = [
-        (n, q, d) for n, q, d in PI1_GRID if (q ** cft._group_rank(n, d)) ** 2 <= cft.PAIR_CHECK_LIMIT
+        (n, q, d)
+        for n, q, d in PI1_GRID
+        if (q ** cft._group_rank(n, d)) ** 2 <= cft.PAIR_CHECK_LIMIT
     ]
     assert (1, 2, 8) in exhaustive and len(exhaustive) == 26
     for n, q, d in exhaustive:
@@ -487,9 +489,9 @@ def test_commutes_kernel_names_a_failing_pair():
         try:
             commutes(x)
         except NotAbelian as exc:
-            named_x, named_y = re.fullmatch(r"(\(.*?\)) and (\(.*?\)) do not commute", str(exc)).groups()
-            assert ast.literal_eval(named_x) == x
-            y = ast.literal_eval(named_y)
+            named = re.fullmatch(r"(\(.*?\)) and (\(.*?\)) do not commute", str(exc))
+            assert ast.literal_eval(named[1]) == x
+            y = ast.literal_eval(named[2])
             assert len(y) == 7 and y > x and op(x, y) != op(y, x)
             seen += 1
     assert seen > 0

@@ -223,8 +223,6 @@ def test_decompose_output_is_pinned(capsys, name, ring, terms):
     [
         # 1,024 elements, 2,000 sampled commutativity pairs
         ("pi1_n2_q4_d3_oracle.json", ["pi1", "--n", "2", "--q", "4", "--d", "3", "--oracle"]),
-        # 128 elements, every pair checked
-        ("pi1_n1_q2_d8_oracle.json", ["pi1", "--n", "1", "--q", "2", "--d", "8", "--oracle"]),
         # 1,000 sampled endomorphism pairs: the bytes pin the seeded draws
         (
             "lang_census_sampled.json",
@@ -254,6 +252,8 @@ def test_decompose_output_is_pinned(capsys, name, ring, terms):
             ["pair", "--both", "--ring", F3E2_RING, "--m", "2"]
             + ["--payload", json.dumps({"f": F_N2, "g": G_N2})],
         ),
+        # 128 elements, every commutativity pair checked
+        ("pi1_n1_q2_d8_oracle.json", ["pi1", "--n", "1", "--q", "2", "--d", "8", "--oracle"]),
     ],
 )
 def test_cft_output_is_pinned(capsys, name, argv):
