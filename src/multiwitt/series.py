@@ -275,13 +275,6 @@ class TruncatedSeries:
         check_shape(n, d)
         return cls._make(ring, n, d, {0: ring.one}, exact)
 
-    def copy_with(self, terms=None, d=None, exact=None) -> "TruncatedSeries":
-        exact = self.exact if exact is None else exact
-        if terms is None and d is None:
-            return TruncatedSeries._make(self.ring, self.n, self.d, self.keys, exact)
-        d = self.d if d is None else d
-        return TruncatedSeries(self.ring, self.n, d, self.terms if terms is None else terms, exact)
-
     # basic queries --------------------------------------------------------
 
     @property
@@ -376,24 +369,6 @@ class TruncatedSeries:
             ring, self.n, d, out, self.exact and other.exact and not discarded
         )
 
-    def scale_shift(self, raw_coef: int, shift_exp: tuple) -> "TruncatedSeries":
-        """Multiply by (coef * t^shift), discarding overflowing terms."""
-        ring, d = self.ring, self.d
-        if len(shift_exp) != self.n or min(shift_exp) < 0:
-            raise ShapeMismatch(f"shift {list(shift_exp)} is not an exponent in {self.n} variables")
-        shift, limit = pack_exponent(shift_exp, d), d**self.n
-        out = {}
-        discarded = False
-        for e, c in self.keys.items():
-            if e + shift >= limit:
-                if not discarded and ring.rmul(c, raw_coef) != 0:
-                    discarded = True
-                continue
-            prod = ring.rmul(c, raw_coef)
-            if prod:
-                out[e + shift] = prod
-        return TruncatedSeries._make(ring, self.n, d, out, self.exact and not discarded)
-
     def add_series(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check_shape(other)
         ring = self.ring
@@ -447,15 +422,6 @@ class TruncatedSeries:
         out = {pack_exponent(e, d_new): c for e, c in pairs if sum(e) < d_new}
         exact = self.exact and len(out) == len(self.keys)
         return TruncatedSeries._make(self.ring, n, d_new, out, exact)
-
-    def eval_all_ones(self) -> RingElement:
-        if not self.exact:
-            raise NotExact("evaluation at t = 1 is only defined for exact series")
-        ring = self.ring
-        acc = 0
-        for c in self.keys.values():
-            acc = ring.radd(acc, c)
-        return ring.from_raw(acc)
 
     def map_coefficients(self, fn) -> "TruncatedSeries":
         out = {e: v for e, c in self.keys.items() if (v := fn(c))}

@@ -362,10 +362,46 @@ def binomial_product(ring: CoeffRing, limit: int, factors) -> tuple:
     return acc, exact
 
 
+# key updates of one binomial product, a few seconds
+PRODUCT_WORK_LIMIT = 10**7
+
+
+def _product_work(n: int, d: int, factors: list) -> int:
+    """An upper bound on the key updates of the product of ``factors`` at
+    (n, d): a factor inside the window updates every key the product
+    holds, and after k such factors it holds at most 2^k keys, at most
+    the exponent_count(n, d) exponents below d, and at most the exponents
+    whose every entry lies below d and within that variable's sum over
+    the k factors."""
+    limit, window = d**n, exponent_count(n, d)
+    reach = [0] * n
+    work, held = 0, 1
+    for key, r in factors:
+        if r and key < limit:
+            work += held
+            if held < window:
+                box = 1
+                for i, v in enumerate(unpack_exponent(key, n, d)):
+                    reach[i] = min(reach[i] + v, d - 1)
+                    box *= reach[i] + 1
+                held = min(2 * held, box, window)
+    return work
+
+
 def _product_element(ring: CoeffRing, n: int, d: int, factors, keep_exact=False) -> WittElement:
     """``binomial_product`` over packed exponent keys at d, as an element in
     n variables; flagged exact only when ``keep_exact`` asks for it and no
-    nonzero term fell outside the window."""
+    nonzero term fell outside the window.  Its key updates are bounded
+    first: each factor updates at most the exponent_count(n, d) keys of
+    the window, and where that passes ``PRODUCT_WORK_LIMIT``, by the
+    closer bound of ``_product_work``, which unpacks every factor's
+    exponent and so costs as much as a sparse product itself."""
+    factors = list(factors)
+    work = len(factors) * exponent_count(n, d)
+    if work > PRODUCT_WORK_LIMIT:
+        work = _product_work(n, d, factors)
+    what = "a product of binomials at n = {1}, d = {2} may make {0} key updates"
+    check_budget(work, PRODUCT_WORK_LIMIT, what, n, d)
     acc, exact = binomial_product(ring, d**n, factors)
     return WittElement(TruncatedSeries._make(ring, n, d, acc, keep_exact and exact))
 
@@ -433,6 +469,7 @@ def convolution_factors(ring: CoeffRing, fa: dict, gb: dict, scale: int = 1):
 
 def ring_one(ring: CoeffRing, n: int, d: int) -> WittElement:
     """Multiplicative unit: product of (1 - t^nu) over primitive nu, |nu| < d."""
+    check_family(n, d)
     factors = ((pack_exponent(nu, d), ring.one) for nu in primitive_exponents_below(n, d))
     return _product_element(ring, n, d, factors)
 

@@ -1,14 +1,20 @@
 """The tuple kernel of the series layer, the reference for its packed keys.
 
-Each function takes ``TruncatedSeries`` values, reads them only through
-the tuple-keyed ``terms`` view, and returns ``(terms, exact)``: a dict
-from exponent tuples to nonzero raw coefficients and the exactness flag
-the library's method must produce.  Exponents are added entry by entry
-and the truncation test sums them, so nothing here shares the integer
-keys of ``multiwitt.series``.
+Each kernel function takes ``TruncatedSeries`` values, reads them only
+through the tuple-keyed ``terms`` view, and returns ``(terms, exact)``: a
+dict from exponent tuples to nonzero raw coefficients and the exactness
+flag the library's method must produce.  Exponents are added entry by
+entry and the truncation test sums them, so nothing here shares the
+integer keys of ``multiwitt.series``.
+
+``copy_with``, ``shifted`` and ``eval_all_ones`` are series helpers the
+tests and the other oracles build on; the library has no use for them.
 """
 
 from __future__ import annotations
+
+from multiwitt.errors import NotExact
+from multiwitt.series import TruncatedSeries
 
 
 def _accumulate(ring, out: dict, exp: tuple, c: int) -> None:
@@ -79,3 +85,27 @@ def extend(a, d_new: int):
     """An exact polynomial at order d_new: the same terms when d_new grows."""
     assert a.exact
     return truncate(a, d_new) if d_new < a.d else (dict(a.terms), True)
+
+
+def copy_with(a, terms=None, d=None, exact=None):
+    """``a`` with its terms, order or exactness flag replaced, through the
+    public constructor."""
+    exact = a.exact if exact is None else exact
+    d = a.d if d is None else d
+    return TruncatedSeries(a.ring, a.n, d, a.terms if terms is None else terms, exact)
+
+
+def shifted(a, raw_coef: int, shift: tuple):
+    """``a`` times coef * t^shift as a series, terms at or past d dropped."""
+    terms, exact = scale_shift(a, raw_coef, shift)
+    return copy_with(a, terms, exact=exact)
+
+
+def eval_all_ones(a):
+    """The value of an exact series at t = 1: the sum of its coefficients."""
+    if not a.exact:
+        raise NotExact("evaluation at t = 1 is only defined for exact series")
+    acc = 0
+    for c in a.terms.values():
+        acc = a.ring.radd(acc, c)
+    return a.ring.from_raw(acc)

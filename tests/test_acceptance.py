@@ -9,6 +9,7 @@ from contextlib import contextmanager
 from itertools import product
 
 import pytest
+from series_oracle import copy_with
 
 from multiwitt import (
     CoeffRing,
@@ -244,7 +245,7 @@ def test_criterion_8_unit_criterion_exhaustive():
         exps2 = list(exponents_below(2, 3))
         sample = rng.sample(rejected, 12)
         for poly in sample:
-            big = poly.copy_with(d=5)
+            big = copy_with(poly, d=5)
             for combo in product(range(ring.size), repeat=len(exps2)):
                 cand = TruncatedSeries(
                     ring, 2, 5, {e: c for e, c in zip(exps2, combo) if c}

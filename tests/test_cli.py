@@ -438,6 +438,22 @@ def test_division_jobs_at_d_200000(capsys):
     assert code == 0 and got == {**{2**k: 2 for k in range(18)}, 3: 1}
 
 
+def test_thousand_coordinate_product_refused_before_work(capsys):
+    """from-coords of 1,000 coordinates over F_3 at n = 1, d = 100,000: the
+    product's key updates are estimated from its factors and refused
+    before the first one is multiplied in."""
+    coords = [{"exp": [k], "r": [[2 if k % 2 else 1]]} for k in range(1, 1001)]
+    argv = ["from-coords", "--ring", F3_RING, "--n", "1", "--d", "100000"]
+    start = time.perf_counter()
+    code, doc = run_cli(capsys, argv + ["--payload", json.dumps({"coords": coords})])
+    assert time.perf_counter() - start < 1.0
+    assert (code, doc["error"]["kind"]) == (1, "TooLarge")
+    assert doc["error"]["detail"] == (
+        "a product of binomials at n = 1, d = 100000 may make 70186143 key updates, "
+        "beyond limit 10000000"
+    )
+
+
 def test_selftest_command(capsys):
     code, doc = run_cli(capsys, ["selftest", "--suite", "ring", "--seed", "7"])
     assert code == 0

@@ -1,11 +1,13 @@
 import pytest
-from witt_oracle import mul_coordinate_families, pair_value_binomial_product
+from series_oracle import eval_all_ones
+from witt_oracle import cartier_pair_levels, mul_coordinate_families, pair_value_binomial_product
 
-from multiwitt import duality
+from multiwitt import duality, witt
 from multiwitt import (
     CoeffRing,
     FormalWittElement,
     NotAUnit,
+    ShapeMismatch,
     TruncatedSeries,
     UnstableTruncation,
     WittElement,
@@ -324,7 +326,7 @@ def test_pair_value_matches_binomial_product_oracle(any_ring, rng):
         got = duality._component_pair_value(any_ring, fa, gb)
         assert got == pair_value_binomial_product(any_ring, fa, gb), (fa, gb)
         window = 2 + sum(fa) * sum(gb)
-        assert got == mul_coordinate_families(any_ring, window, fa, gb).eval_all_ones().raw
+        assert got == eval_all_ones(mul_coordinate_families(any_ring, window, fa, gb)).raw
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -336,3 +338,86 @@ def test_cartier_pair_matches_binomial_product_route(q, e, n, rng, monkeypatch):
     got = [cartier_pair(f, g) for f, g in cases]
     monkeypatch.setattr(duality, "_component_pair_value", pair_value_binomial_product)
     assert [cartier_pair(f, g) for f, g in cases] == got
+
+
+def test_separates_peels_each_argument_once(monkeypatch):
+    """With g over the field part, ``separates`` peels each probe's exact
+    coordinates and each element's coordinates once: len(fs) + len(gs)
+    coordinate peels, counted at the peel's bound check."""
+    eps = R23.eps_raw
+    eps2 = R23.rmul(eps, eps)
+    probes = [{(1,): eps}, {(3,): eps2}, {(2,): eps}, {(1,): eps2}, {(2,): eps2}]
+    fs = [formal(R23, terms) for terms in probes]
+    gs = _coset_lifts(F2, 4)[:7]
+    peels = []
+    check = witt.check_division
+    monkeypatch.setattr(witt, "check_division", lambda *a: peels.append(a) or check(*a))
+    assert separates(fs, gs, d=4)
+    assert len(peels) == len(fs) + len(gs) == 12
+    for f in fs:  # asked again, each probe answers from its cache
+        f.exact_coordinates()
+    assert len(peels) == 12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("q,e", [(2, 2), (2, 3), (3, 2), (4, 2), (5, 2)])
+def test_one_pass_certificate_matches_two_level_oracle(q, e, n, rng):
+    """At every level d below g's truncation, ``cartier_pair`` returns the
+    oracle's value at d when the values at d and d + 1 agree, and raises
+    UnstableTruncation exactly when they differ: on the pairing grid of
+    ``test_cartier_pair_matches_binomial_product_route`` and on short g."""
+    ring, base = CoeffRing.make(q, nil=e), CoeffRing.make(q)
+    dg = 2 * (e - 1) + 3
+    shapes = [dg] * 4 + [rng.randrange(2, 5) for _ in range(4)]
+    outcomes = set()
+    for dgi in shapes:
+        f = random_formal_element(ring, n, 2, rng)
+        g = random_witt_element(base, n, dgi, rng)
+        for d in range(1, g.d):
+            v1, v2 = cartier_pair_levels(f, g, d)
+            if v1 == v2:
+                assert cartier_pair(f, g, d).raw == v1, (f, g, d)
+            else:
+                with pytest.raises(UnstableTruncation):
+                    cartier_pair(f, g, d)
+            outcomes.add(v1 == v2)
+    assert outcomes == {True, False}
+
+
+def test_one_pass_certificate_on_the_unstable_example():
+    # the shape of test_unstable_truncation_detected: 1 + eps t^2 against
+    # 1 - t at d = 1 sees nothing, at d = 2 the coordinate of degree 2
+    f = formal(R22, {(2,): R22.eps_raw})
+    g = WittElement.binomial(F2, 1, 4, (1,), 1)
+    assert cartier_pair_levels(f, g, 1) == (1, R22.radd(1, R22.eps_raw))
+    with pytest.raises(UnstableTruncation):
+        cartier_pair(f, g, d=1)
+    assert cartier_pair(f, g, d=2).raw == R22.radd(1, R22.eps_raw)
+
+
+@pytest.mark.parametrize("q,e", [(2, 3), (3, 2), (4, 2), (5, 2)])
+def test_routes_read_g_over_the_field_as_over_the_ring(q, e, rng):
+    """Each route gives the same value for g over F_q as for the same g
+    over F_q[eps]/(eps^e)."""
+    ring, base = CoeffRing.make(q, nil=e), CoeffRing.make(q)
+    # in two variables, the shape of test_route_agreement_two_variables
+    for n, dg in ((1, 2 * (e - 1) + 3), (2, 7)):
+        for _ in range(5):
+            f = random_formal_element(ring, n, 2, rng)
+            g = random_witt_element(base, n, dg, rng)
+            g_r = WittElement(TruncatedSeries(ring, n, dg, g.series.terms))
+            assert cartier_pair(f, g) == cartier_pair(f, g_r)
+            if n == 1 or e == 2:
+                m = dg - 1 if n == 1 else 3
+                assert geometric_pair(f, g, m) == geometric_pair(f, g_r, m)
+            if n == 1 and ring.field.e == 1:
+                assert pairing_via_components(f, g) == pairing_via_components(f, g_r)
+
+
+def test_routes_refuse_g_over_another_ring():
+    f = formal(R23, {(1,): R23.eps_raw})
+    for ring in (R22, CoeffRing.make(3), CoeffRing.make(4)):
+        g = WittElement.binomial(ring, 1, 5, (1,), 1)
+        for route in (cartier_pair, lambda f, g: geometric_pair(f, g, 3), pairing_via_components):
+            with pytest.raises(ShapeMismatch, match="ring or its field part"):
+                route(f, g)

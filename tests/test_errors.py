@@ -35,6 +35,13 @@ def dense_coordinates():
     return witt.witt_coordinates(witt.WittElement(series.TruncatedSeries(F2, 1, 400, terms)))
 
 
+def thousand_coordinates():
+    # exponents 1 to 1,000 at d = 100,000: a dense product of about
+    # 500,500 keys, refused before its first factor is multiplied in
+    coords = {(k,): 2 if k % 2 else 1 for k in range(1, 1001)}
+    return witt.from_coordinates(witt.WittCoordinates(F3, 1, 100000, coords))
+
+
 def pi1_job():
     return cli.run(cli.parse_args(["pi1", "--n", "3", "--q", "2", "--d", "60"]))
 
@@ -71,6 +78,17 @@ SITES = {
     "component family": (
         {"multiwitt.witt.primitive_exponents_below": refuse},
         lambda: witt.decompose(witt.WittElement.one(F3, 2, 10**9)).components,
+        r"up to 500000000499999999 components, beyond limit 1000000",
+    ),
+    "binomial product": (
+        {"multiwitt.witt.binomial_product": refuse},
+        thousand_coordinates,
+        r"a product of binomials at n = 1, d = 100000 may make 70186143 key updates, "
+        r"beyond limit 10000000",
+    ),
+    "unit family": (
+        {"multiwitt.witt.primitive_exponents_below": refuse},
+        lambda: witt.ring_one(F3, 2, 10**9),
         r"up to 500000000499999999 components, beyond limit 1000000",
     ),
     "coordinate peel": (

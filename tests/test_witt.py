@@ -33,7 +33,8 @@ from multiwitt import (
     witt_mul,
     witt_neg,
 )
-from multiwitt.series import exponents_below, primitive_exponents_below
+from multiwitt import witt
+from multiwitt.series import exponents_below, pack_exponent, primitive_exponents_below
 from multiwitt.witt import (
     OneVarComponentFamily,
     binomial_product,
@@ -543,3 +544,43 @@ def test_mul_shape_guard():
     b = WittElement.one(F2, 1, 4)
     with pytest.raises(Exception):
         witt_mul(a, b)
+
+
+def _key_updates(ring, limit, factors):
+    """The keys ``binomial_product`` updates: each factor inside the window
+    updates every key of the product of the factors before it."""
+    return sum(
+        len(binomial_product(ring, limit, factors[:k])[0])
+        for k, (key, r) in enumerate(factors)
+        if r and key < limit
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_product_estimate_bounds_its_key_updates(any_ring, n, rng, monkeypatch):
+    """The estimate a binomial product is checked by before it starts is
+    at least the key updates the product makes: with the limit one below
+    their count, ``from_coordinates`` and ``witt_mul`` are refused."""
+    limit = witt.PRODUCT_WORK_LIMIT
+    for _ in range(6):
+        monkeypatch.setattr(witt, "PRODUCT_WORK_LIMIT", limit)
+        d = rng.randrange(2, 7)
+        box = exponents_below(n, d)[1:]
+        coords = {e: any_ring.random_raw(rng) for e in rng.sample(box, min(len(box), 5))}
+        element = WittCoordinates(any_ring, n, d, coords)
+        a = from_coordinates(element)
+        peeled = witt_coordinates(a).coords  # in the order witt_mul reads them
+        shared = shared_components(peeled, peeled)
+        products = {
+            lambda: from_coordinates(element): sorted(
+                (pack_exponent(e, d), r) for e, r in coords.items()
+            ),
+            lambda: witt_mul(a, a): [
+                f for nu, ca, cb in shared
+                for f in convolution_factors(any_ring, ca, cb, pack_exponent(nu, d))
+            ],
+        }
+        for job, factors in products.items():
+            monkeypatch.setattr(witt, "PRODUCT_WORK_LIMIT", _key_updates(any_ring, d**n, factors) - 1)
+            with pytest.raises(TooLarge, match="key updates"):
+                job()

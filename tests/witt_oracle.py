@@ -31,11 +31,17 @@ runs the forward recurrence of ``series.divide_keys``.
 algebraic pairing: it multiplies out the convolution binomials at a
 window wide enough to lose nothing and adds up the coefficients, where
 the library multiplies the binomials' values at t = 1.
+``cartier_pair_levels`` is the algebraic pairing's former certificate:
+it copies g into f's ring and computes the value at levels d and d + 1,
+each from every shared component, where the library walks the
+components once and checks that the step between the levels is 1.
 """
 
 from __future__ import annotations
 
 from math import gcd
+
+from series_oracle import copy_with, shifted
 
 from multiwitt.series import (
     TruncatedSeries,
@@ -53,6 +59,7 @@ from multiwitt.witt import (
     from_coordinates,
     group_by_primitive,
     one_var_order,
+    shared_components,
     witt_coordinates,
 )
 
@@ -91,7 +98,7 @@ def mul_coordinate_families(ring, d: int, ca: dict, cb: dict) -> TruncatedSeries
                 continue
             if L >= d:
                 # a genuinely nonzero factor falls outside the window
-                acc = acc.copy_with(exact=False)
+                acc = copy_with(acc, exact=False)
                 continue
             acc = acc.mul(_binomial_power(ring, d, L, c, g))
     return acc
@@ -115,7 +122,7 @@ def ring_one_series(ring, n: int, d: int) -> WittElement:
     """Product of (1 - t^nu) over primitive nu, |nu| < d, by shift and add."""
     acc = TruncatedSeries.one(ring, n, d)
     for nu in primitive_exponents_below(n, d):
-        acc = acc.add_series(acc.scale_shift(ring.rneg(ring.one), nu))
+        acc = acc.add_series(shifted(acc, ring.rneg(ring.one), nu))
     return WittElement(acc)
 
 
@@ -134,7 +141,7 @@ def decompose_dense(a: WittElement) -> OneVarComponentFamily:
             components[nu0] = WittElement.one(ring, 1, k)
             continue
         comp = from_coordinates(WittCoordinates(ring, 1, k, {(i,): r for i, r in part.items()}))
-        components[nu0] = WittElement(comp.series.copy_with(exact=False))
+        components[nu0] = WittElement(copy_with(comp.series, exact=False))
     # identities included, so the family's parts and components coincide
     return OneVarComponentFamily(ring, n, d, components)
 
@@ -202,7 +209,7 @@ def from_coordinates_series(c: WittCoordinates) -> WittElement:
     acc = TruncatedSeries.one(ring, n, d, exact=True)
     for exp in sorted(c.coords, key=grlex_key):
         # acc *= (1 - r t^exp)
-        acc = acc.add_series(acc.scale_shift(ring.rneg(c.coords[exp]), exp))
+        acc = acc.add_series(shifted(acc, ring.rneg(c.coords[exp]), exp))
     return WittElement(acc)
 
 
@@ -280,3 +287,21 @@ def pair_value_binomial_product(ring, fa: dict, gb: dict) -> int:
     for c in prod.values():
         acc = ring.radd(acc, c)
     return acc
+
+
+def cartier_pair_levels(f, g, d: int) -> tuple:
+    """The raw values of the algebraic pairing of f and g at levels d and
+    d + 1: g's coordinates below degree d, and below d + 1."""
+    ring = f.ring
+    g_r = WittElement(TruncatedSeries(ring, g.n, g.d, g.series.terms))
+    shared = list(shared_components(f.exact_coordinates(), witt_coordinates(g_r).coords))
+
+    def value(dcut: int) -> int:
+        acc = ring.one
+        for nu, fa, gb in shared:
+            kcut = one_var_order(dcut, sum(nu))
+            cut = {j: c for j, c in gb.items() if j < kcut}
+            acc = ring.rmul(acc, pair_value_binomial_product(ring, fa, cut))
+        return acc
+
+    return value(d), value(d + 1)
