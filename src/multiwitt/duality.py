@@ -109,15 +109,13 @@ class FormalWittElement:
             return 1
         return self.degree * (self.ring.nil - 1) + 1
 
-    def exact_coordinates(self) -> dict:
-        """Complete coordinate family; round-trip verified on first use and
-        kept."""
+    def exact_coordinates(self) -> WittCoordinates:
+        """Complete coordinate family, at truncation ``coordinate_bound()``;
+        round-trip verified on first use and kept."""
         if self._coords is None:
-            bound = self.coordinate_bound()
-            extended = WittElement(self.series.extend(bound))
-            coords = witt_coordinates(extended).coords
-            back = from_coordinates(WittCoordinates(self.ring, self.n, bound, coords))
-            if back != extended:
+            extended = WittElement(self.series.extend(self.coordinate_bound()))
+            coords = witt_coordinates(extended)
+            if from_coordinates(coords) != extended:
                 raise UnstableTruncation("coordinate support exceeded its nilpotency bound")
             self._coords = coords
         return self._coords
@@ -182,12 +180,14 @@ def _component_pair_value(ring: CoeffRing, fa: dict, gb: dict) -> int:
 
     Evaluation at t = 1 is a ring homomorphism, so the value is the
     product of the binomials' values: (1 - a_i^(j/g) b_j^(i/g))^g over
-    the pairs, g = gcd(i, j).  Each a_i is nilpotent, so c = 0, a factor
-    1, once j/g reaches the nilpotency order."""
+    the pairs, g = gcd(i, j), each run of ``convolution_factors`` raised
+    to its power m.  Each a_i is nilpotent, so c = 0, a factor 1, once
+    j/g reaches the nilpotency order."""
     rmul, rsub, one = ring.rmul, ring.rsub, ring.one
     acc = one
-    for _, c in convolution_factors(ring, fa, gb):
-        acc = rmul(acc, rsub(one, c))
+    for _, c, m in convolution_factors(ring, fa, gb):
+        value = rsub(one, c)
+        acc = rmul(acc, value if m == 1 else ring.rpow(value, m))
     return acc
 
 
@@ -210,10 +210,10 @@ def cartier_pair(f: FormalWittElement, g: WittElement, d: int | None = None) -> 
         d = g.d - 1
     if d < 1 or d + 1 > g.d:
         raise InvalidTruncation(f"need 1 <= d and d + 1 <= {g.d}")
-    ring = f.ring
+    ring, dn = f.ring, g.d ** (g.n - 1)
     acc = step = ring.one
-    for nu, fa, gb in shared_components(f.exact_coordinates(), witt_coordinates(g).coords):
-        w = sum(nu)
+    for key, fa, gb in shared_components(f.exact_coordinates(), witt_coordinates(g)):
+        w = key // dn
         below = {j: c for j, c in gb.items() if j * w < d}
         at = {j: c for j, c in gb.items() if j * w == d}
         acc = ring.rmul(acc, _component_pair_value(ring, fa, below))
@@ -224,9 +224,8 @@ def cartier_pair(f: FormalWittElement, g: WittElement, d: int | None = None) -> 
 
 
 def _component_series(ring: CoeffRing, coords: dict, k: int) -> WittElement:
-    return from_coordinates(
-        WittCoordinates(ring, 1, k, {(i,): c for i, c in coords.items() if i < k})
-    )
+    keys = {i: c for i, c in coords.items() if i < k}
+    return from_coordinates(WittCoordinates._make(ring, 1, k, keys))
 
 
 def geometric_pair(f: FormalWittElement, g: WittElement, m: int) -> RingElement:
@@ -255,10 +254,11 @@ def geometric_pair(f: FormalWittElement, g: WittElement, m: int) -> RingElement:
                 f"stability check needs the second argument known to degree {m + 1}"
             )
         return ring.from_raw(_stable_value(f.series, g, m))
-    acc = ring.one
-    for nu, fa, gb in shared_components(f.exact_coordinates(), witt_coordinates(g).coords):
-        k = one_var_order(g.d, sum(nu))
+    acc, dn = ring.one, g.d ** (g.n - 1)
+    for key, fa, gb in shared_components(f.exact_coordinates(), witt_coordinates(g)):
+        k = one_var_order(g.d, key // dn)
         if m + 1 > k:
+            nu = unpack_exponent(key, g.n, g.d)
             raise InvalidTruncation(
                 f"component at {nu} only carries {k} terms, need m + 1 = {m + 1}"
             )

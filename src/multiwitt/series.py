@@ -23,12 +23,17 @@ forward recurrence over keys in graded order.  The remainder starts as
 a; reading key e gives q[e] = b_0^-1 * rem[e], and q[e] * (-b_j) is
 pushed to e + j for every other key j of b.  Every push lands at a
 higher degree, so a key is read after its last update, and the cost is
-the quotient's size times the divisor's support.  ``inv`` is the kernel
-with numerator 1, the series quotient ``a / b`` is the kernel itself,
-``witt_coordinates`` divides by each binomial (1 - r t^nu) through it,
-and the p-typical factor solver divides by each Artin-Hasse factor.  A
-quotient is exact when both inputs are and no nonzero push fell at or
-past degree d: then q * b = a holds with nothing truncated.
+the quotient's size times the divisor's support.  The walk follows the
+divisor's shape: a divisor with several non-constant keys is walked
+degree by degree, while a binomial b_0 + b_K t^K, which gives every key
+at most one push, from key - K, is walked along the chains e, e + K, ..
+of the keys the quotient holds, in ascending order, so no empty degree
+is visited.  ``inv`` is the kernel with numerator 1, the series quotient
+``a / b`` is the kernel itself, ``witt_coordinates`` divides by each
+binomial (1 - r t^nu) through it (the one-push walk), and the p-typical
+factor solver divides by each Artin-Hasse factor.  A quotient is exact
+when both inputs are and no nonzero push fell at or past degree d: then
+q * b = a holds with nothing truncated.
 
 Internally coefficients are the raw integer encoding of ring.py; the
 public accessors return RingElement values.
@@ -79,10 +84,6 @@ def check_division(n: int, d: int, generators: int, den_terms: int, num_terms: i
     check_budget(keys * den_terms, DIVISION_LIMIT, what, n, d, den_terms)
 
 
-def grlex_key(exp: tuple):
-    return (sum(exp), exp)
-
-
 def is_primitive(exp: tuple) -> bool:
     return content(exp) == 1
 
@@ -92,11 +93,6 @@ def content(exp: tuple) -> int:
     for v in exp:
         g = gcd(g, v)
     return g
-
-
-def primitive_part(exp: tuple) -> tuple:
-    g = content(exp)
-    return exp if g <= 1 else tuple(v // g for v in exp)
 
 
 def parse_exponent(values, seen) -> tuple:
@@ -136,7 +132,8 @@ def divide_keys(ring: CoeffRing, n: int, d: int, rem: dict, den: dict, track: bo
     """Divide ``rem`` by ``den`` in place below degree d.
 
     Both map keys at (n, d) to raw coefficients and ``den[0]`` is a unit.
-    Degree by degree, each key's quotient term is b_0^-1 times its
+    A divisor with one non-constant key goes to ``_divide_one_push``;
+    otherwise, degree by degree, each key's quotient term is b_0^-1 times its
     remainder, and that term times -b_j goes to the key e + j, of higher
     degree, so a key is read after its last update and the keys of one
     degree are independent.  In one variable a key is its degree; in
@@ -157,6 +154,8 @@ def divide_keys(ring: CoeffRing, n: int, d: int, rem: dict, den: dict, track: bo
                 rem[e] = rmul(u, c)  # a unit times a nonzero term is nonzero
         return False
     limit, dn = d**n, d ** (n - 1)
+    if len(pushes) == 1:
+        return _divide_one_push(ring, limit, rem, pushes[0], u, track)
     stop = limit if track or u != one else (d - pushes[0][0] // dn) * dn
     buckets = None  # in one variable the degree is the key
     if n > 1:
@@ -202,6 +201,59 @@ def divide_keys(ring: CoeffRing, n: int, d: int, rem: dict, den: dict, track: bo
                         rem[t] = s
                     else:
                         del rem[t]
+    return dropped
+
+
+def _divide_one_push(
+    ring: CoeffRing, limit: int, rem: dict, push: tuple, u: int, track: bool
+) -> bool:
+    """``divide_keys`` by a divisor b_0 + b_K t^K, whose only push from a key
+    e goes to e + K, so every key takes at most one push, from key - K.
+
+    The division is by the monic 1 + b_0^-1 b_K t^K, and the quotient is
+    scaled by b_0^-1 at the end.  The keys are walked in ascending order
+    as chains e, e + K, ..: a key's remainder is final once the chain
+    before it has passed, so each link reads its quotient term and pushes
+    it to the next.  A chain ends at a push that vanishes, at a key whose
+    remainder cancels, or past the last key that can push below d; a key
+    an earlier chain walked on is skipped, and no degree that holds no
+    key is walked."""
+    rmul, radd, one = ring.rmul, ring.radd, ring.one
+    k, b = push
+    if u != one:
+        b = rmul(u, b)
+    stop = limit if track else limit - k
+    get, reached = rem.get, set()  # reached: the keys an earlier chain walked on to
+    add = reached.add
+    dropped = False
+    for e in sorted(rem):
+        if e >= stop:
+            break
+        if e in reached:
+            continue
+        c = rem[e]
+        e += k
+        while e < limit:
+            p = rmul(c, b)
+            if not p:
+                break
+            cur = get(e)
+            if cur is None:
+                rem[e] = c = p
+            else:
+                add(e)
+                c = radd(cur, p)
+                if not c:
+                    del rem[e]
+                    break
+                rem[e] = c
+            e += k
+        else:
+            if track and not dropped and rmul(c, b):
+                dropped = True
+    if u != one:
+        for e, c in rem.items():
+            rem[e] = rmul(u, c)  # a unit times a nonzero term is nonzero
     return dropped
 
 

@@ -7,17 +7,21 @@ family {r_nu} is the coordinate form, and extraction peels factors off in
 graded order.  Dividing by (1 - r t^nu) changes the running quotient only
 above degree |nu|, apart from removing its term at nu, so the peel
 divides in place through the series layer's one division kernel
-(``series.divide_keys``), which visits only the keys the quotient holds.
-Both coordinate conversions run on the series' own packed exponent keys
-(``series.pack_exponent``), where a shift by nu is one integer add and
-the truncation test one comparison; exponent tuples appear only in the
-public coordinate family.
+(``series.divide_keys``), whose one-push walk visits only the keys the
+quotient holds, along the chains e, e + nu, ...  The conversions, the
+grouping by primitive part and the products all run on the series' own
+packed exponent keys (``series.pack_exponent``), where a shift by nu is
+one integer add and the truncation test one comparison.  A coordinate
+family stores them too (``WittCoordinates.keys``); exponent tuples
+appear only at the public edge: its constructor, JSON, and the ``coords``
+view built on first read.
 
 Grouping exponents by their primitive part splits the group into a finite
 product of one-variable components: nu = i * nu0 with gcd(nu0) = 1 turns
 the coordinates {r_(i nu0)}_i into a one-variable element in s = t^nu0,
-truncated at ceil(d / |nu0|) powers of s.  Ring multiplication in one
-variable follows the classical convolution on coordinates,
+truncated at ceil(d / |nu0|) powers of s.  Packing is linear, so
+key(nu0) = key(nu) // i.  Ring multiplication in one variable follows
+the classical convolution on coordinates,
 
     prod_i (1 - a_i s^i) * prod_j (1 - b_j s^j)
         = prod_{i,j} (1 - a_i^(j/g) b_j^(i/g) s^(ij/g))^g,   g = gcd(i, j),
@@ -26,13 +30,17 @@ and the n-variable ring multiplication is transported through the
 decomposition componentwise.  A missing component is the identity, and
 so is its product with anything: ``decompose`` builds only the parts an
 element has, and the full family, identities filled in at every other
-primitive exponent, is built only when read.
+primitive exponent, is built only when read.  Each power above is one
+run of a binomial: the ring has characteristic p, so with g = p^v m and
+L = ij/g it is (1 - c^(p^v) s^(L p^v))^m, multiplied in once as a
+truncated binomial power, not as g factors.
 
-Every product here is thus an ordered product of binomials (1 - r t^nu),
-formed by one loop, ``binomial_product``, on the keys of series.py, where
-s^L at s = t^nu0 has key L * key(nu0).  ``from_coordinates`` feeds it the
-coordinates; ``witt_mul`` the convolution binomials of only the parts
-both factors share, never flagging the product exact; ``recompose`` the
+Every product here is thus an ordered product of binomial runs
+(1 - r t^nu)^m, formed by one loop, ``binomial_product``, on the keys of
+series.py, where s^L at s = t^nu0 has key L * key(nu0).
+``from_coordinates`` feeds it the coordinates, each a run of one;
+``witt_mul`` the convolution runs of only the parts both factors share,
+never flagging the product exact; ``recompose`` the
 coordinates of each part; ``ring_one``, the unit at truncation d, the
 (1 - t^nu) over all primitive nu with |nu| < d.  The algebraic pairing
 in duality.py needs only the value at t = 1 of such a product, the
@@ -53,15 +61,12 @@ from .series import (
     TruncatedSeries,
     check_division,
     check_shape,
-    content,
     divide_keys,
     exponent_count,
     exponents_below,
-    grlex_key,
     pack_exponent,
     parse_exponent,
     primitive_exponents_below,
-    primitive_part,
     unpack_exponent,
 )
 
@@ -159,21 +164,42 @@ class WittElement:
 
 
 class WittCoordinates:
-    """Sparse coordinate family {r_nu}, 0 < |nu| < d."""
+    """Sparse coordinate family {r_nu}, 0 < |nu| < d.
 
-    __slots__ = ("ring", "n", "d", "coords")
+    ``keys`` maps the packed key of each nu (``series.pack_exponent``) to
+    its nonzero r_nu.  ``coords``, the family keyed by exponent tuple, is
+    a view built from ``keys`` on first read, in the same order."""
+
+    __slots__ = ("ring", "n", "d", "keys", "_coords")
 
     def __init__(self, ring: CoeffRing, n: int, d: int, coords: dict):
+        """A family from a dict of exponent tuples to raw coordinates."""
         check_shape(n, d)
-        for exp in coords:
+        keys = {}
+        for exp, r in coords.items():
             if len(exp) != n or any(v < 0 for v in exp) or not 0 < sum(exp) < d:
                 raise ShapeMismatch(
                     f"coordinate exponent {list(exp)} is not in {n} variables with 0 < |nu| < {d}"
                 )
-        self.ring = ring
-        self.n = n
-        self.d = d
-        self.coords = {e: c for e, c in coords.items() if c != 0}
+            if r != 0:
+                keys[pack_exponent(exp, d)] = r
+        self.ring, self.n, self.d, self.keys, self._coords = ring, n, d, keys, None
+
+    @classmethod
+    def _make(cls, ring: CoeffRing, n: int, d: int, keys: dict) -> "WittCoordinates":
+        """A family from nonzero coordinates at keys of (n, d) with
+        0 < |nu| < d: no re-check."""
+        self = object.__new__(cls)
+        self.ring, self.n, self.d, self.keys, self._coords = ring, n, d, keys, None
+        return self
+
+    @property
+    def coords(self) -> dict:
+        """The coordinates keyed by exponent tuple, built on first read."""
+        if self._coords is None:
+            n, d = self.n, self.d
+            self._coords = {unpack_exponent(k, n, d): r for k, r in self.keys.items()}
+        return self._coords
 
     def coeff(self, exp) -> RingElement:
         return self.ring.from_raw(self.coords.get(tuple(exp), 0))
@@ -182,21 +208,21 @@ class WittCoordinates:
         return (
             isinstance(other, WittCoordinates)
             and (self.ring, self.n, self.d) == (other.ring, other.n, other.d)
-            and self.coords == other.coords
+            and self.keys == other.keys
         )
 
     def __repr__(self):
-        bits = ", ".join(
-            f"{e}:{self.ring.pretty(c)}"
-            for e, c in sorted(self.coords.items(), key=lambda kv: grlex_key(kv[0]))
-        )
-        return f"<coords {{{bits}}} mod deg {self.d}>"
+        n, d = self.n, self.d
+        pretty = self.ring.pretty
+        bits = ", ".join(f"{unpack_exponent(k, n, d)}:{pretty(self.keys[k])}" for k in sorted(self.keys))
+        return f"<coords {{{bits}}} mod deg {d}>"
 
     def to_json_dict(self):
+        n, d = self.n, self.d
         return {
             "coords": [
-                {"exp": list(e), "r": self.ring.raw_to_coords(self.coords[e])}
-                for e in sorted(self.coords, key=grlex_key)
+                {"exp": list(unpack_exponent(k, n, d)), "r": self.ring.raw_to_coords(self.keys[k])}
+                for k in sorted(self.keys)
             ]
         }
 
@@ -256,9 +282,9 @@ class OneVarComponentFamily:
     def recompose(self) -> WittElement:
         """Multiply the binomials of every part, placed at s = t^nu."""
         factors = (
-            (i * pack_exponent(nu, self.d), r)
+            (i * pack_exponent(nu, self.d), r, 1)
             for nu, part in self.parts.items()
-            for (i,), r in witt_coordinates(part).coords.items()
+            for i, r in witt_coordinates(part).keys.items()
         )
         return _product_element(self.ring, self.n, self.d, factors)
 
@@ -320,45 +346,75 @@ def witt_coordinates(a: WittElement) -> WittCoordinates:
         work += (len(quot) if n == 1 else 2 * len(quot)) + d - 2 * deg
         check_budget(work, PEEL_WORK_LIMIT, meter, n, d)
         divide_keys(ring, n, d, quot, {0: one, nu: c})
-    result = WittCoordinates(ring, n, d, {unpack_exponent(k, n, d): r for k, r in coords.items()})
-    a._coords = result
-    return result
+    a._coords = WittCoordinates._make(ring, n, d, coords)
+    return a._coords
+
+
+def _run_terms(ring: CoeffRing, limit: int, key: int, r: int, m: int) -> tuple:
+    """The terms C(m, k) (-r)^k t^(k key), 0 < k <= m, of the run
+    (1 - r t^key)^m below ``limit``, as (key, coefficient) pairs, and
+    whether every term at or past ``limit`` is 0.  Past the window a unit
+    r has the nonzero top term (-r)^m, and a nilpotent r's powers vanish
+    within its nilpotency order."""
+    rmul, rint = ring.rmul, ring.rint
+    s = ring.rneg(r)
+    terms, binom, pw = [], 1, ring.one
+    for k in range(1, m + 1):
+        pw = rmul(pw, s)
+        if pw == 0:
+            break
+        binom = binom * (m - k + 1) // k
+        c = rmul(rint(binom), pw)
+        if k * key < limit:
+            if c:
+                terms.append((k * key, c))
+        elif c or ring.is_unit_raw(s):
+            return terms, False
+    return terms, True
 
 
 def binomial_product(ring: CoeffRing, limit: int, factors) -> tuple:
-    """The product of the binomials (1 - r t^key), in the order given, as a
-    dict from keys to raw coefficients, and whether it is exact.
+    """The product of the binomial runs (1 - r t^key)^m, in the order given,
+    as a dict from keys to raw coefficients, and whether it is exact.
 
     Keys are those of ``series.pack_exponent``: they add when monomials
     multiply, and a key at or past ``limit``, d^n at truncation d in n
-    variables, is outside the window.  Each factor is
-    multiplied into the dict in place.  A factor whose key is already
-    outside the window is skipped, and ``exact`` is cleared whenever a
-    nonzero term falls outside it, so an exact result is the complete
-    polynomial product."""
+    variables, is outside the window.  Each run is multiplied into the
+    dict in place, one pass over the keys it held before the run for each
+    term of the run's truncated binomial power: one term, -r, when m = 1,
+    and at most min(m, (limit - 1) // key) terms (``_run_terms``)
+    otherwise.  A run whose key is already outside the window is skipped, and
+    ``exact`` is cleared whenever a nonzero term falls outside it, so an
+    exact result is the complete polynomial product."""
     rmul, radd, rneg = ring.rmul, ring.radd, ring.rneg
     acc = {0: ring.one}
     exact = True
-    for key, r in factors:
+    for key, r, m in factors:
         if r == 0:
             continue
         if key >= limit:
             exact = False
             continue
-        s = rneg(r)
-        for e, ce in list(acc.items()):
-            t = e + key
-            if t >= limit:
-                exact = exact and rmul(ce, s) == 0
-                continue
-            prod = rmul(ce, s)
-            if prod == 0:
-                continue
-            total = radd(acc[t], prod) if t in acc else prod
-            if total:
-                acc[t] = total
-            else:
-                del acc[t]
+        if m == 1:
+            terms = ((key, rneg(r)),)
+        else:
+            terms, inside = _run_terms(ring, limit, key, r, m)
+            exact = exact and inside
+        held = list(acc.items())
+        for at, s in terms:
+            for e, ce in held:
+                t = e + at
+                if t >= limit:
+                    exact = exact and rmul(ce, s) == 0
+                    continue
+                prod = rmul(ce, s)
+                if prod == 0:
+                    continue
+                total = radd(acc[t], prod) if t in acc else prod
+                if total:
+                    acc[t] = total
+                else:
+                    del acc[t]
     return acc, exact
 
 
@@ -368,23 +424,25 @@ PRODUCT_WORK_LIMIT = 10**7
 
 def _product_work(n: int, d: int, factors: list) -> int:
     """An upper bound on the key updates of the product of ``factors`` at
-    (n, d): a factor inside the window updates every key the product
-    holds, and after k such factors it holds at most 2^k keys, at most
-    the exponent_count(n, d) exponents below d, and at most the exponents
-    whose every entry lies below d and within that variable's sum over
-    the k factors."""
+    (n, d): a run inside the window updates every key the product holds
+    once for each of its T = min(m, (d^n - 1) // key) terms, and after it
+    the product holds at most T + 1 times as many keys, at most the
+    exponent_count(n, d) exponents below d, and at most the exponents
+    whose every entry lies below d and within that variable's reach, the
+    sum over the runs of T times the run's entry."""
     limit, window = d**n, exponent_count(n, d)
     reach = [0] * n
     work, held = 0, 1
-    for key, r in factors:
+    for key, r, m in factors:
         if r and key < limit:
-            work += held
+            terms = min(m, (limit - 1) // key)
+            work += held * terms
             if held < window:
                 box = 1
                 for i, v in enumerate(unpack_exponent(key, n, d)):
-                    reach[i] = min(reach[i] + v, d - 1)
+                    reach[i] = min(reach[i] + terms * v, d - 1)
                     box *= reach[i] + 1
-                held = min(2 * held, box, window)
+                held = min(held * (terms + 1), box, window)
     return work
 
 
@@ -392,12 +450,13 @@ def _product_element(ring: CoeffRing, n: int, d: int, factors, keep_exact=False)
     """``binomial_product`` over packed exponent keys at d, as an element in
     n variables; flagged exact only when ``keep_exact`` asks for it and no
     nonzero term fell outside the window.  Its key updates are bounded
-    first: each factor updates at most the exponent_count(n, d) keys of
-    the window, and where that passes ``PRODUCT_WORK_LIMIT``, by the
-    closer bound of ``_product_work``, which unpacks every factor's
-    exponent and so costs as much as a sparse product itself."""
+    first: each run updates at most the exponent_count(n, d) keys of the
+    window once per term, at most m of them, and where that passes
+    ``PRODUCT_WORK_LIMIT``, by the closer bound of ``_product_work``,
+    which unpacks every run's exponent and so costs as much as a sparse
+    product itself."""
     factors = list(factors)
-    work = len(factors) * exponent_count(n, d)
+    work = sum(m for _, _, m in factors) * exponent_count(n, d)
     if work > PRODUCT_WORK_LIMIT:
         work = _product_work(n, d, factors)
     what = "a product of binomials at n = {1}, d = {2} may make {0} key updates"
@@ -409,27 +468,43 @@ def _product_element(ring: CoeffRing, n: int, d: int, factors, keep_exact=False)
 def from_coordinates(c: WittCoordinates) -> WittElement:
     """Ordered product of the binomial factors in graded order, truncated
     at d; exact when it is the complete polynomial product."""
-    factors = sorted((pack_exponent(e, c.d), r) for e, r in c.coords.items())
+    factors = [(k, r, 1) for k, r in sorted(c.keys.items())]
     return _product_element(c.ring, c.n, c.d, factors, keep_exact=True)
 
 
-def group_by_primitive(coords: dict) -> dict:
-    """{nu: r} regrouped as {nu0: {i: r}} with nu = i * nu0, nu0 primitive."""
+def group_by_primitive(c: WittCoordinates) -> dict:
+    """The family regrouped as {key(nu0): {i: r}} with nu = i * nu0, nu0
+    primitive, keyed at c's (n, d).  Packing is linear, so key(nu0) is
+    key(nu) // i, and the content i of nu is the gcd of the key's base-d
+    digits: |nu| and every entry of nu but the last."""
+    n, d = c.n, c.d
     grouped = {}
-    for exp, r in coords.items():
-        grouped.setdefault(primitive_part(exp), {})[content(exp)] = r
+    for key, r in c.keys.items():
+        i, top = 0, key
+        for _ in range(n - 1):
+            top, digit = divmod(top, d)
+            i = gcd(i, digit)
+        i = gcd(i, top)
+        grouped.setdefault(key // i, {})[i] = r
     return grouped
 
 
-def shared_components(ca: dict, cb: dict):
-    """Yield (nu, {i: a_i}, {j: b_j}) for each primitive part nu that both
-    coordinate families {exp: r} contain, in the order of ``ca``.  A part
-    missing from either family is the identity there."""
-    gb = group_by_primitive(cb)
-    for nu, fa in group_by_primitive(ca).items():
-        fb = gb.get(nu)
+def shared_components(ca: WittCoordinates, cb: WittCoordinates):
+    """Yield (key(nu), {i: a_i}, {j: b_j}) for each primitive part nu that
+    both coordinate families contain, in the order of ``ca``, with nu
+    keyed at cb's truncation.  A part missing from either family is the
+    identity there.  Keys depend on d, so when ``ca`` is at another
+    truncation its parts are keyed again at cb's; a part of degree cb.d or
+    more, which cb cannot hold, gets a key past cb's window and matches
+    nothing."""
+    ga, gb = group_by_primitive(ca), group_by_primitive(cb)
+    if ca.d != cb.d:
+        n, d = ca.n, ca.d
+        ga = {pack_exponent(unpack_exponent(k, n, d), cb.d): fa for k, fa in ga.items()}
+    for key, fa in ga.items():
+        fb = gb.get(key)
         if fb:
-            yield nu, fa, fb
+            yield key, fa, fb
 
 
 def decompose(a: WittElement) -> OneVarComponentFamily:
@@ -439,50 +514,56 @@ def decompose(a: WittElement) -> OneVarComponentFamily:
     ``components`` fills in the identity everywhere else.  No component is
     flagged exact: like a product from ``witt_mul``, each is only known
     below its truncation order.  Each part keeps the coordinates it was
-    built from, so ``recompose`` peels nothing."""
+    built from, keyed by i in one variable, so ``recompose`` peels
+    nothing."""
     ring, n, d = a.ring, a.n, a.d
+    dn = d ** (n - 1)
     parts = {}
-    for nu0, part in group_by_primitive(witt_coordinates(a).coords).items():
-        k = one_var_order(d, sum(nu0))
-        comp = _product_element(ring, 1, k, sorted(part.items()))
-        comp._coords = WittCoordinates(ring, 1, k, {(i,): r for i, r in part.items()})
-        parts[nu0] = comp
+    for key, part in group_by_primitive(witt_coordinates(a)).items():
+        k = one_var_order(d, key // dn)
+        comp = _product_element(ring, 1, k, sorted((i, r, 1) for i, r in part.items()))
+        comp._coords = WittCoordinates._make(ring, 1, k, part)
+        parts[unpack_exponent(key, n, d)] = comp
     return OneVarComponentFamily(ring, n, d, parts)
 
 
 def convolution_factors(ring: CoeffRing, fa: dict, gb: dict, scale: int = 1):
-    """The binomials of the one-variable convolution product of {i: a_i}
-    and {j: b_j}: for each pair, (1 - a_i^(j/g) b_j^(i/g) s^L)^g with
-    L = lcm(i, j) and g = gcd(i, j), yielded as g pairs (L * scale, c)
-    when c is not 0.  ``scale`` is the key of s: key(nu0) at s = t^nu0,
+    """The binomial runs of the one-variable convolution product of
+    {i: a_i} and {j: b_j}: for each pair, (1 - c s^L)^g with
+    c = a_i^(j/g) b_j^(i/g), L = lcm(i, j) and g = gcd(i, j).  The ring
+    has characteristic p, so with g = p^v m, p not dividing m, the run is
+    (1 - c^(p^v) s^(L p^v))^m, c^(p^v) read off the Frobenius table v
+    times; it is yielded once, as (L p^v * scale, c^(p^v), m), when
+    c^(p^v) is not 0.  ``scale`` is the key of s: key(nu0) at s = t^nu0,
     1 in one variable."""
-    rmul, rpow = ring.rmul, ring.rpow
+    rmul, rpow, frob, p = ring.rmul, ring.rpow, ring.rfrob_p, ring.p
     for i, ai in fa.items():
         for j, bj in gb.items():
             g = gcd(i, j)
             c = rpow(ai, j // g)
             if c:
                 c = rmul(c, rpow(bj, i // g))
+                key = i * j // g * scale
+                while c and g % p == 0:
+                    c, g, key = frob(c), g // p, key * p
                 if c:
-                    yield from ((i * j // g * scale, c),) * g
+                    yield key, c, g
 
 
 def ring_one(ring: CoeffRing, n: int, d: int) -> WittElement:
     """Multiplicative unit: product of (1 - t^nu) over primitive nu, |nu| < d."""
     check_family(n, d)
-    factors = ((pack_exponent(nu, d), ring.one) for nu in primitive_exponents_below(n, d))
+    factors = ((pack_exponent(nu, d), ring.one, 1) for nu in primitive_exponents_below(n, d))
     return _product_element(ring, n, d, factors)
 
 
 def witt_mul(a: WittElement, b: WittElement) -> WittElement:
-    """Ring multiplication: the convolution binomials of each primitive part
-    nu both factors share, placed at s = t^nu and multiplied together."""
+    """Ring multiplication: the convolution runs of each primitive part nu
+    both factors share, placed at s = t^nu and multiplied together."""
     _check_same_shape(a, b)
     ring, n, d = a.ring, a.n, a.d
-    shared = shared_components(witt_coordinates(a).coords, witt_coordinates(b).coords)
-    factors = (
-        f for nu, ca, cb in shared for f in convolution_factors(ring, ca, cb, pack_exponent(nu, d))
-    )
+    shared = shared_components(witt_coordinates(a), witt_coordinates(b))
+    factors = (f for key, ca, cb in shared for f in convolution_factors(ring, ca, cb, key))
     return _product_element(ring, n, d, factors)
 
 

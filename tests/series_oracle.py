@@ -8,13 +8,20 @@ entry and the truncation test sums them, so nothing here shares the
 integer keys of ``multiwitt.series``.
 
 ``copy_with``, ``shifted`` and ``eval_all_ones`` are series helpers the
-tests and the other oracles build on; the library has no use for them.
+tests and the other oracles build on, and ``grlex_key`` is the graded
+order on exponent tuples that packed keys follow; the library has no use
+for them.
 """
 
 from __future__ import annotations
 
 from multiwitt.errors import NotExact
 from multiwitt.series import TruncatedSeries
+
+
+def grlex_key(exp: tuple):
+    """Total degree first, then tuple comparison: the order of the keys."""
+    return (sum(exp), exp)
 
 
 def _accumulate(ring, out: dict, exp: tuple, c: int) -> None:

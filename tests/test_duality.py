@@ -236,7 +236,7 @@ def test_exact_coordinates_bounded():
     f = FormalWittElement(
         TruncatedSeries(R23, 1, 3, {(0,): 1, (1,): eps3, (2,): eps3}, exact=True)
     )
-    coords = f.exact_coordinates()
+    coords = f.exact_coordinates().coords
     assert max(k for (k,) in coords) <= f.degree * (R23.nil - 1)
 
 
@@ -421,3 +421,28 @@ def test_routes_refuse_g_over_another_ring():
         for route in (cartier_pair, lambda f, g: geometric_pair(f, g, 3), pairing_via_components):
             with pytest.raises(ShapeMismatch, match="ring or its field part"):
                 route(f, g)
+
+
+@pytest.mark.parametrize(
+    "f_terms,g_terms,g_d,m",
+    [
+        # bound 7 > g.d = 3: f's parts at (1, 2) and (1, 3) lie past g's reach
+        ({(0, 1): 6, (1, 2): 2}, {(1, 0): 1, (0, 1): 1, (1, 1): 1, (2, 0): 1}, 3, 2),
+        # bound 3 < g.d = 6
+        ({(1, 0): 6, (0, 1): 2}, {(1, 0): 1, (3, 0): 1, (2, 1): 1}, 6, 2),
+    ],
+    ids=["bound-above-g.d", "bound-below-g.d"],
+)
+def test_two_variable_routes_agree_across_truncations(f_terms, g_terms, g_d, m):
+    """In two variables a packed key depends on d, and f's exact coordinates
+    are keyed at ``coordinate_bound()`` while g's are at g.d.  With the two
+    apart, either way, the algebraic route (which keys f's parts again at
+    g.d), the geometric route and the two-level oracle, which matches
+    exponent tuples, give the same value, and it is not 1."""
+    f = formal(R23, f_terms)
+    g = WittElement(TruncatedSeries(F2, 2, g_d, {(0, 0): 1, **g_terms}))
+    assert f.coordinate_bound() != g.d
+    value = cartier_pair(f, g).raw
+    assert value != 1
+    assert geometric_pair(f, g, m).raw == value
+    assert cartier_pair_levels(f, g, g.d - 1) == (value, value)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 import series_oracle
+from series_oracle import grlex_key
 
 from multiwitt import (
     CoeffRing,
@@ -11,8 +12,8 @@ from multiwitt import (
     TruncatedSeries,
 )
 from multiwitt.series import (
+    divide_keys,
     exponents_below,
-    grlex_key,
     pack_exponent,
     primitive_exponents_below,
     unpack_exponent,
@@ -392,6 +393,91 @@ def test_division_kernel_matches_geometric_series_oracle(any_ring, n, rng):
                 quotient = a / b
                 assert quotient.terms == series_oracle.mul(a, inverse)[0]
                 assert quotient.mul(b) == a
+
+
+def _one_push_oracle(a, b):
+    """a / b by the tuple oracle's geometric-series inverse of b, and
+    whether the quotient times b, multiplied out without truncation, has a
+    nonzero term at degree d or more.  With one non-constant divisor term
+    t^nu, the pushes past d land on distinct exponents e + nu, so that is
+    whether a nonzero push fell past d."""
+    ring, n, d = a.ring, a.n, a.d
+    inverse, _ = series_oracle.inv(b)
+    quotient, _ = series_oracle.mul(a, S(ring, n, d, inverse))
+    wide = 2 * d
+    product, _ = series_oracle.mul(S(ring, n, wide, quotient), series_oracle.copy_with(b, d=wide))
+    return quotient, any(sum(e) >= d for e in product)
+
+
+def _unit(ring, rng):
+    c = ring.random_raw(rng)
+    while not ring.is_unit_raw(c):
+        c = ring.random_raw(rng)
+    return c
+
+
+def _one_push_cases(ring, n, rng):
+    """(a, b) with b = b_0 + b_nu t^nu, b_0 = 1 and a unit other than 1 (if
+    the ring has one) in turn: random numerators at orders up to
+    ORACLE_ORDERS[n], and at d = 7 numerators built to end chains early:
+
+    * a push that vanishes mid-chain (nilpotent rings): 1 - eps t^nu makes
+      eps^k at k nu until eps^k = 0, and an original key after that point
+      must still be read;
+    * a remainder that cancels: the key nu of a is minus the push it gets,
+      so the division deletes it, and an original key at 2 nu follows;
+    * keys at or past stop, of degree d - |nu| or more: one takes its push
+      from a key |nu| below it, and another sits at degree d - 1."""
+    units = [ring.one] + [c for c in range(2, ring.size) if ring.is_unit_raw(c)][:1]
+    zero = (0,) * n
+    for u0 in units:
+        for _ in range(3):
+            d = rng.randrange(2, ORACLE_ORDERS[n] + 1)
+            nu = rng.choice(exponents_below(n, d)[1:])
+            b = S(ring, n, d, {zero: u0, nu: ring.random_raw(rng) or ring.one})
+            yield random_series(ring, n, d, rng), b
+        d = 7
+        nu = tuple(rng.randrange(2) for _ in range(n - 1)) + (1,)
+        nu = nu if sum(nu) <= 2 else (0,) * (n - 1) + (1,)
+        w = sum(nu)
+        times = lambda k: tuple(k * v for v in nu)  # noqa: E731
+        bk = ring.random_raw(rng) or ring.one
+        inv0 = ring.rinv(u0)
+        if ring.nil > 1:
+            b = S(ring, n, d, {zero: u0, nu: ring.rneg(ring.eps_raw)})
+            a = {zero: _unit(ring, rng), times(3): ring.random_raw(rng) or ring.one}
+            yield S(ring, n, d, a), b
+        b = S(ring, n, d, {zero: u0, nu: bk})
+        a0 = _unit(ring, rng)
+        # rem[nu] after its push is a[nu] - b_nu * q[0], q[0] = a0 / b_0
+        cancel = ring.rmul(bk, ring.rmul(inv0, a0))
+        a = {zero: a0, nu: cancel, times(2): ring.random_raw(rng) or ring.one}
+        yield S(ring, n, d, a), b
+        top = (0,) * (n - 1) + (d - 1,)
+        low = (0,) * (n - 1) + (d - 2 * w,)
+        high = tuple(x + y for x, y in zip(low, nu))
+        a = {low: _unit(ring, rng), high: ring.random_raw(rng)}
+        a[top] = ring.random_raw(rng) or ring.one
+        yield S(ring, n, d, a), b
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+def test_one_push_division_matches_tuple_oracle(any_ring, n, rng):
+    """A divisor b_0 + b_nu t^nu takes the one-push walk of ``divide_keys``:
+    with and without ``track``, its quotient is a times the oracle's
+    geometric-series inverse, and the flag it returns with ``track`` is
+    whether the untruncated quotient times b has a term at degree d or
+    more.  Each case runs on the kernel directly and through ``a / b``."""
+    for a, b in _one_push_cases(any_ring, n, rng):
+        quotient, past = _one_push_oracle(a, b)
+        for track in (False, True):
+            rem = dict(a.keys)
+            dropped = divide_keys(any_ring, n, a.d, rem, dict(b.keys), track)
+            got = {unpack_exponent(k, n, a.d): c for k, c in rem.items()}
+            assert got == quotient, (a, b, track)
+            assert dropped == (track and past), (a, b, track)
+            both = series_oracle.copy_with(a, exact=track), series_oracle.copy_with(b, exact=track)
+            assert_matches_oracle(both[0] / both[1], (quotient, track and not past))
 
 
 def _few_terms(ring, n, d, rng, unit_constant=False):

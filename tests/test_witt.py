@@ -1,11 +1,17 @@
+import json
+from math import comb
+
 import pytest
 from hypothesis import given, strategies as st
 from witt_oracle import (
+    convolution_factors_expanded,
     decompose_dense,
     from_coordinates_series,
+    group_by_primitive_tuples,
     mul_coordinate_families,
     recompose_series,
     ring_one_series,
+    shared_tuple_components,
     witt_coordinates_box,
     witt_coordinates_frontier,
     witt_mul_dense,
@@ -34,7 +40,12 @@ from multiwitt import (
     witt_neg,
 )
 from multiwitt import witt
-from multiwitt.series import exponents_below, pack_exponent, primitive_exponents_below
+from multiwitt.series import (
+    exponents_below,
+    pack_exponent,
+    primitive_exponents_below,
+    unpack_exponent,
+)
 from multiwitt.witt import (
     OneVarComponentFamily,
     binomial_product,
@@ -134,6 +145,42 @@ def test_peel_matches_box_walk(any_ring, rng):
             back, back_want = from_coordinates(got), from_coordinates_series(got)
             assert back.series.terms == back_want.series.terms == a.series.terms
             assert back.series.exact == back_want.series.exact
+
+
+def _same_family(got, want):
+    assert list(got.keys.items()) == list(want.keys.items())
+    assert list(got.coords.items()) == list(want.coords.items())
+    assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
+    assert got == want and repr(got) == repr(want)
+
+
+def test_peeled_family_equals_public_constructor(any_ring, rng):
+    """The peel and ``decompose`` build their families with the trusted
+    constructor: each has the keys, in the same order, the ``coords``
+    view, in the same order, and the JSON bytes of the family the public
+    constructor builds from the box walk's coordinates, and from their
+    tuple grouping for the parts."""
+    for n, d in PEEL_SHAPES:
+        elements = [random_witt_element(any_ring, n, d, rng)]
+        elements += [_sparse_element(any_ring, n, d, rng, k) for k in (1, 3)]
+        for a in elements:
+            want = witt_coordinates_box(a)
+            _same_family(witt_coordinates(WittElement(a.series)), want)
+            grouped = group_by_primitive_tuples(want.coords)
+            for nu, part in decompose(a).parts.items():
+                k = one_var_order(d, sum(nu))
+                public = WittCoordinates(any_ring, 1, k, {(i,): r for i, r in grouped[nu].items()})
+                _same_family(witt_coordinates(part), public)
+
+
+def test_grouping_on_keys_matches_tuple_grouping(any_ring, rng):
+    """``group_by_primitive`` reads the content of nu off its key's digits:
+    the same parts, in the same order, as grouping the tuples."""
+    for n, d in PEEL_SHAPES:
+        family = witt_coordinates(random_witt_element(any_ring, n, d, rng))
+        got = {unpack_exponent(k, n, d): part for k, part in group_by_primitive(family).items()}
+        want = group_by_primitive_tuples(family.coords)
+        assert list(got.items()) == list(want.items()), (n, d)
 
 
 def test_peel_matches_frontier_reference(any_ring, rng):
@@ -469,7 +516,8 @@ def test_few_term_product_at_n6_d20_uses_shared_parts_only(monkeypatch):
         patch.setattr("multiwitt.witt.decompose", no_decompose)
         product = witt_mul(a, b)
     expected = {}
-    for nu, ca, cb in shared_components(witt_coordinates(a).coords, witt_coordinates(b).coords):
+    coords_a, coords_b = witt_coordinates(a).coords, witt_coordinates(b).coords
+    for nu, ca, cb in shared_tuple_components(coords_a, coords_b):
         k = one_var_order(d, sum(nu))
         ea, eb = (
             from_coordinates(WittCoordinates(F3, 1, k, {(i,): c for i, c in fam.items()}))
@@ -479,7 +527,7 @@ def test_few_term_product_at_n6_d20_uses_shared_parts_only(monkeypatch):
         if coords:
             expected[nu] = coords
     assert expected
-    assert group_by_primitive(witt_coordinates(product).coords) == expected
+    assert group_by_primitive_tuples(witt_coordinates(product).coords) == expected
 
 
 def test_frobenius_and_lang_examples():
@@ -547,20 +595,26 @@ def test_mul_shape_guard():
 
 
 def _key_updates(ring, limit, factors):
-    """The keys ``binomial_product`` updates: each factor inside the window
-    updates every key of the product of the factors before it."""
-    return sum(
-        len(binomial_product(ring, limit, factors[:k])[0])
-        for k, (key, r) in enumerate(factors)
-        if r and key < limit
-    )
+    """The keys ``binomial_product`` updates: each run (1 - r t^key)^m
+    inside the window updates every key of the product of the runs before
+    it once for each nonzero term C(m, k) (-r)^k t^(k key) below the
+    window."""
+    updates = 0
+    for k, (key, r, m) in enumerate(factors):
+        if r and key < limit:
+            s = ring.rneg(r)
+            power = {i: ring.rmul(ring.rint(comb(m, i)), ring.rpow(s, i)) for i in range(1, m + 1)}
+            terms = sum(1 for i, c in power.items() if c and i * key < limit)
+            updates += terms * len(binomial_product(ring, limit, factors[:k])[0])
+    return updates
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_product_estimate_bounds_its_key_updates(any_ring, n, rng, monkeypatch):
     """The estimate a binomial product is checked by before it starts is
-    at least the key updates the product makes: with the limit one below
-    their count, ``from_coordinates`` and ``witt_mul`` are refused."""
+    at least the key updates the product makes, counted per run: with the
+    limit one below their count, ``from_coordinates`` and ``witt_mul`` are
+    refused."""
     limit = witt.PRODUCT_WORK_LIMIT
     for _ in range(6):
         monkeypatch.setattr(witt, "PRODUCT_WORK_LIMIT", limit)
@@ -569,18 +623,73 @@ def test_product_estimate_bounds_its_key_updates(any_ring, n, rng, monkeypatch):
         coords = {e: any_ring.random_raw(rng) for e in rng.sample(box, min(len(box), 5))}
         element = WittCoordinates(any_ring, n, d, coords)
         a = from_coordinates(element)
-        peeled = witt_coordinates(a).coords  # in the order witt_mul reads them
+        peeled = witt_coordinates(a)  # in the order witt_mul reads them
         shared = shared_components(peeled, peeled)
         products = {
             lambda: from_coordinates(element): sorted(
-                (pack_exponent(e, d), r) for e, r in coords.items()
+                (pack_exponent(e, d), r, 1) for e, r in coords.items()
             ),
             lambda: witt_mul(a, a): [
-                f for nu, ca, cb in shared
-                for f in convolution_factors(any_ring, ca, cb, pack_exponent(nu, d))
+                f for key, ca, cb in shared for f in convolution_factors(any_ring, ca, cb, key)
             ],
         }
         for job, factors in products.items():
             monkeypatch.setattr(witt, "PRODUCT_WORK_LIMIT", _key_updates(any_ring, d**n, factors) - 1)
             with pytest.raises(TooLarge, match="key updates"):
                 job()
+
+
+def _square_of_one_plus_t_plus_t2(ring, d, c=1):
+    """witt_mul of 1 + c t + t^2 with itself, and the factors of the same
+    product with every convolution run expanded into its single
+    binomials."""
+    a = W(ring, 1, d, {(1,): c, (2,): 1})
+    product = witt_mul(a, a)
+    peeled = witt_coordinates(a)
+    factors = [
+        f for key, ca, cb in shared_components(peeled, peeled)
+        for f in convolution_factors_expanded(ring, ca, cb, key)
+    ]
+    return product, factors
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_convolution_runs_match_expanded_factors(q, monkeypatch):
+    """Each run (1 - c s^L)^g is multiplied in once, as a binomial power
+    after Frobenius takes out the powers of p in g: the same product, byte
+    for byte, as the g single binomials one at a time, multiplied with
+    ``PRODUCT_WORK_LIMIT`` out of the way."""
+    ring = CoeffRing.make(q)
+    # over F_4 and F_9, 1 + x t + t^2 has coordinates that Frobenius moves
+    cases = [(d, 1) for d in (50, 400, 2000)] + ([(50, ring.gen().raw)] if q in (4, 9) else [])
+    for d, c in cases:
+        product, factors = _square_of_one_plus_t_plus_t2(ring, d, c)
+        with monkeypatch.context() as patch:
+            patch.setattr(witt, "PRODUCT_WORK_LIMIT", 10**12)
+            want = witt._product_element(ring, 1, d, factors)
+        assert json.dumps(product.to_json_dict()) == json.dumps(want.to_json_dict()), (d, c)
+
+
+def test_square_of_one_plus_t_plus_t2_at_d_2000_is_admitted(monkeypatch):
+    """Over F_3 at d = 2,000 the 6,144 convolution binomials of (1 + t + t^2)^2
+    form far fewer runs, and the estimate admits the product, which is
+    the factor-by-factor one; at d = 20,000 the estimate still refuses it
+    before any product is formed."""
+    F3 = CoeffRing.make(3)
+    product, factors = _square_of_one_plus_t_plus_t2(F3, 2000)
+    peeled = witt_coordinates(W(F3, 1, 2000, {(1,): 1, (2,): 1}))
+    shared = shared_components(peeled, peeled)
+    runs = [f for key, ca, cb in shared for f in convolution_factors(F3, ca, cb, key)]
+    assert len(factors) == 6144 and len(runs) < len(factors) // 10
+    with monkeypatch.context() as patch:
+        patch.setattr(witt, "PRODUCT_WORK_LIMIT", 10**12)
+        want = witt._product_element(F3, 1, 2000, factors)
+    assert product == want and product.series.terms == want.series.terms
+
+    def no_product(*_):
+        raise AssertionError("the product started")
+
+    a = W(F3, 1, 20000, {(1,): 1, (2,): 1})
+    monkeypatch.setattr(witt, "binomial_product", no_product)
+    with pytest.raises(TooLarge, match="key updates"):
+        witt_mul(a, a)

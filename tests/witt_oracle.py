@@ -27,6 +27,12 @@ the keys the quotient holds, but divides by each binomial by multiplying
 with the steps r^k t^(k nu) of its geometric series, where the library
 runs the forward recurrence of ``series.divide_keys``.
 
+``group_by_primitive_tuples`` and ``shared_tuple_components`` group
+coordinates by primitive part on exponent tuples, where the library
+groups on packed keys, so they need no common truncation.
+``convolution_factors_expanded`` is the former convolution: each
+binomial power (1 - c s^L)^g as g single binomials, where the library
+yields it once as a run.
 ``pair_value_binomial_product`` is the former one-variable value of the
 algebraic pairing: it multiplies out the convolution binomials at a
 window wide enough to lose nothing and adds up the coefficients, where
@@ -41,12 +47,12 @@ from __future__ import annotations
 
 from math import gcd
 
-from series_oracle import copy_with, shifted
+from series_oracle import copy_with, grlex_key, shifted
 
 from multiwitt.series import (
     TruncatedSeries,
+    content,
     exponents_below,
-    grlex_key,
     primitive_exponents_below,
     unpack_exponent,
 )
@@ -57,11 +63,29 @@ from multiwitt.witt import (
     binomial_product,
     convolution_factors,
     from_coordinates,
-    group_by_primitive,
     one_var_order,
-    shared_components,
     witt_coordinates,
 )
+
+
+def group_by_primitive_tuples(coords: dict) -> dict:
+    """{nu: r} regrouped as {nu0: {i: r}} with nu = i * nu0, nu0 primitive,
+    on exponent tuples: the reference for the library's grouping on keys."""
+    grouped = {}
+    for exp, r in coords.items():
+        i = content(exp)
+        grouped.setdefault(tuple(v // i for v in exp), {})[i] = r
+    return grouped
+
+
+def shared_tuple_components(ca: dict, cb: dict):
+    """Yield (nu, {i: a_i}, {j: b_j}) for each primitive part nu of both
+    tuple-keyed families, in the order of ``ca``; matching tuples, it
+    needs no common truncation."""
+    gb = group_by_primitive_tuples(cb)
+    for nu, fa in group_by_primitive_tuples(ca).items():
+        if gb.get(nu):
+            yield nu, fa, gb[nu]
 
 
 def _binomial_power(ring, d: int, L: int, c: int, g: int) -> TruncatedSeries:
@@ -132,7 +156,7 @@ def decompose_dense(a: WittElement) -> OneVarComponentFamily:
     No component is flagged exact: like a product from ``witt_mul``, each
     is only known below its truncation order."""
     ring, n, d = a.ring, a.n, a.d
-    grouped = group_by_primitive(witt_coordinates(a).coords)
+    grouped = group_by_primitive_tuples(witt_coordinates(a).coords)
     components = {}
     for nu0 in primitive_exponents_below(n, d):
         k = one_var_order(d, sum(nu0))
@@ -273,6 +297,19 @@ def witt_coordinates_frontier(a: WittElement) -> WittCoordinates:
     return WittCoordinates(ring, n, d, {unpack_exponent(k, n, d): r for k, r in coords.items()})
 
 
+def convolution_factors_expanded(ring, fa: dict, gb: dict, scale: int = 1):
+    """The convolution binomials one factor at a time: each
+    (1 - a_i^(j/g) b_j^(i/g) s^L)^g, L = lcm(i, j), g = gcd(i, j), as g
+    runs (L * scale, c, 1), where the library yields one run of length m
+    after g = p^v m has been reduced by Frobenius."""
+    for i, ai in fa.items():
+        for j, bj in gb.items():
+            g = gcd(i, j)
+            c = ring.rmul(ring.rpow(ai, j // g), ring.rpow(bj, i // g))
+            if c:
+                yield from ((i * j // g * scale, c, 1),) * g
+
+
 def pair_value_binomial_product(ring, fa: dict, gb: dict) -> int:
     """The sum of the coefficients of the one-variable convolution product
     of {i: a_i} and {j: b_j}, multiplied out at a window wide enough that
@@ -294,7 +331,8 @@ def cartier_pair_levels(f, g, d: int) -> tuple:
     d + 1: g's coordinates below degree d, and below d + 1."""
     ring = f.ring
     g_r = WittElement(TruncatedSeries(ring, g.n, g.d, g.series.terms))
-    shared = list(shared_components(f.exact_coordinates(), witt_coordinates(g_r).coords))
+    fc, gc = f.exact_coordinates().coords, witt_coordinates(g_r).coords
+    shared = list(shared_tuple_components(fc, gc))
 
     def value(dcut: int) -> int:
         acc = ring.one
