@@ -338,11 +338,13 @@ class _DenseLaw:
         self.ring, self.n, self.d = ring, n, d
         self.exps = [e for e in exponents_below(n, d) if sum(e) > 0]
         self.keys = [pack_exponent(e, d) for e in self.exps]
-        index = {e: k for k, e in enumerate(self.exps)}
+        # a key sum is below d^n, and so in the index, exactly when the
+        # exponent sum lies below d, and it is then the sum's key
+        index = {key: k for k, key in enumerate(self.keys)}
         self.pairs = [[] for _ in self.exps]
-        for i, a in enumerate(self.exps):
-            for j, b in enumerate(self.exps):
-                k = index.get(tuple(x + y for x, y in zip(a, b)))
+        for i, ka in enumerate(self.keys):
+            for j, kb in enumerate(self.keys):
+                k = index.get(ka + kb)
                 if k is not None:
                     self.pairs[k].append((i, j))
         self.op, self.inv = _compile_law(self.pairs, ring)

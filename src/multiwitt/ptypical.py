@@ -34,7 +34,7 @@ from fractions import Fraction
 
 from .errors import NonIntegral, NotNilpotent, SchemaError, ShapeMismatch, check_budget
 from .ring import CoeffRing, Record, RingElement
-from .series import TruncatedSeries, check_shape
+from .series import TruncatedSeries, add_products, check_division, check_shape, divide_keys
 from .witt import WittElement
 
 
@@ -311,22 +311,26 @@ def _reduce_fraction(ring: CoeffRing, c: Fraction) -> int:
 
 def artin_hasse_exp(x: RingElement, j: int, d: int) -> WittElement:
     """E(x, t^j) = AH(x t^j) as a one-variable element truncated at d."""
-    ring = x.ring
     if j < 1:
         raise SchemaError("exponent j must be >= 1")
     check_shape(1, d)
+    return WittElement(TruncatedSeries._make(x.ring, 1, d, _ah_keys(x.ring, x.raw, j, d), False))
+
+
+def _ah_keys(ring: CoeffRing, x_raw: int, j: int, d: int) -> dict:
+    """The terms of E(x, t^j) below d, keyed by degree, the constant 1 first."""
     kmax = (d - 1) // j
     need = "E(x, t^{1}) at d = {2} needs {0} Artin-Hasse coefficients"
     check_budget(kmax + 1, AH_COEFFICIENT_LIMIT, need, j, d)
     coeffs = artin_hasse_coefficients(ring.p, kmax + 1)
-    terms = {0: ring.one}  # one variable: keys are degrees
+    terms = {0: ring.one}
     xp = ring.one
     for k in range(1, kmax + 1):
-        xp = ring.rmul(xp, x.raw)
+        xp = ring.rmul(xp, x_raw)
         c = ring.rmul(_reduce_fraction(ring, coeffs[k]), xp)
         if c:
             terms[j * k] = c
-    return WittElement(TruncatedSeries._make(ring, 1, d, terms, False))
+    return terms
 
 
 def ah_value(ring: CoeffRing, x_raw: int) -> int:
@@ -360,46 +364,49 @@ def component_lengths(p: int, d: int) -> dict:
 
 
 def pi_epsilon(family: dict, ring: CoeffRing, d: int) -> WittElement:
-    """Multiply the factors E(v_{j,i}, t^(j p^i)) of the given family."""
+    """Multiply the factors E(v_{j,i}, t^(j p^i)) of the given family into
+    one dict, each by ``series.add_products``."""
+    check_shape(1, d)
     p = ring.p
-    acc = WittElement.one(ring, 1, d)
+    acc = {0: ring.one}
     for j in sorted(family):
         if j % p == 0 or j < 1:
             raise ShapeMismatch(f"index {j} is not coprime to p = {p}")
-        v = family[j]
-        for i, entry in enumerate(v.entries):
-            if entry == 0:
-                continue
+        for i, entry in enumerate(family[j].entries):
             k = j * p**i
-            if k >= d:
-                continue
-            factor = artin_hasse_exp(ring.from_raw(entry), k, d)
-            acc = WittElement(acc.series.mul(factor.series))
-    return acc
+            if entry and k < d:
+                # acc * E = acc + acc * (E - 1); the product is never flagged
+                # exact, so no product past d is looked at
+                rest = _ah_keys(ring, entry, k, d)
+                del rest[0]
+                add_products(ring, d, acc, list(acc.items()), rest.items(), lost=True)
+    return WittElement(TruncatedSeries._make(ring, 1, d, acc, False))
 
 
 def pi_epsilon_inverse(a: WittElement) -> dict:
     """Solve for the family; the coefficient at t^(j p^i) is the next unknown,
-    and dividing by its factor E(v, t^(j p^i)) exposes the one after."""
+    and dividing one dict in place by its factor E(v, t^(j p^i)) through
+    ``series.divide_keys``, each division bounded by ``check_division``,
+    exposes the one after."""
     if a.n != 1:
         raise ShapeMismatch("component solving works in one variable")
     ring, d = a.ring, a.d
     p = ring.p
-    lengths = component_lengths(p, d)
-    entries = {j: [0] * m for j, m in lengths.items()}
-    running = a.series
+    entries = {j: [0] * m for j, m in component_lengths(p, d).items()}
+    running = dict(a.series.keys)
     for k in range(1, d):
-        c = running.keys.get(k, 0)
+        c = running.get(k)
+        if c is None:
+            continue
         j, i = k, 0
         while j % p == 0:
             j //= p
             i += 1
-        if c == 0:
-            continue
         entries[j][i] = c
-        factor = artin_hasse_exp(ring.from_raw(c), k, d)
-        running = running / factor.series
-    if running.support_degree():
+        factor = _ah_keys(ring, c, k, d)
+        check_division(1, d, len(factor) - 1, len(factor), len(running))
+        divide_keys(ring, 1, d, running, factor)
+    if max(running):
         raise NonIntegral("factor peeling left a nonunit remainder")
     return {j: PWittVector(p, e, ring) for j, e in entries.items()}
 

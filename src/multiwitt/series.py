@@ -14,25 +14,22 @@ tuple-keyed view built on first read.
 The ``exact`` flag marks a series that represents a genuine polynomial:
 no nonzero term was ever discarded while producing it.  Multiplication
 keeps the flag only when both inputs carry it and the product lost
-nothing to the truncation bound; evaluation at t = 1 is legal only for
-exact series.
+nothing to the truncation bound.
 
-Every division in the library runs through one kernel, ``divide_keys``:
-the quotient q = a / b by a divisor with unit constant term b_0 is one
-forward recurrence over keys in graded order.  The remainder starts as
-a; reading key e gives q[e] = b_0^-1 * rem[e], and q[e] * (-b_j) is
-pushed to e + j for every other key j of b.  Every push lands at a
-higher degree, so a key is read after its last update, and the cost is
-the quotient's size times the divisor's support.  The walk follows the
-divisor's shape: a divisor with several non-constant keys is walked
-degree by degree, while a binomial b_0 + b_K t^K, which gives every key
-at most one push, from key - K, is walked along the chains e, e + K, ..
-of the keys the quotient holds, in ascending order, so no empty degree
-is visited.  ``inv`` is the kernel with numerator 1, the series quotient
-``a / b`` is the kernel itself, ``witt_coordinates`` divides by each
-binomial (1 - r t^nu) through it (the one-push walk), and the p-typical
-factor solver divides by each Artin-Hasse factor.  A quotient is exact
-when both inputs are and no nonzero push fell at or past degree d: then
+Every product and quotient in the library runs through two in-place
+kernels on key dicts.  ``add_products`` adds the products of two lists of
+(key, coefficient) pairs into a dict: ``mul`` and ``add_series`` call it
+once, the binomial products of witt.py and the Artin-Hasse products of
+ptypical.py once per factor, into one running dict.  ``divide_keys``
+divides a dict in place by a divisor with unit constant term, as a forward
+recurrence over the keys in graded order whose cost is the quotient's
+size times the divisor's support.  It walks a binomial along chains of
+keys and any other divisor from a heap, so no key the remainder does not
+hold is visited.  ``inv`` is the kernel with numerator 1, the series
+quotient ``a / b`` is the kernel itself, ``witt_coordinates`` divides by
+each binomial (1 - r t^nu) through it, and the p-typical factor solver
+divides one dict by each Artin-Hasse factor.  A quotient is exact when
+both inputs are and no nonzero push fell at or past degree d: then
 q * b = a holds with nothing truncated.
 
 Internally coefficients are the raw integer encoding of ring.py; the
@@ -42,6 +39,7 @@ public accessors return RingElement values.
 from __future__ import annotations
 
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from math import comb, gcd
 
 from .errors import NonUnitConstantTerm, NotExact, SchemaError, ShapeMismatch, check_budget
@@ -77,8 +75,8 @@ def check_division(n: int, d: int, generators: int, den_terms: int, num_terms: i
     divisor's ``den_terms``.  A quotient key lies below d, and it is one of
     ``num_terms`` numerator keys plus a sum of m = ``generators`` non-constant
     keys, so there are at most min(exponent_count(n, d), num_terms *
-    exponent_count(m, d)) of them."""
-    check_shape(n, d)
+    exponent_count(m, d)) of them.  (n, d) is the shape of a series a
+    checked constructor built, so it is not checked again."""
     keys = min(exponent_count(n, d), num_terms * exponent_count(generators, d))
     what = "at n = {1}, d = {2} a division by {3} divisor terms may make {0} pushes"
     check_budget(keys * den_terms, DIVISION_LIMIT, what, n, d, den_terms)
@@ -128,101 +126,118 @@ def unpack_exponent(key: int, n: int, d: int) -> tuple:
     return tuple(digits)
 
 
+def add_products(ring: CoeffRing, limit: int, out: dict, xs, ys, lost: bool = False) -> bool:
+    """Add each product x * y of the (key, coefficient) pairs of ``xs`` and
+    ``ys`` whose key is below ``limit`` into ``out``, in place, dropping
+    the keys that cancel.  Returns whether ``lost`` was set or a nonzero
+    product fell at or past ``limit``; once it is set, no product past
+    ``limit`` is formed.  ``xs`` and ``ys`` must not be views of ``out``."""
+    rmul, radd = ring.rmul, ring.radd
+    for ea, ca in xs:
+        for eb, cb in ys:
+            e = ea + eb
+            if e >= limit:
+                # only a nonzero cross term counts as lost
+                if not lost and rmul(ca, cb):
+                    lost = True
+                continue
+            prod = rmul(ca, cb)
+            if prod == 0:
+                continue
+            cur = out.get(e)
+            if cur is None:
+                out[e] = prod
+            else:
+                s = radd(cur, prod)
+                if s == 0:
+                    del out[e]
+                else:
+                    out[e] = s
+    return lost
+
+
 def divide_keys(ring: CoeffRing, n: int, d: int, rem: dict, den: dict, track: bool = False) -> bool:
     """Divide ``rem`` by ``den`` in place below degree d.
 
-    Both map keys at (n, d) to raw coefficients and ``den[0]`` is a unit.
-    A divisor with one non-constant key goes to ``_divide_one_push``;
-    otherwise, degree by degree, each key's quotient term is b_0^-1 times its
-    remainder, and that term times -b_j goes to the key e + j, of higher
-    degree, so a key is read after its last update and the keys of one
-    degree are independent.  In one variable a key is its degree; in
-    more, the keys are filed by degree in a dict that holds only the
-    degrees with keys, and a key the division creates is filed too.  With
-    b_0 = 1 and no ``track``, a key that can push nothing below d keeps
-    its remainder and is not visited.  The walk covers the degrees from
-    the lowest key up: ``check_division`` bounds them with the keys,
-    since any divisor term other than b_0 makes at least d keys possible.
-    With ``track``, returns whether a nonzero push fell at or past
-    degree d."""
-    rmul, radd, one = ring.rmul, ring.radd, ring.one
+    Both map keys at (n, d) to raw coefficients and ``den[0]`` is a unit
+    b_0.  The division is by the monic 1 + b_0^-1 (den - b_0), and the
+    quotient is scaled by b_0^-1 once, at the end.  Once every lower key
+    has been read, a key e holds its quotient term c, and c times
+    -b_0^-1 b_j goes to the higher key e + j.  A divisor with one
+    non-constant key is walked along chains (``_divide_one_push``), any
+    other from a heap (``_divide_heap``).  Without ``track``, a key that
+    can push nothing below d is not read; with it, returns whether a
+    nonzero push fell at or past degree d."""
+    rmul, rneg, one = ring.rmul, ring.rneg, ring.one
     u = one if den[0] == one else ring.rinv(den[0])
-    pushes = sorted((j, ring.rneg(c)) for j, c in den.items() if j)
-    if not pushes or not rem:
-        if u != one:
-            for e, c in rem.items():
-                rem[e] = rmul(u, c)  # a unit times a nonzero term is nonzero
-        return False
-    limit, dn = d**n, d ** (n - 1)
-    if len(pushes) == 1:
-        return _divide_one_push(ring, limit, rem, pushes[0], u, track)
-    stop = limit if track or u != one else (d - pushes[0][0] // dn) * dn
-    buckets = None  # in one variable the degree is the key
-    if n > 1:
-        buckets = {}  # degree -> the keys below stop it holds
-        for e in rem:
-            if e < stop:
-                bucket = buckets.get(e // dn)
-                if bucket is None:
-                    buckets[e // dn] = {e}
-                else:
-                    bucket.add(e)
+    pushes = sorted((j, rneg(c) if u == one else rmul(u, rneg(c))) for j, c in den.items() if j)
     dropped = False
-    for deg in range(min(rem) // dn, stop // dn):
-        for e in (deg,) if buckets is None else buckets.pop(deg, ()):
-            c = rem.get(e, 0)
-            if c == 0:
+    if pushes and rem:
+        limit = d**n
+        stop = limit if track else limit - pushes[0][0]
+        walk = _divide_one_push if len(pushes) == 1 else _divide_heap
+        dropped = walk(ring, limit, stop, rem, pushes, track)
+    if u != one:
+        for e, c in rem.items():
+            rem[e] = rmul(u, c)  # a unit times a nonzero term is nonzero
+    return dropped
+
+
+def _divide_heap(
+    ring: CoeffRing, limit: int, stop: int, rem: dict, pushes: list, track: bool
+) -> bool:
+    """``divide_keys`` by a monic divisor with several non-constant keys.
+
+    A heap holds the keys below ``stop`` that the remainder holds, and a
+    key a push creates joins it.  Every push lands above the key it comes
+    from, so a key popped in ascending order has its final remainder.  A
+    key whose remainder cancels keeps the value 0 until the walk ends, so a
+    later push to it finds it held and it stays in the heap once: each key
+    is read once, and a 0 is skipped."""
+    rmul, radd, get = ring.rmul, ring.radd, rem.get
+    heap = [e for e in rem if e < stop]
+    heapify(heap)
+    dropped = False
+    while heap:
+        e = heappop(heap)
+        c = rem[e]
+        if not c:
+            continue
+        for j, b in pushes:
+            t = e + j
+            if t >= limit:
+                if track and not dropped and rmul(c, b):
+                    dropped = True
                 continue
-            if u == one:
-                q = c
+            p = rmul(c, b)
+            if not p:
+                continue
+            cur = get(t)
+            if cur is None:
+                rem[t] = p
+                if t < stop:
+                    heappush(heap, t)
             else:
-                q = rem[e] = rmul(u, c)
-            for j, b in pushes:
-                t = e + j
-                if t >= limit:
-                    if track and not dropped and rmul(q, b):
-                        dropped = True
-                    continue
-                prod = rmul(q, b)
-                if prod == 0:
-                    continue
-                cur = rem.get(t)
-                if cur is None:
-                    rem[t] = prod
-                    if buckets is not None and t < stop:
-                        bucket = buckets.get(t // dn)
-                        if bucket is None:
-                            buckets[t // dn] = {t}
-                        else:
-                            bucket.add(t)
-                else:
-                    s = radd(cur, prod)
-                    if s:
-                        rem[t] = s
-                    else:
-                        del rem[t]
+                rem[t] = radd(cur, p)
+    for e in [e for e, c in rem.items() if not c]:
+        del rem[e]
     return dropped
 
 
 def _divide_one_push(
-    ring: CoeffRing, limit: int, rem: dict, push: tuple, u: int, track: bool
+    ring: CoeffRing, limit: int, stop: int, rem: dict, pushes: list, track: bool
 ) -> bool:
-    """``divide_keys`` by a divisor b_0 + b_K t^K, whose only push from a key
-    e goes to e + K, so every key takes at most one push, from key - K.
+    """``divide_keys`` by a monic divisor 1 - b t^K, whose only push from a
+    key e goes to e + K, so every key takes at most one push, from key - K.
 
-    The division is by the monic 1 + b_0^-1 b_K t^K, and the quotient is
-    scaled by b_0^-1 at the end.  The keys are walked in ascending order
-    as chains e, e + K, ..: a key's remainder is final once the chain
-    before it has passed, so each link reads its quotient term and pushes
-    it to the next.  A chain ends at a push that vanishes, at a key whose
-    remainder cancels, or past the last key that can push below d; a key
-    an earlier chain walked on is skipped, and no degree that holds no
-    key is walked."""
-    rmul, radd, one = ring.rmul, ring.radd, ring.one
-    k, b = push
-    if u != one:
-        b = rmul(u, b)
-    stop = limit if track else limit - k
+    The keys are walked in ascending order as chains e, e + K, ..: a key's
+    remainder is final once the chain before it has passed, so each link
+    reads its quotient term and pushes it to the next.  A chain ends at a
+    push that vanishes, at a key whose remainder cancels, or past the last
+    key that can push below d; a key an earlier chain walked on is
+    skipped, and no degree that holds no key is walked."""
+    rmul, radd = ring.rmul, ring.radd
+    ((k, b),) = pushes
     get, reached = rem.get, set()  # reached: the keys an earlier chain walked on to
     add = reached.add
     dropped = False
@@ -251,9 +266,6 @@ def _divide_one_push(
         else:
             if track and not dropped and rmul(c, b):
                 dropped = True
-    if u != one:
-        for e, c in rem.items():
-            rem[e] = rmul(u, c)  # a unit times a nonzero term is nonzero
     return dropped
 
 
@@ -392,50 +404,16 @@ class TruncatedSeries:
 
     def mul(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check_shape(other)
-        ring, d = self.ring, self.d
-        radd, rmul = ring.radd, ring.rmul
-        limit = d**self.n
         out = {}
-        discarded = False
-        for ea, ca in self.keys.items():
-            for eb, cb in other.keys.items():
-                e = ea + eb
-                if e >= limit:
-                    # only a nonzero cross term costs exactness
-                    if not discarded and rmul(ca, cb) != 0:
-                        discarded = True
-                    continue
-                prod = rmul(ca, cb)
-                if prod == 0:
-                    continue
-                cur = out.get(e)
-                if cur is None:
-                    out[e] = prod
-                else:
-                    s = radd(cur, prod)
-                    if s == 0:
-                        del out[e]
-                    else:
-                        out[e] = s
-        return TruncatedSeries._make(
-            ring, self.n, d, out, self.exact and other.exact and not discarded
-        )
+        lost = add_products(self.ring, self.d**self.n, out, self.keys.items(), other.keys.items())
+        exact = self.exact and other.exact and not lost
+        return TruncatedSeries._make(self.ring, self.n, self.d, out, exact)
 
     def add_series(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check_shape(other)
-        ring = self.ring
         out = dict(self.keys)
-        for e, c in other.keys.items():
-            cur = out.get(e)
-            if cur is None:
-                out[e] = c
-            else:
-                s = ring.radd(cur, c)
-                if s == 0:
-                    del out[e]
-                else:
-                    out[e] = s
-        return TruncatedSeries._make(ring, self.n, self.d, out, self.exact and other.exact)
+        add_products(self.ring, self.d**self.n, out, ((0, self.ring.one),), other.keys.items())
+        return TruncatedSeries._make(self.ring, self.n, self.d, out, self.exact and other.exact)
 
     def __truediv__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """The quotient by a series with unit constant term, by ``divide_keys``;

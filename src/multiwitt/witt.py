@@ -7,7 +7,7 @@ family {r_nu} is the coordinate form, and extraction peels factors off in
 graded order.  Dividing by (1 - r t^nu) changes the running quotient only
 above degree |nu|, apart from removing its term at nu, so the peel
 divides in place through the series layer's one division kernel
-(``series.divide_keys``), whose one-push walk visits only the keys the
+(``series.divide_keys``), whose chain walk visits only the keys the
 quotient holds, along the chains e, e + nu, ...  The conversions, the
 grouping by primitive part and the products all run on the series' own
 packed exponent keys (``series.pack_exponent``), where a shift by nu is
@@ -59,6 +59,7 @@ from .errors import NilpotentCoefficients, ShapeMismatch, check_budget
 from .ring import CoeffRing, RingElement, json_list, json_object
 from .series import (
     TruncatedSeries,
+    add_products,
     check_division,
     check_shape,
     divide_keys,
@@ -341,8 +342,9 @@ def witt_coordinates(a: WittElement) -> WittCoordinates:
             break
         c = quot.pop(nu)
         coords[nu] = rneg(c)
-        # the scan for nu, the division's walk over the degrees from deg up
-        # to d - deg, and in more than one variable its filing of the keys
+        # the scan for nu and the chain walk, metered by the former degree
+        # walk's formula (the keys, twice in more than one variable, and the
+        # degrees deg..d - deg) so that the same peels are refused
         work += (len(quot) if n == 1 else 2 * len(quot)) + d - 2 * deg
         check_budget(work, PEEL_WORK_LIMIT, meter, n, d)
         divide_keys(ring, n, d, quot, {0: one, nu: c})
@@ -380,13 +382,14 @@ def binomial_product(ring: CoeffRing, limit: int, factors) -> tuple:
     Keys are those of ``series.pack_exponent``: they add when monomials
     multiply, and a key at or past ``limit``, d^n at truncation d in n
     variables, is outside the window.  Each run is multiplied into the
-    dict in place, one pass over the keys it held before the run for each
-    term of the run's truncated binomial power: one term, -r, when m = 1,
-    and at most min(m, (limit - 1) // key) terms (``_run_terms``)
-    otherwise.  A run whose key is already outside the window is skipped, and
-    ``exact`` is cleared whenever a nonzero term falls outside it, so an
-    exact result is the complete polynomial product."""
-    rmul, radd, rneg = ring.rmul, ring.radd, ring.rneg
+    dict in place by ``series.add_products``, one pass over the keys it
+    held before the run for each term of the run's truncated binomial
+    power: one term, -r, when m = 1, and at most min(m, (limit - 1) // key)
+    terms (``_run_terms``) otherwise.  A run whose key is already outside
+    the window is skipped, and ``exact`` is cleared whenever a nonzero term
+    falls outside it, so an exact result is the complete polynomial
+    product."""
+    rneg = ring.rneg
     acc = {0: ring.one}
     exact = True
     for key, r, m in factors:
@@ -400,21 +403,7 @@ def binomial_product(ring: CoeffRing, limit: int, factors) -> tuple:
         else:
             terms, inside = _run_terms(ring, limit, key, r, m)
             exact = exact and inside
-        held = list(acc.items())
-        for at, s in terms:
-            for e, ce in held:
-                t = e + at
-                if t >= limit:
-                    exact = exact and rmul(ce, s) == 0
-                    continue
-                prod = rmul(ce, s)
-                if prod == 0:
-                    continue
-                total = radd(acc[t], prod) if t in acc else prod
-                if total:
-                    acc[t] = total
-                else:
-                    del acc[t]
+        exact = not add_products(ring, limit, acc, terms, list(acc.items()), not exact)
     return acc, exact
 
 

@@ -5,6 +5,12 @@ coefficients and evaluated in the target ring; the Artin-Hasse series is
 built as exp(sum_i (x s)^(p^i) / p^i) with the argument kept as an
 indeterminate.  Both are slow and exist to check the library's ghost-lift
 laws and Artin-Hasse recurrence against an independent construction.
+
+``pi_epsilon_per_factor`` and ``pi_epsilon_inverse_per_factor`` are the
+former factor maps of ``multiwitt.ptypical``: each builds one series per
+Artin-Hasse factor with ``artin_hasse_exp`` and multiplies it in by
+``TruncatedSeries.mul``, or divides it out by ``/``, where the library
+works on one key dict in place.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from multiwitt import NonIntegral, PWittVector
+from multiwitt import NonIntegral, PWittVector, WittElement, artin_hasse_exp, component_lengths
 
 
 class QPoly:
@@ -157,3 +163,37 @@ def artin_hasse_by_exp_log(p: int, count: int) -> tuple:
             raise NonIntegral(f"Artin-Hasse coefficient {k} is {c}, not {p}-integral")
         out.append(c)
     return tuple(out)
+
+
+def pi_epsilon_per_factor(family: dict, ring, d: int) -> WittElement:
+    """The product of the factors E(v_(j,i), t^(j p^i)), one series each."""
+    p = ring.p
+    acc = WittElement.one(ring, 1, d)
+    for j in sorted(family):
+        for i, entry in enumerate(family[j].entries):
+            k = j * p**i
+            if entry and k < d:
+                factor = artin_hasse_exp(ring.from_raw(entry), k, d)
+                acc = WittElement(acc.series.mul(factor.series))
+    return acc
+
+
+def pi_epsilon_inverse_per_factor(a: WittElement) -> dict:
+    """The family of ``a``: the coefficient at t^k, k = j p^i, is entry i
+    of v_j, and dividing the running series by E(that entry, t^k) exposes
+    the next one."""
+    ring, d = a.ring, a.d
+    p = ring.p
+    entries = {j: [0] * m for j, m in component_lengths(p, d).items()}
+    running = a.series
+    for k in range(1, d):
+        c = running.keys.get(k, 0)
+        if c:
+            j, i = k, 0
+            while j % p == 0:
+                j, i = j // p, i + 1
+            entries[j][i] = c
+            running = running / artin_hasse_exp(ring.from_raw(c), k, d).series
+    if running.support_degree():
+        raise NonIntegral("factor peeling left a nonunit remainder")
+    return {j: PWittVector(p, e, ring) for j, e in entries.items()}

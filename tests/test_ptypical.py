@@ -25,7 +25,12 @@ from multiwitt import ptypical
 from multiwitt.witt import WittElement, enumerate_witt_elements, random_witt_element
 
 from conftest import RINGS
-from law_oracle import artin_hasse_by_exp_log, law_op
+from law_oracle import (
+    artin_hasse_by_exp_log,
+    law_op,
+    pi_epsilon_inverse_per_factor,
+    pi_epsilon_per_factor,
+)
 
 
 def test_ghost_definition():
@@ -142,6 +147,28 @@ def test_pi_epsilon_roundtrip_exhaustive():
             assert pi_epsilon(fam, F2, d) == el
             for j, v in fam.items():
                 assert len(v) == component_lengths(2, d)[j]
+
+
+@pytest.mark.parametrize("name", [name for name in sorted(RINGS) if RINGS[name].p in (2, 3)])
+def test_factor_maps_match_per_factor_oracle(name, rng):
+    """``pi_epsilon`` multiplies every Artin-Hasse factor into one dict and
+    ``pi_epsilon_inverse`` divides one dict by each factor in place: both
+    against the oracle's series per factor, on random elements (dense, so
+    the divisions are multi-term) and on random families, whose vectors
+    run one entry past the window and have zeros and missing indices."""
+    ring = RINGS[name]
+    p = ring.p
+    for d in (2, 3, 7, 12, 30):
+        for _ in range(3):
+            a = random_witt_element(ring, 1, d, rng)
+            assert pi_epsilon_inverse(a) == pi_epsilon_inverse_per_factor(a), (a,)
+            family = {}
+            for j, m in component_lengths(p, d).items():
+                if rng.random() < 0.8:
+                    entries = [rng.choice((0, ring.random_raw(rng))) for _ in range(m + 1)]
+                    family[j] = PWittVector(p, entries, ring)
+            got, want = pi_epsilon(family, ring, d), pi_epsilon_per_factor(family, ring, d)
+            assert got == want and got.series.exact is want.series.exact is False, family
 
 
 def test_pi_epsilon_is_group_hom(rng):

@@ -480,6 +480,80 @@ def test_one_push_division_matches_tuple_oracle(any_ring, n, rng):
             assert_matches_oracle(both[0] / both[1], (quotient, track and not past))
 
 
+def _heap_oracle(a, b):
+    """a / b by the tuple oracle's geometric-series inverse of b, and
+    whether a nonzero product of a quotient term and a divisor term falls
+    at degree d or more: the pushes past d, which can land on one exponent
+    and cancel once several divisor terms are pushed."""
+    ring, n, d = a.ring, a.n, a.d
+    inverse, _ = series_oracle.inv(b)
+    quotient, _ = series_oracle.mul(a, S(ring, n, d, inverse))
+    exact_b = series_oracle.copy_with(b, exact=True)
+    _, kept = series_oracle.mul(S(ring, n, d, quotient, True), exact_b)
+    return quotient, not kept
+
+
+def _heap_cases(ring, n, rng):
+    """(a, b) with at least two non-constant divisor terms, b_0 = 1 and a
+    unit other than 1 (if the ring has one) in turn: dense and sparse
+    divisors against random numerators at orders up to ORACLE_ORDERS[n],
+    and at d = 7, with nu = t_n and b = b_0 + b_1 t^nu + b_2 t^(2 nu)
+    (b_1 a unit, plus a term at t_1 when n > 1):
+
+    * a key that cancels and is created again: a = a_0 + a_2 t^(2 nu) with
+      a_2 = b_0^-1 b_2 a_0, so the push from 0 cancels 2 nu, and the push
+      from nu, which 0 created, makes it nonzero again; it must be read
+      once, and a walk that reads it twice pushes its term twice;
+    * keys at or past stop, of degree d - 1, which push nothing below d:
+      (d - 1) nu takes pushes from (d - 2) nu and (d - 3) nu, and
+      (d - 1) t_1 sits there too."""
+    units = [ring.one] + [c for c in range(2, ring.size) if ring.is_unit_raw(c)][:1]
+    zero = (0,) * n
+    nu = (0,) * (n - 1) + (1,)
+    times = lambda k: tuple(k * v for v in nu)  # noqa: E731
+    for u0 in units:
+        for _ in range(2):
+            d = rng.randrange(3, ORACLE_ORDERS[n] + 1)
+            dense = random_series(ring, n, d, rng).terms
+            pool = exponents_below(n, d)[1:]
+            sparse = {e: ring.random_raw(rng) or ring.one for e in rng.sample(pool, 2)}
+            for b in (dense, sparse):
+                b = dict(b)
+                b[zero] = u0
+                if len(b) > 2:
+                    yield random_series(ring, n, d, rng), S(ring, n, d, b)
+        d, b1 = 7, _unit(ring, rng)
+        b = {zero: u0, nu: b1, times(2): ring.random_raw(rng) or ring.one}
+        if n > 1:
+            b[(1,) + (0,) * (n - 1)] = ring.random_raw(rng) or ring.one
+        a0 = _unit(ring, rng)
+        a = {zero: a0, times(2): ring.rmul(ring.rmul(ring.rinv(u0), b[times(2)]), a0)}
+        yield S(ring, n, d, a), S(ring, n, d, b)
+        a = {times(d - 3): _unit(ring, rng), times(d - 2): ring.random_raw(rng)}
+        a[times(d - 1)] = ring.random_raw(rng) or ring.one
+        a[(d - 1,) + (0,) * (n - 1)] = ring.random_raw(rng) or ring.one
+        yield S(ring, n, d, a), S(ring, n, d, b)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_heap_division_matches_tuple_oracle(any_ring, n, rng):
+    """A divisor with several non-constant terms takes the heap walk of
+    ``divide_keys``: with and without ``track``, its quotient is a times
+    the oracle's geometric-series inverse, and the flag it returns with
+    ``track`` is whether a nonzero push fell at degree d or more.  Each
+    case runs on the kernel directly and through ``a / b``."""
+    for a, b in _heap_cases(any_ring, n, rng):
+        quotient, past = _heap_oracle(a, b)
+        for track in (False, True):
+            rem = dict(a.keys)
+            dropped = divide_keys(any_ring, n, a.d, rem, dict(b.keys), track)
+            got = {unpack_exponent(k, n, a.d): c for k, c in rem.items()}
+            assert got == quotient, (a, b, track)
+            assert dropped == (track and past), (a, b, track)
+            both = series_oracle.copy_with(a, exact=track), series_oracle.copy_with(b, exact=track)
+            assert_matches_oracle(both[0] / both[1], (quotient, track and not past))
+
+
 def _few_terms(ring, n, d, rng, unit_constant=False):
     """Up to three terms, nilpotent ones more often than not, and a unit
     constant term when asked: the inputs whose products and inverses can be
