@@ -53,22 +53,19 @@ COMMANDS = {
 }
 
 
-def _ring(args) -> CoeffRing:
-    return CoeffRing.from_json_dict(_loads(args.ring, "--ring"))
-
-
 def run(args: argparse.Namespace):
     """Execute the job parsed by ``parse_args``; returns (exit_code, result_dict)."""
     cmd = args.command
-    keys = COMMANDS[cmd][2]
+    required, _, keys = COMMANDS[cmd]
     payload = {} if keys is None else json_object(
         _read_payload(args.payload), f"{cmd} payload", *keys
     )
+    if "ring" in required:
+        ring = CoeffRing.from_json_dict(_loads(args.ring, "--ring"))
 
     if cmd in ("add", "mul"):
         from .witt import WittElement, witt_add, witt_mul
 
-        ring = _ring(args)
         a = WittElement.from_json_dict(ring, payload["a"])
         b = WittElement.from_json_dict(ring, payload["b"])
         out = witt_add(a, b) if cmd == "add" else witt_mul(a, b)
@@ -77,28 +74,24 @@ def run(args: argparse.Namespace):
     if cmd == "neg":
         from .witt import WittElement, witt_neg
 
-        ring = _ring(args)
         a = WittElement.from_json_dict(ring, payload["a"])
         return 0, {"result": witt_neg(a).to_json_dict()}
 
     if cmd == "coords":
         from .witt import WittElement, witt_coordinates
 
-        ring = _ring(args)
         a = WittElement.from_json_dict(ring, payload["a"])
         return 0, {"result": witt_coordinates(a).to_json_dict()}
 
     if cmd == "from-coords":
         from .witt import WittCoordinates, from_coordinates
 
-        ring = _ring(args)
         coords = WittCoordinates.from_json_dict(ring, args.n, args.d, payload)
         return 0, {"result": from_coordinates(coords).to_json_dict()}
 
     if cmd == "decompose":
         from .witt import WittElement, check_family, decompose
 
-        ring = _ring(args)
         a = WittElement.from_json_dict(ring, payload["a"])
         check_family(a.n, a.d)
         fam = decompose(a)
@@ -111,7 +104,6 @@ def run(args: argparse.Namespace):
     if cmd == "ah-exp":
         from .ptypical import artin_hasse_exp
 
-        ring = _ring(args)
         x = ring.element(payload["x"])
         j = json_int(payload.get("j", 1), "ah-exp j")
         return 0, {"result": artin_hasse_exp(x, j, args.d).to_json_dict()}
@@ -121,7 +113,6 @@ def run(args: argparse.Namespace):
         from .series import TruncatedSeries
         from .witt import WittElement
 
-        ring = _ring(args)
         f = FormalWittElement(TruncatedSeries.from_json_dict(ring, payload["f"]))
         base = CoeffRing(ring.field, 1)
         g = WittElement.from_json_dict(base, payload["g"])

@@ -6,10 +6,11 @@ exponent encoding the library computes with, the integer key of
 ``pack_exponent``: key order is the graded order (total degree, then
 tuple comparison), keys add when monomials multiply, an exponent is below
 d exactly when its key is below d^n, the constant term is key 0, and in
-one variable the key is the degree.  A series stores its terms as
-``keys``, a dict from key to raw coefficient.  Exponent tuples appear
-only at the public edge: the constructor, JSON, and ``terms``, a
-tuple-keyed view built on first read.
+one variable the key is the degree.  A series and a Witt coordinate
+family (witt.py) are both a ``KeyedTerms``: ``keys``, a dict from key to
+raw coefficient.  Exponent tuples appear only at its public edge: one
+checked constructor, one JSON row writer and reader, and one tuple-keyed
+view built on first read (``terms``, also named ``coords``).
 
 The ``exact`` flag marks a series that represents a genuine polynomial:
 no nonzero term was ever discarded while producing it.  Multiplication
@@ -91,16 +92,6 @@ def content(exp: tuple) -> int:
     for v in exp:
         g = gcd(g, v)
     return g
-
-
-def parse_exponent(values, seen) -> tuple:
-    """Exponent tuple from a JSON list of integers; rejects exponents
-    already in ``seen``.  The series and coordinate constructors check
-    its shape."""
-    exp = tuple(json_int(v, "exponent entry") for v in json_list(values, "exponent"))
-    if exp in seen:
-        raise ShapeMismatch(f"exponent {list(exp)} listed twice")
-    return exp
 
 
 def pack_exponent(exp: tuple, d: int) -> int:
@@ -301,35 +292,105 @@ def primitive_exponents_below(n: int, d: int) -> tuple:
     return tuple(e for e in exponents_below(n, d) if sum(e) > 0 and is_primitive(e))
 
 
-class TruncatedSeries:
-    """Truncated series; immutable once constructed.  ``keys`` maps packed
-    exponent keys to raw coefficients."""
+class KeyedTerms:
+    """Nonzero raw coefficients at the exponents nu in n variables with
+    ``LOW`` <= |nu| < d; immutable once constructed.  ``keys`` maps each
+    packed exponent key to its coefficient.  A truncated series is one with
+    ``LOW`` = 0, a Witt coordinate family (witt.py) one with ``LOW`` = 1.
 
-    __slots__ = ("ring", "n", "d", "exact", "keys", "_terms", "_hash")
+    At the public edge exponent tuples appear only here: in the checked
+    constructor, the JSON rows ``{"exp": nu, COEF: coefficient rows}`` in
+    graded order, and the tuple-keyed view, ``terms`` or ``coords``, built
+    on first read."""
+
+    __slots__ = ("ring", "n", "d", "keys", "_view")
+    LOW = 0  # the least |nu| admitted
+    COEF = "c"  # the coefficient's key in a JSON row
+
+    def __init__(self, ring: CoeffRing, n: int, d: int, terms: dict):
+        """From a dict of exponent tuples to raw coefficients.  Every
+        exponent is checked, zero coefficient or not: ShapeMismatch unless
+        it has n entries, none negative, and ``LOW`` <= |nu| < d.
+        SchemaError for a raw that is not an int in range(ring.size)."""
+        check_shape(n, d)
+        low, size, keys = self.LOW, ring.size, {}
+        for exp, raw in terms.items():
+            if len(exp) != n or min(exp) < 0 or not low <= sum(exp) < d:
+                window = f"{'0 < ' if low else ''}|nu| < {d}"
+                raise ShapeMismatch(
+                    f"exponent {list(exp)} is not in {n} variables with entries >= 0 and {window}"
+                )
+            if type(raw) is not int or not 0 <= raw < size:
+                raise SchemaError(f"raw coefficient {raw!r} at {list(exp)} is not in range({size})")
+            if raw:
+                keys[pack_exponent(exp, d)] = raw
+        self.ring, self.n, self.d, self.keys, self._view = ring, n, d, keys, None
+
+    @classmethod
+    def _make(cls, ring: CoeffRing, n: int, d: int, keys: dict) -> "KeyedTerms":
+        """From nonzero raw coefficients at keys of (n, d) in the window:
+        no re-check."""
+        self = object.__new__(cls)
+        self.ring, self.n, self.d, self.keys, self._view = ring, n, d, keys, None
+        return self
+
+    @property
+    def terms(self) -> dict:
+        """The coefficients keyed by exponent tuple, built from ``keys`` on
+        first read, in the same order."""
+        if self._view is None:
+            n, d = self.n, self.d
+            self._view = {unpack_exponent(k, n, d): c for k, c in self.keys.items()}
+        return self._view
+
+    coords = terms
+
+    def coeff(self, exp) -> RingElement:
+        return self.ring.from_raw(self.terms.get(tuple(exp), 0))
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and (self.ring, self.n, self.d) == (other.ring, other.n, other.d)
+            and self.keys == other.keys
+        )
+
+    def _json_rows(self) -> list:
+        n, d, coef, rows, keys = self.n, self.d, self.COEF, self.ring.raw_to_coords, self.keys
+        return [{"exp": list(unpack_exponent(k, n, d)), coef: rows(keys[k])} for k in sorted(keys)]
+
+    @classmethod
+    def _read_json_rows(cls, ring: CoeffRing, rows, what: str) -> dict:
+        """The exponent tuples and raw coefficients of a JSON list of rows,
+        each a ``what``; SchemaError for a malformed row, ShapeMismatch for
+        an exponent listed twice.  The constructor checks the exponents."""
+        coef, terms = cls.COEF, {}
+        for row in json_list(rows, f"{what}s"):
+            json_object(row, what, ("exp", coef))
+            exp = tuple(json_int(v, "exponent entry") for v in json_list(row["exp"], "exponent"))
+            if exp in terms:
+                raise ShapeMismatch(f"exponent {list(exp)} listed twice")
+            terms[exp] = ring.coords_to_raw(row[coef])
+        return terms
+
+
+class TruncatedSeries(KeyedTerms):
+    """Truncated series: a ``KeyedTerms`` from |nu| = 0, with the ``exact``
+    flag and the arithmetic."""
+
+    __slots__ = ("exact", "_hash")
 
     def __init__(self, ring: CoeffRing, n: int, d: int, terms: dict, exact: bool = False):
         """A series from a dict of exponent tuples to raw coefficients."""
-        check_shape(n, d)
-        keys = {}
-        for exp, raw in terms.items():
-            if min(exp, default=0) < 0:
-                raise ShapeMismatch(f"exponent {list(exp)} has a negative entry")
-            if raw == 0:
-                continue
-            if len(exp) != n:
-                raise ShapeMismatch(f"exponent {exp} has wrong arity")
-            if sum(exp) >= d:
-                raise ShapeMismatch(f"term {exp} at or beyond truncation {d}")
-            keys[pack_exponent(exp, d)] = raw
-        self.ring, self.n, self.d, self.exact = ring, n, d, exact
-        self.keys, self._terms, self._hash = keys, None, None
+        super().__init__(ring, n, d, terms)
+        self.exact, self._hash = exact, None
 
     @classmethod
     def _make(cls, ring: CoeffRing, n: int, d: int, keys: dict, exact: bool) -> "TruncatedSeries":
         """A series from keys valid for (n, d) and free of zeros: no re-check."""
         self = object.__new__(cls)
-        self.ring, self.n, self.d, self.exact = ring, n, d, exact
-        self.keys, self._terms, self._hash = keys, None, None
+        self.ring, self.n, self.d, self.keys, self._view = ring, n, d, keys, None
+        self.exact, self._hash = exact, None
         return self
 
     # construction helpers ------------------------------------------------
@@ -341,19 +402,8 @@ class TruncatedSeries:
 
     # basic queries --------------------------------------------------------
 
-    @property
-    def terms(self) -> dict:
-        """The terms keyed by exponent tuple, built from ``keys`` on first read."""
-        if self._terms is None:
-            n, d = self.n, self.d
-            self._terms = {unpack_exponent(k, n, d): c for k, c in self.keys.items()}
-        return self._terms
-
     def coeff_raw(self, exp: tuple) -> int:
         return self.terms.get(tuple(exp), 0)
-
-    def coeff(self, exp: tuple) -> RingElement:
-        return self.ring.from_raw(self.coeff_raw(exp))
 
     @property
     def constant_raw(self) -> int:
@@ -361,15 +411,6 @@ class TruncatedSeries:
 
     def support_degree(self) -> int:
         return max(self.keys, default=0) // self.d ** (self.n - 1)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TruncatedSeries)
-            and self.ring == other.ring
-            and self.n == other.n
-            and self.d == other.d
-            and self.keys == other.keys
-        )
 
     def __hash__(self):
         if self._hash is None:
@@ -460,25 +501,12 @@ class TruncatedSeries:
     # serialization --------------------------------------------------------
 
     def to_json_dict(self):
-        ring, n, d = self.ring, self.n, self.d
-        return {
-            "n": n,
-            "d": d,
-            "exact": self.exact,
-            "terms": [
-                {"exp": list(unpack_exponent(k, n, d)), "c": ring.raw_to_coords(self.keys[k])}
-                for k in sorted(self.keys)
-            ],
-        }
+        return {"n": self.n, "d": self.d, "exact": self.exact, "terms": self._json_rows()}
 
     @classmethod
     def from_json_dict(cls, ring: CoeffRing, obj) -> "TruncatedSeries":
         json_object(obj, "series", ("n", "d", "terms"), ("exact",))
-        terms = {}
-        for t in json_list(obj["terms"], "series terms"):
-            json_object(t, "series term", ("exp", "c"))
-            exp = parse_exponent(t["exp"], terms)
-            terms[exp] = ring.coords_to_raw(t["c"])
+        terms = cls._read_json_rows(ring, obj["terms"], "series term")
         exact = obj.get("exact", False)
         if type(exact) is not bool:
             raise SchemaError(f"series exact must be a JSON boolean, got {exact!r}")

@@ -12,9 +12,9 @@ quotient holds, along the chains e, e + nu, ...  The conversions, the
 grouping by primitive part and the products all run on the series' own
 packed exponent keys (``series.pack_exponent``), where a shift by nu is
 one integer add and the truncation test one comparison.  A coordinate
-family stores them too (``WittCoordinates.keys``); exponent tuples
-appear only at the public edge: its constructor, JSON, and the ``coords``
-view built on first read.
+family is a ``series.KeyedTerms`` like a series, from |nu| = 1: it
+shares the series' checked constructor, JSON row codec and ``coords``
+view built on first read, the only places exponent tuples appear.
 
 Grouping exponents by their primitive part splits the group into a finite
 product of one-variable components: nu = i * nu0 with gcd(nu0) = 1 turns
@@ -56,8 +56,9 @@ from __future__ import annotations
 from math import gcd
 
 from .errors import NilpotentCoefficients, ShapeMismatch, check_budget
-from .ring import CoeffRing, RingElement, json_list, json_object
+from .ring import CoeffRing, RingElement, json_object
 from .series import (
+    KeyedTerms,
     TruncatedSeries,
     add_products,
     check_division,
@@ -66,7 +67,6 @@ from .series import (
     exponent_count,
     exponents_below,
     pack_exponent,
-    parse_exponent,
     primitive_exponents_below,
     unpack_exponent,
 )
@@ -164,53 +164,13 @@ class WittElement:
         return cls(TruncatedSeries.from_json_dict(ring, obj))
 
 
-class WittCoordinates:
-    """Sparse coordinate family {r_nu}, 0 < |nu| < d.
+class WittCoordinates(KeyedTerms):
+    """Sparse coordinate family {r_nu}, 0 < |nu| < d: a ``series.KeyedTerms``
+    whose ``keys`` map the packed key of each nu to its nonzero r_nu and
+    whose ``coords`` is the family keyed by exponent tuple."""
 
-    ``keys`` maps the packed key of each nu (``series.pack_exponent``) to
-    its nonzero r_nu.  ``coords``, the family keyed by exponent tuple, is
-    a view built from ``keys`` on first read, in the same order."""
-
-    __slots__ = ("ring", "n", "d", "keys", "_coords")
-
-    def __init__(self, ring: CoeffRing, n: int, d: int, coords: dict):
-        """A family from a dict of exponent tuples to raw coordinates."""
-        check_shape(n, d)
-        keys = {}
-        for exp, r in coords.items():
-            if len(exp) != n or any(v < 0 for v in exp) or not 0 < sum(exp) < d:
-                raise ShapeMismatch(
-                    f"coordinate exponent {list(exp)} is not in {n} variables with 0 < |nu| < {d}"
-                )
-            if r != 0:
-                keys[pack_exponent(exp, d)] = r
-        self.ring, self.n, self.d, self.keys, self._coords = ring, n, d, keys, None
-
-    @classmethod
-    def _make(cls, ring: CoeffRing, n: int, d: int, keys: dict) -> "WittCoordinates":
-        """A family from nonzero coordinates at keys of (n, d) with
-        0 < |nu| < d: no re-check."""
-        self = object.__new__(cls)
-        self.ring, self.n, self.d, self.keys, self._coords = ring, n, d, keys, None
-        return self
-
-    @property
-    def coords(self) -> dict:
-        """The coordinates keyed by exponent tuple, built on first read."""
-        if self._coords is None:
-            n, d = self.n, self.d
-            self._coords = {unpack_exponent(k, n, d): r for k, r in self.keys.items()}
-        return self._coords
-
-    def coeff(self, exp) -> RingElement:
-        return self.ring.from_raw(self.coords.get(tuple(exp), 0))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, WittCoordinates)
-            and (self.ring, self.n, self.d) == (other.ring, other.n, other.d)
-            and self.keys == other.keys
-        )
+    __slots__ = ()
+    LOW, COEF = 1, "r"
 
     def __repr__(self):
         n, d = self.n, self.d
@@ -219,22 +179,12 @@ class WittCoordinates:
         return f"<coords {{{bits}}} mod deg {d}>"
 
     def to_json_dict(self):
-        n, d = self.n, self.d
-        return {
-            "coords": [
-                {"exp": list(unpack_exponent(k, n, d)), "r": self.ring.raw_to_coords(self.keys[k])}
-                for k in sorted(self.keys)
-            ]
-        }
+        return {"coords": self._json_rows()}
 
     @classmethod
     def from_json_dict(cls, ring: CoeffRing, n: int, d: int, obj) -> "WittCoordinates":
         json_object(obj, "coordinate document", ("coords",))
-        coords = {}
-        for t in json_list(obj["coords"], "coordinates"):
-            json_object(t, "coordinate", ("exp", "r"))
-            coords[parse_exponent(t["exp"], coords)] = ring.coords_to_raw(t["r"])
-        return cls(ring, n, d, coords)
+        return cls(ring, n, d, cls._read_json_rows(ring, obj["coords"], "coordinate"))
 
 
 # components of a whole family, one per primitive exponent below d
@@ -297,7 +247,6 @@ def _check_same_shape(a: WittElement, b: WittElement):
 
 def witt_add(a: WittElement, b: WittElement) -> WittElement:
     """Group addition: multiplication of the underlying series."""
-    _check_same_shape(a, b)
     return WittElement(a.series.mul(b.series))
 
 

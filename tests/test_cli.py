@@ -523,6 +523,25 @@ def test_coordinate_outside_window_rejected(capsys, exp):
     assert "0 < |nu| < 4" in doc["error"]["detail"]
 
 
+@pytest.mark.parametrize(
+    "command,payload",
+    [
+        ("neg", {"a": series_doc(1, 3, [((0,), [[1]]), ((5, 7), [[0]])])}),
+        ("neg", {"a": series_doc(1, 3, [((0,), [[1]]), ((9,), [[0]])])}),
+        ("from-coords", {"coords": [{"exp": [9], "r": [[0]]}]}),
+    ],
+    ids=["series-arity", "series-window", "coords-window"],
+)
+def test_zero_term_at_malformed_exponent_rejected(capsys, command, payload):
+    # the exponent is checked before its zero coefficient is dropped
+    argv = [command, "--ring", F2_RING, "--payload", json.dumps(payload)]
+    if command == "from-coords":
+        argv += ["--n", "1", "--d", "3"]
+    code, doc = run_cli(capsys, argv)
+    assert code == 1
+    assert doc["error"]["kind"] == "ShapeMismatch"
+
+
 def test_ring_beyond_table_bound_rejected(capsys):
     ring = '{"p":2,"e":1,"modulus":[0,1],"nil":12}'
     payload = {"a": series_doc(1, 2, [((0,), [[1]] * 12)])}

@@ -11,6 +11,7 @@ from multiwitt import (
     ShapeMismatch,
     TruncatedSeries,
 )
+from multiwitt.errors import SchemaError
 from multiwitt.series import (
     divide_keys,
     exponents_below,
@@ -64,6 +65,57 @@ def test_negative_exponent_entry_rejected():
     # a zero coefficient does not hide it
     with pytest.raises(ShapeMismatch):
         TruncatedSeries(F3, 2, 5, {(0, 0): 1, (-1, 2): 0})
+
+
+# exponents outside a family in n = 2 variables at d = 4
+MALFORMED = {
+    "arity": (1, 1, 0),
+    "negative": (-1, 2),
+    "past-d": (3, 1),
+    "zero-degree": (0, 0),  # a coordinate only: a series has a constant term
+    "twice": (1, 1),  # listed twice: JSON only, a dict holds a key once
+}
+ROUTES = ("series", "coords", "series-json", "coords-json")
+
+
+@pytest.mark.parametrize(
+    "case, route, raw",
+    [
+        (case, route, raw)
+        for case in MALFORMED
+        for route in ROUTES
+        for raw in (0, 2)
+        if not (case == "zero-degree" and route.startswith("series"))
+        and not (case == "twice" and not route.endswith("-json"))
+    ],
+)
+def test_malformed_exponent_rejected_by_both_constructors_and_readers(case, route, raw):
+    # checked whether its coefficient is zero or not
+    F3, n, d = CoeffRing.make(3), 2, 4
+    rows = [(MALFORMED[case], raw)] * (2 if case == "twice" else 1)
+    series = route.startswith("series")
+    if series:
+        rows.insert(0, ((0, 0), 1))
+    coef = "c" if series else "r"
+    json_rows = [{"exp": list(e), coef: F3.raw_to_coords(c)} for e, c in rows]
+    with pytest.raises(ShapeMismatch):
+        if route == "series":
+            TruncatedSeries(F3, n, d, dict(rows))
+        elif route == "coords":
+            WittCoordinates(F3, n, d, dict(rows))
+        elif route == "series-json":
+            TruncatedSeries.from_json_dict(F3, {"n": n, "d": d, "terms": json_rows})
+        else:
+            WittCoordinates.from_json_dict(F3, n, d, {"coords": json_rows})
+
+
+@pytest.mark.parametrize("cls", [TruncatedSeries, WittCoordinates])
+@pytest.mark.parametrize("raw", [-1, 2, 7, 1.0])
+def test_raw_coefficient_outside_the_ring_rejected(cls, raw):
+    # a negative raw would read the ring tables from their end
+    F2 = CoeffRing.make(2)
+    with pytest.raises(SchemaError):
+        cls(F2, 1, 3, {(1,): raw})
 
 
 def test_geometric_inverse():
@@ -262,12 +314,19 @@ def test_exponent_box_caches_are_bounded():
 
 
 def test_json_roundtrip_byte_identical(any_ring, rng):
-    for _ in range(10):
-        a = random_witt_element(any_ring, 2, 4, rng).series
-        blob = json.dumps(a.to_json_dict(), sort_keys=True, separators=(",", ":"))
-        back = TruncatedSeries.from_json_dict(any_ring, json.loads(blob))
-        blob2 = json.dumps(back.to_json_dict(), sort_keys=True, separators=(",", ":"))
-        assert back == a and blob == blob2
+    def dumps(x):
+        return json.dumps(x.to_json_dict(), sort_keys=True, separators=(",", ":"))
+
+    for n in (1, 2, 3):
+        for _ in range(10):
+            d = rng.randrange(1, 6)
+            a = random_series(any_ring, n, d, rng)
+            back = TruncatedSeries.from_json_dict(any_ring, json.loads(dumps(a)))
+            assert back == a and back.exact == a.exact and dumps(back) == dumps(a)
+            terms = random_series(any_ring, n, d, rng).terms
+            c = WittCoordinates(any_ring, n, d, {e: r for e, r in terms.items() if any(e)})
+            back = WittCoordinates.from_json_dict(any_ring, n, d, json.loads(dumps(c)))
+            assert back == c and dumps(back) == dumps(c)
 
 
 def test_json_terms_in_graded_order(rng):
