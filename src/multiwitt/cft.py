@@ -100,13 +100,11 @@ def generator_order_exponent(p: int, weight: int, d: int) -> int:
     return s
 
 
-def pi1_truncated(n: int, q: int, d: int, ring: CoeffRing | None = None) -> AbelianGroupStructure:
+def pi1_truncated(n: int, q: int, d: int) -> AbelianGroupStructure:
     """Structure of the truncated group over F_q in n variables."""
     if d < 2:
         raise InvalidTruncation("truncation level must be at least 2")
-    ring = ring if ring is not None else CoeffRing.make(q)
-    if ring.size != q or ring.nil != 1:
-        raise InvalidTruncation("coefficients must form the field F_q")
+    ring = CoeffRing.make(q)
     p, e = ring.p, ring.field.e
     # e generators per exponent at most, counted before building the box
     check_budget(e * _group_rank(n, d), PI1_GENERATOR_LIMIT, "up to {} generators")
@@ -135,9 +133,6 @@ class ModulusGroupDesc(Record):
     """The quotient (1 + u k[[u]]) / (1 + u^m k[[u]]) at the infinite place."""
 
     __slots__ = _fields = ("q", "m", "order", "structure")
-
-    def __init__(self, q: int, m: int, order: int, structure: AbelianGroupStructure):
-        self._set(q=q, m=m, order=order, structure=structure)
 
     def elements(self):
         from .witt import WittElement, enumerate_witt_elements
@@ -469,15 +464,6 @@ class LangCensus(Record):
     __slots__ = _fields = (
         "total", "kernel", "expected_kernel", "endomorphism_pairs_checked", "kernel_is_rational"
     )
-
-    def __init__(
-        self, total, kernel, expected_kernel, endomorphism_pairs_checked, kernel_is_rational
-    ):
-        self._set(
-            total=total, kernel=kernel, expected_kernel=expected_kernel,
-            endomorphism_pairs_checked=endomorphism_pairs_checked,
-            kernel_is_rational=kernel_is_rational,
-        )
 
     @property
     def matches(self) -> bool:

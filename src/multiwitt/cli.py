@@ -126,9 +126,7 @@ def run(args: argparse.Namespace):
             result["geometric"] = ring.raw_to_coords(vg.raw)
         if args.mode == "both":
             result["agree"] = result["algebraic"] == result["geometric"]
-            if not result["agree"]:
-                return 2, result
-        return 0, result
+        return (0 if result.get("agree", True) else 2), result
 
     if cmd == "pi1":
         from .cft import pi1_truncated, witt_group_structure_brute
@@ -139,11 +137,8 @@ def run(args: argparse.Namespace):
         if args.oracle:
             oracle = witt_group_structure_brute(CoeffRing.make(args.q), args.n, args.d)
             result["oracle_factors"] = list(oracle.invariant_factors)
-            if oracle.invariant_factors != structure.invariant_factors:
-                result["agree"] = False
-                return 2, result
-            result["agree"] = True
-        return 0, result
+            result["agree"] = oracle.invariant_factors == structure.invariant_factors
+        return (0 if result.get("agree", True) else 2), result
 
     if cmd == "lang-census":
         from .cft import lang_kernel_census

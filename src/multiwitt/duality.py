@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from .errors import InvalidTruncation, NotAUnit, NotNilpotent, ShapeMismatch, UnstableTruncation
 from .ptypical import PWittVector, pi_epsilon_inverse, pwitt_pair
-from .ring import CoeffRing, RingElement
+from .ring import CoeffRing, Record, RingElement
 from .series import TruncatedSeries, exponents_below, unpack_exponent
 from .unipoly import UnivariatePolynomial, resultant
 from .witt import (
@@ -82,13 +82,17 @@ class FormalWittElement:
     def degree(self) -> int:
         return self.series.support_degree()
 
-    # equal polynomials at different truncation orders are one element, so
-    # these compare exponent tuples: the keys depend on d
+    # equal polynomials over one ring at different truncation orders are one
+    # element, so these compare exponent tuples: the keys depend on d
     def __eq__(self, other):
-        return isinstance(other, FormalWittElement) and self.series.terms == other.series.terms
+        return (
+            isinstance(other, FormalWittElement)
+            and self.ring == other.ring
+            and self.series.terms == other.series.terms
+        )
 
     def __hash__(self):
-        return hash(tuple(sorted(self.series.terms.items())))
+        return hash((self.ring, tuple(sorted(self.series.terms.items()))))
 
     def __repr__(self):
         return repr(self.series).replace("<series", "<formal", 1)
@@ -124,17 +128,11 @@ class FormalWittElement:
         return self.series.to_json_dict()
 
 
-class UnitClass:
+class UnitClass(Record):
     """Class of a polynomial unit modulo constants, kept as the representative
     normalized to constant term 1."""
 
-    __slots__ = ("representative",)
-
-    def __init__(self, representative: FormalWittElement):
-        self.representative = representative
-
-    def __eq__(self, other):
-        return isinstance(other, UnitClass) and self.representative == other.representative
+    __slots__ = _fields = ("representative",)
 
     def __repr__(self):
         return f"<unit class of {self.representative!r}>"
@@ -291,11 +289,10 @@ def _geometric_value(f_series: TruncatedSeries, g: WittElement, m: int) -> int:
     f_deg = f_series.support_degree()
     if f_deg == 0:
         return ring.one
-    reverse = UnivariatePolynomial.from_raw(ring, list(reversed(gp)))
-    f_poly = UnivariatePolynomial.from_raw(
-        ring, [f_series.keys.get(k, 0) for k in range(f_deg + 1)]
-    )
-    return resultant(reverse, f_poly).raw
+    f_coeffs = tuple(f_series.keys.get(k, 0) for k in range(f_deg + 1))
+    # both lead with a nonzero coefficient: g's constant 1 and f's top term
+    reverse = UnivariatePolynomial._make(ring, tuple(reversed(gp)))
+    return resultant(reverse, UnivariatePolynomial._make(ring, f_coeffs)).raw
 
 
 def pairing_via_components(f: FormalWittElement, g: WittElement, d: int | None = None) -> RingElement:
@@ -319,7 +316,8 @@ def pairing_via_components(f: FormalWittElement, g: WittElement, d: int | None =
         if vg is None or all(e == 0 for e in vg.entries) or all(e == 0 for e in vf.entries):
             continue
         m = max(len(vf), len(vg))
-        val = pwitt_pair(vf.pad(m), PWittVector(vg.p, vg.entries, ring).pad(m))
+        # g's raws, over f's ring or its field part, are raws of f's ring
+        val = pwitt_pair(vf.pad(m), PWittVector._make(vg.p, vg.entries, ring).pad(m))
         acc = ring.rmul(acc, ring.rpow(val.raw, -j))
     return ring.from_raw(acc)
 

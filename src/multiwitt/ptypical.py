@@ -41,27 +41,22 @@ from .witt import WittElement
 class GhostVector(Record):
     __slots__ = _fields = ("p", "entries")
 
-    def __init__(self, p: int, entries: tuple):
-        self._set(p=p, entries=entries)
 
-    def __len__(self):
-        return len(self.entries)
+class PWittVector(Record):
+    """Entries are raw ring integers (ring mode) or Fractions (rational mode,
+    ``ring`` None); ``_make`` takes them as a tuple of checked values."""
 
-
-class PWittVector:
-    """Entries are raw ring integers (ring mode) or Fractions (rational mode)."""
-
-    __slots__ = ("p", "entries", "ring")
+    __slots__ = _fields = ("p", "entries", "ring")
 
     def __init__(self, p: int, entries, ring: CoeffRing | None = None):
-        self.p = p
-        self.ring = ring
+        """Entries read as Fractions, or by ``CoeffRing.checked_raw``."""
         if ring is None:
-            self.entries = tuple(Fraction(v) for v in entries)
+            entries = tuple(Fraction(v) for v in entries)
         else:
             if ring.p != p:
                 raise ShapeMismatch("ring characteristic differs from p")
-            self.entries = tuple(int(v) % ring.size for v in entries)
+            entries = tuple(ring.checked_raw(v, "vector entry") for v in entries)
+        Record.__init__(self, p, entries, ring)
 
     @classmethod
     def zero(cls, p: int, m: int, ring: CoeffRing | None = None) -> "PWittVector":
@@ -75,17 +70,6 @@ class PWittVector:
     def __len__(self):
         return len(self.entries)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, PWittVector)
-            and self.p == other.p
-            and self.ring == other.ring
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.ring, self.entries))
-
     def __repr__(self):
         if self.ring is None:
             inner = ", ".join(str(v) for v in self.entries)
@@ -97,20 +81,19 @@ class PWittVector:
     def rational(self) -> bool:
         return self.ring is None
 
-    def elements(self):
-        if self.ring is None:
-            raise ShapeMismatch("rational-mode vector has no ring elements")
-        return [self.ring.from_raw(v) for v in self.entries]
-
     def is_nilpotent(self) -> bool:
         if self.ring is None:
             return all(v == 0 for v in self.entries)
         return all(self.ring.is_nilpotent_raw(v) for v in self.entries)
 
     def pad(self, m: int) -> "PWittVector":
-        if m < len(self.entries):
+        """The vector with zeros appended up to length m; itself at length m."""
+        short = m - len(self.entries)
+        if short < 0:
             raise ShapeMismatch("cannot shorten a vector")
-        return PWittVector(self.p, list(self.entries) + [0] * (m - len(self.entries)), self.ring)
+        if not short:
+            return self
+        return PWittVector._make(self.p, self.entries + (0,) * short, self.ring)
 
     def to_json_dict(self):
         if self.ring is None:
@@ -239,7 +222,7 @@ def _op_lifted(v: PWittVector, w: PWittVector, kind: str) -> PWittVector:
         entries.append(ring.coords_to_raw(digits))
         if entries[-1]:
             _add_ghost_terms(solved, i, digits, ring, mod)
-    return PWittVector(p, entries, ring)
+    return PWittVector._make(p, tuple(entries), ring)
 
 
 def _binop(v: PWittVector, w: PWittVector, kind: str) -> PWittVector:
@@ -408,7 +391,7 @@ def pi_epsilon_inverse(a: WittElement) -> dict:
         divide_keys(ring, 1, d, running, factor)
     if max(running):
         raise NonIntegral("factor peeling left a nonunit remainder")
-    return {j: PWittVector(p, e, ring) for j, e in entries.items()}
+    return {j: PWittVector._make(p, tuple(e), ring) for j, e in entries.items()}
 
 
 def pwitt_pair(v: PWittVector, w: PWittVector) -> RingElement:

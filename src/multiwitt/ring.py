@@ -21,8 +21,11 @@ formed or factored.  Hot loops work on raw integers via
 the CoeffRing methods; RingElement is a thin wrapper with operator
 overloads for public use and tests.
 
-FiniteField and CoeffRing are immutable values (``Record``): equal and
-hashed by their fields, so a ring can key a cache.
+Fields, rings, their elements and every other value of the library are
+``Record``s: immutable, equal and hashed by their fields, so a ring can
+key a cache and values can fill sets.  Series, coordinate families and Witt elements keep their terms in
+a dict instead; they are never changed once built either, and are equal
+and hashed by their terms.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import attrgetter
 
-from .errors import NonUnit, SchemaError, check_budget, check_power
+from .errors import NonUnit, SchemaError, ShapeMismatch, check_budget, check_power
 
 _MAX_TABLE_Q = 2048
 
@@ -38,15 +41,37 @@ _MAX_TABLE_Q = 2048
 class Record:
     """Immutable value, equal and hashed by the attributes named in
     ``_fields``, as a frozen dataclass is, without importing dataclasses.
-    A subclass declares its ``__slots__`` and fills them through ``_set``
-    in ``__init__`` (a slot that caches a value built on first read, when
-    it is read); assignment raises AttributeError."""
+    A subclass declares its ``__slots__``, and ``Record.__init__(*values)``
+    fills the fields in order.  A subclass ``__init__`` that checks or
+    normalizes its arguments ends in it; one that also fills slots beyond
+    the fields (a cache built on first read, when it is read) goes through
+    ``_set``.  ``_make`` is the trusted constructor.  Assignment raises
+    AttributeError."""
 
     __slots__ = ()
 
     def __init_subclass__(cls):
-        # _key(self) is the tuple of the fields (every subclass has two or more)
-        cls._key = attrgetter(*cls._fields)
+        fields = cls._fields
+        # _key(self) is the tuple of the fields: a lone attrgetter returns
+        # the bare value, and a plain function would bind as a method
+        get = attrgetter(*fields)
+        cls._key = get if len(fields) > 1 else staticmethod(lambda self: (get(self),))
+        cls._setters = tuple(getattr(cls, name).__set__ for name in fields)
+
+    def __init__(self, *values):
+        setters = self._setters
+        if len(values) != len(setters):
+            raise TypeError(f"{type(self).__name__} takes the fields {self._fields}")
+        for setter, value in zip(setters, values):
+            setter(self, value)
+
+    @classmethod
+    def _make(cls, *values):
+        """The value with the fields as given, past any checking ``__init__``:
+        the trusted constructor of a class whose slots are its fields."""
+        self = object.__new__(cls)
+        Record.__init__(self, *values)
+        return self
 
     def _set(self, **values):
         for name, value in values.items():
@@ -448,6 +473,17 @@ class CoeffRing(Record):
         """The nil eps-rows of e digits of ``a``, as new lists."""
         return [list(row) for row in self._coords[a]]
 
+    def checked_raw(self, value, what: str) -> int:
+        """``value``'s raw index: an int in range(size) or a RingElement of this
+        ring.  ShapeMismatch for another ring's element, else SchemaError."""
+        if type(value) is RingElement:
+            if value.ring != self:
+                raise ShapeMismatch(f"{what} {value!r} belongs to another ring")
+            return value.raw
+        if type(value) is not int or not 0 <= value < self.size:
+            raise SchemaError(f"{what} {value!r} is not in range({self.size})")
+        return value
+
     def element(self, coords) -> "RingElement":
         return RingElement(self, self.coords_to_raw(coords))
 
@@ -513,24 +549,10 @@ class CoeffRing(Record):
         )
 
 
-class RingElement:
-    """Element of a CoeffRing; immutable wrapper over the raw integer index."""
+class RingElement(Record):
+    """Element of a CoeffRing: a value over the raw integer index."""
 
-    __slots__ = ("ring", "raw")
-
-    def __init__(self, ring: CoeffRing, raw: int):
-        self.ring = ring
-        self.raw = raw
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RingElement)
-            and self.ring == other.ring
-            and self.raw == other.raw
-        )
-
-    def __hash__(self):
-        return hash((self.ring, self.raw))
+    __slots__ = _fields = ("ring", "raw")
 
     def __repr__(self):
         return f"<{self.ring.pretty(self.raw)}>"

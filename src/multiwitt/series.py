@@ -297,13 +297,15 @@ class KeyedTerms:
     ``LOW`` <= |nu| < d; immutable once constructed.  ``keys`` maps each
     packed exponent key to its coefficient.  A truncated series is one with
     ``LOW`` = 0, a Witt coordinate family (witt.py) one with ``LOW`` = 1.
+    Two are equal when their type, ring, n, d and keys are, and the hash,
+    over the same, is kept after its first use.
 
     At the public edge exponent tuples appear only here: in the checked
     constructor, the JSON rows ``{"exp": nu, COEF: coefficient rows}`` in
     graded order, and the tuple-keyed view, ``terms`` or ``coords``, built
     on first read."""
 
-    __slots__ = ("ring", "n", "d", "keys", "_view")
+    __slots__ = ("ring", "n", "d", "keys", "_view", "_hash")
     LOW = 0  # the least |nu| admitted
     COEF = "c"  # the coefficient's key in a JSON row
 
@@ -324,14 +326,14 @@ class KeyedTerms:
                 raise SchemaError(f"raw coefficient {raw!r} at {list(exp)} is not in range({size})")
             if raw:
                 keys[pack_exponent(exp, d)] = raw
-        self.ring, self.n, self.d, self.keys, self._view = ring, n, d, keys, None
+        self.ring, self.n, self.d, self.keys, self._view, self._hash = ring, n, d, keys, None, None
 
     @classmethod
     def _make(cls, ring: CoeffRing, n: int, d: int, keys: dict) -> "KeyedTerms":
         """From nonzero raw coefficients at keys of (n, d) in the window:
         no re-check."""
         self = object.__new__(cls)
-        self.ring, self.n, self.d, self.keys, self._view = ring, n, d, keys, None
+        self.ring, self.n, self.d, self.keys, self._view, self._hash = ring, n, d, keys, None, None
         return self
 
     @property
@@ -355,6 +357,11 @@ class KeyedTerms:
             and self.keys == other.keys
         )
 
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = hash((self.ring, self.n, self.d, tuple(sorted(self.keys.items()))))
+        return self._hash
+
     def _json_rows(self) -> list:
         n, d, coef, rows, keys = self.n, self.d, self.COEF, self.ring.raw_to_coords, self.keys
         return [{"exp": list(unpack_exponent(k, n, d)), coef: rows(keys[k])} for k in sorted(keys)]
@@ -374,23 +381,28 @@ class KeyedTerms:
         return terms
 
 
+# term pairs of one series product, about 2.5 s: two dense 3,000-term
+# series over F_3 at n = 1 make 9,000,000
+PRODUCT_PAIRS_LIMIT = 10**7
+
+
 class TruncatedSeries(KeyedTerms):
     """Truncated series: a ``KeyedTerms`` from |nu| = 0, with the ``exact``
     flag and the arithmetic."""
 
-    __slots__ = ("exact", "_hash")
+    __slots__ = ("exact",)
 
     def __init__(self, ring: CoeffRing, n: int, d: int, terms: dict, exact: bool = False):
         """A series from a dict of exponent tuples to raw coefficients."""
         super().__init__(ring, n, d, terms)
-        self.exact, self._hash = exact, None
+        self.exact = exact
 
     @classmethod
     def _make(cls, ring: CoeffRing, n: int, d: int, keys: dict, exact: bool) -> "TruncatedSeries":
         """A series from keys valid for (n, d) and free of zeros: no re-check."""
         self = object.__new__(cls)
-        self.ring, self.n, self.d, self.keys, self._view = ring, n, d, keys, None
-        self.exact, self._hash = exact, None
+        self.ring, self.n, self.d, self.keys, self._view, self._hash = ring, n, d, keys, None, None
+        self.exact = exact
         return self
 
     # construction helpers ------------------------------------------------
@@ -402,20 +414,12 @@ class TruncatedSeries(KeyedTerms):
 
     # basic queries --------------------------------------------------------
 
-    def coeff_raw(self, exp: tuple) -> int:
-        return self.terms.get(tuple(exp), 0)
-
     @property
     def constant_raw(self) -> int:
         return self.keys.get(0, 0)
 
     def support_degree(self) -> int:
         return max(self.keys, default=0) // self.d ** (self.n - 1)
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.ring, self.n, self.d, tuple(sorted(self.keys.items()))))
-        return self._hash
 
     def __repr__(self):
         if not self.keys:
@@ -444,7 +448,12 @@ class TruncatedSeries(KeyedTerms):
             )
 
     def mul(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        """The truncated product; TooLarge, before any pair is formed, past
+        ``PRODUCT_PAIRS_LIMIT`` pairs of terms."""
         self._check_shape(other)
+        na, nb = len(self.keys), len(other.keys)
+        what = "a product of {1} by {2} terms forms {0} term pairs"
+        check_budget(na * nb, PRODUCT_PAIRS_LIMIT, what, na, nb)
         out = {}
         lost = add_products(self.ring, self.d**self.n, out, self.keys.items(), other.keys.items())
         exact = self.exact and other.exact and not lost

@@ -23,24 +23,20 @@ division.  This is deliberately desk-scale.
 from __future__ import annotations
 
 from .errors import EmptyInput, ExtensionBoundExceeded, ShapeMismatch, check_budget
-from .ring import CoeffRing, RingElement
+from .ring import CoeffRing, Record, RingElement
 
 
-class UnivariatePolynomial:
-    """Coefficients ascending; trailing coefficient nonzero (zero poly = ())."""
+class UnivariatePolynomial(Record):
+    """Raw coefficients ascending; trailing coefficient nonzero (zero poly = ())."""
 
-    __slots__ = ("ring", "coeffs")
+    __slots__ = _fields = ("ring", "coeffs")
 
     def __init__(self, ring: CoeffRing, coeffs):
-        self.ring = ring
-        c = [x.raw if isinstance(x, RingElement) else int(x) % ring.size for x in coeffs]
+        """Each coefficient read by ``CoeffRing.checked_raw``; trailing zeros dropped."""
+        c = [ring.checked_raw(x, "polynomial coefficient") for x in coeffs]
         while c and c[-1] == 0:
             c.pop()
-        self.coeffs = tuple(c)
-
-    @classmethod
-    def from_raw(cls, ring: CoeffRing, raw_coeffs) -> "UnivariatePolynomial":
-        return cls(ring, list(raw_coeffs))
+        Record.__init__(self, ring, tuple(c))
 
     @property
     def degree(self) -> int:
@@ -49,13 +45,6 @@ class UnivariatePolynomial:
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, UnivariatePolynomial)
-            and self.ring == other.ring
-            and self.coeffs == other.coeffs
-        )
 
     def __repr__(self):
         if not self.coeffs:
@@ -73,7 +62,8 @@ class UnivariatePolynomial:
         return f"<poly {' + '.join(bits)}>"
 
     def mul(self, other: "UnivariatePolynomial") -> "UnivariatePolynomial":
-        self._check(other)
+        if self.ring != other.ring:
+            raise ShapeMismatch("polynomials over different rings")
         ring = self.ring
         if self.is_zero or other.is_zero:
             return UnivariatePolynomial(ring, [])
@@ -84,7 +74,7 @@ class UnivariatePolynomial:
             for j, b in enumerate(other.coeffs):
                 if b:
                     out[i + j] = ring.radd(out[i + j], ring.rmul(a, b))
-        return UnivariatePolynomial.from_raw(ring, out)
+        return UnivariatePolynomial(ring, out)
 
     def evaluate(self, x: RingElement) -> RingElement:
         ring = self.ring
@@ -92,10 +82,6 @@ class UnivariatePolynomial:
         for c in reversed(self.coeffs):
             acc = ring.radd(ring.rmul(acc, x.raw), c)
         return ring.from_raw(acc)
-
-    def _check(self, other):
-        if self.ring != other.ring:
-            raise ShapeMismatch("polynomials over different rings")
 
 
 # the elimination takes about 1 s at this Sylvester size
@@ -185,7 +171,7 @@ def roots_with_multiplicity(f: UnivariatePolynomial, max_ext: int):
     for s in range(1, max_ext + 1):
         field = ring if s == 1 else CoeffRing.make(q**s)
         emb = base_embedding(ring, field)
-        g = UnivariatePolynomial.from_raw(field, [emb[c] for c in f.coeffs])
+        g = UnivariatePolynomial(field, [emb[c] for c in f.coeffs])
         for x in field.elements():
             # a root of degree below s was already found in a smaller field
             if g.evaluate(x).raw or frobenius_orbit_length(x, q) != s:
@@ -207,7 +193,7 @@ def base_embedding(base: CoeffRing, field: CoeffRing) -> list:
     of m in ``field``; F_p digits embed as themselves, since both rings
     share the characteristic p.
     """
-    m = UnivariatePolynomial.from_raw(field, base.field.modulus)
+    m = UnivariatePolynomial(field, base.field.modulus)
     root = next(r for r in field.elements() if m.evaluate(r).raw == 0)
     powers = [field.rpow(root.raw, i) for i in range(base.field.e)]
     table = []

@@ -240,11 +240,6 @@ class OneVarComponentFamily:
         return _product_element(self.ring, self.n, self.d, factors)
 
 
-def _check_same_shape(a: WittElement, b: WittElement):
-    if a.ring != b.ring or a.n != b.n or a.d != b.d:
-        raise ShapeMismatch("operands have different shape")
-
-
 def witt_add(a: WittElement, b: WittElement) -> WittElement:
     """Group addition: multiplication of the underlying series."""
     return WittElement(a.series.mul(b.series))
@@ -498,7 +493,7 @@ def ring_one(ring: CoeffRing, n: int, d: int) -> WittElement:
 def witt_mul(a: WittElement, b: WittElement) -> WittElement:
     """Ring multiplication: the convolution runs of each primitive part nu
     both factors share, placed at s = t^nu and multiplied together."""
-    _check_same_shape(a, b)
+    a.series._check_shape(b.series)
     ring, n, d = a.ring, a.n, a.d
     shared = shared_components(witt_coordinates(a), witt_coordinates(b))
     factors = (f for key, ca, cb in shared for f in convolution_factors(ring, ca, cb, key))

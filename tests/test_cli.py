@@ -299,6 +299,26 @@ def test_pair_single_routes(capsys):
     assert code == 0 and doc2["geometric"] == doc["algebraic"]
 
 
+def test_pair_both_exits_2_when_the_routes_disagree(capsys, monkeypatch):
+    f = series_doc(1, 2, [((0,), [[1], [0]]), ((1,), [[0], [1]])], exact=True)
+    g = series_doc(1, 5, [((0,), [[1]]), ((1,), [[1]])])
+    payload = json.dumps({"f": f, "g": g})
+    monkeypatch.setattr("multiwitt.duality.geometric_pair", lambda f, g, m: f.ring.from_raw(1))
+    code, doc = run_cli(capsys, ["pair", "--both", "--ring", R22_RING, "--payload", payload])
+    assert code == 2
+    assert doc == {"algebraic": [[1], [1]], "geometric": [[1], [0]], "agree": False}
+
+
+def test_pi1_oracle_exits_2_when_it_disagrees(capsys, monkeypatch):
+    from multiwitt.cft import AbelianGroupStructure
+
+    wrong = AbelianGroupStructure((9,), 9)
+    monkeypatch.setattr("multiwitt.cft.witt_group_structure_brute", lambda ring, n, d: wrong)
+    code, doc = run_cli(capsys, ["pi1", "--n", "1", "--q", "3", "--d", "3", "--oracle"])
+    assert code == 2
+    assert doc == {"factors": [3, 3], "order": 9, "oracle_factors": [9], "agree": False}
+
+
 def test_lang_census_command(capsys):
     code, doc = run_cli(
         capsys, ["lang-census", "--n", "1", "--q", "2", "--s", "2", "--d", "3"]
@@ -436,6 +456,21 @@ def test_division_jobs_at_d_200000(capsys):
     code, doc = run_cli(capsys, ["coords", "--ring", F3_RING, "--payload", payload])
     got = {c["exp"][0]: c["r"][0][0] for c in doc["result"]["coords"]}
     assert code == 0 and got == {**{2**k: 2 for k in range(18)}, 3: 1}
+
+
+def test_dense_add_refused_before_work(capsys):
+    """add of two dense series over F_3 at n = 1, d = 4,000: 3,163 terms
+    by 3,163 make 10,004,569 term pairs, past series.PRODUCT_PAIRS_LIMIT,
+    refused before the first is formed."""
+    dense = series_doc(1, 4000, [((k,), [[1]]) for k in range(3163)])
+    payload = json.dumps({"a": dense, "b": dense})
+    start = time.perf_counter()
+    code, doc = run_cli(capsys, ["add", "--ring", F3_RING, "--payload", payload])
+    assert time.perf_counter() - start < 1.0
+    assert (code, doc["error"]["kind"]) == (1, "TooLarge")
+    assert doc["error"]["detail"] == (
+        "a product of 3163 by 3163 terms forms 10004569 term pairs, beyond limit 10000000"
+    )
 
 
 def test_thousand_coordinate_product_refused_before_work(capsys):

@@ -446,3 +446,15 @@ def test_two_variable_routes_agree_across_truncations(f_terms, g_terms, g_d, m):
     assert value != 1
     assert geometric_pair(f, g, m).raw == value
     assert cartier_pair_levels(f, g, g.d - 1) == (value, value)
+
+
+def test_formal_elements_over_different_rings_differ():
+    # raw 3 is eps in both F_3[eps]/(eps^2) and F_3[eps]/(eps^3)
+    R32, R33 = CoeffRing.make(3, nil=2), CoeffRing.make(3, nil=3)
+    f2, f3 = formal(R32, {(1,): 3}), formal(R33, {(1,): 3})
+    assert f2 != f3 and hash(f2) != hash(f3)
+    assert unit_class(f2.series) != unit_class(f3.series)
+    assert len({unit_class(f2.series), unit_class(f3.series)}) == 2
+    # the truncation order is still ignored
+    at_5 = FormalWittElement(TruncatedSeries(R32, 1, 5, {(0,): 1, (1,): 3}, exact=True))
+    assert at_5 == f2 and hash(at_5) == hash(f2)

@@ -29,6 +29,12 @@ def one_t_t2_inverse():
     return series.TruncatedSeries(F3, 1, 10**9, {(0,): 1, (1,): 1, (2,): 1}).inv()
 
 
+def dense_square():
+    # 1 + t + .. + t^3162 over F_3 at d = 4,000, times itself
+    a = series.TruncatedSeries(F3, 1, 4000, {(k,): 1 for k in range(3163)})
+    return a.mul(a)
+
+
 def dense_coordinates():
     rng = random.Random(17)
     terms = {(k,): 1 for k in range(400) if k == 0 or rng.random() < 0.5}
@@ -74,6 +80,11 @@ SITES = {
         {"multiwitt.series.divide_keys": refuse},
         one_t_t2_inverse,
         r"3 divisor terms may make 3000000000 pushes, beyond limit 1000000",
+    ),
+    "series product": (
+        {"multiwitt.series.add_products": refuse},
+        dense_square,
+        r"a product of 3163 by 3163 terms forms 10004569 term pairs, beyond limit 10000000",
     ),
     "component family": (
         {"multiwitt.witt.primitive_exponents_below": refuse},

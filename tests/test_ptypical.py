@@ -7,6 +7,7 @@ from multiwitt import (
     GhostVector,
     NotNilpotent,
     PWittVector,
+    ShapeMismatch,
     artin_hasse_coefficients,
     artin_hasse_exp,
     component_lengths,
@@ -22,6 +23,7 @@ from multiwitt import (
     witt_mul,
 )
 from multiwitt import ptypical
+from multiwitt.errors import SchemaError
 from multiwitt.witt import WittElement, enumerate_witt_elements, random_witt_element
 
 from conftest import RINGS
@@ -278,3 +280,25 @@ def test_json_shapes():
     v = PWittVector(2, [1, 0], F2)
     doc = v.to_json_dict()
     assert doc["p"] == 2 and doc["entries"] == [[[1]], [[0]]]
+
+
+@pytest.mark.parametrize("entries", [[-1, 7], [0, 4], [1, True], [1, 1.0], [1, "1"]])
+def test_ring_entries_outside_the_ring_are_refused(entries):
+    F4 = CoeffRing.make(4)
+    with pytest.raises(SchemaError, match=r"vector entry .* is not in range\(4\)"):
+        PWittVector(2, entries, F4)
+
+
+def test_ring_entries_may_be_elements_of_the_same_ring_only():
+    F4, F2 = CoeffRing.make(4), CoeffRing.make(2)
+    assert PWittVector(2, [F4.from_raw(3), 1], F4) == PWittVector(2, [3, 1], F4)
+    with pytest.raises(ShapeMismatch, match="belongs to another ring"):
+        PWittVector(2, [F2.from_raw(1), 1], F4)
+
+
+def test_pad_appends_zeros_and_keeps_a_vector_of_full_length():
+    F4 = CoeffRing.make(4)
+    v = PWittVector(2, [3, 1], F4)
+    assert v.pad(2) is v and v.pad(4) == PWittVector(2, [3, 1, 0, 0], F4)
+    with pytest.raises(ShapeMismatch):
+        v.pad(1)

@@ -1,5 +1,6 @@
 import copy
 import json
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -15,7 +16,16 @@ from multiwitt import (
     LangCensus,
     ModulusGroupDesc,
     NonUnit,
+    PWittVector,
+    RingElement,
     TooLarge,
+    TruncatedSeries,
+    UnitClass,
+    UnivariatePolynomial,
+    WittCoordinates,
+    WittElement,
+    unit_class,
+    witt_coordinates,
 )
 
 
@@ -208,6 +218,17 @@ def test_coordinate_rows_match_digit_loop(any_ring):
         assert any_ring.coords_to_raw(any_ring.raw_to_coords(a)) == a
 
 
+def _unit_class(ring, d, terms):
+    return unit_class(TruncatedSeries(ring, 1, d, terms, exact=True))
+
+
+F4 = CoeffRing.make(4)
+F3E2 = CoeffRing.make(3, nil=2)
+# 1 + eps t, also as the class of 2 + 2 eps t at another truncation, and 1 + eps t^2
+UNIT = _unit_class(F3E2, 2, {(0,): 1, (1,): 3})
+UNIT_SCALED = _unit_class(F3E2, 5, {(0,): 2, (1,): 6})
+UNIT_OTHER = _unit_class(F3E2, 3, {(0,): 1, (2,): 3})
+
 # class, constructor arguments, arguments of an equal value written
 # differently, arguments of a different value, and a field
 VALUE_CLASSES = [
@@ -220,6 +241,14 @@ VALUE_CLASSES = [
      (2, 3, 4, AbelianGroupStructure((4,), 4)), "structure"),
     (LangCensus, (16, 4, 4, 256, True), (16, 4, 4, 256, True), (16, 4, 4, 256, False), "kernel"),
     (GhostVector, (2, (1, 2)), (2, (1, 2)), (2, (1, 3)), "entries"),
+    (RingElement, (F4, 2), (CoeffRing.make(4, modulus=[1, 1, 1]), 2), (F4, 3), "raw"),
+    (PWittVector, (2, [2, 0], F4), (2, (F4.from_raw(2), 0), CoeffRing.make(4)), (2, [2, 1], F4),
+     "entries"),
+    (PWittVector, (3, [1, 2]), (3, (Fraction(2, 2), 2.0), None), (3, [1, Fraction(1, 2)]),
+     "entries"),
+    (UnivariatePolynomial, (F4, [1, 2]), (F4, (F4.from_raw(1), 2, 0, 0)), (F4, [1, 3]), "coeffs"),
+    (UnitClass, (UNIT.representative,), (UNIT_SCALED.representative,),
+     (UNIT_OTHER.representative,), "representative"),
 ]
 
 
@@ -239,6 +268,26 @@ def test_value_classes_compare_and_hash_by_fields(cls, args, same, other, field)
     with pytest.raises(AttributeError):
         delattr(a, field)
     assert getattr(a, field) == getattr(b, field)
+
+
+def test_value_keys_cannot_be_changed_in_place():
+    x = F4.from_raw(2)
+    table = {x: "x", UNIT: "unit"}
+    with pytest.raises(AttributeError):
+        x.raw = 3
+    assert table[F4.from_raw(2)] == "x" and table[UNIT_SCALED] == "unit"
+    with pytest.raises(TypeError, match=r"RingElement takes the fields \('ring', 'raw'\)"):
+        RingElement(F4)
+
+
+def test_equal_coordinate_families_hash_equal():
+    element = WittElement(TruncatedSeries(F4, 2, 4, {(0, 0): 1, (1, 0): 2, (1, 1): 3}))
+    peeled = witt_coordinates(element)
+    built = WittCoordinates(F4, 2, 4, dict(peeled.coords))
+    assert peeled is not built and peeled == built and hash(peeled) == hash(built)
+    assert len({peeled, built}) == 1 and {peeled: 1}[built] == 1
+    other = WittCoordinates(F4, 2, 4, {(1, 0): 2})
+    assert other != peeled and other in {other, peeled}
 
 
 def test_value_class_defaults_and_lazy_witnesses():

@@ -709,3 +709,13 @@ def test_one_variable_primitive_exponents_build_no_box():
         box = tuple(e for e in exponents_below(1, d) if sum(e) == 1)
         assert primitive_exponents_below(1, d) == box
     assert primitive_exponents_below(1, 10**9) == ((1,),)
+
+
+def test_truncate_refuses_a_larger_order_and_extend_an_inexact_series():
+    R = CoeffRing.make(3)
+    a = S(R, 2, 3, {(0, 0): 1, (1, 0): 2})
+    with pytest.raises(ShapeMismatch, match="cannot extend a truncated series"):
+        a.truncate(4)
+    with pytest.raises(NotExact, match="only exact series"):
+        a.extend(4)
+    assert a.truncate(3) is a and a.truncate(2) == S(R, 2, 2, {(0, 0): 1, (1, 0): 2})

@@ -8,11 +8,13 @@ from multiwitt import (
     CoeffRing,
     EmptyInput,
     ExtensionBoundExceeded,
+    ShapeMismatch,
     TooLarge,
     UnivariatePolynomial,
     resultant,
     roots_with_multiplicity,
 )
+from multiwitt.errors import SchemaError
 from multiwitt.unipoly import _det_chain, base_embedding, sylvester_matrix
 
 
@@ -405,3 +407,17 @@ def test_resultant_swap_at_size_30(rng):
         b = random_poly(ring, rng.randrange(15, 18), rng)
         assert a.degree + b.degree >= 28
         assert resultant(a, b) == resultant(b, a) * minus_one ** (a.degree * b.degree)
+
+
+@pytest.mark.parametrize("coeffs", [[-1, 1], [4, 1], [True, 1], [1.0, 1]])
+def test_coefficients_outside_the_ring_are_refused(coeffs):
+    F4 = CoeffRing.make(4)
+    with pytest.raises(SchemaError, match=r"polynomial coefficient .* is not in range\(4\)"):
+        UnivariatePolynomial(F4, coeffs)
+
+
+def test_coefficients_of_another_ring_are_refused():
+    F3, F5 = CoeffRing.make(3), CoeffRing.make(5)
+    with pytest.raises(ShapeMismatch, match="belongs to another ring"):
+        UnivariatePolynomial(F5, [F3.from_raw(2), F5.from_raw(1)])
+    assert UnivariatePolynomial(F5, [F5.from_raw(2), 1]) == UnivariatePolynomial(F5, [2, 1])

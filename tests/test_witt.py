@@ -693,3 +693,19 @@ def test_square_of_one_plus_t_plus_t2_at_d_2000_is_admitted(monkeypatch):
     monkeypatch.setattr(witt, "binomial_product", no_product)
     with pytest.raises(TooLarge, match="key updates"):
         witt_mul(a, a)
+
+
+def test_operators_match_the_group_and_ring_laws(any_ring, rng):
+    for n, d in ((1, 5), (2, 4)):
+        a = random_witt_element(any_ring, n, d, rng)
+        b = random_witt_element(any_ring, n, d, rng)
+        assert a + b == witt_add(a, b) and -a == witt_neg(a)
+        assert a - b == witt_add(a, witt_neg(b)) and a * b == witt_mul(a, b)
+
+
+def test_group_pow_of_a_negative_exponent_is_the_inverse_power(any_ring, rng):
+    a = random_witt_element(any_ring, 2, 4, rng)
+    one = WittElement.one(any_ring, 2, 4)
+    assert a.group_pow(-1) == witt_neg(a)
+    assert a.group_pow(-3) == witt_neg(a.group_pow(3))
+    assert witt_add(a.group_pow(-2), a.group_pow(2)) == one and a.group_pow(0) == one
