@@ -16,7 +16,18 @@ slot by slot and solved back one entry at a time,
 
 Only the residues of earlier entries matter, because x = y (mod p)
 implies x^(p^j) = y^(p^j) (mod p^(j+1)).  Every division is exact; a
-violation raises NonIntegral as a bug signal.
+violation raises NonIntegral as a bug signal.  A vector of length 1 is
+its ring element, so its laws are one ring table lookup.
+
+An element of A_m is one packed integer (Kronecker substitution): digit
+(eps^i, x^s) sits in slot i*(2e-1) + s, W bits a slot, with W the bit
+length of max(nil*e*(p^m-1)^2, 3 p^(2m) - 1).  Stored digits lie in
+[0, p^m), so a product slot below eps^nil sums at most nil*e terms below
+p^(2m) and a product is one integer multiply, then folding x^k, k >= e,
+by the monic f~ and each digit mod p^m.  A ghost sum stays below p^(2m),
+and the solve-back adds a bias of p^(2m) per digit before it subtracts,
+so no slot borrows or overflows.  The lifted p-power ladders of the raw
+elements met are kept per (ring, m), so ghosts cost additions only.
 
 The Artin-Hasse series AH(s) = exp(sum_i s^(p^i)/p^i) has p-integral
 coefficients a_n, built from s AH'(s) = AH(s) sum_i s^(p^i), that is
@@ -31,6 +42,7 @@ t = 1 on the product v*w, which is a finite sum by nilpotency.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import NonIntegral, NotNilpotent, SchemaError, ShapeMismatch, check_budget
 from .ring import CoeffRing, Record, RingElement
@@ -137,92 +149,126 @@ def _op_rational(v: PWittVector, w: PWittVector, kind: str) -> PWittVector:
 
 
 # ghost-lift laws ------------------------------------------------------------
-#
-# Elements of A_m = (Z/p^m)[x]/(f~)[eps]/(eps^nil) are nil x e integer
-# matrices, eps-degree major, like ring.raw_to_coords.
 
 
-def _lift_mul(a: list, b: list, ring: CoeffRing, mod: int) -> list:
-    e, f = ring.field.e, ring.field.modulus
-    rows = [[0] * (2 * e - 1) for _ in a]
-    for i, ra in enumerate(a):
-        for j in range(len(a) - i):
-            rb, row = b[j], rows[i + j]
-            for s, c in enumerate(ra):
-                if c:
-                    for t, y in enumerate(rb):
-                        row[s + t] += c * y
-    for row in rows:
-        # x^k = -x^(k-e) (f_0 + .. + f_(e-1) x^(e-1)) for k >= e
-        for k in range(2 * e - 2, e - 1, -1):
-            c = row[k]
-            if c:
-                for t in range(e):
-                    row[k - e + t] -= c * f[t]
-    return [[c % mod for c in row[:e]] for row in rows]
+class _LiftLaw:
+    """The ghost-lift laws of length m over one ring, on packed elements of
+    A_m: ring digit k = i*e + s sits at bit ``shifts[k]``, slot i*(2e-1) + s.
+    ``ladders`` keeps the lifts x^(p^j), j < m, of each raw x met so far."""
+
+    __slots__ = ("ring", "m", "e", "mod", "mask", "stride", "fold", "slot_shifts",
+                 "stored", "shifts", "weights", "bias", "ladders")
+
+    def __init__(self, ring: CoeffRing, m: int):
+        p, e, nil, f = ring.p, ring.field.e, ring.nil, ring.field.modulus
+        mod = p**m
+        width = max(nil * e * (mod - 1) ** 2, 3 * mod * mod - 1).bit_length()
+        stride = 2 * e - 1
+        self.ring, self.m, self.e, self.mod, self.stride = ring, m, e, mod, stride
+        self.mask = (1 << width) - 1
+        self.fold = tuple((t, f[t]) for t in range(e) if f[t])
+        self.slot_shifts = tuple(k * width for k in range(nil * stride))
+        self.stored = tuple(i * stride + s for i in range(nil) for s in range(e))
+        self.shifts = tuple(k * width for k in self.stored)
+        self.weights = tuple(p**k for k in range(nil * e))
+        self.bias = sum(mod * mod << shift for shift in self.shifts)
+        self.ladders = {}
+
+    def _mul(self, a: int, b: int) -> int:
+        """a * b for stored a and b: one multiply, then each row's x^k with
+        k >= e folded down by the monic f~ and every digit taken mod p^m."""
+        c, mask, e, stride = a * b, self.mask, self.e, self.stride
+        slots = [c >> shift & mask for shift in self.slot_shifts]
+        for row in range(0, len(slots), stride):
+            # x^k = -x^(k-e) (f_0 + .. + f_(e-1) x^(e-1)) for k >= e
+            for k in range(row + stride - 1, row + e - 1, -1):
+                top = slots[k]
+                if top:
+                    for t, ft in self.fold:
+                        slots[k - e + t] -= top * ft
+        mod, out = self.mod, 0
+        for k, shift in zip(self.stored, self.shifts):
+            out |= slots[k] % mod << shift
+        return out
+
+    def _reduce(self, a: int) -> int:
+        mask, mod, out = self.mask, self.mod, 0
+        for shift in self.shifts:
+            out |= (a >> shift & mask) % mod << shift
+        return out
+
+    def _pow(self, x: int, k: int) -> int:
+        out = None
+        while k:
+            if k & 1:
+                out = x if out is None else self._mul(out, x)
+            k >>= 1
+            if k:
+                x = self._mul(x, x)
+        return out
+
+    def _ladder(self, raw: int) -> list:
+        ladder = self.ladders.get(raw)
+        if ladder is None:
+            digits = (c for row in self.ring._coords[raw] for c in row)
+            ladder = [sum(c << shift for c, shift in zip(digits, self.shifts))]
+            for _ in range(1, self.m):
+                ladder.append(self._pow(ladder[-1], self.ring.p))
+            self.ladders[raw] = ladder
+        return ladder
+
+    def _ghosts(self, entries: tuple) -> list:
+        """Ghost components sum_{k<=i} p^k x_k^(p^(i-k)), digits not reduced."""
+        m, p = self.m, self.ring.p
+        ghosts = [0] * m
+        for k, raw in enumerate(entries):
+            if raw:
+                ladder, scale = self._ladder(raw), p**k
+                for i in range(k, m):
+                    ghosts[i] += scale * ladder[i - k]
+        return ghosts
+
+    def op(self, v: tuple, w: tuple, kind: str) -> tuple:
+        """The entries of v + w ("sum") or v * w ("prod")."""
+        m, p, mod, mask = self.m, self.ring.p, self.mod, self.mask
+        gv, gw = self._ghosts(v), self._ghosts(w)
+        if kind == "sum":
+            target = [a + b for a, b in zip(gv, gw)]
+        else:
+            target = [self._mul(self._reduce(a), self._reduce(b)) for a, b in zip(gv, gw)]
+        # solved[i] accumulates sum_{k<i} p^k z_k^(p^(i-k)) as entries are found
+        solved = [0] * m
+        entries = []
+        for i in range(m):
+            scale = p**i
+            diff = target[i] + self.bias - solved[i]
+            raw = 0
+            for shift, weight in zip(self.shifts, self.weights):
+                c = (diff >> shift & mask) % mod
+                if c % scale:
+                    raise NonIntegral(f"{kind} law entry {i} is not divisible by {p}^{i}")
+                raw += c // scale % p * weight
+            entries.append(raw)
+            if raw:
+                ladder = self._ladder(raw)
+                for j in range(i + 1, m):
+                    solved[j] += scale * ladder[j - i]
+        return tuple(entries)
 
 
-def _lift_pow(a: list, k: int, ring: CoeffRing, mod: int) -> list:
-    out = None
-    while k:
-        if k & 1:
-            out = a if out is None else _lift_mul(out, a, ring, mod)
-        k >>= 1
-        if k:
-            a = _lift_mul(a, a, ring, mod)
-    return out
-
-
-def _add_ghost_terms(ghosts: list, k: int, x: list, ring: CoeffRing, mod: int) -> None:
-    """Add p^k x^(p^(i-k)) to ghosts[i] for every i >= k."""
-    p, scale = ring.p, ring.p**k
-    for i in range(k, len(ghosts)):
-        ghosts[i] = [
-            [(g + scale * c) % mod for g, c in zip(grow, xrow)]
-            for grow, xrow in zip(ghosts[i], x)
-        ]
-        if i + 1 < len(ghosts):
-            x = _lift_pow(x, p, ring, mod)
-
-
-def _lift_ghosts(v: PWittVector, mod: int) -> list:
-    ring = v.ring
-    ghosts = [[[0] * ring.field.e for _ in range(ring.nil)] for _ in v.entries]
-    for k, raw in enumerate(v.entries):
-        if raw:
-            _add_ghost_terms(ghosts, k, ring.raw_to_coords(raw), ring, mod)
-    return ghosts
+@lru_cache(maxsize=32)
+def _lift_law(ring: CoeffRing, m: int) -> _LiftLaw:
+    """One packed law per (ring, length), its ladders kept between calls."""
+    return _LiftLaw(ring, m)
 
 
 def _op_lifted(v: PWittVector, w: PWittVector, kind: str) -> PWittVector:
-    ring, p, m = v.ring, v.p, len(v)
-    mod = p**m
-    gv, gw = _lift_ghosts(v, mod), _lift_ghosts(w, mod)
-    if kind == "sum":
-        target = [
-            [[(a + b) % mod for a, b in zip(ra, rb)] for ra, rb in zip(x, y)]
-            for x, y in zip(gv, gw)
-        ]
-    else:
-        target = [_lift_mul(x, y, ring, mod) for x, y in zip(gv, gw)]
-    # solved[i] accumulates sum_{k<i} p^k z_k^(p^(i-k)) as entries are found
-    solved = [[[0] * ring.field.e for _ in range(ring.nil)] for _ in range(m)]
-    entries = []
-    for i in range(m):
-        scale = p**i
-        digits = []
-        for trow, srow in zip(target[i], solved[i]):
-            row = []
-            for t, s in zip(trow, srow):
-                c = (t - s) % mod
-                if c % scale:
-                    raise NonIntegral(f"{kind} law entry {i} is not divisible by {p}^{i}")
-                row.append(c // scale % p)
-            digits.append(row)
-        entries.append(ring.coords_to_raw(digits))
-        if entries[-1]:
-            _add_ghost_terms(solved, i, digits, ring, mod)
-    return PWittVector._make(p, tuple(entries), ring)
+    ring = v.ring
+    if len(v) == 1:
+        # a vector of length 1 is its ring element
+        op = ring.radd if kind == "sum" else ring.rmul
+        return PWittVector._make(v.p, (op(v.entries[0], w.entries[0]),), ring)
+    return PWittVector._make(v.p, _lift_law(ring, len(v)).op(v.entries, w.entries, kind), ring)
 
 
 def _binop(v: PWittVector, w: PWittVector, kind: str) -> PWittVector:

@@ -488,7 +488,8 @@ class CoeffRing(Record):
         return RingElement(self, self.coords_to_raw(coords))
 
     def from_raw(self, a: int) -> "RingElement":
-        return RingElement(self, a % self.size)
+        """The element of raw index ``a``, checked by ``checked_raw``."""
+        return RingElement(self, self.checked_raw(a, "raw element"))
 
     def from_int(self, c: int) -> "RingElement":
         return RingElement(self, self.rint(c))
@@ -580,7 +581,7 @@ class RingElement(Record):
 
     def _check(self, other):
         if not isinstance(other, RingElement) or other.ring != self.ring:
-            raise ValueError("operands belong to different rings")
+            raise ShapeMismatch(f"operand {other!r} is not an element of this ring")
 
     @property
     def is_unit(self) -> bool:

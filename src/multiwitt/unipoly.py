@@ -78,6 +78,8 @@ class UnivariatePolynomial(Record):
 
     def evaluate(self, x: RingElement) -> RingElement:
         ring = self.ring
+        if x.ring != ring:
+            raise ShapeMismatch("evaluation point belongs to another ring")
         acc = 0
         for c in reversed(self.coeffs):
             acc = ring.radd(ring.rmul(acc, x.raw), c)

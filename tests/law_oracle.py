@@ -6,6 +6,11 @@ built as exp(sum_i (x s)^(p^i) / p^i) with the argument kept as an
 indeterminate.  Both are slow and exist to check the library's ghost-lift
 laws and Artin-Hasse recurrence against an independent construction.
 
+``lift_op`` is the former ghost-lift law of ``multiwitt.ptypical`` in list
+form: each element of A_m = (Z/p^m)[x]/(f~)[eps]/(eps^nil) is a nil x e
+matrix of integers, and a product is a triple loop over its digits, where
+the library packs the matrix into one integer.
+
 ``pi_epsilon_per_factor`` and ``pi_epsilon_inverse_per_factor`` are the
 former factor maps of ``multiwitt.ptypical``: each builds one series per
 Artin-Hasse factor with ``artin_hasse_exp`` and multiplies it in by
@@ -120,6 +125,91 @@ def law_op(v: PWittVector, w: PWittVector, kind: str) -> PWittVector:
     laws = law_polynomials(v.p, len(v), kind)
     values = list(v.entries) + list(w.entries)
     return PWittVector(v.p, [law.eval_raw(v.ring, values) for law in laws], v.ring)
+
+
+def _lift_mul(a: list, b: list, ring, mod: int) -> list:
+    e, f = ring.field.e, ring.field.modulus
+    rows = [[0] * (2 * e - 1) for _ in a]
+    for i, ra in enumerate(a):
+        for j in range(len(a) - i):
+            rb, row = b[j], rows[i + j]
+            for s, c in enumerate(ra):
+                if c:
+                    for t, y in enumerate(rb):
+                        row[s + t] += c * y
+    for row in rows:
+        # x^k = -x^(k-e) (f_0 + .. + f_(e-1) x^(e-1)) for k >= e
+        for k in range(2 * e - 2, e - 1, -1):
+            c = row[k]
+            if c:
+                for t in range(e):
+                    row[k - e + t] -= c * f[t]
+    return [[c % mod for c in row[:e]] for row in rows]
+
+
+def _lift_pow(a: list, k: int, ring, mod: int) -> list:
+    out = None
+    while k:
+        if k & 1:
+            out = a if out is None else _lift_mul(out, a, ring, mod)
+        k >>= 1
+        if k:
+            a = _lift_mul(a, a, ring, mod)
+    return out
+
+
+def _add_ghost_terms(ghosts: list, k: int, x: list, ring, mod: int) -> None:
+    """Add p^k x^(p^(i-k)) to ghosts[i] for every i >= k."""
+    p, scale = ring.p, ring.p**k
+    for i in range(k, len(ghosts)):
+        ghosts[i] = [
+            [(g + scale * c) % mod for g, c in zip(grow, xrow)]
+            for grow, xrow in zip(ghosts[i], x)
+        ]
+        if i + 1 < len(ghosts):
+            x = _lift_pow(x, p, ring, mod)
+
+
+def _lift_ghosts(v: PWittVector, mod: int) -> list:
+    ring = v.ring
+    ghosts = [[[0] * ring.field.e for _ in range(ring.nil)] for _ in v.entries]
+    for k, raw in enumerate(v.entries):
+        if raw:
+            _add_ghost_terms(ghosts, k, ring.raw_to_coords(raw), ring, mod)
+    return ghosts
+
+
+def lift_op(v: PWittVector, w: PWittVector, kind: str) -> PWittVector:
+    """Sum ("sum") or product ("prod") of ring-mode vectors by the
+    ghost-lift method on digit matrices."""
+    ring, p, m = v.ring, v.p, len(v)
+    mod = p**m
+    gv, gw = _lift_ghosts(v, mod), _lift_ghosts(w, mod)
+    if kind == "sum":
+        target = [
+            [[(a + b) % mod for a, b in zip(ra, rb)] for ra, rb in zip(x, y)]
+            for x, y in zip(gv, gw)
+        ]
+    else:
+        target = [_lift_mul(x, y, ring, mod) for x, y in zip(gv, gw)]
+    # solved[i] accumulates sum_{k<i} p^k z_k^(p^(i-k)) as entries are found
+    solved = [[[0] * ring.field.e for _ in range(ring.nil)] for _ in range(m)]
+    entries = []
+    for i in range(m):
+        scale = p**i
+        digits = []
+        for trow, srow in zip(target[i], solved[i]):
+            row = []
+            for t, s in zip(trow, srow):
+                c = (t - s) % mod
+                if c % scale:
+                    raise NonIntegral(f"{kind} law entry {i} is not divisible by {p}^{i}")
+                row.append(c // scale % p)
+            digits.append(row)
+        entries.append(ring.coords_to_raw(digits))
+        if entries[-1]:
+            _add_ghost_terms(solved, i, digits, ring, mod)
+    return PWittVector(p, entries, ring)
 
 
 def artin_hasse_by_exp_log(p: int, count: int) -> tuple:

@@ -5,6 +5,7 @@ import pytest
 from multiwitt import (
     CoeffRing,
     GhostVector,
+    NonIntegral,
     NotNilpotent,
     PWittVector,
     ShapeMismatch,
@@ -28,8 +29,10 @@ from multiwitt.witt import WittElement, enumerate_witt_elements, random_witt_ele
 
 from conftest import RINGS
 from law_oracle import (
+    _lift_mul,
     artin_hasse_by_exp_log,
     law_op,
+    lift_op,
     pi_epsilon_inverse_per_factor,
     pi_epsilon_per_factor,
 )
@@ -77,6 +80,57 @@ def test_ghost_lift_laws_match_symbolic_oracle(any_ring, rng):
             w = PWittVector(p, [any_ring.random_raw(rng) for _ in range(m)], any_ring)
             assert pwitt_add(v, w) == law_op(v, w, "sum")
             assert pwitt_mul(v, w) == law_op(v, w, "prod")
+
+
+# a ring of 512 elements with e = 3, and lengths up to 8 at p = 2, where
+# a slot holds the most bits
+PACKED_RINGS = {**RINGS, "F8e3": CoeffRing.make(8, nil=3)}
+
+
+def _random_vector(ring, m, rng, nilpotent=False):
+    draw = ring.random_nilpotent_raw if nilpotent else ring.random_raw
+    return PWittVector(ring.p, [draw(rng) for _ in range(m)], ring)
+
+
+@pytest.mark.parametrize("name", sorted(PACKED_RINGS))
+def test_packed_law_matches_list_form_and_symbolic_oracles(name, rng):
+    ring = PACKED_RINGS[name]
+    p = ring.p
+    for m in [1, 2, 3, 4, 5] + ([8] if p == 2 else []):
+        for _ in range(10):
+            v, w = _random_vector(ring, m, rng), _random_vector(ring, m, rng)
+            for kind, op in (("sum", pwitt_add), ("prod", pwitt_mul)):
+                got = op(v, w)
+                assert got == lift_op(v, w, kind), (kind, v, w)
+                if m <= ORACLE_LENGTH[p]:
+                    assert got == law_op(v, w, kind), (kind, v, w)
+            if ring.nil > 1:
+                nv = _random_vector(ring, m, rng, nilpotent=True)
+                expected = ring.one
+                for entry in lift_op(nv, w, "prod").entries:
+                    expected = ring.rmul(expected, ptypical.ah_value(ring, entry))
+                assert pwitt_pair(nv, w).raw == expected
+
+
+@pytest.mark.parametrize("name", sorted(PACKED_RINGS))
+def test_packed_product_of_largest_digits_matches_list_form(name):
+    # every digit p^m - 1 fills each product slot to its bound nil*e*(p^m-1)^2
+    ring = PACKED_RINGS[name]
+    e, nil = ring.field.e, ring.nil
+    for m in (2, 5, 8):
+        law, mod = ptypical._lift_law(ring, m), ring.p**m
+        top = [[mod - 1] * e for _ in range(nil)]
+        packed = sum(mod - 1 << shift for shift in law.shifts)
+        got = law._mul(packed, packed)
+        digits = [got >> shift & law.mask for shift in law.shifts]
+        assert digits == [c for row in _lift_mul(top, top, ring, mod) for c in row]
+
+
+def test_solve_back_refuses_ghosts_of_no_vector():
+    law = ptypical._LiftLaw(RINGS["F3"], 2)
+    law.ladders[1] = [1, 2]  # 1^3 lifted as 2, so the ghosts of (1, 0) are wrong
+    with pytest.raises(NonIntegral, match="prod law entry 1 is not divisible by 3"):
+        law.op((1, 0), (1, 0), "prod")
 
 
 def test_ring_laws_over_extension(rng):

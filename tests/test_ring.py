@@ -18,6 +18,7 @@ from multiwitt import (
     NonUnit,
     PWittVector,
     RingElement,
+    ShapeMismatch,
     TooLarge,
     TruncatedSeries,
     UnitClass,
@@ -27,6 +28,7 @@ from multiwitt import (
     unit_class,
     witt_coordinates,
 )
+from multiwitt.errors import SchemaError
 
 
 def test_char_two_addition():
@@ -172,6 +174,23 @@ def test_json_roundtrip(any_ring):
     assert back == any_ring
     el = any_ring.from_raw(any_ring.size - 1)
     assert any_ring.element(el.coords) == el
+
+
+@pytest.mark.parametrize("raw", [-1, 4, 7, True, 1.0, "1"])
+def test_from_raw_refuses_values_outside_the_ring(raw):
+    F4 = CoeffRing.make(4)
+    with pytest.raises(SchemaError, match=r"raw element .* is not in range\(4\)"):
+        F4.from_raw(raw)
+    assert [F4.from_raw(a).raw for a in range(4)] == [0, 1, 2, 3]
+
+
+def test_operands_of_another_ring_are_a_shape_mismatch():
+    F3, F5 = CoeffRing.make(3), CoeffRing.make(5)
+    a, b = F3.from_raw(1), F5.from_raw(1)
+    for op in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: a + 1):
+        with pytest.raises(ShapeMismatch, match="is not an element of this ring"):
+            op()
+    assert a + F3.from_raw(1) == F3.from_raw(2)
 
 
 def test_coords_matrix_shape():

@@ -421,3 +421,11 @@ def test_coefficients_of_another_ring_are_refused():
     with pytest.raises(ShapeMismatch, match="belongs to another ring"):
         UnivariatePolynomial(F5, [F3.from_raw(2), F5.from_raw(1)])
     assert UnivariatePolynomial(F5, [F5.from_raw(2), 1]) == UnivariatePolynomial(F5, [2, 1])
+
+
+def test_evaluation_at_an_element_of_another_ring_is_refused():
+    F3, F5 = CoeffRing.make(3), CoeffRing.make(5)
+    f = UnivariatePolynomial(F5, [1, 1])
+    with pytest.raises(ShapeMismatch, match="evaluation point belongs to another ring"):
+        f.evaluate(F3.from_raw(2))
+    assert f.evaluate(F5.from_raw(2)) == F5.from_raw(3)
