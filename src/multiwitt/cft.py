@@ -28,13 +28,20 @@ The whole-group enumerations (the brute-force oracle, the census and the
 transition check) bound the group order size^rank by ``errors.check_power``,
 with the rank the exact count of nonzero exponents below d, then run on raw
 coefficient tuples under a dense group law compiled once per (ring, n, d)
-to straight-line code over the ring tables.  Where the oracle checks
-commutativity on every pair (at most 200 elements, so rank at most 7) it
-runs a kernel compiled from the same law on first use: coordinate k of a
-product reads y_0..y_k alone, so one loop per coordinate walks every
-y >= x and compares coordinate k once per prefix.  The loop form of the
-law, the pairwise check and the same loops over WittElement and witt_add
-are the test oracle tests/cft_oracle.py.
+to straight-line code over the ring tables.  The oracle's commutativity
+check and power ladder run as loops compiled from the same law on first
+use, with no call per pair or element.  The exhaustive check (at most
+200 elements, so rank at most 7) walks every y >= x in one loop per
+coordinate: coordinate k of a product reads y_0..y_k alone, and its pair
+products are summed in the loops above, so loop k compares it in three
+table lookups per y_k.  The sampled check computes both orders of each of its
+2,000 pairs inline, on index pairs drawn once per group order, and one
+loop maps a ladder level to its l-th powers.  A coordinate outside the
+ring is NotClosed and a failing pair is named as the loops over op name
+it; the kernels test no coordinate when the add table stays in the ring.
+The loop form of the law, the pairwise and sampled checks and the same
+loops over WittElement and witt_add are the test oracle
+tests/cft_oracle.py.
 Only the witnesses and the element enumeration of ModulusGroupDesc import
 the witt module, so the factors, the oracle and the census run without it.
 """
@@ -152,7 +159,7 @@ def modulus_group(q: int, m: int) -> ModulusGroupDesc:
     return ModulusGroupDesc(q, m, s.order, s)
 
 
-def brute_force_structure(elements, op, commutes=None) -> AbelianGroupStructure:
+def brute_force_structure(elements, op, kernels=None) -> AbelianGroupStructure:
     """Recover invariant factors from an explicit finite abelian group.
 
     For each prime l dividing |G| the power ladder G, lG, l^2 G, ... comes
@@ -162,12 +169,21 @@ def brute_force_structure(elements, op, commutes=None) -> AbelianGroupStructure:
     factors, whose product is certified against |G|.  Every product
     computed must stay in the set, and the idempotent found must act as
     the identity.  Commutativity is checked on every unordered pair while
-    |G|^2 <= PAIR_CHECK_LIMIT, on 2,000 pairs drawn by random.Random(0)
-    beyond.  ``commutes``, when given, replaces the pairwise loop of the
-    exhaustive check: commutes(x) must raise NotAbelian, or NotClosed for
-    a product outside the set, unless x commutes with every element after
-    it in some total order of the set.  The greedy peel builds one witness
-    per factor, on the first read of ``witnesses`` only.
+    |G|^2 <= PAIR_CHECK_LIMIT, on the 2,000 pairs of ``_sample_pairs``
+    beyond.  The greedy peel builds one witness per factor, on the first
+    read of ``witnesses`` only.
+
+    ``kernels``, when given, runs the passes over the set in place of the
+    loops over op, with the same outcome, and NotClosed where a product
+    leaves the set:
+
+    - kernels.commutes(x) raises NotAbelian unless x commutes with every
+      element after it in some total order of the set (exhaustive check);
+    - kernels.commute_pairs(elems, sample) checks the pairs
+      (elems[i], elems[j]) of ``sample`` in order and raises for the first
+      failing one what the loop raises (sampled check);
+    - kernels.powers(level, ell) returns the set of x^ell over x in level,
+      each the product of ell - 1 factors x applied from the right.
     """
     # one element past the limit is enough to refuse
     elems = list(islice(elements, BRUTE_FORCE_LIMIT + 1))
@@ -191,15 +207,18 @@ def brute_force_structure(elements, op, commutes=None) -> AbelianGroupStructure:
             raise NotClosed(f"the idempotent {identity!r} moves {x!r}, not a group")
 
     # commutativity check, exhaustive while affordable, sampled beyond
+    pairs = ()
     if len(elems) ** 2 > PAIR_CHECK_LIMIT:
-        draws = iter(random.Random(0).choices(elems, k=4000))
-        pairs = zip(draws, draws)
-    elif commutes is None:
+        sample = _sample_pairs(len(elems))
+        if kernels is None:
+            pairs = ((elems[i], elems[j]) for i, j in sample)
+        else:
+            kernels.commute_pairs(elems, sample)
+    elif kernels is None:
         pairs = combinations(elems, 2)
     else:
         for x in elems:
-            commutes(x)
-        pairs = ()
+            kernels.commutes(x)
     for a, b in pairs:
         ab = op(a, b)
         if ab not in members:
@@ -211,14 +230,10 @@ def brute_force_structure(elements, op, commutes=None) -> AbelianGroupStructure:
     for ell in _prime_factors(len(elems)):
         level = elems
         while True:
-            image = set()
-            for x in level:
-                y = x
-                for _ in range(ell - 1):
-                    y = op(y, x)
-                    if y not in members:
-                        raise NotClosed(f"powers of {x!r} left the set")
-                image.add(y)
+            if kernels is None:
+                image = _powers(level, ell, op, members)
+            else:
+                image = kernels.powers(level, ell)
             rank = _exact_log(ell, len(level), len(image))
             if rank is None:
                 raise NotAbelian(f"{ell}-th powers map {len(level)} elements onto {len(image)}")
@@ -233,6 +248,29 @@ def brute_force_structure(elements, op, commutes=None) -> AbelianGroupStructure:
     if prod(factors) != len(elems):
         raise NotAbelian("factor product does not certify the group order")
     return AbelianGroupStructure(factors, len(elems), lambda: _peel_witnesses(elems, op, identity))
+
+
+@lru_cache(maxsize=32)
+def _sample_pairs(count: int) -> tuple:
+    """The 2,000 index pairs of the sampled commutativity check on a set of
+    ``count`` elements: random.Random(0).choices(range(count), k=4000)
+    taken two at a time, so elems[i], elems[j] are the elements that
+    choices(elems, k=4000) draws."""
+    draws = iter(random.Random(0).choices(range(count), k=4000))
+    return tuple(zip(draws, draws))
+
+
+def _powers(level, ell: int, op, members: set) -> set:
+    """The set of x^ell over x in level, by ell - 1 products op(y, x)."""
+    image = set()
+    for x in level:
+        y = x
+        for _ in range(ell - 1):
+            y = op(y, x)
+            if y not in members:
+                raise NotClosed(f"powers of {x!r} left the set")
+        image.add(y)
+    return image
 
 
 def _prime_factors(m: int) -> list:
@@ -319,14 +357,19 @@ class _DenseLaw:
 
     The element 1 + sum_k x_k t^exps[k] is the tuple x, with exps the
     nonzero exponents below d in graded order (``keys`` holds their series
-    keys).  The group law is the series product, z_k = x_k + y_k + sum x_i y_j over the pairs (i, j)
-    with exps[i] + exps[j] = exps[k]; both i and j precede k, so the
-    inverse solves y_k = -(x_k + sum x_i y_j) in index order.
+    keys).  The group law is the series product: z_k is the sum of the
+    products x_i y_j over the pairs (i, j) with exps[i] + exps[j] =
+    exps[k], then x_k, then y_k.  Both i and j precede k, and ``pairs[k]``
+    lists the pairs by max(i, j), so the pair products of z_k are known
+    once y_0..y_max are.  The inverse solves y_k = -(sum x_i y_j + x_k) in
+    index order.
 
     ``op`` and ``inv`` are straight-line code built from the pairs alone,
-    one nested table lookup per pair; the loop form is in
-    tests/cft_oracle.py.  ``commutes`` runs the same expressions in one
-    loop per coordinate; its pairwise form is there too.
+    one nested table lookup per term; the loop form is in
+    tests/cft_oracle.py.  The oracle's kernels ``commutes``,
+    ``commute_pairs`` and ``powers`` (see brute_force_structure) run the
+    same expressions in one loop each, compiled on first use; their loop
+    forms are the loops of brute_force_structure over op.
     """
 
     def __init__(self, ring: CoeffRing, n: int, d: int):
@@ -342,16 +385,36 @@ class _DenseLaw:
                 k = index.get(ka + kb)
                 if k is not None:
                     self.pairs[k].append((i, j))
+        for ks in self.pairs:
+            ks.sort(key=max)
         self.op, self.inv = _compile_law(self.pairs, ring)
-        self._commutes = None
+        self._kernels = {}
+
+    def _kernel(self, compile_kernel, *args):
+        """The kernel that compile_kernel(pairs, ring, *args) builds,
+        compiled on the first call for these arguments."""
+        key = (compile_kernel, *args)
+        kernel = self._kernels.get(key)
+        if kernel is None:
+            kernel = self._kernels[key] = compile_kernel(self.pairs, self.ring, *args)
+        return kernel
 
     def commutes(self, x: tuple) -> None:
         """Raise NotAbelian unless op(x, y) == op(y, x) for every tuple
         y >= x in product order, NotClosed when a coordinate of op(x, y)
-        leaves range(size).  The kernel is compiled on the first call."""
-        if self._commutes is None:
-            self._commutes = _compile_commutes(self.pairs, self.ring)
-        self._commutes(x)
+        leaves range(size)."""
+        self._kernel(_compile_commutes)(x)
+
+    def commute_pairs(self, elems: list, sample) -> None:
+        """Check op(a, b) == op(b, a) on the pairs a, b = elems[i], elems[j]
+        of ``sample`` in order, raising for the first failing pair what
+        brute_force_structure's loop raises."""
+        self._kernel(_compile_commute_pairs, self.op)(elems, sample)
+
+    def powers(self, level, ell: int) -> set:
+        """The set of x^ell over x in level; NotClosed names the first x
+        with a product outside range(size)^rank."""
+        return self._kernel(_compile_powers, ell)(level)
 
     def random(self, rng) -> tuple:
         """An element drawn as random_witt_element draws it, so a seed
@@ -368,30 +431,59 @@ class _DenseLaw:
         return WittElement(TruncatedSeries._make(self.ring, self.n, self.d, keys, False))
 
 
-def _sum(start: str, ks: list, rows: str, right: str) -> str:
-    """One coordinate of the law as nested table lookups: ``start`` plus
-    rows_i[right_j] over the pairs (i, j), added in order."""
-    for i, j in ks:
-        start = f"A[{start}][{rows}{i}[{right}{j}]]"
-    return start
+def _fold(terms: list) -> str:
+    """The sum of the expressions ``terms``, left to right, as nested
+    lookups in the add table A."""
+    out = terms[0]
+    for t in terms[1:]:
+        out = f"A[{out}][{t}]"
+    return out
+
+
+def _products(ks, rows: str, right: str) -> list:
+    """The pair products rows_i[right_j] over the pairs (i, j) of ks."""
+    return [f"{rows}{i}[{right}{j}]" for i, j in ks]
+
+
+def _coordinate(k: int, ks, left: str, right: str, rows: str) -> str:
+    """Coordinate k of the product left * right, where rows_i is the mul
+    table row of left_i: its pair products, then left_k, then right_k."""
+    return _fold(_products(ks, rows, right) + [f"{left}{k}", f"{right}{k}"])
 
 
 def _names(c: str, count: int) -> str:
     return "".join(f"{c}{k}, " for k in range(count))
 
 
-def _compile(pairs: list, ring: CoeffRing, signature: str, body: list, **extra):
-    """Define ``signature`` over the ring tables.  A prologue binds A to
-    the add table (a local reads faster than a global), x_k to the entries
-    of x and m_i to the mul table row of x_i."""
-    lines = [
-        f"def {signature}:",
-        "    A = add",
-        f"    ({_names('x', len(pairs))}) = x",
-        *(f"    m{i} = mul[x{i}]" for i in sorted({i for ks in pairs for i, _ in ks})),
-        *body,
-    ]
-    namespace = {"add": ring._add, "mul": ring._mul, "neg": ring._neg, **extra}
+def _rows(pad: str, pairs: list, c: str, rows: str) -> list:
+    """Lines that bind rows_i to the mul table row of c_i for every i
+    that leads a pair."""
+    return [f"{pad}{rows}{i} = M[{c}{i}]" for i in sorted({i for ks in pairs for i, _ in ks})]
+
+
+def _unpack(pad: str, pairs: list, c: str, rows: str) -> list:
+    """Lines that bind c_k to the entries of the tuple c, then the rows."""
+    return [f"{pad}({_names(c, len(pairs))}) = {c}", *_rows(pad, pairs, c, rows)]
+
+
+def _closed(ring: CoeffRing) -> bool:
+    """Whether every entry of the add table lies in range(size).  Each
+    coordinate of a product is an entry of that table, so then no product
+    of tuples in range(size)^rank leaves the set, and the kernels leave
+    out the test."""
+    return min(map(min, ring._add)) >= 0 and max(map(max, ring._add)) < ring.size
+
+
+def _fails(z: str, w: str, closed: bool) -> str:
+    """A test that coordinate z differs from w or leaves range(S)."""
+    return f"{z} != {w}" if closed else f"(z := {z}) != {w} or not 0 <= z < S"
+
+
+def _compile(ring: CoeffRing, signature: str, body: list, **extra):
+    """Define ``signature`` over the ring tables: A is the add table (a
+    local reads faster than a global), M the mul table and S the size."""
+    lines = [f"def {signature}:", "    A, M, S = add, mul, size", *body]
+    namespace = {"add": ring._add, "mul": ring._mul, "neg": ring._neg, "size": ring.size, **extra}
     exec("\n".join(lines), namespace)
     return namespace[signature.split("(")[0]]
 
@@ -399,12 +491,16 @@ def _compile(pairs: list, ring: CoeffRing, signature: str, body: list, **extra):
 def _compile_law(pairs: list, ring: CoeffRing):
     """Straight-line ``op(x, y)`` and ``inv(x)`` for the pairs of a _DenseLaw."""
     rank = len(pairs)
-    op = [f"    ({_names('y', rank)}) = y"]
-    op += [f"    z{k} = {_sum(f'A[x{k}][y{k}]', ks, 'm', 'y')}" for k, ks in enumerate(pairs)]
+    head = _unpack("    ", pairs, "x", "m")
+    op = head + [f"    ({_names('y', rank)}) = y"]
+    op += [f"    z{k} = {_coordinate(k, ks, 'x', 'y', 'm')}" for k, ks in enumerate(pairs)]
     op.append(f"    return ({_names('z', rank)})")
-    inv = [f"    y{k} = neg[{_sum(f'x{k}', ks, 'm', 'y')}]" for k, ks in enumerate(pairs)]
+    inv = head + [
+        f"    y{k} = neg[{_fold([*_products(ks, 'm', 'y'), f'x{k}'])}]"
+        for k, ks in enumerate(pairs)
+    ]
     inv.append(f"    return ({_names('y', rank)})")
-    return _compile(pairs, ring, "op(x, y)", op), _compile(pairs, ring, "inv(x)", inv)
+    return _compile(ring, "op(x, y)", op), _compile(ring, "inv(x)", inv)
 
 
 def _compile_commutes(pairs: list, ring: CoeffRing):
@@ -412,11 +508,19 @@ def _compile_commutes(pairs: list, ring: CoeffRing):
     coordinate, nested in index order, and y_k starts at x_k while y's
     prefix equals x's, so y runs through the tuples y >= x in the order of
     ``itertools.product``.  Coordinate k of op(x, y) and of op(y, x) reads
-    y_0..y_k alone (every pair of k has i, j < k), so loop k computes it
-    once per prefix, by the expressions of ``op``, and compares it there.
-    A failing prefix completed by zeros is a failing y.  Where this runs
-    the rank is at most 7, inside CPython's 20 statically nested blocks."""
-    size = ring.size
+    y_0..y_k alone, so loop k compares it once per prefix, and a failing
+    prefix completed by zeros is a failing y.  Its pair products read
+    y_0..y_m alone, m the largest index in its pairs: loop m finishes
+    them, adding to sums that earlier loops began, and leaves the rows
+    zr_k = A[A[p_k][x_k]] and wr_k = A[q_k], with p_k and q_k the pair
+    products of op(x, y) and op(y, x).  Loop k then reads z_k = zr_k[y_k]
+    and w_k = C_k[wr_k[y_k]], with C_k = T[x_k] the column x_k of A.
+    Where this runs the rank is at most 7, inside CPython's 20 statically
+    nested blocks."""
+    rank, size, closed = len(pairs), ring.size, _closed(ring)
+    lefts = {i for ks in pairs for i, _ in ks}
+    last = [max(map(max, ks), default=None) for ks in pairs]
+    sums = {}  # c -> the loop whose p_c, q_c hold the pair products so far
 
     def fail(x, prefix, z):
         y = prefix + (0,) * (len(x) - len(prefix))
@@ -424,23 +528,101 @@ def _compile_commutes(pairs: list, ring: CoeffRing):
             return NotAbelian(f"{x!r} and {y!r} do not commute")
         return NotClosed(f"product of {x!r} and {y!r} left the set")
 
-    body = ["    M, S = mul, size"]
-    for k, ks in enumerate(pairs):
+    # F is every value of a coordinate and s_k the values from x_k on,
+    # tuples built once, so that no loop calls range
+    body = _unpack("    ", pairs, "x", "m")
+    body += ["    F = R[0]"] + [f"    s{k} = R[x{k}]" for k in range(rank)]
+    body += [f"    C{k} = T[x{k}]" for k in range(rank)]
+    body += [f"    zr{k} = A[x{k}]" for k in range(rank) if not pairs[k]]
+    for k in range(rank):
         pad = "    " * (k + 1)
-        start = f"x{k}" if k == 0 else f"x{k} if e{k - 1} else 0"
+        values = f"s{k} if e{k - 1} else F" if k else "s0"
+        z = f"zr{k}[y{k}]"
+        w = f"C{k}[wr{k}[y{k}]]" if pairs[k] else f"C{k}[y{k}]"
         body += [
-            f"{pad}for y{k} in range({start}, S):",
-            f"{pad}    z = {_sum(f'A[x{k}][y{k}]', ks, 'm', 'y')}",
-            f"{pad}    if z != {_sum(f'A[y{k}][x{k}]', ks, 'n', 'x')} or not 0 <= z < S:",
-            f"{pad}        raise fail(x, ({_names('y', k + 1)}), z)",
+            f"{pad}for y{k} in {values}:",
+            f"{pad}    if {_fails(z, w, closed)}:",
+            f"{pad}        raise fail(x, ({_names('y', k + 1)}), {z})",
         ]
-        if k < len(pairs) - 1:
-            # n_k is the mul table row of y_k, read by op(y, x) further in
-            body += [
-                f"{pad}    n{k} = M[y{k}]",
-                f"{pad}    e{k} = y{k} == x{k}" + (f" and e{k - 1}" if k else ""),
-            ]
-    return _compile(pairs, ring, "commutes(x)", body, size=size, fail=fail)
+        if k == rank - 1:
+            break
+        pad += "    "
+        if k in lefts:
+            # n_k is the mul table row of y_k, read by op(y, x)
+            body.append(f"{pad}n{k} = M[y{k}]")
+        body.append(f"{pad}e{k} = y{k} == x{k}" + (f" and e{k - 1}" if k else ""))
+        for c in range(k + 1, rank):
+            here = [(i, j) for i, j in pairs[c] if max(i, j) == k]
+            if not here:
+                continue
+            p, q = _products(here, "m", "y"), _products(here, "n", "x")
+            if c in sums:
+                p, q = [f"p{c}_{sums[c]}", *p], [f"q{c}_{sums[c]}", *q]
+            sums[c] = k
+            if last[c] == k:
+                body += [f"{pad}zr{c} = A[A[{_fold(p)}][x{c}]]", f"{pad}wr{c} = A[{_fold(q)}]"]
+            else:
+                body += [f"{pad}p{c}_{k} = {_fold(p)}", f"{pad}q{c}_{k} = {_fold(q)}"]
+    tails = [tuple(range(v, size)) for v in range(size)]
+    transpose = [list(column) for column in zip(*ring._add)]
+    return _compile(ring, "commutes(x)", body, R=tails, T=transpose, fail=fail)
+
+
+def _compile_commute_pairs(pairs: list, ring: CoeffRing, op):
+    """``commute_pairs(elems, sample)`` for the pairs of a _DenseLaw: for
+    each (i, j) of sample, with x, y = elems[i], elems[j], it compares
+    coordinate k of op(x, y) and of op(y, x), by the expressions of op, in
+    index order.  At the first coordinate that differs or leaves
+    range(size) the pair fails, and ``op`` tells the loop's error apart:
+    NotClosed when op(x, y) leaves the set, else NotAbelian."""
+    size, closed = ring.size, _closed(ring)
+
+    def fail(x, y):
+        if all(0 <= z < size for z in op(x, y)):
+            return NotAbelian(f"{x!r} and {y!r} do not commute")
+        return NotClosed(f"product of {x!r} and {y!r} left the set")
+
+    tests = [
+        _fails(_coordinate(k, ks, "x", "y", "m"), _coordinate(k, ks, "y", "x", "n"), closed)
+        for k, ks in enumerate(pairs)
+    ]
+    body = [
+        "    for i, j in sample:",
+        "        x = elems[i]",
+        "        y = elems[j]",
+        *_unpack("        ", pairs, "x", "m"),
+        *_unpack("        ", pairs, "y", "n"),
+        f"        if {' or '.join(tests)}:",
+        "            raise fail(x, y)",
+    ]
+    return _compile(ring, "commute_pairs(elems, sample)", body, fail=fail)
+
+
+def _compile_powers(pairs: list, ring: CoeffRing, ell: int):
+    """``powers(level)`` for the pairs of a _DenseLaw: the set of x^ell
+    over x in level, each by the ell - 1 products v = op(v, x) from v = x,
+    by the expressions of op.  Step s leaves v_s, and r_s holds the mul
+    table rows of its entries.  NotClosed names the first x with a
+    product outside range(size)^rank."""
+    rank, closed = len(pairs), _closed(ring)
+
+    def fail(x):
+        return NotClosed(f"powers of {x!r} left the set")
+
+    body = ["    image = set()", "    put = image.add", "    for x in level:"]
+    body += _unpack("        ", pairs, "x", "m")
+    power, rows = "x", "m"
+    for step in range(1, ell):
+        if step > 1:
+            body += _rows("        ", pairs, power, rows)
+        product = [_coordinate(k, ks, power, "x", rows) for k, ks in enumerate(pairs)]
+        power, rows = f"v{step}_", f"r{step}_"
+        body += [f"        {power}{k} = {z}" for k, z in enumerate(product)]
+        if not closed:
+            outside = " or ".join(f"not 0 <= {power}{k} < S" for k in range(rank))
+            body += [f"        if {outside}:", "            raise fail(x)"]
+    body += [f"        put(({_names(power, rank)}))", "    return image"]
+    return _compile(ring, "powers(level)", body, fail=fail)
 
 
 @lru_cache(maxsize=32)
@@ -454,7 +636,7 @@ def witt_group_structure_brute(ring: CoeffRing, n: int, d: int) -> AbelianGroupS
     rank = _group_rank(n, d)
     check_power(ring.size, rank, BRUTE_FORCE_LIMIT, "a group of order {}")
     law = _dense_law(ring, n, d)
-    s = brute_force_structure(_coefficient_tuples(ring.size, rank), law.op, law.commutes)
+    s = brute_force_structure(_coefficient_tuples(ring.size, rank), law.op, law)
     return AbelianGroupStructure(
         s.invariant_factors, s.order, lambda: tuple(law.to_witt(w) for w in s.witnesses)
     )
@@ -485,6 +667,8 @@ def lang_kernel_census(n: int, q: int, s: int, d: int, seed: int = 0) -> LangCen
     and verify the map is an endomorphism and the kernel is F_q-rational."""
     if d < 2:
         raise InvalidTruncation("truncation level must be at least 2")
+    if s < 1:
+        raise InvalidTruncation(f"extension degree s = {s} must be at least 1")
     base = CoeffRing.make(q)
     qs = check_power(q, s, _MAX_TABLE_Q, "extension field has q^s = {} elements")
     big = CoeffRing.make(qs)

@@ -15,6 +15,10 @@ as plain loops over its pairs, the reference for the compiled ``op`` and
 over every unordered pair of elements: the reference for the compiled
 kernel ``multiwitt.cft._DenseLaw.commutes``.
 
+``sampled_commutes`` is the sampled commutativity check as a loop over
+the pairs that ``random.Random(0).choices`` draws: the reference for the
+compiled kernel ``multiwitt.cft._DenseLaw.commute_pairs``.
+
 ``greedy_structure`` recovers the invariant factors by the greedy peel
 over element orders: the reference for the factors of the power ladder
 in ``multiwitt.cft.brute_force_structure`` and for the witnesses that
@@ -75,6 +79,19 @@ def pairwise_commutes(elems: list, op) -> None:
     set and NotAbelian when two elements do not commute."""
     members = set(elems)
     for a, b in combinations(elems, 2):
+        ab = op(a, b)
+        if ab not in members:
+            raise NotClosed(f"product of {a!r} and {b!r} left the set")
+        if ab != op(b, a):
+            raise NotAbelian(f"{a!r} and {b!r} do not commute")
+
+
+def sampled_commutes(elems: list, op) -> None:
+    """The check of pairwise_commutes on the 2,000 pairs drawn two at a
+    time from random.Random(0).choices(elems, k=4000)."""
+    members = set(elems)
+    draws = iter(random.Random(0).choices(elems, k=4000))
+    for a, b in zip(draws, draws):
         ab = op(a, b)
         if ab not in members:
             raise NotClosed(f"product of {a!r} and {b!r} left the set")

@@ -27,6 +27,7 @@ from multiwitt import (
     witt_group_structure_brute,
     witt_neg,
 )
+from multiwitt.cli import main
 from multiwitt.cft import _coefficient_tuples, _DenseLaw, generator_order_exponent
 from multiwitt.series import exponents_below
 from multiwitt.witt import enumerate_witt_elements, random_witt_element
@@ -257,6 +258,16 @@ def test_lang_census_more_configs():
         assert c.matches, (n, q, s, d, c)
 
 
+@pytest.mark.parametrize("s", [0, -1])
+def test_census_refuses_an_extension_degree_below_one(monkeypatch, s):
+    def no_ring(*_):
+        raise AssertionError("a ring was built")
+
+    monkeypatch.setattr(CoeffRing, "make", no_ring)
+    with pytest.raises(InvalidTruncation, match=rf"\bs = {s} must be at least 1$"):
+        lang_kernel_census(1, 2, s, 3)
+
+
 def test_lang_census_too_large():
     with pytest.raises(TooLarge):
         lang_kernel_census(1, 2, 4, 8)
@@ -448,27 +459,31 @@ def test_commutes_kernel_rejects_the_mutants_pairwise_rejects():
 
 
 def test_commutes_kernel_walks_every_y_from_x_once():
-    # a range that records the tuples reaching the innermost loop, put in
-    # place of the builtin through the kernel's globals
+    # tails range(v, size) that record the tuples reaching the innermost
+    # loop, put in place of the kernel's tuples R[v] through its globals
     path, walked = [], []
 
-    def recording_range(start, stop):
-        level = len(path)
-        path.append(None)
-        try:
-            for v in range(start, stop):
-                path[level] = v
-                if len(path) == rank:
-                    walked.append(tuple(path))
-                yield v
-        finally:
-            path.pop()
+    class RecordingTail:
+        def __init__(self, start, stop):
+            self.start, self.stop = start, stop
+
+        def __iter__(self):
+            level = len(path)
+            path.append(None)
+            try:
+                for v in range(self.start, self.stop):
+                    path[level] = v
+                    if len(path) == rank:
+                        walked.append(tuple(path))
+                    yield v
+            finally:
+                path.pop()
 
     for q, n, d in MUTATED_LAWS:
         law = _DenseLaw(CoeffRing.make(q), n, d)
-        rank = len(law.exps)
+        rank, size = len(law.exps), law.ring.size
         commutes = cft._compile_commutes(law.pairs, law.ring)
-        commutes.__globals__["range"] = recording_range
+        commutes.__globals__["R"] = [RecordingTail(v, size) for v in range(size)]
         elems = list(itertools.product(range(law.ring.size), repeat=rank))
         for i, x in enumerate(elems):
             walked.clear()
@@ -505,34 +520,119 @@ def test_commutes_kernel_refuses_an_index_out_of_range():
     assert kernel_and_pairwise(law.pairs, ring) == (NotClosed, NotClosed)
     elems = list(_coefficient_tuples(2, len(law.exps)))
     with pytest.raises(NotClosed, match=r"left the set$"):
-        brute_force_structure(elems, law.op, law.commutes)
+        brute_force_structure(elems, law.op, law)
     with pytest.raises(NotClosed, match=r"left the set$"):
         brute_force_structure(elems, law.op)
 
 
-def test_commutes_kernel_is_compiled_only_by_the_exhaustive_check(monkeypatch):
+def test_commutes_kernel_is_compiled_only_by_the_exhaustive_check(monkeypatch, capsys):
     compiled = []
-    compile_commutes = cft._compile_commutes
 
-    def counting(pairs, ring):
-        compiled.append((ring.size, len(pairs)))
-        return compile_commutes(pairs, ring)
+    def counting(name):
+        compile_kernel = getattr(cft, f"_compile_{name}")
 
-    monkeypatch.setattr(cft, "_compile_commutes", counting)
+        def compile_counted(pairs, ring, *args):
+            compiled.append((name, ring.size, len(pairs)))
+            return compile_kernel(pairs, ring, *args)
+
+        monkeypatch.setattr(cft, f"_compile_{name}", compile_counted)
+
+    for name in ("commutes", "commute_pairs", "powers"):
+        counting(name)
     cft._dense_law.cache_clear()
     lang_kernel_census(1, 2, 2, 3)
     lang_kernel_census(1, 2, 2, 5)
     pi1_truncated(1, 2, 8)
     pi1_truncated(2, 4, 3)
-    # 1,024 elements: the 2,000 sampled pairs run on op
-    assert witt_group_structure_brute(CoeffRing.make(4), 2, 3).order == 1024
+    for n, q, d in ((1, 2, 8), (2, 4, 3)):
+        assert main(["pi1", "--n", str(n), "--q", str(q), "--d", str(d)]) == 0
+    capsys.readouterr()
     assert compiled == []
+    # 1,024 elements: the 2,000 sampled pairs and the ladder
+    for _ in range(2):
+        assert witt_group_structure_brute(CoeffRing.make(4), 2, 3).order == 1024
+    assert compiled == [("commute_pairs", 4, 5), ("powers", 4, 5)]
+    compiled.clear()
+    # 128 elements: every pair and the ladder
     for _ in range(2):
         assert witt_group_structure_brute(F2, 1, 8).invariant_factors == (2, 2, 4, 8)
-    assert compiled == [(2, 7)]
+    assert compiled == [("commutes", 2, 7), ("powers", 2, 7)]
     cft._dense_law.cache_clear()
     witt_group_structure_brute(F2, 1, 8)
-    assert compiled == [(2, 7), (2, 7)]
+    assert compiled == [("commutes", 2, 7), ("powers", 2, 7)] * 2
+
+
+def outcome(check):
+    """None when the check accepts, else the class and message of its
+    refusal."""
+    try:
+        check()
+    except (NotAbelian, NotClosed) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("count", [201, 243, 256, 1024])
+def test_sampled_pairs_are_the_draws_of_random_choices(count):
+    elems = [(v, -v) for v in range(count)]
+    draws = iter(random.Random(0).choices(elems, k=4000))
+    sample = cft._sample_pairs(count)
+    assert [(elems[i], elems[j]) for i, j in sample] == list(zip(draws, draws))
+    assert cft._sample_pairs(count) is sample
+
+
+def test_sampled_kernel_judges_the_mutants_as_the_loop_does():
+    # two groups past the exhaustive regime: 243 and 1,024 elements
+    rejected = 0
+    for q, n, d in [(3, 1, 6), (4, 2, 3)]:
+        law = _DenseLaw(CoeffRing.make(q), n, d)
+        elems = list(_coefficient_tuples(law.ring.size, len(law.exps)))
+        assert len(elems) ** 2 > cft.PAIR_CHECK_LIMIT
+        sample = cft._sample_pairs(len(elems))
+        for dropped, pairs in one_pair_dropped(law):
+            op, _ = cft._compile_law(pairs, law.ring)
+            kernel = cft._compile_commute_pairs(pairs, law.ring, op)
+            got = outcome(lambda: kernel(elems, sample))
+            want = outcome(lambda: cft_oracle.sampled_commutes(elems, op))
+            assert got == want, (q, n, d, dropped)
+            assert (got is None) == (dropped[0] == dropped[1])
+            rejected += got is not None
+    assert rejected == 10
+
+
+def test_sampled_kernel_and_ladder_refuse_an_index_out_of_range():
+    # addition mod 3 on the indices of F_2, with 2^8 = 256 elements
+    add3 = [[(a + b) % 3 for b in range(3)] for a in range(3)]
+    ring = types.SimpleNamespace(size=2, _add=add3, _mul=F2._mul, _neg=F2._neg)
+    law = _DenseLaw(ring, 1, 9)
+    elems = list(_coefficient_tuples(2, len(law.exps)))
+    assert len(elems) == 256
+    sample = cft._sample_pairs(len(elems))
+    got = outcome(lambda: law.commute_pairs(elems, sample))
+    assert got == outcome(lambda: cft_oracle.sampled_commutes(elems, law.op))
+    assert got[0] is NotClosed
+    members = set(elems)
+    got = outcome(lambda: law.powers(elems, 2))
+    assert got == outcome(lambda: cft._powers(elems, 2, law.op, members))
+    assert got == (NotClosed, f"powers of {elems[1]!r} left the set")
+    assert outcome(lambda: brute_force_structure(elems, law.op, law)) == outcome(
+        lambda: brute_force_structure(elems, law.op)
+    )
+
+
+def test_ladder_kernel_gives_the_loop_images_on_pi1_grid():
+    for n, q, d in PI1_GRID:
+        law = _DenseLaw(CoeffRing.make(q), n, d)
+        elems = list(_coefficient_tuples(law.ring.size, len(law.exps)))
+        members = set(elems)
+        assert cft._prime_factors(len(elems)) == [law.ring.p]
+        level = elems
+        while True:
+            image = law.powers(level, law.ring.p)
+            assert image == cft._powers(level, law.ring.p, law.op, members), (n, q, d)
+            if len(image) == len(level):
+                break
+            level = image
 
 
 def cyclic_product(*orders):
