@@ -54,7 +54,7 @@ from itertools import combinations, islice, product
 from math import prod
 
 from .errors import InvalidTruncation, NotAbelian, NotClosed, check_budget, check_power
-from .ring import _MAX_TABLE_Q, CoeffRing, Record
+from .ring import _MAX_TABLE_Q, CoeffRing, FiniteField, Record
 from .series import (
     TruncatedSeries,
     check_shape,
@@ -154,6 +154,7 @@ def modulus_group(q: int, m: int) -> ModulusGroupDesc:
     if m < 1:
         raise InvalidTruncation("modulus multiplicity must be >= 1")
     if m == 1:
+        FiniteField.of_order(q)  # SchemaError unless q is a prime power, as below
         return ModulusGroupDesc(q, 1, 1, AbelianGroupStructure((), 1))
     s = pi1_truncated(1, q, m)
     return ModulusGroupDesc(q, m, s.order, s)

@@ -6,7 +6,17 @@ messages.  Every work bound passes its estimate to ``check_budget`` or
 ``check_power`` before the work starts; a number of 19 or more digits is
 named as "at least 2^k", since printing it may cost more than the work
 refused, or fail.
+
+The kernels that multiply and divide series share one budget of
+``WORK_LIMIT`` kernel steps: a step is one ring table product and one
+dict update, and each kernel's estimate bounds its table products.  On
+dense F_3 input a step takes 70-240 ns (2-vCPU Xeon, Python 3.11;
+``scripts/kernel_steps.py`` measures it again), so the limit admits
+0.7-2.4 s of any one kernel.  Every other bound caps a size, not steps.
 """
+
+# steps of one division, series, binomial or Artin-Hasse product, or peel
+WORK_LIMIT = 10**7
 
 
 class WittError(Exception):

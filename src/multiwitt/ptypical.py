@@ -44,8 +44,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import NonIntegral, NotNilpotent, SchemaError, ShapeMismatch, check_budget
-from .ring import CoeffRing, Record, RingElement
+from .errors import WORK_LIMIT, NonIntegral, NotNilpotent, SchemaError, ShapeMismatch
+from .errors import check_budget
+from .ring import CoeffRing, Record, RingElement, _is_prime
 from .series import TruncatedSeries, add_products, check_division, check_shape, divide_keys
 from .witt import WittElement
 
@@ -312,8 +313,18 @@ _AH_COEFFICIENTS = {}  # p -> the coefficients built so far, extended on demand
 
 def artin_hasse_coefficients(p: int, count: int) -> tuple:
     """First ``count`` coefficients of AH(s) by n a_n = sum_{p^i <= n} a_{n - p^i},
-    each checked to be p-integral."""
-    out = _AH_COEFFICIENTS.setdefault(p, [])
+    each checked to be p-integral.  Where a table is started or extended,
+    SchemaError unless p is prime and count >= 0, and TooLarge past
+    ``AH_COEFFICIENT_LIMIT``; a count the table holds is read off it."""
+    out = _AH_COEFFICIENTS.get(p)
+    if out is None or not 0 <= count <= len(out):
+        if not _is_prime(p):
+            raise SchemaError(f"Artin-Hasse coefficients need a prime p, got {p}")
+        if count < 0:
+            raise SchemaError(f"Artin-Hasse coefficient count {count} is negative")
+        what = "{} Artin-Hasse coefficients for p = {}"
+        check_budget(count, AH_COEFFICIENT_LIMIT, what, p)
+        out = _AH_COEFFICIENTS.setdefault(p, [])
     for n in range(len(out), count):
         if n == 0:
             a = Fraction(1)
@@ -394,21 +405,31 @@ def component_lengths(p: int, d: int) -> dict:
 
 def pi_epsilon(family: dict, ring: CoeffRing, d: int) -> WittElement:
     """Multiply the factors E(v_{j,i}, t^(j p^i)) of the given family into
-    one dict, each by ``series.add_products``."""
+    one dict, each by ``series.add_products``.  Its steps are bounded
+    first, as ``witt._product_work`` bounds a binomial product: a factor at
+    t^k has at most (d - 1) // k terms past its constant 1, each multiplied
+    by every key held, and the product holds at most d keys."""
     check_shape(1, d)
     p = ring.p
-    acc = {0: ring.one}
+    factors, work, held = [], 0, 1
     for j in sorted(family):
         if j % p == 0 or j < 1:
             raise ShapeMismatch(f"index {j} is not coprime to p = {p}")
         for i, entry in enumerate(family[j].entries):
             k = j * p**i
             if entry and k < d:
-                # acc * E = acc + acc * (E - 1); the product is never flagged
-                # exact, so no product past d is looked at
-                rest = _ah_keys(ring, entry, k, d)
-                del rest[0]
-                add_products(ring, d, acc, list(acc.items()), rest.items(), lost=True)
+                factors.append((k, entry))
+                work += held * ((d - 1) // k)
+                held = min(held * ((d - 1) // k + 1), d)
+    what = "a product of {1} Artin-Hasse factors at d = {2} may make {0} steps"
+    check_budget(work, WORK_LIMIT, what, len(factors), d)
+    acc = {0: ring.one}
+    for k, entry in factors:
+        # acc * E = acc + acc * (E - 1); the product is never flagged exact,
+        # so no product past d is looked at
+        rest = _ah_keys(ring, entry, k, d)
+        del rest[0]
+        add_products(ring, d, acc, list(acc.items()), rest.items(), lost=True)
     return WittElement(TruncatedSeries._make(ring, 1, d, acc, False))
 
 

@@ -43,12 +43,16 @@ from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from math import comb, gcd
 
-from .errors import NonUnitConstantTerm, NotExact, SchemaError, ShapeMismatch, check_budget
+from .errors import WORK_LIMIT, NonUnitConstantTerm, NotExact, SchemaError, ShapeMismatch
+from .errors import check_budget
 from .ring import CoeffRing, RingElement, json_int, json_list, json_object
 
 # an exponent in n variables below d has n entries and a key below d^n, an
 # n * log2(d)-bit integer: n * d.bit_length() bounds both
 EXPONENT_BITS_LIMIT = 1 << 16
+# keys of one quotient: a division is the one kernel whose output grows
+# with its budget from a few-term input
+QUOTIENT_KEYS_LIMIT = 10**6
 
 
 def check_shape(n: int, d: int) -> None:
@@ -65,22 +69,21 @@ def exponent_count(n: int, d: int) -> int:
     return comb(n + d - 1, n)
 
 
-# pushes of one division, a bound checked before it starts: 3 terms at
-# n = 1, d = 200,000 make 600,000, about a second
-DIVISION_LIMIT = 10**6
-
-
 def check_division(n: int, d: int, generators: int, den_terms: int, num_terms: int = 1) -> None:
-    """TooLarge, before any key is built, when a division at (n, d) may take
-    more than ``DIVISION_LIMIT`` pushes: its quotient's keys, times the
-    divisor's ``den_terms``.  A quotient key lies below d, and it is one of
-    ``num_terms`` numerator keys plus a sum of m = ``generators`` non-constant
-    keys, so there are at most min(exponent_count(n, d), num_terms *
-    exponent_count(m, d)) of them.  (n, d) is the shape of a series a
-    checked constructor built, so it is not checked again."""
+    """TooLarge, before any key is built, when a division at (n, d) may make
+    more than ``WORK_LIMIT`` steps or hold more than ``QUOTIENT_KEYS_LIMIT``
+    keys.  A quotient key lies below d, and it is one of ``num_terms``
+    numerator keys plus a sum of m = ``generators`` non-constant keys, so
+    there are at most K = min(exponent_count(n, d), num_terms *
+    exponent_count(m, d)) of them.  Making the divisor monic, pushing each
+    read key to the other divisor terms and scaling the quotient once make
+    at most (K + 1) * ``den_terms`` table products.  (n, d) is the shape
+    of a series a checked constructor built, so it is not checked again."""
     keys = min(exponent_count(n, d), num_terms * exponent_count(generators, d))
-    what = "at n = {1}, d = {2} a division by {3} divisor terms may make {0} pushes"
-    check_budget(keys * den_terms, DIVISION_LIMIT, what, n, d, den_terms)
+    what = "at n = {1}, d = {2} a division by {3} divisor terms may make {0} steps"
+    check_budget((keys + 1) * den_terms, WORK_LIMIT, what, n, d, den_terms)
+    what = "at n = {1}, d = {2} a quotient may hold {0} keys"
+    check_budget(keys, QUOTIENT_KEYS_LIMIT, what, n, d)
 
 
 def is_primitive(exp: tuple) -> bool:
@@ -381,11 +384,6 @@ class KeyedTerms:
         return terms
 
 
-# term pairs of one series product, about 2.5 s: two dense 3,000-term
-# series over F_3 at n = 1 make 9,000,000
-PRODUCT_PAIRS_LIMIT = 10**7
-
-
 class TruncatedSeries(KeyedTerms):
     """Truncated series: a ``KeyedTerms`` from |nu| = 0, with the ``exact``
     flag and the arithmetic."""
@@ -449,11 +447,11 @@ class TruncatedSeries(KeyedTerms):
 
     def mul(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """The truncated product; TooLarge, before any pair is formed, past
-        ``PRODUCT_PAIRS_LIMIT`` pairs of terms."""
+        ``WORK_LIMIT`` steps, one per pair of terms."""
         self._check_shape(other)
         na, nb = len(self.keys), len(other.keys)
-        what = "a product of {1} by {2} terms forms {0} term pairs"
-        check_budget(na * nb, PRODUCT_PAIRS_LIMIT, what, na, nb)
+        what = "a product of {1} by {2} terms may make {0} steps"
+        check_budget(na * nb, WORK_LIMIT, what, na, nb)
         out = {}
         lost = add_products(self.ring, self.d**self.n, out, self.keys.items(), other.keys.items())
         exact = self.exact and other.exact and not lost

@@ -55,7 +55,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .errors import NilpotentCoefficients, ShapeMismatch, check_budget
+from .errors import WORK_LIMIT, NilpotentCoefficients, ShapeMismatch, check_budget
 from .ring import CoeffRing, RingElement, json_object
 from .series import (
     KeyedTerms,
@@ -250,11 +250,6 @@ def witt_neg(a: WittElement) -> WittElement:
     return WittElement(a.series.inv())
 
 
-# key visits of one coordinate peel, a few seconds: per coordinate, a scan
-# for the lowest key and a division's walk
-PEEL_WORK_LIMIT = 10**7
-
-
 def witt_coordinates(a: WittElement) -> WittCoordinates:
     """Peel binomial factors in graded order.
 
@@ -265,9 +260,9 @@ def witt_coordinates(a: WittElement) -> WittCoordinates:
     only the keys that can still push below d.  Every other key moves only
     upward, so the next coordinate is again at the lowest key.
 
-    ``check_division`` bounds the quotient before the peel starts; the
-    number of coordinates is known only as they come, so the peel counts
-    the keys it scans and walks against ``PEEL_WORK_LIMIT``."""
+    ``check_division`` bounds each division before the peel starts; the
+    number of coordinates is known only as they come, so the peel meters
+    its steps against ``WORK_LIMIT`` as it runs."""
     if a._coords is not None:
         return a._coords
     ring, n, d = a.ring, a.n, a.d
@@ -276,8 +271,8 @@ def witt_coordinates(a: WittElement) -> WittCoordinates:
     one, rneg, dn = ring.one, ring.rneg, d ** (n - 1)
     quot = {e: c for e, c in a.series.keys.items() if e}
     coords = {}
-    work = 0
-    meter = "the coordinate peel at n = {1}, d = {2} reaches {0} key visits"
+    work, box = 0, exponent_count(n, d)
+    meter = "the coordinate peel at n = {1}, d = {2} reaches {0} steps"
     while quot:
         nu = min(quot)
         deg = nu // dn
@@ -286,11 +281,12 @@ def witt_coordinates(a: WittElement) -> WittCoordinates:
             break
         c = quot.pop(nu)
         coords[nu] = rneg(c)
-        # the scan for nu and the chain walk, metered by the former degree
-        # walk's formula (the keys, twice in more than one variable, and the
-        # degrees deg..d - deg) so that the same peels are refused
-        work += (len(quot) if n == 1 else 2 * len(quot)) + d - 2 * deg
-        check_budget(work, PEEL_WORK_LIMIT, meter, n, d)
+        # the scan for nu, then the chain walk: each product lands on its own
+        # exponent, of degree 2 deg to d - 1, as a key takes its one push from
+        # key - nu, and a chain from a key left makes at most (d - 1 - deg) // deg
+        walk, keys = box - exponent_count(n, 2 * deg), len(quot)
+        work += keys + min(walk, keys * ((d - 1 - deg) // deg))
+        check_budget(work, WORK_LIMIT, meter, n, d)
         divide_keys(ring, n, d, quot, {0: one, nu: c})
     a._coords = WittCoordinates._make(ring, n, d, coords)
     return a._coords
@@ -351,10 +347,6 @@ def binomial_product(ring: CoeffRing, limit: int, factors) -> tuple:
     return acc, exact
 
 
-# key updates of one binomial product, a few seconds
-PRODUCT_WORK_LIMIT = 10**7
-
-
 def _product_work(n: int, d: int, factors: list) -> int:
     """An upper bound on the key updates of the product of ``factors`` at
     (n, d): a run inside the window updates every key the product holds
@@ -385,15 +377,15 @@ def _product_element(ring: CoeffRing, n: int, d: int, factors, keep_exact=False)
     nonzero term fell outside the window.  Its key updates are bounded
     first: each run updates at most the exponent_count(n, d) keys of the
     window once per term, at most m of them, and where that passes
-    ``PRODUCT_WORK_LIMIT``, by the closer bound of ``_product_work``,
-    which unpacks every run's exponent and so costs as much as a sparse
-    product itself."""
+    ``WORK_LIMIT``, by the closer bound of ``_product_work``, which
+    unpacks every run's exponent and so costs as much as a sparse product
+    itself.  A key update is one step: one table product."""
     factors = list(factors)
     work = sum(m for _, _, m in factors) * exponent_count(n, d)
-    if work > PRODUCT_WORK_LIMIT:
+    if work > WORK_LIMIT:
         work = _product_work(n, d, factors)
-    what = "a product of binomials at n = {1}, d = {2} may make {0} key updates"
-    check_budget(work, PRODUCT_WORK_LIMIT, what, n, d)
+    what = "a product of binomials at n = {1}, d = {2} may make {0} steps"
+    check_budget(work, WORK_LIMIT, what, n, d)
     acc, exact = binomial_product(ring, d**n, factors)
     return WittElement(TruncatedSeries._make(ring, n, d, acc, keep_exact and exact))
 

@@ -28,6 +28,7 @@ from multiwitt import (
     witt_neg,
 )
 from multiwitt.cli import main
+from multiwitt.errors import SchemaError
 from multiwitt.cft import _coefficient_tuples, _DenseLaw, generator_order_exponent
 from multiwitt.series import exponents_below
 from multiwitt.witt import enumerate_witt_elements, random_witt_element
@@ -225,6 +226,13 @@ def test_modulus_group_examples():
     assert g.order == 4 and g.structure.invariant_factors == (4,)
     for q, m in ((2, 2), (2, 5), (3, 3), (4, 2), (5, 3), (9, 2)):
         assert modulus_group(q, m).order == q ** (m - 1)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("q", [1, 6])
+def test_modulus_group_refuses_a_q_that_is_no_prime_power(q, m):
+    with pytest.raises(SchemaError, match=f"^{q} is not a prime power$"):
+        modulus_group(q, m)
 
 
 def test_modulus_group_matches_pi1():

@@ -390,15 +390,15 @@ ONE_T_T2 = [((0,), [[1]]), ((1,), [[1]]), ((2,), [[1]])]
 def test_division_output_bounded_before_work(capsys, command):
     """1 + t + t^2 at n = 1, d = 10^9: up to 10^9 quotient keys, each
     pushed to the divisor's terms (3 for neg, a binomial's 2 for the
-    peel), past series.DIVISION_LIMIT, so TooLarge names the estimate at
+    peel), past errors.WORK_LIMIT steps, so TooLarge names the estimate at
     once; at d = 200,000 the same jobs run (test_division_jobs_at_d_200000)."""
     payload = json.dumps({"a": series_doc(1, 10**9, ONE_T_T2)})
     start = time.perf_counter()
     code, doc = run_cli(capsys, [command, "--ring", F3_RING, "--payload", payload])
     assert time.perf_counter() - start < 1.0
     assert (code, doc["error"]["kind"]) == (1, "TooLarge")
-    pushes = (3 if command == "neg" else 2) * 10**9
-    assert doc["error"]["detail"].endswith(f"may make {pushes} pushes, beyond limit 1000000")
+    steps = (3 if command == "neg" else 2) * (10**9 + 1)
+    assert doc["error"]["detail"].endswith(f"may make {steps} steps, beyond limit 10000000")
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -427,8 +427,8 @@ def test_identity_jobs_at_d_1e9(capsys, n):
 
 def test_dense_peel_stops_at_its_work_limit(capsys, monkeypatch):
     """A dense element has about one coordinate per degree, and each one
-    divides the whole quotient: past witt.PEEL_WORK_LIMIT key visits the
-    peel stops with TooLarge.  Here the limit is lowered so that the
+    divides the whole quotient: past witt.WORK_LIMIT steps the peel stops
+    with TooLarge.  Here the limit is lowered so that the
     job ends early; the same element converts under the real limit."""
     from multiwitt import witt
 
@@ -437,11 +437,11 @@ def test_dense_peel_stops_at_its_work_limit(capsys, monkeypatch):
     payload = json.dumps({"a": series_doc(1, 400, terms)})
     code, doc = run_cli(capsys, ["coords", "--ring", F2_RING, "--payload", payload])
     assert code == 0 and len(doc["result"]["coords"]) > 100
-    monkeypatch.setattr(witt, "PEEL_WORK_LIMIT", 10_000)
+    monkeypatch.setattr(witt, "WORK_LIMIT", 10_000)
     for command in ("coords", "decompose"):
         code, doc = run_cli(capsys, [command, "--ring", F2_RING, "--payload", payload])
         assert (code, doc["error"]["kind"]) == (1, "TooLarge")
-        assert re.search(r"reaches \d+ key visits, beyond limit 10000$", doc["error"]["detail"])
+        assert re.search(r"reaches \d+ steps, beyond limit 10000$", doc["error"]["detail"])
 
 
 def test_division_jobs_at_d_200000(capsys):
@@ -460,8 +460,8 @@ def test_division_jobs_at_d_200000(capsys):
 
 def test_dense_add_refused_before_work(capsys):
     """add of two dense series over F_3 at n = 1, d = 4,000: 3,163 terms
-    by 3,163 make 10,004,569 term pairs, past series.PRODUCT_PAIRS_LIMIT,
-    refused before the first is formed."""
+    by 3,163 make 10,004,569 term pairs, one step each, past
+    errors.WORK_LIMIT, refused before the first is formed."""
     dense = series_doc(1, 4000, [((k,), [[1]]) for k in range(3163)])
     payload = json.dumps({"a": dense, "b": dense})
     start = time.perf_counter()
@@ -469,14 +469,14 @@ def test_dense_add_refused_before_work(capsys):
     assert time.perf_counter() - start < 1.0
     assert (code, doc["error"]["kind"]) == (1, "TooLarge")
     assert doc["error"]["detail"] == (
-        "a product of 3163 by 3163 terms forms 10004569 term pairs, beyond limit 10000000"
+        "a product of 3163 by 3163 terms may make 10004569 steps, beyond limit 10000000"
     )
 
 
 def test_thousand_coordinate_product_refused_before_work(capsys):
     """from-coords of 1,000 coordinates over F_3 at n = 1, d = 100,000: the
-    product's key updates are estimated from its factors and refused
-    before the first one is multiplied in."""
+    product's steps are estimated from its factors and refused before the
+    first one is multiplied in."""
     coords = [{"exp": [k], "r": [[2 if k % 2 else 1]]} for k in range(1, 1001)]
     argv = ["from-coords", "--ring", F3_RING, "--n", "1", "--d", "100000"]
     start = time.perf_counter()
@@ -484,7 +484,7 @@ def test_thousand_coordinate_product_refused_before_work(capsys):
     assert time.perf_counter() - start < 1.0
     assert (code, doc["error"]["kind"]) == (1, "TooLarge")
     assert doc["error"]["detail"] == (
-        "a product of binomials at n = 1, d = 100000 may make 70186143 key updates, "
+        "a product of binomials at n = 1, d = 100000 may make 70186143 steps, "
         "beyond limit 10000000"
     )
 

@@ -2,6 +2,7 @@
 through ``check_budget`` or ``check_power``, refuses before the work it
 bounds starts, and names its estimate and its limit."""
 
+import functools
 import itertools
 import random
 import sys
@@ -10,7 +11,8 @@ import time
 import pytest
 
 from multiwitt import cft, cli, ptypical, ring, series, unipoly, witt
-from multiwitt.errors import SchemaError, TooLarge, WittError, check_budget, check_power
+from multiwitt.errors import WORK_LIMIT, SchemaError, TooLarge, WittError, check_budget
+from multiwitt.errors import check_power
 
 
 def refuse(*_args, **_kwargs):
@@ -27,6 +29,12 @@ RANK = cft._group_rank(20, 20)
 def one_t_t2_inverse():
     # 1 + t + t^2 at d = 10^9: up to 10^9 quotient keys, 3 divisor terms
     return series.TruncatedSeries(F3, 1, 10**9, {(0,): 1, (1,): 1, (2,): 1}).inv()
+
+
+def one_t_inverse():
+    # 1 + t at d = 2 * 10^6: 4,000,002 steps, within the work budget, but
+    # up to 2 * 10^6 quotient keys
+    return series.TruncatedSeries(F3, 1, 2 * 10**6, {(0,): 1, (1,): 1}).inv()
 
 
 def dense_square():
@@ -46,6 +54,16 @@ def thousand_coordinates():
     # 500,500 keys, refused before its first factor is multiplied in
     coords = {(k,): 2 if k % 2 else 1 for k in range(1, 1001)}
     return witt.from_coordinates(witt.WittCoordinates(F3, 1, 100000, coords))
+
+
+def unit_family_product():
+    # a unit at every entry of the family at d = 8,000 over F_2: a factor
+    # at each of t^1, .., t^7999
+    family = {
+        j: ptypical.PWittVector(2, [1] * m, F2)
+        for j, m in ptypical.component_lengths(2, 8000).items()
+    }
+    return ptypical.pi_epsilon(family, F2, 8000)
 
 
 def pi1_job():
@@ -79,12 +97,17 @@ SITES = {
     "division": (
         {"multiwitt.series.divide_keys": refuse},
         one_t_t2_inverse,
-        r"3 divisor terms may make 3000000000 pushes, beyond limit 1000000",
+        r"3 divisor terms may make 3000000003 steps, beyond limit 10000000",
+    ),
+    "quotient keys": (
+        {"multiwitt.series.divide_keys": refuse},
+        one_t_inverse,
+        r"at n = 1, d = 2000000 a quotient may hold 2000000 keys, beyond limit 1000000",
     ),
     "series product": (
         {"multiwitt.series.add_products": refuse},
         dense_square,
-        r"a product of 3163 by 3163 terms forms 10004569 term pairs, beyond limit 10000000",
+        r"a product of 3163 by 3163 terms may make 10004569 steps, beyond limit 10000000",
     ),
     "component family": (
         {"multiwitt.witt.primitive_exponents_below": refuse},
@@ -94,7 +117,7 @@ SITES = {
     "binomial product": (
         {"multiwitt.witt.binomial_product": refuse},
         thousand_coordinates,
-        r"a product of binomials at n = 1, d = 100000 may make 70186143 key updates, "
+        r"a product of binomials at n = 1, d = 100000 may make 70186143 steps, "
         r"beyond limit 10000000",
     ),
     "unit family": (
@@ -103,9 +126,9 @@ SITES = {
         r"up to 500000000499999999 components, beyond limit 1000000",
     ),
     "coordinate peel": (
-        {"multiwitt.witt.divide_keys": refuse, "multiwitt.witt.PEEL_WORK_LIMIT": 100},
+        {"multiwitt.witt.divide_keys": refuse, "multiwitt.witt.WORK_LIMIT": 100},
         dense_coordinates,
-        r"n = 1, d = 400 reaches \d{3} key visits, beyond limit 100",
+        r"n = 1, d = 400 reaches \d{3} steps, beyond limit 100",
     ),
     "pi1 generators": (
         {"multiwitt.cft.exponents_below": refuse},
@@ -150,6 +173,12 @@ SITES = {
         lambda: ptypical.artin_hasse_exp(F2.from_raw(1), 1, 10**8),
         r"E\(x, t\^1\) at d = 100000000 needs 100000000 Artin-Hasse coefficients, "
         r"beyond limit 1000",
+    ),
+    "Artin-Hasse product": (
+        {"multiwitt.ptypical.add_products": refuse},
+        unit_family_product,
+        r"a product of 7999 Artin-Hasse factors at d = 8000 may make 520967999 steps, "
+        r"beyond limit 10000000",
     ),
     "JSON output": (
         {"multiwitt.cft.AbelianGroupStructure.to_json_dict": refuse},
@@ -216,3 +245,126 @@ def test_schema_error_is_also_a_value_error():
     assert issubclass(SchemaError, WittError) and issubclass(SchemaError, ValueError)
     with pytest.raises(ValueError, match="4 is not prime"):
         ring.FiniteField(4, 1, (0, 1))
+
+
+# estimates that bound the table products of a kernel, one site at a time
+KERNEL_MODULES = (series, witt, ptypical)
+ORDERS = {1: 14, 2: 8, 3: 5}
+
+
+def kernel_products(monkeypatch, kernel, what, job):
+    """Run ``job`` and return [estimate, products] for each estimate
+    checked against ``WORK_LIMIT`` whose description holds ``what``, in
+    order: the table products (``CoeffRing.rmul`` calls) that ``kernel``,
+    ``add_products`` or ``divide_keys``, makes until the next such
+    estimate.  Products outside the kernel, such as those that build its
+    factors, are not counted."""
+    log, inside = [], []
+    rmul, kernel_fn = ring.CoeffRing.rmul, getattr(series, kernel)
+
+    def counting_rmul(self, a, b):
+        if inside:
+            assert log, "the kernel ran before its estimate was checked"
+            log[-1][1] += 1
+        return rmul(self, a, b)
+
+    def counting_kernel(*args, **kwargs):
+        inside.append(True)
+        try:
+            return kernel_fn(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def recording_check(estimate, limit, description, *fields):
+        if limit == WORK_LIMIT and what in description:
+            log.append([estimate, 0])
+        check_budget(estimate, limit, description, *fields)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ring.CoeffRing, "rmul", counting_rmul)
+        for module in KERNEL_MODULES:
+            patch.setattr(module, "check_budget", recording_check)
+            if hasattr(module, kernel):
+                patch.setattr(module, kernel, counting_kernel)
+        job()
+    return log
+
+
+def assert_bounds(log, cumulative=False):
+    """Each estimate is at least the products after it, or with
+    ``cumulative`` (a meter), at least all the products so far."""
+    assert log
+    total = 0
+    for estimate, products in log:
+        total = total + products if cumulative else products
+        assert total <= estimate, log
+
+
+def random_terms(any_ring, n, d, rng, dense, unit_constant=False):
+    box = series.exponents_below(n, d)
+    chosen = [e for e in box if rng.random() < 0.9] if dense else rng.sample(box, min(3, len(box)))
+    pick = (any_ring.random_raw, any_ring.random_nilpotent_raw)
+    terms = {e: rng.choice(pick)(rng) for e in chosen}
+    if unit_constant:
+        terms[(0,) * n] = rng.choice([u for u in range(any_ring.size) if any_ring.is_unit_raw(u)])
+    return terms
+
+
+@pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_every_kernel_estimate_bounds_its_table_products(any_ring, n, dense, rng, monkeypatch):
+    """The division (through ``/``, ``inv`` and ``pi_epsilon_inverse``),
+    the series product, the binomial product, the peel's meter and
+    ``pi_epsilon``: each estimate is at least the table products its
+    kernel makes, on random inputs, exact and not."""
+    for _ in range(3):
+        d = rng.randrange(2, ORDERS[n] + 1)
+
+        def element():
+            terms = random_terms(any_ring, n, d, rng, dense) | {(0,) * n: any_ring.one}
+            return witt.WittElement(series.TruncatedSeries(any_ring, n, d, terms))
+
+        def series_pair(unit_constant):
+            return [
+                series.TruncatedSeries(
+                    any_ring, n, d, random_terms(any_ring, n, d, rng, dense, unit_constant),
+                    exact=rng.random() < 0.5,
+                )
+                for _ in range(2)
+            ]
+
+        a, b = series_pair(unit_constant=True)
+        c, _ = series_pair(unit_constant=False)
+        for job in (lambda: c / b, a.inv):
+            assert_bounds(kernel_products(monkeypatch, "divide_keys", "division", job))
+        assert_bounds(kernel_products(monkeypatch, "add_products", "product of", lambda: a.mul(c)))
+        terms = random_terms(any_ring, n, d, rng, dense)
+        terms.pop((0,) * n, None)
+        coords = witt.WittCoordinates(any_ring, n, d, terms)
+        x, y = element(), element()
+        witt.witt_coordinates(x), witt.witt_coordinates(y)  # witt_mul reads them cached
+        for job in (lambda: witt.from_coordinates(coords), lambda: witt.witt_mul(x, y)):
+            assert_bounds(kernel_products(monkeypatch, "add_products", "binomials", job))
+        peel = functools.partial(witt.witt_coordinates, element())
+        log = kernel_products(monkeypatch, "divide_keys", "peel", peel)
+        if log:  # a peel that divides nothing checks no meter
+            assert_bounds(log, cumulative=True)
+        if n == 1:
+            job = functools.partial(ptypical.pi_epsilon_inverse, element())
+            log = kernel_products(monkeypatch, "divide_keys", "division", job)
+            if log:
+                assert_bounds(log)
+            family = ptypical.pi_epsilon_inverse(element())
+            job = functools.partial(ptypical.pi_epsilon, family, any_ring, d)
+            assert_bounds(kernel_products(monkeypatch, "add_products", "Artin-Hasse", job))
+
+
+def test_peel_meter_bounds_long_chains_in_two_variables(monkeypatch):
+    """1 + t_2 + t_1 + .. + t_1^9 at n = 2, d = 10 first divides by a
+    binomial in t_2, and a chain from each t_1^j makes 36 products in all:
+    more than twice the 9 keys plus the d - 2 degrees the chains reach."""
+    terms = {(0, 0): 1, (0, 1): 1} | {(j, 0): 1 for j in range(1, 10)}
+    a = witt.WittElement(series.TruncatedSeries(F3, 2, 10, terms))
+    log = kernel_products(monkeypatch, "divide_keys", "peel", lambda: witt.witt_coordinates(a))
+    assert log[0][1] == 36
+    assert_bounds(log, cumulative=True)

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,7 @@ from multiwitt import (
     witt_mul,
 )
 from multiwitt import ptypical
-from multiwitt.errors import SchemaError
+from multiwitt.errors import SchemaError, TooLarge
 from multiwitt.witt import WittElement, enumerate_witt_elements, random_witt_element
 
 from conftest import RINGS
@@ -279,6 +280,44 @@ def test_artin_hasse_coefficients_built_once_per_prime(monkeypatch):
     fresh = artin_hasse_coefficients(2, 1000)
     for count, coeffs in got.items():
         assert coeffs == fresh[:count]
+
+
+@pytest.mark.parametrize("p", [4, 1, 0, -3])
+def test_artin_hasse_coefficients_refuse_a_p_that_is_not_prime(p, monkeypatch):
+    monkeypatch.setattr(ptypical, "_AH_COEFFICIENTS", {})
+    with pytest.raises(SchemaError, match=f"need a prime p, got {p}$"):
+        artin_hasse_coefficients(p, 5)
+    assert ptypical._AH_COEFFICIENTS == {}
+
+
+def test_artin_hasse_coefficients_refuse_a_negative_count(monkeypatch):
+    """Also once a table is cached, where count = -1 read all but its last
+    coefficient."""
+    monkeypatch.setattr(ptypical, "_AH_COEFFICIENTS", {})
+    for _ in range(2):
+        with pytest.raises(SchemaError, match="count -1 is negative$"):
+            artin_hasse_coefficients(2, -1)
+        artin_hasse_coefficients(2, 5)
+
+
+def test_artin_hasse_coefficients_refuse_a_count_past_the_limit(monkeypatch):
+    monkeypatch.setattr(ptypical, "_AH_COEFFICIENTS", {})
+    start = time.perf_counter()
+    with pytest.raises(TooLarge, match="^2000 Artin-Hasse coefficients for p = 2, beyond limit 1000$"):
+        artin_hasse_coefficients(2, 2000)
+    assert time.perf_counter() - start < 0.1 and ptypical._AH_COEFFICIENTS == {}
+
+
+def test_artin_hasse_coefficients_check_only_a_table_they_start_or_extend(monkeypatch):
+    monkeypatch.setattr(ptypical, "_AH_COEFFICIENTS", {})
+    want = artin_hasse_coefficients(3, 7)
+
+    def refuse(*_):
+        raise AssertionError("a count the table holds was checked")
+
+    monkeypatch.setattr(ptypical, "_is_prime", refuse)
+    monkeypatch.setattr(ptypical, "check_budget", refuse)
+    assert [artin_hasse_coefficients(3, count) for count in (7, 0, 3)] == [want, (), want[:3]]
 
 
 def test_pairing_example_and_bilinearity(rng):

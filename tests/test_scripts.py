@@ -1,9 +1,9 @@
 """Smoke test: the README's scripts run to completion, pi1_table as the
-README documents it (every oracle row up to order 4096) and duality_demo
-at a small size.
+README documents it (every oracle row up to order 4096), duality_demo at
+a small size and kernel_steps as it is.
 
-Both import only the public API, so this catches a removal that would
-otherwise break them silently.  bench_pairs is checked on synthetic run
+pi1_table and duality_demo import only the public API, so this catches a
+removal that would otherwise break them silently.  bench_pairs is checked on synthetic run
 records, without running the benchmark."""
 
 import importlib.util
@@ -34,6 +34,26 @@ def test_script_runs(argv):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def test_kernel_steps_times_every_budgeted_kernel():
+    """kernel_steps prints one row per kernel that errors.WORK_LIMIT bounds:
+    an estimate of about 10^6 steps, a best time and the ns per step."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "scripts/kernel_steps.py"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    header, columns, *rows = proc.stdout.splitlines()
+    assert header == "WORK_LIMIT = 10000000 steps" and columns.split()[-1] == "ns/step"
+    kernels = ["division", "series product", "binomial product", "coordinate peel",
+               "Artin-Hasse product"]
+    assert [row[:20].strip() for row in rows] == kernels
+    for row in rows:
+        steps, best, ns = row[20:].split()
+        assert 5 * 10**5 <= int(steps) <= 2 * 10**6 and float(best) > 0 and int(ns) > 0
 
 
 def load_bench_pairs():

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 import series_oracle
@@ -719,3 +720,16 @@ def test_truncate_refuses_a_larger_order_and_extend_an_inexact_series():
     with pytest.raises(NotExact, match="only exact series"):
         a.extend(4)
     assert a.truncate(3) is a and a.truncate(2) == S(R, 2, 2, {(0, 0): 1, (1, 0): 2})
+
+
+def test_dense_inverse_at_d_1300_is_admitted():
+    """A dense series over F_3 at d = 1,300 has 881 terms: its inverse may
+    make 1,301 * 881 = 1,146,181 steps, within errors.WORK_LIMIT (a
+    division was once refused past 10^6 pushes, keys times divisor terms),
+    and times the series it is 1 by the tuple oracle's product."""
+    F3 = CoeffRing.make(3)
+    rng = random.Random(1300)
+    terms = {(k,): rng.randrange(3) for k in range(1300)} | {(0,): rng.randrange(1, 3)}
+    a = TruncatedSeries(F3, 1, 1300, terms)
+    assert len(a.keys) == 881
+    assert series_oracle.mul(a, a.inv()) == ({(0,): 1}, False)

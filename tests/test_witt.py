@@ -615,9 +615,9 @@ def test_product_estimate_bounds_its_key_updates(any_ring, n, rng, monkeypatch):
     at least the key updates the product makes, counted per run: with the
     limit one below their count, ``from_coordinates`` and ``witt_mul`` are
     refused."""
-    limit = witt.PRODUCT_WORK_LIMIT
+    limit = witt.WORK_LIMIT
     for _ in range(6):
-        monkeypatch.setattr(witt, "PRODUCT_WORK_LIMIT", limit)
+        monkeypatch.setattr(witt, "WORK_LIMIT", limit)
         d = rng.randrange(2, 7)
         box = exponents_below(n, d)[1:]
         coords = {e: any_ring.random_raw(rng) for e in rng.sample(box, min(len(box), 5))}
@@ -634,8 +634,8 @@ def test_product_estimate_bounds_its_key_updates(any_ring, n, rng, monkeypatch):
             ],
         }
         for job, factors in products.items():
-            monkeypatch.setattr(witt, "PRODUCT_WORK_LIMIT", _key_updates(any_ring, d**n, factors) - 1)
-            with pytest.raises(TooLarge, match="key updates"):
+            monkeypatch.setattr(witt, "WORK_LIMIT", _key_updates(any_ring, d**n, factors) - 1)
+            with pytest.raises(TooLarge, match="binomials .* steps"):
                 job()
 
 
@@ -658,14 +658,14 @@ def test_convolution_runs_match_expanded_factors(q, monkeypatch):
     """Each run (1 - c s^L)^g is multiplied in once, as a binomial power
     after Frobenius takes out the powers of p in g: the same product, byte
     for byte, as the g single binomials one at a time, multiplied with
-    ``PRODUCT_WORK_LIMIT`` out of the way."""
+    ``WORK_LIMIT`` out of the way."""
     ring = CoeffRing.make(q)
     # over F_4 and F_9, 1 + x t + t^2 has coordinates that Frobenius moves
     cases = [(d, 1) for d in (50, 400, 2000)] + ([(50, ring.gen().raw)] if q in (4, 9) else [])
     for d, c in cases:
         product, factors = _square_of_one_plus_t_plus_t2(ring, d, c)
         with monkeypatch.context() as patch:
-            patch.setattr(witt, "PRODUCT_WORK_LIMIT", 10**12)
+            patch.setattr(witt, "WORK_LIMIT", 10**12)
             want = witt._product_element(ring, 1, d, factors)
         assert json.dumps(product.to_json_dict()) == json.dumps(want.to_json_dict()), (d, c)
 
@@ -682,7 +682,7 @@ def test_square_of_one_plus_t_plus_t2_at_d_2000_is_admitted(monkeypatch):
     runs = [f for key, ca, cb in shared for f in convolution_factors(F3, ca, cb, key)]
     assert len(factors) == 6144 and len(runs) < len(factors) // 10
     with monkeypatch.context() as patch:
-        patch.setattr(witt, "PRODUCT_WORK_LIMIT", 10**12)
+        patch.setattr(witt, "WORK_LIMIT", 10**12)
         want = witt._product_element(F3, 1, 2000, factors)
     assert product == want and product.series.terms == want.series.terms
 
@@ -691,7 +691,7 @@ def test_square_of_one_plus_t_plus_t2_at_d_2000_is_admitted(monkeypatch):
 
     a = W(F3, 1, 20000, {(1,): 1, (2,): 1})
     monkeypatch.setattr(witt, "binomial_product", no_product)
-    with pytest.raises(TooLarge, match="key updates"):
+    with pytest.raises(TooLarge, match="binomials .* steps"):
         witt_mul(a, a)
 
 
