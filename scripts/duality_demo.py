@@ -32,17 +32,16 @@ def main():
     base = CoeffRing.make(args.q)
     rng = random.Random(args.seed)
     dg = 3 * (args.e - 1) + 2
-    run_components = ring.p in (2, 3)
 
     failures = 0
     for k in range(args.cases):
         f = random_formal_element(ring, 1, 3, rng)
         g = random_witt_element(base, 1, dg, rng)
-        va = cartier_pair(f, g)
-        vg = geometric_pair(f, g, dg - 1)
-        values = [("algebraic", va), ("geometric", vg)]
-        if run_components:
-            values.append(("components", pairing_via_components(f, g)))
+        values = [
+            ("algebraic", cartier_pair(f, g)),
+            ("geometric", geometric_pair(f, g, dg - 1)),
+            ("components", pairing_via_components(f, g)),
+        ]
         agree = len({v.raw for _, v in values}) == 1
         failures += 0 if agree else 1
         print(f"case {k}: f = {f!r}")

@@ -18,16 +18,18 @@ its base field there are three ways to pair:
     power; the exponent -j below is forced by matching ghost components
     against the algebraic route.
 
-All three must agree, and the test suite enforces it.  The algebraic
-route certifies its level d: going to d + 1 multiplies the value by the
-binomial values of g's coordinates of degree exactly d, and unless they
-multiply to 1 it raises UnstableTruncation; the geometric route compares
-its resultants at m and m + 1.  The component route is only cross-checked
-against the other two, by the tests and the ``pairing`` benchmark.
-
-Each argument is decomposed once: a formal element keeps its verified
-exact coordinates, and g its peeled ones.  The raw encoding embeds the
-base field in R as the identity, so g over the base field is read as is.
+All three walk one driver: it checks the pair, decomposes each argument
+once (a formal element keeps its verified exact coordinates, g its peeled
+ones) and yields the parts in one variable s = t^nu, nu primitive, that
+both share; an element in one variable is its own part.  All three must
+agree in any number of variables, and the test suite enforces it.  The
+algebraic route certifies its level d: going to d + 1 multiplies the
+value by the binomial values of g's coordinates of degree exactly d, and
+unless they multiply to 1 it raises UnstableTruncation; the geometric
+route compares its resultants at m and m + 1.  The component route is
+only cross-checked against the other two, by the tests and the
+``pairing`` benchmark.  The raw encoding embeds the base field in R as
+the identity, so g over the base field is read as is.
 
 Nilpotency bounds every computation: the coordinates of an exact
 polynomial of degree D with nilpotent coefficients vanish beyond degree
@@ -36,6 +38,8 @@ lies in N^ceil(|nu|/D).
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 from .errors import InvalidTruncation, NotAUnit, NotNilpotent, ShapeMismatch, UnstableTruncation
 from .ptypical import PWittVector, pi_epsilon_inverse, pwitt_pair
@@ -165,12 +169,33 @@ def unit_class(u: TruncatedSeries) -> UnitClass:
 # pairing plumbing -----------------------------------------------------------
 
 
-def _check_pair(f: FormalWittElement, g: WittElement) -> None:
-    """g lives over f's ring or its field part, whose raw elements are f's."""
+def _shared_parts(f: FormalWittElement, g: WittElement):
+    """The walk of all three routes: check the pair, peel each argument
+    once and yield (key(nu), |nu|, {i: a_i}, {j: b_j}, k, part) for each
+    primitive part nu both share.  g carries k = one_var_order(g.d, |nu|)
+    terms in s = t^nu; part() gives f's exact part as a formal element and
+    g's at k.  In one variable each argument is its own part at s = t."""
     if f.n != g.n:
         raise ShapeMismatch("arguments have different variable counts")
+    # g's raws, over f's ring or its field part, are raws of f's ring
     if g.ring != f.ring and (g.ring.field != f.ring.field or g.ring.nil != 1):
         raise ShapeMismatch("second argument must live over the ring or its field part")
+    fc, gc = f.exact_coordinates(), witt_coordinates(g)
+    if f.n == 1:
+        if fc.keys and gc.keys:
+            yield 1, 1, fc.keys, gc.keys, g.d, lambda: (f, g)
+        return
+    dn = g.d ** (g.n - 1)
+    for key, fa, gb in shared_components(fc, gc):
+        k = one_var_order(g.d, key // dn)
+        yield key, key // dn, fa, gb, k, partial(_part, f.ring, g.ring, fa, gb, k)
+
+
+def _part(f_ring: CoeffRing, g_ring: CoeffRing, fa: dict, gb: dict, k: int) -> tuple:
+    # f's part has degree at most the sum of its coordinate exponents, so it
+    # is complete at 1 + sum(fa); every j of gb has j |nu| < g.d, so j < k
+    fp = from_coordinates(WittCoordinates._make(f_ring, 1, 1 + sum(fa), fa))
+    return FormalWittElement(fp.series), from_coordinates(WittCoordinates._make(g_ring, 1, k, gb))
 
 
 def _component_pair_value(ring: CoeffRing, fa: dict, gb: dict) -> int:
@@ -203,15 +228,13 @@ def cartier_pair(f: FormalWittElement, g: WittElement, d: int | None = None) -> 
     exactly d, so the value is stable exactly when their product is 1;
     otherwise UnstableTruncation is raised.
     """
-    _check_pair(f, g)
     if d is None:
         d = g.d - 1
     if d < 1 or d + 1 > g.d:
         raise InvalidTruncation(f"need 1 <= d and d + 1 <= {g.d}")
-    ring, dn = f.ring, g.d ** (g.n - 1)
+    ring = f.ring
     acc = step = ring.one
-    for key, fa, gb in shared_components(f.exact_coordinates(), witt_coordinates(g)):
-        w = key // dn
+    for _, w, fa, gb, _, _ in _shared_parts(f, g):
         below = {j: c for j, c in gb.items() if j * w < d}
         at = {j: c for j, c in gb.items() if j * w == d}
         acc = ring.rmul(acc, _component_pair_value(ring, fa, below))
@@ -219,11 +242,6 @@ def cartier_pair(f: FormalWittElement, g: WittElement, d: int | None = None) -> 
     if step != ring.one:
         raise UnstableTruncation("pairing value changed between d and d + 1")
     return ring.from_raw(acc)
-
-
-def _component_series(ring: CoeffRing, coords: dict, k: int) -> WittElement:
-    keys = {i: c for i, c in coords.items() if i < k}
-    return from_coordinates(WittCoordinates._make(ring, 1, k, keys))
 
 
 def geometric_pair(f: FormalWittElement, g: WittElement, m: int) -> RingElement:
@@ -235,43 +253,29 @@ def geometric_pair(f: FormalWittElement, g: WittElement, m: int) -> RingElement:
     roots and Res(reverse(g'), f) multiplies f over them.  Stability is
     checked against level m + 1, so g must carry at least m + 1 terms.
     In several variables both sides split into one-variable components,
-    each paired at level m capped by the precision the component carries;
-    a component still unstable at its capped level raises.
+    each paired at level m.  The component at nu holds k = ceil(g.d / |nu|)
+    terms of g in s = t^nu; one with k < m + 1 is refused with
+    InvalidTruncation, not paired at a lower level.
     """
-    _check_pair(f, g)
     if m < 1:
         raise InvalidTruncation("truncation level m must be >= 1")
-    ring = f.ring
-    # In one variable f and g are their own single component.  Sending
-    # them through the loop below, which peels both and rebuilds them from
-    # their coordinates, made `pairing` benchmark jobs 7% slower (0.147 to
-    # 0.157 cal, medians of 8 pairs on a 2-CPU x86-64 VM).
-    if f.n == 1:
-        if m + 1 > g.d:
-            raise InvalidTruncation(
-                f"stability check needs the second argument known to degree {m + 1}"
-            )
-        return ring.from_raw(_stable_value(f.series, g, m))
-    acc, dn = ring.one, g.d ** (g.n - 1)
-    for key, fa, gb in shared_components(f.exact_coordinates(), witt_coordinates(g)):
-        k = one_var_order(g.d, key // dn)
+    if m + 1 > g.d:
+        raise InvalidTruncation(
+            f"stability check needs the second argument known to degree {m + 1}"
+        )
+    ring, acc = f.ring, f.ring.one
+    for key, _, _, _, k, part in _shared_parts(f, g):
         if m + 1 > k:
             nu = unpack_exponent(key, g.n, g.d)
             raise InvalidTruncation(
                 f"component at {nu} only carries {k} terms, need m + 1 = {m + 1}"
             )
-        # the exact component polynomial has degree at most the sum of the
-        # coordinate exponents, so this window loses nothing
-        f_comp = _component_series(ring, fa, 1 + sum(fa))
-        acc = ring.rmul(acc, _stable_value(f_comp.series, _component_series(g.ring, gb, k), m))
+        fp, gp = part()
+        value = _geometric_value(fp.series, gp, m)
+        if value != _geometric_value(fp.series, gp, m + 1):
+            raise UnstableTruncation("pairing value changed between m and m + 1")
+        acc = ring.rmul(acc, value)
     return ring.from_raw(acc)
-
-
-def _stable_value(f_series: TruncatedSeries, g: WittElement, m: int) -> int:
-    v = _geometric_value(f_series, g, m)
-    if v != _geometric_value(f_series, g, m + 1):
-        raise UnstableTruncation("pairing value changed between m and m + 1")
-    return v
 
 
 def _geometric_value(f_series: TruncatedSeries, g: WittElement, m: int) -> int:
@@ -281,44 +285,38 @@ def _geometric_value(f_series: TruncatedSeries, g: WittElement, m: int) -> int:
     for k, c in g.series.keys.items():
         if k < m:
             gp[k] = c
-    while gp and gp[-1] == 0:
+    while gp[-1] == 0:
         gp.pop()
-    deg = len(gp) - 1
-    if deg <= 0:
-        return ring.one
-    f_deg = f_series.support_degree()
-    if f_deg == 0:
-        return ring.one
-    f_coeffs = tuple(f_series.keys.get(k, 0) for k in range(f_deg + 1))
-    # both lead with a nonzero coefficient: g's constant 1 and f's top term
+    f_coeffs = tuple(f_series.keys.get(k, 0) for k in range(f_series.support_degree() + 1))
+    # both lead with a nonzero coefficient: g's constant 1 and f's top term;
+    # f's part is never constant, so a constant g' gives the value 1
     reverse = UnivariatePolynomial._make(ring, tuple(reversed(gp)))
     return resultant(reverse, UnivariatePolynomial._make(ring, f_coeffs)).raw
 
 
 def pairing_via_components(f: FormalWittElement, g: WittElement, d: int | None = None) -> RingElement:
-    """Pair through the p-typical decomposition: split both sides with the
-    factor solver, multiply slotwise, pair each slot and recombine with the
-    slot twist value^(-j).  g's family is solved over g's own ring and its
-    entries read as elements of f's ring."""
-    if f.n != 1 or g.n != 1:
-        raise ShapeMismatch("component pairing works in one variable")
-    _check_pair(f, g)
+    """Pair through the p-typical decomposition: split both sides of each
+    shared part with the factor solver, g's at level ceil(d / |nu|), the
+    terms j |nu| < d of the algebraic route, multiply slotwise, pair each
+    slot and recombine with the slot twist value^(-j).  g's family is
+    solved over g's own ring and its entries read as f's ring's."""
     if d is None:
         d = g.d - 1
     if d < 1 or d > g.d:
         raise InvalidTruncation(f"need 1 <= d <= {g.d}")
     ring = f.ring
-    fam_f = pi_epsilon_inverse(WittElement(f.series.extend(f.coordinate_bound())))
-    fam_g = pi_epsilon_inverse(g.truncate(d))
     acc = ring.one
-    for j, vf in fam_f.items():
-        vg = fam_g.get(j)
-        if vg is None or all(e == 0 for e in vg.entries) or all(e == 0 for e in vf.entries):
-            continue
-        m = max(len(vf), len(vg))
-        # g's raws, over f's ring or its field part, are raws of f's ring
-        val = pwitt_pair(vf.pad(m), PWittVector._make(vg.p, vg.entries, ring).pad(m))
-        acc = ring.rmul(acc, ring.rpow(val.raw, -j))
+    for _, w, _, _, _, part in _shared_parts(f, g):
+        fp, gp = part()
+        fam_f = pi_epsilon_inverse(WittElement(fp.series.extend(fp.coordinate_bound())))
+        fam_g = pi_epsilon_inverse(gp.truncate(one_var_order(d, w)))
+        for j, vf in fam_f.items():
+            vg = fam_g.get(j)
+            if vg is None or all(e == 0 for e in vg.entries) or all(e == 0 for e in vf.entries):
+                continue
+            m = max(len(vf), len(vg))
+            val = pwitt_pair(vf.pad(m), PWittVector._make(vg.p, vg.entries, ring).pad(m))
+            acc = ring.rmul(acc, ring.rpow(val.raw, -j))
     return ring.from_raw(acc)
 
 

@@ -238,19 +238,18 @@ def check_pi_epsilon_hom(rng, cases=60):
 
 
 def check_pairing_routes(rng, cases=40):
-    for q, e in ((2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (3, 3)):
+    # (q, e, n, degree of f, g.d, m): in two variables f's parts lie below
+    # degree 3, so at g.d = 7 each carries at least m + 1 = 4 terms of g
+    rings = ((2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (3, 3))
+    shapes = [(q, e, 1, 3, 3 * e - 1, 3 * e - 2) for q, e in rings] + [(3, 2, 2, 2, 7, 3)]
+    for q, e, n, degree, dg, m in shapes:
         ring = CoeffRing.make(q, nil=e)
         base = CoeffRing.make(q)
-        dg = 3 * (e - 1) + 2
         for _ in range(cases):
-            f = duality.random_formal_element(ring, 1, 3, rng)
-            g = random_witt_element(base, 1, dg, rng)
+            f = duality.random_formal_element(ring, n, degree, rng)
+            g = random_witt_element(base, n, dg, rng)
             va = duality.cartier_pair(f, g)
-            vg = duality.geometric_pair(f, g, dg - 1)
-            assert va == vg
-            if ring.field.e == 1:
-                vc = duality.pairing_via_components(f, g)
-                assert va == vc
+            assert va == duality.geometric_pair(f, g, m) == duality.pairing_via_components(f, g)
             assert ring.is_unit_raw(va.raw)
             assert ring.is_nilpotent_raw(ring.rsub(va.raw, ring.one))
 

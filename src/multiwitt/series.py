@@ -50,9 +50,9 @@ from .ring import CoeffRing, RingElement, json_int, json_list, json_object
 # an exponent in n variables below d has n entries and a key below d^n, an
 # n * log2(d)-bit integer: n * d.bit_length() bounds both
 EXPONENT_BITS_LIMIT = 1 << 16
-# keys of one quotient: a division is the one kernel whose output grows
-# with its budget from a few-term input
-QUOTIENT_KEYS_LIMIT = 10**6
+# keys of one quotient or product: a division's output grows with its
+# budget from a few-term input, a product's with the square of its inputs
+KEYS_LIMIT = 10**6
 
 
 def check_shape(n: int, d: int) -> None:
@@ -71,7 +71,7 @@ def exponent_count(n: int, d: int) -> int:
 
 def check_division(n: int, d: int, generators: int, den_terms: int, num_terms: int = 1) -> None:
     """TooLarge, before any key is built, when a division at (n, d) may make
-    more than ``WORK_LIMIT`` steps or hold more than ``QUOTIENT_KEYS_LIMIT``
+    more than ``WORK_LIMIT`` steps or hold more than ``KEYS_LIMIT``
     keys.  A quotient key lies below d, and it is one of ``num_terms``
     numerator keys plus a sum of m = ``generators`` non-constant keys, so
     there are at most K = min(exponent_count(n, d), num_terms *
@@ -83,7 +83,7 @@ def check_division(n: int, d: int, generators: int, den_terms: int, num_terms: i
     what = "at n = {1}, d = {2} a division by {3} divisor terms may make {0} steps"
     check_budget((keys + 1) * den_terms, WORK_LIMIT, what, n, d, den_terms)
     what = "at n = {1}, d = {2} a quotient may hold {0} keys"
-    check_budget(keys, QUOTIENT_KEYS_LIMIT, what, n, d)
+    check_budget(keys, KEYS_LIMIT, what, n, d)
 
 
 def is_primitive(exp: tuple) -> bool:
@@ -447,15 +447,18 @@ class TruncatedSeries(KeyedTerms):
 
     def mul(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """The truncated product; TooLarge, before any pair is formed, past
-        ``WORK_LIMIT`` steps, one per pair of terms."""
+        ``WORK_LIMIT`` steps, one per pair of terms, or ``KEYS_LIMIT`` keys."""
         self._check_shape(other)
+        n, d = self.n, self.d
         na, nb = len(self.keys), len(other.keys)
         what = "a product of {1} by {2} terms may make {0} steps"
         check_budget(na * nb, WORK_LIMIT, what, na, nb)
+        what = "at n = {1}, d = {2} a product of {3} by {4} terms may hold {0} keys"
+        check_budget(min(na * nb, exponent_count(n, d)), KEYS_LIMIT, what, n, d, na, nb)
         out = {}
-        lost = add_products(self.ring, self.d**self.n, out, self.keys.items(), other.keys.items())
+        lost = add_products(self.ring, d**n, out, self.keys.items(), other.keys.items())
         exact = self.exact and other.exact and not lost
-        return TruncatedSeries._make(self.ring, self.n, self.d, out, exact)
+        return TruncatedSeries._make(self.ring, n, d, out, exact)
 
     def add_series(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check_shape(other)

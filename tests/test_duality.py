@@ -1,4 +1,5 @@
 import pytest
+from conftest import RINGS
 from series_oracle import eval_all_ones
 from witt_oracle import cartier_pair_levels, mul_coordinate_families, pair_value_binomial_product
 
@@ -6,6 +7,7 @@ from multiwitt import duality, witt
 from multiwitt import (
     CoeffRing,
     FormalWittElement,
+    InvalidTruncation,
     NotAUnit,
     ShapeMismatch,
     TruncatedSeries,
@@ -170,8 +172,7 @@ def test_route_agreement_random(q, e, rng):
         g = random_witt_element(base, 1, dg, rng)
         va = cartier_pair(f, g)
         assert geometric_pair(f, g, dg - 1) == va
-        if ring.field.e == 1:
-            assert pairing_via_components(f, g) == va
+        assert pairing_via_components(f, g) == va
         assert ring.is_unit_raw(va.raw) and ring.is_nilpotent_raw(ring.rsub(va.raw, 1))
 
 
@@ -205,6 +206,64 @@ def test_route_agreement_two_variables(rng):
         f = random_formal_element(ring, 2, 2, rng)
         g = random_witt_element(base, 2, 7, rng)
         assert cartier_pair(f, g) == geometric_pair(f, g, 3)
+
+
+@pytest.mark.parametrize("name", sorted(k for k, r in RINGS.items() if r.nil >= 2))
+def test_three_routes_agree_in_several_variables(name, rng):
+    """In two and three variables the three routes give one value, for g
+    over the field and over the ring.  Every part of f lies below
+    m = f.coordinate_bound(), so at g.d = (m - 1)(m + 1) + 1 each carries
+    more than m + 1 terms of g and the geometric route pairs it at m.  g
+    takes 5 terms of degree at most m, where f's parts meet it, and 20 of
+    any degree, since a dense g at n = 3, d = 25 has 2,924 terms to peel."""
+    ring = RINGS[name]
+    for n in (2, 3):
+        values = []
+        for over in (CoeffRing(ring.field, 1), ring):
+            for _ in range(3):
+                f = random_formal_element(ring, n, 2, rng)
+                m = max(2, f.coordinate_bound())
+                dg = (m - 1) * (m + 1) + 1
+                low, box = exponents_below(n, m + 1)[1:], exponents_below(n, dg)[1:]
+                chosen = rng.sample(low, min(5, len(low))) + rng.sample(box, min(20, len(box)))
+                terms = {(0,) * n: 1, **{e: over.random_raw(rng) for e in chosen}}
+                g = WittElement(TruncatedSeries(over, n, dg, terms))
+                value = cartier_pair(f, g)
+                assert geometric_pair(f, g, m) == value == pairing_via_components(f, g)
+                values.append(value.raw)
+        assert any(v != 1 for v in values)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_geometric_pair_refuses_a_short_g_against_one(n):
+    """m + 1 > g.d is refused before the walk over shared parts, so also
+    when f = 1 shares no part with g."""
+    one = FormalWittElement(TruncatedSeries(R22, n, 1, {(0,) * n: 1}, exact=True))
+    g = WittElement.binomial(F2, n, 4, (1,) * n, 1)
+    with pytest.raises(InvalidTruncation, match="known to degree 5"):
+        geometric_pair(one, g, 4)
+    assert geometric_pair(one, g, 3).raw == 1
+
+
+@pytest.mark.parametrize("d", [-1, 0, 8])
+def test_component_pairing_refuses_a_level_outside_g_in_two_variables(d):
+    f = formal(R22, {(1, 0): R22.eps_raw})
+    g = WittElement.binomial(F2, 2, 7, (1, 0), 1)
+    with pytest.raises(InvalidTruncation, match=r"need 1 <= d <= 7"):
+        pairing_via_components(f, g, d)
+    assert pairing_via_components(f, g, 7) == cartier_pair(f, g)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_component_level_reads_g_below_it(n, rng):
+    """At level d the component route reads only g's terms of total degree
+    below d: the ceil(d / |nu|) terms of each part in s = t^nu."""
+    ring, base = CoeffRing.make(3, nil=2), CoeffRing.make(3)
+    for _ in range(4):
+        f = random_formal_element(ring, n, 2, rng)
+        g = random_witt_element(base, n, 7, rng)
+        for d in range(1, g.d + 1):
+            assert pairing_via_components(f, g, d) == pairing_via_components(f, g.truncate(d), d)
 
 
 def test_bilinearity(rng):
@@ -410,8 +469,7 @@ def test_routes_read_g_over_the_field_as_over_the_ring(q, e, rng):
             if n == 1 or e == 2:
                 m = dg - 1 if n == 1 else 3
                 assert geometric_pair(f, g, m) == geometric_pair(f, g_r, m)
-            if n == 1 and ring.field.e == 1:
-                assert pairing_via_components(f, g) == pairing_via_components(f, g_r)
+            assert pairing_via_components(f, g) == pairing_via_components(f, g_r)
 
 
 def test_routes_refuse_g_over_another_ring():

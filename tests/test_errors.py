@@ -43,6 +43,14 @@ def dense_square():
     return a.mul(a)
 
 
+def disjoint_product():
+    # t_1^i times t_2^j, i, j < 1,001, at d = 2,002: 1,002,001 steps, within
+    # the work budget, but each pair its own key
+    a = series.TruncatedSeries(F3, 2, 2002, {(i, 0): 1 for i in range(1001)})
+    b = series.TruncatedSeries(F3, 2, 2002, {(0, j): 1 for j in range(1001)})
+    return a.mul(b)
+
+
 def dense_coordinates():
     rng = random.Random(17)
     terms = {(k,): 1 for k in range(400) if k == 0 or rng.random() < 0.5}
@@ -108,6 +116,12 @@ SITES = {
         {"multiwitt.series.add_products": refuse},
         dense_square,
         r"a product of 3163 by 3163 terms may make 10004569 steps, beyond limit 10000000",
+    ),
+    "product keys": (
+        {"multiwitt.series.add_products": refuse},
+        disjoint_product,
+        r"at n = 2, d = 2002 a product of 1001 by 1001 terms may hold 1002001 keys, "
+        r"beyond limit 1000000",
     ),
     "component family": (
         {"multiwitt.witt.primitive_exponents_below": refuse},

@@ -1,6 +1,6 @@
 """Smoke test: the README's scripts run to completion, pi1_table as the
 README documents it (every oracle row up to order 4096), duality_demo at
-a small size and kernel_steps as it is.
+a small size over a prime field and over F_4, and kernel_steps as it is.
 
 pi1_table and duality_demo import only the public API, so this catches a
 removal that would otherwise break them silently.  bench_pairs is checked on synthetic run
@@ -23,8 +23,9 @@ ROOT = Path(__file__).resolve().parent.parent
     [
         ["scripts/pi1_table.py", "--max-order", "4096", "--oracle"],
         ["scripts/duality_demo.py", "--q", "3", "--e", "2", "--cases", "3", "--seed", "0"],
+        ["scripts/duality_demo.py", "--q", "4", "--e", "2", "--cases", "3", "--seed", "0"],
     ],
-    ids=["pi1_table", "duality_demo"],
+    ids=["pi1_table", "duality_demo", "duality_demo_F4"],
 )
 def test_script_runs(argv):
     env = dict(os.environ)
