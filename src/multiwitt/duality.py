@@ -19,9 +19,9 @@ its base field there are three ways to pair:
     against the algebraic route.
 
 All three walk one driver: it checks the pair, decomposes each argument
-once (a formal element keeps its verified exact coordinates, g its peeled
-ones) and yields the parts in one variable s = t^nu, nu primitive, that
-both share; an element in one variable is its own part.  All three must
+at most once (a formal element keeps its verified exact coordinates, g its
+peeled ones) and yields the parts in one variable s = t^nu, nu primitive,
+that both share; an element in one variable is its own part.  All three must
 agree in any number of variables, and the test suite enforces it.  The
 algebraic route certifies its level d: going to d + 1 multiplies the
 value by the binomial values of g's coordinates of degree exactly d, and
@@ -38,8 +38,6 @@ lies in N^ceil(|nu|/D).
 """
 
 from __future__ import annotations
-
-from functools import partial
 
 from .errors import InvalidTruncation, NotAUnit, NotNilpotent, ShapeMismatch, UnstableTruncation
 from .ptypical import PWittVector, pi_epsilon_inverse, pwitt_pair
@@ -169,33 +167,36 @@ def unit_class(u: TruncatedSeries) -> UnitClass:
 # pairing plumbing -----------------------------------------------------------
 
 
-def _shared_parts(f: FormalWittElement, g: WittElement):
-    """The walk of all three routes: check the pair, peel each argument
-    once and yield (key(nu), |nu|, {i: a_i}, {j: b_j}, k, part) for each
-    primitive part nu both share.  g carries k = one_var_order(g.d, |nu|)
-    terms in s = t^nu; part() gives f's exact part as a formal element and
-    g's at k.  In one variable each argument is its own part at s = t."""
+def _shared_parts(f: FormalWittElement, g: WittElement, elements: bool = False):
+    """The walk of all three routes: check the pair and yield (key(nu),
+    |nu|, a, b) for each primitive part nu that f and g share, in one
+    variable s = t^nu.  a and b are the coordinates {i: a_i} and {j: b_j},
+    or with ``elements`` f's exact part as a formal element and g's at its
+    order one_var_order(g.d, |nu|) in s.  In one variable each argument is
+    its own part at s = t, shared unless one is 1, and is peeled only for
+    its coordinates; in more, each is peeled to find the parts."""
     if f.n != g.n:
         raise ShapeMismatch("arguments have different variable counts")
     # g's raws, over f's ring or its field part, are raws of f's ring
     if g.ring != f.ring and (g.ring.field != f.ring.field or g.ring.nil != 1):
         raise ShapeMismatch("second argument must live over the ring or its field part")
-    fc, gc = f.exact_coordinates(), witt_coordinates(g)
     if f.n == 1:
-        if fc.keys and gc.keys:
-            yield 1, 1, fc.keys, gc.keys, g.d, lambda: (f, g)
+        a, b = (f, g) if elements else (f.exact_coordinates().keys, witt_coordinates(g).keys)
+        if len(f.series.keys) > 1 and len(g.series.keys) > 1:
+            yield 1, 1, a, b
         return
     dn = g.d ** (g.n - 1)
-    for key, fa, gb in shared_components(fc, gc):
-        k = one_var_order(g.d, key // dn)
-        yield key, key // dn, fa, gb, k, partial(_part, f.ring, g.ring, fa, gb, k)
-
-
-def _part(f_ring: CoeffRing, g_ring: CoeffRing, fa: dict, gb: dict, k: int) -> tuple:
-    # f's part has degree at most the sum of its coordinate exponents, so it
-    # is complete at 1 + sum(fa); every j of gb has j |nu| < g.d, so j < k
-    fp = from_coordinates(WittCoordinates._make(f_ring, 1, 1 + sum(fa), fa))
-    return FormalWittElement(fp.series), from_coordinates(WittCoordinates._make(g_ring, 1, k, gb))
+    for key, fa, gb in shared_components(f.exact_coordinates(), witt_coordinates(g)):
+        w = key // dn
+        if not elements:
+            yield key, w, fa, gb
+            continue
+        # f's part has degree at most the sum of its coordinate exponents, so
+        # it is complete at 1 + sum(fa); each j of gb has j |nu| < g.d, so g's
+        # part holds it at order one_var_order(g.d, |nu|)
+        fp = from_coordinates(WittCoordinates._make(f.ring, 1, 1 + sum(fa), fa))
+        gp = from_coordinates(WittCoordinates._make(g.ring, 1, one_var_order(g.d, w), gb))
+        yield key, w, FormalWittElement(fp.series), gp
 
 
 def _component_pair_value(ring: CoeffRing, fa: dict, gb: dict) -> int:
@@ -234,7 +235,7 @@ def cartier_pair(f: FormalWittElement, g: WittElement, d: int | None = None) -> 
         raise InvalidTruncation(f"need 1 <= d and d + 1 <= {g.d}")
     ring = f.ring
     acc = step = ring.one
-    for _, w, fa, gb, _, _ in _shared_parts(f, g):
+    for _, w, fa, gb in _shared_parts(f, g):
         below = {j: c for j, c in gb.items() if j * w < d}
         at = {j: c for j, c in gb.items() if j * w == d}
         acc = ring.rmul(acc, _component_pair_value(ring, fa, below))
@@ -264,13 +265,13 @@ def geometric_pair(f: FormalWittElement, g: WittElement, m: int) -> RingElement:
             f"stability check needs the second argument known to degree {m + 1}"
         )
     ring, acc = f.ring, f.ring.one
-    for key, _, _, _, k, part in _shared_parts(f, g):
+    for key, w, fp, gp in _shared_parts(f, g, elements=True):
+        k = one_var_order(g.d, w)
         if m + 1 > k:
             nu = unpack_exponent(key, g.n, g.d)
             raise InvalidTruncation(
                 f"component at {nu} only carries {k} terms, need m + 1 = {m + 1}"
             )
-        fp, gp = part()
         value = _geometric_value(fp.series, gp, m)
         if value != _geometric_value(fp.series, gp, m + 1):
             raise UnstableTruncation("pairing value changed between m and m + 1")
@@ -306,8 +307,7 @@ def pairing_via_components(f: FormalWittElement, g: WittElement, d: int | None =
         raise InvalidTruncation(f"need 1 <= d <= {g.d}")
     ring = f.ring
     acc = ring.one
-    for _, w, _, _, _, part in _shared_parts(f, g):
-        fp, gp = part()
+    for _, w, fp, gp in _shared_parts(f, g, elements=True):
         fam_f = pi_epsilon_inverse(WittElement(fp.series.extend(fp.coordinate_bound())))
         fam_g = pi_epsilon_inverse(gp.truncate(one_var_order(d, w)))
         for j, vf in fam_f.items():

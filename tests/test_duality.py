@@ -10,6 +10,7 @@ from multiwitt import (
     InvalidTruncation,
     NotAUnit,
     ShapeMismatch,
+    TooLarge,
     TruncatedSeries,
     UnstableTruncation,
     WittElement,
@@ -264,6 +265,19 @@ def test_component_level_reads_g_below_it(n, rng):
         g = random_witt_element(base, n, 7, rng)
         for d in range(1, g.d + 1):
             assert pairing_via_components(f, g, d) == pairing_via_components(f, g.truncate(d), d)
+
+
+def test_one_variable_routes_read_only_the_terms_they_pair():
+    """In one variable the geometric route reads g below m + 1 and the
+    component route below d: neither peels g, which at d = 2 * 10^6 is
+    past the peel's key bound."""
+    f = formal(CoeffRing.make(3, nil=2), {(1,): CoeffRing.make(3, nil=2).eps_raw})
+    g = WittElement.binomial(CoeffRing.make(3), 1, 2 * 10**6, (1,), 1)
+    with pytest.raises(TooLarge):
+        witt.witt_coordinates(g)
+    low = g.truncate(5)
+    assert geometric_pair(f, g, 3) == geometric_pair(f, low, 3) == cartier_pair(f, low, 3)
+    assert pairing_via_components(f, g, 3) == pairing_via_components(f, low, 3) == cartier_pair(f, low, 3)
 
 
 def test_bilinearity(rng):
