@@ -11,8 +11,9 @@ must agree on every configuration small enough to enumerate.  It reads
 the factors off the power ladder: for each prime l dividing |G| the sizes
 |l^k G| come from iterating x -> x^l over the set, and
 |l^k G| / |l^(k+1) G| = l^r counts the cyclic factors of order at least
-l^(k+1).  Witnesses, one generator per factor, are found by a greedy peel
-of largest-order cyclic subgroups, and only when they are read.
+l^(k+1).  Witnesses, one generator per factor and together a basis, are
+found by a greedy peel of largest-order cyclic subgroups, and only when
+they are read.
 
 The one-variable case at truncation m doubles as the unit-group quotient
 (1 + u k[[u]]) / (1 + u^m k[[u]]) attached to the point at infinity on the
@@ -28,19 +29,11 @@ The whole-group enumerations (the brute-force oracle, the census and the
 transition check) bound the group order size^rank by ``errors.check_power``,
 with the rank the exact count of nonzero exponents below d, then run on raw
 coefficient tuples under a dense group law compiled once per (ring, n, d)
-to straight-line code over the ring tables.  The oracle's commutativity
-check and power ladder run as loops compiled from the same law on first
-use, with no call per pair or element.  The exhaustive check (at most
-200 elements, so rank at most 7) walks every y >= x in one loop per
-coordinate: coordinate k of a product reads y_0..y_k alone, and its pair
-products are summed in the loops above, so loop k compares it in three
-table lookups per y_k.  The sampled check computes both orders of each of its
-2,000 pairs inline, on index pairs drawn once per group order, and one
-loop maps a ladder level to its l-th powers.  A coordinate outside the
-ring is NotClosed and a failing pair is named as the loops over op name
-it; the kernels test no coordinate when the add table stays in the ring.
-The loop form of the law, the pairwise and sampled checks and the same
-loops over WittElement and witt_add are the test oracle
+to straight-line code over the ring tables.  The oracle proves the group
+axioms from that law's tables (see ``_DenseLaw.group_identity``) and runs
+its power ladder as a loop compiled from the law on first use.  The loop
+form of the law, the pairwise and sampled commutativity checks and the
+same loops over WittElement and witt_add are the test oracle
 tests/cft_oracle.py.
 Only the witnesses and the element enumeration of ModulusGroupDesc import
 the witt module, so the factors, the oracle and the census run without it.
@@ -49,7 +42,8 @@ the witt module, so the factors, the oracle and the census run without it.
 from __future__ import annotations
 
 import random
-from functools import lru_cache
+from collections import Counter
+from functools import lru_cache, partial
 from itertools import combinations, islice, product
 from math import prod
 
@@ -75,7 +69,8 @@ class AbelianGroupStructure(Record):
 
     ``make_witnesses`` builds the witnesses on the first read of
     ``witnesses``, so a caller that reads only the factors and the order
-    builds none.  Equality and hash ignore it."""
+    builds none.  Equality and hash ignore it, and a pickle carries the
+    built witnesses in its place."""
 
     __slots__ = ("invariant_factors", "order", "make_witnesses", "_witnesses")
     _fields = ("invariant_factors", "order")
@@ -87,7 +82,9 @@ class AbelianGroupStructure(Record):
         )
 
     def __reduce__(self):
-        return AbelianGroupStructure, (self.invariant_factors, self.order, self.make_witnesses)
+        return AbelianGroupStructure, (
+            self.invariant_factors, self.order, partial(tuple, self.witnesses)
+        )
 
     @property
     def witnesses(self) -> tuple:
@@ -167,24 +164,22 @@ def brute_force_structure(elements, op, kernels=None) -> AbelianGroupStructure:
     from iterating x -> x^l over the set until the image stops shrinking;
     |l^k G| / |l^(k+1) G| = l^r says that r cyclic factors have order at
     least l^(k+1).  The primary parts combine into ascending invariant
-    factors, whose product is certified against |G|.  Every product
-    computed must stay in the set, and the idempotent found must act as
-    the identity.  Commutativity is checked on every unordered pair while
-    |G|^2 <= PAIR_CHECK_LIMIT, on the 2,000 pairs of ``_sample_pairs``
-    beyond.  The greedy peel builds one witness per factor, on the first
-    read of ``witnesses`` only.
+    factors, whose product is certified against |G|.  The loops over op
+    check that every product computed stays in the set, that the
+    idempotent found acts as the identity, and commutativity: on every
+    unordered pair while |G|^2 <= PAIR_CHECK_LIMIT, beyond on the 2,000
+    pairs drawn two at a time by random.Random(0).choices(elems, k=4000).
+    The greedy peel builds one witness per factor, together a basis, on
+    the first read of ``witnesses`` only.
 
-    ``kernels``, when given, runs the passes over the set in place of the
-    loops over op, with the same outcome, and NotClosed where a product
-    leaves the set:
+    ``kernels``, when given, is the law whose set ``elements`` enumerates:
 
-    - kernels.commutes(x) raises NotAbelian unless x commutes with every
-      element after it in some total order of the set (exhaustive check);
-    - kernels.commute_pairs(elems, sample) checks the pairs
-      (elems[i], elems[j]) of ``sample`` in order and raises for the first
-      failing one what the loop raises (sampled check);
-    - kernels.powers(level, ell) returns the set of x^ell over x in level,
-      each the product of ell - 1 factors x applied from the right.
+    - kernels.group_identity(count) proves the group axioms from the law
+      and returns the identity, in place of the loops over op, or returns
+      None when the proof does not apply, and the loops run;
+    - kernels.powers(level, ell), after a proof, returns the set of x^ell
+      over x in level, each the product of ell - 1 factors x applied from
+      the right.
     """
     # one element past the limit is enough to refuse
     elems = list(islice(elements, BRUTE_FORCE_LIMIT + 1))
@@ -192,40 +187,9 @@ def brute_force_structure(elements, op, kernels=None) -> AbelianGroupStructure:
     members = set(elems)
     if len(members) != len(elems):
         raise NotClosed("duplicate elements in enumeration")
-
-    identity = None
-    for x in elems:
-        y = op(x, x)
-        if y not in members:
-            raise NotClosed(f"product of {x!r} with itself left the set")
-        if y == x:
-            identity = x
-            break
+    identity = None if kernels is None else kernels.group_identity(len(elems))
     if identity is None:
-        raise NotClosed("no idempotent found, not a finite group")
-    for x in elems:
-        if op(identity, x) != x:
-            raise NotClosed(f"the idempotent {identity!r} moves {x!r}, not a group")
-
-    # commutativity check, exhaustive while affordable, sampled beyond
-    pairs = ()
-    if len(elems) ** 2 > PAIR_CHECK_LIMIT:
-        sample = _sample_pairs(len(elems))
-        if kernels is None:
-            pairs = ((elems[i], elems[j]) for i, j in sample)
-        else:
-            kernels.commute_pairs(elems, sample)
-    elif kernels is None:
-        pairs = combinations(elems, 2)
-    else:
-        for x in elems:
-            kernels.commutes(x)
-    for a, b in pairs:
-        ab = op(a, b)
-        if ab not in members:
-            raise NotClosed(f"product of {a!r} and {b!r} left the set")
-        if ab != op(b, a):
-            raise NotAbelian(f"{a!r} and {b!r} do not commute")
+        kernels, identity = None, _check_group(elems, op, members)
 
     desc = []  # the invariant factors, largest first
     for ell in _prime_factors(len(elems)):
@@ -251,14 +215,35 @@ def brute_force_structure(elements, op, kernels=None) -> AbelianGroupStructure:
     return AbelianGroupStructure(factors, len(elems), lambda: _peel_witnesses(elems, op, identity))
 
 
-@lru_cache(maxsize=32)
-def _sample_pairs(count: int) -> tuple:
-    """The 2,000 index pairs of the sampled commutativity check on a set of
-    ``count`` elements: random.Random(0).choices(range(count), k=4000)
-    taken two at a time, so elems[i], elems[j] are the elements that
-    choices(elems, k=4000) draws."""
-    draws = iter(random.Random(0).choices(range(count), k=4000))
-    return tuple(zip(draws, draws))
+def _check_group(elems: list, op, members: set):
+    """The identity of elems under op, the first idempotent, once it fixes
+    every element and every checked pair commutes inside the set."""
+    identity = None
+    for x in elems:
+        y = op(x, x)
+        if y not in members:
+            raise NotClosed(f"product of {x!r} with itself left the set")
+        if y == x:
+            identity = x
+            break
+    if identity is None:
+        raise NotClosed("no idempotent found, not a finite group")
+    for x in elems:
+        if op(identity, x) != x:
+            raise NotClosed(f"the idempotent {identity!r} moves {x!r}, not a group")
+
+    if len(elems) ** 2 > PAIR_CHECK_LIMIT:
+        draws = iter(random.Random(0).choices(elems, k=4000))
+        pairs = zip(draws, draws)
+    else:
+        pairs = combinations(elems, 2)
+    for a, b in pairs:
+        ab = op(a, b)
+        if ab not in members:
+            raise NotClosed(f"product of {a!r} and {b!r} left the set")
+        if ab != op(b, a):
+            raise NotAbelian(f"{a!r} and {b!r} do not commute")
+    return identity
 
 
 def _powers(level, ell: int, op, members: set) -> set:
@@ -299,11 +284,15 @@ def _exact_log(ell: int, big: int, small: int):
 
 
 def _peel_witnesses(elems: list, op, identity) -> tuple:
-    """One generator per invariant factor, ascending.  The greedy peel splits
-    off a cyclic subgroup of largest order (its generator of least index)
-    and recurses on the quotient by its cosets, each coset named by its
-    element of least index."""
+    """One generator per invariant factor, ascending, together a basis.  The
+    greedy peel splits off a cyclic subgroup of largest order m, generated
+    by h of least index, and recurses on the quotient by its cosets, each
+    coset named by its element of least index.  h^m lies in the span of
+    the earlier witnesses, with exponents divisible by m since m is the
+    largest order left, and h over the m-th root of h^m has order m."""
     index = {x: i for i, x in enumerate(elems)}
+    mul = op  # the group's law; op becomes each quotient's below
+    span = {identity: ()}  # an element of the witnesses' span -> its exponents
 
     def order_of(x):
         k, y = 1, x
@@ -312,20 +301,34 @@ def _peel_witnesses(elems: list, op, identity) -> tuple:
             k += 1
         return k
 
-    witnesses = []
+    witnesses, orders = [], []
     current = elems
     while len(current) > 1:
-        g = max(current, key=lambda x: (order_of(x), -index[x]))
-        witnesses.append(g)
+        h = max(current, key=lambda x: (order_of(x), -index[x]))
+        m = order_of(h)
+        power = h
+        for _ in range(m - 1):
+            power = mul(power, h)
+        root = tuple(-(a // m) % o for a, o in zip(span[power], orders))
+        w = mul(h, next(x for x, a in span.items() if a == root))
+        witnesses.append(w)
+        orders.append(m)
+        grown = {}
+        for x, a in span.items():
+            for c in range(m):
+                grown[x] = a + (c,)
+                x = mul(x, w)
+        span = grown
+
         rep_of, reps = {}, []
         for x in current:
             if x in rep_of:
                 continue
             orbit = [x]
-            y = op(x, g)
+            y = op(x, h)
             while y != x:
                 orbit.append(y)
-                y = op(y, g)
+                y = op(y, h)
             rep = min(orbit, key=index.__getitem__)
             for z in orbit:
                 rep_of[z] = rep
@@ -360,17 +363,13 @@ class _DenseLaw:
     nonzero exponents below d in graded order (``keys`` holds their series
     keys).  The group law is the series product: z_k is the sum of the
     products x_i y_j over the pairs (i, j) with exps[i] + exps[j] =
-    exps[k], then x_k, then y_k.  Both i and j precede k, and ``pairs[k]``
-    lists the pairs by max(i, j), so the pair products of z_k are known
-    once y_0..y_max are.  The inverse solves y_k = -(sum x_i y_j + x_k) in
-    index order.
+    exps[k], then x_k, then y_k.  Both i and j precede k, so the inverse
+    solves y_k = -(sum x_i y_j + x_k) in index order.
 
     ``op`` and ``inv`` are straight-line code built from the pairs alone,
-    one nested table lookup per term; the loop form is in
-    tests/cft_oracle.py.  The oracle's kernels ``commutes``,
-    ``commute_pairs`` and ``powers`` (see brute_force_structure) run the
-    same expressions in one loop each, compiled on first use; their loop
-    forms are the loops of brute_force_structure over op.
+    one nested table lookup per term, and so is the ladder kernel
+    ``powers``, compiled on first use; the loop forms are in
+    tests/cft_oracle.py and brute_force_structure.
     """
 
     def __init__(self, ring: CoeffRing, n: int, d: int):
@@ -386,36 +385,30 @@ class _DenseLaw:
                 k = index.get(ka + kb)
                 if k is not None:
                     self.pairs[k].append((i, j))
-        for ks in self.pairs:
-            ks.sort(key=max)
         self.op, self.inv = _compile_law(self.pairs, ring)
-        self._kernels = {}
+        self._proved = None
+        self._ladder = {}
 
-    def _kernel(self, compile_kernel, *args):
-        """The kernel that compile_kernel(pairs, ring, *args) builds,
-        compiled on the first call for these arguments."""
-        key = (compile_kernel, *args)
-        kernel = self._kernels.get(key)
-        if kernel is None:
-            kernel = self._kernels[key] = compile_kernel(self.pairs, self.ring, *args)
-        return kernel
-
-    def commutes(self, x: tuple) -> None:
-        """Raise NotAbelian unless op(x, y) == op(y, x) for every tuple
-        y >= x in product order, NotClosed when a coordinate of op(x, y)
-        leaves range(size)."""
-        self._kernel(_compile_commutes)(x)
-
-    def commute_pairs(self, elems: list, sample) -> None:
-        """Check op(a, b) == op(b, a) on the pairs a, b = elems[i], elems[j]
-        of ``sample`` in order, raising for the first failing pair what
-        brute_force_structure's loop raises."""
-        self._kernel(_compile_commute_pairs, self.op)(elems, sample)
+    def group_identity(self, count: int):
+        """The zero tuple, once the tables prove the box range(size)^rank,
+        enumerated as ``count`` distinct tuples, a commutative group under
+        op; None when the proof does not apply: to a count other than
+        size^rank, a ring that is not a CoeffRing or an add table that
+        leaves range(size).  The proof runs once per law
+        (``_proves_group``)."""
+        if count != self.ring.size ** len(self.pairs):
+            return None
+        if self._proved is None:
+            self._proved = _proves_group(self.pairs, self.ring)
+        return (0,) * len(self.pairs) if self._proved else None
 
     def powers(self, level, ell: int) -> set:
-        """The set of x^ell over x in level; NotClosed names the first x
-        with a product outside range(size)^rank."""
-        return self._kernel(_compile_powers, ell)(level)
+        """The set of x^ell over x in level, on a law that ``_closed``
+        keeps inside the box."""
+        kernel = self._ladder.get(ell)
+        if kernel is None:
+            kernel = self._ladder[ell] = _compile_powers(self.pairs, self.ring, ell)
+        return kernel(level)
 
     def random(self, rng) -> tuple:
         """An element drawn as random_witt_element draws it, so a seed
@@ -470,21 +463,43 @@ def _unpack(pad: str, pairs: list, c: str, rows: str) -> list:
 def _closed(ring: CoeffRing) -> bool:
     """Whether every entry of the add table lies in range(size).  Each
     coordinate of a product is an entry of that table, so then no product
-    of tuples in range(size)^rank leaves the set, and the kernels leave
-    out the test."""
+    of tuples in range(size)^rank leaves the set."""
     return min(map(min, ring._add)) >= 0 and max(map(max, ring._add)) < ring.size
 
 
-def _fails(z: str, w: str, closed: bool) -> str:
-    """A test that coordinate z differs from w or leaves range(S)."""
-    return f"{z} != {w}" if closed else f"(z := {z}) != {w} or not 0 <= z < S"
+def _proves_group(pairs: list, ring) -> bool:
+    """Whether the law of ``pairs`` over ``ring`` is provably a commutative
+    group on the box range(size)^rank, with the zero tuple its identity;
+    False when the proof does not apply, NotAbelian when it fails.
+
+    Over a CoeffRing, a commutative ring, coordinate k of op(x, y) is x_k
+    + y_k + sum x_i y_j over the pairs (i, j) of pairs[k], so op(x, y) -
+    op(y, x) at k is the sum of (c_ij - c_ji) x_i y_j, with c_ij the count
+    of (i, j) in pairs[k].  It vanishes for all x and y exactly when every
+    c_ij = c_ji modulo p, as x = e_i and y = e_j show, and NotAbelian
+    names the first coordinate k and pair (i, j) where it does not.  Zero
+    is the identity exactly when add[0][a] == a and mul[0][a] == 0 for
+    every a, and ``_closed`` keeps every product in the box."""
+    if not (isinstance(ring, CoeffRing) and _closed(ring)):
+        return False
+    if tuple(ring._add[0]) != tuple(range(ring.size)) or any(ring._mul[0]):
+        return False
+    for k, ks in enumerate(pairs):
+        count = Counter(ks)
+        for (i, j), c in count.items():
+            if (c - count[j, i]) % ring.p:
+                raise NotAbelian(
+                    f"coordinate {k} of the law takes x_{i} y_{j} {c} times and"
+                    f" x_{j} y_{i} {count[j, i]} times, apart modulo {ring.p}"
+                )
+    return True
 
 
-def _compile(ring: CoeffRing, signature: str, body: list, **extra):
+def _compile(ring: CoeffRing, signature: str, body: list):
     """Define ``signature`` over the ring tables: A is the add table (a
-    local reads faster than a global), M the mul table and S the size."""
-    lines = [f"def {signature}:", "    A, M, S = add, mul, size", *body]
-    namespace = {"add": ring._add, "mul": ring._mul, "neg": ring._neg, "size": ring.size, **extra}
+    local reads faster than a global) and M the mul table."""
+    lines = [f"def {signature}:", "    A, M = add, mul", *body]
+    namespace = {"add": ring._add, "mul": ring._mul, "neg": ring._neg}
     exec("\n".join(lines), namespace)
     return namespace[signature.split("(")[0]]
 
@@ -504,112 +519,12 @@ def _compile_law(pairs: list, ring: CoeffRing):
     return _compile(ring, "op(x, y)", op), _compile(ring, "inv(x)", inv)
 
 
-def _compile_commutes(pairs: list, ring: CoeffRing):
-    """``commutes(x)`` for the pairs of a _DenseLaw: one loop over y_k per
-    coordinate, nested in index order, and y_k starts at x_k while y's
-    prefix equals x's, so y runs through the tuples y >= x in the order of
-    ``itertools.product``.  Coordinate k of op(x, y) and of op(y, x) reads
-    y_0..y_k alone, so loop k compares it once per prefix, and a failing
-    prefix completed by zeros is a failing y.  Its pair products read
-    y_0..y_m alone, m the largest index in its pairs: loop m finishes
-    them, adding to sums that earlier loops began, and leaves the rows
-    zr_k = A[A[p_k][x_k]] and wr_k = A[q_k], with p_k and q_k the pair
-    products of op(x, y) and op(y, x).  Loop k then reads z_k = zr_k[y_k]
-    and w_k = C_k[wr_k[y_k]], with C_k = T[x_k] the column x_k of A.
-    Where this runs the rank is at most 7, inside CPython's 20 statically
-    nested blocks."""
-    rank, size, closed = len(pairs), ring.size, _closed(ring)
-    lefts = {i for ks in pairs for i, _ in ks}
-    last = [max(map(max, ks), default=None) for ks in pairs]
-    sums = {}  # c -> the loop whose p_c, q_c hold the pair products so far
-
-    def fail(x, prefix, z):
-        y = prefix + (0,) * (len(x) - len(prefix))
-        if 0 <= z < size:
-            return NotAbelian(f"{x!r} and {y!r} do not commute")
-        return NotClosed(f"product of {x!r} and {y!r} left the set")
-
-    # F is every value of a coordinate and s_k the values from x_k on,
-    # tuples built once, so that no loop calls range
-    body = _unpack("    ", pairs, "x", "m")
-    body += ["    F = R[0]"] + [f"    s{k} = R[x{k}]" for k in range(rank)]
-    body += [f"    C{k} = T[x{k}]" for k in range(rank)]
-    body += [f"    zr{k} = A[x{k}]" for k in range(rank) if not pairs[k]]
-    for k in range(rank):
-        pad = "    " * (k + 1)
-        values = f"s{k} if e{k - 1} else F" if k else "s0"
-        z = f"zr{k}[y{k}]"
-        w = f"C{k}[wr{k}[y{k}]]" if pairs[k] else f"C{k}[y{k}]"
-        body += [
-            f"{pad}for y{k} in {values}:",
-            f"{pad}    if {_fails(z, w, closed)}:",
-            f"{pad}        raise fail(x, ({_names('y', k + 1)}), {z})",
-        ]
-        if k == rank - 1:
-            break
-        pad += "    "
-        if k in lefts:
-            # n_k is the mul table row of y_k, read by op(y, x)
-            body.append(f"{pad}n{k} = M[y{k}]")
-        body.append(f"{pad}e{k} = y{k} == x{k}" + (f" and e{k - 1}" if k else ""))
-        for c in range(k + 1, rank):
-            here = [(i, j) for i, j in pairs[c] if max(i, j) == k]
-            if not here:
-                continue
-            p, q = _products(here, "m", "y"), _products(here, "n", "x")
-            if c in sums:
-                p, q = [f"p{c}_{sums[c]}", *p], [f"q{c}_{sums[c]}", *q]
-            sums[c] = k
-            if last[c] == k:
-                body += [f"{pad}zr{c} = A[A[{_fold(p)}][x{c}]]", f"{pad}wr{c} = A[{_fold(q)}]"]
-            else:
-                body += [f"{pad}p{c}_{k} = {_fold(p)}", f"{pad}q{c}_{k} = {_fold(q)}"]
-    tails = [tuple(range(v, size)) for v in range(size)]
-    transpose = [list(column) for column in zip(*ring._add)]
-    return _compile(ring, "commutes(x)", body, R=tails, T=transpose, fail=fail)
-
-
-def _compile_commute_pairs(pairs: list, ring: CoeffRing, op):
-    """``commute_pairs(elems, sample)`` for the pairs of a _DenseLaw: for
-    each (i, j) of sample, with x, y = elems[i], elems[j], it compares
-    coordinate k of op(x, y) and of op(y, x), by the expressions of op, in
-    index order.  At the first coordinate that differs or leaves
-    range(size) the pair fails, and ``op`` tells the loop's error apart:
-    NotClosed when op(x, y) leaves the set, else NotAbelian."""
-    size, closed = ring.size, _closed(ring)
-
-    def fail(x, y):
-        if all(0 <= z < size for z in op(x, y)):
-            return NotAbelian(f"{x!r} and {y!r} do not commute")
-        return NotClosed(f"product of {x!r} and {y!r} left the set")
-
-    tests = [
-        _fails(_coordinate(k, ks, "x", "y", "m"), _coordinate(k, ks, "y", "x", "n"), closed)
-        for k, ks in enumerate(pairs)
-    ]
-    body = [
-        "    for i, j in sample:",
-        "        x = elems[i]",
-        "        y = elems[j]",
-        *_unpack("        ", pairs, "x", "m"),
-        *_unpack("        ", pairs, "y", "n"),
-        f"        if {' or '.join(tests)}:",
-        "            raise fail(x, y)",
-    ]
-    return _compile(ring, "commute_pairs(elems, sample)", body, fail=fail)
-
-
 def _compile_powers(pairs: list, ring: CoeffRing, ell: int):
     """``powers(level)`` for the pairs of a _DenseLaw: the set of x^ell
     over x in level, each by the ell - 1 products v = op(v, x) from v = x,
     by the expressions of op.  Step s leaves v_s, and r_s holds the mul
-    table rows of its entries.  NotClosed names the first x with a
-    product outside range(size)^rank."""
-    rank, closed = len(pairs), _closed(ring)
-
-    def fail(x):
-        return NotClosed(f"powers of {x!r} left the set")
-
+    table rows of its entries."""
+    rank = len(pairs)
     body = ["    image = set()", "    put = image.add", "    for x in level:"]
     body += _unpack("        ", pairs, "x", "m")
     power, rows = "x", "m"
@@ -619,11 +534,8 @@ def _compile_powers(pairs: list, ring: CoeffRing, ell: int):
         product = [_coordinate(k, ks, power, "x", rows) for k, ks in enumerate(pairs)]
         power, rows = f"v{step}_", f"r{step}_"
         body += [f"        {power}{k} = {z}" for k, z in enumerate(product)]
-        if not closed:
-            outside = " or ".join(f"not 0 <= {power}{k} < S" for k in range(rank))
-            body += [f"        if {outside}:", "            raise fail(x)"]
     body += [f"        put(({_names(power, rank)}))", "    return image"]
-    return _compile(ring, "powers(level)", body, fail=fail)
+    return _compile(ring, "powers(level)", body)
 
 
 @lru_cache(maxsize=32)

@@ -293,12 +293,17 @@ def check_unit_criterion(rng, cases=0):
 
 def check_pi1_oracle(rng, cases=0):
     for n, q, d in ((1, 2, 3), (1, 2, 5), (1, 3, 3), (1, 3, 4), (2, 2, 2), (2, 2, 3), (1, 4, 3)):
+        ring = CoeffRing.make(q)
         f = cft.pi1_truncated(n, q, d)
-        b = cft.witt_group_structure_brute(CoeffRing.make(q), n, d)
+        b = cft.witt_group_structure_brute(ring, n, d)
         assert f.invariant_factors == b.invariant_factors
         assert f.order == b.order == q ** (
             len([e for e in exponents_below(n, d) if sum(e) > 0])
         )
+        # each oracle witness has exactly its factor's order, a power of p
+        one = WittElement.one(ring, n, d)
+        for order, w in zip(b.invariant_factors, b.witnesses):
+            assert w.group_pow(order) == one and w.group_pow(order // ring.p) != one
 
 
 def check_modulus_group(rng, cases=0):

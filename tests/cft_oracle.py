@@ -11,18 +11,20 @@ the same census on the same seed.
 as plain loops over its pairs, the reference for the compiled ``op`` and
 ``inv`` of ``multiwitt.cft._DenseLaw``.
 
-``pairwise_commutes`` is the exhaustive commutativity check as a loop
-over every unordered pair of elements: the reference for the compiled
-kernel ``multiwitt.cft._DenseLaw.commutes``.
-
-``sampled_commutes`` is the sampled commutativity check as a loop over
-the pairs that ``random.Random(0).choices`` draws: the reference for the
-compiled kernel ``multiwitt.cft._DenseLaw.commute_pairs``.
+``pairwise_commutes`` and ``sampled_commutes`` are the commutativity
+checks as loops over op: every unordered pair of elements, or the 2,000
+pairs that ``random.Random(0).choices`` draws.  They are the loops of
+``multiwitt.cft.brute_force_structure`` over an opaque op, and the
+reference for the table proof ``multiwitt.cft._proves_group`` of the
+dense law, which must refuse exactly the laws they refuse.
 
 ``greedy_structure`` recovers the invariant factors by the greedy peel
 over element orders: the reference for the factors of the power ladder
 in ``multiwitt.cft.brute_force_structure`` and for the witnesses that
-function builds on demand.
+function builds on demand.  Each peeled representative h, of order m
+modulo the earlier witnesses, is divided by the m-th root of h^m in
+their span, so the witnesses form a basis: each has exactly its
+factor's order.
 """
 
 from __future__ import annotations
@@ -142,6 +144,9 @@ def greedy_structure(elements, op) -> AbelianGroupStructure:
             k += 1
         return k
 
+    group_op, one = op, identity
+    # the span of the witnesses so far, as exponent vector -> element
+    span = {(): one}
     factors = []
     witnesses = []
     current = elems
@@ -149,8 +154,22 @@ def greedy_structure(elements, op) -> AbelianGroupStructure:
         orders = [(order_of(x), index[x]) for x in current]
         best_order, best_idx = max(orders, key=lambda t: (t[0], -t[1]))
         g = elems[best_idx]
+        # g^m lies in the span: find its exponents there, divide them by
+        # m (the m-th root) and divide g by that root
+        g_m = one
+        for _ in range(best_order):
+            g_m = group_op(g_m, g)
+        exps = next(a for a, x in span.items() if x == g_m)
+        assert all(a % best_order == 0 for a in exps), (exps, best_order)
+        root_inv = tuple((-a // best_order) % f for a, f in zip(exps, factors))
+        w = group_op(g, span[root_inv])
         factors.append(best_order)
-        witnesses.append(g)
+        witnesses.append(w)
+        span = {
+            a + (c,): y
+            for a, x in span.items()
+            for c, y in enumerate(_powers_from(x, w, best_order, group_op))
+        }
         # partition into cosets of <g> by walking g-orbits
         rep_of = {}
         reps = []
@@ -182,6 +201,14 @@ def greedy_structure(elements, op) -> AbelianGroupStructure:
         raise NotAbelian("factor product does not certify the group order")
     witnesses = tuple(reversed(witnesses))
     return AbelianGroupStructure(tuple(reversed(factors)), len(elems), lambda: witnesses)
+
+
+def _powers_from(x, w, count: int, op) -> list:
+    """x, x w, x w^2, ..., x w^(count - 1)."""
+    out = [x]
+    for _ in range(count - 1):
+        out.append(op(out[-1], w))
+    return out
 
 
 def witt_group_structure_brute(ring: CoeffRing, n: int, d: int) -> AbelianGroupStructure:
