@@ -5,23 +5,24 @@ Usage:
     python scripts/kernel_steps.py
 
 For each kernel budgeted by ``errors.WORK_LIMIT`` (the series division
-and product, the binomial product, the coordinate peel and the
-Artin-Hasse product ``pi_epsilon``) it runs one dense input over F_3 in
-one variable of about 10^6 estimated steps, and prints the estimate (the
-largest one checked against the limit while the job runs), the best of 3
-wall times and the nanoseconds per estimated step.  The limit admits
-about WORK_LIMIT times that many nanoseconds of any one kernel.
+and product, the binomial product, the coordinate peel, the Artin-Hasse
+product ``pi_epsilon`` and the geometric pairing's norms) it runs one
+dense input over F_3 in one variable of about 10^6 estimated steps, and
+prints the estimate (the largest one checked against the limit while the
+job runs), the best of 3 wall times and the nanoseconds per estimated
+step.  The limit admits about WORK_LIMIT times that many nanoseconds of
+any one kernel.
 """
 
 import random
 import time
 
-from multiwitt import ptypical, series, witt
+from multiwitt import duality, ptypical, series, witt
 from multiwitt.errors import WORK_LIMIT, check_budget
 from multiwitt.ring import CoeffRing
 
 F3 = CoeffRing.make(3)
-BUDGETED = (series, witt, ptypical)  # the modules that check WORK_LIMIT
+BUDGETED = (series, witt, ptypical, duality)  # the modules that check WORK_LIMIT
 
 
 def dense(d: int, rng, low: int = 0) -> dict:
@@ -41,12 +42,16 @@ def jobs(rng):
     coords = witt.WittCoordinates(F3, 1, 1200, dense(1200, rng, 1))
     peeled = element(1700, rng).series
     family = ptypical.pi_epsilon_inverse(element(500, rng))
+    # f = 1 + .. of degree 4 and g' below m = 124,999: 1,000,088 steps
+    f = {0: 1} | {k: rng.randrange(1, 3) for k in range(1, 5)}
+    g = {k: c for (k,), c in dense(125000, rng).items()}
     return (
         ("division", a.inv),
         ("series product", lambda: b.mul(c)),
         ("binomial product", lambda: witt.from_coordinates(coords)),
         ("coordinate peel", lambda: witt.witt_coordinates(witt.WittElement(peeled))),
         ("Artin-Hasse product", lambda: ptypical.pi_epsilon(family, F3, 500)),
+        ("geometric norm", lambda: duality._geometric_values(F3, f, 4, g, 124999)),
     )
 
 

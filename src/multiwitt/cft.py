@@ -165,14 +165,14 @@ def brute_force_structure(elements, op, kernels=None) -> AbelianGroupStructure:
     |l^k G| / |l^(k+1) G| = l^r says that r cyclic factors have order at
     least l^(k+1).  The primary parts combine into ascending invariant
     factors, whose product is certified against |G|.  The loops over op
-    check that every product computed stays in the set, that the
-    idempotent found acts as the identity, and commutativity: on every
-    unordered pair while |G|^2 <= PAIR_CHECK_LIMIT, beyond on the 2,000
-    pairs drawn two at a time by random.Random(0).choices(elems, k=4000).
-    The greedy peel builds one witness per factor, together a basis, on
-    the first read of ``witnesses`` only.
+    check that no element comes twice, that every product computed stays
+    in the set, that the idempotent found acts as the identity, and
+    commutativity: on every unordered pair while |G|^2 <= PAIR_CHECK_LIMIT,
+    beyond on the 2,000 pairs that random.Random(0).choices(elems, k=4000)
+    draws two at a time.  The greedy peel builds one witness per factor,
+    together a basis, on the first read of ``witnesses`` only.
 
-    ``kernels``, when given, is the law whose set ``elements`` enumerates:
+    ``kernels``, when given, is the law whose set ``elements`` lists once:
 
     - kernels.group_identity(count) proves the group axioms from the law
       and returns the identity, in place of the loops over op, or returns
@@ -184,11 +184,11 @@ def brute_force_structure(elements, op, kernels=None) -> AbelianGroupStructure:
     # one element past the limit is enough to refuse
     elems = list(islice(elements, BRUTE_FORCE_LIMIT + 1))
     check_budget(len(elems), BRUTE_FORCE_LIMIT, "a group of at least {} elements")
-    members = set(elems)
-    if len(members) != len(elems):
-        raise NotClosed("duplicate elements in enumeration")
     identity = None if kernels is None else kernels.group_identity(len(elems))
     if identity is None:
+        members = set(elems)
+        if len(members) != len(elems):
+            raise NotClosed("duplicate elements in enumeration")
         kernels, identity = None, _check_group(elems, op, members)
 
     desc = []  # the invariant factors, largest first

@@ -9,9 +9,9 @@ its base field there are three ways to pair:
     Evaluation is a ring homomorphism, so this is the product of the
     values of the convolution binomials, never the product polynomial;
   * geometric: truncate the second argument to a polynomial g' in the
-    inverse variable, and take the product of f over the zeros of g' with
-    multiplicity, computed as a resultant so nilpotent coefficients and
-    roots in extension fields never need to be touched;
+    inverse variable; the product of f over the zeros of g' with
+    multiplicity is the norm of g' on R[x]/(rev f), a determinant of size
+    deg f, so no root in an extension field is ever touched;
   * through components: split both sides into p-typical vectors, pair the
     vectors slotwise and recombine.  With the plain Artin-Hasse factor
     normalization the slot-j value enters through an inversion and a j-th
@@ -26,10 +26,10 @@ agree in any number of variables, and the test suite enforces it.  The
 algebraic route certifies its level d: going to d + 1 multiplies the
 value by the binomial values of g's coordinates of degree exactly d, and
 unless they multiply to 1 it raises UnstableTruncation; the geometric
-route compares its resultants at m and m + 1.  The component route is
-only cross-checked against the other two, by the tests and the
-``pairing`` benchmark.  The raw encoding embeds the base field in R as
-the identity, so g over the base field is read as is.
+route compares its norms at m and m + 1, which share one reduction of g'.
+The component route is only cross-checked against the other two, by the
+tests and the ``pairing`` benchmark.  The raw encoding embeds the base
+field in R as the identity, so g over the base field is read as is.
 
 Nilpotency bounds every computation: the coordinates of an exact
 polynomial of degree D with nilpotent coefficients vanish beyond degree
@@ -39,11 +39,12 @@ lies in N^ceil(|nu|/D).
 
 from __future__ import annotations
 
-from .errors import InvalidTruncation, NotAUnit, NotNilpotent, ShapeMismatch, UnstableTruncation
+from .errors import WORK_LIMIT, InvalidTruncation, NotAUnit, NotNilpotent, ShapeMismatch
+from .errors import UnstableTruncation, check_budget
 from .ptypical import PWittVector, pi_epsilon_inverse, pwitt_pair
 from .ring import CoeffRing, Record, RingElement
 from .series import TruncatedSeries, exponents_below, unpack_exponent
-from .unipoly import UnivariatePolynomial, resultant
+from .unipoly import _det_chain
 from .witt import (
     WittCoordinates,
     WittElement,
@@ -246,17 +247,18 @@ def cartier_pair(f: FormalWittElement, g: WittElement, d: int | None = None) -> 
 
 
 def geometric_pair(f: FormalWittElement, g: WittElement, m: int) -> RingElement:
-    """Product of f over the zeros of a truncation of g, via resultants.
+    """Product of f over the zeros of a truncation of g, as a norm.
 
     g is read in the inverse variable u = 1/t; its truncation g' to degree
     below m is a polynomial whose zeros in the t-coordinate are the inverse
-    roots, so reversing g' gives a monic polynomial with exactly those
-    roots and Res(reverse(g'), f) multiplies f over them.  Stability is
-    checked against level m + 1, so g must carry at least m + 1 terms.
-    In several variables both sides split into one-variable components,
-    each paired at level m.  The component at nu holds k = ceil(g.d / |nu|)
-    terms of g in s = t^nu; one with k < m + 1 is refused with
-    InvalidTruncation, not paired at a lower level.
+    roots, so Res(rev g', f) multiplies f over them: the norm of g' on
+    R[x]/(rev f), a determinant of size D = deg f (``_geometric_values``).
+    Level m + 1 certifies it from the same reduction, so g must carry m + 1
+    terms; a part estimated past WORK_LIMIT, at 2 (m + D) D + D^3 steps, is
+    refused with TooLarge before any work.  In several variables each part
+    nu both share is paired at level m in s = t^nu, where g carries
+    k = ceil(g.d / |nu|) terms; one with k < m + 1 is refused with
+    InvalidTruncation.
     """
     if m < 1:
         raise InvalidTruncation("truncation level m must be >= 1")
@@ -272,27 +274,37 @@ def geometric_pair(f: FormalWittElement, g: WittElement, m: int) -> RingElement:
             raise InvalidTruncation(
                 f"component at {nu} only carries {k} terms, need m + 1 = {m + 1}"
             )
-        value = _geometric_value(fp.series, gp, m)
-        if value != _geometric_value(fp.series, gp, m + 1):
+        value, next_value = _geometric_values(ring, fp.series.keys, fp.degree, gp.series.keys, m)
+        if value != next_value:
             raise UnstableTruncation("pairing value changed between m and m + 1")
         acc = ring.rmul(acc, value)
     return ring.from_raw(acc)
 
 
-def _geometric_value(f_series: TruncatedSeries, g: WittElement, m: int) -> int:
-    ring = f_series.ring
-    # g' = truncation of g below degree m, as an ascending coefficient list
-    gp = [0] * m
-    for k, c in g.series.keys.items():
-        if k < m:
-            gp[k] = c
-    while gp[-1] == 0:
-        gp.pop()
-    f_coeffs = tuple(f_series.keys.get(k, 0) for k in range(f_series.support_degree() + 1))
-    # both lead with a nonzero coefficient: g's constant 1 and f's top term;
-    # f's part is never constant, so a constant g' gives the value 1
-    reverse = UnivariatePolynomial._make(ring, tuple(reversed(gp)))
-    return resultant(reverse, UnivariatePolynomial._make(ring, f_coeffs)).raw
+def _geometric_values(ring: CoeffRing, f: dict, D: int, g: dict, m: int) -> tuple:
+    """Res(rev g', f) for g' the sum of g[k] x^k over k < m, and over k <= m.
+    f(0) = 1 and deg f <= D make rev f monic of degree D, so each is the norm
+    of g' on R[x]/(rev f): the determinant of the rows h x^i, i < D, for
+    h = g' mod rev f.  Level m + 1 adds g[m] (x^m mod rev f) to level m's h."""
+    what = "the norms at m = {1} modulo degree {2} may make {0} steps"
+    check_budget(D * (2 * (m + D) + D * D), WORK_LIMIT, what, m, D)
+    add, mul = ring._add, ring._mul
+    # x^D = sum low[j] x^j, so p x = (0, *p) + p[-1] low on the first D places
+    low = [ring._neg[f.get(D - j, 0)] for j in range(D)]
+
+    def plus(h, c, p):
+        by = mul[c]
+        return [add[a][by[b]] for a, b in zip(h, p)]
+
+    def norm(h):
+        return _det_chain([h] + [h := plus((0, *h), h[-1], low) for _ in range(D - 1)], ring)
+
+    h, power = [0] * D, [ring.one] + [0] * (D - 1)
+    for k in range(m):
+        h = plus(h, g[k], power) if g.get(k) else h
+        power = plus((0, *power), power[-1], low)
+    value = norm(h)
+    return value, norm(plus(h, g[m], power)) if g.get(m) else value
 
 
 def pairing_via_components(f: FormalWittElement, g: WittElement, d: int | None = None) -> RingElement:

@@ -73,6 +73,9 @@ def check_resultant_vs_roots(rng, cases=25):
             for r in roots:
                 prod = ring.rmul(prod, b.evaluate(ring.from_raw(r)).raw)
             assert res.raw == prod
+            # a is monic, so Res(a, b) is the norm of b on R[x]/(a), a = rev f
+            f, g = dict(enumerate(reversed(a.coeffs))), dict(enumerate(b.coeffs))
+            assert duality._geometric_values(ring, f, a.degree, g, b.degree)[1] == res.raw
             found = unipoly.roots_with_multiplicity(a, 1)
             assert sum(m for _, m in found) == a.degree
 

@@ -3,12 +3,12 @@
 The resultant is the determinant of the Sylvester matrix, by Gaussian
 elimination pivoted on eps-valuation: O(N^3) ring operations for size N.
 R = F_q[eps]/(eps^e) is a chain ring: a nonzero raw element is eps^v * u
-with u a unit, v its count of trailing zero base-q digits.  So a column's
-entry of least valuation divides the others, and clearing the column never
-divides by a zero divisor; the determinant is the signed product of the
-pivots.  ``SYLVESTER_LIMIT`` bounds the size before the matrix is built.
-The test oracles in ``tests/det_oracle.py`` are the Laplace expansion and
-Bird's division-free O(N^4) recurrence, which this elimination replaced.
+with u a unit, v its count of trailing zero base-q digits, so a column's
+entry of least valuation divides the others and clearing it never divides
+by a zero divisor.  ``SYLVESTER_LIMIT`` bounds only ``resultant``, before
+its matrix is built; the geometric pairing's norms call ``_det_chain`` at
+size deg f.  The test oracles in ``tests/det_oracle.py`` are the Laplace
+expansion and Bird's division-free O(N^4) recurrence, which it replaced.
 
 Root finding serves as an independent cross-check for the resultant path.
 Roots are located by exhaustive evaluation over F_(q^s), the same

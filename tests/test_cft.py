@@ -221,6 +221,20 @@ def test_not_closed_detected():
         brute_force_structure([1, 2], lambda a, b: a * b)
 
 
+def test_duplicates_refused_where_the_loops_run(monkeypatch):
+    """The loops over op refuse an element listed twice.  The law's proof
+    path reads only the count, of its own box listed once, and builds no
+    set of members; a list one longer than the box goes to the loops."""
+    with pytest.raises(NotClosed, match="duplicate elements"):
+        brute_force_structure([0, 1, 1, 0], lambda a, b: (a + b) % 2)
+    law = _DenseLaw(CoeffRing.make(2), 1, 4)
+    elems = list(_coefficient_tuples(2, len(law.exps)))
+    with pytest.raises(NotClosed, match="duplicate elements"):
+        brute_force_structure(elems + elems[:1], law.op, law)
+    monkeypatch.setattr(cft, "set", lambda *_: pytest.fail("a member set was built"), raising=False)
+    assert brute_force_structure(elems, law.op, law).invariant_factors == (2, 4)
+
+
 def _table_op(table):
     return lambda a, b: table[a][b]
 

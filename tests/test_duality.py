@@ -1,9 +1,11 @@
+import time
+
 import pytest
 from conftest import RINGS
 from series_oracle import eval_all_ones
 from witt_oracle import cartier_pair_levels, mul_coordinate_families, pair_value_binomial_product
 
-from multiwitt import duality, witt
+from multiwitt import duality, unipoly, witt
 from multiwitt import (
     CoeffRing,
     FormalWittElement,
@@ -189,8 +191,8 @@ def test_route_agreement_long_components(rng):
 
 
 def test_route_agreement_long_components_larger_f(rng):
-    # f of degree 5 and 8 puts the geometric route's Sylvester matrices
-    # well beyond the reach of an exponential determinant
+    # f of degree 5 and 8 against g' of degree up to 20: the geometric
+    # route's norms are determinants of size 5 and 8, not m + deg f
     ring = CoeffRing.make(2, nil=3)
     for degree in (5, 5, 5, 8, 8, 8):
         f = random_formal_element(ring, 1, degree, rng)
@@ -278,6 +280,50 @@ def test_one_variable_routes_read_only_the_terms_they_pair():
     low = g.truncate(5)
     assert geometric_pair(f, g, 3) == geometric_pair(f, low, 3) == cartier_pair(f, low, 3)
     assert pairing_via_components(f, g, 3) == pairing_via_components(f, low, 3) == cartier_pair(f, low, 3)
+
+
+def sylvester_values(ring, f, g, m):
+    """Res(rev g', f) at m and m + 1 by the Sylvester resultant, with g' the
+    terms of g below the level, trimmed of its zero top coefficients."""
+    values = []
+    for level in (m, m + 1):
+        gp = [g.get(k, 0) for k in range(level)]
+        while gp[-1] == 0:
+            gp.pop()
+        rev = unipoly.UnivariatePolynomial(ring, reversed(gp))
+        values.append(unipoly.resultant(rev, unipoly.UnivariatePolynomial(ring, f)).raw)
+    return tuple(values)
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+def test_norms_match_the_sylvester_resultant(name, rng):
+    """The geometric values, norms on R[x]/(rev f), are Res(rev g', f) at
+    m and m + 1: for deg f = D from 1 to 7, m up to 64 and g over the ring
+    and over its field, dense, with zero top coefficients (trimmed from
+    g'), with only g_m past the constant, and the constant g' = 1."""
+    ring = RINGS[name]
+    for D in range(1, 8):
+        for over in (ring, CoeffRing(ring.field, 1)):
+            for m in (1, 2, rng.randrange(3, 24), 64):
+                f = [1] + [ring.random_raw(rng) for _ in range(D - 1)] + [rng.randrange(1, ring.size)]
+                dense = {0: 1} | {k: over.random_raw(rng) for k in range(1, m + 1)}
+                top_zero = {k: c for k, c in dense.items() if k < max(1, m - 3)}
+                for g in (dense, top_zero, {0: 1, m: rng.randrange(1, over.size)}, {0: 1}):
+                    got = duality._geometric_values(ring, dict(enumerate(f)), D, g, m)
+                    assert got == sylvester_values(ring, f, g, m), (D, m, g)
+
+
+def test_geometric_pair_reaches_m_of_ten_thousand():
+    """At deg f = 4 over F_3[eps]/(eps^3) the geometric route pairs at
+    m = 10^4, where the Sylvester size m + 3 was past SYLVESTER_LIMIT (the
+    refusal past WORK_LIMIT is a site of tests/test_errors.py)."""
+    ring, field = CoeffRing.make(3, nil=3), CoeffRing.make(3)
+    eps = ring.eps_raw
+    f = formal(ring, {(1,): eps, (2,): ring.rmul(eps, eps), (4,): eps})
+    g = WittElement.binomial(field, 1, 10**4 + 1, (1,), 1)
+    start = time.perf_counter()
+    assert geometric_pair(f, g, 10**4) == cartier_pair(f, g, 10**4)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_bilinearity(rng):

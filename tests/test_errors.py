@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from multiwitt import cft, cli, ptypical, ring, series, unipoly, witt
+from multiwitt import cft, cli, duality, ptypical, ring, series, unipoly, witt
 from multiwitt.errors import WORK_LIMIT, SchemaError, TooLarge, WittError, check_budget
 from multiwitt.errors import check_power
 
@@ -21,6 +21,7 @@ def refuse(*_args, **_kwargs):
 
 F2 = ring.CoeffRing.make(2)
 F3 = ring.CoeffRing.make(3)
+R22 = ring.CoeffRing.make(2, nil=2)
 # x^12 + x^3 + 1 is irreducible over F_2: only the size stops the field
 X12 = (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1)
 RANK = cft._group_rank(20, 20)
@@ -182,6 +183,17 @@ SITES = {
         ),
         r"Sylvester matrix of size 600, beyond limit 512",
     ),
+    "geometric norm": (
+        {"multiwitt.duality._det_chain": refuse},
+        lambda: duality.geometric_pair(
+            duality.FormalWittElement(
+                series.TruncatedSeries(R22, 1, 2, {(0,): 1, (1,): R22.eps_raw}, exact=True)
+            ),
+            witt.WittElement.binomial(F2, 1, 10**7, (1,), 1),
+            10**7 - 1,
+        ),
+        r"the norms at m = 9999999 modulo degree 1 may make 20000001 steps, beyond limit 10000000",
+    ),
     "Artin-Hasse": (
         {"multiwitt.ptypical.artin_hasse_coefficients": refuse},
         lambda: ptypical.artin_hasse_exp(F2.from_raw(1), 1, 10**8),
@@ -304,6 +316,33 @@ def kernel_products(monkeypatch, kernel, what, job):
     return log
 
 
+def norm_products(monkeypatch, any_ring, job):
+    """Run ``job`` and return [estimate, products] for the geometric norms'
+    estimate: the table products read after it.  The kernel indexes the
+    rows of ``ring._mul`` directly, so each row counts the reads from it."""
+    log, table = [], any_ring._mul
+
+    class CountingRow(list):
+        def __getitem__(self, b):
+            assert log, "the kernel ran before its estimate was checked"
+            log[-1][1] += 1
+            return list.__getitem__(self, b)
+
+    def recording_check(estimate, limit, description, *fields):
+        if limit == WORK_LIMIT:
+            log.append([estimate, 0])
+        check_budget(estimate, limit, description, *fields)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(duality, "check_budget", recording_check)
+        any_ring._set(_mul=[CountingRow(row) for row in table])
+        try:
+            job()
+        finally:
+            any_ring._set(_mul=table)
+    return log
+
+
 def assert_bounds(log, cumulative=False):
     """Each estimate is at least the products after it, or with
     ``cumulative`` (a meter), at least all the products so far."""
@@ -328,9 +367,9 @@ def random_terms(any_ring, n, d, rng, dense, unit_constant=False):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_every_kernel_estimate_bounds_its_table_products(any_ring, n, dense, rng, monkeypatch):
     """The division (through ``/``, ``inv`` and ``pi_epsilon_inverse``),
-    the series product, the binomial product, the peel's meter and
-    ``pi_epsilon``: each estimate is at least the table products its
-    kernel makes, on random inputs, exact and not."""
+    the series product, the binomial product, the peel's meter,
+    ``pi_epsilon`` and the geometric norms: each estimate is at least the
+    table products its kernel makes, on random inputs, exact and not."""
     for _ in range(3):
         d = rng.randrange(2, ORDERS[n] + 1)
 
@@ -371,6 +410,11 @@ def test_every_kernel_estimate_bounds_its_table_products(any_ring, n, dense, rng
             family = ptypical.pi_epsilon_inverse(element())
             job = functools.partial(ptypical.pi_epsilon, family, any_ring, d)
             assert_bounds(kernel_products(monkeypatch, "add_products", "Artin-Hasse", job))
+            D = rng.randrange(1, 8)
+            f = {k: any_ring.random_raw(rng) for k in range(1, D + 1)} | {0: any_ring.one}
+            g = {k: any_ring.random_raw(rng) for k in range(d) if dense or rng.random() < 0.3}
+            job = functools.partial(duality._geometric_values, any_ring, f, D, g, d - 1)
+            assert_bounds(norm_products(monkeypatch, any_ring, job))
 
 
 def test_peel_meter_bounds_long_chains_in_two_variables(monkeypatch):

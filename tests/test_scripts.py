@@ -50,7 +50,7 @@ def test_kernel_steps_times_every_budgeted_kernel():
     header, columns, *rows = proc.stdout.splitlines()
     assert header == "WORK_LIMIT = 10000000 steps" and columns.split()[-1] == "ns/step"
     kernels = ["division", "series product", "binomial product", "coordinate peel",
-               "Artin-Hasse product"]
+               "Artin-Hasse product", "geometric norm"]
     assert [row[:20].strip() for row in rows] == kernels
     for row in rows:
         steps, best, ns = row[20:].split()
