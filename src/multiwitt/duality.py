@@ -13,10 +13,11 @@ its base field there are three ways to pair:
     multiplicity is the norm of g' on R[x]/(rev f), a determinant of size
     deg f, so no root in an extension field is ever touched;
   * through components: split both sides into p-typical vectors, pair the
-    vectors slotwise and recombine.  With the plain Artin-Hasse factor
-    normalization the slot-j value enters through an inversion and a j-th
-    power; the exponent -j below is forced by matching ghost components
-    against the algebraic route.
+    vectors slotwise, by bilinearity through Artin-Hasse values, and
+    recombine.  With the plain Artin-Hasse factor normalization the slot-j
+    value enters through an inversion and a j-th power; the exponent -j
+    below is forced by matching ghost components against the algebraic
+    route.
 
 All three walk one driver: it checks the pair, decomposes each argument
 at most once (a formal element keeps its verified exact coordinates, g its
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 from .errors import WORK_LIMIT, InvalidTruncation, NotAUnit, NotNilpotent, ShapeMismatch
 from .errors import UnstableTruncation, check_budget
-from .ptypical import PWittVector, pi_epsilon_inverse, pwitt_pair
+from .ptypical import ah_value, pi_epsilon_inverse
 from .ring import CoeffRing, Record, RingElement
 from .series import TruncatedSeries, exponents_below, unpack_exponent
 from .unipoly import _det_chain
@@ -310,9 +311,23 @@ def _geometric_values(ring: CoeffRing, f: dict, D: int, g: dict, m: int) -> tupl
 def pairing_via_components(f: FormalWittElement, g: WittElement, d: int | None = None) -> RingElement:
     """Pair through the p-typical decomposition: split both sides of each
     shared part with the factor solver, g's at level ceil(d / |nu|), the
-    terms j |nu| < d of the algebraic route, multiply slotwise, pair each
-    slot and recombine with the slot twist value^(-j).  g's family is
-    solved over g's own ring and its entries read as f's ring's."""
+    terms j |nu| < d of the algebraic route, pair f's slot j against g's
+    by bilinearity (``_slot_value``) and recombine with the slot twist
+    value^(-j).  g's family is solved over g's own ring and its entries
+    read as f's ring's.
+
+    The slot value is E(v*w)(1) for the product in W(R), where
+    ``pwitt_pair`` takes it in W_m, m the longer of the two lengths; on
+    these families the two agree.  The series whose coefficient at t^k
+    lies in N^ceil(k/D), N the nilradical and D the degree of f's part,
+    form a ring that holds f's part and each Artin-Hasse factor E(c, t^k)
+    with c in N^ceil(k/D), and holds the inverse of each of its series with
+    constant term 1; the factor solver divides within it, so f's entries
+    satisfy v_(j,i) in N^ceil(j p^i / D).  The Witt polynomials are
+    isobaric, so entry n of v*w lies in N^ceil(j p^n / D), which is
+    N^nil = 0 once j p^n > D (nil - 1), that is from n = len(v) on: every
+    product term with i + k >= m, and every carry past slot m, lies in
+    N^nil = 0."""
     if d is None:
         d = g.d - 1
     if d < 1 or d > g.d:
@@ -324,12 +339,33 @@ def pairing_via_components(f: FormalWittElement, g: WittElement, d: int | None =
         fam_g = pi_epsilon_inverse(gp.truncate(one_var_order(d, w)))
         for j, vf in fam_f.items():
             vg = fam_g.get(j)
-            if vg is None or all(e == 0 for e in vg.entries) or all(e == 0 for e in vf.entries):
+            if vg is None or not any(vg.entries) or not any(vf.entries):
                 continue
-            m = max(len(vf), len(vg))
-            val = pwitt_pair(vf.pad(m), PWittVector._make(vg.p, vg.entries, ring).pad(m))
-            acc = ring.rmul(acc, ring.rpow(val.raw, -j))
+            value = _slot_value(ring, vf.entries, vg.entries)
+            if value != ring.one:
+                acc = ring.rmul(acc, ring.rpow(value, -j))
     return ring.from_raw(acc)
+
+
+def _slot_value(ring: CoeffRing, v: tuple, w: tuple) -> int:
+    """E(v*w)(1) for p-typical entries v, all nilpotent, and w, by
+    bilinearity.  v = sum_i V^i[v_i], V^i[a] V^k[b] = V^(i+k)[a^(p^k) b^(p^i)]
+    and the Artin-Hasse map W(R) -> Lambda(R) is additive, so the value is
+    the product of AH(v_i^(p^k) w_k^(p^i)) over every i and k: a Frobenius
+    table read, one product and one Artin-Hasse value each, and the k-loop
+    of v_i stops once v_i^(p^k) = 0.  No Witt product is formed."""
+    frob, mul = ring._frob, ring._mul
+    acc, wp = ring.one, list(w)  # wp[k] = w_k^(p^i) in the pass of v_i
+    for x in v:
+        for c in wp:
+            if not x:
+                break
+            y = mul[x][c]
+            if y:
+                acc = mul[acc][ah_value(ring, y)]
+            x = frob[x]
+        wp = [frob[c] for c in wp]
+    return acc
 
 
 def pairing_matrix(fs, gs, d: int | None = None):

@@ -9,13 +9,20 @@ refused, or fail.
 
 The kernels that multiply and divide series, and the geometric norms,
 share one budget of ``WORK_LIMIT`` kernel steps: a step is one ring table
-product and one update, and each kernel's estimate bounds its products.  On
-dense F_3 input a step takes 70-240 ns (2-vCPU Xeon, Python 3.11;
-``scripts/kernel_steps.py`` measures it again), so the limit admits
-0.7-2.4 s of any one kernel.  Every other bound caps a size, not steps.
+product and one update, and each kernel's estimate bounds its products.  A
+step does not cost the same in every kernel (see the spread below), and the
+budget does not weight them, so the limit admits about 0.8 s of a division
+and up to about 1.7 s of the geometric norms.  Every other bound caps a
+size, not steps.
 """
 
-# steps of one division, series, binomial or Artin-Hasse product, peel or norm
+# steps of one division, series, binomial or Artin-Hasse product, peel or
+# norm.  ``scripts/kernel_steps.py`` on dense F_3 input, nanoseconds per step
+# as the median of five runs (best of 3 each, one core of a shared 2-vCPU
+# x86-64 VM, Python 3.11.7): division 76, Artin-Hasse product 81, binomial
+# product 108, series product 130, coordinate peel 156 and geometric norm
+# 172, a spread of about 2.3 times from the cheapest step to the dearest.
+# A single run read up to 1.6 times its median.
 WORK_LIMIT = 10**7
 
 

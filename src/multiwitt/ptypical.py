@@ -31,7 +31,8 @@ elements met are kept per (ring, m), so ghosts cost additions only.
 
 The Artin-Hasse series AH(s) = exp(sum_i s^(p^i)/p^i) has p-integral
 coefficients a_n, built from s AH'(s) = AH(s) sum_i s^(p^i), that is
-n a_n = sum_{p^i <= n} a_{n - p^i}.  E(x, t^j) denotes AH(x t^j).
+n a_n = sum_{p^i <= n} a_{n - p^i}; reduced into F_p, they are kept in one
+table per p, extended on demand.  E(x, t^j) denotes AH(x t^j).
 Multiplying factors E(v_i, t^(j p^i)) over i embeds a vector into the
 one-variable truncated group, and doing so over all j coprime to p is a
 bijection onto it; the inverse solves one entry per exponent in
@@ -340,13 +341,21 @@ def artin_hasse_coefficients(p: int, count: int) -> tuple:
     return tuple(out[:count])
 
 
-def _reduce_fraction(ring: CoeffRing, c: Fraction) -> int:
-    p = ring.p
-    if c.denominator % p == 0:
-        raise NonIntegral(f"{c} is not {p}-integral")
-    num = ring.rint(c.numerator)
-    den = ring.rint(c.denominator)
-    return ring.rmul(num, ring.rinv(den))
+_AH_RESIDUES = {}  # p -> the coefficients reduced into F_p, extended on demand
+
+
+def _ah_residues(p: int, count: int) -> list:
+    """The table of at least ``count`` coefficients of AH(s) reduced mod p,
+    as raws: an element of F_p has the same raw in every ring of
+    characteristic p, so one table serves them all.  Where it must grow it
+    is read off ``artin_hasse_coefficients``, with its checks, before the
+    table is touched."""
+    out = _AH_RESIDUES.get(p, ())
+    if count > len(out):
+        coeffs = artin_hasse_coefficients(p, count)
+        out = _AH_RESIDUES.setdefault(p, [])
+        out.extend(c.numerator * pow(c.denominator, -1, p) % p for c in coeffs[len(out):])
+    return out
 
 
 def artin_hasse_exp(x: RingElement, j: int, d: int) -> WittElement:
@@ -362,12 +371,14 @@ def _ah_keys(ring: CoeffRing, x_raw: int, j: int, d: int) -> dict:
     kmax = (d - 1) // j
     need = "E(x, t^{1}) at d = {2} needs {0} Artin-Hasse coefficients"
     check_budget(kmax + 1, AH_COEFFICIENT_LIMIT, need, j, d)
-    coeffs = artin_hasse_coefficients(ring.p, kmax + 1)
+    coeffs = _ah_residues(ring.p, kmax + 1)
     terms = {0: ring.one}
-    xp = ring.one
+    mul, xp = ring._mul, ring.one
     for k in range(1, kmax + 1):
-        xp = ring.rmul(xp, x_raw)
-        c = ring.rmul(_reduce_fraction(ring, coeffs[k]), xp)
+        xp = mul[xp][x_raw]
+        if not xp:
+            break
+        c = mul[coeffs[k]][xp]
         if c:
             terms[j * k] = c
     return terms
@@ -378,13 +389,12 @@ def ah_value(ring: CoeffRing, x_raw: int) -> int:
     if not ring.is_nilpotent_raw(x_raw):
         raise NotNilpotent("Artin-Hasse evaluation at 1 needs a nilpotent argument")
     # x^k = 0 from k = nil on, so the coefficients a_k with k < nil suffice
-    coeffs = artin_hasse_coefficients(ring.p, ring.nil)
-    acc = ring.one
-    xp = x_raw
-    k = 1
-    while xp != 0:
-        acc = ring.radd(acc, ring.rmul(_reduce_fraction(ring, coeffs[k]), xp))
-        xp = ring.rmul(xp, x_raw)
+    coeffs = _ah_residues(ring.p, ring.nil)
+    add, mul = ring._add, ring._mul
+    acc, xp, k = ring.one, x_raw, 1
+    while xp:
+        acc = add[acc][mul[coeffs[k]][xp]]
+        xp = mul[xp][x_raw]
         k += 1
     return acc
 
@@ -462,7 +472,16 @@ def pi_epsilon_inverse(a: WittElement) -> dict:
 
 
 def pwitt_pair(v: PWittVector, w: PWittVector) -> RingElement:
-    """E(v*w, 1); needs nilpotent entries on the left so the sum is finite."""
+    """E(v*w, 1) for the product v*w in W_m, m = len(v): the product of
+    AH(u_n) over its entries u_n.  It needs nilpotent entries on the left,
+    so each sum is finite.
+
+    The truncation drops the part of the product in V^m W, so this can
+    differ from the product in W(R) that the component route takes by
+    bilinearity (``duality._slot_value``): over F_2[eps]/(eps^3),
+    v = (0, eps) and w = (0, 1) pair to 1 here, while in W(R)
+    V[eps] V[1] = V^2[eps^2] and the value is AH(eps^2) = 1 + eps^2, as it
+    is here at length 3.  The two agree on the route's families."""
     if v.rational or w.rational:
         raise ShapeMismatch("pairing needs ring-mode vectors")
     if not v.is_nilpotent():

@@ -271,6 +271,25 @@ def check_pairing_bilinear(rng, cases=40):
         assert lhs == duality.cartier_pair(f1, g1) * duality.cartier_pair(f1, g2)
 
 
+def check_slot_bilinear(rng, cases=8):
+    # the component route's slot value by bilinearity against pwitt_pair,
+    # the ghost-lift product in W_m, on the families of random f and g
+    for q, e, n in ((2, 2, 1), (2, 3, 1), (3, 2, 1), (3, 3, 1), (4, 2, 1), (3, 2, 2)):
+        ring = CoeffRing.make(q, nil=e)
+        for _ in range(cases):
+            f = duality.random_formal_element(ring, n, 3 // n + 1, rng)
+            g = random_witt_element(rng.choice((ring, CoeffRing.make(q))), n, 7, rng)
+            for _, _, fp, gp in duality._shared_parts(f, g, elements=True):
+                fp = WittElement(fp.series.extend(fp.coordinate_bound()))
+                fam_f, fam_g = ptypical.pi_epsilon_inverse(fp), ptypical.pi_epsilon_inverse(gp)
+                for j, v in fam_f.items():
+                    if j in fam_g:
+                        w = ptypical.PWittVector._make(ring.p, fam_g[j].entries, ring)
+                        m = max(len(v), len(w))
+                        want = ptypical.pwitt_pair(v.pad(m), w.pad(m)).raw
+                        assert duality._slot_value(ring, v.entries, w.entries) == want
+
+
 def check_unit_criterion(rng, cases=0):
     ring = CoeffRing.make(2, nil=2)
     for d in range(1, 3):
@@ -351,6 +370,7 @@ SUITES = {
     "duality": [
         ("pairing_routes", check_pairing_routes),
         ("pairing_bilinear", check_pairing_bilinear),
+        ("slot_bilinear", check_slot_bilinear),
         ("unit_criterion", check_unit_criterion),
     ],
     "cft": [

@@ -16,6 +16,10 @@ former factor maps of ``multiwitt.ptypical``: each builds one series per
 Artin-Hasse factor with ``artin_hasse_exp`` and multiplies it in by
 ``TruncatedSeries.mul``, or divides it out by ``/``, where the library
 works on one key dict in place.
+
+``reduce_fraction`` is the former per-call reduction of an Artin-Hasse
+coefficient into a ring, through the ring's own operations, where the
+library reads one table of residues per p.
 """
 
 from __future__ import annotations
@@ -287,3 +291,11 @@ def pi_epsilon_inverse_per_factor(a: WittElement) -> dict:
     if running.support_degree():
         raise NonIntegral("factor peeling left a nonunit remainder")
     return {j: PWittVector(p, e, ring) for j, e in entries.items()}
+
+
+def reduce_fraction(ring, c: Fraction) -> int:
+    """The raw of the p-integral rational c in ring: numerator times the
+    inverse of the denominator, each the image of an integer."""
+    if c.denominator % ring.p == 0:
+        raise NonIntegral(f"{c} is not {ring.p}-integral")
+    return ring.rmul(ring.rint(c.numerator), ring.rinv(ring.rint(c.denominator)))

@@ -26,8 +26,9 @@ from multiwitt import (
     witt_add,
 )
 from multiwitt.duality import random_formal_element
+from multiwitt.ptypical import PWittVector, component_lengths, pi_epsilon_inverse, pwitt_pair
 from multiwitt.series import exponents_below
-from multiwitt.witt import enumerate_witt_elements, random_witt_element
+from multiwitt.witt import enumerate_witt_elements, one_var_order, random_witt_element
 
 R22 = CoeffRing.make(2, nil=2)
 R23 = CoeffRing.make(2, nil=3)
@@ -576,3 +577,63 @@ def test_formal_elements_over_different_rings_differ():
     # the truncation order is still ignored
     at_5 = FormalWittElement(TruncatedSeries(R32, 1, 5, {(0,): 1, (1,): 3}, exact=True))
     assert at_5 == f2 and hash(at_5) == hash(f2)
+
+
+NILPOTENT_RINGS = sorted(name for name in RINGS if RINGS[name].nil >= 2)
+
+
+def route_slot_pairs(f, g, d):
+    """The slot pairs of the component route at level d: (j, v, w) with
+    f's entries v and g's w read in f's ring, for every part both share."""
+    for _, w, fp, gp in duality._shared_parts(f, g, elements=True):
+        fam_f = pi_epsilon_inverse(WittElement(fp.series.extend(fp.coordinate_bound())))
+        fam_g = pi_epsilon_inverse(gp.truncate(one_var_order(d, w)))
+        for j, vf in fam_f.items():
+            if j in fam_g:
+                yield j, vf, PWittVector._make(vf.p, fam_g[j].entries, f.ring)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("name", NILPOTENT_RINGS)
+def test_slot_value_matches_the_truncated_product_on_route_families(name, n, rng):
+    """The slot value by bilinearity against ``pwitt_pair`` of the two
+    vectors padded to the longer length, the W_m product the route used
+    to take, and the route's value against the product of those slots
+    twisted by -j: at every level 1..g.d, with g over the field and over
+    the ring."""
+    ring = RINGS[name]
+    for over in (ring, CoeffRing(ring.field, 1)):
+        for _ in range(3):
+            f = random_formal_element(ring, n, 3 if n == 1 else 2, rng)
+            g = random_witt_element(over, n, rng.randrange(2, (10, 8, 6)[n - 1]), rng)
+            for d in range(1, g.d + 1):
+                want = ring.one
+                for j, v, w in route_slot_pairs(f, g, d):
+                    m = max(len(v), len(w))
+                    value = pwitt_pair(v.pad(m), w.pad(m)).raw
+                    assert duality._slot_value(ring, v.entries, w.entries) == value, (v, w)
+                    want = ring.rmul(want, ring.rpow(value, -j))
+                assert pairing_via_components(f, g, d).raw == want, (f, g, d)
+
+
+@pytest.mark.parametrize("name", NILPOTENT_RINGS)
+def test_f_family_entries_lie_in_the_weight_filtration(name, rng):
+    """v_(j,i) in N^ceil(j p^i / D) for the family of each part of f, D
+    the part's degree: the lemma on which the component route's
+    truncation argument rests.  N^k holds the raws divisible by q^k, and
+    only 0 once k >= nil, so the family is 0 from j p^i > D (nil - 1) on,
+    and no entry is 0 only because it is past the family's length."""
+    ring = RINGS[name]
+    p, q = ring.p, ring.q
+    for n in (1, 2):
+        for _ in range(12):
+            f = random_formal_element(ring, n, rng.randrange(1, 7 if n == 1 else 3), rng)
+            g = WittElement(TruncatedSeries(ring, n, 12, {e: 1 for e in exponents_below(n, 12)}))
+            for _, _, fp, _ in duality._shared_parts(f, g, elements=True):
+                D = fp.degree
+                bound = fp.coordinate_bound()
+                family = pi_epsilon_inverse(WittElement(fp.series.extend(bound)))
+                assert {j: len(v) for j, v in family.items()} == component_lengths(p, bound)
+                for j, v in family.items():
+                    for i, entry in enumerate(v.entries):
+                        assert entry % q ** -(-j * p**i // D) == 0, (fp, j, i, entry)

@@ -36,6 +36,7 @@ from law_oracle import (
     lift_op,
     pi_epsilon_inverse_per_factor,
     pi_epsilon_per_factor,
+    reduce_fraction,
 )
 
 
@@ -318,6 +319,72 @@ def test_artin_hasse_coefficients_check_only_a_table_they_start_or_extend(monkey
     monkeypatch.setattr(ptypical, "_is_prime", refuse)
     monkeypatch.setattr(ptypical, "check_budget", refuse)
     assert [artin_hasse_coefficients(3, count) for count in (7, 0, 3)] == [want, (), want[:3]]
+
+
+def test_artin_hasse_residues_match_the_reduced_coefficients(any_ring):
+    """The one table per p serves every ring of characteristic p: it is
+    the coefficients reduced through the ring's own operations."""
+    p = any_ring.p
+    got = ptypical._ah_residues(p, 300)
+    assert len(got) >= 300
+    assert got[:300] == [reduce_fraction(any_ring, c) for c in artin_hasse_coefficients(p, 300)]
+
+
+def test_artin_hasse_residues_read_a_shorter_prefix_without_extending(monkeypatch):
+    monkeypatch.setattr(ptypical, "_AH_RESIDUES", {})
+    table = ptypical._ah_residues(3, 40)
+    assert len(table) == 40
+
+    def refuse(*_):
+        raise AssertionError("a prefix the table holds was extended")
+
+    monkeypatch.setattr(ptypical, "artin_hasse_coefficients", refuse)
+    for count in (0, 7, 40):
+        assert ptypical._ah_residues(3, count) is table and len(table) == 40
+    assert ptypical._AH_RESIDUES == {3: table}
+
+
+def test_artin_hasse_residues_refuse_before_the_table_is_touched(monkeypatch):
+    """TooLarge past AH_COEFFICIENT_LIMIT, and NonIntegral from a
+    coefficient table that is not p-integral, fire from
+    ``artin_hasse_coefficients`` before a residue is stored: on no table,
+    and on a table that holds a shorter prefix."""
+    monkeypatch.setattr(ptypical, "_AH_RESIDUES", {})
+    with pytest.raises(TooLarge, match="^2000 Artin-Hasse coefficients for p = 2, beyond limit 1000$"):
+        ptypical._ah_residues(2, 2000)
+    assert ptypical._AH_RESIDUES == {}
+    table = ptypical._ah_residues(2, 5)
+    with pytest.raises(TooLarge):
+        ptypical._ah_residues(2, 1001)
+    assert ptypical._AH_RESIDUES == {2: table} and len(table) == 5
+    # a_2 = (a_1 + a_0) / 2 = 3/4 from a corrupted a_1 = 1/2
+    monkeypatch.setitem(ptypical._AH_COEFFICIENTS, 5, [Fraction(1), Fraction(1, 5)])
+    monkeypatch.setitem(ptypical._AH_COEFFICIENTS, 2, [Fraction(1), Fraction(1, 2)])
+    for p in (5, 2):
+        with pytest.raises(NonIntegral, match="not .*-integral"):
+            ptypical._ah_residues(p, 8)
+    assert ptypical._AH_RESIDUES == {2: table} and len(table) == 5
+
+
+def test_artin_hasse_factor_stops_at_a_zero_power(monkeypatch):
+    """E(x, t^j) of a nilpotent x has its terms below x^nil = 0 only, and
+    forms no power past the first zero one."""
+    ring = RINGS["F3e3"]
+    products = []
+
+    class CountingRow(tuple):
+        def __getitem__(self, b):
+            products.append(b)
+            return tuple.__getitem__(self, b)
+
+    table = ring._mul
+    want = ptypical._ah_keys(ring, ring.eps_raw, 1, 900)
+    ring._set(_mul=tuple(CountingRow(row) for row in table))
+    try:
+        assert ptypical._ah_keys(ring, ring.eps_raw, 1, 900) == want
+    finally:
+        ring._set(_mul=table)
+    assert sorted(want) == [0, 1, 2] and len(products) <= 2 * ring.nil
 
 
 def test_pairing_example_and_bilinearity(rng):
