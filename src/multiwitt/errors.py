@@ -17,12 +17,13 @@ size, not steps.
 """
 
 # steps of one division, series, binomial or Artin-Hasse product, peel or
-# norm.  ``scripts/kernel_steps.py`` on dense F_3 input, nanoseconds per step
-# as the median of five runs (best of 3 each, one core of a shared 2-vCPU
-# x86-64 VM, Python 3.11.7): division 76, Artin-Hasse product 81, binomial
-# product 108, series product 130, coordinate peel 156 and geometric norm
-# 172, a spread of about 2.3 times from the cheapest step to the dearest.
-# A single run read up to 1.6 times its median.
+# norm.  ``scripts/kernel_steps.py`` on dense F_3 input, ns per step as the
+# median of five runs (best of 3 each, one core of a shared 2-vCPU x86-64
+# VM, Python 3.11.7, in a slow period: the series product and norms read
+# 130 and 172 in an earlier set): division 74, Artin-Hasse peel 125 and
+# product 126, binomial product 197, coordinate peel 222, series product 240
+# and geometric norm 285, a spread of 3.9 times; one run read up to 1.6
+# times its median.
 WORK_LIMIT = 10**7
 
 

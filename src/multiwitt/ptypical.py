@@ -36,7 +36,10 @@ table per p, extended on demand.  E(x, t^j) denotes AH(x t^j).
 Multiplying factors E(v_i, t^(j p^i)) over i embeds a vector into the
 one-variable truncated group, and doing so over all j coprime to p is a
 bijection onto it; the inverse solves one entry per exponent in
-ascending order.  Pairing a nilpotent vector v against w evaluates E at
+ascending order, on the driver of the coordinate peel (``series.peel_keys``):
+E(c, t^k) pushes -a_m c^m to k m, read off the table up to c^m = 0, and
+a factor of a nilpotent c counts only the coefficients it reads.
+Pairing a nilpotent vector v against w evaluates E at
 t = 1 on the product v*w, which is a finite sum by nilpotency.
 """
 
@@ -48,8 +51,8 @@ from functools import lru_cache
 from .errors import WORK_LIMIT, NonIntegral, NotNilpotent, SchemaError, ShapeMismatch
 from .errors import check_budget
 from .ring import CoeffRing, Record, RingElement, _is_prime
-from .series import TruncatedSeries, add_products, check_division, check_shape, divide_keys
-from .witt import WittElement
+from .series import TruncatedSeries, add_products, check_shape, peel_keys
+from .witt import FAMILY_LIMIT, WittElement
 
 
 class GhostVector(Record):
@@ -363,25 +366,25 @@ def artin_hasse_exp(x: RingElement, j: int, d: int) -> WittElement:
     if j < 1:
         raise SchemaError("exponent j must be >= 1")
     check_shape(1, d)
-    return WittElement(TruncatedSeries._make(x.ring, 1, d, _ah_keys(x.ring, x.raw, j, d), False))
+    keys = dict([(0, x.ring.one), *_ah_terms(x.ring, x.raw, j, d)])
+    return WittElement(TruncatedSeries._make(x.ring, 1, d, keys, False))
 
 
-def _ah_keys(ring: CoeffRing, x_raw: int, j: int, d: int) -> dict:
-    """The terms of E(x, t^j) below d, keyed by degree, the constant 1 first."""
+def _ah_terms(ring: CoeffRing, x_raw: int, j: int, d: int) -> list:
+    """The terms (j k, a_k x^k), 0 < j k < d, of E(x, t^j), up to the first
+    x^k = 0.  The coefficients are counted before any is read: (d - 1) // j
+    + 1 for a unit x, and for a nilpotent x those below its first zero
+    power only, at most its nilpotency order."""
     kmax = (d - 1) // j
-    need = "E(x, t^{1}) at d = {2} needs {0} Artin-Hasse coefficients"
-    check_budget(kmax + 1, AH_COEFFICIENT_LIMIT, need, j, d)
-    coeffs = _ah_residues(ring.p, kmax + 1)
-    terms = {0: ring.one}
-    mul, xp = ring._mul, ring.one
-    for k in range(1, kmax + 1):
+    if ring.is_unit_raw(x_raw):
+        need = "E(x, t^{1}) at d = {2} needs {0} Artin-Hasse coefficients"
+        check_budget(kmax + 1, AH_COEFFICIENT_LIMIT, need, j, d)
+    mul, powers, xp = ring._mul, [], x_raw
+    while xp and len(powers) < kmax:
+        powers.append(xp)
         xp = mul[xp][x_raw]
-        if not xp:
-            break
-        c = mul[coeffs[k]][xp]
-        if c:
-            terms[j * k] = c
-    return terms
+    coeffs = _ah_residues(ring.p, len(powers) + 1)
+    return [(j * k, c) for k, xp in enumerate(powers, 1) if (c := mul[coeffs[k]][xp])]
 
 
 def ah_value(ring: CoeffRing, x_raw: int) -> int:
@@ -437,37 +440,35 @@ def pi_epsilon(family: dict, ring: CoeffRing, d: int) -> WittElement:
     for k, entry in factors:
         # acc * E = acc + acc * (E - 1); the product is never flagged exact,
         # so no product past d is looked at
-        rest = _ah_keys(ring, entry, k, d)
-        del rest[0]
-        add_products(ring, d, acc, list(acc.items()), rest.items(), lost=True)
+        add_products(ring, d, acc, list(acc.items()), _ah_terms(ring, entry, k, d), lost=True)
     return WittElement(TruncatedSeries._make(ring, 1, d, acc, False))
 
 
 def pi_epsilon_inverse(a: WittElement) -> dict:
-    """Solve for the family; the coefficient at t^(j p^i) is the next unknown,
-    and dividing one dict in place by its factor E(v, t^(j p^i)) through
-    ``series.divide_keys``, each division bounded by ``check_division``,
-    exposes the one after."""
+    """Solve for the family through ``series.peel_keys``: the coefficient c
+    at the lowest key k = j p^i is the next unknown v_(j,i), and the
+    factor E(c, t^k) pushes -a_m c^m to the key k m above each key, so
+    dividing one dict in place by each factor exposes the one after.  A
+    family with more than ``witt.FAMILY_LIMIT`` components is refused
+    before any is built."""
     if a.n != 1:
         raise ShapeMismatch("component solving works in one variable")
     ring, d = a.ring, a.d
-    p = ring.p
+    p, neg = ring.p, ring._neg
+    what = "at d = {1} a p-typical family for p = {2} has {0} components"
+    check_budget(d - 1 - (d - 1) // p, FAMILY_LIMIT, what, d, p)
+    rem = {k: c for k, c in a.series.keys.items() if k}
+    meter = "the Artin-Hasse peel at n = {1}, d = {2} reaches {0} steps"
+    peeled = peel_keys(
+        ring, 1, d, rem, lambda k, c: [(key, neg[v]) for key, v in _ah_terms(ring, c, k, d)], meter
+    )
     entries = {j: [0] * m for j, m in component_lengths(p, d).items()}
-    running = dict(a.series.keys)
-    for k in range(1, d):
-        c = running.get(k)
-        if c is None:
-            continue
-        j, i = k, 0
+    for j, c in peeled.items():
+        i = 0
         while j % p == 0:
             j //= p
             i += 1
         entries[j][i] = c
-        factor = _ah_keys(ring, c, k, d)
-        check_division(1, d, len(factor) - 1, len(factor), len(running))
-        divide_keys(ring, 1, d, running, factor)
-    if max(running):
-        raise NonIntegral("factor peeling left a nonunit remainder")
     return {j: PWittVector._make(p, tuple(e), ring) for j, e in entries.items()}
 
 

@@ -26,10 +26,11 @@ divides a dict in place by a divisor with unit constant term, as a forward
 recurrence over the keys in graded order whose cost is the quotient's
 size times the divisor's support.  It walks a binomial along chains of
 keys and any other divisor from a heap, so no key the remainder does not
-hold is visited.  ``inv`` is the kernel with numerator 1, the series
-quotient ``a / b`` is the kernel itself, ``witt_coordinates`` divides by
-each binomial (1 - r t^nu) through it, and the p-typical factor solver
-divides one dict by each Artin-Hasse factor.  A quotient is exact when
+hold is visited.  ``inv`` is the kernel with numerator 1 and the series
+quotient ``a / b`` the kernel itself.  Both peels run on one driver,
+``peel_keys``, which calls the two walks directly: ``witt_coordinates``
+divides one dict by each binomial (1 - r t^nu), and the p-typical factor
+solver divides one dict by each Artin-Hasse factor.  A quotient is exact when
 both inputs are and no nonzero push fell at or past degree d: then
 q * b = a holds with nothing truncated.
 
@@ -79,7 +80,9 @@ def check_division(n: int, d: int, generators: int, den_terms: int, num_terms: i
     read key to the other divisor terms and scaling the quotient once make
     at most (K + 1) * ``den_terms`` table products.  (n, d) is the shape
     of a series a checked constructor built, so it is not checked again."""
-    keys = min(exponent_count(n, d), num_terms * exponent_count(generators, d))
+    # exponent_count grows with its first argument, so past n generators
+    # the first term is the least, and no larger binomial is formed
+    keys = min(exponent_count(n, d), num_terms * exponent_count(min(generators, n), d))
     what = "at n = {1}, d = {2} a division by {3} divisor terms may make {0} steps"
     check_budget((keys + 1) * den_terms, WORK_LIMIT, what, n, d, den_terms)
     what = "at n = {1}, d = {2} a quotient may hold {0} keys"
@@ -187,8 +190,9 @@ def _divide_heap(
     from, so a key popped in ascending order has its final remainder.  A
     key whose remainder cancels keeps the value 0 until the walk ends, so a
     later push to it finds it held and it stays in the heap once: each key
-    is read once, and a 0 is skipped."""
-    rmul, radd, get = ring.rmul, ring.radd, rem.get
+    is read once, and a 0 is skipped.  ``pushes`` are in ascending key
+    order, so without ``track`` a key's pushes end at the first past d."""
+    mul, add, get = ring._mul, ring._add, rem.get
     heap = [e for e in rem if e < stop]
     heapify(heap)
     dropped = False
@@ -197,13 +201,16 @@ def _divide_heap(
         c = rem[e]
         if not c:
             continue
+        row = mul[c]
         for j, b in pushes:
             t = e + j
             if t >= limit:
-                if track and not dropped and rmul(c, b):
+                if not track:
+                    break
+                if not dropped and row[b]:
                     dropped = True
                 continue
-            p = rmul(c, b)
+            p = row[b]
             if not p:
                 continue
             cur = get(t)
@@ -212,7 +219,7 @@ def _divide_heap(
                 if t < stop:
                     heappush(heap, t)
             else:
-                rem[t] = radd(cur, p)
+                rem[t] = add[cur][p]
     for e in [e for e, c in rem.items() if not c]:
         del rem[e]
     return dropped
@@ -230,10 +237,10 @@ def _divide_one_push(
     push that vanishes, at a key whose remainder cancels, or past the last
     key that can push below d; a key an earlier chain walked on is
     skipped, and no degree that holds no key is walked."""
-    rmul, radd = ring.rmul, ring.radd
     ((k, b),) = pushes
+    row, add = ring._mul[b], ring._add  # c times b is row[c]
     get, reached = rem.get, set()  # reached: the keys an earlier chain walked on to
-    add = reached.add
+    walked = reached.add
     dropped = False
     for e in sorted(rem):
         if e >= stop:
@@ -243,24 +250,62 @@ def _divide_one_push(
         c = rem[e]
         e += k
         while e < limit:
-            p = rmul(c, b)
+            p = row[c]
             if not p:
                 break
             cur = get(e)
             if cur is None:
                 rem[e] = c = p
             else:
-                add(e)
-                c = radd(cur, p)
+                walked(e)
+                c = add[cur][p]
                 if not c:
                     del rem[e]
                     break
                 rem[e] = c
             e += k
         else:
-            if track and not dropped and rmul(c, b):
+            if track and not dropped and row[c]:
                 dropped = True
     return dropped
+
+
+def peel_keys(ring: CoeffRing, n: int, d: int, rem: dict, pushes_of, what: str) -> dict:
+    """Peel 1 + ``rem``, its non-constant keys at (n, d), into monic
+    factors F = 1 + c t^e + .., lowest key e first, in place; returns
+    {e: c} in ascending key order.  ``pushes_of(e, c)`` gives F's nonzero
+    pushes (m e, -f_m), m >= 1, ascending and below d^n, the first (e, -c):
+    one for a binomial.  As (1 + Q) / F = 1 + (Q - (F - 1)) / F, a step pops e,
+    adds the constant term's other pushes and divides the rest by F along
+    chains or from a heap; every key left is above e and moves up.  Once
+    2 deg(e) >= d, each key left is its own factor 1 + c t^e.
+
+    Before each step the running total is checked against ``WORK_LIMIT``,
+    ``what`` naming it at {0} and n, d at {1}, {2}: the scan, and P pushes
+    from each key read, one per landing key of degree 2 deg to d - 1 and
+    push, and at most (d - 1 - deg) // deg reads along each key's chain."""
+    limit, dn, box = d**n, d ** (n - 1), exponent_count(n, d)
+    add, peeled, work = ring._add, {}, 0
+    while rem:
+        e = min(rem)
+        deg = e // dn
+        if 2 * deg >= d:  # a shift by any key left lands past d
+            peeled.update((k, rem[k]) for k in sorted(rem))
+            break
+        c = peeled[e] = rem.pop(e)
+        pushes = pushes_of(e, c)
+        if len(pushes) == 1:
+            walk = _divide_one_push
+        else:
+            walk = _divide_heap
+            for j, b in pushes[1:]:
+                cur = rem.get(j)
+                rem[j] = b if cur is None else add[cur][b]
+        keys, reach = len(rem), box - exponent_count(n, 2 * deg)
+        work += keys + len(pushes) * min(reach, keys * ((d - 1 - deg) // deg))
+        check_budget(work, WORK_LIMIT, what, n, d)
+        walk(ring, limit, limit - e, rem, pushes, False)
+    return peeled
 
 
 # bounded like the ring tables: a box at n = 6, d = 20 holds 230,230 tuples.

@@ -6,8 +6,8 @@ product of binomials (1 - r_nu t^nu) over exponents 0 < |nu| < d; the
 family {r_nu} is the coordinate form, and extraction peels factors off in
 graded order.  Dividing by (1 - r t^nu) changes the running quotient only
 above degree |nu|, apart from removing its term at nu, so the peel
-divides in place through the series layer's one division kernel
-(``series.divide_keys``), whose chain walk visits only the keys the
+divides in place through the series layer's peel driver
+(``series.peel_keys``), whose chain walk visits only the keys the
 quotient holds, along the chains e, e + nu, ...  The conversions, the
 grouping by primitive part and the products all run on the series' own
 packed exponent keys (``series.pack_exponent``), where a shift by nu is
@@ -63,10 +63,10 @@ from .series import (
     add_products,
     check_division,
     check_shape,
-    divide_keys,
     exponent_count,
     exponents_below,
     pack_exponent,
+    peel_keys,
     primitive_exponents_below,
     unpack_exponent,
 )
@@ -251,44 +251,26 @@ def witt_neg(a: WittElement) -> WittElement:
 
 
 def witt_coordinates(a: WittElement) -> WittCoordinates:
-    """Peel binomial factors in graded order.
+    """Peel binomial factors in graded order through ``series.peel_keys``.
 
     The running quotient is kept without its constant term 1.  Its lowest
-    key nu holds minus the next coordinate r, and (1 + Q) / (1 - r t^nu)
-    is 1 + (Q - Q[nu] t^nu) / (1 - r t^nu): the peel drops the key and
-    divides the rest in place through ``series.divide_keys``, which visits
-    only the keys that can still push below d.  Every other key moves only
-    upward, so the next coordinate is again at the lowest key.
+    key nu holds c = -r, minus the next coordinate r, and the factor
+    1 - r t^nu pushes r from each key to the key nu above it, so the
+    driver drops nu and divides the rest in place along chains.
 
     ``check_division`` bounds each division before the peel starts; the
-    number of coordinates is known only as they come, so the peel meters
-    its steps against ``WORK_LIMIT`` as it runs."""
+    number of coordinates is known only as they come, so the driver
+    meters its steps against ``WORK_LIMIT`` as it runs."""
     if a._coords is not None:
         return a._coords
     ring, n, d = a.ring, a.n, a.d
     # each quotient's keys are sums of a's, and each division is by a binomial
     check_division(n, d, len(a.series.keys) - 1, 2)
-    one, rneg, dn = ring.one, ring.rneg, d ** (n - 1)
+    neg = ring._neg
     quot = {e: c for e, c in a.series.keys.items() if e}
-    coords = {}
-    work, box = 0, exponent_count(n, d)
     meter = "the coordinate peel at n = {1}, d = {2} reaches {0} steps"
-    while quot:
-        nu = min(quot)
-        deg = nu // dn
-        if 2 * deg >= d:  # a shift by any key left lands past d: each is a coordinate
-            coords.update((e, rneg(quot[e])) for e in sorted(quot))
-            break
-        c = quot.pop(nu)
-        coords[nu] = rneg(c)
-        # the scan for nu, then the chain walk: each product lands on its own
-        # exponent, of degree 2 deg to d - 1, as a key takes its one push from
-        # key - nu, and a chain from a key left makes at most (d - 1 - deg) // deg
-        walk, keys = box - exponent_count(n, 2 * deg), len(quot)
-        work += keys + min(walk, keys * ((d - 1 - deg) // deg))
-        check_budget(work, WORK_LIMIT, meter, n, d)
-        divide_keys(ring, n, d, quot, {0: one, nu: c})
-    a._coords = WittCoordinates._make(ring, n, d, coords)
+    peeled = peel_keys(ring, n, d, quot, lambda e, c: ((e, neg[c]),), meter)
+    a._coords = WittCoordinates._make(ring, n, d, {e: neg[c] for e, c in peeled.items()})
     return a._coords
 
 

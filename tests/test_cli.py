@@ -274,6 +274,20 @@ def test_ah_exp_command(capsys):
     ]
 
 
+def test_ah_exp_of_a_nilpotent_counts_only_its_nonzero_powers(capsys):
+    """E(eps, t^3) over F_2[eps]/(eps^2) at d = 3,100 is 1 + eps t^3: eps^2
+    = 0, so it needs 2 Artin-Hasse coefficients, not (d - 1) // 3 + 1."""
+    code, doc = run_cli(
+        capsys,
+        ["ah-exp", "--ring", R22_RING, "--d", "3100", "--payload", '{"x": [[0], [1]], "j": 3}'],
+    )
+    assert code == 0
+    assert doc["result"]["terms"] == [
+        {"exp": [0], "c": [[1], [0]]},
+        {"exp": [3], "c": [[0], [1]]},
+    ]
+
+
 def test_pair_both_agree(capsys):
     f = series_doc(1, 2, [((0,), [[1], [0]]), ((1,), [[0], [1]])], exact=True)
     g = series_doc(1, 5, [((0,), [[1]]), ((1,), [[1]])])
@@ -428,17 +442,18 @@ def test_identity_jobs_at_d_1e9(capsys, n):
 
 def test_dense_peel_stops_at_its_work_limit(capsys, monkeypatch):
     """A dense element has about one coordinate per degree, and each one
-    divides the whole quotient: past witt.WORK_LIMIT steps the peel stops
-    with TooLarge.  Here the limit is lowered so that the
-    job ends early; the same element converts under the real limit."""
-    from multiwitt import witt
+    divides the whole quotient: past WORK_LIMIT steps the peel driver,
+    ``series.peel_keys``, stops with TooLarge.  Here the limit is lowered
+    so that the job ends early; the same element converts under the real
+    limit."""
+    from multiwitt import series
 
     bits = random.Random(17)
     terms = [((0,), [[1]])] + [((k,), [[1]]) for k in range(1, 400) if bits.random() < 0.5]
     payload = json.dumps({"a": series_doc(1, 400, terms)})
     code, doc = run_cli(capsys, ["coords", "--ring", F2_RING, "--payload", payload])
     assert code == 0 and len(doc["result"]["coords"]) > 100
-    monkeypatch.setattr(witt, "WORK_LIMIT", 10_000)
+    monkeypatch.setattr(series, "WORK_LIMIT", 10_000)
     for command in ("coords", "decompose"):
         code, doc = run_cli(capsys, [command, "--ring", F2_RING, "--payload", payload])
         assert (code, doc["error"]["kind"]) == (1, "TooLarge")

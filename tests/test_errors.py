@@ -52,10 +52,18 @@ def disjoint_product():
     return a.mul(b)
 
 
-def dense_coordinates():
+def dense_element():
     rng = random.Random(17)
     terms = {(k,): 1 for k in range(400) if k == 0 or rng.random() < 0.5}
-    return witt.witt_coordinates(witt.WittElement(series.TruncatedSeries(F2, 1, 400, terms)))
+    return witt.WittElement(series.TruncatedSeries(F2, 1, 400, terms))
+
+
+def dense_coordinates():
+    return witt.witt_coordinates(dense_element())
+
+
+def dense_family():
+    return ptypical.pi_epsilon_inverse(dense_element())
 
 
 def thousand_coordinates():
@@ -140,10 +148,21 @@ SITES = {
         lambda: witt.ring_one(F3, 2, 10**9),
         r"up to 500000000499999999 components, beyond limit 1000000",
     ),
+    # the lowered limit is for the peel driver's meter alone: the up-front
+    # bound of witt_coordinates, 2d + 2 steps here, is the "division" site's
     "coordinate peel": (
-        {"multiwitt.witt.divide_keys": refuse, "multiwitt.witt.WORK_LIMIT": 100},
+        {
+            "multiwitt.series._divide_one_push": refuse,
+            "multiwitt.series.WORK_LIMIT": 100,
+            "multiwitt.witt.check_division": lambda *args: None,
+        },
         dense_coordinates,
-        r"n = 1, d = 400 reaches \d{3} steps, beyond limit 100",
+        r"the coordinate peel at n = 1, d = 400 reaches \d{3} steps, beyond limit 100",
+    ),
+    "Artin-Hasse peel": (
+        {"multiwitt.series._divide_heap": refuse, "multiwitt.series.WORK_LIMIT": 100},
+        dense_family,
+        r"the Artin-Hasse peel at n = 1, d = 400 reaches \d+ steps, beyond limit 100",
     ),
     "pi1 generators": (
         {"multiwitt.cft.exponents_below": refuse},
@@ -275,31 +294,46 @@ def test_schema_error_is_also_a_value_error():
 
 # estimates that bound the table products of a kernel, one site at a time
 KERNEL_MODULES = (series, witt, ptypical)
+# the functions a kernel's products are counted in: a division runs in
+# ``divide_keys`` and in the two walks it shares with the peel driver
+KERNEL_FUNCTIONS = {
+    "add_products": ("add_products",),
+    "divide_keys": ("divide_keys", "_divide_one_push", "_divide_heap"),
+}
 ORDERS = {1: 14, 2: 8, 3: 5}
 
 
 def kernel_products(monkeypatch, kernel, what, job):
     """Run ``job`` and return [estimate, products] for each estimate
     checked against ``WORK_LIMIT`` whose description holds ``what``, in
-    order: the table products (``CoeffRing.rmul`` calls) that ``kernel``,
-    ``add_products`` or ``divide_keys``, makes until the next such
-    estimate.  Products outside the kernel, such as those that build its
-    factors, are not counted."""
-    log, inside = [], []
-    rmul, kernel_fn = ring.CoeffRing.rmul, getattr(series, kernel)
+    order: the table products that ``kernel``, ``add_products`` or the
+    division, makes until the next such estimate.  While a kernel runs,
+    its ring's product table is one whose rows count their reads, so a
+    product is counted whether the kernel calls ``CoeffRing.rmul`` or
+    indexes the rows itself.  Products outside the kernel, such as those
+    that build its factors, are not counted."""
+    log, tables = [], {}
 
-    def counting_rmul(self, a, b):
-        if inside:
+    class CountingRow(tuple):
+        def __getitem__(self, b):
             assert log, "the kernel ran before its estimate was checked"
             log[-1][1] += 1
-        return rmul(self, a, b)
+            return tuple.__getitem__(self, b)
 
-    def counting_kernel(*args, **kwargs):
-        inside.append(True)
-        try:
-            return kernel_fn(*args, **kwargs)
-        finally:
-            inside.pop()
+    def counting(kernel_fn):
+        def counting_kernel(any_ring, *args, **kwargs):
+            table = any_ring._mul
+            if type(table[0]) is CountingRow:  # called from another kernel
+                return kernel_fn(any_ring, *args, **kwargs)
+            if any_ring not in tables:
+                tables[any_ring] = tuple(CountingRow(row) for row in table)
+            any_ring._set(_mul=tables[any_ring])
+            try:
+                return kernel_fn(any_ring, *args, **kwargs)
+            finally:
+                any_ring._set(_mul=table)
+
+        return counting_kernel
 
     def recording_check(estimate, limit, description, *fields):
         if limit == WORK_LIMIT and what in description:
@@ -307,11 +341,11 @@ def kernel_products(monkeypatch, kernel, what, job):
         check_budget(estimate, limit, description, *fields)
 
     with monkeypatch.context() as patch:
-        patch.setattr(ring.CoeffRing, "rmul", counting_rmul)
         for module in KERNEL_MODULES:
             patch.setattr(module, "check_budget", recording_check)
-            if hasattr(module, kernel):
-                patch.setattr(module, kernel, counting_kernel)
+            for name in KERNEL_FUNCTIONS[kernel]:
+                if hasattr(module, name):
+                    patch.setattr(module, name, counting(getattr(series, name)))
         job()
     return log
 
@@ -363,13 +397,26 @@ def random_terms(any_ring, n, d, rng, dense, unit_constant=False):
     return terms
 
 
+def assert_peel_bounds(log, a):
+    """A peel divides, and checks its meter before it does, exactly when
+    a's lowest non-constant key has a degree below d / 2: then the meter
+    bounds all the products so far, and otherwise nothing is logged."""
+    low = min((k for k in a.series.keys if k), default=None)
+    if low is not None and 2 * (low // a.d ** (a.n - 1)) < a.d:
+        assert_bounds(log, cumulative=True)
+    else:
+        assert not log
+
+
 @pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_every_kernel_estimate_bounds_its_table_products(any_ring, n, dense, rng, monkeypatch):
-    """The division (through ``/``, ``inv`` and ``pi_epsilon_inverse``),
-    the series product, the binomial product, the peel's meter,
-    ``pi_epsilon`` and the geometric norms: each estimate is at least the
-    table products its kernel makes, on random inputs, exact and not."""
+    """The division (through ``/`` and ``inv``), the series product, the
+    binomial product, the meters of both peels (the coordinate peel and,
+    in one variable, ``pi_epsilon_inverse``), ``pi_epsilon`` and the
+    geometric norms: each estimate is at least the table products its
+    kernel makes, on random inputs, exact and not, and a peel that divides
+    has checked its meter."""
     for _ in range(3):
         d = rng.randrange(2, ORDERS[n] + 1)
 
@@ -398,15 +445,12 @@ def test_every_kernel_estimate_bounds_its_table_products(any_ring, n, dense, rng
         witt.witt_coordinates(x), witt.witt_coordinates(y)  # witt_mul reads them cached
         for job in (lambda: witt.from_coordinates(coords), lambda: witt.witt_mul(x, y)):
             assert_bounds(kernel_products(monkeypatch, "add_products", "binomials", job))
-        peel = functools.partial(witt.witt_coordinates, element())
-        log = kernel_products(monkeypatch, "divide_keys", "peel", peel)
-        if log:  # a peel that divides nothing checks no meter
-            assert_bounds(log, cumulative=True)
+        peels = [witt.witt_coordinates] + ([ptypical.pi_epsilon_inverse] if n == 1 else [])
+        for peel in peels:
+            a = element()
+            log = kernel_products(monkeypatch, "divide_keys", "peel", functools.partial(peel, a))
+            assert_peel_bounds(log, a)
         if n == 1:
-            job = functools.partial(ptypical.pi_epsilon_inverse, element())
-            log = kernel_products(monkeypatch, "divide_keys", "division", job)
-            if log:
-                assert_bounds(log)
             family = ptypical.pi_epsilon_inverse(element())
             job = functools.partial(ptypical.pi_epsilon, family, any_ring, d)
             assert_bounds(kernel_products(monkeypatch, "add_products", "Artin-Hasse", job))

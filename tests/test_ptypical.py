@@ -26,6 +26,7 @@ from multiwitt import (
 )
 from multiwitt import ptypical
 from multiwitt.errors import SchemaError, TooLarge
+from multiwitt.series import TruncatedSeries
 from multiwitt.witt import WittElement, enumerate_witt_elements, random_witt_element
 
 from conftest import RINGS
@@ -207,13 +208,28 @@ def test_pi_epsilon_roundtrip_exhaustive():
                 assert len(v) == component_lengths(2, d)[j]
 
 
-@pytest.mark.parametrize("name", [name for name in sorted(RINGS) if RINGS[name].p in (2, 3)])
+def sparse_element(ring, d, rng):
+    """1 plus a few terms below d / 3 + 2, each coefficient a unit or a
+    nonzero nilpotent: few keys, long gaps, and products of factors that
+    land below d."""
+    units = [r for r in range(1, ring.size) if ring.is_unit_raw(r)]
+    nilpotents = [r for r in range(1, ring.size) if not ring.is_unit_raw(r)]
+    keys = {0: ring.one}
+    for _ in range(rng.randrange(1, 5)):
+        kind = rng.choice([units, nilpotents]) if nilpotents else units
+        keys[rng.randrange(1, d // 3 + 2)] = rng.choice(kind)
+    return WittElement(TruncatedSeries._make(ring, 1, d, keys, False))
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
 def test_factor_maps_match_per_factor_oracle(name, rng):
     """``pi_epsilon`` multiplies every Artin-Hasse factor into one dict and
-    ``pi_epsilon_inverse`` divides one dict by each factor in place: both
+    ``pi_epsilon_inverse`` peels one dict by each factor in place: both
     against the oracle's series per factor, on random elements (dense, so
-    the divisions are multi-term) and on random families, whose vectors
-    run one entry past the window and have zeros and missing indices."""
+    the divisions are multi-term), on sparse ones (a few keys, unit and
+    nilpotent, up to d = 200, where the peel's heap walk jumps the gaps)
+    and on random families, whose vectors run one entry past the window
+    and have zeros and missing indices."""
     ring = RINGS[name]
     p = ring.p
     for d in (2, 3, 7, 12, 30):
@@ -227,6 +243,10 @@ def test_factor_maps_match_per_factor_oracle(name, rng):
                     family[j] = PWittVector(p, entries, ring)
             got, want = pi_epsilon(family, ring, d), pi_epsilon_per_factor(family, ring, d)
             assert got == want and got.series.exact is want.series.exact is False, family
+    for d in (5, 40, 200):
+        for _ in range(4):
+            a = sparse_element(ring, d, rng)
+            assert pi_epsilon_inverse(a) == pi_epsilon_inverse_per_factor(a), (a,)
 
 
 def test_pi_epsilon_is_group_hom(rng):
@@ -378,13 +398,57 @@ def test_artin_hasse_factor_stops_at_a_zero_power(monkeypatch):
             return tuple.__getitem__(self, b)
 
     table = ring._mul
-    want = ptypical._ah_keys(ring, ring.eps_raw, 1, 900)
+    want = ptypical._ah_terms(ring, ring.eps_raw, 1, 900)
     ring._set(_mul=tuple(CountingRow(row) for row in table))
     try:
-        assert ptypical._ah_keys(ring, ring.eps_raw, 1, 900) == want
+        assert ptypical._ah_terms(ring, ring.eps_raw, 1, 900) == want
     finally:
         ring._set(_mul=table)
-    assert sorted(want) == [0, 1, 2] and len(products) <= 2 * ring.nil
+    assert [k for k, _ in want] == [1, 2] and len(products) <= 2 * ring.nil
+
+
+def test_nilpotent_factor_needs_coefficients_below_its_first_zero_power(monkeypatch):
+    """Over F_2[eps]/(eps^2), E(eps, t^3) is 1 + eps t^3 at any d: at
+    d = 3,100, where (d - 1) // 3 + 1 = 1,034 coefficients pass
+    AH_COEFFICIENT_LIMIT, it is built, and peeled back, from a cold table
+    that grows to the 2 coefficients a_0, a_1 and no further.  A unit keeps
+    the refusal by the whole count."""
+    monkeypatch.setattr(ptypical, "_AH_COEFFICIENTS", {})
+    monkeypatch.setattr(ptypical, "_AH_RESIDUES", {})
+    ring = RINGS["F2e2"]
+    eps = ring.from_raw(ring.eps_raw)
+    e = artin_hasse_exp(eps, 3, 3100)
+    assert e.series.keys == {0: 1, 3: ring.eps_raw}
+    family = pi_epsilon_inverse(e)
+    assert family[3].entries == (ring.eps_raw,) + (0,) * 10 and not any(family[1].entries)
+    assert len(ptypical._AH_RESIDUES[2]) == 2 and len(ptypical._AH_COEFFICIENTS[2]) == 2
+    with pytest.raises(TooLarge, match=r"^E\(x, t\^3\) at d = 3100 needs 1034 Artin-Hasse coefficients"):
+        artin_hasse_exp(ring.from_raw(ring.one), 3, 3100)
+
+
+def test_component_family_is_bounded_before_it_is_built(monkeypatch):
+    """``pi_epsilon_inverse`` counts its family's components, the j < d
+    coprime to p, against ``witt.FAMILY_LIMIT`` before it peels or builds
+    any: the unit at d = 10^8 is refused at once, and with the limit
+    lowered a family at the limit is built and one past it refused."""
+
+    def refuse(*_args):
+        raise AssertionError("the family was built before its bound was checked")
+
+    F2, F3 = RINGS["F2"], RINGS["F3"]
+    with monkeypatch.context() as patch:
+        patch.setattr(ptypical, "component_lengths", refuse)
+        patch.setattr(ptypical, "peel_keys", refuse)
+        start = time.perf_counter()
+        with pytest.raises(TooLarge, match=r"^at d = 100000000 a p-typical family for p = 2 "
+                                           r"has 50000000 components, beyond limit 1000000$"):
+            pi_epsilon_inverse(WittElement.one(F2, 1, 10**8))
+        assert time.perf_counter() - start < 0.1
+    # the j < 31 coprime to 3 are 30 - 10 = 20, and below 32 there is 31 too
+    monkeypatch.setattr(ptypical, "FAMILY_LIMIT", 20)
+    assert len(pi_epsilon_inverse(WittElement.one(F3, 1, 31))) == 20
+    with pytest.raises(TooLarge, match="has 21 components, beyond limit 20$"):
+        pi_epsilon_inverse(WittElement.one(F3, 1, 32))
 
 
 def test_pairing_example_and_bilinearity(rng):
