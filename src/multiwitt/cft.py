@@ -28,35 +28,30 @@ endomorphism pair costs two group operations and lookups.
 The whole-group enumerations (the brute-force oracle, the census and the
 transition check) bound the group order size^rank by ``errors.check_power``,
 with the rank the exact count of nonzero exponents below d, then run on raw
-coefficient tuples under a dense group law compiled once per (ring, n, d)
-to straight-line code over the ring tables.  The oracle proves the group
-axioms from that law's tables (see ``_DenseLaw.group_identity``) and runs
-its power ladder as a loop compiled from the law on first use.  The loop
-form of the law, the pairwise and sampled commutativity checks and the
-same loops over WittElement and witt_add are the test oracle
-tests/cft_oracle.py.
+coefficient tuples under the dense group law of dense.py, whose kernels
+are compiled once per (ring, n, d) to code over the ring tables.  The
+oracle proves the group axioms from that law's tables (see
+``_DenseLaw.group_identity``).  The passes over the whole group, the
+oracle's first ladder level and the census's Lang values, are loop nests
+that compute coordinate k once per prefix x_0..x_k; later ladder levels
+loop over the level.  The loop form of the law, the pairwise and sampled
+commutativity checks and the same loops over WittElement and witt_add
+are the test oracle tests/cft_oracle.py.
 Only the witnesses and the element enumeration of ModulusGroupDesc import
-the witt module, so the factors, the oracle and the census run without it.
+the witt module, so the factors, the oracle and the census run without it,
+and only the oracle and the census import dense.py.
 """
 
 from __future__ import annotations
 
 import random
-from collections import Counter
-from functools import lru_cache, partial
+from functools import partial
 from itertools import combinations, islice, product
 from math import prod
 
 from .errors import InvalidTruncation, NotAbelian, NotClosed, check_budget, check_power
 from .ring import _MAX_TABLE_Q, CoeffRing, FiniteField, Record
-from .series import (
-    TruncatedSeries,
-    check_shape,
-    content,
-    exponent_count,
-    exponents_below,
-    pack_exponent,
-)
+from .series import check_shape, content, exponent_count, exponents_below
 
 BRUTE_FORCE_LIMIT = 2**18
 CENSUS_LIMIT = 10**6
@@ -177,42 +172,49 @@ def brute_force_structure(elements, op, kernels=None) -> AbelianGroupStructure:
     - kernels.group_identity(count) proves the group axioms from the law
       and returns the identity, in place of the loops over op, or returns
       None when the proof does not apply, and the loops run;
-    - kernels.powers(level, ell), after a proof, returns the set of x^ell
-      over x in level, each the product of ell - 1 factors x applied from
-      the right.
+    - after a proof, kernels.box_powers(ell) is the first level of the
+      ladder, the set of x^ell over the whole box, and
+      kernels.powers(level, ell) each later one, the set of x^ell over x
+      in level.
     """
     # one element past the limit is enough to refuse
     elems = list(islice(elements, BRUTE_FORCE_LIMIT + 1))
     check_budget(len(elems), BRUTE_FORCE_LIMIT, "a group of at least {} elements")
     identity = None if kernels is None else kernels.group_identity(len(elems))
-    if identity is None:
+    if identity is not None:
+        first, later = kernels.box_powers, kernels.powers
+    else:
         members = set(elems)
         if len(members) != len(elems):
             raise NotClosed("duplicate elements in enumeration")
-        kernels, identity = None, _check_group(elems, op, members)
+        identity = _check_group(elems, op, members)
+        later = partial(_powers, op=op, members=members)
+        first = partial(later, elems)
+    return _ladder(len(elems), first, later, lambda: _peel_witnesses(elems, op, identity))
 
+
+def _ladder(order: int, first, later, witnesses) -> AbelianGroupStructure:
+    """The invariant factors of a group of ``order`` elements from its
+    power ladders: first(ell) is the set of ell-th powers of the group,
+    later(level, ell) that of a level."""
     desc = []  # the invariant factors, largest first
-    for ell in _prime_factors(len(elems)):
-        level = elems
+    for ell in _prime_factors(order):
+        count, image = order, first(ell)
         while True:
-            if kernels is None:
-                image = _powers(level, ell, op, members)
-            else:
-                image = kernels.powers(level, ell)
-            rank = _exact_log(ell, len(level), len(image))
+            rank = _exact_log(ell, count, len(image))
             if rank is None:
-                raise NotAbelian(f"{ell}-th powers map {len(level)} elements onto {len(image)}")
+                raise NotAbelian(f"{ell}-th powers map {count} elements onto {len(image)}")
             if rank == 0:
                 break
             # ell^rank = |level| / |image|: the rank largest factors take an ell
             desc += [1] * (rank - len(desc))
             for i in range(rank):
                 desc[i] *= ell
-            level = image
+            count, image = len(image), later(image, ell)
     factors = tuple(reversed(desc))
-    if prod(factors) != len(elems):
+    if prod(factors) != order:
         raise NotAbelian("factor product does not certify the group order")
-    return AbelianGroupStructure(factors, len(elems), lambda: _peel_witnesses(elems, op, identity))
+    return AbelianGroupStructure(factors, order, witnesses)
 
 
 def _check_group(elems: list, op, members: set):
@@ -356,200 +358,24 @@ def _coefficient_tuples(size: int, rank: int):
     return (t[::-1] for t in product(range(size), repeat=rank))
 
 
-class _DenseLaw:
-    """The truncated group over ``ring`` on raw coefficient tuples.
-
-    The element 1 + sum_k x_k t^exps[k] is the tuple x, with exps the
-    nonzero exponents below d in graded order (``keys`` holds their series
-    keys).  The group law is the series product: z_k is the sum of the
-    products x_i y_j over the pairs (i, j) with exps[i] + exps[j] =
-    exps[k], then x_k, then y_k.  Both i and j precede k, so the inverse
-    solves y_k = -(sum x_i y_j + x_k) in index order.
-
-    ``op`` and ``inv`` are straight-line code built from the pairs alone,
-    one nested table lookup per term, and so is the ladder kernel
-    ``powers``, compiled on first use; the loop forms are in
-    tests/cft_oracle.py and brute_force_structure.
-    """
-
-    def __init__(self, ring: CoeffRing, n: int, d: int):
-        self.ring, self.n, self.d = ring, n, d
-        self.exps = [e for e in exponents_below(n, d) if sum(e) > 0]
-        self.keys = [pack_exponent(e, d) for e in self.exps]
-        # a key sum is below d^n, and so in the index, exactly when the
-        # exponent sum lies below d, and it is then the sum's key
-        index = {key: k for k, key in enumerate(self.keys)}
-        self.pairs = [[] for _ in self.exps]
-        for i, ka in enumerate(self.keys):
-            for j, kb in enumerate(self.keys):
-                k = index.get(ka + kb)
-                if k is not None:
-                    self.pairs[k].append((i, j))
-        self.op, self.inv = _compile_law(self.pairs, ring)
-        self._proved = None
-        self._ladder = {}
-
-    def group_identity(self, count: int):
-        """The zero tuple, once the tables prove the box range(size)^rank,
-        enumerated as ``count`` distinct tuples, a commutative group under
-        op; None when the proof does not apply: to a count other than
-        size^rank, a ring that is not a CoeffRing or an add table that
-        leaves range(size).  The proof runs once per law
-        (``_proves_group``)."""
-        if count != self.ring.size ** len(self.pairs):
-            return None
-        if self._proved is None:
-            self._proved = _proves_group(self.pairs, self.ring)
-        return (0,) * len(self.pairs) if self._proved else None
-
-    def powers(self, level, ell: int) -> set:
-        """The set of x^ell over x in level, on a law that ``_closed``
-        keeps inside the box."""
-        kernel = self._ladder.get(ell)
-        if kernel is None:
-            kernel = self._ladder[ell] = _compile_powers(self.pairs, self.ring, ell)
-        return kernel(level)
-
-    def random(self, rng) -> tuple:
-        """An element drawn as random_witt_element draws it, so a seed
-        names the same elements on both."""
-        size = self.ring.size
-        return tuple(rng.randrange(size) for _ in self.exps)
-
-    def to_witt(self, x: tuple):
-        """The WittElement of the tuple x."""
-        from .witt import WittElement
-
-        keys = {0: self.ring.one}
-        keys.update((k, c) for k, c in zip(self.keys, x) if c)
-        return WittElement(TruncatedSeries._make(self.ring, self.n, self.d, keys, False))
-
-
-def _fold(terms: list) -> str:
-    """The sum of the expressions ``terms``, left to right, as nested
-    lookups in the add table A."""
-    out = terms[0]
-    for t in terms[1:]:
-        out = f"A[{out}][{t}]"
-    return out
-
-
-def _products(ks, rows: str, right: str) -> list:
-    """The pair products rows_i[right_j] over the pairs (i, j) of ks."""
-    return [f"{rows}{i}[{right}{j}]" for i, j in ks]
-
-
-def _coordinate(k: int, ks, left: str, right: str, rows: str) -> str:
-    """Coordinate k of the product left * right, where rows_i is the mul
-    table row of left_i: its pair products, then left_k, then right_k."""
-    return _fold(_products(ks, rows, right) + [f"{left}{k}", f"{right}{k}"])
-
-
-def _names(c: str, count: int) -> str:
-    return "".join(f"{c}{k}, " for k in range(count))
-
-
-def _rows(pad: str, pairs: list, c: str, rows: str) -> list:
-    """Lines that bind rows_i to the mul table row of c_i for every i
-    that leads a pair."""
-    return [f"{pad}{rows}{i} = M[{c}{i}]" for i in sorted({i for ks in pairs for i, _ in ks})]
-
-
-def _unpack(pad: str, pairs: list, c: str, rows: str) -> list:
-    """Lines that bind c_k to the entries of the tuple c, then the rows."""
-    return [f"{pad}({_names(c, len(pairs))}) = {c}", *_rows(pad, pairs, c, rows)]
-
-
-def _closed(ring: CoeffRing) -> bool:
-    """Whether every entry of the add table lies in range(size).  Each
-    coordinate of a product is an entry of that table, so then no product
-    of tuples in range(size)^rank leaves the set."""
-    return min(map(min, ring._add)) >= 0 and max(map(max, ring._add)) < ring.size
-
-
-def _proves_group(pairs: list, ring) -> bool:
-    """Whether the law of ``pairs`` over ``ring`` is provably a commutative
-    group on the box range(size)^rank, with the zero tuple its identity;
-    False when the proof does not apply, NotAbelian when it fails.
-
-    Over a CoeffRing, a commutative ring, coordinate k of op(x, y) is x_k
-    + y_k + sum x_i y_j over the pairs (i, j) of pairs[k], so op(x, y) -
-    op(y, x) at k is the sum of (c_ij - c_ji) x_i y_j, with c_ij the count
-    of (i, j) in pairs[k].  It vanishes for all x and y exactly when every
-    c_ij = c_ji modulo p, as x = e_i and y = e_j show, and NotAbelian
-    names the first coordinate k and pair (i, j) where it does not.  Zero
-    is the identity exactly when add[0][a] == a and mul[0][a] == 0 for
-    every a, and ``_closed`` keeps every product in the box."""
-    if not (isinstance(ring, CoeffRing) and _closed(ring)):
-        return False
-    if tuple(ring._add[0]) != tuple(range(ring.size)) or any(ring._mul[0]):
-        return False
-    for k, ks in enumerate(pairs):
-        count = Counter(ks)
-        for (i, j), c in count.items():
-            if (c - count[j, i]) % ring.p:
-                raise NotAbelian(
-                    f"coordinate {k} of the law takes x_{i} y_{j} {c} times and"
-                    f" x_{j} y_{i} {count[j, i]} times, apart modulo {ring.p}"
-                )
-    return True
-
-
-def _compile(ring: CoeffRing, signature: str, body: list):
-    """Define ``signature`` over the ring tables: A is the add table (a
-    local reads faster than a global) and M the mul table."""
-    lines = [f"def {signature}:", "    A, M = add, mul", *body]
-    namespace = {"add": ring._add, "mul": ring._mul, "neg": ring._neg}
-    exec("\n".join(lines), namespace)
-    return namespace[signature.split("(")[0]]
-
-
-def _compile_law(pairs: list, ring: CoeffRing):
-    """Straight-line ``op(x, y)`` and ``inv(x)`` for the pairs of a _DenseLaw."""
-    rank = len(pairs)
-    head = _unpack("    ", pairs, "x", "m")
-    op = head + [f"    ({_names('y', rank)}) = y"]
-    op += [f"    z{k} = {_coordinate(k, ks, 'x', 'y', 'm')}" for k, ks in enumerate(pairs)]
-    op.append(f"    return ({_names('z', rank)})")
-    inv = head + [
-        f"    y{k} = neg[{_fold([*_products(ks, 'm', 'y'), f'x{k}'])}]"
-        for k, ks in enumerate(pairs)
-    ]
-    inv.append(f"    return ({_names('y', rank)})")
-    return _compile(ring, "op(x, y)", op), _compile(ring, "inv(x)", inv)
-
-
-def _compile_powers(pairs: list, ring: CoeffRing, ell: int):
-    """``powers(level)`` for the pairs of a _DenseLaw: the set of x^ell
-    over x in level, each by the ell - 1 products v = op(v, x) from v = x,
-    by the expressions of op.  Step s leaves v_s, and r_s holds the mul
-    table rows of its entries."""
-    rank = len(pairs)
-    body = ["    image = set()", "    put = image.add", "    for x in level:"]
-    body += _unpack("        ", pairs, "x", "m")
-    power, rows = "x", "m"
-    for step in range(1, ell):
-        if step > 1:
-            body += _rows("        ", pairs, power, rows)
-        product = [_coordinate(k, ks, power, "x", rows) for k, ks in enumerate(pairs)]
-        power, rows = f"v{step}_", f"r{step}_"
-        body += [f"        {power}{k} = {z}" for k, z in enumerate(product)]
-    body += [f"        put(({_names(power, rank)}))", "    return image"]
-    return _compile(ring, "powers(level)", body)
-
-
-@lru_cache(maxsize=32)
-def _dense_law(ring: CoeffRing, n: int, d: int) -> _DenseLaw:
-    """The law of (ring, n, d), built and compiled once while cached."""
-    return _DenseLaw(ring, n, d)
-
-
 def witt_group_structure_brute(ring: CoeffRing, n: int, d: int) -> AbelianGroupStructure:
-    """Brute-force oracle applied to the truncated group itself."""
+    """Brute-force oracle applied to the truncated group itself.  Once the
+    law proves its box a group, the ladder starts from ``box_powers``, and
+    the box is listed only when the witnesses are read."""
     rank = _group_rank(n, d)
-    check_power(ring.size, rank, BRUTE_FORCE_LIMIT, "a group of order {}")
+    order = check_power(ring.size, rank, BRUTE_FORCE_LIMIT, "a group of order {}")
+    from .dense import _dense_law
+
     law = _dense_law(ring, n, d)
-    s = brute_force_structure(_coefficient_tuples(ring.size, rank), law.op, law)
+    identity = law.group_identity(order)
+    if identity is None:
+        s = brute_force_structure(_coefficient_tuples(ring.size, rank), law.op)
+    else:
+
+        def witnesses():
+            return _peel_witnesses(list(_coefficient_tuples(ring.size, rank)), law.op, identity)
+
+        s = _ladder(order, law.box_powers, law.powers, witnesses)
     return AbelianGroupStructure(
         s.invariant_factors, s.order, lambda: tuple(law.to_witt(w) for w in s.witnesses)
     )
@@ -589,46 +415,29 @@ def lang_kernel_census(n: int, q: int, s: int, d: int, seed: int = 0) -> LangCen
         raise InvalidTruncation("extension characteristic mismatch")
     rank = _group_rank(n, d)
     total = check_power(big.size, rank, CENSUS_LIMIT, "a census of {} elements")
+    from .dense import _dense_law
+
     law = _dense_law(big, n, d)
-    frob_q = [big.rfrob(c, q) for c in big.element_indices()]
-    frob, op, inv = frob_q.__getitem__, law.op, law.inv
-
-    def lang(x):
-        # Frobenius minus identity: the law is written multiplicatively
-        return op(tuple(map(frob, x)), inv(x))
-
-    one = (0,) * rank
-    kernel = 0
-    kernel_rational = True
-    # a group of up to 2000 elements keeps every Lang value for the
-    # endomorphism check, which then looks them up
-    memo = {} if total <= 2000 else None
-    for x in _coefficient_tuples(big.size, rank):
-        y = lang(x)
-        if memo is not None:
-            memo[x] = y
-        if y == one:
-            kernel += 1
-            if any(frob_q[c] != c for c in x):
-                kernel_rational = False
+    frob = [big.rfrob(c, q) for c in big.element_indices()]
+    # Frobenius minus identity, F(x) x^-1 in the law written
+    # multiplicatively; a group of up to 2000 elements keeps every Lang
+    # value for the endomorphism check, which then looks them up
+    keep = total <= 2000
+    kernel, rational, elems, vals, memo = law.lang_pass(frob, keep)
 
     rng = random.Random(seed)
-    if memo is None:
-        pairs = [(law.random(rng), law.random(rng)) for _ in range(1000)]
-    elif total * total <= PAIR_CHECK_LIMIT:
-        pairs = list(product(memo, repeat=2))
+    if keep:
+        # pairs of enumeration indices, drawn as from the list of elements
+        if total * total <= PAIR_CHECK_LIMIT:
+            pairs = list(product(range(total), repeat=2))
+        else:
+            draws = iter(rng.choices(list(range(total)), k=2000))
+            pairs = list(zip(draws, draws))
+        law.lang_check(keep)(pairs, elems, vals, memo)
     else:
-        draws = iter(rng.choices(list(memo), k=2000))
-        pairs = list(zip(draws, draws))
-    value = lang if memo is None else memo.get
-    for a, b in pairs:
-        lhs = value(op(a, b))
-        if lhs is None:
-            raise NotClosed("a product left the enumerated group")
-        if lhs != op(value(a), value(b)):
-            raise NotAbelian("Lang map failed to be an endomorphism")
-
-    return LangCensus(total, kernel, q**rank, len(pairs), kernel_rational)
+        pairs = [(law.random(rng), law.random(rng)) for _ in range(1000)]
+        law.lang_check(keep)(pairs, frob)
+    return LangCensus(total, kernel, q**rank, len(pairs), rational)
 
 
 def transition_surjective(ring: CoeffRing, n: int, d_from: int, d_to: int) -> bool:

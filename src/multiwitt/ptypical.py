@@ -407,12 +407,12 @@ def component_lengths(p: int, d: int) -> dict:
     exponents j p^i < d."""
     out = {}
     for j in range(1, d):
-        if j % p == 0:
-            continue
-        m = 0
-        while j * p**m < d:
-            m += 1
-        out[j] = m
+        if j % p:
+            m, k = 1, j * p
+            while k < d:
+                m += 1
+                k *= p
+            out[j] = m
     return out
 
 
@@ -462,14 +462,25 @@ def pi_epsilon_inverse(a: WittElement) -> dict:
     peeled = peel_keys(
         ring, 1, d, rem, lambda k, c: [(key, neg[v]) for key, v in _ah_terms(ring, c, k, d)], meter
     )
-    entries = {j: [0] * m for j, m in component_lengths(p, d).items()}
+    lengths = component_lengths(p, d)
+    entries = {}
     for j, c in peeled.items():
         i = 0
         while j % p == 0:
             j //= p
             i += 1
+        if j not in entries:
+            entries[j] = [0] * lengths[j]
         entries[j][i] = c
-    return {j: PWittVector._make(p, tuple(e), ring) for j, e in entries.items()}
+    family, zeros = {}, {}  # the zero components of one length share one vector
+    for j, m in lengths.items():
+        if j in entries:
+            family[j] = PWittVector._make(p, tuple(entries[j]), ring)
+        else:
+            if m not in zeros:
+                zeros[m] = PWittVector._make(p, (0,) * m, ring)
+            family[j] = zeros[m]
+    return family
 
 
 def pwitt_pair(v: PWittVector, w: PWittVector) -> RingElement:

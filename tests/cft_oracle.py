@@ -9,13 +9,13 @@ the same census on the same seed.
 
 ``loop_op`` and ``loop_inv`` are the dense law on raw coefficient tuples
 as plain loops over its pairs, the reference for the compiled ``op`` and
-``inv`` of ``multiwitt.cft._DenseLaw``.
+``inv`` of ``multiwitt.dense._DenseLaw``.
 
 ``pairwise_commutes`` and ``sampled_commutes`` are the commutativity
 checks as loops over op: every unordered pair of elements, or the 2,000
 pairs that ``random.Random(0).choices`` draws.  They are the loops of
 ``multiwitt.cft.brute_force_structure`` over an opaque op, and the
-reference for the table proof ``multiwitt.cft._proves_group`` of the
+reference for the table proof ``multiwitt.dense._proves_group`` of the
 dense law, which must refuse exactly the laws they refuse.
 
 ``greedy_structure`` recovers the invariant factors by the greedy peel

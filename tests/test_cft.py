@@ -27,9 +27,11 @@ from multiwitt import (
     witt_group_structure_brute,
     witt_neg,
 )
+from multiwitt import dense
 from multiwitt.cli import main
 from multiwitt.errors import SchemaError
-from multiwitt.cft import _coefficient_tuples, _DenseLaw, generator_order_exponent
+from multiwitt.cft import _coefficient_tuples, generator_order_exponent
+from multiwitt.dense import _DenseLaw
 from multiwitt.series import exponents_below
 from multiwitt.witt import enumerate_witt_elements, random_witt_element
 
@@ -73,7 +75,7 @@ def test_generator_orders_match_witnesses():
             assert w.group_pow(order) == one, (n, q, d)
             assert w.group_pow(order // ring.p) != one, (n, q, d)
         # the span, on the raw tuples of the dense law
-        law = cft._dense_law(ring, n, d)
+        law = dense._dense_law(ring, n, d)
         raw = brute_force_structure(_coefficient_tuples(q, len(law.exps)), law.op, law)
         assert [law.to_witt(w) for w in raw.witnesses] == list(s.witnesses)
         span = {(0,) * len(law.exps)}
@@ -450,8 +452,8 @@ def test_rank_zero_law():
 
 
 def test_law_is_built_once_per_shape():
-    assert cft._dense_law(F2, 2, 3) is cft._dense_law(CoeffRing.make(2), 2, 3)
-    assert cft._dense_law(F2, 2, 3) is not cft._dense_law(F2, 2, 4)
+    assert dense._dense_law(F2, 2, 3) is dense._dense_law(CoeffRing.make(2), 2, 3)
+    assert dense._dense_law(F2, 2, 3) is not dense._dense_law(F2, 2, 4)
 
 
 def test_brute_force_same_on_loop_and_compiled_law():
@@ -478,9 +480,9 @@ def commute_outcome(check):
 def proof_and_pairwise(pairs, ring, reference=cft_oracle.pairwise_commutes):
     """The outcomes of the table proof and of the loop ``reference`` on the
     law of ``pairs`` over the whole set range(size)^rank."""
-    op, _ = cft._compile_law(pairs, ring)
+    op, _ = dense._compile_law(pairs, ring)
     elems = list(_coefficient_tuples(ring.size, len(pairs)))
-    proof = commute_outcome(lambda: cft._proves_group(pairs, ring))
+    proof = commute_outcome(lambda: dense._proves_group(pairs, ring))
     return proof, commute_outcome(lambda: reference(elems, op))
 
 
@@ -495,7 +497,7 @@ def test_commutes_kernel_accepts_where_pairwise_does_on_pi1_grid():
     assert (1, 2, 8) in exhaustive and len(exhaustive) == 26
     for n, q, d in exhaustive:
         law = _DenseLaw(CoeffRing.make(q), n, d)
-        assert cft._proves_group(law.pairs, law.ring) is True, (n, q, d)
+        assert dense._proves_group(law.pairs, law.ring) is True, (n, q, d)
         assert proof_and_pairwise(law.pairs, law.ring) == (None, None), (n, q, d)
 
 
@@ -503,7 +505,7 @@ def test_proof_accepts_every_law_on_pi1_and_lang_grids():
     laws = {(q, n, d) for n, q, d in PI1_GRID}
     laws |= {(q**s, n, d) for n, q, s, d in LANG_GRID}
     for q, n, d in sorted(laws):
-        law = cft._dense_law(CoeffRing.make(q), n, d)
+        law = dense._dense_law(CoeffRing.make(q), n, d)
         count = law.ring.size ** len(law.exps)
         assert law.group_identity(count) == (0,) * len(law.exps), (q, n, d)
         assert law.group_identity(count - 1) is None
@@ -547,7 +549,7 @@ def test_commutes_kernel_names_a_failing_pair():
         ring = CoeffRing.make(q)
         for dropped, pairs in one_pair_dropped(_DenseLaw(ring, n, d)):
             try:
-                cft._proves_group(pairs, ring)
+                dense._proves_group(pairs, ring)
             except NotAbelian as exc:
                 found = re.fullmatch(
                     r"coordinate (\d+) of the law takes x_(\d+) y_(\d+) \d+ times"
@@ -555,7 +557,7 @@ def test_commutes_kernel_names_a_failing_pair():
                     str(exc),
                 )
                 k, i, j = map(int, found.groups())
-                op, _ = cft._compile_law(pairs, ring)
+                op, _ = dense._compile_law(pairs, ring)
                 e_i, e_j = (tuple(ring.one * (t == v) for t in range(len(pairs))) for v in (i, j))
                 assert op(e_i, e_j)[k] != op(e_j, e_i)[k], (q, n, d, dropped)
                 named += 1
@@ -569,7 +571,7 @@ def test_commutes_kernel_refuses_an_index_out_of_range():
     ring = types.SimpleNamespace(size=2, p=2, _add=add3, _mul=F2._mul, _neg=F2._neg)
     law = _DenseLaw(ring, 1, 5)
     elems = list(_coefficient_tuples(2, len(law.exps)))
-    assert cft._proves_group(law.pairs, ring) is False
+    assert dense._proves_group(law.pairs, ring) is False
     assert law.group_identity(len(elems)) is None
     assert commute_outcome(lambda: cft_oracle.pairwise_commutes(elems, law.op)) is NotClosed
     with pytest.raises(NotClosed, match=r"left the set$"):
@@ -581,10 +583,10 @@ def test_commutes_kernel_refuses_an_index_out_of_range():
 def test_proof_applies_only_to_a_closed_coeff_ring(monkeypatch):
     law = _DenseLaw(F2, 1, 5)
     table = types.SimpleNamespace(size=2, p=2, _add=F2._add, _mul=F2._mul, _neg=F2._neg)
-    assert cft._proves_group(law.pairs, F2) is True
-    assert cft._proves_group(law.pairs, table) is False
-    monkeypatch.setattr(cft, "_closed", lambda ring: False)
-    assert cft._proves_group(law.pairs, F2) is False
+    assert dense._proves_group(law.pairs, F2) is True
+    assert dense._proves_group(law.pairs, table) is False
+    monkeypatch.setattr(dense, "_closed", lambda ring: False)
+    assert dense._proves_group(law.pairs, F2) is False
 
 
 def test_proof_needs_zero_to_be_the_identity(monkeypatch):
@@ -593,10 +595,10 @@ def test_proof_needs_zero_to_be_the_identity(monkeypatch):
     swapped = types.SimpleNamespace(
         size=2, p=2, _add=[[1, 0], [0, 1]], _mul=[[0, 1], [1, 1]], _neg=[0, 1]
     )
-    monkeypatch.setattr(cft, "CoeffRing", types.SimpleNamespace)
+    monkeypatch.setattr(dense, "CoeffRing", types.SimpleNamespace)
     law = _DenseLaw(swapped, 1, 5)
     elems = list(_coefficient_tuples(2, len(law.exps)))
-    assert cft._proves_group(law.pairs, swapped) is False
+    assert dense._proves_group(law.pairs, swapped) is False
     got = brute_force_structure(elems, law.op, law)
     assert got.invariant_factors == witt_group_structure_brute(F2, 1, 5).invariant_factors
     assert got.witnesses == brute_force_structure(elems, law.op).witnesses
@@ -604,41 +606,47 @@ def test_proof_needs_zero_to_be_the_identity(monkeypatch):
 
 def test_commutes_kernel_is_compiled_only_by_the_exhaustive_check(monkeypatch, capsys):
     # no commutativity kernel is compiled any more: the oracle runs the
-    # table proof once per law and compiles only the ladder
+    # table proof once per law and compiles only the ladder, the census
+    # only its pass and its check, and every compiled kernel goes through
+    # dense._compile
     compiled = []
-    compile_powers, proves_group = cft._compile_powers, cft._proves_group
+    compile_code, proves_group = dense._compile, dense._proves_group
 
-    def powers_counted(pairs, ring, ell):
-        compiled.append(("powers", ring.size, len(pairs)))
-        return compile_powers(pairs, ring, ell)
+    def code_counted(ring, signature, body):
+        compiled.append((signature.split("(")[0], ring.size))
+        return compile_code(ring, signature, body)
 
     def proof_counted(pairs, ring):
         compiled.append(("proof", ring.size, len(pairs)))
         return proves_group(pairs, ring)
 
-    monkeypatch.setattr(cft, "_compile_powers", powers_counted)
-    monkeypatch.setattr(cft, "_proves_group", proof_counted)
-    cft._dense_law.cache_clear()
-    lang_kernel_census(1, 2, 2, 3)
-    lang_kernel_census(1, 2, 2, 5)
+    monkeypatch.setattr(dense, "_compile", code_counted)
+    monkeypatch.setattr(dense, "_proves_group", proof_counted)
+    dense._dense_law.cache_clear()
     pi1_truncated(1, 2, 8)
     pi1_truncated(2, 4, 3)
     for n, q, d in ((1, 2, 8), (2, 4, 3)):
         assert main(["pi1", "--n", str(n), "--q", str(q), "--d", str(d)]) == 0
     capsys.readouterr()
     assert compiled == []
+    # every pair of 16 elements, then 1,000 pairs of 256, each law once
+    for _ in range(2):
+        lang_kernel_census(1, 2, 2, 3)
+        lang_kernel_census(1, 2, 2, 5)
+    assert compiled == [("lang_pass", 4), ("check", 4)] * 2
+    compiled.clear()
     # 1,024 elements, past the exhaustive regime of the loops
     for _ in range(2):
         assert witt_group_structure_brute(CoeffRing.make(4), 2, 3).order == 1024
-    assert compiled == [("proof", 4, 5), ("powers", 4, 5)]
+    assert compiled == [("proof", 4, 5), ("box_powers", 4), ("powers", 4)]
     compiled.clear()
     # 128 elements
     for _ in range(2):
         assert witt_group_structure_brute(F2, 1, 8).invariant_factors == (2, 2, 4, 8)
-    assert compiled == [("proof", 2, 7), ("powers", 2, 7)]
-    cft._dense_law.cache_clear()
+    assert compiled == [("proof", 2, 7), ("box_powers", 2), ("powers", 2)]
+    dense._dense_law.cache_clear()
     witt_group_structure_brute(F2, 1, 8)
-    assert compiled == [("proof", 2, 7), ("powers", 2, 7)] * 2
+    assert compiled == [("proof", 2, 7), ("box_powers", 2), ("powers", 2)] * 2
 
 
 def outcome(check):
@@ -750,6 +758,121 @@ def test_ladder_matches_greedy_reference_on_pi1_grid():
             assert got.witnesses == want.witnesses, (n, q, d)
 
 
+# (n, d) from rank 0 (d = 1) and d = 2, where no coordinate has a pair
+BOX_SHAPES = [(n, d) for n in (1, 2, 3) for d in (1, 2, 3, 4)]
+
+
+def small_boxes(ring, limit):
+    """The shapes of BOX_SHAPES whose box over ``ring`` has at most
+    ``limit`` elements, with their ranks."""
+    for n, d in BOX_SHAPES:
+        rank = cft._group_rank(n, d)
+        if ring.size**rank <= limit:
+            yield n, d, rank
+
+
+def test_box_powers_match_the_level_kernel_and_the_loops(any_ring):
+    # ell = 2, 3 and 5: a multiple of p, whose last coordinate the nest
+    # holds at 0, and primes prime to p, which it loops over
+    ranks = set()
+    for n, d, rank in small_boxes(any_ring, 2048):
+        law = _DenseLaw(any_ring, n, d)
+        box = list(_coefficient_tuples(any_ring.size, rank))
+        loop_op = functools.partial(cft_oracle.loop_op, law)
+        for ell in (2, 3, 5):
+            want = cft._powers(box, ell, loop_op, set(box))
+            assert law.box_powers(ell) == law.powers(box, ell) == want, (n, d, ell)
+        ranks.add(rank)
+    assert {0, 1, 2} <= ranks
+
+
+def test_box_oracle_matches_witt_add_reference(any_ring):
+    for n, d, _ in small_boxes(any_ring, 256):
+        got = witt_group_structure_brute(any_ring, n, d)
+        want = cft_oracle.witt_group_structure_brute(any_ring, n, d)
+        assert got == want, (n, d)
+        assert got.witnesses == want.witnesses, (n, d)
+
+
+def nest_results(ring, n, d, frob):
+    """What the loop nests of a fresh law of (ring, n, d) compute."""
+    law = _DenseLaw(ring, n, d)
+    return [law.box_powers(2), law.box_powers(3), law.lang_pass(frob, True), law.lang_pass(frob, False)]
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2, 3])
+def test_nests_past_the_depth_limit_loop_over_product_tuples(monkeypatch, depth):
+    # the nest loops over the coordinates from NEST_DEPTH on as one loop
+    # over their product tuples, with and without pruning
+    F4 = CoeffRing.make(4)
+    frob = [F4.rfrob(c, 2) for c in F4.element_indices()]
+    shapes = [(F4, 1, 5), (F4, 2, 3), (F2, 1, 9)]
+    want = [nest_results(ring, n, d, frob[: ring.size]) for ring, n, d in shapes]
+    monkeypatch.setattr(dense, "NEST_DEPTH", depth)
+    for (ring, n, d), results in zip(shapes, want):
+        assert nest_results(ring, n, d, frob[: ring.size]) == results, (ring.size, n, d)
+
+
+def test_largest_admitted_shapes_compile_and_run():
+    # CPython refuses more than 20 statically nested blocks: the oracle at
+    # rank 18 and the census at rank 19, the largest their limits admit
+    assert (cft._group_rank(1, 19), cft._group_rank(1, 20)) == (18, 19)
+    assert 2**18 <= cft.BRUTE_FORCE_LIMIT < 2**19 <= cft.CENSUS_LIMIT < 2**20
+    assert dense.NEST_DEPTH + 1 < 20
+    s = witt_group_structure_brute(F2, 1, 19)
+    assert s.order == 2**18
+    assert s.invariant_factors == pi1_truncated(1, 2, 19).invariant_factors
+    census = lang_kernel_census(1, 2, 1, 20)
+    assert census.total == census.kernel == 2**19 and census.matches
+    # past the limits, rank 23 nests compile, where 23 nested loops would not
+    law = _DenseLaw(F2, 1, 24)
+    assert len(law.pairs) == 23
+    for variant in (False, True):
+        dense._compile_powers(law.pairs, F2, 2, variant)
+        dense._compile_lang_pass(law.pairs, F2, variant)
+
+
+# every pair of 16 elements, sampled members of 256 and 1,024, and drawn
+# coefficients of 4,096 elements over F_8
+CENSUS_REGIMES = [(1, 2, 2, 3), (2, 2, 2, 2), (1, 2, 2, 5), (2, 2, 2, 3), (1, 2, 3, 5)]
+
+
+@pytest.mark.parametrize("n,q,s,d", CENSUS_REGIMES)
+def test_census_matches_witt_add_reference_in_every_regime(n, q, s, d):
+    for seed in range(5):
+        got, want = lang_kernel_census(n, q, s, d, seed), cft_oracle.lang_kernel_census(n, q, s, d, seed)
+        assert got == want and got.to_json_dict() == want.to_json_dict(), seed
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_census_checks_the_pairs_drawn_from_the_enumeration(monkeypatch, d):
+    # the pass runs in nest order, but the pairs are drawn by index in
+    # enumeration order, so a seed checks the pairs it checked before
+    checked = []
+    lang_check = _DenseLaw.lang_check
+
+    def spied(law, keep):
+        check = lang_check(law, keep)
+
+        def spy(pairs, elems, vals, memo):
+            checked.extend((elems[a], elems[b]) for a, b in pairs)
+            return check(pairs, elems, vals, memo)
+
+        return spy
+
+    monkeypatch.setattr(_DenseLaw, "lang_check", spied)
+    members = list(_coefficient_tuples(4, cft._group_rank(1, d)))
+    for seed in range(3):
+        checked.clear()
+        census = lang_kernel_census(1, 2, 2, d, seed)
+        if len(members) ** 2 <= cft.PAIR_CHECK_LIMIT:
+            want = list(itertools.product(members, repeat=2))
+        else:
+            draws = iter(random.Random(seed).choices(members, k=2000))
+            want = list(zip(draws, draws))
+        assert checked == want and census.endomorphism_pairs_checked == len(want)
+
+
 def test_witnesses_are_peeled_only_when_read(monkeypatch):
     peeled = []
     peel = cft._peel_witnesses
@@ -780,18 +903,22 @@ def test_census_enumeration_order_is_the_witt_enumeration_order():
     )
 
 
-def patch_law(monkeypatch, op=None, inv=None):
-    make = cft._dense_law
+def patch_law(monkeypatch, **tables):
+    """Census laws over F_4 compiled from its tables with ``tables`` in
+    place of the ring's own."""
 
     def patched(ring, n, d):
-        law = make(ring, n, d)
-        return types.SimpleNamespace(op=op or law.op, inv=inv or law.inv, random=law.random)
+        assert ring.size == 4
+        faulty = types.SimpleNamespace(**{k: getattr(ring, k) for k in ("size", "p", "_add", "_mul", "_neg")})
+        vars(faulty).update(tables)
+        return _DenseLaw(faulty, n, d)
 
-    monkeypatch.setattr(cft, "_dense_law", patched)
+    monkeypatch.setattr(dense, "_dense_law", patched)
 
 
 def test_census_product_outside_the_group_is_not_closed(monkeypatch):
-    patch_law(monkeypatch, op=lambda x, y: (5,) * len(x))
+    # every sum is 5, so every product is (5, 5), outside the box of F_4
+    patch_law(monkeypatch, _add=[[5] * 6] * 6, _neg=[0] * 6)
     with pytest.raises(NotClosed):
         lang_kernel_census(1, 2, 2, 3)
 
@@ -799,10 +926,28 @@ def test_census_product_outside_the_group_is_not_closed(monkeypatch):
 # 16 elements, every pair; 256, sampled members; 4096, drawn coefficients
 @pytest.mark.parametrize("d", [3, 5, 7])
 def test_census_rejects_a_lang_map_that_is_no_endomorphism(monkeypatch, d):
-    # x -> Frob(x) * c with a constant c != 1
-    patch_law(monkeypatch, inv=lambda x: (1,) * len(x))
+    # an all-ones negation table makes every inverse (1, .., 1) = c, so
+    # the Lang map is x -> Frob(x) * c with a constant c != 1
+    patch_law(monkeypatch, _neg=[1] * 4)
     with pytest.raises(NotAbelian):
         lang_kernel_census(1, 2, 2, d)
+
+
+# 16 elements, kept; 4,096, pruned
+@pytest.mark.parametrize("d", [3, 7])
+def test_census_reports_a_kernel_that_is_not_rational(monkeypatch, d):
+    # a zero mul table makes the law coordinatewise addition, and a
+    # negation table that takes c to -F(c) at c = 0, 2 and to 1 - F(c) at
+    # c = 1, 3 makes the Lang value F(x) + neg(x) vanish exactly on
+    # {0, 2}^rank: a kernel of q^rank elements, only one fixed by F, that
+    # a pass must find past the values at 1 of each coordinate
+    F4 = CoeffRing.make(4)
+    neg = [F4._neg[F4.rfrob(c, 2)] for c in range(4)]
+    neg[1], neg[3] = F4._add[neg[1]][1], F4._add[neg[3]][1]
+    patch_law(monkeypatch, _mul=[[0] * 4] * 4, _neg=neg)
+    census = lang_kernel_census(1, 2, 2, d)
+    assert census.kernel == census.expected_kernel == 2 ** (d - 1)
+    assert not census.kernel_is_rational and not census.matches
 
 
 def test_exact_log():

@@ -897,7 +897,7 @@ def test_cli_needs_neither_jsonschema_nor_selftest():
     coords = json.dumps({"coords": [{"exp": [1, 0], "r": [[1]]}, {"exp": [1, 2], "r": [[1]]}]})
     # the job mix of the cli_spawn benchmark workload
     jobs = [
-        (["pi1", "--n", "1", "--q", "2", "--d", "3"], "cft", ("duality", "ptypical", "witt")),
+        (["pi1", "--n", "1", "--q", "2", "--d", "3"], "cft", ("dense", "duality", "ptypical", "witt")),
         (["pair", "--both", "--ring", R22_RING, "--payload", PAIR_PAYLOAD], "duality", ("cft",)),
         (["coords", "--ring", F2_RING, "--payload", a], "witt", ("cft", "duality", "ptypical")),
         (

@@ -175,7 +175,7 @@ SITES = {
         r"a group of at least 262145 elements, beyond limit 262144",
     ),
     "oracle": (
-        {"multiwitt.cft._dense_law": refuse},
+        {"multiwitt.dense._dense_law": refuse},
         lambda: cft.witt_group_structure_brute(F2, 20, 20),
         rf"a group of order at least 2\^{RANK}, beyond limit 262144",
     ),
@@ -190,7 +190,7 @@ SITES = {
         r"extension field has q\^s = at least 2\^100000 elements, beyond limit 2048",
     ),
     "census": (
-        {"multiwitt.cft._dense_law": refuse},
+        {"multiwitt.dense._dense_law": refuse},
         lambda: cft.lang_kernel_census(20, 2, 2, 20),
         rf"a census of at least 2\^{2 * RANK} elements, beyond limit 1000000",
     ),

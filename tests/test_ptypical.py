@@ -451,6 +451,39 @@ def test_component_family_is_bounded_before_it_is_built(monkeypatch):
         pi_epsilon_inverse(WittElement.one(F3, 1, 32))
 
 
+def test_zero_components_of_one_length_are_one_vector():
+    """The family's zero components share one vector per length, and each
+    nonzero component is its own: at d = 60, j = 5 has as many entries as
+    j = 7 for p = 2 and as j = 4 for p = 3."""
+    for ring, other in ((RINGS["F2"], 7), (RINGS["F3e2"], 4)):
+        p, d = ring.p, 60
+        lengths = component_lengths(p, d)
+        v = PWittVector(p, [ring.one] + [0] * (lengths[5] - 1), ring)
+        family = pi_epsilon_inverse(pi_epsilon({5: v}, ring, d))
+        assert {j: len(w) for j, w in family.items()} == lengths and family[5] == v
+        zeros = {}
+        for j, w in family.items():
+            if j != 5:
+                assert w == PWittVector.zero(p, lengths[j], ring)
+                assert zeros.setdefault(len(w), w) is w, j
+        assert len(family[other]) == len(v) and family[other] is not family[5]
+        assert set(zeros) == set(lengths.values())
+
+
+def test_component_lengths_match_their_definition():
+    for p in (2, 3, 5, 7):
+        for d in range(-1, 200):
+            want = {}
+            for j in range(1, d):
+                m = 0
+                while j * p**m < d:
+                    m += 1
+                if j % p:
+                    want[j] = m
+            got = component_lengths(p, d)
+            assert got == want and list(got) == list(want), (p, d)
+
+
 def test_pairing_example_and_bilinearity(rng):
     R = CoeffRing.make(2, nil=2)
     eps = R.eps_raw
