@@ -21,22 +21,22 @@ projective line, of order q^(m-1).
 
 The Lang census enumerates the group over an extension F_(q^s), applies
 the Frobenius-over-identity map, and confirms that its kernel is exactly
-the F_q-rational subgroup and that the map is an endomorphism.  On a group
-of up to 2000 elements the enumeration keeps every Lang value, so each
-endomorphism pair costs two group operations and lookups.
+the F_q-rational subgroup.  That the map is an endomorphism it proves
+from the law's tables before the enumeration, so it checks no pair.
 
 The whole-group enumerations (the brute-force oracle, the census and the
 transition check) bound the group order size^rank by ``errors.check_power``,
 with the rank the exact count of nonzero exponents below d, then run on raw
 coefficient tuples under the dense group law of dense.py, whose kernels
 are compiled once per (ring, n, d) to code over the ring tables.  The
-oracle proves the group axioms from that law's tables (see
+oracle and the census prove the group axioms from that law's tables (see
 ``_DenseLaw.group_identity``).  The passes over the whole group, the
 oracle's first ladder level and the census's Lang values, are loop nests
 that compute coordinate k once per prefix x_0..x_k; later ladder levels
 loop over the level.  The loop form of the law, the pairwise and sampled
-commutativity checks and the same loops over WittElement and witt_add
-are the test oracle tests/cft_oracle.py.
+commutativity checks and the same loops over WittElement and witt_add,
+with the census's numeric endomorphism check over pairs, are the test
+oracle tests/cft_oracle.py.
 Only the witnesses and the element enumeration of ModulusGroupDesc import
 the witt module, so the factors, the oracle and the census run without it,
 and only the oracle and the census import dense.py.
@@ -402,8 +402,22 @@ class LangCensus(Record):
 
 
 def lang_kernel_census(n: int, q: int, s: int, d: int, seed: int = 0) -> LangCensus:
-    """Enumerate the group over F_(q^s), count the kernel of the Lang map,
-    and verify the map is an endomorphism and the kernel is F_q-rational."""
+    """Enumerate the group over F_(q^s), count the kernel of the Lang map
+    L(x) = F(x) x^-1, and verify that the kernel is F_q-rational and that
+    L is an endomorphism.
+
+    The endomorphism is proved from the tables of the law's ring before
+    the enumeration: its add table stays in range(size) (else NotClosed),
+    its negation table is the additive inverse, add[a][neg[a]] == 0, as
+    the pass forms x^-1 from it (else NotAbelian), and the law proves
+    itself a commutative group with zero as identity
+    (``_DenseLaw.group_identity``: NotAbelian when the pairs are not
+    symmetric modulo p, NotClosed when the proof does not apply).  The
+    law is then the series product, which commutes, and F applies c ->
+    c^q to every coefficient, a ring endomorphism in characteristic p,
+    so F(xy) = F(x) F(y) and L(xy) = F(x) F(y) x^-1 y^-1 = L(x) L(y) on
+    every pair: ``endomorphism_pairs_checked`` is total^2.  ``seed`` is
+    kept for the CLI's --seed and changes no output."""
     if d < 2:
         raise InvalidTruncation("truncation level must be at least 2")
     if s < 1:
@@ -415,29 +429,19 @@ def lang_kernel_census(n: int, q: int, s: int, d: int, seed: int = 0) -> LangCen
         raise InvalidTruncation("extension characteristic mismatch")
     rank = _group_rank(n, d)
     total = check_power(big.size, rank, CENSUS_LIMIT, "a census of {} elements")
-    from .dense import _dense_law
+    from .dense import _closed, _dense_law
 
     law = _dense_law(big, n, d)
+    ring, size = law.ring, law.ring.size
+    if not _closed(ring):
+        raise NotClosed("the add table leaves the ring's indices")
+    if any(ring._neg[a] not in range(size) or ring._add[a][ring._neg[a]] for a in range(size)):
+        raise NotAbelian("the negation table is not the additive inverse")
+    if law.group_identity(total) is None:
+        raise NotClosed("the law's tables do not prove it a group")
     frob = [big.rfrob(c, q) for c in big.element_indices()]
-    # Frobenius minus identity, F(x) x^-1 in the law written
-    # multiplicatively; a group of up to 2000 elements keeps every Lang
-    # value for the endomorphism check, which then looks them up
-    keep = total <= 2000
-    kernel, rational, elems, vals, memo = law.lang_pass(frob, keep)
-
-    rng = random.Random(seed)
-    if keep:
-        # pairs of enumeration indices, drawn as from the list of elements
-        if total * total <= PAIR_CHECK_LIMIT:
-            pairs = list(product(range(total), repeat=2))
-        else:
-            draws = iter(rng.choices(list(range(total)), k=2000))
-            pairs = list(zip(draws, draws))
-        law.lang_check(keep)(pairs, elems, vals, memo)
-    else:
-        pairs = [(law.random(rng), law.random(rng)) for _ in range(1000)]
-        law.lang_check(keep)(pairs, frob)
-    return LangCensus(total, kernel, q**rank, len(pairs), rational)
+    kernel, rational = law.lang_pass(frob)
+    return LangCensus(total, kernel, q**rank, total**2, rational)
 
 
 def transition_surjective(ring: CoeffRing, n: int, d_from: int, d_to: int) -> bool:

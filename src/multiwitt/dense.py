@@ -10,7 +10,7 @@ from collections import Counter
 from functools import lru_cache
 from itertools import product
 
-from .errors import NotAbelian, NotClosed
+from .errors import NotAbelian
 from .ring import CoeffRing
 from .series import TruncatedSeries, exponents_below, pack_exponent
 
@@ -27,12 +27,14 @@ class _DenseLaw:
     a power x^ell or of the Lang value F(x) x^-1 reads x_0..x_k only.
 
     Every kernel is code compiled from the pairs alone, one nested table
-    lookup per term, on first use and once per law: ``op`` and ``inv`` are
+    lookup per term, on first use and once per law: ``op`` is
     straight-line, the ladder kernel ``powers`` loops over a level, and the
     whole-box passes ``box_powers`` and ``lang_pass`` are loop nests with
     x_0 outermost that compute coordinate k of each value once per prefix
     x_0..x_k, so they build no element tuple and call nothing per element.
-    The loop forms are in tests/cft_oracle.py and cft.brute_force_structure.
+    The census proves its Lang map an endomorphism from the tables (see
+    cft.lang_kernel_census) and checks no pair.  The loop forms are in
+    tests/cft_oracle.py and cft.brute_force_structure.
     """
 
     def __init__(self, ring: CoeffRing, n: int, d: int):
@@ -60,13 +62,8 @@ class _DenseLaw:
 
     @property
     def op(self):
-        """The group law op(x, y), compiled with ``inv`` on first use."""
-        return self._kernel(("law",), _compile_law)[0]
-
-    @property
-    def inv(self):
-        """The inverse inv(x), compiled with ``op`` on first use."""
-        return self._kernel(("law",), _compile_law)[1]
+        """The group law op(x, y), compiled on first use."""
+        return self._kernel(("law",), _compile_law)
 
     def group_identity(self, count: int):
         """The zero tuple, once the tables prove the box range(size)^rank,
@@ -91,27 +88,11 @@ class _DenseLaw:
         keeps inside the box."""
         return self._kernel(("powers", ell, False), _compile_powers)(level)
 
-    def lang_pass(self, frob: list, keep: bool) -> tuple:
+    def lang_pass(self, frob: list) -> tuple:
         """The Lang values y = F(x) x^-1 over the box, for F the table
-        ``frob``: (kernel, rational, elems, vals, memo), with kernel the
-        count of the x with y = 1 and rational whether each of them is
-        fixed by F.  With ``keep``, elems and vals list every x and its y
-        by enumeration index and memo maps x to y; else they are None."""
-        return self._kernel(("lang", keep), _compile_lang_pass)(frob)
-
-    def lang_check(self, keep: bool):
-        """The endomorphism check over pairs: with ``keep``,
-        check(pairs, elems, vals, memo) over pairs of enumeration indices,
-        reading Lang values from a pass; else check(pairs, frob) over
-        pairs of tuples.  NotClosed when a product is not in memo,
-        NotAbelian when F(ab) (ab)^-1 is not F(a) a^-1 F(b) b^-1."""
-        return self._kernel(("check", keep), _compile_lang_check)
-
-    def random(self, rng) -> tuple:
-        """An element drawn as random_witt_element draws it, so a seed
-        names the same elements on both."""
-        size = self.ring.size
-        return tuple(rng.randrange(size) for _ in self.exps)
+        ``frob``: (kernel, rational), with kernel the count of the x with
+        y = 1 and rational whether each of them is fixed by F."""
+        return self._kernel(("lang",), _compile_lang_pass)(frob)
 
     def to_witt(self, x: tuple):
         """The WittElement of the tuple x."""
@@ -144,17 +125,6 @@ def _coordinate(k: int, ks, left: str, right: str, rows: str) -> str:
 
 def _names(c: str, count: int) -> str:
     return "".join(f"{c}{k}, " for k in range(count))
-
-
-def _rows(pad: str, pairs: list, c: str, rows: str) -> list:
-    """Lines that bind rows_i to the mul table row of c_i for every i
-    that leads a pair."""
-    return [f"{pad}{rows}{i} = M[{c}{i}]" for i in sorted(_leaders(pairs))]
-
-
-def _unpack(pad: str, pairs: list, c: str, rows: str) -> list:
-    """Lines that bind c_k to the entries of the tuple c, then the rows."""
-    return [f"{pad}({_names(c, len(pairs))}) = {c}", *_rows(pad, pairs, c, rows)]
 
 
 def _closed(ring: CoeffRing) -> bool:
@@ -198,26 +168,21 @@ def _compile(ring: CoeffRing, signature: str, body: list):
     table and R the range of element indices."""
     lines = [f"def {signature}:", "    A, M, N = add, mul, neg", *body]
     namespace = {
-        "add": ring._add, "mul": ring._mul, "neg": ring._neg, "R": range(ring.size),
-        "product": product, "NotAbelian": NotAbelian, "NotClosed": NotClosed,
+        "add": ring._add, "mul": ring._mul, "neg": ring._neg, "R": range(ring.size), "product": product
     }
     exec("\n".join(lines), namespace)
     return namespace[signature.split("(")[0]]
 
 
 def _compile_law(pairs: list, ring: CoeffRing):
-    """Straight-line ``op(x, y)`` and ``inv(x)`` for the pairs of a _DenseLaw."""
+    """Straight-line ``op(x, y)`` for the pairs of a _DenseLaw: each
+    coordinate z_k by ``_coordinate``, with m_i the mul table row of x_i."""
     rank = len(pairs)
-    head = _unpack("    ", pairs, "x", "m")
-    op = head + [f"    ({_names('y', rank)}) = y"]
-    op += [f"    z{k} = {_coordinate(k, ks, 'x', 'y', 'm')}" for k, ks in enumerate(pairs)]
-    op.append(f"    return ({_names('z', rank)})")
-    inv = head + [
-        f"    y{k} = N[{_fold([*_products(ks, 'm', 'y'), f'x{k}'])}]"
-        for k, ks in enumerate(pairs)
-    ]
-    inv.append(f"    return ({_names('y', rank)})")
-    return _compile(ring, "op(x, y)", op), _compile(ring, "inv(x)", inv)
+    body = [f"    ({_names('x', rank)}) = x", f"    ({_names('y', rank)}) = y"]
+    body += [f"    m{i} = M[x{i}]" for i in sorted(_leaders(pairs))]
+    body += [f"    z{k} = {_coordinate(k, ks, 'x', 'y', 'm')}" for k, ks in enumerate(pairs)]
+    body.append(f"    return ({_names('z', rank)})")
+    return _compile(ring, "op(x, y)", body)
 
 
 # CPython refuses more than 20 statically nested blocks in one function;
@@ -292,101 +257,34 @@ def _compile_powers(pairs: list, ring: CoeffRing, ell: int, box: bool):
     return _compile(ring, "box_powers()" if box else "powers(level)", body + ["    return image"])
 
 
-def _lang(pairs: list, leads: set, k: int, x: str) -> tuple:
-    """The lines before and inside the loop over x_k that give coordinate k
-    of the Lang value l{x} = F(x) u of the entries x_k, where u = x^-1, and
-    then bind m{x}_k and g{x}_k to the mul table rows of x_k and F(x)_k
-    when k leads a pair.  s{x}_k and t{x}_k sum the pair products of
-    u_k = -(sum x_i u_j + x_k) and of l{x}_k = sum F(x)_i u_j + F(x)_k +
-    u_k."""
-    ks = pairs[k]
-    s, t, u, f, m, g = (c + x for c in "stufmg")
-    before = [
-        f"{s}{k} = {_fold(_products(ks, m, u))}", f"{t}{k} = {_fold(_products(ks, g, u))}"
-    ] if ks else []
-    inside = [
-        f"{u}{k} = N[{_fold([f'{s}{k}'] * bool(ks) + [f'{x}{k}'])}]",
-        f"{f}{k} = F[{x}{k}]",
-        f"l{x}{k} = {_fold([f'{t}{k}'] * bool(ks) + [f'{f}{k}', f'{u}{k}'])}",
-    ]
-    rows = [f"{m}{k} = M[{x}{k}]", f"{g}{k} = M[{f}{k}]"] if k in leads else []
-    return before, inside + rows
-
-
-def _compile_lang_pass(pairs: list, ring: CoeffRing, keep: bool):
+def _compile_lang_pass(pairs: list, ring: CoeffRing):
     """``lang_pass(F)`` for the pairs of a _DenseLaw (see
-    _DenseLaw.lang_pass): a loop nest whose coordinate k is ``_lang``'s, so
-    the Lang value is lx.  w_k says whether F fixes x_0..x_k and i_k is the
-    enumeration index of x_0..x_k.  Without ``keep`` the loop over x_k
-    moves on at an lx_k != 0, as no x below that prefix is in the kernel."""
-    rank, size, leads = len(pairs), ring.size, _leaders(pairs)
+    _DenseLaw.lang_pass): a loop nest whose coordinate k gives coordinate
+    k of the Lang value l_k of F(x) u, where u = x^-1.  s_k and t_k sum
+    the pair products of u_k = -(sum x_i u_j + x_k) and of l_k = sum
+    F(x)_i u_j + F(x)_k + u_k before the loop over x_k, which binds m_k
+    and g_k to the mul table rows of x_k and F(x)_k when k leads a pair.
+    The loop moves on at an l_k != 0, as no x below that prefix is in the
+    kernel, and w_k says whether F fixes x_0..x_k."""
+    rank, leads = len(pairs), _leaders(pairs)
 
     def coordinate(k):
-        before, inside = _lang(pairs, leads, k, "x")
-        if not keep:
-            inside.append(f"if lx{k}: continue")
-        inside.append(f"w{k} = {f'w{k - 1} and ' * (k > 0)}fx{k} == x{k}")
-        if keep:
-            inside.append(f"i{k} = i{k - 1} + x{k} * {size**k}" if k else "i0 = x0")
+        ks = pairs[k]
+        before = [f"{c}{k} = {_fold(_products(ks, row, 'u'))}" for c, row in ("sm", "tg") if ks]
+        inside = [
+            f"u{k} = N[{_fold([f's{k}'] * bool(ks) + [f'x{k}'])}]",
+            f"f{k} = F[x{k}]",
+            f"l{k} = {_fold([f't{k}'] * bool(ks) + [f'f{k}', f'u{k}'])}",
+            f"if l{k}: continue",
+            f"w{k} = {f'w{k - 1} and ' * (k > 0)}f{k} == x{k}",
+        ]
+        if k in leads:
+            inside += [f"m{k} = M[x{k}]", f"g{k} = M[f{k}]"]
         return before, inside
 
-    last = f"w{rank - 1}"
     body = ["    kernel, rational = 0, True"]
-    if keep:
-        body += [f"    elems, vals, memo = [None] * {size**rank}, [None] * {size**rank}, {{}}"]
-        leaf = [
-            f"x = ({_names('x', rank)})",
-            f"y = ({_names('lx', rank)})",
-            f"elems[i{rank - 1}] = x",
-            f"vals[i{rank - 1}] = y",
-            "memo[x] = y",
-            f"if y == ({'0, ' * rank}):",
-            "    kernel += 1",
-            f"    rational = rational and {last}",
-        ]
-        result = "kernel, rational, elems, vals, memo"
-    else:
-        leaf = ["kernel += 1", f"rational = rational and {last}"]
-        result = "kernel, rational, None, None, None"
-    body += _nest(rank, coordinate, leaf, rank)
-    return _compile(ring, "lang_pass(F)", body + [f"    return {result}"])
-
-
-def _compile_lang_check(pairs: list, ring: CoeffRing, keep: bool):
-    """The endomorphism check of _DenseLaw.lang_check: for each pair (a, b)
-    it forms ab and the Lang values la, lb and lc of a, b and ab, read
-    from the pass's memo with ``keep`` or computed by ``_lang``, and
-    compares lc with la lb, by the expressions of op."""
-    rank, pad, leads = len(pairs), "        ", _leaders(pairs)
-    ab = [_coordinate(k, ks, "a", "b", "ma") for k, ks in enumerate(pairs)]
-    if keep:
-        signature = "check(pairs, elems, vals, memo)"
-        head = ["    get = memo.get", "    for ia, ib in pairs:", f"{pad}a, b = elems[ia], elems[ib]"]
-        body = [
-            *_unpack(pad, pairs, "a", "ma"),
-            f"{pad}({_names('b', rank)}) = b",
-            f"{pad}lc = get(({''.join(f'{z}, ' for z in ab)}))",
-            f"{pad}if lc is None:",
-            f"{pad}    raise NotClosed('a product left the enumerated group')",
-            f"{pad}la, lb = vals[ia], vals[ib]",
-            *_unpack(pad, pairs, "la", "ml"),
-            f"{pad}({_names('lb', rank)}) = lb",
-        ]
-    else:
-        signature = "check(pairs, F)"
-        head = ["    for a, b in pairs:"]
-        body = [f"{pad}({_names('a', rank)}) = a", f"{pad}({_names('b', rank)}) = b"]
-        for x in "abc":
-            if x == "c":  # the rows m{a} that ab reads are bound by now
-                body += [f"{pad}c{k} = {z}" for k, z in enumerate(ab)]
-            body += [pad + line for k in range(rank) for part in _lang(pairs, leads, k, x) for line in part]
-        body += [f"{pad}lc = ({_names('lc', rank)})", *_rows(pad, pairs, "la", "ml")]
-    rhs = "".join(f"{_coordinate(k, ks, 'la', 'lb', 'ml')}, " for k, ks in enumerate(pairs))
-    body += [
-        f"{pad}if lc != ({rhs}):",
-        f"{pad}    raise NotAbelian('Lang map failed to be an endomorphism')",
-    ]
-    return _compile(ring, signature, head + body)
+    body += _nest(rank, coordinate, ["kernel += 1", f"rational = rational and w{rank - 1}"], rank)
+    return _compile(ring, "lang_pass(F)", body + ["    return kernel, rational"])
 
 
 @lru_cache(maxsize=32)

@@ -5,11 +5,16 @@ Every element is a ``WittElement`` and every group operation is
 public series arithmetic alone.  They are slow and exist to check the
 library's enumerations, which run the same loops on raw coefficient
 tuples: the same invariant factors, witnesses in the same order, and
-the same census on the same seed.
+the same census total, kernel and rationality.  The reference census
+still checks the endomorphism numerically, on every pair of up to 200
+elements and on 1,000 pairs drawn from the seed beyond, where the
+library proves it from the law's tables for all total^2 pairs.
 
 ``loop_op`` and ``loop_inv`` are the dense law on raw coefficient tuples
-as plain loops over its pairs, the reference for the compiled ``op`` and
-``inv`` of ``multiwitt.dense._DenseLaw``.
+as plain loops over its pairs: the reference for the compiled ``op`` of
+``multiwitt.dense._DenseLaw`` and for the inverse its Lang pass forms.
+``random_tuple`` draws a raw tuple as ``random_witt_element`` draws an
+element, so a seed names the same elements on both.
 
 ``pairwise_commutes`` and ``sampled_commutes`` are the commutativity
 checks as loops over op: every unordered pair of elements, or the 2,000
@@ -74,6 +79,12 @@ def loop_inv(law, x: tuple) -> tuple:
             s = add[s][mul[x[i]][y[j]]]
         y.append(neg[s])
     return tuple(y)
+
+
+def random_tuple(law, rng) -> tuple:
+    """A raw coefficient tuple of ``law``, drawn as random_witt_element
+    draws the element."""
+    return tuple(rng.randrange(law.ring.size) for _ in law.exps)
 
 
 def pairwise_commutes(elems: list, op) -> None:
