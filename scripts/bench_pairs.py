@@ -5,9 +5,13 @@
 
 For every workload and seed, runs ``perfbench/run.py`` once in each
 checkout, one run at a time, alternating which side runs first from one
-seed to the next.  It writes the runs of each pair and, for each metric,
-the medians, the inclusive quartiles and the number of pairs where the
-change reads lower.  The file is rewritten after each workload.
+seed to the next.  It writes the runs of each pair and, for each metric
+and for the number of passes a run completed, the medians, the inclusive
+quartiles and the number of pairs where the change reads lower.  The file
+is rewritten after each workload.
+
+A run keeps every pass's outputs, so a faster side completes more passes
+and can read a higher ``peak_rss_mb``; the pass counts show when it does.
 """
 
 from __future__ import annotations
@@ -35,11 +39,14 @@ def parse_seeds(text: str) -> list:
 
 
 def parse_run(stdout: str) -> dict:
-    """The record of one run from its last stdout line: each metric's
-    value, and the run's failed and attempted counts and correctness."""
-    last = json.loads(stdout.strip().splitlines()[-1])
+    """The record of one run from its last two stdout lines: each metric's
+    value, the passes it completed (``info.passes``), and its failed and
+    attempted counts and correctness."""
+    *_, info_line, last_line = stdout.strip().splitlines()
+    info, last = json.loads(info_line)["info"], json.loads(last_line)
     record = {name: round(m["value"], 4) for name, m in last["metrics"].items()}
-    record.update(failed=last["failed"], attempted=last["attempted"], correct=last["correct"])
+    record.update(passes=info["passes"], failed=last["failed"], attempted=last["attempted"],
+                  correct=last["correct"])
     return record
 
 
@@ -51,9 +58,9 @@ def quartiles(values: list) -> list:
 
 
 def summarize(pairs: list) -> dict:
-    """Per metric that both sides of every pair report: the medians and
-    inclusive quartiles of each side, the pairs where the change is lower,
-    and the ratio of the medians."""
+    """Per metric, and for the pass counts, that both sides of every pair
+    report: the medians and inclusive quartiles of each side, the pairs
+    where the change is lower, and the ratio of the medians."""
     metrics = [
         k for k in pairs[0]["parent"]
         if k not in RUN_FIELDS and all(k in p["parent"] and k in p["change"] for p in pairs)

@@ -114,7 +114,7 @@ def run(args: argparse.Namespace):
         from .witt import WittElement
 
         f = FormalWittElement(TruncatedSeries.from_json_dict(ring, payload["f"]))
-        base = CoeffRing(ring.field, 1)
+        base = CoeffRing.make(ring.q, 1, ring.field.modulus)
         g = WittElement.from_json_dict(base, payload["g"])
         result = {}
         if args.mode in ("algebraic", "both"):

@@ -14,10 +14,12 @@ Every ring, field or not, has one representation: full addition,
 negation, multiplication, inverse and p-th power tables over all q^e_nil
 raw elements, and the coordinate rows of each raw element, attached to
 each CoeffRing at construction, so each raw operation is a single
-lookup.  The tables of the 32 most recently used (p, e, modulus, e_nil)
-stay cached.  They grow as (q^e_nil)^2, so a field or ring of more than
-2048 elements is refused by ``errors.check_power`` before its order is
-formed or factored.  Hot loops work on raw integers via
+lookup.  A ring is one cached object per descriptor (q, e_nil, modulus):
+``CoeffRing.make`` checks and builds it on first use and returns the same
+object after, and the tables live as long as their ring.  The 32 most
+recently made rings stay cached.  Tables grow as (q^e_nil)^2, so a field
+or ring of more than 2048 elements is refused by ``errors.check_power``
+before its order is formed or factored.  Hot loops work on raw integers via
 the CoeffRing methods; RingElement is a thin wrapper with operator
 overloads for public use and tests.
 
@@ -275,8 +277,6 @@ def _find_irreducible(p: int, e: int):
     raise ValueError(f"no irreducible polynomial found for p={p}, e={e}")
 
 
-# bounded: the tables of one ring of 2048 elements take about 80 MiB
-@lru_cache(maxsize=32)
 def _ring_tables(p: int, e: int, modulus: tuple, nil: int):
     """(add, neg, mul, inv, frob, coords) tables of F_q[eps]/(eps^nil), q = p^e.
 
@@ -351,24 +351,16 @@ class CoeffRing(Record):
     _fields = ("field", "nil")
 
     def __init__(self, field: FiniteField, nil: int = 1):
-        if nil < 1:
-            raise SchemaError("nilpotency order must be >= 1")
-        check_power(field.q, nil, _MAX_TABLE_Q, "ring has q^nil = {} elements")
-        add, neg, mul, inv, frob, coords = _ring_tables(field.p, field.e, field.modulus, nil)
-        self._set(
-            field=field, nil=nil, q=field.q, size=field.q**nil,
-            _add=add, _neg=neg, _mul=mul, _inv=inv, _frob=frob, _coords=coords,
-        )
+        # an equal ring: every slot but the field is the made ring's, tables too
+        made = _made_ring(field.q, nil, field.modulus)
+        self._set(field=field, **{name: getattr(made, name) for name in self.__slots__[1:]})
 
     @classmethod
     def make(cls, q: int, nil: int = 1, modulus=None) -> "CoeffRing":
-        if modulus is not None:
-            p = _char_of(q)
-            e = len(modulus) - 1
-            if p**e != q:
-                raise SchemaError("modulus degree does not match q")
-            return cls(FiniteField(p, e, tuple(modulus)), nil)
-        return cls(FiniteField.of_order(q), nil)
+        """The one ring F_q[eps]/(eps^nil) of its descriptor, modulo
+        ``modulus`` or else the field's default modulus: checked and built
+        on the first call, the same object on every call while cached."""
+        return _made_ring(q, nil, None if modulus is None else tuple(modulus))
 
     @property
     def p(self) -> int:
@@ -540,14 +532,40 @@ class CoeffRing(Record):
         modulus (a list of integers) and optional nil."""
         json_object(obj, "ring descriptor", ("p", "e", "modulus"), ("nil",))
         modulus = json_list(obj["modulus"], "ring modulus")
-        return cls(
-            FiniteField(
-                json_int(obj["p"], "ring p", 2),
-                json_int(obj["e"], "ring e", 1),
-                tuple(json_int(c, "modulus coefficient") for c in modulus),
-            ),
-            json_int(obj.get("nil", 1), "ring nil", 1),
+        field = FiniteField(
+            json_int(obj["p"], "ring p", 2),
+            json_int(obj["e"], "ring e", 1),
+            tuple(json_int(c, "modulus coefficient") for c in modulus),
         )
+        return cls.make(field.q, json_int(obj.get("nil", 1), "ring nil", 1), field.modulus)
+
+
+# bounded: the tables of one ring of 2048 elements take about 80 MiB.
+# Typed, so that a hit returns what a miss would: make(2.0) is not make(2).
+@lru_cache(maxsize=32, typed=True)
+def _made_ring(q: int, nil: int, modulus) -> CoeffRing:
+    """``CoeffRing.make``'s ring.  A failed check raises and caches nothing.
+    The default modulus (None) and an unreduced one share the entry of the
+    reduced modulus, so each descriptor has one ring object."""
+    if modulus is None:
+        field = FiniteField.of_order(q)
+    else:
+        p = _char_of(q)
+        e = len(modulus) - 1
+        if p**e != q:
+            raise SchemaError("modulus degree does not match q")
+        field = FiniteField(p, e, modulus)
+    if field.modulus != modulus:
+        return _made_ring(q, nil, field.modulus)
+    if nil < 1:
+        raise SchemaError("nilpotency order must be >= 1")
+    check_power(q, nil, _MAX_TABLE_Q, "ring has q^nil = {} elements")
+    add, neg, mul, inv, frob, coords = _ring_tables(field.p, field.e, field.modulus, nil)
+    ring = CoeffRing._make(field, nil)
+    ring._set(
+        q=q, size=q**nil, _add=add, _neg=neg, _mul=mul, _inv=inv, _frob=frob, _coords=coords,
+    )
+    return ring
 
 
 class RingElement(Record):

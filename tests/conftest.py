@@ -37,3 +37,18 @@ def rng():
 @pytest.fixture(params=sorted(RINGS))
 def any_ring(request):
     return RINGS[request.param]
+
+
+# the tables each ring was made with
+BUILT_TABLES = {name: (r._add, r._neg, r._mul, r._inv) for name, r in RINGS.items()}
+
+
+@pytest.fixture(autouse=True)
+def rings_keep_their_tables():
+    """RINGS are the objects every ``CoeffRing.make`` of their descriptor
+    returns, so a test that patches a ring's tables must put the built
+    ones back before it ends."""
+    yield
+    for name, ring in RINGS.items():
+        tables = (ring._add, ring._neg, ring._mul, ring._inv)
+        assert all(t is b for t, b in zip(tables, BUILT_TABLES[name])), f"{name}'s tables left patched"

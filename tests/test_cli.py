@@ -300,6 +300,22 @@ def test_pair_both_agree(capsys):
     assert doc["algebraic"] == doc["geometric"]
 
 
+def test_pair_takes_its_rings_from_the_ring_cache(capsys, monkeypatch):
+    """The --ring ring and g's base field are the objects CoeffRing.make
+    returns, not directly constructed copies."""
+    from multiwitt import CoeffRing
+
+    def direct(*_):
+        raise AssertionError("a ring was constructed outside CoeffRing.make")
+
+    monkeypatch.setattr(CoeffRing, "__init__", direct)
+    f = series_doc(1, 2, [((0,), [[1], [0]]), ((1,), [[0], [1]])], exact=True)
+    g = series_doc(1, 5, [((0,), [[1]]), ((1,), [[1]])])
+    payload = json.dumps({"f": f, "g": g})
+    code, doc = run_cli(capsys, ["pair", "--both", "--ring", R22_RING, "--payload", payload])
+    assert code == 0 and doc["agree"] is True
+
+
 def test_pair_single_routes(capsys):
     f = series_doc(1, 3, [((0,), [[1], [0]]), ((2,), [[0], [1]])], exact=True)
     g = series_doc(1, 5, [((0,), [[1]]), ((1,), [[1]])])

@@ -1,5 +1,6 @@
 import copy
 import json
+import pickle
 from fractions import Fraction
 from functools import lru_cache
 
@@ -328,7 +329,8 @@ def test_equal_rings_share_one_cache_entry():
         calls.append(ring)
         return ring.size
 
-    assert size_of(CoeffRing.make(3, nil=2)) == size_of(CoeffRing.make(3, nil=2)) == 9
+    made, built = CoeffRing.make(3, nil=2), CoeffRing(CoeffRing.make(3).field, 2)
+    assert size_of(made) == size_of(built) == 9
     assert size_of(CoeffRing.make(3)) == 3
     assert len(calls) == 2
 
@@ -363,11 +365,61 @@ def test_field_order_bounded_before_factoring(monkeypatch):
 
 
 def test_table_cache_is_bounded():
-    from multiwitt.ring import _is_prime, _ring_tables
+    """The made rings, which alone hold their tables, stay cached 32 at a
+    time: a ring evicted by 46 newer ones is built again, equal and new."""
+    from multiwitt.ring import _is_prime, _made_ring
 
-    assert _ring_tables.cache_info().maxsize == 32
+    assert _made_ring.cache_info().maxsize == 32
+    first = CoeffRing.make(2)
     primes = [p for p in range(2, 200) if _is_prime(p)]
     assert len(primes) > 32
     for p in primes:
         assert CoeffRing.make(p).rmul(p - 1, p - 1) == 1
-    assert _ring_tables.cache_info().currsize <= 32
+    assert _made_ring.cache_info().currsize <= 32
+    again = CoeffRing.make(2)
+    assert again == first and again is not first and again is CoeffRing.make(2)
+
+
+def test_make_returns_one_object_per_descriptor():
+    assert CoeffRing.make(4) is CoeffRing.make(4)
+    assert CoeffRing.make(4, modulus=[1, 1, 1]) is CoeffRing.make(4, modulus=(1, 1, 1))
+    # the default modulus of F_4, and x + 3 = x over F_3
+    assert CoeffRing.make(4, modulus=(1, 1, 1)) is CoeffRing.make(4)
+    assert CoeffRing.make(3, modulus=(3, 1)) is CoeffRing.make(3)
+    assert CoeffRing.make(3) is CoeffRing.make(3, nil=1)
+    assert CoeffRing.make(3, nil=2) is CoeffRing.make(3, 2) is not CoeffRing.make(3)
+
+
+def test_every_way_to_a_ring_shares_the_made_tables():
+    ring = CoeffRing.make(9, nil=2)
+    assert CoeffRing.from_json_dict(ring.to_json_dict()) is ring
+    assert CoeffRing.make(ring.q, 1, ring.field.modulus) is CoeffRing.make(9)
+    built = CoeffRing(FiniteField(3, 2, ring.field.modulus), 2)
+    for other in (built, pickle.loads(pickle.dumps(ring)), copy.deepcopy(ring)):
+        assert other is not ring and other == ring and hash(other) == hash(ring)
+        tables = ("_add", "_neg", "_mul", "_inv", "_frob", "_coords")
+        assert all(getattr(other, t) is getattr(ring, t) for t in tables)
+        assert other.rmul(other.eps_raw, other.eps_raw) == 0
+
+
+@pytest.mark.parametrize(
+    "args, error, match",
+    [
+        ((4, 1, [1, 0, 1]), SchemaError, "modulus has root 1 mod 2"),
+        ((8, 1, [1, 0, 1, 1, 1]), SchemaError, "modulus degree does not match q"),
+        ((6,), SchemaError, "6 is not a prime power"),
+        ((2, 12), TooLarge, r"q\^nil = 4096 elements, beyond limit 2048$"),
+        ((3, 0), SchemaError, "nilpotency order must be >= 1"),
+    ],
+    ids=["reducible", "degree", "q", "q^nil", "nil"],
+)
+def test_a_failed_make_is_checked_again_and_never_cached(args, error, match):
+    from multiwitt.ring import _made_ring
+
+    before = _made_ring.cache_info()
+    for _ in range(2):
+        with pytest.raises(error, match=match):
+            CoeffRing.make(*args)
+    after = _made_ring.cache_info()
+    assert after.hits == before.hits and after.misses > before.misses
+    assert after.currsize == before.currsize

@@ -98,10 +98,19 @@ def test_bench_pairs_reads_a_run_and_its_seeds():
         "metrics": {"job_cost_cal": {"value": 0.123456, "unit": "cal"},
                     "setup_s": {"value": 0.05, "unit": "s"}},
     }
-    stdout = "reference figures\n" + json.dumps(last) + "\n"
-    assert bench.parse_run(stdout) == {
-        "job_cost_cal": 0.1235, "setup_s": 0.05, "failed": 1, "attempted": 12, "correct": True,
+    info = {"info": {"workload": "structure", "seed": 3, "passes": 4, "jobs_per_pass": 3}}
+    stdout = "reference figures\n" + json.dumps(info) + "\n" + json.dumps(last) + "\n"
+    record = bench.parse_run(stdout)
+    assert record == {
+        "job_cost_cal": 0.1235, "setup_s": 0.05, "passes": 4, "failed": 1, "attempted": 12,
+        "correct": True,
     }
+    # the pass counts are summarized next to the metrics
+    info["info"]["passes"] = 6
+    faster = bench.parse_run(json.dumps(info) + "\n" + json.dumps(last))
+    pairs = [{"seed": 3, "first": "parent", "parent": record, "change": faster}]
+    passes = bench.summarize(pairs)["passes"]
+    assert (passes["parent_median"], passes["change_median"]) == (4, 6)
     assert bench.parse_seeds("3101-3103,3110") == [3101, 3102, 3103, 3110]
 
 
