@@ -26,7 +26,6 @@ _EXPORTS = {
         "AbelianGroupStructure",
         "LangCensus",
         "ModulusGroupDesc",
-        "brute_force_structure",
         "lang_kernel_census",
         "modulus_group",
         "pi1_truncated",

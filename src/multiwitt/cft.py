@@ -5,10 +5,10 @@ At truncation d over F_q the group is generated by the binomials
 exponents below d whose gcd is prime to p; such a generator has order
 p^s(nu) where s(nu) counts the i >= 0 with p^i |nu| < d, because raising
 a binomial to the p-th power just dilates its exponent.  Collecting these
-prime powers gives the invariant factors directly; a brute-force routine
-recovers the same data from nothing but the multiplication, and the two
-must agree on every configuration small enough to enumerate.  It reads
-the factors off the power ladder: for each prime l dividing |G| the sizes
+prime powers gives the invariant factors directly; a brute-force oracle
+recovers the same data from the group law, and the two must agree on
+every configuration small enough to enumerate.  It reads the factors
+off the power ladder: for each prime l dividing |G| the sizes
 |l^k G| come from iterating x -> x^l over the set, and
 |l^k G| / |l^(k+1) G| = l^r counts the cyclic factors of order at least
 l^(k+1).  Witnesses, one generator per factor and together a basis, are
@@ -29,14 +29,16 @@ transition check) bound the group order size^rank by ``errors.check_power``,
 with the rank the exact count of nonzero exponents below d, then run on raw
 coefficient tuples under the dense group law of dense.py, whose kernels
 are compiled once per (ring, n, d) to code over the ring tables.  The
-oracle and the census prove the group axioms from that law's tables (see
-``_DenseLaw.group_identity``).  The passes over the whole group, the
-oracle's first ladder level and the census's Lang values, are loop nests
-that compute coordinate k once per prefix x_0..x_k; later ladder levels
-loop over the level.  The loop form of the law, the pairwise and sampled
-commutativity checks and the same loops over WittElement and witt_add,
-with the census's numeric endomorphism check over pairs, are the test
-oracle tests/cft_oracle.py.
+oracle and the census have one path: the law proves the group axioms
+from its tables or refuses (``_DenseLaw.prove``), and then the compiled
+ladder or Lang pass runs.  The passes over the whole group, the oracle's
+first ladder level and the census's Lang values, are loop nests that
+compute coordinate k once per prefix x_0..x_k; later ladder levels loop
+over the level.  The test oracle tests/cft_oracle.py keeps the loops:
+the loop form of the law, the same ladder over an opaque op with its
+pairwise and sampled commutativity checks, and the same enumerations
+over WittElement and witt_add, with the census's numeric endomorphism
+check over pairs.
 Only the witnesses and the element enumeration of ModulusGroupDesc import
 the witt module, so the factors, the oracle and the census run without it,
 and only the oracle and the census import dense.py.
@@ -44,19 +46,17 @@ and only the oracle and the census import dense.py.
 
 from __future__ import annotations
 
-import random
 from functools import partial
-from itertools import combinations, islice, product
+from itertools import product
 from math import prod
 
-from .errors import InvalidTruncation, NotAbelian, NotClosed, check_budget, check_power
+from .errors import InvalidTruncation, NotAbelian, check_budget, check_power
 from .ring import _MAX_TABLE_Q, CoeffRing, FiniteField, Record
 from .series import check_shape, content, exponent_count, exponents_below
 
 BRUTE_FORCE_LIMIT = 2**18
 CENSUS_LIMIT = 10**6
 PI1_GENERATOR_LIMIT = 10**5
-PAIR_CHECK_LIMIT = 4 * 10**4
 
 
 class AbelianGroupStructure(Record):
@@ -152,47 +152,6 @@ def modulus_group(q: int, m: int) -> ModulusGroupDesc:
     return ModulusGroupDesc(q, m, s.order, s)
 
 
-def brute_force_structure(elements, op, kernels=None) -> AbelianGroupStructure:
-    """Recover invariant factors from an explicit finite abelian group.
-
-    For each prime l dividing |G| the power ladder G, lG, l^2 G, ... comes
-    from iterating x -> x^l over the set until the image stops shrinking;
-    |l^k G| / |l^(k+1) G| = l^r says that r cyclic factors have order at
-    least l^(k+1).  The primary parts combine into ascending invariant
-    factors, whose product is certified against |G|.  The loops over op
-    check that no element comes twice, that every product computed stays
-    in the set, that the idempotent found acts as the identity, and
-    commutativity: on every unordered pair while |G|^2 <= PAIR_CHECK_LIMIT,
-    beyond on the 2,000 pairs that random.Random(0).choices(elems, k=4000)
-    draws two at a time.  The greedy peel builds one witness per factor,
-    together a basis, on the first read of ``witnesses`` only.
-
-    ``kernels``, when given, is the law whose set ``elements`` lists once:
-
-    - kernels.group_identity(count) proves the group axioms from the law
-      and returns the identity, in place of the loops over op, or returns
-      None when the proof does not apply, and the loops run;
-    - after a proof, kernels.box_powers(ell) is the first level of the
-      ladder, the set of x^ell over the whole box, and
-      kernels.powers(level, ell) each later one, the set of x^ell over x
-      in level.
-    """
-    # one element past the limit is enough to refuse
-    elems = list(islice(elements, BRUTE_FORCE_LIMIT + 1))
-    check_budget(len(elems), BRUTE_FORCE_LIMIT, "a group of at least {} elements")
-    identity = None if kernels is None else kernels.group_identity(len(elems))
-    if identity is not None:
-        first, later = kernels.box_powers, kernels.powers
-    else:
-        members = set(elems)
-        if len(members) != len(elems):
-            raise NotClosed("duplicate elements in enumeration")
-        identity = _check_group(elems, op, members)
-        later = partial(_powers, op=op, members=members)
-        first = partial(later, elems)
-    return _ladder(len(elems), first, later, lambda: _peel_witnesses(elems, op, identity))
-
-
 def _ladder(order: int, first, later, witnesses) -> AbelianGroupStructure:
     """The invariant factors of a group of ``order`` elements from its
     power ladders: first(ell) is the set of ell-th powers of the group,
@@ -215,50 +174,6 @@ def _ladder(order: int, first, later, witnesses) -> AbelianGroupStructure:
     if prod(factors) != order:
         raise NotAbelian("factor product does not certify the group order")
     return AbelianGroupStructure(factors, order, witnesses)
-
-
-def _check_group(elems: list, op, members: set):
-    """The identity of elems under op, the first idempotent, once it fixes
-    every element and every checked pair commutes inside the set."""
-    identity = None
-    for x in elems:
-        y = op(x, x)
-        if y not in members:
-            raise NotClosed(f"product of {x!r} with itself left the set")
-        if y == x:
-            identity = x
-            break
-    if identity is None:
-        raise NotClosed("no idempotent found, not a finite group")
-    for x in elems:
-        if op(identity, x) != x:
-            raise NotClosed(f"the idempotent {identity!r} moves {x!r}, not a group")
-
-    if len(elems) ** 2 > PAIR_CHECK_LIMIT:
-        draws = iter(random.Random(0).choices(elems, k=4000))
-        pairs = zip(draws, draws)
-    else:
-        pairs = combinations(elems, 2)
-    for a, b in pairs:
-        ab = op(a, b)
-        if ab not in members:
-            raise NotClosed(f"product of {a!r} and {b!r} left the set")
-        if ab != op(b, a):
-            raise NotAbelian(f"{a!r} and {b!r} do not commute")
-    return identity
-
-
-def _powers(level, ell: int, op, members: set) -> set:
-    """The set of x^ell over x in level, by ell - 1 products op(y, x)."""
-    image = set()
-    for x in level:
-        y = x
-        for _ in range(ell - 1):
-            y = op(y, x)
-            if y not in members:
-                raise NotClosed(f"powers of {x!r} left the set")
-        image.add(y)
-    return image
 
 
 def _prime_factors(m: int) -> list:
@@ -359,26 +274,22 @@ def _coefficient_tuples(size: int, rank: int):
 
 
 def witt_group_structure_brute(ring: CoeffRing, n: int, d: int) -> AbelianGroupStructure:
-    """Brute-force oracle applied to the truncated group itself.  Once the
-    law proves its box a group, the ladder starts from ``box_powers``, and
-    the box is listed only when the witnesses are read."""
+    """Brute-force oracle applied to the truncated group itself.  The law
+    proves its box a group from its tables or refuses
+    (``_DenseLaw.prove``), the ladder starts from ``box_powers``, and the
+    box is listed only when the witnesses are read."""
     rank = _group_rank(n, d)
     order = check_power(ring.size, rank, BRUTE_FORCE_LIMIT, "a group of order {}")
     from .dense import _dense_law
 
     law = _dense_law(ring, n, d)
-    identity = law.group_identity(order)
-    if identity is None:
-        s = brute_force_structure(_coefficient_tuples(ring.size, rank), law.op)
-    else:
+    law.prove()
 
-        def witnesses():
-            return _peel_witnesses(list(_coefficient_tuples(ring.size, rank)), law.op, identity)
+    def witnesses():
+        box = list(_coefficient_tuples(ring.size, rank))
+        return tuple(map(law.to_witt, _peel_witnesses(box, law.op, (0,) * rank)))
 
-        s = _ladder(order, law.box_powers, law.powers, witnesses)
-    return AbelianGroupStructure(
-        s.invariant_factors, s.order, lambda: tuple(law.to_witt(w) for w in s.witnesses)
-    )
+    return _ladder(order, law.box_powers, law.powers, witnesses)
 
 
 class LangCensus(Record):
@@ -407,14 +318,13 @@ def lang_kernel_census(n: int, q: int, s: int, d: int, seed: int = 0) -> LangCen
     L is an endomorphism.
 
     The endomorphism is proved from the tables of the law's ring before
-    the enumeration: its add table stays in range(size) (else NotClosed),
-    its negation table is the additive inverse, add[a][neg[a]] == 0, as
-    the pass forms x^-1 from it (else NotAbelian), and the law proves
-    itself a commutative group with zero as identity
-    (``_DenseLaw.group_identity``: NotAbelian when the pairs are not
-    symmetric modulo p, NotClosed when the proof does not apply).  The
-    law is then the series product, which commutes, and F applies c ->
-    c^q to every coefficient, a ring endomorphism in characteristic p,
+    the enumeration, by the proof the oracle runs (``_DenseLaw.prove``):
+    the add table stays in range(size) (else NotClosed), the negation
+    table, from which the pass forms x^-1, is the additive inverse (else
+    NotAbelian), and the law is a commutative group with zero as
+    identity (else NotClosed, or NotAbelian for pairs that are not
+    symmetric modulo p).  The law is then the series product, which
+    commutes, and F applies c -> c^q to every coefficient, a ring endomorphism in characteristic p,
     so F(xy) = F(x) F(y) and L(xy) = F(x) F(y) x^-1 y^-1 = L(x) L(y) on
     every pair: ``endomorphism_pairs_checked`` is total^2.  ``seed`` is
     kept for the CLI's --seed and changes no output."""
@@ -429,16 +339,10 @@ def lang_kernel_census(n: int, q: int, s: int, d: int, seed: int = 0) -> LangCen
         raise InvalidTruncation("extension characteristic mismatch")
     rank = _group_rank(n, d)
     total = check_power(big.size, rank, CENSUS_LIMIT, "a census of {} elements")
-    from .dense import _closed, _dense_law
+    from .dense import _dense_law
 
     law = _dense_law(big, n, d)
-    ring, size = law.ring, law.ring.size
-    if not _closed(ring):
-        raise NotClosed("the add table leaves the ring's indices")
-    if any(ring._neg[a] not in range(size) or ring._add[a][ring._neg[a]] for a in range(size)):
-        raise NotAbelian("the negation table is not the additive inverse")
-    if law.group_identity(total) is None:
-        raise NotClosed("the law's tables do not prove it a group")
+    law.prove()
     frob = [big.rfrob(c, q) for c in big.element_indices()]
     kernel, rational = law.lang_pass(frob)
     return LangCensus(total, kernel, q**rank, total**2, rational)

@@ -1,7 +1,11 @@
 """The dense group law on raw coefficient tuples and the kernels compiled
-from it, on which the whole-group enumerations of cft.py run: the
-brute-force oracle's power ladder, the proof of its group axioms from the
-ring tables (``_proves_group``) and the Lang census.  See ``_DenseLaw``.
+from it, on which the whole-group enumerations of cft.py run: the proof
+of the group axioms from the ring tables (``_DenseLaw.prove``), then the
+brute-force oracle's power ladder or the Lang census.  A law either
+proves its tables or refuses; there is no second path over an opaque
+op, whose loops are the test oracle tests/cft_oracle.py.  The code
+builders format with % and concatenation, as CPython compiles nested
+f-strings slowly.  See ``_DenseLaw``.
 """
 
 from __future__ import annotations
@@ -10,7 +14,7 @@ from collections import Counter
 from functools import lru_cache
 from itertools import product
 
-from .errors import NotAbelian
+from .errors import NotAbelian, NotClosed
 from .ring import CoeffRing
 from .series import TruncatedSeries, exponents_below, pack_exponent
 
@@ -26,15 +30,15 @@ class _DenseLaw:
     solves y_k = -(sum x_i y_j + x_k) in index order, and coordinate k of
     a power x^ell or of the Lang value F(x) x^-1 reads x_0..x_k only.
 
-    Every kernel is code compiled from the pairs alone, one nested table
-    lookup per term, on first use and once per law: ``op`` is
-    straight-line, the ladder kernel ``powers`` loops over a level, and the
-    whole-box passes ``box_powers`` and ``lang_pass`` are loop nests with
-    x_0 outermost that compute coordinate k of each value once per prefix
-    x_0..x_k, so they build no element tuple and call nothing per element.
-    The census proves its Lang map an endomorphism from the tables (see
-    cft.lang_kernel_census) and checks no pair.  The loop forms are in
-    tests/cft_oracle.py and cft.brute_force_structure.
+    ``prove`` checks the ring tables and the pairs once per law, and the
+    whole-box kernels run only on a proved law.  Every kernel is code
+    compiled from the pairs alone, one nested table lookup per term, on
+    first use and once per law: ``op`` is straight-line, the ladder
+    kernel ``powers`` loops over a level, and the whole-box passes
+    ``box_powers`` and ``lang_pass`` are loop nests with x_0 outermost
+    that compute coordinate k of each value once per prefix x_0..x_k, so
+    they build no element tuple and call nothing per element.  The loop
+    forms are in tests/cft_oracle.py.
     """
 
     def __init__(self, ring: CoeffRing, n: int, d: int):
@@ -50,9 +54,49 @@ class _DenseLaw:
                 k = index.get(ka + kb)
                 if k is not None:
                     self.pairs[k].append((i, j))
-        self.order = ring.size ** len(self.pairs)
-        self._proved = None
+        self._proved = False
         self._kernels = {}
+
+    def prove(self) -> None:
+        """Prove from the tables that the law is a commutative group on the
+        box range(size)^rank with the zero tuple its identity, or raise.
+        A proof runs once per law; a refusal runs again on the next call.
+        In order:
+
+        - NotClosed when the add table leaves range(size).  Each
+          coordinate of a product is an entry of it, so otherwise no
+          product leaves the box.
+        - NotAbelian when the negation table is not the additive inverse,
+          add[a][neg[a]] != 0 for some a, as the Lang pass forms x^-1
+          from it.
+        - NotClosed when the ring is not a CoeffRing whose zero is the
+          identity, add[0][a] == a and mul[0][a] == 0 for every a.
+        - NotAbelian when the pairs are not symmetric modulo p.  Over a
+          CoeffRing, a commutative ring, op(x, y) - op(y, x) at k is the
+          sum of (c_ij - c_ji) x_i y_j, with c_ij the count of (i, j) in
+          pairs[k].  It vanishes for all x and y exactly when every c_ij =
+          c_ji modulo p, as x = e_i and y = e_j show, and the refusal
+          names the first coordinate k and pair (i, j) where it does not.
+        """
+        if self._proved:
+            return
+        ring, size = self.ring, self.ring.size
+        add, neg = ring._add, ring._neg
+        if min(map(min, add)) < 0 or max(map(max, add)) >= size:
+            raise NotClosed("the add table leaves the ring's indices")
+        if any(neg[a] not in range(size) or add[a][neg[a]] for a in range(size)):
+            raise NotAbelian("the negation table is not the additive inverse")
+        if not isinstance(ring, CoeffRing) or tuple(add[0]) != tuple(range(size)) or any(ring._mul[0]):
+            raise NotClosed("the ring is not a CoeffRing whose zero is the identity")
+        for k, ks in enumerate(self.pairs):
+            count = Counter(ks)
+            for (i, j), c in count.items():
+                if (c - count[j, i]) % ring.p:
+                    raise NotAbelian(
+                        f"coordinate {k} of the law takes x_{i} y_{j} {c} times and"
+                        f" x_{j} y_{i} {count[j, i]} times, apart modulo {ring.p}"
+                    )
+        self._proved = True
 
     def _kernel(self, key, build):
         kernel = self._kernels.get(key)
@@ -65,27 +109,12 @@ class _DenseLaw:
         """The group law op(x, y), compiled on first use."""
         return self._kernel(("law",), _compile_law)
 
-    def group_identity(self, count: int):
-        """The zero tuple, once the tables prove the box range(size)^rank,
-        enumerated as ``count`` distinct tuples, a commutative group under
-        op; None when the proof does not apply: to a count other than
-        size^rank, a ring that is not a CoeffRing or an add table that
-        leaves range(size).  The proof runs once per law
-        (``_proves_group``)."""
-        if count != self.order:
-            return None
-        if self._proved is None:
-            self._proved = _proves_group(self.pairs, self.ring)
-        return (0,) * len(self.pairs) if self._proved else None
-
     def box_powers(self, ell: int) -> set:
-        """The set of x^ell over the whole box, on a law that
-        ``group_identity`` has proved a group."""
+        """The set of x^ell over the whole box, on a proved law."""
         return self._kernel(("powers", ell, True), _compile_powers)()
 
     def powers(self, level, ell: int) -> set:
-        """The set of x^ell over x in level, on a law that ``_closed``
-        keeps inside the box."""
+        """The set of x^ell over x in level, on a proved law."""
         return self._kernel(("powers", ell, False), _compile_powers)(level)
 
     def lang_pass(self, frob: list) -> tuple:
@@ -108,65 +137,30 @@ def _fold(terms: list) -> str:
     lookups in the add table A."""
     out = terms[0]
     for t in terms[1:]:
-        out = f"A[{out}][{t}]"
+        out = "A[%s][%s]" % (out, t)
     return out
 
 
 def _products(ks, rows: str, right: str) -> list:
     """The pair products rows_i[right_j] over the pairs (i, j) of ks."""
-    return [f"{rows}{i}[{right}{j}]" for i, j in ks]
+    return ["%s%d[%s%d]" % (rows, i, right, j) for i, j in ks]
 
 
 def _coordinate(k: int, ks, left: str, right: str, rows: str) -> str:
     """Coordinate k of the product left * right, where rows_i is the mul
     table row of left_i: its pair products, then left_k, then right_k."""
-    return _fold(_products(ks, rows, right) + [f"{left}{k}", f"{right}{k}"])
+    return _fold(_products(ks, rows, right) + [left + str(k), right + str(k)])
 
 
 def _names(c: str, count: int) -> str:
-    return "".join(f"{c}{k}, " for k in range(count))
-
-
-def _closed(ring: CoeffRing) -> bool:
-    """Whether every entry of the add table lies in range(size).  Each
-    coordinate of a product is an entry of that table, so then no product
-    of tuples in range(size)^rank leaves the set."""
-    return min(map(min, ring._add)) >= 0 and max(map(max, ring._add)) < ring.size
-
-
-def _proves_group(pairs: list, ring) -> bool:
-    """Whether the law of ``pairs`` over ``ring`` is provably a commutative
-    group on the box range(size)^rank, with the zero tuple its identity;
-    False when the proof does not apply, NotAbelian when it fails.
-
-    Over a CoeffRing, a commutative ring, coordinate k of op(x, y) is x_k
-    + y_k + sum x_i y_j over the pairs (i, j) of pairs[k], so op(x, y) -
-    op(y, x) at k is the sum of (c_ij - c_ji) x_i y_j, with c_ij the count
-    of (i, j) in pairs[k].  It vanishes for all x and y exactly when every
-    c_ij = c_ji modulo p, as x = e_i and y = e_j show, and NotAbelian
-    names the first coordinate k and pair (i, j) where it does not.  Zero
-    is the identity exactly when add[0][a] == a and mul[0][a] == 0 for
-    every a, and ``_closed`` keeps every product in the box."""
-    if not (isinstance(ring, CoeffRing) and _closed(ring)):
-        return False
-    if tuple(ring._add[0]) != tuple(range(ring.size)) or any(ring._mul[0]):
-        return False
-    for k, ks in enumerate(pairs):
-        count = Counter(ks)
-        for (i, j), c in count.items():
-            if (c - count[j, i]) % ring.p:
-                raise NotAbelian(
-                    f"coordinate {k} of the law takes x_{i} y_{j} {c} times and"
-                    f" x_{j} y_{i} {count[j, i]} times, apart modulo {ring.p}"
-                )
-    return True
+    return "".join("%s%d, " % (c, k) for k in range(count))
 
 
 def _compile(ring: CoeffRing, signature: str, body: list):
     """Define ``signature`` over the ring tables: A is the add table (a
     local reads faster than a global), M the mul table, N the negation
     table and R the range of element indices."""
-    lines = [f"def {signature}:", "    A, M, N = add, mul, neg", *body]
+    lines = ["def %s:" % signature, "    A, M, N = add, mul, neg", *body]
     namespace = {
         "add": ring._add, "mul": ring._mul, "neg": ring._neg, "R": range(ring.size), "product": product
     }
@@ -178,10 +172,10 @@ def _compile_law(pairs: list, ring: CoeffRing):
     """Straight-line ``op(x, y)`` for the pairs of a _DenseLaw: each
     coordinate z_k by ``_coordinate``, with m_i the mul table row of x_i."""
     rank = len(pairs)
-    body = [f"    ({_names('x', rank)}) = x", f"    ({_names('y', rank)}) = y"]
-    body += [f"    m{i} = M[x{i}]" for i in sorted(_leaders(pairs))]
-    body += [f"    z{k} = {_coordinate(k, ks, 'x', 'y', 'm')}" for k, ks in enumerate(pairs)]
-    body.append(f"    return ({_names('z', rank)})")
+    body = ["    (%s) = x" % _names("x", rank), "    (%s) = y" % _names("y", rank)]
+    body += ["    m%d = M[x%d]" % (i, i) for i in sorted(_leaders(pairs))]
+    body += ["    z%d = %s" % (k, _coordinate(k, ks, "x", "y", "m")) for k, ks in enumerate(pairs)]
+    body.append("    return (%s)" % _names("z", rank))
     return _compile(ring, "op(x, y)", body)
 
 
@@ -204,13 +198,14 @@ def _nest(rank: int, coordinate, leaf: list, looped: int, level: str = "") -> li
         before, inside = coordinate(k)
         lines += [pad + line for line in before]
         if k >= looped:
-            lines.append(f"{pad}x{k} = 0")
+            lines.append("%sx%d = 0" % (pad, k))
         elif k < depth:
-            lines.append(f"{pad}for x{k} in R:")
+            lines.append("%sfor x%d in R:" % (pad, k))
             pad += "    "
         elif k == depth:
-            tail = "".join(f"x{t}, " for t in range(k, looped))
-            lines.append(f"{pad}for ({tail}) in {level or f'product(R, repeat={looped - k})'}:")
+            tail = "".join("x%d, " % t for t in range(k, looped))
+            source = level or "product(R, repeat=%d)" % (looped - k)
+            lines.append("%sfor (%s) in %s:" % (pad, tail, source))
             pad += "    "
         lines += [pad + line for line in inside]
     return lines + [pad + line for line in leaf]
@@ -231,29 +226,27 @@ def _compile_powers(pairs: list, ring: CoeffRing, ell: int, box: bool):
     the loop over x_k, so inside it v_(s+1)_k is p_s_k + v_s_k + x_k, and
     r_s_k binds the mul table row of v_s_k where k leads a pair.
     Coordinate k of x^ell is thus the sum of the p_s_k plus ell x_k, and
-    over a CoeffRing (which ``group_identity`` requires before the box),
-    a commutative ring of characteristic p, ell x_k = 0 when p divides
-    ell: the box's last coordinate, which leads no pair, is then held at
-    0 instead of looped over."""
+    over a CoeffRing (which ``prove`` requires before the box), a
+    commutative ring of characteristic p, ell x_k = 0 when p divides ell:
+    the box's last coordinate, which leads no pair, is then held at 0
+    instead of looped over."""
     rank, leads = len(pairs), _leaders(pairs)
     steps = range(1, ell)
 
     def power(s):
-        return "x" if s == 1 else f"v{s}_"
+        return "x" if s == 1 else "v%d_" % s
 
     def coordinate(k):
         ks = pairs[k]
-        before = [f"p{s}_{k} = {_fold(_products(ks, f'r{s}_', 'x'))}" for s in steps if ks]
-        inside = [
-            f"v{s + 1}_{k} = {_fold([f'p{s}_{k}'] * bool(ks) + [f'{power(s)}{k}', f'x{k}'])}"
-            for s in steps
-        ]
-        inside += [f"r{s}_{k} = M[{power(s)}{k}]" for s in steps if k in leads]
+        before = ["p%d_%d = %s" % (s, k, _fold(_products(ks, "r%d_" % s, "x"))) for s in steps if ks]
+        sums = [["p%d_%d" % (s, k)] * bool(ks) + [power(s) + str(k), "x%d" % k] for s in steps]
+        inside = ["v%d_%d = %s" % (s + 1, k, _fold(terms)) for s, terms in zip(steps, sums)]
+        inside += ["r%d_%d = M[%s%d]" % (s, k, power(s), k) for s in steps if k in leads]
         return before, inside
 
     looped = rank - (box and rank > 0 and ell % ring.p == 0)
     body = ["    image = set()", "    put = image.add"]
-    body += _nest(rank, coordinate, [f"put(({_names(power(ell), rank)}))"], looped, "" if box else "level")
+    body += _nest(rank, coordinate, ["put((%s))" % _names(power(ell), rank)], looped, "" if box else "level")
     return _compile(ring, "box_powers()" if box else "powers(level)", body + ["    return image"])
 
 
@@ -270,20 +263,20 @@ def _compile_lang_pass(pairs: list, ring: CoeffRing):
 
     def coordinate(k):
         ks = pairs[k]
-        before = [f"{c}{k} = {_fold(_products(ks, row, 'u'))}" for c, row in ("sm", "tg") if ks]
+        before = ["%s%d = %s" % (c, k, _fold(_products(ks, row, "u"))) for c, row in ("sm", "tg") if ks]
         inside = [
-            f"u{k} = N[{_fold([f's{k}'] * bool(ks) + [f'x{k}'])}]",
-            f"f{k} = F[x{k}]",
-            f"l{k} = {_fold([f't{k}'] * bool(ks) + [f'f{k}', f'u{k}'])}",
-            f"if l{k}: continue",
-            f"w{k} = {f'w{k - 1} and ' * (k > 0)}f{k} == x{k}",
+            "u%d = N[%s]" % (k, _fold(["s%d" % k] * bool(ks) + ["x%d" % k])),
+            "f%d = F[x%d]" % (k, k),
+            "l%d = %s" % (k, _fold(["t%d" % k] * bool(ks) + ["f%d" % k, "u%d" % k])),
+            "if l%d: continue" % k,
+            "w%d = %sf%d == x%d" % (k, "w%d and " % (k - 1) if k else "", k, k),
         ]
         if k in leads:
-            inside += [f"m{k} = M[x{k}]", f"g{k} = M[f{k}]"]
+            inside += ["m%d = M[x%d]" % (k, k), "g%d = M[f%d]" % (k, k)]
         return before, inside
 
     body = ["    kernel, rational = 0, True"]
-    body += _nest(rank, coordinate, ["kernel += 1", f"rational = rational and w{rank - 1}"], rank)
+    body += _nest(rank, coordinate, ["kernel += 1", "rational = rational and w%d" % (rank - 1)], rank)
     return _compile(ring, "lang_pass(F)", body + ["    return kernel, rational"])
 
 

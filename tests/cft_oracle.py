@@ -16,36 +16,42 @@ as plain loops over its pairs: the reference for the compiled ``op`` of
 ``random_tuple`` draws a raw tuple as ``random_witt_element`` draws an
 element, so a seed names the same elements on both.
 
-``pairwise_commutes`` and ``sampled_commutes`` are the commutativity
-checks as loops over op: every unordered pair of elements, or the 2,000
-pairs that ``random.Random(0).choices`` draws.  They are the loops of
-``multiwitt.cft.brute_force_structure`` over an opaque op, and the
-reference for the table proof ``multiwitt.dense._proves_group`` of the
-dense law, which must refuse exactly the laws they refuse.
+``brute_force_structure`` is the library oracle's power ladder
+(``multiwitt.cft._ladder``) over an opaque op, whose group axioms it
+checks with loops over op instead of the dense law's table proof
+(``multiwitt.dense._DenseLaw.prove``): no element comes twice, every
+product computed stays in the set, the idempotent found is the
+identity, and the pairs commute.  ``pairwise_commutes`` and
+``sampled_commutes`` are those commutativity loops: every unordered
+pair of elements while |G|^2 <= PAIR_CHECK_LIMIT, beyond it the 2,000
+pairs that ``random.Random(0).choices`` draws.  They are the reference
+for the table proof, which must refuse exactly the laws they refuse,
+and ``loop_powers`` is the reference for the compiled ladder kernels.
 
 ``greedy_structure`` recovers the invariant factors by the greedy peel
-over element orders: the reference for the factors of the power ladder
-in ``multiwitt.cft.brute_force_structure`` and for the witnesses that
-function builds on demand.  Each peeled representative h, of order m
-modulo the earlier witnesses, is divided by the m-th root of h^m in
-their span, so the witnesses form a basis: each has exactly its
-factor's order.
+over element orders, after the same checks of the group axioms: the
+reference for the factors of the power ladder and for the witnesses
+that ``multiwitt.cft._peel_witnesses`` builds on demand.  Each peeled
+representative h, of order m modulo the earlier witnesses, is divided
+by the m-th root of h^m in their span, so the witnesses form a basis:
+each has exactly its factor's order.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from functools import partial
+from itertools import combinations, islice
 
 from multiwitt.cft import (
     BRUTE_FORCE_LIMIT,
     CENSUS_LIMIT,
-    PAIR_CHECK_LIMIT,
     AbelianGroupStructure,
     LangCensus,
-    brute_force_structure,
+    _ladder,
+    _peel_witnesses,
 )
-from multiwitt.errors import InvalidTruncation, NotAbelian, NotClosed, TooLarge
+from multiwitt.errors import InvalidTruncation, NotAbelian, NotClosed, TooLarge, check_budget
 from multiwitt.ring import CoeffRing
 from multiwitt.series import exponents_below
 from multiwitt.witt import (
@@ -112,6 +118,58 @@ def sampled_commutes(elems: list, op) -> None:
             raise NotAbelian(f"{a!r} and {b!r} do not commute")
 
 
+PAIR_CHECK_LIMIT = 4 * 10**4
+
+
+def brute_force_structure(elements, op) -> AbelianGroupStructure:
+    """Invariant factors and witnesses of an explicit finite abelian group
+    under op, by the library's power ladder over loops of op.  The factors
+    multiply to |G| or NotAbelian is raised."""
+    # one element past the limit is enough to refuse
+    elems = list(islice(elements, BRUTE_FORCE_LIMIT + 1))
+    check_budget(len(elems), BRUTE_FORCE_LIMIT, "a group of at least {} elements")
+    members = set(elems)
+    if len(members) != len(elems):
+        raise NotClosed("duplicate elements in enumeration")
+    identity = _check_group(elems, op, members)
+    later = partial(loop_powers, op=op, members=members)
+    return _ladder(len(elems), partial(later, elems), later, lambda: _peel_witnesses(elems, op, identity))
+
+
+def _check_group(elems: list, op, members: set):
+    """The identity of elems under op, the first idempotent, once it fixes
+    every element and every checked pair commutes inside the set."""
+    identity = None
+    for x in elems:
+        y = op(x, x)
+        if y not in members:
+            raise NotClosed(f"product of {x!r} with itself left the set")
+        if y == x:
+            identity = x
+            break
+    if identity is None:
+        raise NotClosed("no idempotent found, not a finite group")
+    for x in elems:
+        if op(identity, x) != x:
+            raise NotClosed(f"the idempotent {identity!r} moves {x!r}, not a group")
+    commutes = pairwise_commutes if len(elems) ** 2 <= PAIR_CHECK_LIMIT else sampled_commutes
+    commutes(elems, op)
+    return identity
+
+
+def loop_powers(level, ell: int, op, members: set) -> set:
+    """The set of x^ell over x in level, by ell - 1 products op(y, x)."""
+    image = set()
+    for x in level:
+        y = x
+        for _ in range(ell - 1):
+            y = op(y, x)
+            if y not in members:
+                raise NotClosed(f"powers of {x!r} left the set")
+        image.add(y)
+    return image
+
+
 def greedy_structure(elements, op) -> AbelianGroupStructure:
     """Invariant factors by peeling: split off a cyclic subgroup of largest
     element order, recurse on the quotient by its cosets, and certify the
@@ -122,29 +180,7 @@ def greedy_structure(elements, op) -> AbelianGroupStructure:
     index = {x: i for i, x in enumerate(elems)}
     if len(index) != len(elems):
         raise NotClosed("duplicate elements in enumeration")
-
-    identity = None
-    for x in elems:
-        y = op(x, x)
-        if y not in index:
-            raise NotClosed(f"product of {x!r} with itself left the set")
-        if y == x:
-            identity = x
-            break
-    if identity is None:
-        raise NotClosed("no idempotent found, not a finite group")
-
-    if len(elems) ** 2 <= PAIR_CHECK_LIMIT:
-        pairs = ((a, b) for i, a in enumerate(elems) for b in elems[i + 1 :])
-    else:
-        rng = random.Random(0)
-        pairs = ((rng.choice(elems), rng.choice(elems)) for _ in range(2000))
-    for a, b in pairs:
-        ab = op(a, b)
-        if ab not in index:
-            raise NotClosed(f"product of {a!r} and {b!r} left the set")
-        if ab != op(b, a):
-            raise NotAbelian(f"{a!r} and {b!r} do not commute")
+    identity = _check_group(elems, op, index)
 
     def order_of(x):
         k, y = 1, x

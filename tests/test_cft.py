@@ -17,7 +17,6 @@ from multiwitt import (
     NotAbelian,
     NotClosed,
     TooLarge,
-    brute_force_structure,
     cft,
     lang_kernel_census,
     modulus_group,
@@ -74,9 +73,10 @@ def test_generator_orders_match_witnesses():
         for order, w in zip(s.invariant_factors, s.witnesses):
             assert w.group_pow(order) == one, (n, q, d)
             assert w.group_pow(order // ring.p) != one, (n, q, d)
-        # the span, on the raw tuples of the dense law
+        # the span, on the raw tuples of the dense law, whose witnesses the
+        # loops over its op peel as the oracle does
         law = dense._dense_law(ring, n, d)
-        raw = brute_force_structure(_coefficient_tuples(q, len(law.exps)), law.op, law)
+        raw = cft_oracle.brute_force_structure(_coefficient_tuples(q, len(law.exps)), law.op)
         assert [law.to_witt(w) for w in raw.witnesses] == list(s.witnesses)
         span = {(0,) * len(law.exps)}
         for w in raw.witnesses:
@@ -190,51 +190,51 @@ def test_generator_order_exponent():
 
 def test_klein_group():
     elems = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
-    s = brute_force_structure(elems, lambda a, b: (a[0] * b[0], a[1] * b[1]))
+    s = cft_oracle.brute_force_structure(elems, lambda a, b: (a[0] * b[0], a[1] * b[1]))
     assert s.invariant_factors == (2, 2) and s.order == 4
 
 
 def test_trivial_group():
-    s = brute_force_structure([0], lambda a, b: 0)
+    s = cft_oracle.brute_force_structure([0], lambda a, b: 0)
     assert s.invariant_factors == () and s.order == 1
 
 
 def test_cyclic_group_with_witness():
     elems = list(range(8))
-    s = brute_force_structure(elems, lambda a, b: (a + b) % 8)
+    s = cft_oracle.brute_force_structure(elems, lambda a, b: (a + b) % 8)
     assert s.invariant_factors == (8,)
     assert s.witnesses[0] % 2 == 1  # a generator of Z/8 is odd
 
 
 def test_mixed_cyclic():
     elems = list(itertools.product(range(2), range(4)))
-    s = brute_force_structure(elems, lambda a, b: ((a[0] + b[0]) % 2, (a[1] + b[1]) % 4))
+    s = cft_oracle.brute_force_structure(elems, lambda a, b: ((a[0] + b[0]) % 2, (a[1] + b[1]) % 4))
     assert s.invariant_factors == (2, 4)
 
 
 def test_not_abelian_detected():
     perms = list(itertools.permutations(range(3)))
     with pytest.raises(NotAbelian):
-        brute_force_structure(perms, lambda a, b: tuple(a[b[i]] for i in range(3)))
+        cft_oracle.brute_force_structure(perms, lambda a, b: tuple(a[b[i]] for i in range(3)))
 
 
 def test_not_closed_detected():
     with pytest.raises(NotClosed):
-        brute_force_structure([1, 2], lambda a, b: a * b)
+        cft_oracle.brute_force_structure([1, 2], lambda a, b: a * b)
 
 
 def test_duplicates_refused_where_the_loops_run(monkeypatch):
-    """The loops over op refuse an element listed twice.  The law's proof
-    path reads only the count, of its own box listed once, and builds no
-    set of members; a list one longer than the box goes to the loops."""
+    """The loops over op refuse an element listed twice, also of the dense
+    law's box.  The library oracle lists no elements: the law proves its
+    own box a group, and no set of members is built."""
     with pytest.raises(NotClosed, match="duplicate elements"):
-        brute_force_structure([0, 1, 1, 0], lambda a, b: (a + b) % 2)
+        cft_oracle.brute_force_structure([0, 1, 1, 0], lambda a, b: (a + b) % 2)
     law = _DenseLaw(CoeffRing.make(2), 1, 4)
     elems = list(_coefficient_tuples(2, len(law.exps)))
     with pytest.raises(NotClosed, match="duplicate elements"):
-        brute_force_structure(elems + elems[:1], law.op, law)
+        cft_oracle.brute_force_structure(elems + elems[:1], law.op)
     monkeypatch.setattr(cft, "set", lambda *_: pytest.fail("a member set was built"), raising=False)
-    assert brute_force_structure(elems, law.op, law).invariant_factors == (2, 4)
+    assert witt_group_structure_brute(F2, 1, 4).invariant_factors == (2, 4)
 
 
 def _table_op(table):
@@ -259,13 +259,13 @@ MONOIDS = {
 def test_monoid_that_is_no_group_is_rejected(name):
     elems, op = MONOIDS[name]
     with pytest.raises((NotAbelian, NotClosed)):
-        brute_force_structure(elems, op)
+        cft_oracle.brute_force_structure(elems, op)
 
 
 def test_brute_force_size_limit():
     assert cft.BRUTE_FORCE_LIMIT == 2**18
     with pytest.raises(TooLarge):
-        brute_force_structure(range(2**18 + 1), lambda a, b: 0)
+        cft_oracle.brute_force_structure(range(2**18 + 1), lambda a, b: 0)
 
 
 def test_brute_force_takes_one_element_past_the_limit():
@@ -275,7 +275,7 @@ def test_brute_force_takes_one_element_past_the_limit():
     elements = itertools.count()
     start = time.perf_counter()
     with pytest.raises(TooLarge, match=r"at least 262145 elements, beyond limit 262144$"):
-        brute_force_structure(elements, op)
+        cft_oracle.brute_force_structure(elements, op)
     assert time.perf_counter() - start < 1.0
     assert next(elements) == 2**18 + 1
 
@@ -460,8 +460,8 @@ def test_brute_force_same_on_loop_and_compiled_law():
     for n, q, d in PI1_GRID:
         law = _DenseLaw(CoeffRing.make(q), n, d)
         size, rank = law.ring.size, len(law.exps)
-        got = brute_force_structure(_coefficient_tuples(size, rank), law.op)
-        want = brute_force_structure(
+        got = cft_oracle.brute_force_structure(_coefficient_tuples(size, rank), law.op)
+        want = cft_oracle.brute_force_structure(
             _coefficient_tuples(size, rank), lambda x, y: cft_oracle.loop_op(law, x, y)
         )
         assert got == want, (n, q, d)
@@ -477,13 +477,11 @@ def commute_outcome(check):
     return None
 
 
-def proof_and_pairwise(pairs, ring, reference=cft_oracle.pairwise_commutes):
-    """The outcomes of the table proof and of the loop ``reference`` on the
-    law of ``pairs`` over the whole set range(size)^rank."""
-    op = dense._compile_law(pairs, ring)
-    elems = list(_coefficient_tuples(ring.size, len(pairs)))
-    proof = commute_outcome(lambda: dense._proves_group(pairs, ring))
-    return proof, commute_outcome(lambda: reference(elems, op))
+def proof_and_pairwise(law, reference=cft_oracle.pairwise_commutes):
+    """The outcomes of the table proof and of the loop ``reference`` on
+    ``law`` over the whole set range(size)^rank."""
+    elems = list(_coefficient_tuples(law.ring.size, len(law.pairs)))
+    return commute_outcome(law.prove), commute_outcome(lambda: reference(elems, law.op))
 
 
 def test_commutes_kernel_accepts_where_pairwise_does_on_pi1_grid():
@@ -492,23 +490,24 @@ def test_commutes_kernel_accepts_where_pairwise_does_on_pi1_grid():
     exhaustive = [
         (n, q, d)
         for n, q, d in PI1_GRID
-        if (q ** cft._group_rank(n, d)) ** 2 <= cft.PAIR_CHECK_LIMIT
+        if (q ** cft._group_rank(n, d)) ** 2 <= cft_oracle.PAIR_CHECK_LIMIT
     ]
     assert (1, 2, 8) in exhaustive and len(exhaustive) == 26
     for n, q, d in exhaustive:
         law = _DenseLaw(CoeffRing.make(q), n, d)
-        assert dense._proves_group(law.pairs, law.ring) is True, (n, q, d)
-        assert proof_and_pairwise(law.pairs, law.ring) == (None, None), (n, q, d)
+        assert proof_and_pairwise(law) == (None, None), (n, q, d)
 
 
-def test_proof_accepts_every_law_on_pi1_and_lang_grids():
+def test_proof_accepts_every_law_on_pi1_and_lang_grids(monkeypatch):
     laws = {(q, n, d) for n, q, d in PI1_GRID}
     laws |= {(q**s, n, d) for n, q, s, d in LANG_GRID}
-    for q, n, d in sorted(laws):
-        law = dense._dense_law(CoeffRing.make(q), n, d)
-        count = law.ring.size ** len(law.exps)
-        assert law.group_identity(count) == (0,) * len(law.exps), (q, n, d)
-        assert law.group_identity(count - 1) is None
+    proved = [dense._dense_law(CoeffRing.make(q), n, d) for q, n, d in sorted(laws)]
+    for law in proved:
+        assert law.prove() is None, (law.ring.size, law.n, law.d)
+    # a proved law proves once: a second call reads no table
+    monkeypatch.setattr(dense, "Counter", lambda *_: pytest.fail("the pairs were counted again"))
+    for law in proved:
+        law.prove()
 
 
 # (q, n, d): the laws whose one-pair-dropped mutants the proof and the
@@ -519,20 +518,21 @@ SAMPLED_LAWS = [(3, 1, 6), (4, 2, 3)]
 
 
 def one_pair_dropped(law):
-    """Every law made from ``law`` by dropping one pair of one coordinate."""
+    """Every law made from ``law`` by dropping one pair of one coordinate,
+    with the pair dropped."""
     for k, ks in enumerate(law.pairs):
         for drop in range(len(ks)):
-            pairs = [list(p) for p in law.pairs]
-            del pairs[k][drop]
-            yield ks[drop], pairs
+            mutant = _DenseLaw(law.ring, law.n, law.d)
+            del mutant.pairs[k][drop]
+            yield ks[drop], mutant
 
 
 def test_commutes_kernel_rejects_the_mutants_pairwise_rejects():
     rejected = 0
     for q, n, d in MUTATED_LAWS:
         law = _DenseLaw(CoeffRing.make(q), n, d)
-        for dropped, pairs in one_pair_dropped(law):
-            proof, pairwise = proof_and_pairwise(pairs, law.ring)
+        for dropped, mutant in one_pair_dropped(law):
+            proof, pairwise = proof_and_pairwise(mutant)
             assert proof == pairwise, (q, n, d, dropped)
             assert proof in (None, NotAbelian)
             # dropping a diagonal pair (i, i) keeps the law commutative
@@ -547,9 +547,9 @@ def test_commutes_kernel_names_a_failing_pair():
     named = 0
     for q, n, d in MUTATED_LAWS + SAMPLED_LAWS:
         ring = CoeffRing.make(q)
-        for dropped, pairs in one_pair_dropped(_DenseLaw(ring, n, d)):
+        for dropped, mutant in one_pair_dropped(_DenseLaw(ring, n, d)):
             try:
-                dense._proves_group(pairs, ring)
+                mutant.prove()
             except NotAbelian as exc:
                 found = re.fullmatch(
                     r"coordinate (\d+) of the law takes x_(\d+) y_(\d+) \d+ times"
@@ -557,8 +557,8 @@ def test_commutes_kernel_names_a_failing_pair():
                     str(exc),
                 )
                 k, i, j = map(int, found.groups())
-                op = dense._compile_law(pairs, ring)
-                e_i, e_j = (tuple(ring.one * (t == v) for t in range(len(pairs))) for v in (i, j))
+                op, rank = mutant.op, len(mutant.pairs)
+                e_i, e_j = (tuple(ring.one * (t == v) for t in range(rank)) for v in (i, j))
                 assert op(e_i, e_j)[k] != op(e_j, e_i)[k], (q, n, d, dropped)
                 named += 1
     assert named == 38
@@ -566,42 +566,75 @@ def test_commutes_kernel_names_a_failing_pair():
 
 def test_commutes_kernel_refuses_an_index_out_of_range():
     # addition mod 3 on the indices of F_2: 1 + 1 leaves range(2); the
-    # proof does not apply to such a table, and the loops over op refuse
+    # proof refuses the add table, and the loops over op refuse the law
     add3 = [[(a + b) % 3 for b in range(3)] for a in range(3)]
     ring = types.SimpleNamespace(size=2, p=2, _add=add3, _mul=F2._mul, _neg=F2._neg)
     law = _DenseLaw(ring, 1, 5)
     elems = list(_coefficient_tuples(2, len(law.exps)))
-    assert dense._proves_group(law.pairs, ring) is False
-    assert law.group_identity(len(elems)) is None
+    with pytest.raises(NotClosed, match="^the add table leaves the ring's indices$"):
+        law.prove()
     assert commute_outcome(lambda: cft_oracle.pairwise_commutes(elems, law.op)) is NotClosed
     with pytest.raises(NotClosed, match=r"left the set$"):
-        brute_force_structure(elems, law.op, law)
-    with pytest.raises(NotClosed, match=r"left the set$"):
-        brute_force_structure(elems, law.op)
+        cft_oracle.brute_force_structure(elems, law.op)
 
 
-def test_proof_applies_only_to_a_closed_coeff_ring(monkeypatch):
-    law = _DenseLaw(F2, 1, 5)
-    table = types.SimpleNamespace(size=2, p=2, _add=F2._add, _mul=F2._mul, _neg=F2._neg)
-    assert dense._proves_group(law.pairs, F2) is True
-    assert dense._proves_group(law.pairs, table) is False
-    monkeypatch.setattr(dense, "_closed", lambda ring: False)
-    assert dense._proves_group(law.pairs, F2) is False
+def test_proof_applies_only_to_a_closed_coeff_ring():
+    # F_2's own tables prove only as F_2's: in a namespace they are refused,
+    # and so is an add table with an entry below or past range(2)
+    assert _DenseLaw(F2, 1, 5).prove() is None
+    with pytest.raises(NotClosed, match="^the ring is not a CoeffRing whose zero is the identity$"):
+        _DenseLaw(faulty_ring(F2), 1, 5).prove()
+    for entry in (-1, 2):
+        add = [list(row) for row in F2._add]
+        add[1][0] = entry
+        with pytest.raises(NotClosed, match="^the add table leaves the ring's indices$"):
+            _DenseLaw(faulty_ring(F2, _add=add), 1, 5).prove()
+
+
+def swapped_tables(ring):
+    """The tables of ``ring`` with the indices 0 and 1 swapped: a closed
+    ring whose index 0 is the ring's one, so the zero tuple is no
+    identity.  Its negation table takes a to the b with add[a][b] == 0,
+    which passes the inverse check without being the inverse."""
+    swap = [1, 0, *range(2, ring.size)]
+
+    def relabel(table):
+        return [[swap[table[swap[a]][swap[b]]] for b in range(ring.size)] for a in range(ring.size)]
+
+    add = relabel(ring._add)
+    return {"_add": add, "_mul": relabel(ring._mul), "_neg": [row.index(0) for row in add]}
 
 
 def test_proof_needs_zero_to_be_the_identity(monkeypatch):
-    # F_2 with its two indices swapped: a closed table whose index 0 is the
-    # ring's one, so the zero tuple is no identity and the loops run
-    swapped = types.SimpleNamespace(
-        size=2, p=2, _add=[[1, 0], [0, 1]], _mul=[[0, 1], [1, 1]], _neg=[0, 1]
-    )
+    # F_2 with its two indices swapped, taken for a CoeffRing: the proof
+    # refuses it, where the loops over op find the group of F_2
+    swapped = faulty_ring(F2, **swapped_tables(F2))
     monkeypatch.setattr(dense, "CoeffRing", types.SimpleNamespace)
     law = _DenseLaw(swapped, 1, 5)
+    with pytest.raises(NotClosed, match="^the ring is not a CoeffRing whose zero is the identity$"):
+        law.prove()
     elems = list(_coefficient_tuples(2, len(law.exps)))
-    assert dense._proves_group(law.pairs, swapped) is False
-    got = brute_force_structure(elems, law.op, law)
-    assert got.invariant_factors == witt_group_structure_brute(F2, 1, 5).invariant_factors
-    assert got.witnesses == brute_force_structure(elems, law.op).witnesses
+    got = cft_oracle.brute_force_structure(elems, law.op)
+    assert got.invariant_factors == pi1_truncated(1, 2, 5).invariant_factors
+
+
+def out_of_range_add(ring):
+    """The add table of ``ring`` with 1 + 1 at the index ring.size."""
+    add = [list(row) for row in ring._add]
+    add[1][1] = ring.size
+    return add
+
+
+@pytest.mark.parametrize("fault", ["add out of range", "zero no identity"])
+def test_oracle_refuses_faulty_tables_before_any_kernel(monkeypatch, fault):
+    # the oracle has no loops to fall back to: a law whose tables do not
+    # prove it a group is refused before any kernel, op included, compiles
+    F4 = CoeffRing.make(4)
+    tables = {"add out of range": {"_add": out_of_range_add(F4)}, "zero no identity": swapped_tables(F4)}
+    patch_law(monkeypatch, **tables[fault])
+    monkeypatch.setattr(dense, "_compile", lambda *_: pytest.fail("a kernel was compiled"))
+    with pytest.raises(NotClosed, match="^the (add table leaves|ring is not a CoeffRing)"):
+        witt_group_structure_brute(F4, 1, 3)
 
 
 def test_commutes_kernel_is_compiled_only_by_the_exhaustive_check(monkeypatch, capsys):
@@ -610,18 +643,19 @@ def test_commutes_kernel_is_compiled_only_by_the_exhaustive_check(monkeypatch, c
     # the ladder and the census only its pass, and every compiled kernel
     # goes through dense._compile
     compiled = []
-    compile_code, proves_group = dense._compile, dense._proves_group
+    compile_code, prove = dense._compile, _DenseLaw.prove
 
     def code_counted(ring, signature, body):
         compiled.append((signature.split("(")[0], ring.size))
         return compile_code(ring, signature, body)
 
-    def proof_counted(pairs, ring):
-        compiled.append(("proof", ring.size, len(pairs)))
-        return proves_group(pairs, ring)
+    def proof_counted(law):
+        if not law._proved:
+            compiled.append(("proof", law.ring.size, len(law.pairs)))
+        return prove(law)
 
     monkeypatch.setattr(dense, "_compile", code_counted)
-    monkeypatch.setattr(dense, "_proves_group", proof_counted)
+    monkeypatch.setattr(_DenseLaw, "prove", proof_counted)
     dense._dense_law.cache_clear()
     pi1_truncated(1, 2, 8)
     pi1_truncated(2, 4, 3)
@@ -670,7 +704,7 @@ def test_sampled_pairs_are_the_draws_of_random_choices(count):
         return (a + b) % count
 
     elems = list(range(count))
-    brute_force_structure(elems, op)
+    cft_oracle.brute_force_structure(elems, op)
     draws = iter(random.Random(0).choices(elems, k=4000))
     sampled = calls[1 + count : 1 + count + 4000]
     assert sampled[::2] == list(zip(draws, draws))
@@ -683,9 +717,9 @@ def test_sampled_kernel_judges_the_mutants_as_the_loop_does():
     rejected = 0
     for q, n, d in SAMPLED_LAWS:
         law = _DenseLaw(CoeffRing.make(q), n, d)
-        assert (law.ring.size ** len(law.exps)) ** 2 > cft.PAIR_CHECK_LIMIT
-        for dropped, pairs in one_pair_dropped(law):
-            got, want = proof_and_pairwise(pairs, law.ring, cft_oracle.sampled_commutes)
+        assert (law.ring.size ** len(law.exps)) ** 2 > cft_oracle.PAIR_CHECK_LIMIT
+        for dropped, mutant in one_pair_dropped(law):
+            got, want = proof_and_pairwise(mutant, cft_oracle.sampled_commutes)
             assert got == want, (q, n, d, dropped)
             assert (got is None) == (dropped[0] == dropped[1])
             rejected += got is not None
@@ -694,17 +728,18 @@ def test_sampled_kernel_judges_the_mutants_as_the_loop_does():
 
 def test_sampled_kernel_and_ladder_refuse_an_index_out_of_range():
     # addition mod 3 on the indices of F_2, with 2^8 = 256 elements: the
-    # proof does not apply, and the sampled loop and the ladder loop refuse
+    # proof refuses the add table, and the sampled loop and the ladder
+    # loop refuse the law's products
     add3 = [[(a + b) % 3 for b in range(3)] for a in range(3)]
     ring = types.SimpleNamespace(size=2, p=2, _add=add3, _mul=F2._mul, _neg=F2._neg)
     law = _DenseLaw(ring, 1, 9)
     elems = list(_coefficient_tuples(2, len(law.exps)))
-    assert len(elems) == 256 and law.group_identity(len(elems)) is None
-    got = outcome(lambda: brute_force_structure(elems, law.op, law))
-    assert got == outcome(lambda: brute_force_structure(elems, law.op))
+    assert len(elems) == 256
+    assert outcome(law.prove) == (NotClosed, "the add table leaves the ring's indices")
+    got = outcome(lambda: cft_oracle.brute_force_structure(elems, law.op))
     assert got == outcome(lambda: cft_oracle.sampled_commutes(elems, law.op))
     assert got[0] is NotClosed and got[1].endswith("left the set")
-    got = outcome(lambda: cft._powers(elems, 2, law.op, set(elems)))
+    got = outcome(lambda: cft_oracle.loop_powers(elems, 2, law.op, set(elems)))
     assert got == (NotClosed, f"powers of {elems[1]!r} left the set")
 
 
@@ -717,7 +752,7 @@ def test_ladder_kernel_gives_the_loop_images_on_pi1_grid():
         level = elems
         while True:
             image = law.powers(level, law.ring.p)
-            assert image == cft._powers(level, law.ring.p, law.op, members), (n, q, d)
+            assert image == cft_oracle.loop_powers(level, law.ring.p, law.op, members), (n, q, d)
             if len(image) == len(level):
                 break
             level = image
@@ -741,7 +776,7 @@ def cyclic_product(*orders):
 )
 def test_ladder_on_mixed_prime_groups(orders, factors):
     elems, op = cyclic_product(*orders)
-    got = brute_force_structure(elems, op)
+    got = cft_oracle.brute_force_structure(elems, op)
     want = cft_oracle.greedy_structure(elems, op)
     assert got == want and got.invariant_factors == factors
     assert got.witnesses == want.witnesses
@@ -752,7 +787,7 @@ def test_ladder_matches_greedy_reference_on_pi1_grid():
         law = _DenseLaw(CoeffRing.make(q), n, d)
         elems = list(_coefficient_tuples(law.ring.size, len(law.exps)))
         for op in (law.op, functools.partial(cft_oracle.loop_op, law)):
-            got = brute_force_structure(elems, op)
+            got = cft_oracle.brute_force_structure(elems, op)
             want = cft_oracle.greedy_structure(elems, op)
             assert got == want, (n, q, d)
             assert got.witnesses == want.witnesses, (n, q, d)
@@ -780,7 +815,7 @@ def test_box_powers_match_the_level_kernel_and_the_loops(any_ring):
         box = list(_coefficient_tuples(any_ring.size, rank))
         loop_op = functools.partial(cft_oracle.loop_op, law)
         for ell in (2, 3, 5):
-            want = cft._powers(box, ell, loop_op, set(box))
+            want = cft_oracle.loop_powers(box, ell, loop_op, set(box))
             assert law.box_powers(ell) == law.powers(box, ell) == want, (n, d, ell)
         ranks.add(rank)
     assert {0, 1, 2} <= ranks
