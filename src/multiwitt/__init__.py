@@ -77,7 +77,7 @@ _EXPORTS = {
         "pwitt_mul",
         "pwitt_pair",
     ),
-    "ring": ("CoeffRing", "FiniteField", "RingElement"),
+    "ring": ("CoeffRing", "RingElement"),
     "series": ("TruncatedSeries",),
     "unipoly": ("UnivariatePolynomial", "resultant", "roots_with_multiplicity"),
     "witt": (

@@ -51,7 +51,7 @@ from itertools import product
 from math import prod
 
 from .errors import InvalidTruncation, NotAbelian, check_budget, check_power
-from .ring import _MAX_TABLE_Q, CoeffRing, FiniteField, Record
+from .ring import _MAX_TABLE_Q, CoeffRing, Record, prime_power
 from .series import check_shape, content, exponent_count, exponents_below
 
 BRUTE_FORCE_LIMIT = 2**18
@@ -100,11 +100,11 @@ def generator_order_exponent(p: int, weight: int, d: int) -> int:
 
 
 def pi1_truncated(n: int, q: int, d: int) -> AbelianGroupStructure:
-    """Structure of the truncated group over F_q in n variables."""
+    """Structure of the truncated group over F_q in n variables.  The
+    factors need only p and e; the ring is made when the witnesses are."""
     if d < 2:
         raise InvalidTruncation("truncation level must be at least 2")
-    ring = CoeffRing.make(q)
-    p, e = ring.p, ring.field.e
+    p, e = prime_power(q)
     # e generators per exponent at most, counted before building the box
     check_budget(e * _group_rank(n, d), PI1_GENERATOR_LIMIT, "up to {} generators")
     gens = []  # (order, exponent, basis element x^b as a field index)
@@ -123,6 +123,7 @@ def pi1_truncated(n: int, q: int, d: int) -> AbelianGroupStructure:
     def witnesses():
         from .witt import WittElement
 
+        ring = CoeffRing.make(q)
         return tuple(WittElement.binomial(ring, n, d, nu, c) for _, nu, c in gens)
 
     return AbelianGroupStructure(factors, order, witnesses)
@@ -146,7 +147,7 @@ def modulus_group(q: int, m: int) -> ModulusGroupDesc:
     if m < 1:
         raise InvalidTruncation("modulus multiplicity must be >= 1")
     if m == 1:
-        FiniteField.of_order(q)  # SchemaError unless q is a prime power, as below
+        prime_power(q)  # SchemaError unless q is a prime power, as below
         return ModulusGroupDesc(q, 1, 1, AbelianGroupStructure((), 1))
     s = pi1_truncated(1, q, m)
     return ModulusGroupDesc(q, m, s.order, s)
@@ -324,21 +325,21 @@ def lang_kernel_census(n: int, q: int, s: int, d: int, seed: int = 0) -> LangCen
     NotAbelian), and the law is a commutative group with zero as
     identity (else NotClosed, or NotAbelian for pairs that are not
     symmetric modulo p).  The law is then the series product, which
-    commutes, and F applies c -> c^q to every coefficient, a ring endomorphism in characteristic p,
-    so F(xy) = F(x) F(y) and L(xy) = F(x) F(y) x^-1 y^-1 = L(x) L(y) on
-    every pair: ``endomorphism_pairs_checked`` is total^2.  ``seed`` is
-    kept for the CLI's --seed and changes no output."""
+    commutes, and F applies c -> c^q to every coefficient, a ring
+    endomorphism in characteristic p, so F(xy) = F(x) F(y) and
+    L(xy) = F(x) F(y) x^-1 y^-1 = L(x) L(y) on every pair:
+    ``endomorphism_pairs_checked`` is total^2.  The extension and the
+    census are sized before any ring is built.  ``seed`` is kept for the
+    CLI's --seed and changes no output."""
     if d < 2:
         raise InvalidTruncation("truncation level must be at least 2")
     if s < 1:
         raise InvalidTruncation(f"extension degree s = {s} must be at least 1")
-    base = CoeffRing.make(q)
+    prime_power(q)
     qs = check_power(q, s, _MAX_TABLE_Q, "extension field has q^s = {} elements")
-    big = CoeffRing.make(qs)
-    if big.p != base.p:
-        raise InvalidTruncation("extension characteristic mismatch")
     rank = _group_rank(n, d)
-    total = check_power(big.size, rank, CENSUS_LIMIT, "a census of {} elements")
+    total = check_power(qs, rank, CENSUS_LIMIT, "a census of {} elements")
+    big = CoeffRing.make(qs)
     from .dense import _dense_law
 
     law = _dense_law(big, n, d)

@@ -30,6 +30,7 @@ import json
 import math
 import sys
 
+from . import __version__
 from .errors import SchemaError, WittError, check_budget
 from .ring import CoeffRing, json_int, json_object
 
@@ -114,7 +115,7 @@ def run(args: argparse.Namespace):
         from .witt import WittElement
 
         f = FormalWittElement(TruncatedSeries.from_json_dict(ring, payload["f"]))
-        base = CoeffRing.make(ring.q, 1, ring.field.modulus)
+        base = CoeffRing.make(ring.q, 1, ring.modulus)
         g = WittElement.from_json_dict(base, payload["g"])
         result = {}
         if args.mode in ("algebraic", "both"):
@@ -236,9 +237,8 @@ def parse_args(argv) -> argparse.Namespace:
         top = _Parser(
             prog="multiwitt", description="truncated multivariable Witt vector calculator"
         )
-        top.add_argument(
-            "--version", action="version", version=f"multiwitt 0.1.0 (schema {SCHEMA_VERSION})"
-        )
+        version = f"multiwitt {__version__} (schema {SCHEMA_VERSION})"
+        top.add_argument("--version", action="version", version=version)
         top.add_argument("command", choices=COMMANDS)
         top.parse_args(argv)
         raise SchemaError("the command must be the first argument")

@@ -180,7 +180,7 @@ def _shared_parts(f: FormalWittElement, g: WittElement, elements: bool = False):
     if f.n != g.n:
         raise ShapeMismatch("arguments have different variable counts")
     # g's raws, over f's ring or its field part, are raws of f's ring
-    if g.ring != f.ring and (g.ring.field != f.ring.field or g.ring.nil != 1):
+    if g.ring != f.ring and g.ring != CoeffRing.make(f.ring.q, 1, f.ring.modulus):
         raise ShapeMismatch("second argument must live over the ring or its field part")
     if f.n == 1:
         a, b = (f, g) if elements else (f.exact_coordinates().keys, witt_coordinates(g).keys)

@@ -165,7 +165,7 @@ class _LiftLaw:
                  "stored", "shifts", "weights", "bias", "ladders")
 
     def __init__(self, ring: CoeffRing, m: int):
-        p, e, nil, f = ring.p, ring.field.e, ring.nil, ring.field.modulus
+        p, e, nil, f = ring.p, ring.e, ring.nil, ring.modulus
         mod = p**m
         width = max(nil * e * (mod - 1) ** 2, 3 * mod * mod - 1).bit_length()
         stride = 2 * e - 1

@@ -1,33 +1,35 @@
-"""Exact arithmetic in F_q and its nilpotent extensions F_q[eps]/(eps^e).
+"""Exact arithmetic in F_q and its nilpotent extensions F_q[eps]/(eps^e_nil).
 
 A finite field F_q with q = p^e is F_p[x]/(f) for a monic irreducible f.
 Field elements are stored as integer indices 0..q-1; the base-p digits of
 an index are the coefficients of the element on the basis 1, x, .., x^(e-1).
 
-The coefficient rings used everywhere else are R = F_q[eps]/(eps^e_nil)
-with e_nil >= 1 (e_nil = 1 means R = F_q).  A raw element of R is a single
-integer whose base-q digits are the eps-coefficients, eps-degree ascending.
-An element is a unit iff its eps^0 digit is nonzero in F_q, and nilpotent
-iff that digit is zero.
+The coefficient rings used everywhere are R = F_q[eps]/(eps^e_nil) with
+e_nil >= 1; e_nil = 1 is the field F_q itself, so a field is no separate
+object.  A raw element of R is a single integer whose base-q digits are
+the eps-coefficients, eps-degree ascending.  An element is a unit iff its
+eps^0 digit is nonzero in F_q, and nilpotent iff that digit is zero.
 
 Every ring, field or not, has one representation: full addition,
 negation, multiplication, inverse and p-th power tables over all q^e_nil
 raw elements, and the coordinate rows of each raw element, attached to
 each CoeffRing at construction, so each raw operation is a single
-lookup.  A ring is one cached object per descriptor (q, e_nil, modulus):
-``CoeffRing.make`` checks and builds it on first use and returns the same
-object after, and the tables live as long as their ring.  The 32 most
-recently made rings stay cached.  Tables grow as (q^e_nil)^2, so a field
-or ring of more than 2048 elements is refused by ``errors.check_power``
-before its order is formed or factored.  Hot loops work on raw integers via
-the CoeffRing methods; RingElement is a thin wrapper with operator
-overloads for public use and tests.
+lookup.  A ring is its descriptor (p, e, modulus, nil), the keys of its
+JSON form, and one cached object per descriptor: ``CoeffRing.make`` is
+its one constructor, which checks and builds it on first use and returns
+the same object after; JSON reads, unpickling and deepcopy go through
+it.  The tables live as long as their ring, and the 32 most recently
+made rings stay cached.  Tables grow as (q^e_nil)^2, so a field or ring
+of more than 2048 elements is refused by ``errors.check_power`` before
+its order is formed or factored.  Hot loops work on raw integers via the
+CoeffRing methods; RingElement is a thin wrapper with operator overloads
+for public use and tests.
 
-Fields, rings, their elements and every other value of the library are
+Rings, their elements and every other value of the library are
 ``Record``s: immutable, equal and hashed by their fields, so a ring can
-key a cache and values can fill sets.  Series, coordinate families and Witt elements keep their terms in
-a dict instead; they are never changed once built either, and are equal
-and hashed by their terms.
+key a cache and values can fill sets.  Series, coordinate families and
+Witt elements keep their terms in a dict instead; they are never changed
+once built either, and are equal and hashed by their terms.
 """
 
 from __future__ import annotations
@@ -194,73 +196,25 @@ def _check_irreducible(modulus, p):
                 raise SchemaError("modulus is reducible over F_p")
 
 
-class FiniteField(Record):
-    """F_q = F_p[x]/(modulus), q = p^e, elements indexed 0..q-1."""
-
-    __slots__ = ("p", "e", "modulus", "q")
-    _fields = ("p", "e", "modulus")
-
-    def __init__(self, p: int, e: int, modulus: tuple):
-        if e < 1:
-            raise SchemaError("extension degree must be >= 1")
-        # before the primality test, which trial-divides up to sqrt(p)
-        check_power(p, e, _MAX_TABLE_Q, "field has q = p^e = {} elements")
-        if not _is_prime(p):
-            raise SchemaError(f"{p} is not prime")
-        m = tuple(c % p for c in modulus)
-        if len(m) != e + 1 or m[-1] != 1:
-            raise SchemaError("modulus must be monic of degree e")
-        _check_irreducible(m, p)
-        self._set(p=p, e=e, modulus=m, q=p**e)
-
-    @classmethod
-    def of_order(cls, q: int) -> "FiniteField":
-        """F_q modulo x for a prime q, else modulo the first monic
-        irreducible of degree e in index order."""
-        p = _char_of(q)
-        e = 0
-        qq = q
-        while qq > 1:
-            qq //= p
-            e += 1
-        if p**e != q:
-            raise SchemaError(f"{q} is not a prime power")
-        return cls(p, e, (0, 1) if e == 1 else _find_irreducible(p, e))
-
-    def index_to_vector(self, idx: int):
-        v, out = idx, []
-        for _ in range(self.e):
-            out.append(v % self.p)
-            v //= self.p
-        return out
-
-    def vector_to_index(self, vec) -> int:
-        if type(vec) is not list or len(vec) != self.e:
-            raise SchemaError(f"coefficient row must be a list of {self.e} digits, got {vec!r}")
-        idx = 0
-        for c in reversed(vec):
-            json_int(c, "coefficient digit")
-            if not 0 <= c < self.p:
-                raise SchemaError(f"coefficient digit {c} outside [0, {self.p})")
-            idx = idx * self.p + c
-        return idx
-
-    def to_json_dict(self):
-        return {"p": self.p, "e": self.e, "modulus": list(self.modulus)}
-
-
-def _char_of(q: int) -> int:
-    """The prime dividing the field order q, which must fit the table bound."""
+def prime_power(q: int) -> tuple:
+    """(p, e) with q = p^e for a field order q: TooLarge past the table
+    bound, before q is factored, and SchemaError unless q is a prime power."""
     check_budget(q, _MAX_TABLE_Q, "field has q = {} elements")
     for p in range(2, q + 1):
         if q % p == 0:
-            if not _is_prime(p):
-                raise SchemaError(f"{q} is not a prime power")
-            return p
+            e, rest = 1, q // p
+            while rest % p == 0:
+                e, rest = e + 1, rest // p
+            if rest == 1:
+                return p, e
+            break
     raise SchemaError(f"{q} is not a prime power")
 
 
+@lru_cache(maxsize=None)
 def _find_irreducible(p: int, e: int):
+    """The default modulus of F_(p^e): the first monic irreducible of
+    degree e in index order, x for e = 1.  Each (p, e) is searched once."""
     # deterministic scan in index order; desk-scale sizes only
     for idx in range(p**e):
         cand = []
@@ -345,15 +299,16 @@ def _ring_tables(p: int, e: int, modulus: tuple, nil: int):
 
 
 class CoeffRing(Record):
-    """R = F_q[eps]/(eps^nil); nil = 1 gives R = F_q itself."""
+    """R = F_q[eps]/(eps^nil), q = p^e, F_q = F_p[x]/(modulus); nil = 1
+    gives R = F_q itself.  Its fields are its JSON descriptor."""
 
-    __slots__ = ("field", "nil", "q", "size", "_add", "_neg", "_mul", "_inv", "_frob", "_coords")
-    _fields = ("field", "nil")
+    __slots__ = (
+        "p", "e", "modulus", "nil", "q", "size", "_add", "_neg", "_mul", "_inv", "_frob", "_coords"
+    )
+    _fields = ("p", "e", "modulus", "nil")
 
-    def __init__(self, field: FiniteField, nil: int = 1):
-        # an equal ring: every slot but the field is the made ring's, tables too
-        made = _made_ring(field.q, nil, field.modulus)
-        self._set(field=field, **{name: getattr(made, name) for name in self.__slots__[1:]})
+    def __init__(self, *_):
+        raise TypeError("a CoeffRing is made by CoeffRing.make")
 
     @classmethod
     def make(cls, q: int, nil: int = 1, modulus=None) -> "CoeffRing":
@@ -362,9 +317,8 @@ class CoeffRing(Record):
         on the first call, the same object on every call while cached."""
         return _made_ring(q, nil, None if modulus is None else tuple(modulus))
 
-    @property
-    def p(self) -> int:
-        return self.field.p
+    def __reduce__(self):
+        return CoeffRing.make, (self.p**self.e, self.nil, self.modulus)
 
     @property
     def is_field(self) -> bool:
@@ -457,7 +411,15 @@ class CoeffRing(Record):
             raise SchemaError(f"coefficient must be a list of {self.nil} eps-rows, got {coords!r}")
         out, mult = 0, 1
         for row in coords:
-            out += self.field.vector_to_index(row) * mult
+            if type(row) is not list or len(row) != self.e:
+                raise SchemaError(f"coefficient row must be a list of {self.e} digits, got {row!r}")
+            digits = 0
+            for c in reversed(row):
+                json_int(c, "coefficient digit")
+                if not 0 <= c < self.p:
+                    raise SchemaError(f"coefficient digit {c} outside [0, {self.p})")
+                digits = digits * self.p + c
+            out += digits * mult
             mult *= self.q
         return out
 
@@ -491,7 +453,7 @@ class CoeffRing(Record):
 
     def gen(self) -> "RingElement":
         """Generator x of the field part (zero for prime fields of degree 1)."""
-        if self.field.e == 1:
+        if self.e == 1:
             raise ValueError("prime field has no extension generator")
         return RingElement(self, self.p)
 
@@ -522,49 +484,52 @@ class CoeffRing(Record):
         return "+".join(parts) if parts else "0"
 
     def to_json_dict(self):
-        d = self.field.to_json_dict()
-        d["nil"] = self.nil
-        return d
+        return {"p": self.p, "e": self.e, "modulus": list(self.modulus), "nil": self.nil}
 
     @classmethod
     def from_json_dict(cls, obj) -> "CoeffRing":
         """Ring from its descriptor: an object with exactly the keys p, e,
-        modulus (a list of integers) and optional nil."""
+        modulus (a list of integers) and optional nil.  p^e is bounded and
+        p tested prime here; ``make`` checks the modulus, then nil."""
         json_object(obj, "ring descriptor", ("p", "e", "modulus"), ("nil",))
         modulus = json_list(obj["modulus"], "ring modulus")
-        field = FiniteField(
-            json_int(obj["p"], "ring p", 2),
-            json_int(obj["e"], "ring e", 1),
-            tuple(json_int(c, "modulus coefficient") for c in modulus),
-        )
-        return cls.make(field.q, json_int(obj.get("nil", 1), "ring nil", 1), field.modulus)
+        p, e = json_int(obj["p"], "ring p", 2), json_int(obj["e"], "ring e", 1)
+        modulus = tuple(json_int(c, "modulus coefficient") for c in modulus)
+        nil = json_int(obj.get("nil", 1), "ring nil")
+        # before the primality test, which trial-divides up to sqrt(p)
+        q = check_power(p, e, _MAX_TABLE_Q, "field has q = p^e = {} elements")
+        if not _is_prime(p):
+            raise SchemaError(f"{p} is not prime")
+        return cls.make(q, nil, modulus)
 
 
 # bounded: the tables of one ring of 2048 elements take about 80 MiB.
 # Typed, so that a hit returns what a miss would: make(2.0) is not make(2).
 @lru_cache(maxsize=32, typed=True)
 def _made_ring(q: int, nil: int, modulus) -> CoeffRing:
-    """``CoeffRing.make``'s ring.  A failed check raises and caches nothing.
-    The default modulus (None) and an unreduced one share the entry of the
-    reduced modulus, so each descriptor has one ring object."""
+    """``CoeffRing.make``'s ring, each check run once per miss.  A failed
+    check raises and caches nothing.  The default modulus (None) and an
+    unreduced one share the entry of the reduced modulus, so each
+    descriptor has one ring object."""
+    p, e = prime_power(q)
     if modulus is None:
-        field = FiniteField.of_order(q)
-    else:
-        p = _char_of(q)
-        e = len(modulus) - 1
-        if p**e != q:
-            raise SchemaError("modulus degree does not match q")
-        field = FiniteField(p, e, modulus)
-    if field.modulus != modulus:
-        return _made_ring(q, nil, field.modulus)
+        return _made_ring(q, nil, _find_irreducible(p, e))
+    reduced = tuple(c % p for c in modulus)
+    if reduced != modulus:
+        return _made_ring(q, nil, reduced)
+    if len(modulus) != e + 1:
+        raise SchemaError("modulus degree does not match q")
+    if modulus[-1] != 1:
+        raise SchemaError("modulus must be monic of degree e")
+    # the search found the default irreducible already
+    if modulus != _find_irreducible(p, e):
+        _check_irreducible(modulus, p)
     if nil < 1:
-        raise SchemaError("nilpotency order must be >= 1")
-    check_power(q, nil, _MAX_TABLE_Q, "ring has q^nil = {} elements")
-    add, neg, mul, inv, frob, coords = _ring_tables(field.p, field.e, field.modulus, nil)
-    ring = CoeffRing._make(field, nil)
-    ring._set(
-        q=q, size=q**nil, _add=add, _neg=neg, _mul=mul, _inv=inv, _frob=frob, _coords=coords,
-    )
+        raise SchemaError(f"nilpotency order must be >= 1, got {nil}")
+    size = check_power(q, nil, _MAX_TABLE_Q, "ring has q^nil = {} elements")
+    add, neg, mul, inv, frob, coords = _ring_tables(p, e, modulus, nil)
+    ring = CoeffRing._make(p, e, modulus, nil)
+    ring._set(q=q, size=size, _add=add, _neg=neg, _mul=mul, _inv=inv, _frob=frob, _coords=coords)
     return ring
 
 

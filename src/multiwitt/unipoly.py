@@ -195,13 +195,13 @@ def base_embedding(base: CoeffRing, field: CoeffRing) -> list:
     of m in ``field``; F_p digits embed as themselves, since both rings
     share the characteristic p.
     """
-    m = UnivariatePolynomial(field, base.field.modulus)
+    m = UnivariatePolynomial(field, base.modulus)
     root = next(r for r in field.elements() if m.evaluate(r).raw == 0)
-    powers = [field.rpow(root.raw, i) for i in range(base.field.e)]
+    powers = [field.rpow(root.raw, i) for i in range(base.e)]
     table = []
     for b in base.element_indices():
         acc = 0
-        for c, w in zip(base.field.index_to_vector(b), powers):
+        for c, w in zip(base._coords[b][0], powers):
             acc = field.radd(acc, field.rmul(c, w))
         table.append(acc)
     return table

@@ -132,7 +132,7 @@ def law_op(v: PWittVector, w: PWittVector, kind: str) -> PWittVector:
 
 
 def _lift_mul(a: list, b: list, ring, mod: int) -> list:
-    e, f = ring.field.e, ring.field.modulus
+    e, f = ring.e, ring.modulus
     rows = [[0] * (2 * e - 1) for _ in a]
     for i, ra in enumerate(a):
         for j in range(len(a) - i):
@@ -176,7 +176,7 @@ def _add_ghost_terms(ghosts: list, k: int, x: list, ring, mod: int) -> None:
 
 def _lift_ghosts(v: PWittVector, mod: int) -> list:
     ring = v.ring
-    ghosts = [[[0] * ring.field.e for _ in range(ring.nil)] for _ in v.entries]
+    ghosts = [[[0] * ring.e for _ in range(ring.nil)] for _ in v.entries]
     for k, raw in enumerate(v.entries):
         if raw:
             _add_ghost_terms(ghosts, k, ring.raw_to_coords(raw), ring, mod)
@@ -197,7 +197,7 @@ def lift_op(v: PWittVector, w: PWittVector, kind: str) -> PWittVector:
     else:
         target = [_lift_mul(x, y, ring, mod) for x, y in zip(gv, gw)]
     # solved[i] accumulates sum_{k<i} p^k z_k^(p^(i-k)) as entries are found
-    solved = [[[0] * ring.field.e for _ in range(ring.nil)] for _ in range(m)]
+    solved = [[[0] * ring.e for _ in range(ring.nil)] for _ in range(m)]
     entries = []
     for i in range(m):
         scale = p**i

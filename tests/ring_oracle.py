@@ -20,6 +20,11 @@ def _trim(c):
     return c
 
 
+def _field_digits(i, p, e):
+    # the base-p digits of the field index i, the lowest first
+    return [i // p**k % p for k in range(e)]
+
+
 def _poly_mulmod(a, b, modulus, p):
     # product of coefficient lists over F_p, reduced by the monic modulus
     out = [0] * (len(a) + len(b) - 1) if a and b else []
@@ -39,18 +44,17 @@ class DigitLoopRing:
     """Raw-element arithmetic of ``ring`` by base-q digit loops."""
 
     def __init__(self, ring: CoeffRing):
-        field = ring.field
-        p, e, q = field.p, field.e, field.q
-        self.ring, self.q, self.nil, self.p = ring, q, ring.nil, p
-        vec = [field.index_to_vector(i) for i in range(q)]
+        p, e, q = ring.p, ring.e, ring.q
+        self.ring, self.q, self.nil, self.p, self.e = ring, q, ring.nil, p, e
+        vec = [_field_digits(i, p, e) for i in range(q)]
 
         def enc(v):
-            return field.vector_to_index(v + [0] * (e - len(v)))
+            return sum(c * p**k for k, c in enumerate(v))
 
         self.f_add = [[enc([(x + y) % p for x, y in zip(vec[i], vec[j])]) for j in range(q)] for i in range(q)]
         self.f_neg = [enc([(-x) % p for x in vec[i]]) for i in range(q)]
         self.f_mul = [
-            [enc(_poly_mulmod(_trim(list(vec[i])), _trim(list(vec[j])), field.modulus, p)) for j in range(q)]
+            [enc(_poly_mulmod(_trim(list(vec[i])), _trim(list(vec[j])), ring.modulus, p)) for j in range(q)]
             for i in range(q)
         ]
         self.f_inv = [0] + [self.f_mul[i].index(1) for i in range(1, q)]
@@ -66,7 +70,7 @@ class DigitLoopRing:
 
     def raw_to_coords(self, a):
         # each base-q digit as the base-p digits of its field index
-        return [self.ring.field.index_to_vector(x) for x in self._digits(a)]
+        return [_field_digits(x, self.p, self.e) for x in self._digits(a)]
 
     def _digit_add(self, acc, slot, fval):
         q = self.q

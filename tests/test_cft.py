@@ -127,6 +127,29 @@ def test_pi1_json_builds_no_witnesses(monkeypatch):
     assert s.witnesses is s.witnesses  # built once, then kept
 
 
+def test_factors_make_no_ring(monkeypatch):
+    """pi1_truncated and modulus_group read p and e off q: the factors of
+    F_2048's groups add no made ring, and reading the witnesses makes the
+    ring and its binomials."""
+    from multiwitt import WittElement
+    from multiwitt.ring import _made_ring
+
+    before = _made_ring.cache_info()
+    s = pi1_truncated(1, 2048, 2)
+    assert s.invariant_factors == (2,) * 11 and s.order == 2048
+    assert modulus_group(2048, 2).structure == s and modulus_group(2048, 1).order == 1
+    small = pi1_truncated(2, 9, 3)
+    assert small.invariant_factors == (3,) * 10 and small.order == 9**5
+    after = _made_ring.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+
+    built = []
+    binomial = WittElement.binomial
+    monkeypatch.setattr(WittElement, "binomial", lambda *a: built.append(a) or binomial(*a))
+    assert len(small.witnesses) == len(built) == 10
+    assert all(w.ring is CoeffRing.make(9) for w in small.witnesses)
+
+
 def test_invalid_truncation():
     with pytest.raises(InvalidTruncation):
         pi1_truncated(1, 2, 1)
@@ -334,6 +357,23 @@ def test_census_refuses_an_extension_degree_below_one(monkeypatch, s):
     monkeypatch.setattr(CoeffRing, "make", no_ring)
     with pytest.raises(InvalidTruncation, match=rf"\bs = {s} must be at least 1$"):
         lang_kernel_census(1, 2, s, 3)
+
+
+def test_census_sizes_the_extension_before_any_ring(monkeypatch):
+    from multiwitt.ring import _made_ring
+
+    def no_ring(*_):
+        raise AssertionError("a ring was built")
+
+    before = _made_ring.cache_info()
+    monkeypatch.setattr(CoeffRing, "make", no_ring)
+    with pytest.raises(TooLarge, match=r"q\^s = 4194304 elements, beyond limit 2048$"):
+        lang_kernel_census(1, 2048, 2, 3)
+    with pytest.raises(TooLarge, match=r"census of 1099511627776 elements, beyond limit 1000000$"):
+        lang_kernel_census(2, 16, 2, 3)
+    with pytest.raises(SchemaError, match="^6 is not a prime power$"):
+        lang_kernel_census(1, 6, 2, 3)
+    assert _made_ring.cache_info() == before
 
 
 def test_lang_census_too_large():

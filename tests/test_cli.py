@@ -684,10 +684,28 @@ def test_stdin_payload():
 
 
 def test_version_flag():
+    from multiwitt import __version__
+
     cmd = [sys.executable, "-m", "multiwitt.cli", "--version"]
     proc = subprocess.run(cmd, capture_output=True, text=True)
     assert proc.returncode == 0
     assert "schema 1" in proc.stdout
+    assert f"multiwitt {__version__} " in proc.stdout
+
+
+def test_every_export_resolves():
+    """Each name of ``multiwitt.__all__`` is fetched from its module by the
+    package's lazy ``__getattr__`` and listed by ``dir``."""
+    import multiwitt
+
+    assert multiwitt.__all__ == sorted(set(multiwitt.__all__))
+    listed = dir(multiwitt)
+    for name in multiwitt.__all__:
+        value = multiwitt.__getattr__(name)
+        assert value.__name__ == name and getattr(multiwitt, name) is value
+        assert name in listed
+    with pytest.raises(AttributeError, match="'FiniteField'"):
+        multiwitt.__getattr__("FiniteField")
 
 
 ONE_PLUS_T = series_doc(1, 4, [((0,), [[1]]), ((1,), [[1]])])

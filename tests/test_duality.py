@@ -223,7 +223,7 @@ def test_three_routes_agree_in_several_variables(name, rng):
     ring = RINGS[name]
     for n in (2, 3):
         values = []
-        for over in (CoeffRing(ring.field, 1), ring):
+        for over in (CoeffRing.make(ring.q, 1, ring.modulus), ring):
             for _ in range(3):
                 f = random_formal_element(ring, n, 2, rng)
                 m = max(2, f.coordinate_bound())
@@ -304,7 +304,7 @@ def test_norms_match_the_sylvester_resultant(name, rng):
     g'), with only g_m past the constant, and the constant g' = 1."""
     ring = RINGS[name]
     for D in range(1, 8):
-        for over in (ring, CoeffRing(ring.field, 1)):
+        for over in (ring, CoeffRing.make(ring.q, 1, ring.modulus)):
             for m in (1, 2, rng.randrange(3, 24), 64):
                 f = [1] + [ring.random_raw(rng) for _ in range(D - 1)] + [rng.randrange(1, ring.size)]
                 dense = {0: 1} | {k: over.random_raw(rng) for k in range(1, m + 1)}
@@ -602,7 +602,7 @@ def test_slot_value_matches_the_truncated_product_on_route_families(name, n, rng
     twisted by -j: at every level 1..g.d, with g over the field and over
     the ring."""
     ring = RINGS[name]
-    for over in (ring, CoeffRing(ring.field, 1)):
+    for over in (ring, CoeffRing.make(ring.q, 1, ring.modulus)):
         for _ in range(3):
             f = random_formal_element(ring, n, 3 if n == 1 else 2, rng)
             g = random_witt_element(over, n, rng.randrange(2, (10, 8, 6)[n - 1]), rng)

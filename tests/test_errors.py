@@ -94,17 +94,17 @@ JSON_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 SITES = {
     "field p^e": (
         {"multiwitt.ring._is_prime": refuse},
-        lambda: ring.FiniteField(2, 12, X12),
+        lambda: ring.CoeffRing.from_json_dict({"p": 2, "e": 12, "modulus": list(X12)}),
         r"field has q = p\^e = 4096 elements, beyond limit 2048",
     ),
     "field q": (
         {"multiwitt.ring._is_prime": refuse},
-        lambda: ring.FiniteField.of_order(4096),
+        lambda: ring.CoeffRing.make(4096),
         r"field has q = 4096 elements, beyond limit 2048",
     ),
     "ring q^nil": (
         {"multiwitt.ring._ring_tables": refuse},
-        lambda: ring.CoeffRing(F2.field, 12),
+        lambda: ring.CoeffRing.make(2, 12),
         r"ring has q\^nil = 4096 elements, beyond limit 2048",
     ),
     "exponent bits": (
@@ -290,7 +290,7 @@ def test_the_description_is_formatted_only_on_refusal():
 def test_schema_error_is_also_a_value_error():
     assert issubclass(SchemaError, WittError) and issubclass(SchemaError, ValueError)
     with pytest.raises(ValueError, match="4 is not prime"):
-        ring.FiniteField(4, 1, (0, 1))
+        ring.CoeffRing.from_json_dict({"p": 4, "e": 1, "modulus": [0, 1]})
 
 
 # estimates that bound the table products of a kernel, one site at a time

@@ -12,7 +12,6 @@ from ring_oracle import DigitLoopRing
 from multiwitt import (
     AbelianGroupStructure,
     CoeffRing,
-    FiniteField,
     GhostVector,
     LangCensus,
     ModulusGroupDesc,
@@ -134,12 +133,15 @@ def test_frobenius_is_ring_hom(any_ring, rng):
 
 
 def test_builtin_moduli_are_irreducible():
+    from multiwitt.ring import _check_irreducible
+
     for q in (2, 3, 4, 5, 8, 9, 16, 25, 27):
-        F = FiniteField.of_order(q)
-        assert F.q == q
+        F = CoeffRing.make(q)
+        assert F.q == F.p**F.e == q and len(F.modulus) == F.e + 1
+        _check_irreducible(F.modulus, F.p)
 
 
-def test_of_order_moduli_are_pinned():
+def test_default_moduli_are_pinned():
     # the first monic irreducible in index order, ascending coefficients
     moduli = {
         2: (0, 1),
@@ -153,14 +155,15 @@ def test_of_order_moduli_are_pinned():
         16: (1, 1, 0, 0, 1),
     }
     for q, modulus in moduli.items():
-        assert FiniteField.of_order(q).modulus == modulus, q
+        assert CoeffRing.make(q).modulus == modulus, q
 
 
 def test_reducible_modulus_rejected():
     with pytest.raises(ValueError):
-        FiniteField(2, 2, (1, 0, 1))  # x^2 + 1 = (x+1)^2 over F_2
+        # x^2 + 1 = (x+1)^2 over F_2
+        CoeffRing.from_json_dict({"p": 2, "e": 2, "modulus": [1, 0, 1]})
     with pytest.raises(ValueError):
-        FiniteField(4, 1, (0, 1))  # 4 is not prime
+        CoeffRing.from_json_dict({"p": 4, "e": 1, "modulus": [0, 1]})  # 4 is not prime
 
 
 def test_user_supplied_modulus():
@@ -249,12 +252,12 @@ UNIT = _unit_class(F3E2, 2, {(0,): 1, (1,): 3})
 UNIT_SCALED = _unit_class(F3E2, 5, {(0,): 2, (1,): 6})
 UNIT_OTHER = _unit_class(F3E2, 3, {(0,): 1, (2,): 3})
 
-# class, constructor arguments, arguments of an equal value written
-# differently, arguments of a different value, and a field
+# constructor, its arguments, arguments of an equal value written
+# differently, arguments of a different value, and a field.  A ring is
+# built past make's cache by the Record constructor, so that an equal
+# ring is another object.
 VALUE_CLASSES = [
-    (FiniteField, (3, 1, (0, 1)), (3, 1, (3, 4)), (3, 1, (1, 1)), "p"),
-    (CoeffRing, (FiniteField(3, 1, (0, 1)), 2), (FiniteField(3, 1, (3, 1)), 2),
-     (FiniteField(3, 1, (0, 1)),), "nil"),
+    (CoeffRing._make, (3, 1, (0, 1), 2), (3, 1, (0, 1), 2), (3, 1, (0, 1), 1), "nil"),
     (AbelianGroupStructure, ((2, 4), 8), ((2, 4), 8, lambda: ("w",)), ((8,), 8), "order"),
     (ModulusGroupDesc, (2, 3, 4, AbelianGroupStructure((2, 2), 4)),
      (2, 3, 4, AbelianGroupStructure((2, 2), 4, lambda: ("w",))),
@@ -273,7 +276,9 @@ VALUE_CLASSES = [
 
 
 @pytest.mark.parametrize(
-    "cls, args, same, other, field", VALUE_CLASSES, ids=[case[0].__name__ for case in VALUE_CLASSES]
+    "cls, args, same, other, field",
+    VALUE_CLASSES,
+    ids=[getattr(case[0], "__self__", case[0]).__name__ for case in VALUE_CLASSES],
 )
 def test_value_classes_compare_and_hash_by_fields(cls, args, same, other, field):
     a, b, c = cls(*args), cls(*same), cls(*other)
@@ -311,14 +316,14 @@ def test_equal_coordinate_families_hash_equal():
 
 
 def test_value_class_defaults_and_lazy_witnesses():
-    assert CoeffRing(FiniteField(2, 1, (0, 1))).nil == 1
+    assert CoeffRing.make(2).nil == 1
     assert AbelianGroupStructure((), 1) == AbelianGroupStructure((), 1)
     assert AbelianGroupStructure((), 1).witnesses == ()
     built = []
     s = AbelianGroupStructure((3,), 3, lambda: built.append(1) or ("g",))
     assert built == [] and s.witnesses == ("g",) and s.witnesses == ("g",) and built == [1]
     R = CoeffRing.make(9, nil=2)
-    assert (R.q, R.size, R.field.q) == (9, 81, 9)
+    assert (R.p, R.e, R.q, R.size) == (3, 2, 9, 81)
 
 
 def test_equal_rings_share_one_cache_entry():
@@ -329,7 +334,8 @@ def test_equal_rings_share_one_cache_entry():
         calls.append(ring)
         return ring.size
 
-    made, built = CoeffRing.make(3, nil=2), CoeffRing(CoeffRing.make(3).field, 2)
+    # an equal ring that is another object, past make's cache
+    made, built = CoeffRing.make(3, nil=2), CoeffRing._make(3, 1, (0, 1), 2)
     assert size_of(made) == size_of(built) == 9
     assert size_of(CoeffRing.make(3)) == 3
     assert len(calls) == 2
@@ -352,13 +358,13 @@ def test_field_order_bounded_before_factoring(monkeypatch):
     sizes = ((4096, "4096"), (2**1000, r"at least 2\^1000"), (2**61 - 1, r"at least 2\^60"))
     for q, shown in sizes:
         with pytest.raises(TooLarge, match=rf"q = {shown} elements, beyond limit 2048$"):
-            FiniteField.of_order(q)
+            CoeffRing.make(q)
     with pytest.raises(TooLarge):
         CoeffRing.make(2**61 - 1, modulus=[0, 1])
     with pytest.raises(TooLarge, match=r"2\^1000000\b"):
-        FiniteField(2, 10**6, (0, 1))
+        CoeffRing.from_json_dict({"p": 2, "e": 10**6, "modulus": [0, 1]})
     with pytest.raises(TooLarge, match=r"p\^e = at least 2\^60 elements, beyond limit 2048$"):
-        FiniteField(2**61 - 1, 1, (0, 1))
+        CoeffRing.from_json_dict({"p": 2**61 - 1, "e": 1, "modulus": [0, 1]})
     # too many digits for str(): the message names the size as a power of two
     with pytest.raises(TooLarge, match=r"at least 2\^100000\b"):
         CoeffRing.make(2**100000)
@@ -392,14 +398,48 @@ def test_make_returns_one_object_per_descriptor():
 
 def test_every_way_to_a_ring_shares_the_made_tables():
     ring = CoeffRing.make(9, nil=2)
-    assert CoeffRing.from_json_dict(ring.to_json_dict()) is ring
-    assert CoeffRing.make(ring.q, 1, ring.field.modulus) is CoeffRing.make(9)
-    built = CoeffRing(FiniteField(3, 2, ring.field.modulus), 2)
-    for other in (built, pickle.loads(pickle.dumps(ring)), copy.deepcopy(ring)):
-        assert other is not ring and other == ring and hash(other) == hash(ring)
-        tables = ("_add", "_neg", "_mul", "_inv", "_frob", "_coords")
-        assert all(getattr(other, t) is getattr(ring, t) for t in tables)
-        assert other.rmul(other.eps_raw, other.eps_raw) == 0
+    assert CoeffRing.make(ring.q, 1, ring.modulus) is CoeffRing.make(9)
+    ways = (
+        CoeffRing.from_json_dict(ring.to_json_dict()),
+        pickle.loads(pickle.dumps(ring)),
+        copy.deepcopy(ring),
+        copy.copy(ring),
+    )
+    assert all(other is ring for other in ways)
+    with pytest.raises(TypeError, match=r"made by CoeffRing\.make"):
+        CoeffRing(3, 2, (2, 2, 1), 2)
+
+
+def test_a_cached_descriptor_is_read_without_a_check(monkeypatch):
+    ring = CoeffRing.make(9, nil=2, modulus=[2, 2, 1])
+    tested = []
+    monkeypatch.setattr("multiwitt.ring._check_irreducible", lambda *args: tested.append(args))
+    blob = {"p": 3, "e": 2, "modulus": [2, 2, 1], "nil": 2}
+    assert CoeffRing.from_json_dict(blob) is ring and tested == []
+
+
+def test_a_modulus_is_tested_once_per_miss(monkeypatch):
+    """A miss on the default modulus tests the modulus the search found
+    once, in the search, and a miss on an unreduced modulus tests the
+    reduced one once.  No other test makes a ring over F_49."""
+    from multiwitt import ring as ring_module
+
+    real, tested = ring_module._check_irreducible, []
+
+    def spy(modulus, p):
+        tested.append(modulus)
+        return real(modulus, p)
+
+    monkeypatch.setattr(ring_module, "_check_irreducible", spy)
+    ring_module._find_irreducible.cache_clear()  # a memo of the search, no ring
+    misses = ring_module._made_ring.cache_info().misses
+    assert CoeffRing.make(49).modulus == (1, 0, 1)
+    assert tested == [(0, 0, 1), (1, 0, 1)]  # x^2 has the root 0
+    tested.clear()
+    # x^2 + x + 3 over F_7, given unreduced
+    assert CoeffRing.make(49, modulus=[10, 8, 8]) is CoeffRing.make(49, modulus=[3, 1, 1])
+    assert tested == [(3, 1, 1)]
+    assert ring_module._made_ring.cache_info().misses == misses + 4
 
 
 @pytest.mark.parametrize(
@@ -423,3 +463,24 @@ def test_a_failed_make_is_checked_again_and_never_cached(args, error, match):
     after = _made_ring.cache_info()
     assert after.hits == before.hits and after.misses > before.misses
     assert after.currsize == before.currsize
+
+
+@pytest.mark.parametrize(
+    "descriptor, error, match",
+    [
+        ({"p": 4, "e": 6, "modulus": [0, 1]}, TooLarge, r"p\^e = 4096 elements"),
+        ({"p": 4, "e": 1, "modulus": [0, 2]}, SchemaError, "^4 is not prime$"),
+        ({"p": 2, "e": 2, "modulus": [1, 0, 1, 1], "nil": 0}, SchemaError, "degree does not"),
+        ({"p": 2, "e": 2, "modulus": [1, 1, 2], "nil": 0}, SchemaError, "must be monic"),
+        ({"p": 2, "e": 2, "modulus": [1, 0, 1], "nil": 0}, SchemaError, "has root 1 mod 2"),
+        ({"p": 2, "e": 1, "modulus": [0, 1], "nil": 0}, SchemaError, "nilpotency order"),
+        ({"p": 2, "e": 1, "modulus": [0, 1], "nil": 12}, TooLarge, r"q\^nil = 4096"),
+    ],
+    ids=["p^e", "prime", "degree", "monic", "irreducible", "nil", "q^nil"],
+)
+def test_descriptor_refusals_keep_their_order(descriptor, error, match):
+    """Each descriptor is faulty from its row's check on, so each check
+    must run before every later one: the table bound before primality,
+    then degree and monic, irreducibility, nil and the ring's size."""
+    with pytest.raises(error, match=match):
+        CoeffRing.from_json_dict(descriptor)
