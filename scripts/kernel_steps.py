@@ -5,14 +5,16 @@ Usage:
     python scripts/kernel_steps.py
 
 For each kernel budgeted by ``errors.WORK_LIMIT`` (the series division
-and product, the binomial product, the coordinate peel, the Artin-Hasse
-product ``pi_epsilon`` and peel ``pi_epsilon_inverse``, and the geometric
-pairing's norms) it runs one
-dense input over F_3 in one variable of about 10^6 estimated steps, and
-prints the estimate (the largest one checked against the limit while the
-job runs), the best of 3 wall times and the nanoseconds per estimated
-step.  The limit admits about WORK_LIMIT times that many nanoseconds of
-any one kernel.
+and product; the product driver ``series.multiply_keys`` on binomial runs,
+``witt.from_coordinates``, and on Artin-Hasse factors,
+``ptypical.pi_epsilon``; the peel driver ``series.peel_keys`` on
+binomials, ``witt.witt_coordinates``, and on Artin-Hasse factors,
+``ptypical.pi_epsilon_inverse``; and the geometric pairing's norms) it
+runs one dense input over F_3 in one variable of about 10^6 estimated
+steps, and prints the estimate (the largest one checked against the
+limit while the job runs), the best of 3 wall times and the nanoseconds
+per estimated step.  The limit admits about WORK_LIMIT times that many
+nanoseconds of any one kernel.
 """
 
 import random
@@ -23,7 +25,7 @@ from multiwitt.errors import WORK_LIMIT, check_budget
 from multiwitt.ring import CoeffRing
 
 F3 = CoeffRing.make(3)
-BUDGETED = (series, witt, ptypical, duality)  # the modules that check WORK_LIMIT
+BUDGETED = (series, duality)  # the modules that check WORK_LIMIT
 
 
 def dense(d: int, rng, low: int = 0) -> dict:

@@ -11,19 +11,18 @@ The kernels that multiply and divide series, and the geometric norms,
 share one budget of ``WORK_LIMIT`` kernel steps: a step is one ring table
 product and one update, and each kernel's estimate bounds its products.  A
 step does not cost the same in every kernel (see the spread below), and the
-budget does not weight them, so the limit admits about 0.8 s of a division
-and up to about 1.7 s of the geometric norms.  Every other bound caps a
+budget does not weight them, so at the rates below the limit admits about
+0.4 s of a division and up to about 1.7 s of the geometric norms.  Every other bound caps a
 size, not steps.
 """
 
-# steps of one division, series, binomial or Artin-Hasse product, peel or
+# steps of one division, series product, product or peel driver, or
 # norm.  ``scripts/kernel_steps.py`` on dense F_3 input, ns per step as the
 # median of five runs (best of 3 each, one core of a shared 2-vCPU x86-64
-# VM, Python 3.11.7, in a slow period: the series product and norms read
-# 130 and 172 in an earlier set): division 74, Artin-Hasse peel 125 and
-# product 126, binomial product 197, coordinate peel 222, series product 240
-# and geometric norm 285, a spread of 3.9 times; one run read up to 1.6
-# times its median.
+# VM, Python 3.11.7): division 40, Artin-Hasse product 46 and peel 67,
+# binomial product 109, coordinate peel 129, series product 131 and
+# geometric norm 169, a spread of 4.2 times; one run read up to 1.9 times
+# its median.
 WORK_LIMIT = 10**7
 
 

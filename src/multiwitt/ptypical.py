@@ -34,7 +34,8 @@ coefficients a_n, built from s AH'(s) = AH(s) sum_i s^(p^i), that is
 n a_n = sum_{p^i <= n} a_{n - p^i}; reduced into F_p, they are kept in one
 table per p, extended on demand.  E(x, t^j) denotes AH(x t^j).
 Multiplying factors E(v_i, t^(j p^i)) over i embeds a vector into the
-one-variable truncated group, and doing so over all j coprime to p is a
+one-variable truncated group, and doing so over all j coprime to p, on
+the series layer's product driver (``series.multiply_keys``), is a
 bijection onto it; the inverse solves one entry per exponent in
 ascending order, on the driver of the coordinate peel (``series.peel_keys``):
 E(c, t^k) pushes -a_m c^m to k m, read off the table up to c^m = 0, and
@@ -48,10 +49,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import WORK_LIMIT, NonIntegral, NotNilpotent, SchemaError, ShapeMismatch
+from .errors import NonIntegral, NotNilpotent, SchemaError, ShapeMismatch
 from .errors import check_budget
 from .ring import CoeffRing, Record, RingElement, _is_prime
-from .series import TruncatedSeries, add_products, check_shape, peel_keys
+from .series import TruncatedSeries, check_shape, multiply_keys, peel_keys
 from .witt import FAMILY_LIMIT, WittElement
 
 
@@ -417,31 +418,26 @@ def component_lengths(p: int, d: int) -> dict:
 
 
 def pi_epsilon(family: dict, ring: CoeffRing, d: int) -> WittElement:
-    """Multiply the factors E(v_{j,i}, t^(j p^i)) of the given family into
-    one dict, each by ``series.add_products``.  Its steps are bounded
-    first, as ``witt._product_work`` bounds a binomial product: a factor at
-    t^k has at most (d - 1) // k terms past its constant 1, each multiplied
-    by every key held, and the product holds at most d keys."""
+    """The product of the factors E(v_{j,i}, t^(j p^i)) of the given
+    family, in ascending j and then i, through ``series.multiply_keys``,
+    which bounds its steps before any term is formed: a factor at t^k has
+    at most (d - 1) // k terms past its constant 1 (``_ah_terms``).  The
+    product is never flagged exact, so no product past d is formed."""
     check_shape(1, d)
     p = ring.p
-    factors, work, held = [], 0, 1
+    factors = []
     for j in sorted(family):
         if j % p == 0 or j < 1:
             raise ShapeMismatch(f"index {j} is not coprime to p = {p}")
         for i, entry in enumerate(family[j].entries):
             k = j * p**i
             if entry and k < d:
-                factors.append((k, entry))
-                work += held * ((d - 1) // k)
-                held = min(held * ((d - 1) // k + 1), d)
-    what = "a product of {1} Artin-Hasse factors at d = {2} may make {0} steps"
-    check_budget(work, WORK_LIMIT, what, len(factors), d)
-    acc = {0: ring.one}
-    for k, entry in factors:
-        # acc * E = acc + acc * (E - 1); the product is never flagged exact,
-        # so no product past d is looked at
-        add_products(ring, d, acc, list(acc.items()), _ah_terms(ring, entry, k, d), lost=True)
-    return WittElement(TruncatedSeries._make(ring, 1, d, acc, False))
+                factors.append((k, entry, (d - 1) // k))
+    what = "a product of {3} Artin-Hasse factors at d = {2} may make {0} steps"
+    keys, _ = multiply_keys(
+        ring, 1, d, factors, lambda k, v, m: (_ah_terms(ring, v, k, d), False), what
+    )
+    return WittElement(TruncatedSeries._make(ring, 1, d, keys, False))
 
 
 def pi_epsilon_inverse(a: WittElement) -> dict:

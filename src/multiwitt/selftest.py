@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 
 from . import cft, duality, ptypical, unipoly, witt
-from .errors import SchemaError
+from .errors import NotAUnit, SchemaError
 from .ring import CoeffRing
 from .series import TruncatedSeries, exponents_below
 from .witt import WittElement, random_witt_element
@@ -29,9 +29,9 @@ def _rings():
     ]
 
 
-def check_ring_axioms(rng, cases=120):
+def check_ring_axioms(rng):
     for ring in _rings():
-        for _ in range(cases):
+        for _ in range(120):
             a, b, c = (ring.random_raw(rng) for _ in range(3))
             assert ring.radd(ring.radd(a, b), c) == ring.radd(a, ring.radd(b, c))
             assert ring.rmul(ring.rmul(a, b), c) == ring.rmul(a, ring.rmul(b, c))
@@ -40,27 +40,27 @@ def check_ring_axioms(rng, cases=120):
             assert ring.rmul(a, ring.radd(b, c)) == ring.radd(ring.rmul(a, b), ring.rmul(a, c))
 
 
-def check_units_invert(rng, cases=0):
+def check_units_invert(rng):
     for ring in _rings():
         for a in ring.element_indices():
             if ring.is_unit_raw(a):
                 assert ring.rmul(a, ring.rinv(a)) == ring.one
 
 
-def check_frobenius_hom(rng, cases=100):
+def check_frobenius_hom(rng):
     for ring in _rings():
         q = ring.q
-        for _ in range(cases):
+        for _ in range(100):
             a, b = ring.random_raw(rng), ring.random_raw(rng)
             fa, fb = ring.rfrob(a, q), ring.rfrob(b, q)
             assert ring.rfrob(ring.radd(a, b), q) == ring.radd(fa, fb)
             assert ring.rfrob(ring.rmul(a, b), q) == ring.rmul(fa, fb)
 
 
-def check_resultant_vs_roots(rng, cases=25):
+def check_resultant_vs_roots(rng):
     for q in (2, 3, 5):
         ring = CoeffRing.make(q)
-        for _ in range(cases):
+        for _ in range(25):
             roots = [rng.randrange(q) for _ in range(rng.randrange(1, 4))]
             a = unipoly.UnivariatePolynomial(ring, [1])
             for r in roots:
@@ -80,9 +80,9 @@ def check_resultant_vs_roots(rng, cases=25):
             assert sum(m for _, m in found) == a.degree
 
 
-def check_series_ring_laws(rng, cases=60):
+def check_series_ring_laws(rng):
     for ring in _rings()[:5]:
-        for _ in range(cases):
+        for _ in range(60):
             n = rng.choice((1, 2))
             d = rng.randrange(2, 6)
             xs = [random_witt_element(ring, n, d, rng).series for _ in range(3)]
@@ -96,18 +96,18 @@ def check_series_ring_laws(rng, cases=60):
             assert a.mul(b).truncate(dd) == a.truncate(dd).mul(b.truncate(dd))
 
 
-def check_coordinate_roundtrip(rng, cases=80):
+def check_coordinate_roundtrip(rng):
     for ring in _rings():
-        for _ in range(cases // 2):
+        for _ in range(40):
             n = rng.choice((1, 2))
             d = rng.randrange(2, 6)
             a = random_witt_element(ring, n, d, rng)
             assert witt.from_coordinates(witt.witt_coordinates(a)) == a
 
 
-def check_decomposition(rng, cases=50):
+def check_decomposition(rng):
     for ring in _rings()[:4]:
-        for _ in range(cases):
+        for _ in range(50):
             n, d = rng.choice(((2, 4), (3, 3), (2, 5)))
             a = random_witt_element(ring, n, d, rng)
             b = random_witt_element(ring, n, d, rng)
@@ -121,11 +121,11 @@ def check_decomposition(rng, cases=50):
                 )
 
 
-def check_witt_ring_laws(rng, cases=60):
+def check_witt_ring_laws(rng):
     for q in (2, 3, 5):
         ring = CoeffRing.make(q)
         # one shape with several primitive parts, at a few triples per field
-        for n, d, count in ((1, 6, cases), (2, 4, cases // 6)):
+        for n, d, count in ((1, 6, 60), (2, 4, 10)):
             one = witt.ring_one(ring, n, d)
             for _ in range(count):
                 a = random_witt_element(ring, n, d, rng)
@@ -141,11 +141,11 @@ def check_witt_ring_laws(rng, cases=60):
                 assert witt.witt_mul(one, a) == a
 
 
-def check_unipotence(rng, cases=40):
+def check_unipotence(rng):
     for q in (2, 3):
         ring = CoeffRing.make(q)
         p = ring.p
-        for _ in range(cases):
+        for _ in range(40):
             d = rng.randrange(2, 7)
             s = 0
             while p**s < d:
@@ -154,29 +154,29 @@ def check_unipotence(rng, cases=40):
             assert a.group_pow(p**s) == WittElement.one(ring, 1, d)
 
 
-def check_lang_kernel(rng, cases=0):
+def check_lang_kernel(rng):
     c = cft.lang_kernel_census(1, 2, 2, 3)
     assert c.matches and c.kernel == 4
     c = cft.lang_kernel_census(1, 3, 1, 3)
     assert c.kernel == c.total
 
 
-def check_ghost_roundtrip(rng, cases=60):
+def check_ghost_roundtrip(rng):
     from fractions import Fraction
 
     for p in (2, 3, 5):
-        for _ in range(cases):
+        for _ in range(60):
             v = ptypical.PWittVector(
                 p, [Fraction(rng.randrange(-12, 12), rng.randrange(1, 6)) for _ in range(4)]
             )
             assert ptypical.from_ghost(ptypical.ghost(v)) == v
 
 
-def check_ghost_ring_hom(rng, cases=60):
+def check_ghost_ring_hom(rng):
     from fractions import Fraction
 
     for p in (2, 3):
-        for _ in range(cases):
+        for _ in range(60):
             v = ptypical.PWittVector(p, [Fraction(rng.randrange(-9, 9)) for _ in range(3)])
             w = ptypical.PWittVector(p, [Fraction(rng.randrange(-9, 9)) for _ in range(3)])
             gs = ptypical.ghost(ptypical.pwitt_add(v, w)).entries
@@ -186,13 +186,13 @@ def check_ghost_ring_hom(rng, cases=60):
             assert gp == tuple(a * b for a, b in zip(gv, gw))
 
 
-def check_lifted_ring_laws(rng, cases=20):
+def check_lifted_ring_laws(rng):
     add, mul = ptypical.pwitt_add, ptypical.pwitt_mul
     for q, nil in ((4, 2), (3, 2)):
         ring = CoeffRing.make(q, nil=nil)
         p, m = ring.p, 5
         zero, one = ptypical.PWittVector.zero(p, m, ring), ptypical.PWittVector.one(p, m, ring)
-        for _ in range(cases):
+        for _ in range(20):
             v, w, u = (
                 ptypical.PWittVector(p, [ring.random_raw(rng) for _ in range(m)], ring)
                 for _ in range(3)
@@ -204,13 +204,13 @@ def check_lifted_ring_laws(rng, cases=20):
             assert add(v, zero) == v and mul(v, one) == v
 
 
-def check_artin_hasse_integrality(rng, cases=0):
+def check_artin_hasse_integrality(rng):
     for p in (2, 3, 5):
         coeffs = ptypical.artin_hasse_coefficients(p, 16)
         assert all(c.denominator % p != 0 for c in coeffs)
 
 
-def check_pi_epsilon_roundtrip(rng, cases=0):
+def check_pi_epsilon_roundtrip(rng):
     ring = CoeffRing.make(2)
     for d in range(2, 8):
         for el in witt.enumerate_witt_elements(ring, 1, d):
@@ -218,12 +218,12 @@ def check_pi_epsilon_roundtrip(rng, cases=0):
             assert ptypical.pi_epsilon(fam, ring, d) == el
 
 
-def check_pi_epsilon_hom(rng, cases=60):
+def check_pi_epsilon_hom(rng):
     for p in (2, 3):
         ring = CoeffRing.make(p)
         d = 7
         lengths = ptypical.component_lengths(p, d)
-        for _ in range(cases):
+        for _ in range(60):
             fa = {
                 j: ptypical.PWittVector(p, [rng.randrange(p) for _ in range(m)], ring)
                 for j, m in lengths.items()
@@ -240,7 +240,7 @@ def check_pi_epsilon_hom(rng, cases=60):
             assert lhs == rhs
 
 
-def check_pairing_routes(rng, cases=40):
+def check_pairing_routes(rng):
     # (q, e, n, degree of f, g.d, m): in two variables f's parts lie below
     # degree 3, so at g.d = 7 each carries at least m + 1 = 4 terms of g
     rings = ((2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (3, 3))
@@ -248,7 +248,7 @@ def check_pairing_routes(rng, cases=40):
     for q, e, n, degree, dg, m in shapes:
         ring = CoeffRing.make(q, nil=e)
         base = CoeffRing.make(q)
-        for _ in range(cases):
+        for _ in range(40):
             f = duality.random_formal_element(ring, n, degree, rng)
             g = random_witt_element(base, n, dg, rng)
             va = duality.cartier_pair(f, g)
@@ -257,10 +257,10 @@ def check_pairing_routes(rng, cases=40):
             assert ring.is_nilpotent_raw(ring.rsub(va.raw, ring.one))
 
 
-def check_pairing_bilinear(rng, cases=40):
+def check_pairing_bilinear(rng):
     ring = CoeffRing.make(3, nil=2)
     base = CoeffRing.make(3)
-    for _ in range(cases):
+    for _ in range(40):
         f1 = duality.random_formal_element(ring, 1, 2, rng)
         f2 = duality.random_formal_element(ring, 1, 2, rng)
         g1 = random_witt_element(base, 1, 5, rng)
@@ -271,12 +271,12 @@ def check_pairing_bilinear(rng, cases=40):
         assert lhs == duality.cartier_pair(f1, g1) * duality.cartier_pair(f1, g2)
 
 
-def check_slot_bilinear(rng, cases=8):
+def check_slot_bilinear(rng):
     # the component route's slot value by bilinearity against pwitt_pair,
     # the ghost-lift product in W_m, on the families of random f and g
     for q, e, n in ((2, 2, 1), (2, 3, 1), (3, 2, 1), (3, 3, 1), (4, 2, 1), (3, 2, 2)):
         ring = CoeffRing.make(q, nil=e)
-        for _ in range(cases):
+        for _ in range(8):
             f = duality.random_formal_element(ring, n, 3 // n + 1, rng)
             g = random_witt_element(rng.choice((ring, CoeffRing.make(q))), n, 7, rng)
             for _, _, fp, gp in duality._shared_parts(f, g, elements=True):
@@ -290,7 +290,7 @@ def check_slot_bilinear(rng, cases=8):
                         assert duality._slot_value(ring, v.entries, w.entries) == want
 
 
-def check_unit_criterion(rng, cases=0):
+def check_unit_criterion(rng):
     ring = CoeffRing.make(2, nil=2)
     for d in range(1, 3):
         exps = [e for e in exponents_below(1, d + 1)]
@@ -308,12 +308,12 @@ def check_unit_criterion(rng, cases=0):
             try:
                 duality.unit_class(poly)
                 got = True
-            except Exception:
+            except NotAUnit:
                 got = False
             assert got == expected
 
 
-def check_pi1_oracle(rng, cases=0):
+def check_pi1_oracle(rng):
     for n, q, d in ((1, 2, 3), (1, 2, 5), (1, 3, 3), (1, 3, 4), (2, 2, 2), (2, 2, 3), (1, 4, 3)):
         ring = CoeffRing.make(q)
         f = cft.pi1_truncated(n, q, d)
@@ -328,7 +328,7 @@ def check_pi1_oracle(rng, cases=0):
             assert w.group_pow(order) == one and w.group_pow(order // ring.p) != one
 
 
-def check_modulus_group(rng, cases=0):
+def check_modulus_group(rng):
     for q, m in ((2, 1), (2, 3), (2, 4), (3, 3), (4, 2), (5, 2)):
         g = cft.modulus_group(q, m)
         assert g.order == q ** (m - 1)
@@ -336,7 +336,7 @@ def check_modulus_group(rng, cases=0):
             assert g.structure.invariant_factors == cft.pi1_truncated(1, q, m).invariant_factors
 
 
-def check_transition_maps(rng, cases=0):
+def check_transition_maps(rng):
     assert cft.transition_surjective(CoeffRing.make(2), 1, 5, 3)
     assert cft.transition_surjective(CoeffRing.make(3), 1, 4, 2)
     assert cft.transition_surjective(CoeffRing.make(2), 2, 3, 2)

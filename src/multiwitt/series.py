@@ -20,22 +20,23 @@ nothing to the truncation bound.
 Every product and quotient in the library runs through two in-place
 kernels on key dicts.  ``add_products`` adds the products of two lists of
 (key, coefficient) pairs into a dict: ``mul`` and ``add_series`` call it
-once, the binomial products of witt.py and the Artin-Hasse products of
-ptypical.py once per factor, into one running dict.  ``divide_keys``
-divides a dict in place by a divisor with unit constant term, as a forward
-recurrence over the keys in graded order whose cost is the quotient's
-size times the divisor's support.  It walks a binomial along chains of
-keys and any other divisor from a heap, so no key the remainder does not
-hold is visited.  ``inv`` is the kernel with numerator 1 and the series
-quotient ``a / b`` the kernel itself.  Both peels run on one driver,
+once, and the product driver ``multiply_keys``, which bounds the whole
+product first, once per factor of witt.py's binomial runs or
+ptypical.py's Artin-Hasse factors.  ``divide_keys`` divides a dict in
+place by a divisor with unit constant term, as a forward recurrence over
+the keys in graded order whose cost is the quotient's size times the
+divisor's support.  It walks a binomial along chains of keys and any
+other divisor from a heap, so no key the remainder does not hold is
+visited.  ``inv`` is the kernel with numerator 1 and the series quotient
+``a / b`` the kernel itself.  Both peels run on one driver,
 ``peel_keys``, which calls the two walks directly: ``witt_coordinates``
 divides one dict by each binomial (1 - r t^nu), and the p-typical factor
-solver divides one dict by each Artin-Hasse factor.  A quotient is exact when
-both inputs are and no nonzero push fell at or past degree d: then
+solver divides one dict by each Artin-Hasse factor.  A quotient is exact
+when both inputs are and no nonzero push fell at or past degree d: then
 q * b = a holds with nothing truncated.
 
-Internally coefficients are the raw integer encoding of ring.py; the
-public accessors return RingElement values.
+Coefficients are the raw integer encoding of ring.py throughout;
+``CoeffRing.from_raw`` reads one as a RingElement.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from math import comb, gcd
 
 from .errors import WORK_LIMIT, NonUnitConstantTerm, NotExact, SchemaError, ShapeMismatch
 from .errors import check_budget
-from .ring import CoeffRing, RingElement, json_int, json_list, json_object
+from .ring import CoeffRing, json_int, json_list, json_object
 
 # an exponent in n variables below d has n entries and a key below d^n, an
 # n * log2(d)-bit integer: n * d.bit_length() bounds both
@@ -308,6 +309,69 @@ def peel_keys(ring: CoeffRing, n: int, d: int, rem: dict, pushes_of, what: str) 
     return peeled
 
 
+def multiply_keys(ring: CoeffRing, n: int, d: int, factors, terms_of, what: str) -> tuple:
+    """The product of monic factors F = 1 + v t^key + .., given in order
+    as (key, v, m), as a dict from keys at (n, d) to raw coefficients, and
+    whether it is exact.  ``terms_of(key, v, m)`` gives F's at most m terms
+    below d^n past its constant 1, as (key, coefficient) pairs, and whether
+    every term past d^n is 0.  F is 1 when v is 0 and is taken as
+    1 + v t^key when m = 1; one past the window only clears ``exact``.
+    Each F is multiplied in place by ``add_products``, which forms no
+    product past d^n once ``exact`` is cleared.
+
+    Before any term is formed the product is bounded: F updates every key
+    held, at most exponent_count(n, d), once per term.  Past ``WORK_LIMIT``
+    steps, or with more than ``KEYS_LIMIT`` keys in the window, the closer
+    bounds of ``_product_bound`` are checked.  ``what`` names the steps at
+    {0}, and n, d and the number of factors at {1}, {2}, {3}."""
+    factors = list(factors)
+    limit, window = d**n, exponent_count(n, d)
+    work, held = sum(m for _, _, m in factors) * window, window
+    if work > WORK_LIMIT or held > KEYS_LIMIT:
+        work, held = _product_bound(n, d, factors)
+    check_budget(work, WORK_LIMIT, what, n, d, len(factors))
+    if held > KEYS_LIMIT:
+        what = "at n = {1}, d = {2} a product of {3} factors may hold {0} keys"
+        check_budget(held, KEYS_LIMIT, what, n, d, len(factors))
+    acc, lost = {0: ring.one}, False
+    for key, v, m in factors:
+        if not v:
+            continue
+        if key >= limit:
+            lost = True
+            continue
+        if m == 1:
+            terms = ((key, v),)
+        else:
+            terms, inside = terms_of(key, v, m)
+            lost = lost or not inside
+        lost = add_products(ring, limit, acc, terms, list(acc.items()), lost)
+    return acc, not lost
+
+
+def _product_bound(n: int, d: int, factors: list) -> tuple:
+    """Upper bounds on the key updates of ``multiply_keys`` and on the keys
+    it holds: F updates every key held once for each of its T = min(m,
+    (d^n - 1) // key) terms, and after it at most T + 1 times as many keys
+    are held, at most exponent_count(n, d), and at most those whose every
+    entry lies within its variable's reach, the sum of T times F's entry.
+    It unpacks every key, so it costs about as much as a sparse product."""
+    limit, window = d**n, exponent_count(n, d)
+    reach = [0] * n
+    work, held = 0, 1
+    for key, v, m in factors:
+        if v and key < limit:
+            terms = min(m, (limit - 1) // key)
+            work += held * terms
+            if held < window:
+                box = 1
+                for i, e in enumerate(unpack_exponent(key, n, d)):
+                    reach[i] = min(reach[i] + terms * e, d - 1)
+                    box *= reach[i] + 1
+                held = min(held * (terms + 1), box, window)
+    return work, held
+
+
 # bounded like the ring tables: a box at n = 6, d = 20 holds 230,230 tuples.
 # The whole-group enumerations in cft, enumerate_witt_elements, the random
 # elements of witt and duality, and the full component family (through
@@ -394,9 +458,6 @@ class KeyedTerms:
         return self._view
 
     coords = terms
-
-    def coeff(self, exp) -> RingElement:
-        return self.ring.from_raw(self.terms.get(tuple(exp), 0))
 
     def __eq__(self, other):
         return (

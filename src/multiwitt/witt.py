@@ -36,7 +36,8 @@ L = ij/g it is (1 - c^(p^v) s^(L p^v))^m, multiplied in once as a
 truncated binomial power, not as g factors.
 
 Every product here is thus an ordered product of binomial runs
-(1 - r t^nu)^m, formed by one loop, ``binomial_product``, on the keys of
+(1 - r t^nu)^m, formed by the series layer's product driver
+(``series.multiply_keys``) from the terms of each run, on the keys of
 series.py, where s^L at s = t^nu0 has key L * key(nu0).
 ``from_coordinates`` feeds it the coordinates, each a run of one;
 ``witt_mul`` the convolution runs of only the parts both factors share,
@@ -53,18 +54,19 @@ elements with coefficients fixed by Frobenius.
 
 from __future__ import annotations
 
+from functools import partial
 from math import gcd
 
-from .errors import WORK_LIMIT, NilpotentCoefficients, ShapeMismatch, check_budget
-from .ring import CoeffRing, RingElement, json_object
+from .errors import NilpotentCoefficients, ShapeMismatch, check_budget
+from .ring import CoeffRing, json_object
 from .series import (
     KeyedTerms,
     TruncatedSeries,
-    add_products,
     check_division,
     check_shape,
     exponent_count,
     exponents_below,
+    multiply_keys,
     pack_exponent,
     peel_keys,
     primitive_exponents_below,
@@ -140,9 +142,6 @@ class WittElement:
 
     def truncate(self, d_new: int) -> "WittElement":
         return WittElement(self.series.truncate(d_new))
-
-    def coeff(self, exp) -> RingElement:
-        return self.series.coeff(exp)
 
     def group_pow(self, k: int) -> "WittElement":
         if k < 0:
@@ -274,14 +273,13 @@ def witt_coordinates(a: WittElement) -> WittCoordinates:
     return a._coords
 
 
-def _run_terms(ring: CoeffRing, limit: int, key: int, r: int, m: int) -> tuple:
-    """The terms C(m, k) (-r)^k t^(k key), 0 < k <= m, of the run
-    (1 - r t^key)^m below ``limit``, as (key, coefficient) pairs, and
+def _run_terms(ring: CoeffRing, limit: int, key: int, s: int, m: int) -> tuple:
+    """The terms C(m, k) s^k t^(k key), 0 < k <= m, of the run
+    (1 + s t^key)^m below ``limit``, as (key, coefficient) pairs, and
     whether every term at or past ``limit`` is 0.  Past the window a unit
-    r has the nonzero top term (-r)^m, and a nilpotent r's powers vanish
+    s has the nonzero top term s^m, and a nilpotent s's powers vanish
     within its nilpotency order."""
     rmul, rint = ring.rmul, ring.rint
-    s = ring.rneg(r)
     terms, binom, pw = [], 1, ring.one
     for k in range(1, m + 1):
         pw = rmul(pw, s)
@@ -297,79 +295,18 @@ def _run_terms(ring: CoeffRing, limit: int, key: int, r: int, m: int) -> tuple:
     return terms, True
 
 
-def binomial_product(ring: CoeffRing, limit: int, factors) -> tuple:
-    """The product of the binomial runs (1 - r t^key)^m, in the order given,
-    as a dict from keys to raw coefficients, and whether it is exact.
-
-    Keys are those of ``series.pack_exponent``: they add when monomials
-    multiply, and a key at or past ``limit``, d^n at truncation d in n
-    variables, is outside the window.  Each run is multiplied into the
-    dict in place by ``series.add_products``, one pass over the keys it
-    held before the run for each term of the run's truncated binomial
-    power: one term, -r, when m = 1, and at most min(m, (limit - 1) // key)
-    terms (``_run_terms``) otherwise.  A run whose key is already outside
-    the window is skipped, and ``exact`` is cleared whenever a nonzero term
-    falls outside it, so an exact result is the complete polynomial
-    product."""
-    rneg = ring.rneg
-    acc = {0: ring.one}
-    exact = True
-    for key, r, m in factors:
-        if r == 0:
-            continue
-        if key >= limit:
-            exact = False
-            continue
-        if m == 1:
-            terms = ((key, rneg(r)),)
-        else:
-            terms, inside = _run_terms(ring, limit, key, r, m)
-            exact = exact and inside
-        exact = not add_products(ring, limit, acc, terms, list(acc.items()), not exact)
-    return acc, exact
-
-
-def _product_work(n: int, d: int, factors: list) -> int:
-    """An upper bound on the key updates of the product of ``factors`` at
-    (n, d): a run inside the window updates every key the product holds
-    once for each of its T = min(m, (d^n - 1) // key) terms, and after it
-    the product holds at most T + 1 times as many keys, at most the
-    exponent_count(n, d) exponents below d, and at most the exponents
-    whose every entry lies below d and within that variable's reach, the
-    sum over the runs of T times the run's entry."""
-    limit, window = d**n, exponent_count(n, d)
-    reach = [0] * n
-    work, held = 0, 1
-    for key, r, m in factors:
-        if r and key < limit:
-            terms = min(m, (limit - 1) // key)
-            work += held * terms
-            if held < window:
-                box = 1
-                for i, v in enumerate(unpack_exponent(key, n, d)):
-                    reach[i] = min(reach[i] + terms * v, d - 1)
-                    box *= reach[i] + 1
-                held = min(held * (terms + 1), box, window)
-    return work
-
-
 def _product_element(ring: CoeffRing, n: int, d: int, factors, keep_exact=False) -> WittElement:
-    """``binomial_product`` over packed exponent keys at d, as an element in
-    n variables; flagged exact only when ``keep_exact`` asks for it and no
-    nonzero term fell outside the window.  Its key updates are bounded
-    first: each run updates at most the exponent_count(n, d) keys of the
-    window once per term, at most m of them, and where that passes
-    ``WORK_LIMIT``, by the closer bound of ``_product_work``, which
-    unpacks every run's exponent and so costs as much as a sparse product
-    itself.  A key update is one step: one table product."""
-    factors = list(factors)
-    work = sum(m for _, _, m in factors) * exponent_count(n, d)
-    if work > WORK_LIMIT:
-        work = _product_work(n, d, factors)
+    """The ordered product of the binomial runs (1 - r t^key)^m, keys at
+    (n, d), by ``series.multiply_keys``, as an element in n variables;
+    flagged exact only when ``keep_exact`` asks for it and no nonzero term
+    fell outside the window.  The driver reads each run as (1 + s t^key)^m,
+    s = -r: its one term when m = 1, and otherwise at most min(m,
+    (d^n - 1) // key) terms from ``_run_terms``."""
+    limit, neg = d**n, ring._neg
+    runs = [(key, neg[r], m) for key, r, m in factors]
     what = "a product of binomials at n = {1}, d = {2} may make {0} steps"
-    check_budget(work, WORK_LIMIT, what, n, d)
-    acc, exact = binomial_product(ring, d**n, factors)
-    return WittElement(TruncatedSeries._make(ring, n, d, acc, keep_exact and exact))
+    keys, exact = multiply_keys(ring, n, d, runs, partial(_run_terms, ring, limit), what)
+    return WittElement(TruncatedSeries._make(ring, n, d, keys, keep_exact and exact))
 
 
 def from_coordinates(c: WittCoordinates) -> WittElement:

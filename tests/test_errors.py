@@ -74,6 +74,13 @@ def thousand_coordinates():
     return witt.from_coordinates(witt.WittCoordinates(F3, 1, 100000, coords))
 
 
+def twenty_coordinates():
+    # exponents 2^i, i < 20, at d = 2^20 + 1: within the work budget at
+    # 2^20 - 1 steps, but the product holds 2^20 keys
+    coords = {(2**i,): 1 for i in range(20)}
+    return witt.from_coordinates(witt.WittCoordinates(F3, 1, 2**20 + 1, coords))
+
+
 def unit_family_product():
     # a unit at every entry of the family at d = 8,000 over F_2: a factor
     # at each of t^1, .., t^7999
@@ -139,10 +146,16 @@ SITES = {
         r"up to 500000000499999999 components, beyond limit 1000000",
     ),
     "binomial product": (
-        {"multiwitt.witt.binomial_product": refuse},
+        {"multiwitt.series.add_products": refuse},
         thousand_coordinates,
         r"a product of binomials at n = 1, d = 100000 may make 70186143 steps, "
         r"beyond limit 10000000",
+    ),
+    "binomial product keys": (
+        {"multiwitt.series.add_products": refuse},
+        twenty_coordinates,
+        r"at n = 1, d = 1048577 a product of 20 factors may hold 1048576 keys, "
+        r"beyond limit 1000000",
     ),
     "unit family": (
         {"multiwitt.witt.primitive_exponents_below": refuse},
@@ -221,7 +234,7 @@ SITES = {
         r"beyond limit 1000",
     ),
     "Artin-Hasse product": (
-        {"multiwitt.ptypical.add_products": refuse},
+        {"multiwitt.series.add_products": refuse},
         unit_family_product,
         r"a product of 7999 Artin-Hasse factors at d = 8000 may make 520967999 steps, "
         r"beyond limit 10000000",

@@ -12,7 +12,8 @@ from multiwitt import (
     ShapeMismatch,
     TruncatedSeries,
 )
-from multiwitt.errors import SchemaError
+from multiwitt import series
+from multiwitt.errors import SchemaError, TooLarge
 from multiwitt.series import (
     divide_keys,
     exponents_below,
@@ -733,3 +734,25 @@ def test_dense_inverse_at_d_1300_is_admitted():
     a = TruncatedSeries(F3, 1, 1300, terms)
     assert len(a.keys) == 881
     assert series_oracle.mul(a, a.inv()) == ({(0,): 1}, False)
+
+
+def test_product_driver_takes_the_closer_bounds_only_where_needed(monkeypatch):
+    """The product driver unpacks every factor for its closer bounds only
+    past the crude work bound or when the window has more than KEYS_LIMIT
+    exponents.  Few coordinates at n = 3, d = 16 (816 exponents) take the
+    crude bound.  20 coordinates at t^(2^i), i < 20, at d = 2^20 + 1 take
+    the closer ones, 2^20 - 1 steps and 2^20 keys, and are refused (a site
+    of test_errors.py)."""
+    F3, bounds = CoeffRing.make(3), []
+    bound = series._product_bound
+
+    def spy(*args):
+        bounds.append(bound(*args))
+        return bounds[-1]
+
+    monkeypatch.setattr(series, "_product_bound", spy)
+    from_coordinates(WittCoordinates(F3, 3, 16, {(1, 0, 0): 1, (0, 2, 1): 2, (3, 3, 3): 1}))
+    assert not bounds
+    with pytest.raises(TooLarge, match="may hold 1048576 keys"):
+        from_coordinates(WittCoordinates(F3, 1, 2**20 + 1, {(2**i,): 1 for i in range(20)}))
+    assert bounds == [(2**20 - 1, 2**20)]

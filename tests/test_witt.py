@@ -4,6 +4,7 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 from witt_oracle import (
+    binomial_product,
     convolution_factors_expanded,
     decompose_dense,
     from_coordinates_series,
@@ -39,7 +40,7 @@ from multiwitt import (
     witt_mul,
     witt_neg,
 )
-from multiwitt import witt
+from multiwitt import series, witt
 from multiwitt.series import (
     exponents_below,
     pack_exponent,
@@ -48,7 +49,6 @@ from multiwitt.series import (
 )
 from multiwitt.witt import (
     OneVarComponentFamily,
-    binomial_product,
     convolution_factors,
     group_by_primitive,
     one_var_order,
@@ -474,9 +474,9 @@ def test_recompose_matches_substituted_series_product(any_ring, rng):
 
 
 def test_witt_layer_products_never_call_series_mul(monkeypatch):
-    """from_coordinates, witt_mul, recompose and ring_one run on
-    binomial_product alone, and the algebraic pairing multiplies the
-    binomials' values at t = 1: none multiplies series."""
+    """from_coordinates, witt_mul, recompose and ring_one run on the
+    product driver, series.multiply_keys, alone, and the algebraic pairing
+    multiplies the binomials' values at t = 1: none multiplies series."""
     F3, R = CoeffRing.make(3), CoeffRing.make(3, nil=2)
     a = W(F3, 2, 6, {(1, 0): 1, (1, 1): 2, (0, 3): 1})
     b = W(F3, 2, 6, {(0, 1): 2, (2, 2): 1})
@@ -615,9 +615,9 @@ def test_product_estimate_bounds_its_key_updates(any_ring, n, rng, monkeypatch):
     at least the key updates the product makes, counted per run: with the
     limit one below their count, ``from_coordinates`` and ``witt_mul`` are
     refused."""
-    limit = witt.WORK_LIMIT
+    limit = series.WORK_LIMIT
     for _ in range(6):
-        monkeypatch.setattr(witt, "WORK_LIMIT", limit)
+        monkeypatch.setattr(series, "WORK_LIMIT", limit)
         d = rng.randrange(2, 7)
         box = exponents_below(n, d)[1:]
         coords = {e: any_ring.random_raw(rng) for e in rng.sample(box, min(len(box), 5))}
@@ -634,7 +634,9 @@ def test_product_estimate_bounds_its_key_updates(any_ring, n, rng, monkeypatch):
             ],
         }
         for job, factors in products.items():
-            monkeypatch.setattr(witt, "WORK_LIMIT", _key_updates(any_ring, d**n, factors) - 1)
+            # the count runs on the driver too, so under the full limit
+            monkeypatch.setattr(series, "WORK_LIMIT", limit)
+            monkeypatch.setattr(series, "WORK_LIMIT", _key_updates(any_ring, d**n, factors) - 1)
             with pytest.raises(TooLarge, match="binomials .* steps"):
                 job()
 
@@ -665,7 +667,7 @@ def test_convolution_runs_match_expanded_factors(q, monkeypatch):
     for d, c in cases:
         product, factors = _square_of_one_plus_t_plus_t2(ring, d, c)
         with monkeypatch.context() as patch:
-            patch.setattr(witt, "WORK_LIMIT", 10**12)
+            patch.setattr(series, "WORK_LIMIT", 10**12)
             want = witt._product_element(ring, 1, d, factors)
         assert json.dumps(product.to_json_dict()) == json.dumps(want.to_json_dict()), (d, c)
 
@@ -682,7 +684,7 @@ def test_square_of_one_plus_t_plus_t2_at_d_2000_is_admitted(monkeypatch):
     runs = [f for key, ca, cb in shared for f in convolution_factors(F3, ca, cb, key)]
     assert len(factors) == 6144 and len(runs) < len(factors) // 10
     with monkeypatch.context() as patch:
-        patch.setattr(witt, "WORK_LIMIT", 10**12)
+        patch.setattr(series, "WORK_LIMIT", 10**12)
         want = witt._product_element(F3, 1, 2000, factors)
     assert product == want and product.series.terms == want.series.terms
 
@@ -690,7 +692,7 @@ def test_square_of_one_plus_t_plus_t2_at_d_2000_is_admitted(monkeypatch):
         raise AssertionError("the product started")
 
     a = W(F3, 1, 20000, {(1,): 1, (2,): 1})
-    monkeypatch.setattr(witt, "binomial_product", no_product)
+    monkeypatch.setattr(series, "add_products", no_product)
     with pytest.raises(TooLarge, match="binomials .* steps"):
         witt_mul(a, a)
 

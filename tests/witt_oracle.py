@@ -33,6 +33,9 @@ groups on packed keys, so they need no common truncation.
 ``convolution_factors_expanded`` is the former convolution: each
 binomial power (1 - c s^L)^g as g single binomials, where the library
 yields it once as a run.
+``binomial_product`` is the former loop of that name: the library's
+binomial product, on the product driver ``series.multiply_keys``, in
+one variable below a key limit.
 ``pair_value_binomial_product`` is the former one-variable value of the
 algebraic pairing: it multiplies out the convolution binomials at a
 window wide enough to lose nothing and adds up the coefficients, where
@@ -60,7 +63,7 @@ from multiwitt.witt import (
     OneVarComponentFamily,
     WittCoordinates,
     WittElement,
-    binomial_product,
+    _product_element,
     convolution_factors,
     from_coordinates,
     one_var_order,
@@ -308,6 +311,14 @@ def convolution_factors_expanded(ring, fa: dict, gb: dict, scale: int = 1):
             c = ring.rmul(ring.rpow(ai, j // g), ring.rpow(bj, i // g))
             if c:
                 yield from ((i * j // g * scale, c, 1),) * g
+
+
+def binomial_product(ring, limit: int, factors) -> tuple:
+    """The product of the binomial runs (1 - r t^key)^m, keys below
+    ``limit``, on the library's product driver in one variable, as a dict
+    from keys to raw coefficients and whether it is exact."""
+    product = _product_element(ring, 1, limit, factors, keep_exact=True).series
+    return product.keys, product.exact
 
 
 def pair_value_binomial_product(ring, fa: dict, gb: dict) -> int:
