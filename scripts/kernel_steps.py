@@ -14,7 +14,8 @@ runs one dense input over F_3 in one variable of about 10^6 estimated
 steps, and prints the estimate (the largest one checked against the
 limit while the job runs), the best of 3 wall times and the nanoseconds
 per estimated step.  The limit admits about WORK_LIMIT times that many
-nanoseconds of any one kernel.
+nanoseconds of any one kernel.  CI runs it on Python 3.11 and logs the
+table, with no gate.
 """
 
 import random

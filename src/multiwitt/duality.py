@@ -35,7 +35,9 @@ field in R as the identity, so g over the base field is read as is.
 Nilpotency bounds every computation: the coordinates of an exact
 polynomial of degree D with nilpotent coefficients vanish beyond degree
 D*(e-1), where e is the nilpotency order, because the coordinate at nu
-lies in N^ceil(|nu|/D).
+lies in N^ceil(|nu|/D); and g's coordinates of degree C(f), f's
+conductor, or more pair with f to 1.  A route called without a level
+refuses when its default level stops short of C(f).
 """
 
 from __future__ import annotations
@@ -51,7 +53,9 @@ from .witt import (
     WittElement,
     convolution_factors,
     from_coordinates,
+    group_by_primitive,
     one_var_order,
+    powers,
     shared_components,
     witt_coordinates,
 )
@@ -60,7 +64,7 @@ from .witt import (
 class FormalWittElement:
     """Exact polynomial, constant term 1, every other coefficient nilpotent."""
 
-    __slots__ = ("series", "_coords")
+    __slots__ = ("series", "_coords", "_conductor")
 
     def __init__(self, series: TruncatedSeries):
         if not series.exact:
@@ -72,7 +76,7 @@ class FormalWittElement:
             if k and not ring.is_nilpotent_raw(c):
                 raise NotNilpotent(f"coefficient at {unpack_exponent(k, n, d)} is not nilpotent")
         self.series = series
-        self._coords = None
+        self._coords = self._conductor = None
 
     @property
     def ring(self) -> CoeffRing:
@@ -128,6 +132,17 @@ class FormalWittElement:
             self._coords = coords
         return self._coords
 
+    def conductor(self) -> int:
+        """C(f), kept after first use: 1 plus the largest w j, over f's
+        parts of weight w, such that some a_i of the part does not annul
+        g's b_j (``_part_reach``); at most ``coordinate_bound()``."""
+        if self._conductor is None:
+            coords = self.exact_coordinates()
+            dn = coords.d ** (coords.n - 1)
+            reach = (key // dn * _part_reach(self.ring, fa) for key, fa in group_by_primitive(coords).items())
+            self._conductor = 1 + max(reach, default=0)
+        return self._conductor
+
     def to_json_dict(self):
         return self.series.to_json_dict()
 
@@ -169,19 +184,44 @@ def unit_class(u: TruncatedSeries) -> UnitClass:
 # pairing plumbing -----------------------------------------------------------
 
 
-def _shared_parts(f: FormalWittElement, g: WittElement, elements: bool = False):
+def _part_reach(ring: CoeffRing, fa: dict) -> int:
+    """The largest j that some a_i of the part {i: a_i} does not annul:
+    a_i^((j/g) p^v), g = gcd(i, j) = p^v m, is 0 from (j/g) p^v = N_i,
+    its ``powers`` list's length, on.  As m divides i', the part of i
+    prime to p, j = m (j/g) p^v is at most i' (N_i - 1), which is such a
+    j.  N_i <= nil, so an i with i' (nil - 1) <= the reach is skipped."""
+    p, nil, reach = ring.p, ring.nil, 0
+    for i in reversed(fa):
+        a = fa[i]
+        while i % p == 0:
+            i //= p
+        if i * (nil - 1) > reach:
+            reach = max(reach, i * (len(powers(ring, a, nil)[0]) - 1))
+    return reach
+
+
+def _shared_parts(f: FormalWittElement, g: WittElement, elements: bool = False, reach=None):
     """The walk of all three routes: check the pair and yield (key(nu),
     |nu|, a, b) for each primitive part nu that f and g share, in one
     variable s = t^nu.  a and b are the coordinates {i: a_i} and {j: b_j},
     or with ``elements`` f's exact part as a formal element and g's at its
     order one_var_order(g.d, |nu|) in s.  In one variable each argument is
     its own part at s = t, shared unless one is 1, and is peeled only for
-    its coordinates; in more, each is peeled to find the parts."""
+    its coordinates; in more, each is peeled to find the parts.
+
+    ``reach``, given for a route called without a level, is the degree
+    its default level reads g below; short of f's conductor, the walk
+    raises UnstableTruncation."""
     if f.n != g.n:
         raise ShapeMismatch("arguments have different variable counts")
     # g's raws, over f's ring or its field part, are raws of f's ring
     if g.ring != f.ring and g.ring != CoeffRing.make(f.ring.q, 1, f.ring.modulus):
         raise ShapeMismatch("second argument must live over the ring or its field part")
+    if reach is not None and reach < f.conductor():
+        raise UnstableTruncation(
+            f"the default level pairs g below degree {reach}, short of the conductor "
+            f"C(f) = {f.conductor()} of the first argument (g.d = {g.d}); give a level"
+        )
     if f.n == 1:
         a, b = (f, g) if elements else (f.exact_coordinates().keys, witt_coordinates(g).keys)
         if len(f.series.keys) > 1 and len(g.series.keys) > 1:
@@ -207,13 +247,13 @@ def _component_pair_value(ring: CoeffRing, fa: dict, gb: dict) -> int:
     Evaluation at t = 1 is a ring homomorphism, so the value is the
     product of the binomials' values: (1 - a_i^(j/g) b_j^(i/g))^g over
     the pairs, g = gcd(i, j), each run of ``convolution_factors`` raised
-    to its power m.  Each a_i is nilpotent, so c = 0, a factor 1, once
-    j/g reaches the nilpotency order."""
-    rmul, rsub, one = ring.rmul, ring.rsub, ring.one
-    acc = one
+    to its power m.  Each a_i is nilpotent, and a pair it annuls, of
+    value 1, is never formed."""
+    mul, one_minus, neg = ring._mul, ring._add[ring.one], ring._neg
+    acc = ring.one
     for _, c, m in convolution_factors(ring, fa, gb):
-        value = rsub(one, c)
-        acc = rmul(acc, value if m == 1 else ring.rpow(value, m))
+        value = one_minus[neg[c]]
+        acc = mul[acc][value if m == 1 else ring.rpow(value, m)]
     return acc
 
 
@@ -229,15 +269,17 @@ def cartier_pair(f: FormalWittElement, g: WittElement, d: int | None = None) -> 
     below its truncation).  Raising the level to d + 1 multiplies the
     value, a unit, by the binomial values of g's coordinates of degree
     exactly d, so the value is stable exactly when their product is 1;
-    otherwise UnstableTruncation is raised.
+    otherwise UnstableTruncation is raised, and without d when g.d is
+    below f's conductor.
     """
+    reach = None
     if d is None:
-        d = g.d - 1
+        d, reach = g.d - 1, g.d
     if d < 1 or d + 1 > g.d:
         raise InvalidTruncation(f"need 1 <= d and d + 1 <= {g.d}")
     ring = f.ring
     acc = step = ring.one
-    for _, w, fa, gb in _shared_parts(f, g):
+    for _, w, fa, gb in _shared_parts(f, g, reach=reach):
         below = {j: c for j, c in gb.items() if j * w < d}
         at = {j: c for j, c in gb.items() if j * w == d}
         acc = ring.rmul(acc, _component_pair_value(ring, fa, below))
@@ -314,7 +356,8 @@ def pairing_via_components(f: FormalWittElement, g: WittElement, d: int | None =
     terms j |nu| < d of the algebraic route, pair f's slot j against g's
     by bilinearity (``_slot_value``) and recombine with the slot twist
     value^(-j).  g's family is solved over g's own ring and its entries
-    read as f's ring's.
+    read as f's ring's.  Without d, a level g.d - 1 below f's conductor
+    raises UnstableTruncation.
 
     The slot value is E(v*w)(1) for the product in W(R), where
     ``pwitt_pair`` takes it in W_m, m the longer of the two lengths; on
@@ -328,13 +371,14 @@ def pairing_via_components(f: FormalWittElement, g: WittElement, d: int | None =
     N^nil = 0 once j p^n > D (nil - 1), that is from n = len(v) on: every
     product term with i + k >= m, and every carry past slot m, lies in
     N^nil = 0."""
+    reach = None
     if d is None:
-        d = g.d - 1
+        d = reach = g.d - 1
     if d < 1 or d > g.d:
         raise InvalidTruncation(f"need 1 <= d <= {g.d}")
     ring = f.ring
     acc = ring.one
-    for _, w, fp, gp in _shared_parts(f, g, elements=True):
+    for _, w, fp, gp in _shared_parts(f, g, elements=True, reach=reach):
         fam_f = pi_epsilon_inverse(WittElement(fp.series.extend(fp.coordinate_bound())))
         fam_g = pi_epsilon_inverse(gp.truncate(one_var_order(d, w)))
         for j, vf in fam_f.items():

@@ -12,17 +12,17 @@ share one budget of ``WORK_LIMIT`` kernel steps: a step is one ring table
 product and one update, and each kernel's estimate bounds its products.  A
 step does not cost the same in every kernel (see the spread below), and the
 budget does not weight them, so at the rates below the limit admits about
-0.4 s of a division and up to about 1.7 s of the geometric norms.  Every other bound caps a
-size, not steps.
+0.3 s of the Artin-Hasse product, 0.4 s of a division and up to about
+1.6 s of the geometric norms.  Every other bound caps a size, not steps.
 """
 
 # steps of one division, series product, product or peel driver, or
 # norm.  ``scripts/kernel_steps.py`` on dense F_3 input, ns per step as the
 # median of five runs (best of 3 each, one core of a shared 2-vCPU x86-64
-# VM, Python 3.11.7): division 40, Artin-Hasse product 46 and peel 67,
-# binomial product 109, coordinate peel 129, series product 131 and
-# geometric norm 169, a spread of 4.2 times; one run read up to 1.9 times
-# its median.
+# VM, Python 3.11.7): Artin-Hasse product 34, division 37, Artin-Hasse
+# peel 61, binomial product 80, series product 85, coordinate peel 120 and
+# geometric norm 157, a spread of 4.6 times; no run read more than 1.1
+# times its median.
 WORK_LIMIT = 10**7
 
 

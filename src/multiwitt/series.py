@@ -130,27 +130,28 @@ def add_products(ring: CoeffRing, limit: int, out: dict, xs, ys, lost: bool = Fa
     the keys that cancel.  Returns whether ``lost`` was set or a nonzero
     product fell at or past ``limit``; once it is set, no product past
     ``limit`` is formed.  ``xs`` and ``ys`` must not be views of ``out``."""
-    rmul, radd = ring.rmul, ring.radd
+    add, get = ring._add, out.get
     for ea, ca in xs:
+        row = ring._mul[ca]  # ca times cb is row[cb]
         for eb, cb in ys:
             e = ea + eb
             if e >= limit:
                 # only a nonzero cross term counts as lost
-                if not lost and rmul(ca, cb):
+                if not lost and row[cb]:
                     lost = True
                 continue
-            prod = rmul(ca, cb)
-            if prod == 0:
+            prod = row[cb]
+            if not prod:
                 continue
-            cur = out.get(e)
+            cur = get(e)
             if cur is None:
                 out[e] = prod
             else:
-                s = radd(cur, prod)
-                if s == 0:
-                    del out[e]
-                else:
+                s = add[cur][prod]
+                if s:
                     out[e] = s
+                else:
+                    del out[e]
     return lost
 
 

@@ -28,12 +28,12 @@ the classical convolution on coordinates,
 
 and the n-variable ring multiplication is transported through the
 decomposition componentwise.  A missing component is the identity, and
-so is its product with anything: ``decompose`` builds only the parts an
-element has, and the full family, identities filled in at every other
-primitive exponent, is built only when read.  Each power above is one
-run of a binomial: the ring has characteristic p, so with g = p^v m and
-L = ij/g it is (1 - c^(p^v) s^(L p^v))^m, multiplied in once as a
-truncated binomial power, not as g factors.
+so is its product with anything: ``decompose`` keeps the coordinates
+of only the parts an element has, and their series and the full family
+are built only when read.  Each power above is one run of a binomial: the
+ring has characteristic p, so with g = p^v m and L = ij/g it is
+(1 - c^(p^v) s^(L p^v))^m, multiplied in once as a truncated binomial
+power, not as g factors.
 
 Every product here is thus an ordered product of binomial runs
 (1 - r t^nu)^m, formed by the series layer's product driver
@@ -204,39 +204,55 @@ def check_family(n: int, d: int) -> None:
 class OneVarComponentFamily:
     """One-variable components indexed by primitive exponents below d.
 
-    ``parts`` holds the components that are not the identity.
-    ``components`` is the whole family: every primitive exponent below d,
-    with the identity wherever ``parts`` has nothing.  It is built on
-    first read, bounded by ``check_family``, and kept."""
+    ``coordinates`` maps each primitive nu whose component is not the
+    identity to its ``WittCoordinates`` in s = t^nu.  ``parts``, those
+    components, and ``components``, every primitive exponent below d with
+    the identity filled in, bounded by ``check_family``, are built on
+    first read and kept.  A family of parts p is built from
+    ``{nu: witt_coordinates(p)}``."""
 
-    __slots__ = ("ring", "n", "d", "parts", "_components")
+    __slots__ = ("ring", "n", "d", "coordinates", "_parts", "_components")
 
-    def __init__(self, ring: CoeffRing, n: int, d: int, parts: dict):
+    def __init__(self, ring: CoeffRing, n: int, d: int, coordinates: dict):
         self.ring = ring
         self.n = n
         self.d = d
-        self.parts = parts
-        self._components = None
+        self.coordinates = coordinates
+        self._parts = self._components = None
+
+    @property
+    def parts(self) -> dict:
+        if self._parts is None:
+            self._parts = {nu: _part_element(c) for nu, c in self.coordinates.items()}
+        return self._parts
 
     @property
     def components(self) -> dict:
         if self._components is None:
-            ring, d = self.ring, self.d
+            ring, d, parts = self.ring, self.d, self.parts
             check_family(self.n, d)
             self._components = {
-                nu: self.parts.get(nu) or WittElement.one(ring, 1, one_var_order(d, sum(nu)))
+                nu: parts.get(nu) or WittElement.one(ring, 1, one_var_order(d, sum(nu)))
                 for nu in primitive_exponents_below(self.n, d)
             }
         return self._components
 
     def recompose(self) -> WittElement:
-        """Multiply the binomials of every part, placed at s = t^nu."""
+        """Multiply the binomials of every part's coordinates at s = t^nu."""
+        d = self.d
         factors = (
-            (i * pack_exponent(nu, self.d), r, 1)
-            for nu, part in self.parts.items()
-            for i, r in witt_coordinates(part).keys.items()
+            (i * pack_exponent(nu, d), r, 1)
+            for nu, c in self.coordinates.items()
+            for i, r in c.keys.items()
         )
-        return _product_element(self.ring, self.n, self.d, factors)
+        return _product_element(self.ring, self.n, d, factors)
+
+
+def _part_element(c: WittCoordinates) -> WittElement:
+    """The component with coordinates c, not flagged exact."""
+    part = _product_element(c.ring, 1, c.d, ((i, r, 1) for i, r in c.keys.items()))
+    part._coords = c
+    return part
 
 
 def witt_add(a: WittElement, b: WittElement) -> WittElement:
@@ -279,14 +295,15 @@ def _run_terms(ring: CoeffRing, limit: int, key: int, s: int, m: int) -> tuple:
     whether every term at or past ``limit`` is 0.  Past the window a unit
     s has the nonzero top term s^m, and a nilpotent s's powers vanish
     within its nilpotency order."""
-    rmul, rint = ring.rmul, ring.rint
+    mul, p = ring._mul, ring.p
+    row = mul[s]  # pw times s is row[pw]
     terms, binom, pw = [], 1, ring.one
     for k in range(1, m + 1):
-        pw = rmul(pw, s)
-        if pw == 0:
+        pw = row[pw]
+        if not pw:
             break
         binom = binom * (m - k + 1) // k
-        c = rmul(rint(binom), pw)
+        c = mul[binom % p][pw]  # the integer binom is the raw binom mod p
         if k * key < limit:
             if c:
                 terms.append((k * key, c))
@@ -322,6 +339,8 @@ def group_by_primitive(c: WittCoordinates) -> dict:
     key(nu) // i, and the content i of nu is the gcd of the key's base-d
     digits: |nu| and every entry of nu but the last."""
     n, d = c.n, c.d
+    if n == 1:  # one part, at s = t
+        return {1: dict(c.keys)} if c.keys else {}
     grouped = {}
     for key, r in c.keys.items():
         i, top = 0, key
@@ -354,21 +373,28 @@ def shared_components(ca: WittCoordinates, cb: WittCoordinates):
 def decompose(a: WittElement) -> OneVarComponentFamily:
     """Group the coordinates by primitive exponent into one-variable parts.
 
-    Only the primitive parts the coordinates touch are built; the family's
-    ``components`` fills in the identity everywhere else.  No component is
-    flagged exact: like a product from ``witt_mul``, each is only known
-    below its truncation order.  Each part keeps the coordinates it was
-    built from, keyed by i in one variable, so ``recompose`` peels
-    nothing."""
+    Only the coordinates of the parts they touch are kept, keyed by i in
+    one variable; no part's series is formed until it is read."""
     ring, n, d = a.ring, a.n, a.d
     dn = d ** (n - 1)
-    parts = {}
-    for key, part in group_by_primitive(witt_coordinates(a)).items():
-        k = one_var_order(d, key // dn)
-        comp = _product_element(ring, 1, k, sorted((i, r, 1) for i, r in part.items()))
-        comp._coords = WittCoordinates._make(ring, 1, k, part)
-        parts[unpack_exponent(key, n, d)] = comp
-    return OneVarComponentFamily(ring, n, d, parts)
+    coordinates = {
+        unpack_exponent(key, n, d): WittCoordinates._make(ring, 1, one_var_order(d, key // dn), part)
+        for key, part in group_by_primitive(witt_coordinates(a)).items()
+    }
+    return OneVarComponentFamily(ring, n, d, coordinates)
+
+
+def powers(ring: CoeffRing, x: int, top: int) -> tuple:
+    """1, x, x^2, .. by table products, to x^top or before the first power
+    that is 0 or 1, and whether they repeat.  A nilpotent x's list is as
+    long as its nilpotency index; a unit's powers repeat from the 1 on."""
+    row, pw, c = ring._mul[x], [ring.one], x
+    for _ in range(top):
+        if c <= 1:  # the raws 0 and 1 are zero and one
+            break
+        pw.append(c)
+        c = row[c]
+    return pw, c == 1
 
 
 def convolution_factors(ring: CoeffRing, fa: dict, gb: dict, scale: int = 1):
@@ -379,19 +405,33 @@ def convolution_factors(ring: CoeffRing, fa: dict, gb: dict, scale: int = 1):
     (1 - c^(p^v) s^(L p^v))^m, c^(p^v) read off the Frobenius table v
     times; it is yielded once, as (L p^v * scale, c^(p^v), m), when
     c^(p^v) is not 0.  ``scale`` is the key of s: key(nu0) at s = t^nu0,
-    1 in one variable."""
-    rmul, rpow, frob, p = ring.rmul, ring.rpow, ring.rfrob_p, ring.p
+    1 in one variable.  The powers are read from ``powers`` lists, and a
+    pair that a nilpotent a_i annuls, j/g past its list, is never formed."""
+    if not fa or not gb:
+        return
+    mul, frob, p = ring._mul, ring._frob, ring.p
+    top_a, top_b = max(gb), max(fa)
+    bs = []
+    for j, bj in gb.items():
+        pb, cyc_b = powers(ring, bj, top_b)
+        bs.append((j, pb, len(pb), cyc_b))
     for i, ai in fa.items():
-        for j, bj in gb.items():
+        pa, cyc_a = powers(ring, ai, top_a)
+        na = len(pa)
+        stop = top_a + 1 if cyc_a else i * na  # j/g >= j/i reaches na at j = i na
+        for j, pb, nb, cyc_b in bs:
+            if j >= stop:
+                continue
             g = gcd(i, j)
-            c = rpow(ai, j // g)
+            u, v = j // g, i // g
+            if u >= na and not cyc_a or v >= nb and not cyc_b:
+                continue  # a_i^u or b_j^v is 0
+            c = mul[pa[u % na]][pb[v % nb]]
+            key = i * j // g * scale
+            while c and g % p == 0:
+                c, g, key = frob[c], g // p, key * p
             if c:
-                c = rmul(c, rpow(bj, i // g))
-                key = i * j // g * scale
-                while c and g % p == 0:
-                    c, g, key = frob(c), g // p, key * p
-                if c:
-                    yield key, c, g
+                yield key, c, g
 
 
 def ring_one(ring: CoeffRing, n: int, d: int) -> WittElement:

@@ -1,9 +1,15 @@
 import time
+from math import gcd
 
 import pytest
 from conftest import RINGS
 from series_oracle import eval_all_ones
-from witt_oracle import cartier_pair_levels, mul_coordinate_families, pair_value_binomial_product
+from witt_oracle import (
+    cartier_pair_levels,
+    group_by_primitive_tuples,
+    mul_coordinate_families,
+    pair_value_binomial_product,
+)
 
 from multiwitt import duality, unipoly, witt
 from multiwitt import (
@@ -15,8 +21,10 @@ from multiwitt import (
     TooLarge,
     TruncatedSeries,
     UnstableTruncation,
+    WittCoordinates,
     WittElement,
     cartier_pair,
+    from_coordinates,
     geometric_pair,
     is_polynomial_unit,
     pairing_matrix,
@@ -24,6 +32,7 @@ from multiwitt import (
     separates,
     unit_class,
     witt_add,
+    witt_coordinates,
 )
 from multiwitt.duality import random_formal_element
 from multiwitt.ptypical import PWittVector, component_lengths, pi_epsilon_inverse, pwitt_pair
@@ -557,14 +566,20 @@ def test_two_variable_routes_agree_across_truncations(f_terms, g_terms, g_d, m):
     are keyed at ``coordinate_bound()`` while g's are at g.d.  With the two
     apart, either way, the algebraic route (which keys f's parts again at
     g.d), the geometric route and the two-level oracle, which matches
-    exponent tuples, give the same value, and it is not 1."""
+    exponent tuples, give the same value, and it is not 1.  The level is
+    given: with g.d = 3 below C(f) = 7 the default level is refused."""
     f = formal(R23, f_terms)
     g = WittElement(TruncatedSeries(F2, 2, g_d, {(0, 0): 1, **g_terms}))
     assert f.coordinate_bound() != g.d
-    value = cartier_pair(f, g).raw
+    value = cartier_pair(f, g, g.d - 1).raw
     assert value != 1
     assert geometric_pair(f, g, m).raw == value
     assert cartier_pair_levels(f, g, g.d - 1) == (value, value)
+    if g.d < f.conductor():
+        with pytest.raises(UnstableTruncation, match=r"C\(f\) = 7 .* \(g.d = 3\)"):
+            cartier_pair(f, g)
+    else:
+        assert cartier_pair(f, g).raw == value
 
 
 def test_formal_elements_over_different_rings_differ():
@@ -637,3 +652,104 @@ def test_f_family_entries_lie_in_the_weight_filtration(name, rng):
                 for j, v in family.items():
                     for i, entry in enumerate(v.entries):
                         assert entry % q ** -(-j * p**i // D) == 0, (fp, j, i, entry)
+
+
+def conductor_by_search(f) -> int:
+    """C(f) by its definition: in each part of weight w, c_f - 1 is the
+    largest j with (j/g) p^v < N_i for some i, g = gcd(i, j) = p^v m and
+    N_i the least N with a_i^N = 0, searched over every j below i N_i."""
+    ring, coords = f.ring, f.exact_coordinates()
+    top = 0
+    for nu, fa in group_by_primitive_tuples(coords.coords).items():
+        for i, a in fa.items():
+            index = next(k for k in range(1, ring.nil + 1) if ring.rpow(a, k) == 0)
+            for j in range(1, i * index):
+                g, u = gcd(i, j), j // gcd(i, j)
+                while g % ring.p == 0:
+                    g, u = g // ring.p, u * ring.p
+                if u < index:
+                    top = max(top, sum(nu) * j)
+    return top + 1
+
+
+@pytest.mark.parametrize("name", NILPOTENT_RINGS)
+def test_conductor_is_at_most_the_coordinate_bound(name, rng):
+    """C(f) <= ``coordinate_bound()`` on random f in one, two and three
+    variables, and it is C(f) by its definition; it is computed once and
+    kept, and C(1) = 1."""
+    ring = RINGS[name]
+    for n, degree in ((1, 6), (2, 3), (3, 2)):
+        for _ in range(8):
+            f = random_formal_element(ring, n, rng.randrange(1, degree + 1), rng)
+            c = f.conductor()
+            assert 1 <= c <= f.coordinate_bound(), f
+            assert c == conductor_by_search(f), f
+            assert f._conductor == c
+    assert formal(ring, {}).conductor() == 1
+
+
+def test_conductor_of_one_coordinate():
+    """1 - eps t^2 over F_2[eps]/(eps^3): a_2 = eps has nilpotency index 3,
+    and (j/g) 2^v < 3 holds for j = 4 (g = 2, 2 * 2 = 4, no) .. j = 3
+    (g = 1, 3, no), j = 2 (g = 2, 1 * 2 = 2, yes): c_f - 1 = 2 at weight 1,
+    so C(f) = 3 against the bound 2 * 2 + 1 = 5."""
+    f = formal(R23, {(2,): R23.eps_raw})
+    assert (f.conductor(), f.coordinate_bound()) == (3, 5)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("name", NILPOTENT_RINGS)
+def test_every_level_from_the_conductor_gives_the_limit(name, n, rng):
+    """From C(f) to g's truncation every level gives the limit, the
+    two-level oracle's value at ``coordinate_bound()``, past which no
+    coordinate of f is nonzero: ``cartier_pair`` at levels up to g.d - 1,
+    ``pairing_via_components`` up to g.d, and both at the default level;
+    with g over the field and over the ring."""
+    ring = RINGS[name]
+    for over in (ring, CoeffRing.make(ring.q, 1, ring.modulus)):
+        for _ in range(3):
+            f = random_formal_element(ring, n, 3 if n == 1 else 2, rng)
+            c, bound = f.conductor(), f.coordinate_bound()
+            g = random_witt_element(over, n, bound + rng.randrange(1, 4), rng)
+            limit, past = cartier_pair_levels(f, g, bound)
+            assert limit == past
+            for d in range(c, g.d):
+                assert cartier_pair(f, g, d).raw == limit, (f, g, d)
+            for d in range(c, g.d + 1):
+                assert pairing_via_components(f, g, d).raw == limit, (f, g, d)
+            assert cartier_pair(f, g).raw == pairing_via_components(f, g).raw == limit
+
+
+def test_default_level_refuses_g_short_of_the_conductor(rng):
+    """f of degree 2 over F_3[eps]/(eps^3) in two variables against g over
+    F_3 with g.d in 3..7: without a level, ``cartier_pair`` refuses when
+    g.d < C(f), and ``pairing_via_components``, whose default level reads
+    g below g.d - 1, when g.d - 1 < C(f); each names C(f) and g.d.  Many
+    refused calls answered before, at the level g.d - 1 they defaulted to,
+    and some of those answers are not the value of an element that
+    agrees with g below g.d and carries coordinates up to C(f)."""
+    ring, base = CoeffRing.make(3, nil=3), CoeffRing.make(3)
+    answered = wrong = 0
+    for _ in range(100):
+        f = random_formal_element(ring, 2, 2, rng)
+        g = random_witt_element(base, 2, rng.randrange(3, 8), rng)
+        c = f.conductor()
+        for route, reach in ((cartier_pair, g.d), (pairing_via_components, g.d - 1)):
+            if reach >= c:
+                continue
+            with pytest.raises(UnstableTruncation, match=rf"C\(f\) = {c} .*\(g.d = {g.d}\)"):
+                route(f, g)
+            if route is not cartier_pair:
+                continue
+            try:
+                before = cartier_pair(f, g, g.d - 1)
+            except UnstableTruncation:
+                continue
+            answered += 1
+            # g's coordinates below g.d and random ones up to degree C(f) - 1
+            coords = dict(witt_coordinates(g).coords)
+            coords |= {e: rng.randrange(3) for e in exponents_below(2, c) if sum(e) >= g.d}
+            longer = from_coordinates(WittCoordinates(base, 2, c + 1, coords))
+            assert longer.truncate(g.d) == g
+            wrong += cartier_pair(f, longer) != before
+    assert answered >= 10 and wrong >= 5, (answered, wrong)

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from witt_oracle import (
     binomial_product,
     convolution_factors_expanded,
+    convolution_factors_rpow,
     decompose_dense,
     from_coordinates_series,
     group_by_primitive_tuples,
@@ -52,6 +53,7 @@ from multiwitt.witt import (
     convolution_factors,
     group_by_primitive,
     one_var_order,
+    powers,
     random_witt_element,
     shared_components,
 )
@@ -283,13 +285,50 @@ def test_decompose_matches_dense_oracle(any_ring, rng):
         ]
         for a in elements:
             fam, dense = decompose(a), decompose_dense(a)
-            assert list(fam.components) == list(dense.components)
-            for nu, comp in dense.components.items():
+            assert list(fam.components) == list(dense)
+            for nu, comp in dense.items():
                 assert fam.components[nu] == comp
                 assert fam.components[nu].series.exact == comp.series.exact
             assert all(fam.parts[nu] is fam.components[nu] for nu in fam.parts)
             assert not any(p.series.terms == {(0,): any_ring.one} for p in fam.parts.values())
             assert fam.recompose() == a
+
+
+def test_decompose_forms_part_series_only_when_read(any_ring, rng, monkeypatch):
+    """``decompose`` keeps each part's coordinates and forms no part's
+    series until ``parts`` or ``components`` is read; ``recompose``
+    multiplies from the coordinates, one product, before or after a
+    read.  The parts read equal the dense oracle's components that are
+    not the identity, and the round trip returns the element."""
+    calls = []
+    product = witt._product_element
+
+    def counted(ring, n, d, factors, keep_exact=False):
+        calls.append(n)
+        return product(ring, n, d, factors, keep_exact)
+
+    monkeypatch.setattr("multiwitt.witt._product_element", counted)
+    for n, d in ((2, 5), (3, 4)):
+        pool = primitive_exponents_below(n, d)
+        elements = [random_witt_element(any_ring, n, d, rng) for _ in range(2)]
+        elements.append(_few_term_element(any_ring, n, d, rng.sample(pool, 2), rng))
+        for a in elements:
+            witt_coordinates(a)
+            calls.clear()
+            fam = decompose(a)
+            assert calls == []
+            assert fam.recompose() == a and calls == [n]
+            one = {(0,): any_ring.one}
+            want = {nu: c for nu, c in decompose_dense(a).items() if c.series.terms != one}
+            calls.clear()
+            assert fam.parts == want
+            assert calls == [1] * len(want)
+            assert list(fam.parts) == list(fam.coordinates)
+            calls.clear()
+            fam = decompose(a)
+            fam.components
+            assert calls == [1] * len(want)
+            assert decompose(a).recompose() == a
 
 
 def test_few_term_decompose_at_n6_d20_builds_present_parts_only(monkeypatch):
@@ -463,9 +502,12 @@ def test_recompose_matches_substituted_series_product(any_ring, rng):
         elements.append(_few_term_element(any_ring, n, d, rng.sample(pool, min(2, len(pool))), rng))
         for a in elements:
             fam = decompose(a)
-            # parts that carry no coordinates of their own are peeled first
+            # a family of given elements is built from their peeled coordinates
             bare = OneVarComponentFamily(
-                any_ring, n, d, {nu: WittElement(p.series) for nu, p in fam.parts.items()}
+                any_ring,
+                n,
+                d,
+                {nu: witt_coordinates(WittElement(p.series)) for nu, p in fam.parts.items()},
             )
             want = recompose_series(fam).series
             for got in (fam.recompose().series, bare.recompose().series):
@@ -670,6 +712,43 @@ def test_convolution_runs_match_expanded_factors(q, monkeypatch):
             patch.setattr(series, "WORK_LIMIT", 10**12)
             want = witt._product_element(ring, 1, d, factors)
         assert json.dumps(product.to_json_dict()) == json.dumps(want.to_json_dict()), (d, c)
+
+
+def test_power_lists_end_at_zero_or_one(any_ring):
+    """``powers`` lists x^k by table products; a nilpotent x's list is as
+    long as its nilpotency index, and a unit's, unless ``top`` cuts it,
+    as long as its order, so indexing it modulo its length gives x^u."""
+    for x in any_ring.element_indices():
+        for top in (1, 5, any_ring.size):
+            pw, repeats = powers(any_ring, x, top)
+            assert 1 <= len(pw) <= top + 1
+            assert pw == [any_ring.rpow(x, k) for k in range(len(pw))]
+            if repeats:
+                assert any_ring.rpow(x, len(pw)) == any_ring.one
+                assert all(any_ring.rpow(x, u) == pw[u % len(pw)] for u in range(3 * top))
+            elif len(pw) <= top:
+                assert any_ring.rpow(x, len(pw)) == 0
+
+
+def test_convolution_runs_match_the_rpow_reference(any_ring, rng):
+    """``convolution_factors`` reads each power from one list per
+    coordinate and forms no pair that a nilpotent a_i annuls; the former
+    generator forms every pair by ``rpow`` ladders.  Both yield the same
+    runs (key, c, m) in the same order, for families of units, of
+    nilpotents and of both on either side, keys in any order and past
+    every unit's order, at scale 1 and at a packed key."""
+    units = [c for c in any_ring.element_indices() if any_ring.is_unit_raw(c)]
+    nilpotents = [c for c in any_ring.element_indices()[1:] if any_ring.is_nilpotent_raw(c)]
+    pools = [units] + ([nilpotents, units + nilpotents] if nilpotents else [])
+    scales = (1, pack_exponent((1, 2), 9))
+    for _ in range(8):
+        for pool_a in pools:
+            for pool_b in pools:
+                fa = {i: rng.choice(pool_a) for i in rng.sample(range(1, 60), rng.randrange(1, 7))}
+                gb = {j: rng.choice(pool_b) for j in rng.sample(range(1, 60), rng.randrange(1, 7))}
+                for scale in scales:
+                    got = list(convolution_factors(any_ring, fa, gb, scale))
+                    assert got == list(convolution_factors_rpow(any_ring, fa, gb, scale)), (fa, gb)
 
 
 def test_square_of_one_plus_t_plus_t2_at_d_2000_is_admitted(monkeypatch):

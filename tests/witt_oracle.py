@@ -12,8 +12,10 @@ It does work proportional to the whole exponent box and shares no
 product code with the library's ``witt_mul``, which feeds the binomials
 of the primitive parts both factors share straight into one n-variable
 product.  ``decompose_dense`` builds a component at every primitive
-exponent of the box, identities included, and checks the library's
-``decompose``, which builds only the parts an element has.
+exponent of the box, identities included, each a series product of its
+binomials, and checks the library's ``decompose``, which keeps only the
+coordinates of the parts an element has and forms their series when
+they are read.
 ``recompose_series`` and ``ring_one_series`` multiply as series: the
 substituted parts one ``mul`` at a time, and (1 - t^nu) by shift and add.
 
@@ -32,7 +34,10 @@ coordinates by primitive part on exponent tuples, where the library
 groups on packed keys, so they need no common truncation.
 ``convolution_factors_expanded`` is the former convolution: each
 binomial power (1 - c s^L)^g as g single binomials, where the library
-yields it once as a run.
+yields it once as a run.  ``convolution_factors_rpow`` is the former
+run generator: it forms every pair and takes a_i^(j/g) and b_j^(i/g) by
+``CoeffRing.rpow``, where the library reads them from one list of
+powers per coordinate and forms no pair a nilpotent a_i annuls.
 ``binomial_product`` is the former loop of that name: the library's
 binomial product, on the product driver ``series.multiply_keys``, in
 one variable below a key limit.
@@ -65,7 +70,6 @@ from multiwitt.witt import (
     WittElement,
     _product_element,
     convolution_factors,
-    from_coordinates,
     one_var_order,
     witt_coordinates,
 )
@@ -153,8 +157,9 @@ def ring_one_series(ring, n: int, d: int) -> WittElement:
     return WittElement(acc)
 
 
-def decompose_dense(a: WittElement) -> OneVarComponentFamily:
-    """Group the coordinates by primitive exponent into one-variable parts.
+def decompose_dense(a: WittElement) -> dict:
+    """The one-variable component at every primitive exponent of the box,
+    identities included, each its coordinates' product as a series.
 
     No component is flagged exact: like a product from ``witt_mul``, each
     is only known below its truncation order."""
@@ -167,10 +172,10 @@ def decompose_dense(a: WittElement) -> OneVarComponentFamily:
         if part is None:
             components[nu0] = WittElement.one(ring, 1, k)
             continue
-        comp = from_coordinates(WittCoordinates(ring, 1, k, {(i,): r for i, r in part.items()}))
+        coords = WittCoordinates(ring, 1, k, {(i,): r for i, r in part.items()})
+        comp = from_coordinates_series(coords)
         components[nu0] = WittElement(copy_with(comp.series, exact=False))
-    # identities included, so the family's parts and components coincide
-    return OneVarComponentFamily(ring, n, d, components)
+    return components
 
 
 def witt_mul_1var(a: WittElement, b: WittElement) -> WittElement:
@@ -186,8 +191,8 @@ def witt_mul_dense(a: WittElement, b: WittElement) -> WittElement:
         return witt_mul_1var(a, b)
     fa, fb = decompose_dense(a), decompose_dense(b)
     acc = TruncatedSeries.one(a.ring, a.n, a.d)
-    for nu in sorted(fa.components, key=grlex_key):
-        comp = witt_mul_1var(fa.components[nu], fb.components[nu])
+    for nu in sorted(fa, key=grlex_key):
+        comp = witt_mul_1var(fa[nu], fb[nu])
         acc = acc.mul(_substitute(comp.series, nu, a.n, a.d))
     return WittElement(acc)
 
@@ -311,6 +316,23 @@ def convolution_factors_expanded(ring, fa: dict, gb: dict, scale: int = 1):
             c = ring.rmul(ring.rpow(ai, j // g), ring.rpow(bj, i // g))
             if c:
                 yield from ((i * j // g * scale, c, 1),) * g
+
+
+def convolution_factors_rpow(ring, fa: dict, gb: dict, scale: int = 1):
+    """The runs (key, c, m) of ``witt.convolution_factors``, in its order,
+    each power by an ``rpow`` ladder for every pair (i, j)."""
+    rmul, rpow, frob, p = ring.rmul, ring.rpow, ring.rfrob_p, ring.p
+    for i, ai in fa.items():
+        for j, bj in gb.items():
+            g = gcd(i, j)
+            c = rpow(ai, j // g)
+            if c:
+                c = rmul(c, rpow(bj, i // g))
+                key = i * j // g * scale
+                while c and g % p == 0:
+                    c, g, key = frob(c), g // p, key * p
+                if c:
+                    yield key, c, g
 
 
 def binomial_product(ring, limit: int, factors) -> tuple:
