@@ -122,8 +122,7 @@ def run(args: argparse.Namespace):
             va = cartier_pair(f, g, args.d)
             result["algebraic"] = ring.raw_to_coords(va.raw)
         if args.mode in ("geometric", "both"):
-            m = args.m if args.m is not None else g.d - 1
-            vg = geometric_pair(f, g, m)
+            vg = geometric_pair(f, g, args.m)
             result["geometric"] = ring.raw_to_coords(vg.raw)
         if args.mode == "both":
             result["agree"] = result["algebraic"] == result["geometric"]

@@ -200,28 +200,31 @@ def _part_reach(ring: CoeffRing, fa: dict) -> int:
     return reach
 
 
-def _shared_parts(f: FormalWittElement, g: WittElement, elements: bool = False, reach=None):
+def _certify_default_level(f: FormalWittElement, g: WittElement, reach: int) -> None:
+    """Refuse a route called without a level whose default level pairs g
+    below degree ``reach`` short of f's conductor: g's coordinates from
+    ``reach`` to C(f) - 1, which g need not carry, may pair with f to
+    other than 1."""
+    if reach < f.conductor():
+        raise UnstableTruncation(
+            f"the default level pairs g below degree {reach}, short of the conductor "
+            f"C(f) = {f.conductor()} of the first argument (g.d = {g.d}); give a level"
+        )
+
+
+def _shared_parts(f: FormalWittElement, g: WittElement, elements: bool = False):
     """The walk of all three routes: check the pair and yield (key(nu),
     |nu|, a, b) for each primitive part nu that f and g share, in one
     variable s = t^nu.  a and b are the coordinates {i: a_i} and {j: b_j},
     or with ``elements`` f's exact part as a formal element and g's at its
     order one_var_order(g.d, |nu|) in s.  In one variable each argument is
     its own part at s = t, shared unless one is 1, and is peeled only for
-    its coordinates; in more, each is peeled to find the parts.
-
-    ``reach``, given for a route called without a level, is the degree
-    its default level reads g below; short of f's conductor, the walk
-    raises UnstableTruncation."""
+    its coordinates; in more, each is peeled to find the parts."""
     if f.n != g.n:
         raise ShapeMismatch("arguments have different variable counts")
     # g's raws, over f's ring or its field part, are raws of f's ring
     if g.ring != f.ring and g.ring != CoeffRing.make(f.ring.q, 1, f.ring.modulus):
         raise ShapeMismatch("second argument must live over the ring or its field part")
-    if reach is not None and reach < f.conductor():
-        raise UnstableTruncation(
-            f"the default level pairs g below degree {reach}, short of the conductor "
-            f"C(f) = {f.conductor()} of the first argument (g.d = {g.d}); give a level"
-        )
     if f.n == 1:
         a, b = (f, g) if elements else (f.exact_coordinates().keys, witt_coordinates(g).keys)
         if len(f.series.keys) > 1 and len(g.series.keys) > 1:
@@ -272,14 +275,14 @@ def cartier_pair(f: FormalWittElement, g: WittElement, d: int | None = None) -> 
     otherwise UnstableTruncation is raised, and without d when g.d is
     below f's conductor.
     """
-    reach = None
     if d is None:
-        d, reach = g.d - 1, g.d
+        d = g.d - 1
+        _certify_default_level(f, g, g.d)
     if d < 1 or d + 1 > g.d:
         raise InvalidTruncation(f"need 1 <= d and d + 1 <= {g.d}")
     ring = f.ring
     acc = step = ring.one
-    for _, w, fa, gb in _shared_parts(f, g, reach=reach):
+    for _, w, fa, gb in _shared_parts(f, g):
         below = {j: c for j, c in gb.items() if j * w < d}
         at = {j: c for j, c in gb.items() if j * w == d}
         acc = ring.rmul(acc, _component_pair_value(ring, fa, below))
@@ -289,7 +292,7 @@ def cartier_pair(f: FormalWittElement, g: WittElement, d: int | None = None) -> 
     return ring.from_raw(acc)
 
 
-def geometric_pair(f: FormalWittElement, g: WittElement, m: int) -> RingElement:
+def geometric_pair(f: FormalWittElement, g: WittElement, m: int | None = None) -> RingElement:
     """Product of f over the zeros of a truncation of g, as a norm.
 
     g is read in the inverse variable u = 1/t; its truncation g' to degree
@@ -301,8 +304,13 @@ def geometric_pair(f: FormalWittElement, g: WittElement, m: int) -> RingElement:
     refused with TooLarge before any work.  In several variables each part
     nu both share is paired at level m in s = t^nu, where g carries
     k = ceil(g.d / |nu|) terms; one with k < m + 1 is refused with
-    InvalidTruncation.
+    InvalidTruncation.  Without m, the level is g.d - 1, which with its
+    certificate reads g below g.d like ``cartier_pair``'s default, and
+    g.d below f's conductor raises UnstableTruncation.
     """
+    if m is None:
+        m = g.d - 1
+        _certify_default_level(f, g, g.d)
     if m < 1:
         raise InvalidTruncation("truncation level m must be >= 1")
     if m + 1 > g.d:
@@ -371,14 +379,14 @@ def pairing_via_components(f: FormalWittElement, g: WittElement, d: int | None =
     N^nil = 0 once j p^n > D (nil - 1), that is from n = len(v) on: every
     product term with i + k >= m, and every carry past slot m, lies in
     N^nil = 0."""
-    reach = None
     if d is None:
-        d = reach = g.d - 1
+        d = g.d - 1
+        _certify_default_level(f, g, d)
     if d < 1 or d > g.d:
         raise InvalidTruncation(f"need 1 <= d <= {g.d}")
     ring = f.ring
     acc = ring.one
-    for _, w, fp, gp in _shared_parts(f, g, elements=True, reach=reach):
+    for _, w, fp, gp in _shared_parts(f, g, elements=True):
         fam_f = pi_epsilon_inverse(WittElement(fp.series.extend(fp.coordinate_bound())))
         fam_g = pi_epsilon_inverse(gp.truncate(one_var_order(d, w)))
         for j, vf in fam_f.items():

@@ -339,8 +339,6 @@ def group_by_primitive(c: WittCoordinates) -> dict:
     key(nu) // i, and the content i of nu is the gcd of the key's base-d
     digits: |nu| and every entry of nu but the last."""
     n, d = c.n, c.d
-    if n == 1:  # one part, at s = t
-        return {1: dict(c.keys)} if c.keys else {}
     grouped = {}
     for key, r in c.keys.items():
         i, top = 0, key

@@ -330,19 +330,20 @@ def test_pair_single_routes(capsys):
     assert code == 0 and doc2["geometric"] == doc["algebraic"]
 
 
-def test_pair_without_a_level_refuses_g_short_of_the_conductor(capsys):
+@pytest.mark.parametrize("route,level", [("algebraic", "--d"), ("geometric", "--m")])
+def test_pair_without_a_level_refuses_g_short_of_the_conductor(capsys, route, level):
     """f = 1 + eps t^3 has conductor 4: g at d = 3 misses its coordinate
-    of degree 3, so the algebraic route refuses without --d; at the
-    explicit level 2 it answers 1 + eps, from g's coordinate 1 at t."""
+    of degree 3, so each route refuses without a level; at the explicit
+    level 2 it answers 1 + eps, from g's coordinate 1 at t."""
     f = series_doc(1, 4, [((0,), [[1], [0]]), ((3,), [[0], [1]])], exact=True)
     g = series_doc(1, 3, [((0,), [[1]]), ((1,), [[1]])])
     payload = json.dumps({"f": f, "g": g})
-    code, doc = run_cli(capsys, ["pair", "--algebraic", "--ring", R22_RING, "--payload", payload])
+    argv = ["pair", f"--{route}", "--ring", R22_RING, "--payload", payload]
+    code, doc = run_cli(capsys, argv)
     assert (code, doc["error"]["kind"]) == (1, "UnstableTruncation")
     assert "C(f) = 4" in doc["error"]["detail"] and "g.d = 3" in doc["error"]["detail"]
-    argv = ["pair", "--algebraic", "--d", "2", "--ring", R22_RING, "--payload", payload]
-    code, doc = run_cli(capsys, argv)
-    assert code == 0 and doc == {"algebraic": [[1], [1]]}
+    code, doc = run_cli(capsys, argv + [level, "2"])
+    assert code == 0 and doc == {route: [[1], [1]]}
 
 
 def test_pair_both_exits_2_when_the_routes_disagree(capsys, monkeypatch):

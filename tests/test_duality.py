@@ -722,9 +722,10 @@ def test_every_level_from_the_conductor_gives_the_limit(name, n, rng):
 
 def test_default_level_refuses_g_short_of_the_conductor(rng):
     """f of degree 2 over F_3[eps]/(eps^3) in two variables against g over
-    F_3 with g.d in 3..7: without a level, ``cartier_pair`` refuses when
-    g.d < C(f), and ``pairing_via_components``, whose default level reads
-    g below g.d - 1, when g.d - 1 < C(f); each names C(f) and g.d.  Many
+    F_3 with g.d in 3..7: without a level, ``cartier_pair`` and
+    ``geometric_pair`` refuse when g.d < C(f), and
+    ``pairing_via_components``, whose default level reads g below
+    g.d - 1, when g.d - 1 < C(f); each names C(f) and g.d.  Many
     refused calls answered before, at the level g.d - 1 they defaulted to,
     and some of those answers are not the value of an element that
     agrees with g below g.d and carries coordinates up to C(f)."""
@@ -734,7 +735,8 @@ def test_default_level_refuses_g_short_of_the_conductor(rng):
         f = random_formal_element(ring, 2, 2, rng)
         g = random_witt_element(base, 2, rng.randrange(3, 8), rng)
         c = f.conductor()
-        for route, reach in ((cartier_pair, g.d), (pairing_via_components, g.d - 1)):
+        routes = ((cartier_pair, g.d), (geometric_pair, g.d), (pairing_via_components, g.d - 1))
+        for route, reach in routes:
             if reach >= c:
                 continue
             with pytest.raises(UnstableTruncation, match=rf"C\(f\) = {c} .*\(g.d = {g.d}\)"):
