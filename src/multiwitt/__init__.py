@@ -46,7 +46,6 @@ _EXPORTS = {
     ),
     "errors": (
         "EmptyInput",
-        "ExtensionBoundExceeded",
         "InvalidTruncation",
         "NilpotentCoefficients",
         "NonIntegral",
@@ -79,7 +78,7 @@ _EXPORTS = {
     ),
     "ring": ("CoeffRing", "RingElement"),
     "series": ("TruncatedSeries",),
-    "unipoly": ("UnivariatePolynomial", "resultant", "roots_with_multiplicity"),
+    "unipoly": ("UnivariatePolynomial", "resultant"),
     "witt": (
         "OneVarComponentFamily",
         "WittCoordinates",

@@ -273,7 +273,8 @@ def cartier_pair(f: FormalWittElement, g: WittElement, d: int | None = None) -> 
     value, a unit, by the binomial values of g's coordinates of degree
     exactly d, so the value is stable exactly when their product is 1;
     otherwise UnstableTruncation is raised, and without d when g.d is
-    below f's conductor.
+    below f's conductor C(f).  An explicit d < C(f) gives the pairing
+    truncated at d, certified only at d + 1; only d >= C(f) is the limit.
     """
     if d is None:
         d = g.d - 1
@@ -305,8 +306,10 @@ def geometric_pair(f: FormalWittElement, g: WittElement, m: int | None = None) -
     nu both share is paired at level m in s = t^nu, where g carries
     k = ceil(g.d / |nu|) terms; one with k < m + 1 is refused with
     InvalidTruncation.  Without m, the level is g.d - 1, which with its
-    certificate reads g below g.d like ``cartier_pair``'s default, and
-    g.d below f's conductor raises UnstableTruncation.
+    certificate reads g below g.d like ``cartier_pair``'s default; g.d
+    below f's conductor C(f) raises UnstableTruncation.  An explicit
+    m < C(f) gives the pairing truncated at m, certified only at m + 1:
+    only m >= C(f) is the limit.
     """
     if m is None:
         m = g.d - 1
@@ -365,7 +368,8 @@ def pairing_via_components(f: FormalWittElement, g: WittElement, d: int | None =
     by bilinearity (``_slot_value``) and recombine with the slot twist
     value^(-j).  g's family is solved over g's own ring and its entries
     read as f's ring's.  Without d, a level g.d - 1 below f's conductor
-    raises UnstableTruncation.
+    C(f) raises UnstableTruncation; an explicit d < C(f) gives the pairing
+    truncated at d, uncertified: only d >= C(f) is the limit.
 
     The slot value is E(v*w)(1) for the product in W(R), where
     ``pwitt_pair`` takes it in W_m, m the longer of the two lengths; on

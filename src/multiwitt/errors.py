@@ -38,10 +38,6 @@ class EmptyInput(WittError):
     """Operation received degenerate input (e.g. resultant of two constants)."""
 
 
-class ExtensionBoundExceeded(WittError):
-    """Root search needs a field extension beyond the allowed degree."""
-
-
 class ShapeMismatch(WittError):
     """Operands disagree in variable count, truncation order or ring."""
 

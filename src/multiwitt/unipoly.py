@@ -1,4 +1,4 @@
-"""Univariate polynomials over a CoeffRing: resultants and root scans.
+"""Univariate polynomials over a CoeffRing and their resultants.
 
 The resultant is the determinant of the Sylvester matrix, by Gaussian
 elimination pivoted on eps-valuation: O(N^3) ring operations for size N.
@@ -8,21 +8,13 @@ entry of least valuation divides the others and clearing it never divides
 by a zero divisor.  ``SYLVESTER_LIMIT`` bounds only ``resultant``, before
 its matrix is built; the geometric pairing's norms call ``_det_chain`` at
 size deg f.  The test oracles in ``tests/det_oracle.py`` are the Laplace
-expansion and Bird's division-free O(N^4) recurrence, which it replaced.
-
-Root finding serves as an independent cross-check for the resultant path.
-Roots are located by exhaustive evaluation over F_(q^s), the same
-table-driven CoeffRing as every other field (``CoeffRing.make(q**s)``, so
-q^s is bounded by the table size).  Base coefficients enter through the
-embedding that sends the generator of F_q to the smallest-index root of
-its modulus in F_(q^s); a root belongs to degree s when its orbit under
-y -> y^q has length s.  Multiplicities come from repeated synthetic
-division.  This is deliberately desk-scale.
+expansion and Bird's division-free O(N^4) recurrence, which it replaced,
+and root scans over F_(q^s) that check the resultant against the roots.
 """
 
 from __future__ import annotations
 
-from .errors import EmptyInput, ExtensionBoundExceeded, ShapeMismatch, check_budget
+from .errors import EmptyInput, ShapeMismatch, check_budget
 from .ring import CoeffRing, Record, RingElement
 
 
@@ -151,83 +143,3 @@ def resultant(a: UnivariatePolynomial, b: UnivariatePolynomial) -> RingElement:
         return ring.from_raw(ring.rpow(b.coeffs[0], m))
     check_budget(m + n, SYLVESTER_LIMIT, "Sylvester matrix of size {}")
     return ring.from_raw(_det_chain(sylvester_matrix(a, b), ring))
-
-
-def roots_with_multiplicity(f: UnivariatePolynomial, max_ext: int):
-    """All roots of f in F_(q^s) for s <= max_ext, with multiplicities.
-
-    Each root is a RingElement of the smallest F_(q^s) that contains it:
-    f's own ring for s = 1, ``CoeffRing.make(q**s)`` beyond.  Raises
-    ExtensionBoundExceeded when f does not split completely within the
-    allowed extensions, and TooLarge once the scan reaches a q^s beyond
-    the table bound.
-    """
-    ring = f.ring
-    if not ring.is_field:
-        raise ShapeMismatch("root scan needs field coefficients")
-    if f.is_zero:
-        raise EmptyInput("zero polynomial has no root divisor")
-    q = ring.q
-    found = []
-    accounted = 0
-    for s in range(1, max_ext + 1):
-        field = ring if s == 1 else CoeffRing.make(q**s)
-        emb = base_embedding(ring, field)
-        g = UnivariatePolynomial(field, [emb[c] for c in f.coeffs])
-        for x in field.elements():
-            # a root of degree below s was already found in a smaller field
-            if g.evaluate(x).raw or frobenius_orbit_length(x, q) != s:
-                continue
-            mult = _multiplicity(g, x.raw)
-            found.append((x, mult))
-            accounted += mult
-        if accounted == f.degree:
-            return found
-    raise ExtensionBoundExceeded(
-        f"{f.degree - accounted} roots need extensions beyond degree {max_ext}"
-    )
-
-
-def base_embedding(base: CoeffRing, field: CoeffRing) -> list:
-    """Raw images in ``field`` of the raw elements of the field ``base``.
-
-    The generator x of base = F_p[x]/(m) goes to the smallest-index root
-    of m in ``field``; F_p digits embed as themselves, since both rings
-    share the characteristic p.
-    """
-    m = UnivariatePolynomial(field, base.modulus)
-    root = next(r for r in field.elements() if m.evaluate(r).raw == 0)
-    powers = [field.rpow(root.raw, i) for i in range(base.e)]
-    table = []
-    for b in base.element_indices():
-        acc = 0
-        for c, w in zip(base._coords[b][0], powers):
-            acc = field.radd(acc, field.rmul(c, w))
-        table.append(acc)
-    return table
-
-
-def frobenius_orbit_length(x: RingElement, q: int) -> int:
-    """Length of the orbit of x under y -> y^q: the degree of x over F_q."""
-    k, y = 1, x.ring.rfrob(x.raw, q)
-    while y != x.raw:
-        k, y = k + 1, x.ring.rfrob(y, q)
-    return k
-
-
-def _multiplicity(f: UnivariatePolynomial, x: int) -> int:
-    radd, rmul = f.ring.radd, f.ring.rmul
-    coeffs = f.coeffs
-    mult = 0
-    while len(coeffs) > 1:
-        # synthetic division by (X - x)
-        quot = [0] * (len(coeffs) - 1)
-        carry = 0
-        for k in range(len(coeffs) - 1, 0, -1):
-            carry = radd(coeffs[k], rmul(carry, x))
-            quot[k - 1] = carry
-        if radd(coeffs[0], rmul(carry, x)):
-            break
-        mult += 1
-        coeffs = quot
-    return mult

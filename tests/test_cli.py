@@ -547,6 +547,15 @@ def test_selftest_command(capsys):
     assert "lifted_ring_laws" in {c["name"] for c in doc["checks"]}
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_selftest_runs_every_check(capsys, seed):
+    """Suite ``all`` at CI's two seeds: 23 distinct checks, every one passes."""
+    code, doc = run_cli(capsys, ["selftest", "--suite", "all", "--seed", str(seed)])
+    names = [c["name"] for c in doc["checks"]]
+    assert code == 0 and (doc["passed"], doc["failed"], doc["seed"]) == (23, 0, seed)
+    assert len(set(names)) == len(names) == 23 and all(c["ok"] for c in doc["checks"])
+
+
 @pytest.mark.parametrize("digit", [7, 2])
 def test_out_of_range_digit_rejected(capsys, digit):
     a = series_doc(1, 4, [((0,), [[1]]), ((1,), [[digit]])])

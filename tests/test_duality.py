@@ -697,14 +697,15 @@ def test_conductor_of_one_coordinate():
     assert (f.conductor(), f.coordinate_bound()) == (3, 5)
 
 
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("name", NILPOTENT_RINGS)
 def test_every_level_from_the_conductor_gives_the_limit(name, n, rng):
     """From C(f) to g's truncation every level gives the limit, the
     two-level oracle's value at ``coordinate_bound()``, past which no
     coordinate of f is nonzero: ``cartier_pair`` at levels up to g.d - 1,
     ``pairing_via_components`` up to g.d, and both at the default level;
-    with g over the field and over the ring."""
+    at n = 1 also ``geometric_pair`` at levels up to g.d - 1; with g over
+    the field and over the ring."""
     ring = RINGS[name]
     for over in (ring, CoeffRing.make(ring.q, 1, ring.modulus)):
         for _ in range(3):
@@ -718,6 +719,9 @@ def test_every_level_from_the_conductor_gives_the_limit(name, n, rng):
             for d in range(c, g.d + 1):
                 assert pairing_via_components(f, g, d).raw == limit, (f, g, d)
             assert cartier_pair(f, g).raw == pairing_via_components(f, g).raw == limit
+            if n == 1:
+                for m in range(c, g.d):
+                    assert geometric_pair(f, g, m).raw == limit, (f, g, m)
 
 
 def test_default_level_refuses_g_short_of_the_conductor(rng):

@@ -4,8 +4,11 @@ a small size over a prime field and over F_4, and kernel_steps as it is.
 
 pi1_table and duality_demo import only the public API, so this catches a
 removal that would otherwise break them silently.  bench_pairs is checked on synthetic run
-records, without running the benchmark."""
+records, without running the benchmark, and the benchmark tracer's names
+are resolved against the library, so a removal that would stop a traced
+benchmark run fails here first."""
 
+import importlib
 import importlib.util
 import json
 import os
@@ -127,3 +130,25 @@ def test_bench_pairs_alternates_the_first_side(monkeypatch):
     assert runs == [("p", 7), ("c", 7), ("c", 8), ("p", 8), ("p", 9), ("c", 9)]
     assert [p["first"] for p in pairs] == ["parent", "change", "parent"]
     assert bench.summarize(pairs)["job_cost_cal"]["change_lower_in"] == "3/3"
+
+
+def test_benchmark_tracer_names_resolve(monkeypatch):
+    """Every (module, attribute) that ``perfbench/spans.py`` wraps, methods
+    included, and the ``exponents_below`` it wraps in ``multiwitt.witt``,
+    exist once ``multiwitt`` is imported: ``Tracer.install`` reads them
+    from ``sys.modules`` and stops with a KeyError or AttributeError on
+    one that is gone.  The harness is imported without writing bytecode."""
+    import multiwitt  # noqa: F401  registers every library module
+
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    monkeypatch.delitem(sys.modules, "spans", raising=False)
+    try:
+        spans = importlib.import_module("spans")
+    finally:
+        sys.modules.pop("spans", None)
+    assert spans.TRACED
+    for _, module, attr in spans.TRACED:
+        owner, key = spans._resolve(module, attr)
+        assert callable(getattr(owner, key)), (module, attr)
+    assert callable(sys.modules["multiwitt.witt"].exponents_below)

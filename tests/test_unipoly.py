@@ -2,20 +2,24 @@ import itertools
 
 import pytest
 from conftest import RINGS
-from det_oracle import _det_bird, _det_memo
+from det_oracle import (
+    ExtensionBoundExceeded,
+    _det_bird,
+    _det_memo,
+    base_embedding,
+    roots_with_multiplicity,
+)
 
 from multiwitt import (
     CoeffRing,
     EmptyInput,
-    ExtensionBoundExceeded,
     ShapeMismatch,
     TooLarge,
     UnivariatePolynomial,
     resultant,
-    roots_with_multiplicity,
 )
 from multiwitt.errors import SchemaError
-from multiwitt.unipoly import _det_chain, base_embedding, sylvester_matrix
+from multiwitt.unipoly import _det_chain, sylvester_matrix
 
 
 def lin(ring, a_raw):
