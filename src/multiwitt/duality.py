@@ -36,7 +36,12 @@ Nilpotency bounds every computation: the coordinates of an exact
 polynomial of degree D with nilpotent coefficients vanish beyond degree
 D*(e-1), where e is the nilpotency order, because the coordinate at nu
 lies in N^ceil(|nu|/D); and g's coordinates of degree C(f), f's
-conductor, or more pair with f to 1.  A route called without a level
+conductor, or more pair with f to 1.  So every level from C(f) on gives
+the limit, and each route runs at min(level, C(f)) on g cut at the degree
+it reads there, before g is peeled, walked or factored: its work is
+bounded by C(f) <= D*(e-1) + 1, not by g's length or the level asked for.
+The geometric walk stops at each part's own conductor.  The refusals are
+decided on the level asked for, and a route called without a level
 refuses when its default level stops short of C(f).
 """
 
@@ -44,7 +49,7 @@ from __future__ import annotations
 
 from .errors import WORK_LIMIT, InvalidTruncation, NotAUnit, NotNilpotent, ShapeMismatch
 from .errors import UnstableTruncation, check_budget
-from .ptypical import ah_value, pi_epsilon_inverse
+from .ptypical import _component_entries, ah_value
 from .ring import CoeffRing, Record, RingElement
 from .series import TruncatedSeries, exponents_below, unpack_exponent
 from .unipoly import _det_chain
@@ -137,11 +142,16 @@ class FormalWittElement:
         parts of weight w, such that some a_i of the part does not annul
         g's b_j (``_part_reach``); at most ``coordinate_bound()``."""
         if self._conductor is None:
-            coords = self.exact_coordinates()
-            dn = coords.d ** (coords.n - 1)
-            reach = (key // dn * _part_reach(self.ring, fa) for key, fa in group_by_primitive(coords).items())
-            self._conductor = 1 + max(reach, default=0)
+            self._conductor = 1 + max((w * r for w, r in self._part_reaches()), default=0)
         return self._conductor
+
+    def _part_reaches(self) -> list:
+        """(w, r) for each part nu of f: w = |nu| and r its ``_part_reach``,
+        past which no coordinate of g in s = t^nu pairs with f to other
+        than 1; the part's own conductor, in s, is 1 + r."""
+        coords = self.exact_coordinates()
+        dn = coords.d ** (coords.n - 1)
+        return [(key // dn, _part_reach(self.ring, fa)) for key, fa in group_by_primitive(coords).items()]
 
     def to_json_dict(self):
         return self.series.to_json_dict()
@@ -216,10 +226,12 @@ def _shared_parts(f: FormalWittElement, g: WittElement, elements: bool = False):
     """The walk of all three routes: check the pair and yield (key(nu),
     |nu|, a, b) for each primitive part nu that f and g share, in one
     variable s = t^nu.  a and b are the coordinates {i: a_i} and {j: b_j},
-    or with ``elements`` f's exact part as a formal element and g's at its
-    order one_var_order(g.d, |nu|) in s.  In one variable each argument is
-    its own part at s = t, shared unless one is 1, and is peeled only for
-    its coordinates; in more, each is peeled to find the parts."""
+    or with ``elements`` f's exact part as a formal element, its conductor
+    set from {i: a_i}, and g's at its order one_var_order(g.d, |nu|) in s.
+    In one variable each argument is its own part at s = t, shared unless
+    one is 1, and is peeled only for its coordinates; in more, each is
+    peeled to find the parts.  The routes pass g cut at the degree they
+    read, so g is never peeled past it."""
     if f.n != g.n:
         raise ShapeMismatch("arguments have different variable counts")
     # g's raws, over f's ring or its field part, are raws of f's ring
@@ -239,9 +251,10 @@ def _shared_parts(f: FormalWittElement, g: WittElement, elements: bool = False):
         # f's part has degree at most the sum of its coordinate exponents, so
         # it is complete at 1 + sum(fa); each j of gb has j |nu| < g.d, so g's
         # part holds it at order one_var_order(g.d, |nu|)
-        fp = from_coordinates(WittCoordinates._make(f.ring, 1, 1 + sum(fa), fa))
+        fp = FormalWittElement(from_coordinates(WittCoordinates._make(f.ring, 1, 1 + sum(fa), fa)).series)
+        fp._conductor = 1 + _part_reach(f.ring, fa)
         gp = from_coordinates(WittCoordinates._make(g.ring, 1, one_var_order(g.d, w), gb))
-        yield key, w, FormalWittElement(fp.series), gp
+        yield key, w, fp, gp
 
 
 def _component_pair_value(ring: CoeffRing, fa: dict, gb: dict) -> int:
@@ -275,15 +288,20 @@ def cartier_pair(f: FormalWittElement, g: WittElement, d: int | None = None) -> 
     otherwise UnstableTruncation is raised, and without d when g.d is
     below f's conductor C(f).  An explicit d < C(f) gives the pairing
     truncated at d, certified only at d + 1; only d >= C(f) is the limit.
+    From C(f) on every level gives the limit, so the route runs at
+    min(d, C(f)), on g cut below min(d, C(f)) + 1 before it is peeled: its
+    work is bounded by C(f), not by g's length.  The refusals are decided
+    on the d asked for.
     """
     if d is None:
         d = g.d - 1
         _certify_default_level(f, g, g.d)
     if d < 1 or d + 1 > g.d:
         raise InvalidTruncation(f"need 1 <= d and d + 1 <= {g.d}")
+    d = min(d, f.conductor())
     ring = f.ring
     acc = step = ring.one
-    for _, w, fa, gb in _shared_parts(f, g):
+    for _, w, fa, gb in _shared_parts(f, g.truncate(d + 1)):
         below = {j: c for j, c in gb.items() if j * w < d}
         at = {j: c for j, c in gb.items() if j * w == d}
         acc = ring.rmul(acc, _component_pair_value(ring, fa, below))
@@ -309,7 +327,12 @@ def geometric_pair(f: FormalWittElement, g: WittElement, m: int | None = None) -
     certificate reads g below g.d like ``cartier_pair``'s default; g.d
     below f's conductor C(f) raises UnstableTruncation.  An explicit
     m < C(f) gives the pairing truncated at m, certified only at m + 1:
-    only m >= C(f) is the limit.
+    only m >= C(f) is the limit.  A part's walk stops at min(m, c), c the
+    part's own conductor in s, at most C(f), from which every level gives
+    the part's limit; g is cut at the degree those walks read
+    (``_geometric_cut``) before it is peeled, so the work, and the
+    estimate, are bounded by C(f), not by m or g's length.  The refusals
+    are decided on the m asked for.
     """
     if m is None:
         m = g.d - 1
@@ -321,18 +344,37 @@ def geometric_pair(f: FormalWittElement, g: WittElement, m: int | None = None) -
             f"stability check needs the second argument known to degree {m + 1}"
         )
     ring, acc = f.ring, f.ring.one
-    for key, w, fp, gp in _shared_parts(f, g, elements=True):
+    cut = g.truncate(_geometric_cut(f, g, m))
+    for key, w, fp, gp in _shared_parts(f, cut, elements=True):
         k = one_var_order(g.d, w)
         if m + 1 > k:
-            nu = unpack_exponent(key, g.n, g.d)
+            nu = unpack_exponent(key, cut.n, cut.d)
             raise InvalidTruncation(
                 f"component at {nu} only carries {k} terms, need m + 1 = {m + 1}"
             )
-        value, next_value = _geometric_values(ring, fp.series.keys, fp.degree, gp.series.keys, m)
+        level = min(m, fp.conductor())
+        value, next_value = _geometric_values(ring, fp.series.keys, fp.degree, gp.series.keys, level)
         if value != next_value:
             raise UnstableTruncation("pairing value changed between m and m + 1")
         acc = ring.rmul(acc, value)
     return ring.from_raw(acc)
+
+
+def _geometric_cut(f: FormalWittElement, g: WittElement, m: int) -> int:
+    """The truncation of g that ``geometric_pair`` reads at level m: the
+    walk in a part of weight w and conductor c reads g's coordinates of
+    degree j w, j <= min(m, c), so g is cut past the largest such degree;
+    in one variable, past min(m, C(f)).  A part that carries fewer than
+    m + 1 terms is refused where g shares it, which only the peel of all
+    of g tells, so then g is not cut."""
+    if f.n == 1:
+        return min(m, f.conductor()) + 1
+    top = 0
+    for w, r in f._part_reaches():
+        if one_var_order(g.d, w) < m + 1:
+            return g.d
+        top = max(top, w * min(m, 1 + r))
+    return top + 1
 
 
 def _geometric_values(ring: CoeffRing, f: dict, D: int, g: dict, m: int) -> tuple:
@@ -366,10 +408,14 @@ def pairing_via_components(f: FormalWittElement, g: WittElement, d: int | None =
     shared part with the factor solver, g's at level ceil(d / |nu|), the
     terms j |nu| < d of the algebraic route, pair f's slot j against g's
     by bilinearity (``_slot_value``) and recombine with the slot twist
-    value^(-j).  g's family is solved over g's own ring and its entries
-    read as f's ring's.  Without d, a level g.d - 1 below f's conductor
-    C(f) raises UnstableTruncation; an explicit d < C(f) gives the pairing
-    truncated at d, uncertified: only d >= C(f) is the limit.
+    value^(-j).  Only the entries of the components that are not 0 are
+    read (``ptypical._component_entries``).  g's family is solved over g's
+    own ring and its entries read as f's ring's.  Without d, a level
+    g.d - 1 below f's conductor C(f) raises UnstableTruncation; an
+    explicit d < C(f) gives the pairing truncated at d, uncertified: only
+    d >= C(f) is the limit.  The route runs at min(d, C(f)), on g cut below
+    it before it is peeled, so its work is bounded by C(f), not by g's
+    length; the refusals are decided on the d asked for.
 
     The slot value is E(v*w)(1) for the product in W(R), where
     ``pwitt_pair`` takes it in W_m, m the longer of the two lengths; on
@@ -388,22 +434,24 @@ def pairing_via_components(f: FormalWittElement, g: WittElement, d: int | None =
         _certify_default_level(f, g, d)
     if d < 1 or d > g.d:
         raise InvalidTruncation(f"need 1 <= d <= {g.d}")
+    d = min(d, f.conductor())
     ring = f.ring
     acc = ring.one
-    for _, w, fp, gp in _shared_parts(f, g, elements=True):
-        fam_f = pi_epsilon_inverse(WittElement(fp.series.extend(fp.coordinate_bound())))
-        fam_g = pi_epsilon_inverse(gp.truncate(one_var_order(d, w)))
+    # g cut at d holds each part at its order one_var_order(d, |nu|)
+    for _, _, fp, gp in _shared_parts(f, g.truncate(d), elements=True):
+        fam_f = _component_entries(WittElement(fp.series.extend(fp.coordinate_bound())))
+        fam_g = _component_entries(gp)
         for j, vf in fam_f.items():
             vg = fam_g.get(j)
-            if vg is None or not any(vg.entries) or not any(vf.entries):
+            if vg is None:
                 continue
-            value = _slot_value(ring, vf.entries, vg.entries)
+            value = _slot_value(ring, vf, vg)
             if value != ring.one:
                 acc = ring.rmul(acc, ring.rpow(value, -j))
     return ring.from_raw(acc)
 
 
-def _slot_value(ring: CoeffRing, v: tuple, w: tuple) -> int:
+def _slot_value(ring: CoeffRing, v, w) -> int:
     """E(v*w)(1) for p-typical entries v, all nilpotent, and w, by
     bilinearity.  v = sum_i V^i[v_i], V^i[a] V^k[b] = V^(i+k)[a^(p^k) b^(p^i)]
     and the Artin-Hasse map W(R) -> Lambda(R) is additive, so the value is
@@ -425,14 +473,19 @@ def _slot_value(ring: CoeffRing, v: tuple, w: tuple) -> int:
 
 
 def pairing_matrix(fs, gs, d: int | None = None):
-    """Tabulate the algebraic pairing over the cross product."""
+    """Tabulate the algebraic pairing over the cross product.  Each g is
+    peeled once, and each pairing cuts the kept coordinates."""
+    for g in gs:
+        witt_coordinates(g)
     return [[cartier_pair(f, g, d) for g in gs] for f in fs]
 
 
 def separates(fs, gs, d: int | None = None) -> bool:
-    """True when the probe family fs distinguishes every element of gs."""
+    """True when the probe family fs distinguishes every element of gs.
+    Each g is peeled once, and each pairing cuts the kept coordinates."""
     signatures = set()
     for g in gs:
+        witt_coordinates(g)
         sig = tuple(cartier_pair(f, g, d).raw for f in fs)
         if sig in signatures:
             return False

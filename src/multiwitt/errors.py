@@ -13,7 +13,9 @@ product and one update, and each kernel's estimate bounds its products.  A
 step does not cost the same in every kernel (see the spread below), and the
 budget does not weight them, so at the rates below the limit admits about
 0.3 s of the Artin-Hasse product, 0.4 s of a division and up to about
-1.6 s of the geometric norms.  Every other bound caps a size, not steps.
+1.6 s of the geometric norms.  The norms walk no further than f's
+conductor C(f) <= deg f (e - 1) + 1, so their estimate is bounded by deg f
+and C(f), not by m or g's length.  Every other bound caps a size, not steps.
 """
 
 # steps of one division, series product, product or peel driver, or

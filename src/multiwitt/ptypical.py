@@ -406,15 +406,15 @@ def ah_value(ring: CoeffRing, x_raw: int) -> int:
 def component_lengths(p: int, d: int) -> dict:
     """For each j coprime to p below d, the number of visible entries:
     exponents j p^i < d."""
-    out = {}
-    for j in range(1, d):
-        if j % p:
-            m, k = 1, j * p
-            while k < d:
-                m += 1
-                k *= p
-            out[j] = m
-    return out
+    return {j: _component_length(p, j, d) for j in range(1, d) if j % p}
+
+
+def _component_length(p: int, j: int, d: int) -> int:
+    m, k = 1, j * p
+    while k < d:
+        m += 1
+        k *= p
+    return m
 
 
 def pi_epsilon(family: dict, ring: CoeffRing, d: int) -> WittElement:
@@ -444,39 +444,50 @@ def pi_epsilon_inverse(a: WittElement) -> dict:
     """Solve for the family through ``series.peel_keys``: the coefficient c
     at the lowest key k = j p^i is the next unknown v_(j,i), and the
     factor E(c, t^k) pushes -a_m c^m to the key k m above each key, so
-    dividing one dict in place by each factor exposes the one after.  A
-    family with more than ``witt.FAMILY_LIMIT`` components is refused
-    before any is built."""
+    dividing one dict in place by each factor exposes the one after
+    (``_component_entries``); every other component is 0.  A family with
+    more than ``witt.FAMILY_LIMIT`` components is refused before any is
+    built.  The component pairing reads the entries alone."""
     if a.n != 1:
         raise ShapeMismatch("component solving works in one variable")
-    ring, d = a.ring, a.d
-    p, neg = ring.p, ring._neg
+    d, p = a.d, a.ring.p
     what = "at d = {1} a p-typical family for p = {2} has {0} components"
     check_budget(d - 1 - (d - 1) // p, FAMILY_LIMIT, what, d, p)
+    entries = _component_entries(a)
+    family, zeros = {}, {}  # the zero components of one length share one vector
+    for j, m in component_lengths(p, d).items():
+        if j in entries:
+            family[j] = PWittVector._make(p, tuple(entries[j]), a.ring)
+        else:
+            if m not in zeros:
+                zeros[m] = PWittVector._make(p, (0,) * m, a.ring)
+            family[j] = zeros[m]
+    return family
+
+
+def _component_entries(a: WittElement) -> dict:
+    """{j: [v_(j,0), .., v_(j,m-1)]} for the components of ``pi_epsilon_inverse``
+    that are not 0, each with its m visible entries, j p^i < d, in the
+    order the peel finds them, for ``a`` in one variable; no vector is
+    formed."""
+    ring, d = a.ring, a.d
+    p, neg = ring.p, ring._neg
     rem = {k: c for k, c in a.series.keys.items() if k}
     meter = "the Artin-Hasse peel at n = {1}, d = {2} reaches {0} steps"
     peeled = peel_keys(
         ring, 1, d, rem, lambda k, c: [(key, neg[v]) for key, v in _ah_terms(ring, c, k, d)], meter
     )
-    lengths = component_lengths(p, d)
     entries = {}
     for j, c in peeled.items():
         i = 0
         while j % p == 0:
             j //= p
             i += 1
-        if j not in entries:
-            entries[j] = [0] * lengths[j]
-        entries[j][i] = c
-    family, zeros = {}, {}  # the zero components of one length share one vector
-    for j, m in lengths.items():
-        if j in entries:
-            family[j] = PWittVector._make(p, tuple(entries[j]), ring)
-        else:
-            if m not in zeros:
-                zeros[m] = PWittVector._make(p, (0,) * m, ring)
-            family[j] = zeros[m]
-    return family
+        row = entries.get(j)
+        if row is None:
+            row = entries[j] = [0] * _component_length(p, j, d)
+        row[i] = c
+    return entries
 
 
 def pwitt_pair(v: PWittVector, w: PWittVector) -> RingElement:

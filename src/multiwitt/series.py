@@ -472,6 +472,16 @@ class KeyedTerms:
             self._hash = hash((self.ring, self.n, self.d, tuple(sorted(self.keys.items()))))
         return self._hash
 
+    def _keys_below(self, d_new: int) -> dict:
+        """The keys of the terms of degree below d_new, keyed for truncation
+        d_new, in the same order.  In one variable a key is its exponent
+        whatever d, so there they are kept as they are."""
+        n, d = self.n, self.d
+        if n == 1:
+            return {k: c for k, c in self.keys.items() if k < d_new}
+        pairs = ((unpack_exponent(k, n, d), c) for k, c in self.keys.items())
+        return {pack_exponent(e, d_new): c for e, c in pairs if sum(e) < d_new}
+
     def _json_rows(self) -> list:
         n, d, coef, rows, keys = self.n, self.d, self.COEF, self.ring.raw_to_coords, self.keys
         return [{"exp": list(unpack_exponent(k, n, d)), coef: rows(keys[k])} for k in sorted(keys)]
@@ -604,12 +614,10 @@ class TruncatedSeries(KeyedTerms):
     def _rekeyed(self, d_new: int) -> "TruncatedSeries":
         """The terms below degree d_new, keyed for truncation d_new; exact
         when this series is and no term was dropped."""
-        n, d = self.n, self.d
-        check_shape(n, d_new)
-        pairs = ((unpack_exponent(k, n, d), c) for k, c in self.keys.items())
-        out = {pack_exponent(e, d_new): c for e, c in pairs if sum(e) < d_new}
+        check_shape(self.n, d_new)
+        out = self._keys_below(d_new)
         exact = self.exact and len(out) == len(self.keys)
-        return TruncatedSeries._make(self.ring, n, d_new, out, exact)
+        return TruncatedSeries._make(self.ring, self.n, d_new, out, exact)
 
     def map_coefficients(self, fn) -> "TruncatedSeries":
         out = {e: v for e, c in self.keys.items() if (v := fn(c))}

@@ -141,7 +141,15 @@ class WittElement:
         return witt_mul(self, other)
 
     def truncate(self, d_new: int) -> "WittElement":
-        return WittElement(self.series.truncate(d_new))
+        """The element below degree d_new: itself when nothing is cut.  The
+        coordinates of the cut are those of degree below d_new, so peeled
+        ones are cut with it, not peeled again."""
+        if d_new == self.d:
+            return self
+        out = WittElement(self.series.truncate(d_new))
+        if self._coords is not None:
+            out._coords = WittCoordinates._make(self.ring, self.n, d_new, self._coords._keys_below(d_new))
+        return out
 
     def group_pow(self, k: int) -> "WittElement":
         if k < 0:

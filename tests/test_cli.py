@@ -346,6 +346,22 @@ def test_pair_without_a_level_refuses_g_short_of_the_conductor(capsys, route, le
     assert code == 0 and doc == {route: [[1], [1]]}
 
 
+def test_pair_geometric_at_m_of_a_billion(capsys):
+    """g = 1 - t at d = 10^9 + 1 against f = 1 + eps t + eps^2 t^2 + eps t^4
+    over F_3[eps]/(eps^3): the walk stops at C(f) = 9, so the geometric
+    route answers at m = 10^9, in process and in a fresh process, with
+    the algebraic route's value."""
+    ring = '{"p":3,"e":1,"modulus":[0,1],"nil":3}'
+    eps, eps2 = [[0], [1], [0]], [[0], [0], [1]]
+    f = series_doc(1, 5, [((0,), [[1], [0], [0]]), ((1,), eps), ((2,), eps2), ((4,), eps)], exact=True)
+    g = series_doc(1, 10**9 + 1, [((0,), [[1]]), ((1,), [[2]])], exact=True)
+    argv = ["pair", "--both", "--ring", ring, "--m", str(10**9), "--payload", json.dumps({"f": f, "g": g})]
+    code, doc = run_cli(capsys, argv)
+    assert (code, doc) == (0, {"algebraic": [[1], [2], [1]], "geometric": [[1], [2], [1]], "agree": True})
+    proc = subprocess.run([sys.executable, "-m", "multiwitt.cli"] + argv, capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 0 and json.loads(proc.stdout) == doc
+
+
 def test_pair_both_exits_2_when_the_routes_disagree(capsys, monkeypatch):
     f = series_doc(1, 2, [((0,), [[1], [0]]), ((1,), [[0], [1]])], exact=True)
     g = series_doc(1, 5, [((0,), [[1]]), ((1,), [[1]])])
@@ -406,8 +422,9 @@ def test_oversized_census_rejected_quickly():
         ],
         # 10^8 Artin-Hasse coefficients, counted before the first is built
         ["ah-exp", "--ring", F2_RING, "--d", "100000000", "--payload", '{"x": [[1]]}'],
-        # the geometric norms of 1 + eps t at m = 10^7 - 1 may make
-        # 20,000,001 steps, estimated before g' is reduced
+        # the geometric norms of 1 + eps t^220 at m = 10^7 - 1, walked to
+        # the conductor 56, may make 10,769,440 steps, estimated before g'
+        # is reduced
         [
             "pair",
             "--geometric",
@@ -416,7 +433,7 @@ def test_oversized_census_rejected_quickly():
             "--payload",
             json.dumps(
                 {
-                    "f": series_doc(1, 2, [((0,), [[1], [0]]), ((1,), [[0], [1]])], exact=True),
+                    "f": series_doc(1, 221, [((0,), [[1], [0]]), ((220,), [[0], [1]])], exact=True),
                     "g": series_doc(1, 10**7, [((0,), [[1]]), ((1,), [[1]])]),
                 }
             ),

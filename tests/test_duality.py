@@ -1,6 +1,7 @@
 import time
 from math import gcd
 
+import pairing_oracle
 import pytest
 from conftest import RINGS
 from series_oracle import eval_all_ones
@@ -14,6 +15,7 @@ from witt_oracle import (
 from multiwitt import duality, unipoly, witt
 from multiwitt import (
     CoeffRing,
+    WittError,
     FormalWittElement,
     InvalidTruncation,
     NotAUnit,
@@ -759,3 +761,106 @@ def test_default_level_refuses_g_short_of_the_conductor(rng):
             assert longer.truncate(g.d) == g
             wrong += cartier_pair(f, longer) != before
     assert answered >= 10 and wrong >= 5, (answered, wrong)
+
+
+def outcome(route, f, g, level):
+    """The raw value of a pairing, or the kind and message of its refusal."""
+    try:
+        return route(f, g, level).raw
+    except WittError as exc:
+        return type(exc).__name__, str(exc)
+
+
+CUT_ROUTES = (
+    (cartier_pair, pairing_oracle.cartier_pair),
+    (geometric_pair, pairing_oracle.geometric_pair),
+    (pairing_via_components, pairing_oracle.pairing_via_components),
+)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("name", NILPOTENT_RINGS)
+def test_routes_cut_at_the_conductor_match_the_whole_level_routes(name, n, rng):
+    """Each route, run at min(level, C(f)) on g cut at the degree it reads,
+    against the same route taken to the whole level: the same value at
+    every level from C(f) to g's truncation, and below it, and the same
+    refusal, kind and message, at every other level and at the default
+    one.  g over the field and over the ring, long enough to reach past
+    ``coordinate_bound()`` or short of C(f)."""
+    ring = RINGS[name]
+    past = refused = 0
+    for over in (ring, CoeffRing.make(ring.q, 1, ring.modulus)):
+        for dg in ("long", "long", "short"):
+            f = random_formal_element(ring, n, 3 if n == 1 else 2, rng)
+            c, bound = f.conductor(), f.coordinate_bound()
+            top = bound + rng.randrange(1, 4) if dg == "long" else max(2, c - 1)
+            g = random_witt_element(over, n, top, rng)
+            for route, whole in CUT_ROUTES:
+                for level in (None, *range(0, g.d + 2)):
+                    got = outcome(route, f, g, level)
+                    assert got == outcome(whole, f, g, level), (route.__name__, f, g, level)
+                    refused += type(got) is tuple
+                    past += level is not None and level >= c and type(got) is int
+    assert past and refused, (past, refused)
+
+
+def test_each_refusal_of_the_cut_routes_fires_as_before(rng):
+    """On the inputs of the differential test above, every kind of refusal
+    the whole-level routes make still fires: a level outside g, a part of
+    g too short for m, the certificate one level up, and the default level
+    short of C(f)."""
+    ring, field = CoeffRing.make(3, nil=3), CoeffRing.make(3)
+    seen = set()
+    for n in (1, 2):
+        for _ in range(12):
+            f = random_formal_element(ring, n, 2, rng)
+            g = random_witt_element(field, n, rng.randrange(2, f.coordinate_bound() + 3), rng)
+            for route, whole in CUT_ROUTES:
+                for level in (None, *range(0, g.d + 2)):
+                    got = outcome(route, f, g, level)
+                    assert got == outcome(whole, f, g, level), (route.__name__, f, g, level)
+                    if type(got) is tuple:
+                        kind, detail = got
+                        seen.add((kind, detail.split()[0]))
+    assert seen >= {
+        ("InvalidTruncation", "need"),
+        ("InvalidTruncation", "stability"),
+        ("InvalidTruncation", "truncation"),
+        ("InvalidTruncation", "component"),
+        ("UnstableTruncation", "pairing"),
+        ("UnstableTruncation", "the"),
+    }, seen
+
+
+def test_geometric_pair_of_a_two_term_g_at_m_of_a_billion():
+    """The walk stops at C(f) = 9, so g = 1 - t at d = 10^9 + 1 against a
+    degree-4 f over F_3[eps]/(eps^3) answers at m = 10^9, where the norms
+    at m were refused past WORK_LIMIT; its value is the whole-level
+    walk's at m = C(f) and the algebraic route's."""
+    ring, field = CoeffRing.make(3, nil=3), CoeffRing.make(3)
+    eps = ring.eps_raw
+    f = formal(ring, {(1,): eps, (2,): ring.rmul(eps, eps), (4,): eps})
+    g = WittElement(TruncatedSeries(field, 1, 10**9 + 1, {(0,): 1, (1,): field.rneg(1)}, exact=True))
+    c = f.conductor()
+    assert c == 9
+    value = geometric_pair(f, g, 10**9)
+    assert value == pairing_oracle.geometric_pair(f, g.truncate(c + 1), c)
+    assert value == cartier_pair(f, g, 10**9) == geometric_pair(f, g) and value.raw != 1
+    with pytest.raises(TooLarge, match="the norms at m = 1000000000"):
+        pairing_oracle.geometric_pair(f, g, 10**9)
+
+
+def test_default_routes_pair_a_long_dense_g_at_its_conductor(rng):
+    """f = 1 + eps t + eps t^3 over F_3[eps]/(eps^2), C(f) = 2, against a
+    dense g over F_3 at g.d = 20,000: the default algebraic and component
+    routes answer, with their values on g cut at C(f) + 1; peeling the
+    whole g, as the algebraic route did, is refused by the peel's meter."""
+    ring, field = CoeffRing.make(3, nil=2), CoeffRing.make(3)
+    f = formal(ring, {(1,): ring.eps_raw, (3,): ring.eps_raw})
+    terms = {(k,): rng.randrange(3) for k in range(1, 20000)}
+    g = WittElement(TruncatedSeries(field, 1, 20000, {(0,): 1, **terms}))
+    c = f.conductor()
+    assert c == 2
+    low = g.truncate(c + 1)
+    assert cartier_pair(f, g) == cartier_pair(f, low) == pairing_via_components(f, g)
+    assert pairing_via_components(f, g) == pairing_via_components(f, low)

@@ -27,6 +27,7 @@ from multiwitt import (
 from multiwitt import ptypical
 from multiwitt.errors import SchemaError, TooLarge
 from multiwitt.series import TruncatedSeries
+from multiwitt.duality import random_formal_element
 from multiwitt.witt import WittElement, enumerate_witt_elements, random_witt_element
 
 from conftest import RINGS
@@ -247,6 +248,28 @@ def test_factor_maps_match_per_factor_oracle(name, rng):
         for _ in range(4):
             a = sparse_element(ring, d, rng)
             assert pi_epsilon_inverse(a) == pi_epsilon_inverse_per_factor(a), (a,)
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+def test_component_entries_are_the_nonzero_components(name, rng):
+    """The pairing route reads the peel's entries, ``_component_entries``:
+    exactly the components of ``pi_epsilon_inverse`` that are not 0, each
+    at its full length, on units (g-like: random elements, dense and
+    sparse) and, over rings with nilpotents, on f-like elements (exact
+    polynomials with nilpotent coefficients) at several d."""
+    ring = RINGS[name]
+    for d in (2, 5, 9, 16, 40):
+        inputs = [random_witt_element(ring, 1, d, rng) for _ in range(2)] + [sparse_element(ring, d, rng)]
+        if ring.nil > 1:
+            for _ in range(2):
+                f = random_formal_element(ring, 1, rng.randrange(1, 5), rng)
+                inputs.append(WittElement(f.series.extend(d)))
+        for a in inputs:
+            family = pi_epsilon_inverse(a)
+            want = {j: v.entries for j, v in family.items() if any(v.entries)}
+            got = ptypical._component_entries(a)
+            assert {j: tuple(v) for j, v in got.items()} == want, a
+            assert all(type(v) is list for v in got.values())
 
 
 def test_pi_epsilon_is_group_hom(rng):

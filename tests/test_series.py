@@ -413,6 +413,37 @@ def test_packed_kernel_matches_tuple_oracle(any_ring, n, rng):
                 assert_matches_oracle(moved.extend(d), series_oracle.extend(moved, d))
 
 
+def rekeyed_through_tuples(a, d_new):
+    """The keys of a's terms below d_new, each unpacked at a.d and packed
+    at d_new, in a's key order, and the exact flag a rekey must carry."""
+    pairs = ((unpack_exponent(k, a.n, a.d), c) for k, c in a.keys.items())
+    keys = {pack_exponent(e, d_new): c for e, c in pairs if sum(e) < d_new}
+    return list(keys.items()), a.exact and len(keys) == len(a.keys)
+
+
+@pytest.mark.parametrize("density", ["dense", "sparse"])
+def test_one_variable_rekey_keeps_keys_as_they_are(any_ring, density, rng):
+    """At n = 1 ``truncate`` and ``extend`` keep the keys below the new
+    order without unpacking them: the same keys, in the same order, and
+    the same exact flag as the rekey through exponent tuples, for exact
+    and inexact series, the order shrinking, unchanged and growing (the
+    last for exact series only), keys inserted out of order."""
+    for _ in range(6):
+        d = rng.randrange(2, 40)
+        degrees = list(range(d)) if density == "dense" else rng.sample(range(d), min(d, 4))
+        rng.shuffle(degrees)
+        terms = {(k,): any_ring.random_raw(rng) for k in degrees}
+        for exact in (False, True):
+            a = TruncatedSeries(any_ring, 1, d, terms, exact)
+            for d_new in sorted({1, rng.randrange(1, d), d - 1, d, d + 1, 2 * d + 5} - {0}):
+                moved = [a.extend(d_new)] if exact else []
+                if d_new <= d:
+                    moved.append(a.truncate(d_new))
+                for got in moved:
+                    assert (list(got.keys.items()), got.exact) == rekeyed_through_tuples(a, d_new)
+                    assert got.d == d_new and (got is a) == (d_new == d)
+
+
 def test_equal_series_hash_equal_however_built(rng):
     R = CoeffRing.make(3, nil=2)
     for n in (1, 2, 3):

@@ -417,6 +417,23 @@ def test_nvar_distributivity_500_triples(rng):
         assert witt_mul(a, witt_add(b, c)) == witt_add(witt_mul(a, b), witt_mul(a, c))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_truncate_cuts_the_peeled_coordinates(any_ring, n, rng):
+    """``truncate`` returns the element itself when nothing is cut; a cut
+    of an element whose coordinates were peeled carries the coordinates
+    below the new order, which are the peel of the cut."""
+    for _ in range(3):
+        d = rng.randrange(2, (12, 7, 5)[n - 1])
+        a = random_witt_element(any_ring, n, d, rng)
+        assert a.truncate(d) is a
+        fresh = [a.truncate(d_new) for d_new in range(1, d)]
+        witt_coordinates(a)
+        for d_new, want in enumerate(fresh, 1):
+            cut = a.truncate(d_new)
+            assert cut._coords is not None and cut == want
+            assert witt_coordinates(cut) == witt_coordinates(want), (a, d_new)
+
+
 def test_product_is_never_flagged_exact():
     """The coordinates of a truncated input say nothing about its factors
     at or beyond d, so no product at d can claim to be a polynomial: at
