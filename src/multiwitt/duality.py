@@ -52,7 +52,6 @@ from .errors import UnstableTruncation, check_budget
 from .ptypical import _component_entries, ah_value
 from .ring import CoeffRing, Record, RingElement
 from .series import TruncatedSeries, exponents_below, unpack_exponent
-from .unipoly import _det_chain
 from .witt import (
     WittCoordinates,
     WittElement,
@@ -127,12 +126,12 @@ class FormalWittElement:
         return self.degree * (self.ring.nil - 1) + 1
 
     def exact_coordinates(self) -> WittCoordinates:
-        """Complete coordinate family, at truncation ``coordinate_bound()``;
-        round-trip verified on first use and kept."""
+        """Complete coordinate family, at truncation ``coordinate_bound()``,
+        kept; certified on first use by the product of its binomials having
+        no term at or past the bound (flagged exact), so that it is f."""
         if self._coords is None:
-            extended = WittElement(self.series.extend(self.coordinate_bound()))
-            coords = witt_coordinates(extended)
-            if from_coordinates(coords) != extended:
+            coords = witt_coordinates(WittElement(self.series.extend(self.coordinate_bound())))
+            if not from_coordinates(coords).series.exact:
                 raise UnstableTruncation("coordinate support exceeded its nilpotency bound")
             self._coords = coords
         return self._coords
@@ -403,6 +402,41 @@ def _geometric_values(ring: CoeffRing, f: dict, D: int, g: dict, m: int) -> tupl
     return value, norm(plus(h, g[m], power)) if g.get(m) else value
 
 
+def _det_chain(rows, ring) -> int:
+    """Determinant by elimination, O(N^3) ring operations at size N.  R is a
+    chain ring: a raw element is eps^v * u, u a unit and v its count of
+    trailing zero base-q digits, so column k's pivot is its entry of least
+    valuation at or below row k, and an entry b below it is the pivot times
+    (b // q^v) * u^-1: no division by a zero divisor (oracles in
+    ``tests/det_oracle.py``)."""
+    q, add, neg, mul, inv = ring.q, ring._add, ring._neg, ring._mul, ring._inv
+    n = len(rows)
+    rows = [list(r) for r in rows]
+    det = ring.one
+    for k in range(n):
+        low, best = ring.nil, -1
+        for i in range(k, n):
+            a, v = rows[i][k], 0
+            while a and a % q == 0:
+                a, v = a // q, v + 1
+            if a and v < low:
+                low, best = v, i
+        if best < 0:
+            return 0
+        if best != k:
+            rows[k], rows[best] = rows[best], rows[k]
+            det = neg[det]
+        pivot_row, shift = rows[k], q**low
+        det, unit_inv = mul[det][pivot_row[k]], inv[pivot_row[k] // shift]
+        tail = [(j, a) for j, a in enumerate(pivot_row[k + 1 :], k + 1) if a]
+        for r in rows[k + 1 :]:
+            if r[k]:
+                by = mul[neg[mul[r[k] // shift][unit_inv]]]
+                for j, a in tail:
+                    r[j] = add[r[j]][by[a]]
+    return det
+
+
 def pairing_via_components(f: FormalWittElement, g: WittElement, d: int | None = None) -> RingElement:
     """Pair through the p-typical decomposition: split both sides of each
     shared part with the factor solver, g's at level ceil(d / |nu|), the
@@ -474,18 +508,20 @@ def _slot_value(ring: CoeffRing, v, w) -> int:
 
 def pairing_matrix(fs, gs, d: int | None = None):
     """Tabulate the algebraic pairing over the cross product.  Each g is
-    peeled once, and each pairing cuts the kept coordinates."""
+    peeled once, below 1 + max C(f), the longest cut a pairing reads, and
+    each pairing cuts the kept coordinates (``WittElement.truncate``)."""
+    top = 1 + max((f.conductor() for f in fs), default=0)
     for g in gs:
-        witt_coordinates(g)
+        witt_coordinates(g.truncate(min(g.d, top)))
     return [[cartier_pair(f, g, d) for g in gs] for f in fs]
 
 
 def separates(fs, gs, d: int | None = None) -> bool:
     """True when the probe family fs distinguishes every element of gs.
-    Each g is peeled once, and each pairing cuts the kept coordinates."""
-    signatures = set()
+    Each g is peeled once, as in ``pairing_matrix``."""
+    signatures, top = set(), 1 + max((f.conductor() for f in fs), default=0)
     for g in gs:
-        witt_coordinates(g)
+        witt_coordinates(g.truncate(min(g.d, top)))
         sig = tuple(cartier_pair(f, g, d).raw for f in fs)
         if sig in signatures:
             return False

@@ -17,7 +17,7 @@ slot by slot and solved back one entry at a time,
 Only the residues of earlier entries matter, because x = y (mod p)
 implies x^(p^j) = y^(p^j) (mod p^(j+1)).  Every division is exact; a
 violation raises NonIntegral as a bug signal.  A vector of length 1 is
-its ring element, so its laws are one ring table lookup.
+its ring element, and the same law gives its ring's sum and product.
 
 An element of A_m is one packed integer (Kronecker substitution): digit
 (eps^i, x^s) sits in slot i*(2e-1) + s, W bits a slot, with W the bit
@@ -270,10 +270,6 @@ def _lift_law(ring: CoeffRing, m: int) -> _LiftLaw:
 
 def _op_lifted(v: PWittVector, w: PWittVector, kind: str) -> PWittVector:
     ring = v.ring
-    if len(v) == 1:
-        # a vector of length 1 is its ring element
-        op = ring.radd if kind == "sum" else ring.rmul
-        return PWittVector._make(v.p, (op(v.entries[0], w.entries[0]),), ring)
     return PWittVector._make(v.p, _lift_law(ring, len(v)).op(v.entries, w.entries, kind), ring)
 
 

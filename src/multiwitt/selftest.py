@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 
-from . import cft, duality, ptypical, unipoly, witt
+from . import cft, duality, ptypical, witt
 from .errors import NotAUnit, SchemaError
 from .ring import CoeffRing
 from .series import TruncatedSeries, exponents_below
@@ -58,24 +58,27 @@ def check_frobenius_hom(rng):
 
 
 def check_resultant_vs_roots(rng):
+    # a = prod (x - r) is monic with known roots, so Res(a, b), the product
+    # of b over them, is the norm of b on R[x]/(a): the geometric value of
+    # f = rev a = prod (1 - r x) against g = b at the level that reads all of b
     for q in (2, 3, 5):
         ring = CoeffRing.make(q)
         for _ in range(25):
             roots = [rng.randrange(q) for _ in range(rng.randrange(1, 4))]
-            a = unipoly.UnivariatePolynomial(ring, [1])
-            for r in roots:
-                a = a.mul(unipoly.UnivariatePolynomial(ring, [ring.rneg(r), 1]))
-            b = unipoly.UnivariatePolynomial(ring, [rng.randrange(q) for _ in range(3)])
-            if b.degree < 1:
+            b = [rng.randrange(q) for _ in range(3)]
+            while b and b[-1] == 0:
+                b.pop()
+            if len(b) < 2:
                 continue
-            res = unipoly.resultant(a, b)
-            prod = ring.one
+            f, prod = [ring.one], ring.one
             for r in roots:
-                prod = ring.rmul(prod, b.evaluate(ring.from_raw(r)).raw)
-            assert res.raw == prod
-            # a is monic, so Res(a, b) is the norm of b on R[x]/(a), a = rev f
-            f, g = dict(enumerate(reversed(a.coeffs))), dict(enumerate(b.coeffs))
-            assert duality._geometric_values(ring, f, a.degree, g, b.degree)[1] == res.raw
+                f = [ring.rsub(c, ring.rmul(r, low)) for c, low in zip(f + [0], [0] + f)]
+                value = 0
+                for c in reversed(b):
+                    value = ring.radd(ring.rmul(value, r), c)
+                prod = ring.rmul(prod, value)
+            f, g = dict(enumerate(f)), dict(enumerate(b))
+            assert duality._geometric_values(ring, f, len(roots), g, len(b) - 1)[1] == prod
 
 
 def check_series_ring_laws(rng):

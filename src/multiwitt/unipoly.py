@@ -1,19 +1,15 @@
-"""Univariate polynomials over a CoeffRing and their resultants.
+"""Univariate polynomials over a CoeffRing and their Sylvester resultants.
 
-The resultant is the determinant of the Sylvester matrix, by Gaussian
-elimination pivoted on eps-valuation: O(N^3) ring operations for size N.
-R = F_q[eps]/(eps^e) is a chain ring: a nonzero raw element is eps^v * u
-with u a unit, v its count of trailing zero base-q digits, so a column's
-entry of least valuation divides the others and clearing it never divides
-by a zero divisor.  ``SYLVESTER_LIMIT`` bounds only ``resultant``, before
-its matrix is built; the geometric pairing's norms call ``_det_chain`` at
-size deg f.  The test oracles in ``tests/det_oracle.py`` are the Laplace
-expansion and Bird's division-free O(N^4) recurrence, which it replaced,
-and root scans over F_(q^s) that check the resultant against the roots.
+No route calls this module: the geometric pairing takes its norms in
+``duality``, by the elimination ``_det_chain`` that ``resultant`` applies
+here to the Sylvester matrix.  It stays only for ``resultant``, the tests'
+oracle of those norms, which the benchmark's tracer resolves by name,
+until that span goes (ROADMAP item 1, Stage A).
 """
 
 from __future__ import annotations
 
+from .duality import _det_chain
 from .errors import EmptyInput, ShapeMismatch, check_budget
 from .ring import CoeffRing, Record, RingElement
 
@@ -38,80 +34,9 @@ class UnivariatePolynomial(Record):
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __repr__(self):
-        if not self.coeffs:
-            return "<poly 0>"
-        bits = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            s = self.ring.pretty(c)
-            if k == 0:
-                bits.append(s)
-            else:
-                var = "X" if k == 1 else f"X^{k}"
-                bits.append(var if s == "1" else f"({s})*{var}")
-        return f"<poly {' + '.join(bits)}>"
-
-    def mul(self, other: "UnivariatePolynomial") -> "UnivariatePolynomial":
-        if self.ring != other.ring:
-            raise ShapeMismatch("polynomials over different rings")
-        ring = self.ring
-        if self.is_zero or other.is_zero:
-            return UnivariatePolynomial(ring, [])
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[i + j] = ring.radd(out[i + j], ring.rmul(a, b))
-        return UnivariatePolynomial(ring, out)
-
-    def evaluate(self, x: RingElement) -> RingElement:
-        ring = self.ring
-        if x.ring != ring:
-            raise ShapeMismatch("evaluation point belongs to another ring")
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = ring.radd(ring.rmul(acc, x.raw), c)
-        return ring.from_raw(acc)
-
 
 # the elimination takes about 1 s at this Sylvester size
 SYLVESTER_LIMIT = 512
-
-
-def _det_chain(rows, ring) -> int:
-    """Determinant by elimination pivoted on eps-valuation: column k's pivot
-    eps^v * u is its entry of least valuation at or below row k, and an
-    entry b below it is the pivot times (b // q^v) * u^-1."""
-    q, add, neg, mul, inv = ring.q, ring._add, ring._neg, ring._mul, ring._inv
-    n = len(rows)
-    rows = [list(r) for r in rows]
-    det = ring.one
-    for k in range(n):
-        low, best = ring.nil, -1
-        for i in range(k, n):
-            a, v = rows[i][k], 0
-            while a and a % q == 0:
-                a, v = a // q, v + 1
-            if a and v < low:
-                low, best = v, i
-        if best < 0:
-            return 0
-        if best != k:
-            rows[k], rows[best] = rows[best], rows[k]
-            det = neg[det]
-        pivot_row, shift = rows[k], q**low
-        det, unit_inv = mul[det][pivot_row[k]], inv[pivot_row[k] // shift]
-        tail = [(j, a) for j, a in enumerate(pivot_row[k + 1 :], k + 1) if a]
-        for r in rows[k + 1 :]:
-            if r[k]:
-                by = mul[neg[mul[r[k] // shift][unit_inv]]]
-                for j, a in tail:
-                    r[j] = add[r[j]][by[a]]
-    return det
 
 
 def sylvester_matrix(a: UnivariatePolynomial, b: UnivariatePolynomial):

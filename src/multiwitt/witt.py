@@ -81,15 +81,17 @@ def one_var_order(d: int, weight: int) -> int:
 
 
 class WittElement:
-    """Series with constant term 1; wraps a TruncatedSeries."""
+    """Series with constant term 1; wraps a TruncatedSeries.  ``_coords`` is
+    its whole coordinate family once peeled, ``_cut`` and ``_source`` are
+    kept by ``truncate``."""
 
-    __slots__ = ("series", "_coords")
+    __slots__ = ("series", "_coords", "_cut", "_source")
 
     def __init__(self, series: TruncatedSeries):
         if series.constant_raw != series.ring.one:
             raise ShapeMismatch("constant term must be 1")
         self.series = series
-        self._coords = None
+        self._coords = self._cut = self._source = None
 
     # constructors ---------------------------------------------------------
 
@@ -142,13 +144,21 @@ class WittElement:
 
     def truncate(self, d_new: int) -> "WittElement":
         """The element below degree d_new: itself when nothing is cut.  The
-        coordinates of the cut are those of degree below d_new, so peeled
-        ones are cut with it, not peeled again."""
+        longest cut made is kept, and a shorter one is cut from it.  The
+        coordinates of a cut are those below d_new, so where the element it
+        is cut from has them, ``witt_coordinates`` cuts them from there on
+        first read instead of peeling the cut."""
         if d_new == self.d:
             return self
-        out = WittElement(self.series.truncate(d_new))
-        if self._coords is not None:
-            out._coords = WittCoordinates._make(self.ring, self.n, d_new, self._coords._keys_below(d_new))
+        kept = self._cut
+        if kept is None or kept.d < d_new:
+            kept = self._cut = WittElement(self.series.truncate(d_new))
+        if kept._coords is None:  # this element may have been peeled since
+            kept._source = kept._source or self._coords or self._source
+        if kept.d == d_new:
+            return kept
+        out = WittElement(kept.series.truncate(d_new))
+        out._source = kept._coords or kept._source
         return out
 
     def group_pow(self, k: int) -> "WittElement":
@@ -287,6 +297,9 @@ def witt_coordinates(a: WittElement) -> WittCoordinates:
     if a._coords is not None:
         return a._coords
     ring, n, d = a.ring, a.n, a.d
+    if a._source is not None:
+        a._coords, a._source = WittCoordinates._make(ring, n, d, a._source._keys_below(d)), None
+        return a._coords
     # each quotient's keys are sums of a's, and each division is by a binomial
     check_division(n, d, len(a.series.keys) - 1, 2)
     neg = ring._neg

@@ -1,4 +1,5 @@
-"""Reference determinants over a CoeffRing, and a root scan over F_(q^s).
+"""Reference determinants over a CoeffRing, a root scan over F_(q^s), and
+the polynomial product, evaluation and repr the scan and its tests use.
 
 ``_det_memo`` is the Laplace expansion along the rows, memoizing each minor
 on the set of columns already used; it takes time and memory exponential
@@ -27,6 +28,51 @@ from multiwitt.unipoly import UnivariatePolynomial
 
 class ExtensionBoundExceeded(WittError):
     """Root search needs a field extension beyond the allowed degree."""
+
+
+def poly_mul(a: UnivariatePolynomial, b: UnivariatePolynomial) -> UnivariatePolynomial:
+    """The schoolbook product; ShapeMismatch for polynomials over different rings."""
+    if a.ring != b.ring:
+        raise ShapeMismatch("polynomials over different rings")
+    ring = a.ring
+    if a.is_zero or b.is_zero:
+        return UnivariatePolynomial(ring, [])
+    out = [0] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        if x == 0:
+            continue
+        for j, y in enumerate(b.coeffs):
+            if y:
+                out[i + j] = ring.radd(out[i + j], ring.rmul(x, y))
+    return UnivariatePolynomial(ring, out)
+
+
+def poly_evaluate(f: UnivariatePolynomial, x: RingElement) -> RingElement:
+    """f(x) by Horner's rule; ShapeMismatch for an x of another ring."""
+    ring = f.ring
+    if x.ring != ring:
+        raise ShapeMismatch("evaluation point belongs to another ring")
+    acc = 0
+    for c in reversed(f.coeffs):
+        acc = ring.radd(ring.rmul(acc, x.raw), c)
+    return ring.from_raw(acc)
+
+
+def poly_repr(f: UnivariatePolynomial) -> str:
+    """f written out in X, as ``<poly 1 + (a)*X^2>``."""
+    if not f.coeffs:
+        return "<poly 0>"
+    bits = []
+    for k, c in enumerate(f.coeffs):
+        if c == 0:
+            continue
+        s = f.ring.pretty(c)
+        if k == 0:
+            bits.append(s)
+        else:
+            var = "X" if k == 1 else f"X^{k}"
+            bits.append(var if s == "1" else f"({s})*{var}")
+    return f"<poly {' + '.join(bits)}>"
 
 
 def _det_memo(rows, ring) -> int:
@@ -118,7 +164,7 @@ def roots_with_multiplicity(f: UnivariatePolynomial, max_ext: int):
         g = UnivariatePolynomial(field, [emb[c] for c in f.coeffs])
         for x in field.elements():
             # a root of degree below s was already found in a smaller field
-            if g.evaluate(x).raw or frobenius_orbit_length(x, q) != s:
+            if poly_evaluate(g, x).raw or frobenius_orbit_length(x, q) != s:
                 continue
             mult = _multiplicity(g, x.raw)
             found.append((x, mult))
@@ -138,7 +184,7 @@ def base_embedding(base: CoeffRing, field: CoeffRing) -> list:
     share the characteristic p.
     """
     m = UnivariatePolynomial(field, base.modulus)
-    root = next(r for r in field.elements() if m.evaluate(r).raw == 0)
+    root = next(r for r in field.elements() if poly_evaluate(m, r).raw == 0)
     powers = [field.rpow(root.raw, i) for i in range(base.e)]
     table = []
     for b in base.element_indices():

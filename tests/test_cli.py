@@ -975,7 +975,7 @@ def test_cli_needs_neither_jsonschema_nor_selftest():
     # the job mix of the cli_spawn benchmark workload
     jobs = [
         (["pi1", "--n", "1", "--q", "2", "--d", "3"], "cft", ("dense", "duality", "ptypical", "witt")),
-        (["pair", "--both", "--ring", R22_RING, "--payload", PAIR_PAYLOAD], "duality", ("cft",)),
+        (["pair", "--both", "--ring", R22_RING, "--payload", PAIR_PAYLOAD], "duality", ("cft", "unipoly")),
         (["coords", "--ring", F2_RING, "--payload", a], "witt", ("cft", "duality", "ptypical")),
         (
             ["from-coords", "--ring", F2_RING, "--n", "2", "--d", "8", "--payload", coords],
@@ -988,6 +988,8 @@ def test_cli_needs_neither_jsonschema_nor_selftest():
             ("duality", "ptypical", "witt"),
         ),
         (["ah-exp", "--ring", F2_RING, "--d", "4", "--payload", '{"x": [[1]]}'], "ptypical", ("duality",)),
+        # and the self-test that certifies the geometric norm without a resultant
+        (["selftest", "--suite", "ring"], "selftest", ("unipoly",)),
     ]
     for argv, used, unused in jobs:
         proc = subprocess.run(

@@ -1,3 +1,4 @@
+import random
 import time
 from math import gcd
 
@@ -371,6 +372,20 @@ def test_exact_coordinates_bounded():
     assert max(k for (k,) in coords) <= f.degree * (R23.nil - 1)
 
 
+def test_exact_coordinates_refuse_a_bound_short_of_the_support(monkeypatch):
+    """The certificate tests that the peeled binomials multiply to f with
+    no term at or past the bound: at a bound short of the support, which
+    over F_3[eps]/(eps^3) is 7 for f = 1 + eps t + eps t^3, the family is
+    incomplete and is refused, though it agrees with f below the bound."""
+    R33 = CoeffRing.make(3, nil=3)
+    f = formal(R33, {(1,): R33.eps_raw, (3,): R33.eps_raw})
+    assert f.coordinate_bound() == 7
+    monkeypatch.setattr(FormalWittElement, "coordinate_bound", lambda self: 4)
+    with pytest.raises(UnstableTruncation, match="nilpotency bound"):
+        f.exact_coordinates()
+    assert f._coords is None
+
+
 def test_pairing_matrix_formula_entries():
     eps = R22.eps_raw
     fs = [formal(R22, {(i,): eps}) for i in (1, 2, 3)]
@@ -488,6 +503,37 @@ def test_separates_peels_each_argument_once(monkeypatch):
     for f in fs:  # asked again, each probe answers from its cache
         f.exact_coordinates()
     assert len(peels) == 12
+
+
+def test_separates_and_pairing_matrix_peel_g_only_below_the_conductor():
+    """``separates`` and ``pairing_matrix`` peel each g below 1 + max C(f),
+    not whole: against f = 1 + eps t + eps t^3 over F_3[eps]/(eps^2), a
+    dense g at g.d = 30,000, whose whole peel is refused past its step
+    bound, answers, and g's own coordinates are never peeled."""
+    R32, F3 = CoeffRing.make(3, nil=2), CoeffRing.make(3)
+    f = formal(R32, {(1,): R32.eps_raw, (3,): R32.eps_raw})
+    draw = random.Random(1)
+    long = TruncatedSeries(F3, 1, 30_000, {(k,): draw.randrange(1, 3) for k in range(30_000)})
+    g, other = WittElement(long), WittElement.binomial(F3, 1, 30_000, (1,), 1)
+    value = cartier_pair(f, WittElement(long))
+    assert separates([f], [g, other]) == (value != cartier_pair(f, other))
+    assert pairing_matrix([f], [g]) == [[value]]
+    assert g._coords is None and g._cut.d == f.conductor() + 1
+
+
+def test_repeated_pairings_peel_the_cut_of_g_once(monkeypatch):
+    """Two algebraic and two component pairings of one g in two variables
+    peel g's cut at C(f) + 1 once: the route's cuts are the kept cut, or
+    shorter ones made from it with its coordinates."""
+    R33, F3 = CoeffRing.make(3, nil=3), CoeffRing.make(3)
+    f = formal(R33, {(1, 0): R33.eps_raw, (1, 1): R33.eps_raw})
+    g = random_witt_element(F3, 2, 14, random.Random(2))
+    f.exact_coordinates()
+    cuts = []
+    peel = witt.peel_keys
+    monkeypatch.setattr(witt, "peel_keys", lambda *args: cuts.append(args[2]) or peel(*args))
+    values = {route(f, g) for route in (cartier_pair,) * 2 + (pairing_via_components,) * 2}
+    assert f.conductor() == 5 and cuts == [6] and len(values) == 1
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -116,6 +116,19 @@ def test_packed_law_matches_list_form_and_symbolic_oracles(name, rng):
                 assert pwitt_pair(nv, w).raw == expected
 
 
+@pytest.mark.parametrize("name", sorted(RINGS))
+def test_vectors_of_length_one_add_and_multiply_as_their_ring(name):
+    """A vector of length 1 is its ring element: the lifted law at m = 1
+    gives the ring's add and mul tables on every pair of elements."""
+    ring = RINGS[name]
+    for a in ring.element_indices():
+        v = PWittVector(ring.p, [a], ring)
+        for b in ring.element_indices():
+            w = PWittVector(ring.p, [b], ring)
+            assert pwitt_add(v, w).entries == (ring.radd(a, b),)
+            assert pwitt_mul(v, w).entries == (ring.rmul(a, b),)
+
+
 @pytest.mark.parametrize("name", sorted(PACKED_RINGS))
 def test_packed_product_of_largest_digits_matches_list_form(name):
     # every digit p^m - 1 fills each product slot to its bound nil*e*(p^m-1)^2

@@ -7,6 +7,9 @@ from det_oracle import (
     _det_bird,
     _det_memo,
     base_embedding,
+    poly_evaluate,
+    poly_mul,
+    poly_repr,
     roots_with_multiplicity,
 )
 
@@ -19,7 +22,8 @@ from multiwitt import (
     resultant,
 )
 from multiwitt.errors import SchemaError
-from multiwitt.unipoly import _det_chain, sylvester_matrix
+from multiwitt.duality import _det_chain
+from multiwitt.unipoly import sylvester_matrix
 
 
 def lin(ring, a_raw):
@@ -34,7 +38,7 @@ def test_degree_one_resultant_evaluates(rng):
         f = UnivariatePolynomial(F5, [rng.randrange(5) for _ in range(rng.randrange(2, 6))])
         if f.degree < 1:
             continue
-        assert resultant(lin(F5, a), f) == f.evaluate(F5.from_raw(a))
+        assert resultant(lin(F5, a), f) == poly_evaluate(f, F5.from_raw(a))
 
 
 def test_small_resultant_value():
@@ -130,13 +134,13 @@ def test_resultant_matches_root_product(rng):
             lead = 1 + rng.randrange(q - 1) if q > 2 else 1
             a = UnivariatePolynomial(ring, [lead])
             for r in roots:
-                a = a.mul(lin(ring, r))
+                a = poly_mul(a, lin(ring, r))
             b = UnivariatePolynomial(ring, [rng.randrange(q) for _ in range(4)])
             if b.degree < 1:
                 continue
             prod = ring.rpow(lead, b.degree)
             for r in roots:
-                prod = ring.rmul(prod, b.evaluate(ring.from_raw(r)).raw)
+                prod = ring.rmul(prod, poly_evaluate(b, ring.from_raw(r)).raw)
             assert resultant(a, b).raw == prod
 
 
@@ -146,7 +150,7 @@ def test_split_polynomial_roots_cross_check(rng):
         roots = [rng.randrange(4) for _ in range(3)]
         f = UnivariatePolynomial(F4, [1])
         for r in roots:
-            f = f.mul(lin(F4, r))
+            f = poly_mul(f, lin(F4, r))
         found = roots_with_multiplicity(f, 1)
         flat = []
         for r, m in found:
@@ -166,7 +170,7 @@ def _degree_over(x, q):
 def _pull_back(poly, emb):
     # coefficients of poly in F_(q^s) that lie in the embedded F_q, mapped back
     back = {v: b for b, v in enumerate(emb)}
-    assert all(c in back for c in poly.coeffs), f"{poly} leaves the base field"
+    assert all(c in back for c in poly.coeffs), f"{poly_repr(poly)} leaves the base field"
     return [back[c] for c in poly.coeffs]
 
 
@@ -204,8 +208,8 @@ def check_root_scan(f, max_ext):
         factor = UnivariatePolynomial(field, [1])
         for r, m in group:
             for _ in range(m):
-                factor = factor.mul(lin(field, r.raw))
-        product = product.mul(UnivariatePolynomial(ring, _pull_back(factor, emb)))
+                factor = poly_mul(factor, lin(field, r.raw))
+        product = poly_mul(product, UnivariatePolynomial(ring, _pull_back(factor, emb)))
     lead_inv = ring.rinv(f.coeffs[-1])
     assert product == UnivariatePolynomial(ring, [ring.rmul(lead_inv, c) for c in f.coeffs])
     return sorted((s, m) for s, group in by_degree.items() for _, m in group)
@@ -253,7 +257,7 @@ def test_root_scan_table_bound_reached_only_when_needed():
     cubic = next(
         f
         for f in (UnivariatePolynomial(F16, [c, 1, 0, 1]) for c in range(1, 16))
-        if all(f.evaluate(x).raw for x in F16.elements())
+        if all(poly_evaluate(f, x).raw for x in F16.elements())
     )
     with pytest.raises(ExtensionBoundExceeded):
         roots_with_multiplicity(cubic, 2)
@@ -263,7 +267,7 @@ def test_root_scan_table_bound_reached_only_when_needed():
     quad = next(
         f
         for f in (UnivariatePolynomial(F16, [c, 1, 1]) for c in range(1, 16))
-        if all(f.evaluate(x).raw for x in F16.elements())
+        if all(poly_evaluate(f, x).raw for x in F16.elements())
     )
     roots = roots_with_multiplicity(quad, 10)
     assert [(r.ring.q, m) for r, m in roots] == [(256, 1), (256, 1)]
@@ -387,7 +391,7 @@ def test_resultant_multiplicative_at_size_200(rng):
         a = random_poly(ring, 100, rng)
         b1 = random_poly(ring, rng.randrange(45, 56), rng, unit_lead=True)
         b2 = random_poly(ring, 100 - b1.degree, rng, unit_lead=True)
-        b = b1.mul(b2)
+        b = poly_mul(b1, b2)
         assert a.degree + b.degree >= 200
         assert resultant(a, b) == resultant(a, b1) * resultant(a, b2)
 
@@ -398,7 +402,7 @@ def test_resultant_multiplicative_at_size_30(rng):
         a = random_poly(ring, 10, rng)
         b1 = random_poly(ring, rng.randrange(9, 12), rng, unit_lead=True)
         b2 = random_poly(ring, rng.randrange(9, 12), rng, unit_lead=True)
-        b = b1.mul(b2)
+        b = poly_mul(b1, b2)
         assert a.degree + b.degree >= 28
         assert resultant(a, b) == resultant(a, b1) * resultant(a, b2)
 
@@ -431,5 +435,15 @@ def test_evaluation_at_an_element_of_another_ring_is_refused():
     F3, F5 = CoeffRing.make(3), CoeffRing.make(5)
     f = UnivariatePolynomial(F5, [1, 1])
     with pytest.raises(ShapeMismatch, match="evaluation point belongs to another ring"):
-        f.evaluate(F3.from_raw(2))
-    assert f.evaluate(F5.from_raw(2)) == F5.from_raw(3)
+        poly_evaluate(f, F3.from_raw(2))
+    assert poly_evaluate(f, F5.from_raw(2)) == F5.from_raw(3)
+
+
+def test_product_of_polynomials_over_different_rings_is_refused():
+    F3, F5 = CoeffRing.make(3), CoeffRing.make(5)
+    with pytest.raises(ShapeMismatch, match="polynomials over different rings"):
+        poly_mul(UnivariatePolynomial(F3, [1, 1]), UnivariatePolynomial(F5, [1, 1]))
+    square = poly_mul(UnivariatePolynomial(F5, [1, 1]), UnivariatePolynomial(F5, [1, 1]))
+    assert square == UnivariatePolynomial(F5, [1, 2, 1])
+    assert poly_repr(square) == "<poly 1 + (2)*X + X^2>"
+    assert poly_repr(UnivariatePolynomial(F5, [])) == "<poly 0>"

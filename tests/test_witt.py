@@ -418,20 +418,30 @@ def test_nvar_distributivity_500_triples(rng):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_truncate_cuts_the_peeled_coordinates(any_ring, n, rng):
-    """``truncate`` returns the element itself when nothing is cut; a cut
-    of an element whose coordinates were peeled carries the coordinates
-    below the new order, which are the peel of the cut."""
+def test_truncate_cuts_the_peeled_coordinates(any_ring, n, rng, monkeypatch):
+    """``truncate`` returns the element itself when nothing is cut, and the
+    longest cut made each time it is asked for again.  A cut of an element
+    whose coordinates were peeled, before or after the cut was made, reads
+    the coordinates below the new order, which are the peel of the cut,
+    without a peel; so does a shorter cut, made from the kept one."""
+    peels = []
+    peel = witt.peel_keys
+    monkeypatch.setattr(witt, "peel_keys", lambda *args: peels.append(args) or peel(*args))
     for _ in range(3):
         d = rng.randrange(2, (12, 7, 5)[n - 1])
         a = random_witt_element(any_ring, n, d, rng)
         assert a.truncate(d) is a
-        fresh = [a.truncate(d_new) for d_new in range(1, d)]
+        fresh = [WittElement(a.series.truncate(d_new)) for d_new in range(1, d)]
+        kept = a.truncate(d - 1)
         witt_coordinates(a)
-        for d_new, want in enumerate(fresh, 1):
-            cut = a.truncate(d_new)
-            assert cut._coords is not None and cut == want
-            assert witt_coordinates(cut) == witt_coordinates(want), (a, d_new)
+        peels.clear()
+        cuts = [a.truncate(d_new) for d_new in range(1, d)]
+        assert cuts[-1] is kept and a.truncate(d - 1) is kept
+        got = [witt_coordinates(cut) for cut in cuts]
+        assert not peels
+        for cut, coords, want in zip(cuts, got, fresh):
+            assert cut == want and cut._coords is coords
+            assert coords == witt_coordinates(want), (a, want.d)
 
 
 def test_product_is_never_flagged_exact():
