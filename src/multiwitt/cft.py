@@ -5,9 +5,11 @@ At truncation d over F_q the group is generated by the binomials
 exponents below d whose gcd is prime to p; such a generator has order
 p^s(nu) where s(nu) counts the i >= 0 with p^i |nu| < d, because raising
 a binomial to the p-th power just dilates its exponent.  Collecting these
-prime powers gives the invariant factors directly; a brute-force oracle
-recovers the same data from the group law, and the two must agree on
-every configuration small enough to enumerate.  It reads the factors
+prime powers gives the invariant factors directly, and since s depends
+on |nu| alone they come from a count per weight, with no exponent
+listed; a brute-force oracle recovers the same data from the group law,
+and the two must agree on every configuration small enough to
+enumerate.  It reads the factors
 off the power ladder: for each prime l dividing |G| the sizes
 |l^k G| come from iterating x -> x^l over the set, and
 |l^k G| / |l^(k+1) G| = l^r counts the cyclic factors of order at least
@@ -40,19 +42,19 @@ pairwise and sampled commutativity checks, and the same enumerations
 over WittElement and witt_add, with the census's numeric endomorphism
 check over pairs.
 Only the witnesses and the element enumeration of ModulusGroupDesc import
-the witt module, so the factors, the oracle and the census run without it,
-and only the oracle and the census import dense.py.
+the ring, series and witt modules, and only the oracle and the census
+import dense.py (and through it ring and series), so the factors run on
+this module and errors.py alone.
 """
 
 from __future__ import annotations
 
 from functools import partial
 from itertools import product
-from math import prod
+from math import comb, prod
 
-from .errors import InvalidTruncation, NotAbelian, check_budget, check_power
-from .ring import _MAX_TABLE_Q, CoeffRing, Record, prime_power
-from .series import check_shape, content, exponent_count, exponents_below
+from .errors import _MAX_TABLE_Q, InvalidTruncation, NotAbelian, Record, check_budget
+from .errors import check_power, check_shape, prime_power
 
 BRUTE_FORCE_LIMIT = 2**18
 CENSUS_LIMIT = 10**6
@@ -101,30 +103,40 @@ def generator_order_exponent(p: int, weight: int, d: int) -> int:
 
 def pi1_truncated(n: int, q: int, d: int) -> AbelianGroupStructure:
     """Structure of the truncated group over F_q in n variables.  The
-    factors need only p and e; the ring is made when the witnesses are."""
+    generators of weight w are e per exponent of weight w whose content is
+    prime to p: C(w + n - 1, n - 1) exponents, less the C(w/p + n - 1,
+    n - 1) multiples of p when p | w.  The factors and the order come from
+    these counts and need only p and e; the exponents are listed, and the
+    ring made, when the witnesses are read."""
     if d < 2:
         raise InvalidTruncation("truncation level must be at least 2")
     p, e = prime_power(q)
-    # e generators per exponent at most, counted before building the box
-    check_budget(e * _group_rank(n, d), PI1_GENERATOR_LIMIT, "up to {} generators")
-    gens = []  # (order, exponent, basis element x^b as a field index)
-    exps = [nu for nu in exponents_below(n, d) if sum(nu) > 0]
-    for nu in exps:
-        if content(nu) % p == 0:
-            continue
-        s = generator_order_exponent(p, sum(nu), d)
-        gens.extend((p**s, nu, p**b) for b in range(e))
-    gens.sort(key=lambda t: t[0])
-    factors = tuple(o for o, _, _ in gens)
-    order = q ** len(exps)
+    rank = _group_rank(n, d)
+    # e generators per exponent at most, counted before any is listed
+    check_budget(e * rank, PI1_GENERATOR_LIMIT, "up to {} generators")
+    factors = []
+    for w in range(d - 1, 0, -1):  # the order p^s(w) grows as w falls
+        count = comb(w + n - 1, n - 1) - (comb(w // p + n - 1, n - 1) if w % p == 0 else 0)
+        factors += [p ** generator_order_exponent(p, w, d)] * (e * count)
+    factors = tuple(factors)
+    order = q**rank
     if prod(factors) != order:
         raise AssertionError("generator orders do not account for the group order")
 
     def witnesses():
+        from .ring import CoeffRing
+        from .series import content, exponents_below
         from .witt import WittElement
 
+        # one generator per basis element x^b, as a field index, of each
+        # exponent prime to p, in the order of the factors
+        gens = [(p ** generator_order_exponent(p, sum(nu), d), nu)
+                for nu in exponents_below(n, d)[1:] if content(nu) % p]
+        gens.sort(key=lambda t: t[0])
         ring = CoeffRing.make(q)
-        return tuple(WittElement.binomial(ring, n, d, nu, c) for _, nu, c in gens)
+        return tuple(
+            WittElement.binomial(ring, n, d, nu, p**b) for _, nu in gens for b in range(e)
+        )
 
     return AbelianGroupStructure(factors, order, witnesses)
 
@@ -135,6 +147,7 @@ class ModulusGroupDesc(Record):
     __slots__ = _fields = ("q", "m", "order", "structure")
 
     def elements(self):
+        from .ring import CoeffRing
         from .witt import WittElement, enumerate_witt_elements
 
         ring = CoeffRing.make(self.q)
@@ -265,7 +278,7 @@ def _group_rank(n: int, d: int) -> int:
     if n < 1 or d < 1:
         raise InvalidTruncation("need n >= 1 variables and truncation level d >= 1")
     check_shape(n, d)
-    return exponent_count(n, d) - 1
+    return comb(n + d - 1, n) - 1
 
 
 def _coefficient_tuples(size: int, rank: int):
@@ -339,8 +352,10 @@ def lang_kernel_census(n: int, q: int, s: int, d: int, seed: int = 0) -> LangCen
     qs = check_power(q, s, _MAX_TABLE_Q, "extension field has q^s = {} elements")
     rank = _group_rank(n, d)
     total = check_power(qs, rank, CENSUS_LIMIT, "a census of {} elements")
-    big = CoeffRing.make(qs)
     from .dense import _dense_law
+    from .ring import CoeffRing
+
+    big = CoeffRing.make(qs)
 
     law = _dense_law(big, n, d)
     law.prove()

@@ -31,8 +31,7 @@ import math
 import sys
 
 from . import __version__
-from .errors import SchemaError, WittError, check_budget
-from .ring import CoeffRing, json_int, json_object
+from .errors import SchemaError, WittError, check_budget, json_int, json_object
 
 SCHEMA_VERSION = "1"
 
@@ -62,6 +61,8 @@ def run(args: argparse.Namespace):
         _read_payload(args.payload), f"{cmd} payload", *keys
     )
     if "ring" in required:
+        from .ring import CoeffRing
+
         ring = CoeffRing.from_json_dict(_loads(args.ring, "--ring"))
 
     if cmd in ("add", "mul"):
@@ -135,6 +136,8 @@ def run(args: argparse.Namespace):
         _check_json_int(structure.order, "group order")
         result = structure.to_json_dict()
         if args.oracle:
+            from .ring import CoeffRing
+
             oracle = witt_group_structure_brute(CoeffRing.make(args.q), args.n, args.d)
             result["oracle_factors"] = list(oracle.invariant_factors)
             result["agree"] = oracle.invariant_factors == structure.invariant_factors

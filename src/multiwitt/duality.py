@@ -47,10 +47,10 @@ refuses when its default level stops short of C(f).
 
 from __future__ import annotations
 
-from .errors import WORK_LIMIT, InvalidTruncation, NotAUnit, NotNilpotent, ShapeMismatch
+from . import ptypical
+from .errors import WORK_LIMIT, InvalidTruncation, NotAUnit, NotNilpotent, Record, ShapeMismatch
 from .errors import UnstableTruncation, check_budget
-from .ptypical import _component_entries, ah_value
-from .ring import CoeffRing, Record, RingElement
+from .ring import CoeffRing, RingElement
 from .series import TruncatedSeries, exponents_below, unpack_exponent
 from .witt import (
     WittCoordinates,
@@ -473,8 +473,8 @@ def pairing_via_components(f: FormalWittElement, g: WittElement, d: int | None =
     acc = ring.one
     # g cut at d holds each part at its order one_var_order(d, |nu|)
     for _, _, fp, gp in _shared_parts(f, g.truncate(d), elements=True):
-        fam_f = _component_entries(WittElement(fp.series.extend(fp.coordinate_bound())))
-        fam_g = _component_entries(gp)
+        fam_f = ptypical._component_entries(WittElement(fp.series.extend(fp.coordinate_bound())))
+        fam_g = ptypical._component_entries(gp)
         for j, vf in fam_f.items():
             vg = fam_g.get(j)
             if vg is None:
@@ -492,7 +492,7 @@ def _slot_value(ring: CoeffRing, v, w) -> int:
     the product of AH(v_i^(p^k) w_k^(p^i)) over every i and k: a Frobenius
     table read, one product and one Artin-Hasse value each, and the k-loop
     of v_i stops once v_i^(p^k) = 0.  No Witt product is formed."""
-    frob, mul = ring._frob, ring._mul
+    frob, mul, ah_value = ring._frob, ring._mul, ptypical.ah_value
     acc, wp = ring.one, list(w)  # wp[k] = w_k^(p^i) in the pass of v_i
     for x in v:
         for c in wp:

@@ -16,7 +16,16 @@ budget does not weight them, so at the rates below the limit admits about
 1.6 s of the geometric norms.  The norms walk no further than f's
 conductor C(f) <= deg f (e - 1) + 1, so their estimate is bounded by deg f
 and C(f), not by m or g's length.  Every other bound caps a size, not steps.
+
+Every job compiles this module, and it imports nothing else from the
+package, so it also holds what the lightest jobs need beside the errors:
+``Record``, the base of every value class; the JSON readers ``json_int``,
+``json_list`` and ``json_object``; ``prime_power``, which sizes a field
+before any table is built; and ``check_shape``, which sizes an exponent
+box before it is built.  A ``pi1`` job runs on these and cft.py alone.
 """
+
+from operator import attrgetter
 
 # steps of one division, series product, product or peel driver, or
 # norm.  ``scripts/kernel_steps.py`` on dense F_3 input, ns per step as the
@@ -26,6 +35,11 @@ and C(f), not by m or g's length.  Every other bound caps a size, not steps.
 # geometric norm 157, a spread of 4.6 times; no run read more than 1.1
 # times its median.
 WORK_LIMIT = 10**7
+# a field or ring of more elements gets no tables: they grow as its square
+_MAX_TABLE_Q = 2048
+# an exponent in n variables below d has n entries and a key below d^n, an
+# n * log2(d)-bit integer: n * d.bit_length() bounds both
+EXPONENT_BITS_LIMIT = 1 << 16
 
 
 class WittError(Exception):
@@ -126,3 +140,123 @@ def check_power(base: int, power: int, limit: int, what: str, *fields) -> int:
         check_budget(value, limit, what, *fields)
         return value
     _refuse(_at_least(low), limit, what, fields)
+
+
+def check_shape(n: int, d: int) -> None:
+    """SchemaError unless n, d >= 1; TooLarge, before anything is built, when
+    exponents at (n, d) are past ``EXPONENT_BITS_LIMIT``."""
+    if n < 1 or d < 1:
+        raise SchemaError("need n >= 1 and d >= 1")
+    what = "at n = {1}, d = {2} an exponent has {1} entries and a key below d^n of up to {0} bits"
+    check_budget(n * d.bit_length(), EXPONENT_BITS_LIMIT, what, n, d)
+
+
+def prime_power(q: int) -> tuple:
+    """(p, e) with q = p^e for a field order q: TooLarge past the table
+    bound, before q is factored, and SchemaError unless q is a prime power."""
+    check_budget(q, _MAX_TABLE_Q, "field has q = {} elements")
+    for p in range(2, q + 1):
+        if q % p == 0:
+            e, rest = 1, q // p
+            while rest % p == 0:
+                e, rest = e + 1, rest // p
+            if rest == 1:
+                return p, e
+            break
+    raise SchemaError(f"{q} is not a prime power")
+
+
+class Record:
+    """Immutable value, equal and hashed by the attributes named in
+    ``_fields``, as a frozen dataclass is, without importing dataclasses.
+    A subclass declares its ``__slots__``, and ``Record.__init__(*values)``
+    fills the fields in order.  A subclass ``__init__`` that checks or
+    normalizes its arguments ends in it; one that also fills slots beyond
+    the fields (a cache built on first read, when it is read) goes through
+    ``_set``.  ``_make`` is the trusted constructor.  Assignment raises
+    AttributeError."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        fields = cls._fields
+        # _key(self) is the tuple of the fields: a lone attrgetter returns
+        # the bare value, and a plain function would bind as a method
+        get = attrgetter(*fields)
+        cls._key = get if len(fields) > 1 else staticmethod(lambda self: (get(self),))
+        cls._setters = tuple(getattr(cls, name).__set__ for name in fields)
+
+    def __init__(self, *values):
+        setters = self._setters
+        if len(values) != len(setters):
+            raise TypeError(f"{type(self).__name__} takes the fields {self._fields}")
+        for setter, value in zip(setters, values):
+            setter(self, value)
+
+    @classmethod
+    def _make(cls, *values):
+        """The value with the fields as given, past any checking ``__init__``:
+        the trusted constructor of a class whose slots are its fields."""
+        self = object.__new__(cls)
+        Record.__init__(self, *values)
+        return self
+
+    def _set(self, **values):
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {type(self).__name__}.{name}")
+
+    def __eq__(self, other):
+        if other is self:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __reduce__(self):
+        return type(self), self._key(self)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+def json_int(value, what: str, minimum: int | None = None) -> int:
+    """``value`` if it is a JSON integer (an ``int``, not a ``bool``) of at
+    least ``minimum``; SchemaError otherwise.  Floats such as 2.0 are
+    rejected, not coerced."""
+    if type(value) is not int:
+        raise SchemaError(f"{what} must be a JSON integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise SchemaError(f"{what} must be >= {minimum}, got {value}")
+    return value
+
+
+def json_list(value, what: str) -> list:
+    """``value`` if it is a JSON list; SchemaError otherwise."""
+    if type(value) is not list:
+        raise SchemaError(f"{what} must be a JSON list, got {value!r}")
+    return value
+
+
+def json_object(value, what: str, required, optional=()) -> dict:
+    """``value`` if it is a JSON object with every key in ``required`` and
+    no key outside ``required`` and ``optional``; SchemaError otherwise."""
+    if type(value) is not dict:
+        raise SchemaError(f"{what} must be a JSON object, got {value!r}")
+    missing = [k for k in required if k not in value]
+    unknown = sorted(value.keys() - set(required) - set(optional))
+    if missing or unknown:
+        raise SchemaError(
+            f"{what} needs keys {list(required)} and allows {list(optional)}; "
+            f"missing {missing}, unknown {unknown}"
+        )
+    return value

@@ -49,10 +49,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import NonIntegral, NotNilpotent, SchemaError, ShapeMismatch
-from .errors import check_budget
-from .ring import CoeffRing, Record, RingElement, _is_prime
-from .series import TruncatedSeries, check_shape, multiply_keys, peel_keys
+from .errors import NonIntegral, NotNilpotent, Record, SchemaError, ShapeMismatch
+from .errors import check_budget, check_shape
+from .ring import CoeffRing, RingElement, _is_prime
+from .series import TruncatedSeries, multiply_keys, peel_keys
 from .witt import FAMILY_LIMIT, WittElement
 
 

@@ -46,24 +46,12 @@ from heapq import heapify, heappop, heappush
 from math import comb, gcd
 
 from .errors import WORK_LIMIT, NonUnitConstantTerm, NotExact, SchemaError, ShapeMismatch
-from .errors import check_budget
-from .ring import CoeffRing, json_int, json_list, json_object
+from .errors import check_budget, check_shape, json_int, json_list, json_object
+from .ring import CoeffRing
 
-# an exponent in n variables below d has n entries and a key below d^n, an
-# n * log2(d)-bit integer: n * d.bit_length() bounds both
-EXPONENT_BITS_LIMIT = 1 << 16
 # keys of one quotient or product: a division's output grows with its
 # budget from a few-term input, a product's with the square of its inputs
 KEYS_LIMIT = 10**6
-
-
-def check_shape(n: int, d: int) -> None:
-    """SchemaError unless n, d >= 1; TooLarge, before anything is built, when
-    exponents at (n, d) are past ``EXPONENT_BITS_LIMIT``."""
-    if n < 1 or d < 1:
-        raise SchemaError("need n >= 1 and d >= 1")
-    what = "at n = {1}, d = {2} an exponent has {1} entries and a key below d^n of up to {0} bits"
-    check_budget(n * d.bit_length(), EXPONENT_BITS_LIMIT, what, n, d)
 
 
 def exponent_count(n: int, d: int) -> int:

@@ -10,8 +10,8 @@ until that span goes (ROADMAP item 1, Stage A).
 from __future__ import annotations
 
 from .duality import _det_chain
-from .errors import EmptyInput, ShapeMismatch, check_budget
-from .ring import CoeffRing, Record, RingElement
+from .errors import EmptyInput, Record, ShapeMismatch, check_budget
+from .ring import CoeffRing, RingElement
 
 
 class UnivariatePolynomial(Record):

@@ -57,13 +57,12 @@ from __future__ import annotations
 from functools import partial
 from math import gcd
 
-from .errors import NilpotentCoefficients, ShapeMismatch, check_budget
-from .ring import CoeffRing, json_object
+from .errors import NilpotentCoefficients, ShapeMismatch, check_budget, check_shape, json_object
+from .ring import CoeffRing
 from .series import (
     KeyedTerms,
     TruncatedSeries,
     check_division,
-    check_shape,
     exponent_count,
     exponents_below,
     multiply_keys,

@@ -28,6 +28,13 @@ pairs that ``random.Random(0).choices`` draws.  They are the reference
 for the table proof, which must refuse exactly the laws they refuse,
 and ``loop_powers`` is the reference for the compiled ladder kernels.
 
+``pi1_box`` is the invariant-factor formula as the library computed it
+before it counted generators per weight: it lists the whole exponent box,
+keeps the exponents whose content is prime to p and sorts their
+generators by order.  It is the reference for ``multiwitt.cft.pi1_truncated``:
+the same factors, order and witnesses in the same order, and the same
+refusals with the same messages.
+
 ``greedy_structure`` recovers the invariant factors by the greedy peel
 over element orders, after the same checks of the group axioms: the
 reference for the factors of the power ladder and for the witnesses
@@ -42,18 +49,23 @@ from __future__ import annotations
 import random
 from functools import partial
 from itertools import combinations, islice
+from math import prod
 
 from multiwitt.cft import (
     BRUTE_FORCE_LIMIT,
     CENSUS_LIMIT,
+    PI1_GENERATOR_LIMIT,
     AbelianGroupStructure,
     LangCensus,
+    _group_rank,
     _ladder,
     _peel_witnesses,
+    generator_order_exponent,
 )
 from multiwitt.errors import InvalidTruncation, NotAbelian, NotClosed, TooLarge, check_budget
+from multiwitt.errors import prime_power
 from multiwitt.ring import CoeffRing
-from multiwitt.series import exponents_below
+from multiwitt.series import content, exponents_below
 from multiwitt.witt import (
     WittElement,
     enumerate_witt_elements,
@@ -256,6 +268,33 @@ def _powers_from(x, w, count: int, op) -> list:
     for _ in range(count - 1):
         out.append(op(out[-1], w))
     return out
+
+
+def pi1_box(n: int, q: int, d: int) -> AbelianGroupStructure:
+    """The structure of the truncated group over F_q in n variables from
+    the exponent box: e generators (1 - x^b t^nu) per exponent nu prime to
+    p, of order p^s(|nu|), sorted by order."""
+    if d < 2:
+        raise InvalidTruncation("truncation level must be at least 2")
+    p, e = prime_power(q)
+    check_budget(e * _group_rank(n, d), PI1_GENERATOR_LIMIT, "up to {} generators")
+    gens = []  # (order, exponent, basis element x^b as a field index)
+    exps = [nu for nu in exponents_below(n, d) if sum(nu) > 0]
+    for nu in exps:
+        if content(nu) % p == 0:
+            continue
+        s = generator_order_exponent(p, sum(nu), d)
+        gens.extend((p**s, nu, p**b) for b in range(e))
+    gens.sort(key=lambda t: t[0])
+    factors = tuple(o for o, _, _ in gens)
+    order = q ** len(exps)
+    assert prod(factors) == order
+
+    def witnesses():
+        ring = CoeffRing.make(q)
+        return tuple(WittElement.binomial(ring, n, d, nu, c) for _, nu, c in gens)
+
+    return AbelianGroupStructure(factors, order, witnesses)
 
 
 def witt_group_structure_brute(ring: CoeffRing, n: int, d: int) -> AbelianGroupStructure:

@@ -54,6 +54,46 @@ def test_order_formula(rng):
         assert s.order == q**m
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_generator_counts_match_the_box(n):
+    """The factors counted per weight are the factors of the box: the same
+    factors, order and witnesses, in the same order."""
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        for d in range(2, 9):
+            s, box = pi1_truncated(n, q, d), cft_oracle.pi1_box(n, q, d)
+            assert s.invariant_factors == box.invariant_factors, (n, q, d)
+            assert s.order == box.order, (n, q, d)
+            assert s.witnesses == box.witnesses, (n, q, d)
+
+
+@pytest.mark.parametrize(
+    "n, q, d, error",
+    [
+        (1, 2, 1, InvalidTruncation),
+        (2, 3, 0, InvalidTruncation),
+        (3, 4, -1, InvalidTruncation),
+        (0, 2, 3, InvalidTruncation),
+        (1, 6, 3, SchemaError),
+        (2, 12, 4, SchemaError),
+        (1, 4096, 3, TooLarge),
+        (20, 2, 20, TooLarge),
+        (3, 4, 70, TooLarge),
+        (1, 2, 10**5 + 2, TooLarge),
+        (5, 2, 1 << 14000, TooLarge),
+    ],
+    ids=[
+        "d-1", "d-0", "d-negative", "n-0", "q-6", "q-12", "q-4096", "rank-20-20", "rank-F4",
+        "rank-n-1", "exponent-bits",
+    ],
+)
+def test_generator_counts_refuse_as_the_box(n, q, d, error):
+    with pytest.raises(error) as counted:
+        pi1_truncated(n, q, d)
+    with pytest.raises(error) as box:
+        cft_oracle.pi1_box(n, q, d)
+    assert str(counted.value) == str(box.value)
+
+
 def test_generator_orders_match_witnesses():
     from multiwitt import WittElement
 
@@ -415,7 +455,7 @@ def test_oversized_enumerations_rejected_before_the_box(monkeypatch):
     def no_box(n, d):
         raise AssertionError(f"exponent box ({n}, {d}) built")
 
-    monkeypatch.setattr(cft, "exponents_below", no_box)
+    monkeypatch.setattr("multiwitt.series.exponents_below", no_box)
     F2 = CoeffRing.make(2)
     rank = cft._group_rank(20, 20)
     estimate = rf"order at least 2\^{rank}, beyond limit 262144$"

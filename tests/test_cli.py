@@ -1,3 +1,4 @@
+import importlib.util
 import io
 import json
 import random
@@ -164,6 +165,7 @@ def test_decompose_components_are_never_exact(capsys):
 
 
 GOLDEN = Path(__file__).parent / "golden"
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 F3_RING = '{"p":3,"e":1,"modulus":[0,1],"nil":1}'
 F3E2_RING = '{"p":3,"e":1,"modulus":[0,1],"nil":2}'
 F4E2_RING = '{"p":2,"e":2,"modulus":[1,1,1],"nil":2}'
@@ -945,6 +947,31 @@ def test_malformed_input_not_coerced(capsys, argv):
     assert doc["error"]["kind"] == "SchemaError"
 
 
+# the job mix of the cli_spawn benchmark workload, with pi1 --oracle and
+# pair --algebraic, and the self-test that certifies the geometric norm
+# without a resultant; each with the library modules it runs besides cli
+# and errors, exactly
+_COORDS = json.dumps({"coords": [{"exp": [1, 0], "r": [[1]]}, {"exp": [1, 2], "r": [[1]]}]})
+_PAIRING = {"ring", "series", "witt", "duality"}
+_CENSUS = {"ring", "series", "dense", "cft"}
+_WITT = {"ring", "series", "witt"}
+CLI_JOBS = [
+    (["pi1", "--n", "1", "--q", "2", "--d", "3"], {"cft"}),
+    (["pi1", "--n", "2", "--q", "4", "--d", "3", "--oracle"], _CENSUS),
+    (["pair", "--both", "--ring", R22_RING, "--payload", PAIR_PAYLOAD], _PAIRING),
+    (["pair", "--algebraic", "--ring", R22_RING, "--payload", PAIR_PAYLOAD], _PAIRING),
+    (
+        ["coords", "--ring", F2_RING, "--payload",
+         json.dumps({"a": series_doc(1, 4, [((0,), [[1]]), ((1,), [[1]])])})],
+        _WITT,
+    ),
+    (["from-coords", "--ring", F2_RING, "--n", "2", "--d", "8", "--payload", _COORDS], _WITT),
+    (["lang-census", "--n", "1", "--q", "2", "--s", "2", "--d", "3"], _CENSUS),
+    (["ah-exp", "--ring", F2_RING, "--d", "4", "--payload", '{"x": [[1]]}'], _WITT | {"ptypical"}),
+    (["selftest", "--suite", "ring"], _PAIRING | {"selftest"}),
+]
+
+
 def test_cli_needs_neither_jsonschema_nor_selftest():
     loaded = (
         "import sys, multiwitt.cli; "
@@ -970,36 +997,32 @@ def test_cli_needs_neither_jsonschema_nor_selftest():
         "if m.startswith('multiwitt.') and type(mod) is types.ModuleType))); "
         "print(json.dumps(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before))))"
     )
-    a = json.dumps({"a": series_doc(1, 4, [((0,), [[1]]), ((1,), [[1]])])})
-    coords = json.dumps({"coords": [{"exp": [1, 0], "r": [[1]]}, {"exp": [1, 2], "r": [[1]]}]})
-    # the job mix of the cli_spawn benchmark workload
-    jobs = [
-        (["pi1", "--n", "1", "--q", "2", "--d", "3"], "cft", ("dense", "duality", "ptypical", "witt")),
-        (["pair", "--both", "--ring", R22_RING, "--payload", PAIR_PAYLOAD], "duality", ("cft", "unipoly")),
-        (["coords", "--ring", F2_RING, "--payload", a], "witt", ("cft", "duality", "ptypical")),
-        (
-            ["from-coords", "--ring", F2_RING, "--n", "2", "--d", "8", "--payload", coords],
-            "witt",
-            ("cft", "duality", "ptypical"),
-        ),
-        (
-            ["lang-census", "--n", "1", "--q", "2", "--s", "2", "--d", "3"],
-            "cft",
-            ("duality", "ptypical", "witt"),
-        ),
-        (["ah-exp", "--ring", F2_RING, "--d", "4", "--payload", '{"x": [[1]]}'], "ptypical", ("duality",)),
-        # and the self-test that certifies the geometric norm without a resultant
-        (["selftest", "--suite", "ring"], "selftest", ("unipoly",)),
-    ]
-    for argv, used, unused in jobs:
+    for argv, used in CLI_JOBS:
         proc = subprocess.run(
             [sys.executable, "-c", executed, json.dumps(argv)], capture_output=True, text=True
         )
         answer, loaded, stdlib = proc.stdout.splitlines()
         assert proc.returncode == 0 and "error" not in json.loads(answer), proc.stdout
         loaded = {m.removeprefix("multiwitt.") for m in json.loads(loaded)}
-        assert used in loaded and not loaded & set(unused), (argv[0], loaded)
+        assert loaded == used | {"cli", "errors"}, (argv[0], loaded)
         assert json.loads(stdlib) == [], (argv[0], stdlib)
+
+
+def test_each_command_compiles_only_the_modules_it_runs():
+    """A fresh ``python -m multiwitt.cli`` process that writes no bytecode,
+    as the cli_spawn benchmark runs it, compiles the package, cli, errors
+    and the modules the job runs, and no other library file.  A pi1 job
+    compiles neither ring nor series, and a pair job neither ptypical nor
+    fractions: duality reaches ptypical through the lazily registered
+    module, which only the component route executes."""
+    spec = importlib.util.spec_from_file_location("compile_cost", SCRIPTS / "compile_cost.py")
+    compile_cost = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(compile_cost)
+    for argv, used in CLI_JOBS[:-1]:
+        code, out, compiled, modules = compile_cost.run_job(argv)
+        assert code == 0 and "error" not in json.loads(out), out
+        assert set(compiled) == used | {"__init__", "cli", "errors"}, (argv[:2], compiled)
+        assert ("fractions" in modules) == ("ptypical" in used), (argv[:2], "fractions")
 
 
 def _coords_job(doc):

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from multiwitt import errors
 from multiwitt.cli import main
-from multiwitt.series import EXPONENT_BITS_LIMIT
+from multiwitt.errors import EXPONENT_BITS_LIMIT
 
 F2 = {"p": 2, "e": 1, "modulus": [0, 1], "nil": 1}
 F4E2 = {"p": 2, "e": 2, "modulus": [1, 1, 1], "nil": 2}
@@ -250,7 +250,7 @@ def test_large_pair_exits_0_or_1(mode, d, m):
 
 # ``from-coords`` at any --n and --d up to 10^9, with and without
 # coordinates, ends in exit 0 or 1 with one JSON document, and in TooLarge
-# at once on a shape whose exponents are past series.EXPONENT_BITS_LIMIT
+# at once on a shape whose exponents are past errors.EXPONENT_BITS_LIMIT
 @settings(FUZZ, max_examples=40)
 @given(st.integers(1, 10**9), st.integers(1, 10**9), st.booleans())
 def test_large_from_coords_exits_0_or_1(n, d, empty):

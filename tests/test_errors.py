@@ -179,7 +179,7 @@ SITES = {
         r"the Artin-Hasse peel at n = 1, d = 400 reaches \d+ steps, beyond limit 100",
     ),
     "pi1 generators": (
-        {"multiwitt.cft.exponents_below": refuse},
+        {"multiwitt.series.exponents_below": refuse},
         lambda: cft.pi1_truncated(20, 2, 20),
         rf"up to {RANK} generators, beyond limit 100000",
     ),

@@ -1,6 +1,7 @@
 """Smoke test: the README's scripts run to completion, pi1_table as the
 README documents it (every oracle row up to order 4096), duality_demo at
-a small size over a prime field and over F_4, and kernel_steps as it is.
+a small size over a prime field and over F_4, and kernel_steps and
+compile_cost as they are.
 
 pi1_table and duality_demo import only the public API, so this catches a
 removal that would otherwise break them silently.  bench_pairs is checked on synthetic run
@@ -58,6 +59,27 @@ def test_kernel_steps_times_every_budgeted_kernel():
     for row in rows:
         steps, best, ns = row[20:].split()
         assert 5 * 10**5 <= int(steps) <= 2 * 10**6 and float(best) > 0 and int(ns) > 0
+
+
+def test_compile_cost_lists_each_job_of_cli_spawn():
+    """compile_cost prints one row per cli_spawn job, with the ms it spent
+    compiling and each library file it compiled, and the pass total."""
+    proc = subprocess.run(
+        [sys.executable, "scripts/compile_cost.py", "--seed", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    header, *rows, total = proc.stdout.splitlines()
+    assert header.startswith("compile cost per job of cli_spawn seed 1")
+    commands = ["pi1", "pi1", "pair", "coords", "from-coords", "lang-census", "ah-exp"]
+    assert [row.split()[0] for row in rows] == commands
+    for row in rows:
+        _, ms, *files = row.split()
+        names, costs = files[::2], [float(c) for c in files[1::2]]
+        assert {"__init__", "cli", "errors"} <= set(names) and all(c > 0 for c in costs)
+        assert float(ms) == pytest.approx(sum(costs), abs=0.05 * len(costs))
+    assert sorted(rows[0].split()[2::2]) == ["__init__", "cft", "cli", "errors"]
+    assert total.split()[0] == "pass" and float(total.split()[1]) > 0
 
 
 def load_bench_pairs():
